@@ -5,8 +5,8 @@ from .allocator import (MatchSet, McfParams, MnnParams, brute_force_allocate,
                         mnn_allocate, solve_mcf)
 from .config import PipelineConfig, load_config, save_config
 from .encoder import (EncoderConfig, EncoderWeights, distance_gate,
-                      encode_graph, init_weights, initial_embed, load_weights,
-                      save_weights, sinusoidal_pe)
+                      encode_graph, encode_graphs, init_weights, initial_embed,
+                      load_weights, save_weights, sinusoidal_pe)
 from .evaluation import (AlignmentSample, SampleMetrics, aggregate,
                          bin_by_overlap, sample_metrics)
 from .losses import (InfoNceInput, TripletInput, hard_negative_mine, info_nce,

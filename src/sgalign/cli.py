@@ -20,11 +20,12 @@ import numpy as np
 
 from . import registration, retrieval, synth
 from .config import PipelineConfig, load_config
-from .encoder import EncoderWeights, encode_graph, init_weights, load_weights
+from .encoder import (EncoderWeights, encode_graph, encode_graphs, init_weights,
+                      load_weights, node_batches)
 from .errors import SgaError
 from .evaluation import bin_by_overlap, aggregate, sample_metrics
 from .losses import toy_embedding_fit
-from .pipeline import align_graphs
+from .pipeline import align_graphs, match_embeddings
 from .scene_graph import load_graph, validate_graph
 
 logger = logging.getLogger("sgalign")
@@ -35,6 +36,10 @@ _LOG_LEVELS = {"error": logging.ERROR, "warn": logging.WARNING,
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VALIDATION = 2
+
+
+class UsageError(Exception):
+    """A flag value argparse accepts but the command cannot use."""
 
 
 def _setup_logging() -> None:
@@ -136,13 +141,13 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
-def _eval_one(pair_dir: Path, weights, config, allocator):
-    sample = synth.load_sample(pair_dir)
-    result = align_graphs(sample.graph_a, sample.graph_b, weights, config,
-                          allocator=allocator, validate=False)
-    metrics = sample_metrics(result.matches, sample.gt, len(sample.graph_a.nodes))
+def _eval_pair(item, emb_a, emb_b, config, allocator):
+    name, sample = item
+    _, matches = match_embeddings(emb_a, emb_b, sample.graph_a.positions(),
+                                  sample.graph_b.positions(), config, allocator)
+    metrics = sample_metrics(matches, sample.gt, len(sample.graph_a.nodes))
     return {
-        "sample": pair_dir.name,
+        "sample": name,
         "overlap": sample.overlap_ratio,
         "task": sample.task,
         **metrics.to_dict(),
@@ -150,16 +155,27 @@ def _eval_one(pair_dir: Path, weights, config, allocator):
 
 
 def cmd_eval(args) -> int:
+    if args.jobs < 1:
+        raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
     config = _load_pipeline_config(args.config)
     weights, meta = _resolve_weights(args, config)
     pair_dirs = sorted(p for p in Path(args.pairs).iterdir() if p.is_dir())
     if not pair_dirs:
         raise SgaError(f"no sample directories under {args.pairs}")
 
+    # Pairs stream through in batches of at most BATCH_NODES nodes: one
+    # batched encode, then per-pair scoring on the pool. Batches depend
+    # only on the sorted pairs, never on --jobs, so neither do the bytes.
+    samples = ((p.name, synth.load_sample(p)) for p in pair_dirs)
+    rows = []
     with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-        rows = list(pool.map(
-            lambda p: _eval_one(p, weights, config, args.allocator), pair_dirs))
-    rows.sort(key=lambda r: r[0]["sample"])
+        for batch in node_batches(samples, lambda item: len(item[1].graph_a.nodes)
+                                  + len(item[1].graph_b.nodes)):
+            encoded = encode_graphs([g for _, sample in batch
+                                     for g in (sample.graph_a, sample.graph_b)], weights)
+            rows += pool.map(
+                lambda item, a, b: _eval_pair(item, a[0], b[0], config, args.allocator),
+                batch, encoded[0::2], encoded[1::2])
 
     per_sample = [r[0] for r in rows]
     overall = aggregate([m for _, (_, m) in rows])
@@ -338,7 +354,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
         return args.func(args)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (UsageError, OSError, json.JSONDecodeError) as exc:
         logger.error("%s", exc)
         return EXIT_USAGE
     except SgaError as exc:

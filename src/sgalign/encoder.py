@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
@@ -20,6 +21,10 @@ from .scene_graph import DEFAULT_FEATURE_DIMS, Node, SceneGraph
 
 LN_EPS = 1e-5
 CLS_ATTN_LAYERS = 2
+# Node budget of one batched forward pass where many graphs are encoded
+# (eval, database build). Bigger batches read the weights fewer times per
+# graph but hold more transient memory.
+BATCH_NODES = 64
 # Largest double below 1.0; keeps gate outputs in the open interval.
 _GATE_HI = np.nextafter(1.0, 0.0)
 _GATE_LO = np.nextafter(0.0, 1.0)
@@ -111,28 +116,92 @@ def tensor_shapes(config: EncoderConfig) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
+def packed_groups(config: EncoderConfig) -> dict[str, tuple[str, ...]]:
+    """Buffer name -> the tensors it holds as consecutive row blocks.
+
+    The forward pass projects with one GEMM per buffer instead of one per
+    tensor. Each DGSA layer packs the five projections of h = [PE(d) || c],
+    all (d_model, pe_dim + d_init); each class-token layer packs Q, K, V.
+    """
+    groups = {}
+    for layer in range(config.layers):
+        groups[f"layer{layer}.h_proj"] = tuple(
+            f"layer{layer}.{n}" for n in ("Wk", "Wv", "Wq_nn", "Wk_nn", "Wv_nn"))
+    for layer in range(CLS_ATTN_LAYERS):
+        groups[f"cls_attn{layer}.qkv"] = tuple(
+            f"cls_attn{layer}.{n}" for n in ("Wq", "Wk", "Wv"))
+    return groups
+
+
+def _check_names(expected, names) -> None:
+    missing = sorted(set(expected) - set(names))
+    unknown = sorted(set(names) - set(expected))
+    if missing:
+        raise WeightsFormatError(f"missing tensors: {missing}")
+    if unknown:
+        raise WeightsFormatError(f"unknown tensors: {unknown}")
+
+
+def _as_tensor(name: str, value, shape: tuple[int, ...]) -> np.ndarray:
+    arr = np.asarray(value, dtype=float)
+    if arr.shape != shape:
+        raise WeightsFormatError(f"tensor {name}: shape {arr.shape}, expected {shape}")
+    if not np.all(np.isfinite(arr)):
+        raise WeightsFormatError(f"tensor {name}: non-finite values")
+    return arr
+
+
+def _packed_buffer(parts: list[np.ndarray]) -> np.ndarray:
+    """The buffer whose consecutive row blocks `parts` already are, else a packed copy."""
+    buf = parts[0].base
+    if (isinstance(buf, np.ndarray) and buf.flags.c_contiguous
+            and buf.shape == (sum(len(p) for p in parts), parts[0].shape[1])
+            and all(p.base is buf and p.flags.c_contiguous
+                    and p.ctypes.data == buf.ctypes.data + i * p.nbytes
+                    for i, p in enumerate(parts))):
+        return buf
+    return np.concatenate(parts)
+
+
+def _empty_tensors(config: EncoderConfig) -> dict[str, np.ndarray]:
+    """Uninitialised tensors in the packed layout, for init and load to fill in place."""
+    shapes = tensor_shapes(config)
+    views = {}
+    for names in packed_groups(config).values():
+        rows, cols = shapes[names[0]]
+        buf = np.empty((len(names) * rows, cols))
+        for i, name in enumerate(names):
+            views[name] = buf[i * rows:(i + 1) * rows]
+    return {name: views[name] if name in views else np.empty(shape)
+            for name, shape in shapes.items()}
+
+
 @dataclass
 class EncoderWeights:
+    """Named weight tensors; the packed ones are row views of `packed` buffers.
+
+    The forward pass reads packed tensors through their buffer, so change a
+    weight in place (``weights[name][...] = value``); rebinding a packed
+    name in ``tensors`` would detach it from the buffer.
+    """
+
     config: EncoderConfig
     tensors: dict[str, np.ndarray]
     seed: int | None = None
+    packed: dict[str, np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
         expected = tensor_shapes(self.config)
-        missing = sorted(set(expected) - set(self.tensors))
-        unknown = sorted(set(self.tensors) - set(expected))
-        if missing:
-            raise WeightsFormatError(f"missing tensors: {missing}")
-        if unknown:
-            raise WeightsFormatError(f"unknown tensors: {unknown}")
+        _check_names(expected, self.tensors)
         for name, arr in self.tensors.items():
-            arr = np.asarray(arr, dtype=float)
-            if arr.shape != expected[name]:
-                raise WeightsFormatError(
-                    f"tensor {name}: shape {arr.shape}, expected {expected[name]}")
-            if not np.all(np.isfinite(arr)):
-                raise WeightsFormatError(f"tensor {name}: non-finite values")
-            self.tensors[name] = arr
+            self.tensors[name] = _as_tensor(name, arr, expected[name])
+        self.packed = {}
+        for group, names in packed_groups(self.config).items():
+            buf = _packed_buffer([self.tensors[n] for n in names])
+            rows = len(buf) // len(names)
+            for i, name in enumerate(names):
+                self.tensors[name] = buf[i * rows:(i + 1) * rows]
+            self.packed[group] = buf
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self.tensors[name]
@@ -147,22 +216,29 @@ WO_INIT_GAIN = 0.05
 
 
 def init_weights(config: EncoderConfig, seed: int = 0) -> EncoderWeights:
-    """Xavier-uniform matrices, zero biases, unit LayerNorm, normalized CLS."""
+    """Xavier-uniform matrices, zero biases, unit LayerNorm, normalized CLS.
+
+    Every tensor is drawn in place, straight into the packed layout.
+    """
     rng = np.random.default_rng(seed)
-    tensors: dict[str, np.ndarray] = {}
-    for name, shape in tensor_shapes(config).items():
+    tensors = _empty_tensors(config)
+    for name, out in tensors.items():
         if name == "cls_token":
-            v = rng.standard_normal(shape)
-            tensors[name] = v / np.linalg.norm(v)
+            rng.standard_normal(out=out)
+            out /= np.linalg.norm(out)
         elif name.endswith("ln_scale"):
-            tensors[name] = np.ones(shape)
-        elif len(shape) == 1:  # biases and ln_bias
-            tensors[name] = np.zeros(shape)
+            out.fill(1.0)
+        elif out.ndim == 1:  # biases and ln_bias
+            out.fill(0.0)
         else:
-            fan_out, fan_in = shape
+            fan_out, fan_in = out.shape
             bound = math.sqrt(6.0 / (fan_in + fan_out))
             gain = WO_INIT_GAIN if name.startswith("layer") and name.endswith("Wo") else 1.0
-            tensors[name] = rng.uniform(-gain * bound, gain * bound, size=shape)
+            # rng.uniform(lo, hi) without a temporary: lo + (hi - lo) * U[0, 1)
+            lo, hi = -gain * bound, gain * bound
+            rng.random(out=out)
+            out *= hi - lo
+            out += lo
     return EncoderWeights(config=config, tensors=tensors, seed=seed)
 
 
@@ -184,7 +260,11 @@ def load_weights(path) -> EncoderWeights:
     if doc.get("format_version") != 1:
         raise WeightsFormatError(f"unsupported format_version {doc.get('format_version')}")
     config = EncoderConfig.from_dict(doc["config"])
-    tensors = {k: np.asarray(v, dtype=float) for k, v in doc["tensors"].items()}
+    stored = doc["tensors"]
+    _check_names(tensor_shapes(config), stored)
+    tensors = _empty_tensors(config)
+    for name, out in tensors.items():
+        out[...] = _as_tensor(name, stored[name], out.shape)
     return EncoderWeights(config=config, tensors=tensors, seed=doc.get("seed"))
 
 
@@ -227,18 +307,29 @@ def _gate_weights(weights: EncoderWeights, layer: int) -> dict[str, np.ndarray]:
     return {k: weights[p + k] for k in ("w1", "b1", "w2", "b2")}
 
 
-def initial_embed(node: Node, weights: EncoderWeights) -> np.ndarray:
-    """[f_vl || f_t || GeoFFN(f_g)] in that fixed order."""
+def _initial_embeddings(nodes: Sequence[Node], weights: EncoderWeights) -> np.ndarray:
+    """Rows [f_vl || f_t || GeoFFN(f_g)], one per node, in that fixed order."""
     cfg = weights.config
     d_vl, d_t = cfg.feature_dims
-    f = node.features
-    if f.f_vl.shape != (d_vl,) or f.f_t.shape != (d_t,) or f.f_g.shape != (3,):
-        raise ShapeError(
-            f"node {node.id}: feature shapes {f.f_vl.shape}/{f.f_t.shape}/{f.f_g.shape} "
-            f"do not match config dims ({d_vl},)/({d_t},)/(3,)")
-    h = np.maximum(weights["geo_ffn.w1"] @ f.f_g + weights["geo_ffn.b1"], 0.0)
-    geo = weights["geo_ffn.w2"] @ h + weights["geo_ffn.b2"]
-    return np.concatenate([f.f_vl, f.f_t, geo])
+    out = np.empty((len(nodes), cfg.d_init))
+    f_g = np.empty((len(nodes), 3))
+    for row, node in enumerate(nodes):
+        f = node.features
+        if f.f_vl.shape != (d_vl,) or f.f_t.shape != (d_t,) or f.f_g.shape != (3,):
+            raise ShapeError(
+                f"node {node.id}: feature shapes {f.f_vl.shape}/{f.f_t.shape}/{f.f_g.shape} "
+                f"do not match config dims ({d_vl},)/({d_t},)/(3,)")
+        out[row, :d_vl] = f.f_vl
+        out[row, d_vl:d_vl + d_t] = f.f_t
+        f_g[row] = f.f_g
+    h = np.maximum(f_g @ weights["geo_ffn.w1"].T + weights["geo_ffn.b1"], 0.0)
+    out[:, d_vl + d_t:] = h @ weights["geo_ffn.w2"].T + weights["geo_ffn.b2"]
+    return out
+
+
+def initial_embed(node: Node, weights: EncoderWeights) -> np.ndarray:
+    """[f_vl || f_t || GeoFFN(f_g)] in that fixed order."""
+    return _initial_embeddings([node], weights)[0]
 
 
 def _layer_norm(x: np.ndarray, scale: np.ndarray, bias: np.ndarray) -> np.ndarray:
@@ -249,204 +340,281 @@ def _layer_norm(x: np.ndarray, scale: np.ndarray, bias: np.ndarray) -> np.ndarra
 
 @dataclass
 class _NeighborIndex:
-    """Flattened neighbor structure of a graph, in node-declaration order.
+    """Flattened neighbor structure of a batch of graphs.
 
-    Directed pairs (center a, neighbor b) are grouped contiguously by center,
-    neighbors sorted by node id; ordered triples (a, j, k), j != k, are
-    grouped contiguously by the (a, j) pair.
+    Node rows are the graphs' nodes concatenated in declaration order; graph
+    g owns rows node_offsets[g]:node_offsets[g+1]. Only the active rows,
+    nodes with at least one neighbor, take part in attention, and pairs
+    refer to them by their position in `active`. Neighbors of an active
+    node are active, because adjacency is symmetric. Directed pairs (center
+    a, neighbor b) are grouped contiguously by center, neighbors sorted by
+    node id; ordered triples (a, j, k), j != k, are grouped contiguously by
+    the (a, j) pair.
     """
 
-    pair_center: np.ndarray  # (E,) center node index per directed pair
-    pair_nbr: np.ndarray     # (E,) neighbor node index
+    graphs: Sequence[SceneGraph]
+    node_offsets: np.ndarray  # (G+1,) first row of each graph, then the total
+    active: np.ndarray       # (A,) rows with at least one neighbor
+    pair_center: np.ndarray  # (E,) active position of the center
+    pair_nbr: np.ndarray     # (E,) active position of the neighbor
     pair_dist: np.ndarray    # (E,) center-to-neighbor distance
-    pair_offsets: np.ndarray  # (n+1,) group boundaries per center
-    nbr_counts: np.ndarray   # (n,)
+    pair_starts: np.ndarray  # (A,) first pair of each active center
+    nbr_counts: np.ndarray   # (A,) neighbors of each active center
     tri_src: np.ndarray      # (T,) pair index of (a, j)
     tri_tgt: np.ndarray      # (T,) pair index of (a, k)
     tri_dist: np.ndarray     # (T,) neighbor-to-neighbor distance d_jk
-    tri_offsets: np.ndarray  # (E+1,) group boundaries per (a, j) pair
+    tri_group: np.ndarray    # (T,) number of the (a, j) group among non-empty ones
+    tri_starts: np.ndarray   # (S,) first triple of each non-empty group
+    tri_pairs: np.ndarray    # (S,) pair index (a, j) of each non-empty group
+
+    def row_names(self, rows) -> list[tuple[str, int]]:
+        """(graph_id, node id) of node rows, for error messages."""
+        names = []
+        for row in rows:
+            g = int(np.searchsorted(self.node_offsets, row, side="right")) - 1
+            graph = self.graphs[g]
+            names.append((graph.graph_id, graph.nodes[row - self.node_offsets[g]].id))
+        return names
 
 
-def _build_neighbor_index(graph: SceneGraph) -> _NeighborIndex:
-    order = {n.id: idx for idx, n in enumerate(graph.nodes)}
-    pos = graph.positions()
-    adj = graph.neighbor_ids()
+def _build_neighbor_index(graphs: Sequence[SceneGraph]) -> _NeighborIndex:
+    centers, nbrs, tri_src, tri_tgt = [], [], [], []
+    node_offsets = [0]
+    for graph in graphs:
+        base = node_offsets[-1]
+        order = {n.id: base + idx for idx, n in enumerate(graph.nodes)}
+        adj = graph.neighbor_ids()
+        for node in graph.nodes:
+            first = len(centers)
+            for nbr_id in adj[node.id]:
+                centers.append(order[node.id])
+                nbrs.append(order[nbr_id])
+            last = len(centers)
+            for e in range(first, last):
+                for e2 in range(first, last):
+                    if e2 != e:
+                        tri_src.append(e)
+                        tri_tgt.append(e2)
+        node_offsets.append(base + len(graph.nodes))
 
-    pair_center, pair_nbr, pair_dist = [], [], []
-    pair_offsets = [0]
-    for node in graph.nodes:
-        for nbr_id in adj[node.id]:
-            b = order[nbr_id]
-            pair_center.append(order[node.id])
-            pair_nbr.append(b)
-            pair_dist.append(np.linalg.norm(node.x - pos[b]))
-        pair_offsets.append(len(pair_center))
-
-    tri_src, tri_tgt, tri_dist = [], [], []
-    tri_offsets = [0]
-    for e in range(len(pair_center)):
-        a, j = pair_center[e], pair_nbr[e]
-        for e2 in range(pair_offsets[a], pair_offsets[a + 1]):
-            k = pair_nbr[e2]
-            if k == j:
-                continue
-            tri_src.append(e)
-            tri_tgt.append(e2)
-            tri_dist.append(np.linalg.norm(pos[j] - pos[k]))
-        tri_offsets.append(len(tri_src))
-
-    counts = np.diff(pair_offsets)
+    centers = np.asarray(centers, dtype=int)
+    nbrs = np.asarray(nbrs, dtype=int)
+    tri_src = np.asarray(tri_src, dtype=int)
+    tri_tgt = np.asarray(tri_tgt, dtype=int)
+    pos = (np.concatenate([g.positions() for g in graphs]) if graphs
+           else np.zeros((0, 3)))
+    counts = np.bincount(centers, minlength=len(pos))
+    active = np.flatnonzero(counts)
+    position = np.cumsum(counts > 0) - 1  # active position of each active row
+    nbr_counts = counts[active]
+    tri_counts = np.bincount(tri_src, minlength=len(centers))
+    tri_pairs = np.flatnonzero(tri_counts)
+    group_sizes = tri_counts[tri_pairs]
     return _NeighborIndex(
-        pair_center=np.asarray(pair_center, dtype=int),
-        pair_nbr=np.asarray(pair_nbr, dtype=int),
-        pair_dist=np.asarray(pair_dist, dtype=float),
-        pair_offsets=np.asarray(pair_offsets, dtype=int),
-        nbr_counts=counts,
-        tri_src=np.asarray(tri_src, dtype=int),
-        tri_tgt=np.asarray(tri_tgt, dtype=int),
-        tri_dist=np.asarray(tri_dist, dtype=float),
-        tri_offsets=np.asarray(tri_offsets, dtype=int),
+        graphs=graphs,
+        node_offsets=np.asarray(node_offsets, dtype=int),
+        active=active,
+        pair_center=position[centers],
+        pair_nbr=position[nbrs],
+        pair_dist=np.linalg.norm(pos[centers] - pos[nbrs], axis=1),
+        pair_starts=np.cumsum(nbr_counts) - nbr_counts,
+        nbr_counts=nbr_counts,
+        tri_src=tri_src,
+        tri_tgt=tri_tgt,
+        tri_dist=np.linalg.norm(pos[nbrs[tri_src]] - pos[nbrs[tri_tgt]], axis=1),
+        tri_group=np.repeat(np.arange(len(tri_pairs)), group_sizes),
+        tri_starts=np.cumsum(group_sizes) - group_sizes,
+        tri_pairs=tri_pairs,
     )
 
 
-def _segment_softmax(scores: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """Column-wise softmax within contiguous row groups [offsets[g], offsets[g+1])."""
-    out = np.empty_like(scores)
-    for s, e in zip(offsets[:-1], offsets[1:]):
-        if e > s:
-            blk = scores[s:e]
-            ex = np.exp(blk - blk.max(axis=0, keepdims=True))
-            out[s:e] = ex / ex.sum(axis=0, keepdims=True)
-    return out
+def _segment_softmax(scores: np.ndarray, starts: np.ndarray,
+                     group: np.ndarray) -> np.ndarray:
+    """Column-wise softmax within contiguous, non-empty row groups.
+
+    starts[g] is the first row of group g, group[r] the group of row r.
+    """
+    ex = np.exp(scores - np.maximum.reduceat(scores, starts)[group])
+    return ex / np.add.reduceat(ex, starts)[group]
 
 
-def dgsa_layer(graph: SceneGraph, embeddings_in: np.ndarray,
-               weights: EncoderWeights, layer: int,
-               index: _NeighborIndex | None = None) -> np.ndarray:
-    """One distance-gated attention block over the graph neighborhoods.
+def _attention(x: np.ndarray, index: _NeighborIndex, pe: np.ndarray,
+               weights: EncoderWeights, layer: int) -> np.ndarray:
+    """Center-to-neighbor plus pooled neighbor-to-neighbor attention of the
+    active rows x (A, d_init); returns (A, d_model) before Wo.
 
-    Projections of h_ij = [PE(d_ij) || c_j] are split into a per-distance
-    part and a per-node part (W @ h = W_pe @ PE + W_c @ c_j), so the large
-    feature block is projected once per node instead of once per pair.
+    The five projections of h_ij = [PE(d_ij) || c_j] are split into a
+    per-distance part and a per-node part (W @ h = W_pe @ PE + W_c @ c_j),
+    so the large feature block is projected once per node, not per pair.
     """
     cfg = weights.config
-    if index is None:
-        index = _build_neighbor_index(graph)
-    n = len(graph.nodes)
-    heads, dh = cfg.heads, cfg.d_head
-    pe_dim = cfg.pe_dim
-    p = f"layer{layer}."
+    heads, dh, pe_dim = cfg.heads, cfg.d_head, cfg.pe_dim
+    n_pairs = len(index.pair_center)
     gate_w = _gate_weights(weights, layer)
+    w_h = weights.packed[f"layer{layer}.h_proj"]
+    if not index.tri_src.size:  # no triples: only K and V are needed
+        w_h = w_h[:2 * cfg.d_model]
+    h = (x @ w_h[:, pe_dim:].T)[index.pair_nbr]
+    h += pe @ w_h[:, :pe_dim].T
+    h = h.reshape(n_pairs, -1, heads, dh)
 
-    def split_proj(name: str, pe: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        w = weights[p + name]
-        w_pe, w_c = w[:, :pe_dim], w[:, pe_dim:]
-        return ((pe @ w_pe.T).reshape(-1, heads, dh),
-                (embeddings_in @ w_c.T).reshape(n, heads, dh))
+    # center -> neighbor attention
+    q = (x @ weights[f"layer{layer}.Wq"].T).reshape(len(x), heads, dh)
+    k, v = h[:, 0], h[:, 1]
+    raw = (q[index.pair_center] * k).sum(axis=2) / math.sqrt(dh)
+    gate_cn = distance_gate(index.pair_dist, gate_w)
+    probs = _segment_softmax(gate_cn[:, None] * raw, index.pair_starts,
+                             index.pair_center)
+    out = np.add.reduceat(probs[:, :, None] * v, index.pair_starts)
 
-    out_attn = np.zeros((n, cfg.d_model))
-    if index.pair_center.size:
-        pe = sinusoidal_pe(index.pair_dist, pe_dim)
-        nbr = index.pair_nbr
-        gate_cn = distance_gate(index.pair_dist, gate_w)
+    # neighbor -> neighbor attention, average-pooled over neighbors
+    if index.tri_src.size:
+        q2, k2, v2 = h[:, 2], h[:, 3], h[:, 4]
+        src, tgt = index.tri_src, index.tri_tgt
+        gate_nn = distance_gate(index.tri_dist, gate_w)
+        raw2 = gate_nn[:, None] * ((q2[src] * k2[tgt]).sum(axis=2) / math.sqrt(dh))
+        probs2 = _segment_softmax(raw2, index.tri_starts, index.tri_group)
+        per_pair = np.zeros((n_pairs, heads, dh))
+        per_pair[index.tri_pairs] = np.add.reduceat(probs2[:, :, None] * v2[tgt],
+                                                    index.tri_starts)
+        out += (np.add.reduceat(per_pair, index.pair_starts)
+                / index.nbr_counts[:, None, None])
+    return out.reshape(len(x), cfg.d_model)
 
-        # center -> neighbor attention
-        q = (embeddings_in @ weights[p + "Wq"].T).reshape(n, heads, dh)
-        k_pe, k_c = split_proj("Wk", pe)
-        v_pe, v_c = split_proj("Wv", pe)
-        k = k_pe + k_c[nbr]
-        raw = (q[index.pair_center] * k).sum(axis=2) / math.sqrt(dh)
-        probs = _segment_softmax(gate_cn[:, None] * raw, index.pair_offsets)
-        o_cn = np.zeros((n, heads, dh))
-        np.add.at(o_cn, index.pair_center, probs[:, :, None] * (v_pe + v_c[nbr]))
 
-        # neighbor -> neighbor attention, average-pooled over neighbors
-        o_nn = np.zeros((n, heads, dh))
-        if index.tri_src.size:
-            q2_pe, q2_c = split_proj("Wq_nn", pe)
-            k2_pe, k2_c = split_proj("Wk_nn", pe)
-            v2_pe, v2_c = split_proj("Wv_nn", pe)
-            src, tgt = index.tri_src, index.tri_tgt
-            q2 = q2_pe[src] + q2_c[nbr[src]]
-            k2 = k2_pe[tgt] + k2_c[nbr[tgt]]
-            gate_nn = distance_gate(index.tri_dist, gate_w)
-            raw2 = gate_nn[:, None] * ((q2 * k2).sum(axis=2) / math.sqrt(dh))
-            probs2 = _segment_softmax(raw2, index.tri_offsets)
-            per_pair = np.zeros((index.pair_center.size, heads, dh))
-            np.add.at(per_pair, src, probs2[:, :, None] * (v2_pe[tgt] + v2_c[nbr[tgt]]))
-            np.add.at(o_nn, index.pair_center, per_pair)
-            o_nn /= np.maximum(index.nbr_counts, 1)[:, None, None]
-
-        out_attn = (o_cn + o_nn).reshape(n, cfg.d_model)
-
-    fused = embeddings_in + out_attn @ weights[p + "Wo"].T
+def _dgsa(x: np.ndarray, index: _NeighborIndex, pe: np.ndarray,
+          weights: EncoderWeights, layer: int) -> np.ndarray:
+    """One DGSA layer over the node rows x. An isolated node attends to
+    nothing, so its output is LayerNorm(x) and it skips every projection."""
+    p = f"layer{layer}."
+    fused = x.copy()
+    if index.active.size:
+        attn = _attention(x[index.active], index, pe, weights, layer)
+        fused[index.active] += attn @ weights[p + "Wo"].T
     result = _layer_norm(fused, weights[p + "ln_scale"], weights[p + "ln_bias"])
     if not np.all(np.isfinite(result)):
-        bad = np.where(~np.isfinite(result).all(axis=1))[0]
-        ids = [graph.nodes[i].id for i in bad]
-        raise NumericError(f"dgsa_layer {layer}: non-finite output for nodes {ids}")
+        bad = np.flatnonzero(~np.isfinite(result).all(axis=1))
+        raise NumericError(f"dgsa_layer {layer}: non-finite output for nodes "
+                           f"{index.row_names(bad)}")
     return result
 
 
-def _mhsa(x: np.ndarray, weights: EncoderWeights, prefix: str) -> np.ndarray:
-    cfg = weights.config
-    n = x.shape[0]
-    heads, dh = cfg.heads, cfg.d_head
-    q = (x @ weights[prefix + "Wq"].T).reshape(n, heads, dh)
-    k = (x @ weights[prefix + "Wk"].T).reshape(n, heads, dh)
-    v = (x @ weights[prefix + "Wv"].T).reshape(n, heads, dh)
-    scores = np.einsum("ihd,jhd->hij", q, k) / math.sqrt(dh)
-    scores -= scores.max(axis=2, keepdims=True)
-    ex = np.exp(scores)
-    probs = ex / ex.sum(axis=2, keepdims=True)
-    attn = np.einsum("hij,jhd->ihd", probs, v).reshape(n, cfg.d_model)
-    return attn @ weights[prefix + "Wo"].T
+def dgsa_layer(graph: SceneGraph, embeddings_in: np.ndarray,
+               weights: EncoderWeights, layer: int) -> np.ndarray:
+    """One distance-gated attention block over one graph's neighborhoods."""
+    index = _build_neighbor_index([graph])
+    pe = sinusoidal_pe(index.pair_dist, weights.config.pe_dim)
+    return _dgsa(embeddings_in, index, pe, weights, layer)
 
 
-def class_token_embedding(node_embeddings: np.ndarray,
-                          weights: EncoderWeights) -> np.ndarray:
-    """Global descriptor: CLS token attended over the node embeddings."""
-    x = np.concatenate([weights["cls_token"][None, :], node_embeddings], axis=0)
-    for layer in range(CLS_ATTN_LAYERS):
-        p = f"cls_attn{layer}."
-        x = _layer_norm(x + _mhsa(x, weights, p),
-                        weights[p + "ln_scale"], weights[p + "ln_bias"])
-    cls = x[0]
-    norm = np.linalg.norm(cls)
-    if norm == 0:
-        raise NumericError("class token embedding collapsed to zero")
-    return cls / norm
-
-
-def encode_graph(graph: SceneGraph, weights: EncoderWeights,
-                 config: EncoderConfig | None = None
-                 ) -> tuple[np.ndarray, np.ndarray]:
-    """Full forward pass: (node embeddings (n, d_model), global (d_model,)).
-
-    Node embeddings are L2-normalized so the matcher's dot products are
-    cosine similarities.
-    """
-    cfg = weights.config if config is None else config
-    if config is not None and config != weights.config:
-        raise InvalidInputError("encode_graph: config does not match weights")
-
-    n = len(graph.nodes)
-    if n == 0:
-        node_emb = np.zeros((0, cfg.d_model))
-        return node_emb, class_token_embedding(node_emb, weights)
-
-    c0 = np.stack([initial_embed(node, weights) for node in graph.nodes])
-    index = _build_neighbor_index(graph)
-    c = c0
-    for layer in range(cfg.layers):
-        c = dgsa_layer(graph, c, weights, layer, index=index)
-
+def _project(c: np.ndarray, c0: np.ndarray, index: _NeighborIndex,
+             weights: EncoderWeights) -> np.ndarray:
+    """ProjFFN([c || c0]), L2-normalized so matcher dot products are cosines."""
     cat = np.concatenate([c, c0], axis=1)
     h = np.maximum(cat @ weights["proj_ffn.w1"].T + weights["proj_ffn.b1"], 0.0)
     emb = h @ weights["proj_ffn.w2"].T + weights["proj_ffn.b2"]
     norms = np.linalg.norm(emb, axis=1)
     if np.any(norms == 0):
-        ids = [graph.nodes[i].id for i in np.where(norms == 0)[0]]
-        raise NumericError(f"zero-norm node embeddings for nodes {ids}")
-    node_emb = emb / norms[:, None]
-    return node_emb, class_token_embedding(node_emb, weights)
+        raise NumericError(f"zero-norm node embeddings for nodes "
+                           f"{index.row_names(np.flatnonzero(norms == 0))}")
+    return emb / norms[:, None]
+
+
+def _class_tokens(node_emb: np.ndarray, node_offsets: np.ndarray,
+                  weights: EncoderWeights) -> np.ndarray:
+    """Global descriptors (G, d_model): per graph, a CLS token attended over
+    that graph's node embeddings. Graph g owns rows starts[g]:ends[g], its
+    CLS row first; the last layer updates the CLS rows only."""
+    cfg = weights.config
+    heads, dh, d = cfg.heads, cfg.d_head, cfg.d_model
+    n_graphs = len(node_offsets) - 1
+    starts = node_offsets[:-1] + np.arange(n_graphs)
+    ends = node_offsets[1:] + np.arange(1, n_graphs + 1)
+    x = np.empty((len(node_emb) + n_graphs, d))
+    is_node = np.ones(len(x), dtype=bool)
+    is_node[starts] = False
+    x[starts] = weights["cls_token"]
+    x[is_node] = node_emb
+
+    for layer in range(CLS_ATTN_LAYERS - 1):
+        p = f"cls_attn{layer}."
+        qkv = (x @ weights.packed[p + "qkv"].T).reshape(len(x), 3, heads, dh)
+        attn = np.empty((len(x), heads, dh))
+        for s, e in zip(starts, ends):
+            q, k, v = qkv[s:e, 0], qkv[s:e, 1], qkv[s:e, 2]
+            scores = np.einsum("ihd,jhd->hij", q, k) / math.sqrt(dh)
+            scores -= scores.max(axis=2, keepdims=True)
+            ex = np.exp(scores)
+            attn[s:e] = np.einsum("hij,jhd->ihd", ex / ex.sum(axis=2, keepdims=True), v)
+        x = _layer_norm(x + attn.reshape(len(x), d) @ weights[p + "Wo"].T,
+                        weights[p + "ln_scale"], weights[p + "ln_bias"])
+
+    p = f"cls_attn{CLS_ATTN_LAYERS - 1}."
+    w_qkv = weights.packed[p + "qkv"]
+    kv = (x @ w_qkv[d:].T).reshape(len(x), 2, heads, dh)
+    q = (x[starts] @ w_qkv[:d].T).reshape(n_graphs, heads, dh)
+    group = np.repeat(np.arange(n_graphs), ends - starts)
+    probs = _segment_softmax((q[group] * kv[:, 0]).sum(axis=2) / math.sqrt(dh),
+                             starts, group)
+    attn = np.add.reduceat(probs[:, :, None] * kv[:, 1], starts)
+    cls = _layer_norm(x[starts] + attn.reshape(n_graphs, d) @ weights[p + "Wo"].T,
+                      weights[p + "ln_scale"], weights[p + "ln_bias"])
+    norms = np.linalg.norm(cls, axis=1)
+    if np.any(norms == 0):
+        raise NumericError("class token embedding collapsed to zero")
+    return cls / norms[:, None]
+
+
+def encode_graphs(graphs: Sequence[SceneGraph], weights: EncoderWeights
+                  ) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Batched forward pass: per graph, (node embeddings (n, d_model), global
+    (d_model,)).
+
+    The graphs' nodes run through every layer together, so each weight
+    matrix is read once per batch instead of once per graph. Results match
+    one-graph calls up to floating-point rounding, since BLAS may round a
+    row differently with the number of rows it is given.
+    """
+    if not graphs:
+        return []
+    cfg = weights.config
+    c0 = _initial_embeddings([node for g in graphs for node in g.nodes], weights)
+    index = _build_neighbor_index(graphs)
+    pe = sinusoidal_pe(index.pair_dist, cfg.pe_dim)
+    c = c0
+    for layer in range(cfg.layers):
+        c = _dgsa(c, index, pe, weights, layer)
+    node_emb = _project(c, c0, index, weights)
+    del c, c0, pe
+    global_emb = _class_tokens(node_emb, index.node_offsets, weights)
+    offsets = index.node_offsets
+    return [(node_emb[offsets[g]:offsets[g + 1]], global_emb[g])
+            for g in range(len(graphs))]
+
+
+T = TypeVar("T")
+
+
+def node_batches(items: Iterable[T], n_nodes: Callable[[T], int]) -> Iterator[list[T]]:
+    """Consecutive groups of items whose node counts sum to at most
+    BATCH_NODES; an item bigger than that forms a group of its own. Items
+    are drawn one group at a time, so a lazy iterable is never read ahead
+    by more than one item."""
+    batch: list[T] = []
+    size = 0
+    for item in items:
+        n = n_nodes(item)
+        if batch and size + n > BATCH_NODES:
+            yield batch
+            batch, size = [], 0
+        batch.append(item)
+        size += n
+    if batch:
+        yield batch
+
+
+def encode_graph(graph: SceneGraph, weights: EncoderWeights
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Full forward pass of one graph: (node embeddings (n, d_model), global
+    (d_model,)). Node embeddings are L2-normalized."""
+    return encode_graphs([graph], weights)[0]

@@ -33,10 +33,23 @@ def allocate(scores: ScoreMatrix, pos_a: np.ndarray, pos_b: np.ndarray,
     raise InvalidInputError(f"unknown allocator {allocator!r}")
 
 
+def match_embeddings(emb_a: np.ndarray, emb_b: np.ndarray, pos_a: np.ndarray,
+                     pos_b: np.ndarray, config: PipelineConfig,
+                     allocator: str) -> tuple[ScoreMatrix, MatchSet]:
+    """Score two encoded graphs against each other and allocate matches."""
+    scores = score_matrix(cosine_scores(emb_a, emb_b), config.matcher)
+    return scores, allocate(scores, pos_a, pos_b, config, allocator)
+
+
 def align_graphs(graph_a: SceneGraph, graph_b: SceneGraph,
                  weights: EncoderWeights, config: PipelineConfig,
                  allocator: str = "mcf", validate: bool = True) -> AlignmentResult:
-    """Full forward pass from two scene graphs to a MatchSet."""
+    """Full forward pass from two scene graphs to a MatchSet.
+
+    Each graph is encoded on its own: BLAS may round a row differently with
+    the number of rows in the product, and a one-graph call keeps the
+    embeddings equal to those of `encode_graph`.
+    """
     if validate:
         for name, g in (("graph_a", graph_a), ("graph_b", graph_b)):
             violations = validate_graph(g)
@@ -44,9 +57,8 @@ def align_graphs(graph_a: SceneGraph, graph_b: SceneGraph,
                 raise InvalidInputError(f"{name} invalid: {violations}")
     emb_a, global_a = encode_graph(graph_a, weights)
     emb_b, global_b = encode_graph(graph_b, weights)
-    scores = score_matrix(cosine_scores(emb_a, emb_b), config.matcher)
-    matches = allocate(scores, graph_a.positions(), graph_b.positions(),
-                       config, allocator)
+    scores, matches = match_embeddings(emb_a, emb_b, graph_a.positions(),
+                                       graph_b.positions(), config, allocator)
     return AlignmentResult(matches=matches, scores=scores,
                            emb_a=emb_a, emb_b=emb_b,
                            global_a=global_a, global_b=global_b)

@@ -19,10 +19,9 @@ import numpy as np
 
 from .allocator import MatchSet
 from .config import PipelineConfig
-from .encoder import EncoderWeights, encode_graph
+from .encoder import EncoderWeights, encode_graph, encode_graphs, node_batches
 from .errors import InvalidInputError, SgaError
-from .matcher import cosine_scores, score_matrix
-from .pipeline import allocate
+from .pipeline import match_embeddings
 from .scene_graph import SceneGraph, graph_from_dict, graph_to_dict
 
 
@@ -82,8 +81,14 @@ def encode_scene(scene_id: str, graph: SceneGraph,
 
 def build_database(scenes: list[tuple[str, SceneGraph]],
                    weights: EncoderWeights) -> SceneDatabase:
-    return SceneDatabase(entries=[encode_scene(sid, g, weights)
-                                  for sid, g in scenes])
+    """Encode every scene, several per batched forward pass."""
+    entries = []
+    for batch in node_batches(scenes, lambda scene: len(scene[1].nodes)):
+        encoded = encode_graphs([graph for _, graph in batch], weights)
+        entries += [EncodedScene(scene_id=sid, graph=graph, node_embeddings=node_emb,
+                                 global_embedding=global_emb)
+                    for (sid, graph), (node_emb, global_emb) in zip(batch, encoded)]
+    return SceneDatabase(entries=entries)
 
 
 def global_similarity(q: np.ndarray, t: np.ndarray) -> float:
@@ -118,12 +123,10 @@ def rerank(query: EncodedScene, candidates: list[EncodedScene], mode: str,
     for cand in candidates:
         started = time.perf_counter()
         try:
-            scores = score_matrix(
-                cosine_scores(query.node_embeddings, cand.node_embeddings),
-                config.matcher)
-            matches = allocate(scores, query.graph.positions(),
-                               cand.graph.positions(), config,
-                               config.retrieval.allocator)
+            scores, matches = match_embeddings(
+                query.node_embeddings, cand.node_embeddings,
+                query.graph.positions(), cand.graph.positions(), config,
+                config.retrieval.allocator)
             score = sum(scores.P[i, j] for i, j, _ in matches.pairs)
             if mode == "weighted":
                 score *= global_similarity(query.global_embedding,

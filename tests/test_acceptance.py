@@ -17,8 +17,8 @@ import pytest
 
 from sgalign.allocator import brute_force_allocate, solve_mcf
 from sgalign.config import PipelineConfig
-from sgalign.encoder import encode_graph
-from sgalign.evaluation import bin_by_overlap, sample_metrics
+from sgalign.encoder import encode_graph, node_batches
+from sgalign.evaluation import aggregate, bin_by_overlap, sample_metrics
 from sgalign.losses import InfoNceInput, TripletInput, info_nce, triplet_loss
 from sgalign.matcher import cosine_scores, score_matrix
 from sgalign.pipeline import align_graphs, allocate
@@ -28,7 +28,8 @@ from sgalign.retrieval import (EncodedScene, build_database, encode_scene,
                                rerank, retrieve, topk_filter)
 from sgalign.scene_graph import (GroundTruthMap, Node, SceneGraph, build_edges,
                                  save_graph)
-from sgalign.synth import SynthConfig, generate_scene, make_sample, save_sample
+from sgalign.synth import (SynthConfig, generate_scene, load_sample, make_sample,
+                           save_sample)
 
 GOLDEN_CONFIG = Path(__file__).parent / "data" / "default_config.json"
 
@@ -333,3 +334,44 @@ def test_end_to_end_determinism(tmp_path):
         assert proc.returncode == 0, proc.stderr.decode()
         reports.append(out.read_bytes())
     assert reports[0] == reports[1]
+
+
+def test_batched_eval_equals_per_pair_alignment(tmp_path, default_weights):
+    """Criterion 10 for the batched eval: a directory spanning several
+    encoder batches gives the same bytes at every --jobs, equal to a report
+    built from one align_graphs call per pair."""
+    pairs_dir = tmp_path / "pairs"
+    for k in range(8):
+        save_sample(make_sample("f2s", SynthConfig(seed=700 + k)),
+                    pairs_dir / f"p{k:02d}")
+    dirs = sorted(pairs_dir.iterdir())
+    samples = [load_sample(d) for d in dirs]
+    batches = list(node_batches(samples, lambda s: len(s.graph_a.nodes)
+                                + len(s.graph_b.nodes)))
+    assert len(batches) >= 3
+
+    outputs = []
+    for jobs in ("1", "2", "8"):
+        proc = run_cli("eval", "--pairs", str(pairs_dir), "--allocator", "mcf",
+                       "--jobs", jobs)
+        assert proc.returncode == 0, proc.stderr.decode()
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1] == outputs[2]
+
+    config = PipelineConfig()
+    rows = []
+    for d, sample in zip(dirs, samples):
+        result = align_graphs(sample.graph_a, sample.graph_b, default_weights,
+                              config, allocator="mcf", validate=False)
+        metrics = sample_metrics(result.matches, sample.gt, len(sample.graph_a.nodes))
+        rows.append(({"sample": d.name, "overlap": sample.overlap_ratio,
+                      "task": sample.task, **metrics.to_dict()},
+                     (sample.overlap_ratio, metrics)))
+    report = {
+        "overall": aggregate([m for _, (_, m) in rows]),
+        "bins": bin_by_overlap([om for _, om in rows]),
+        "per_sample": [r for r, _ in rows],
+        "meta": {"weights": None, "seed": 0, "allocator": "mcf",
+                 "n_samples": len(rows)},
+    }
+    assert outputs[0].decode() == json.dumps(report, sort_keys=True) + "\n"

@@ -160,6 +160,15 @@ class TestCliSynthEval:
         assert len(csv_lines) == 4
 
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_eval_jobs_below_one_is_usage_error(self, pair_dir, jobs):
+        proc = run_cli("eval", "--pairs", str(pair_dir), "--jobs", jobs)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        lines = proc.stderr.strip().splitlines()
+        assert len(lines) == 1 and "--jobs" in lines[0], proc.stderr
+
+
 class TestCliRegister:
     def test_register_zero_noise(self, pair_dir):
         proc = run_cli("register", "--pair", str(sorted(pair_dir.iterdir())[0]),

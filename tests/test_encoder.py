@@ -4,10 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from sgalign.encoder import (EncoderConfig, dgsa_layer, distance_gate,
-                             encode_graph, init_weights, initial_embed,
-                             load_weights, save_weights, sinusoidal_pe,
-                             tensor_shapes)
+from sgalign.encoder import (BATCH_NODES, EncoderConfig, EncoderWeights,
+                             dgsa_layer, distance_gate, encode_graph,
+                             encode_graphs, init_weights, initial_embed,
+                             load_weights, node_batches, packed_groups,
+                             save_weights, sinusoidal_pe, tensor_shapes)
 from sgalign.errors import InvalidInputError, WeightsFormatError
 from sgalign.scene_graph import Node, NodeFeatures, SceneGraph, build_edges
 
@@ -171,7 +172,7 @@ def dgsa_layer_oracle(graph, emb_in, weights, layer):
     for nid in order:
         nbrs = adj[nid]
         c_i = emb[nid]
-        attn_sum = np.zeros(cfg.d_model)
+        attn_sum = np.zeros(len(c_i))  # isolated node: no attention term
         if nbrs:
             # center -> neighbor, head by head
             q = wq @ c_i
@@ -226,6 +227,20 @@ def dgsa_layer_oracle(graph, emb_in, weights, layer):
     return np.array(out)
 
 
+def with_isolated_nodes(graph, config, count=3, seed=0):
+    """The graph plus `count` nodes 100 m from everything, interleaved."""
+    rng = np.random.default_rng(seed)
+    d_vl, d_t = config.feature_dims
+    nodes = list(graph.nodes)
+    for k in range(count):
+        far = Node(len(graph.nodes) + k, "far", np.array([100.0 * (k + 1), 0.0, 0.0]),
+                   NodeFeatures(rng.standard_normal(d_vl), rng.standard_normal(d_t),
+                                rng.uniform(0.1, 1.0, 3)))
+        nodes.insert(2 * k + 1, far)
+    return SceneGraph(graph.graph_id, "world", nodes, build_edges(nodes),
+                      config.feature_dims)
+
+
 class TestDgsaLayer:
     def test_isolated_node_is_layernorm_only(self, small_config, small_weights):
         g = random_graph(1, small_config, seed=5)
@@ -273,6 +288,18 @@ class TestDgsaLayer:
         got = dgsa_layer(g, c, small_weights, 1)
         want = dgsa_layer_oracle(g, c, small_weights, 1)
         assert np.allclose(got, want, atol=1e-9)
+
+    def test_full_layer_oracle_with_isolated_nodes(self, small_config,
+                                                   small_weights):
+        g = with_isolated_nodes(random_graph(5, small_config, seed=12, span=2.5),
+                                small_config)
+        counts = {i: len(nbrs) for i, nbrs in g.neighbor_ids().items()}
+        assert 0 in counts.values() and max(counts.values()) >= 2
+        c = np.stack([initial_embed(n, small_weights) for n in g.nodes])
+        for layer in range(small_config.layers):
+            got = dgsa_layer(g, c, small_weights, layer)
+            want = dgsa_layer_oracle(g, c, small_weights, layer)
+            assert np.allclose(got, want, atol=1e-9)
 
     def test_full_layer_oracle_default_size(self, default_weights):
         g = random_graph(4, default_weights.config, seed=13, span=2.0)
@@ -352,6 +379,46 @@ class TestEncodeGraph:
         assert not np.array_equal(emb[7], emb2[7])
 
 
+def mixed_batch(config):
+    """Connected, empty, one-node, all-isolated and mixed graphs."""
+    return [
+        random_graph(8, config, seed=21),
+        SceneGraph("empty", "world", [], [], config.feature_dims),
+        random_graph(1, config, seed=22),
+        random_graph(5, config, seed=23, span=100.0),
+        with_isolated_nodes(random_graph(6, config, seed=24, span=2.5), config),
+        random_graph(12, config, seed=25),
+    ]
+
+
+class TestEncodeGraphs:
+    @pytest.mark.parametrize("weights_name", ["small_weights", "default_weights"])
+    def test_matches_one_graph_calls(self, weights_name, request):
+        weights = request.getfixturevalue(weights_name)
+        graphs = mixed_batch(weights.config)
+        assert graphs[3].edges == []  # all isolated
+        batched = encode_graphs(graphs, weights)
+        assert len(batched) == len(graphs)
+        for graph, (emb, glob) in zip(graphs, batched):
+            one_emb, one_glob = encode_graph(graph, weights)
+            assert emb.shape == one_emb.shape == (len(graph.nodes),
+                                                  weights.config.d_model)
+            assert np.abs(emb - one_emb).max(initial=0.0) <= 1e-12
+            assert np.abs(glob - one_glob).max() <= 1e-12
+
+    def test_no_graphs(self, small_weights):
+        assert encode_graphs([], small_weights) == []
+
+    def test_node_batches_respect_budget(self):
+        sizes = [30, 20, 15, BATCH_NODES + 5, 0, 40, 24, 1]
+        batches = list(node_batches(iter(sizes), lambda n: n))
+        assert [n for batch in batches for n in batch] == sizes
+        for batch in batches:
+            assert len(batch) == 1 or sum(batch) <= BATCH_NODES
+        for this, after in zip(batches, batches[1:]):
+            assert sum(this) + after[0] > BATCH_NODES  # greedy: no room left
+
+
 class TestEncoderConfig:
     def test_heads_must_divide_d_model(self):
         with pytest.raises(InvalidInputError):
@@ -393,6 +460,43 @@ class TestInitWeights:
         assert abs(np.linalg.norm(w["cls_token"]) - 1.0) <= 1e-12
 
 
+class TestPackedWeights:
+    def test_one_resident_copy(self, small_config, small_weights):
+        shapes = tensor_shapes(small_config)
+        for group, names in packed_groups(small_config).items():
+            buf = small_weights.packed[group]
+            assert buf.flags.c_contiguous
+            rows = shapes[names[0]][0]
+            for i, name in enumerate(names):
+                assert small_weights[name].base is buf
+                assert np.shares_memory(small_weights[name],
+                                        buf[i * rows:(i + 1) * rows])
+        total = sum(int(np.prod(shape)) for shape in shapes.values())
+        packed = {n for names in packed_groups(small_config).values() for n in names}
+        resident = (sum(b.size for b in small_weights.packed.values())
+                    + sum(small_weights[n].size for n in shapes if n not in packed))
+        assert resident == total
+
+    def test_separate_tensors_are_packed(self, small_config, small_weights):
+        copies = {k: v.copy() for k, v in small_weights.tensors.items()}
+        rebuilt = EncoderWeights(config=small_config, tensors=copies)
+        for group, buf in small_weights.packed.items():
+            assert np.array_equal(rebuilt.packed[group], buf)
+        g = random_graph(6, small_config, seed=8)
+        for a, b in zip(encode_graph(g, small_weights), encode_graph(g, rebuilt)):
+            assert np.array_equal(a, b)
+
+    def test_in_place_update_reaches_forward_pass(self, small_config):
+        w = init_weights(small_config, seed=2)
+        g = random_graph(6, small_config, seed=9)
+        before, _ = encode_graph(g, w)
+        w["layer0.Wv"][...] = 0.0
+        assert not w.packed["layer0.h_proj"][small_config.d_model:
+                                             2 * small_config.d_model].any()
+        after, _ = encode_graph(g, w)
+        assert not np.array_equal(before, after)
+
+
 class TestWeightsSerialization:
     def test_bit_exact_round_trip(self, small_config, small_weights, tmp_path):
         path = tmp_path / "w.json"
@@ -402,6 +506,19 @@ class TestWeightsSerialization:
         assert back.seed == small_weights.seed
         for name in small_weights.tensors:
             assert np.array_equal(back[name], small_weights[name]), name
+
+    def test_round_trip_keeps_packed_layout(self, small_config, small_weights,
+                                            tmp_path):
+        path = tmp_path / "w.json"
+        save_weights(small_weights, path)
+        back = load_weights(path)
+        for group, names in packed_groups(small_config).items():
+            assert back.packed[group].tobytes() == small_weights.packed[group].tobytes()
+            for name in names:
+                assert back[name].base is back.packed[group], name
+        g = random_graph(7, small_config, seed=3)
+        for a, b in zip(encode_graph(g, small_weights), encode_graph(g, back)):
+            assert np.array_equal(a, b)
 
     def test_unknown_tensor_rejected(self, small_config, small_weights, tmp_path):
         path = tmp_path / "w.json"
