@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, InvariantError
 from .matcher import ScoreMatrix
 
 
@@ -258,7 +258,8 @@ def solve_mcf(candidates: list[tuple[int, int]], costs: dict[tuple[int, int], fl
     supply = n_a * src_cap
     flow, _ = net.min_cost_flow(source, sink, supply)
     # The unmatched edges guarantee feasibility of the full supply.
-    assert flow == supply, "internal: flow fell short of supply"
+    if flow != supply:
+        raise InvariantError(f"solve_mcf: flow {flow} fell short of supply {supply}")
 
     matched = sorted(ij for e, ij in cand_edges.items() if net.cap[e] == 0)
     total = sum(costs[ij] for ij in matched)
@@ -363,7 +364,8 @@ def mcf_allocate(P, pos_a: np.ndarray, pos_b: np.ndarray,
             break
         prev = result.matched
 
-    assert result is not None
+    if result is None:  # McfParams guarantees max_iters >= 1
+        raise InvariantError("mcf_allocate: no flow solve ran")
     pairs = [(i, j, float(p[i, j])) for i, j in result.matched]
     return MatchSet(pairs=pairs, unmatched_a=result.unmatched_a,
                     iterations=iterations, converged=converged)

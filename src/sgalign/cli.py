@@ -277,7 +277,8 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p, weights=True):
         p.add_argument("--config", default=None, help="pipeline config JSON")
         if weights:
-            p.add_argument("--weights", default=None, help="encoder weights JSON")
+            p.add_argument("--weights", default=None,
+                           help="encoder weights file (npz v2 or JSON v1)")
             p.add_argument("--seed", type=int, default=0,
                            help="weight-init seed when --weights is absent")
 

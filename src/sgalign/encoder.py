@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import json
 import math
+import zipfile
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
@@ -143,7 +143,10 @@ def _check_names(expected, names) -> None:
 
 
 def _as_tensor(name: str, value, shape: tuple[int, ...]) -> np.ndarray:
-    arr = np.asarray(value, dtype=float)
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise WeightsFormatError(f"tensor {name}: {exc}") from exc
     if arr.shape != shape:
         raise WeightsFormatError(f"tensor {name}: shape {arr.shape}, expected {shape}")
     if not np.all(np.isfinite(arr)):
@@ -242,30 +245,99 @@ def init_weights(config: EncoderConfig, seed: int = 0) -> EncoderWeights:
     return EncoderWeights(config=config, tensors=tensors, seed=seed)
 
 
+# Weights files. Version 2 (written) is an uncompressed NumPy .npz archive:
+# one float64 entry per tensor plus `meta`, a JSON string holding
+# format_version, config and seed. Version 1 (still read) is one JSON
+# document with the same fields and the tensors as nested lists.
+WEIGHTS_FORMAT_VERSION = 2
+_META_ENTRY = "meta"
+_ZIP_MAGIC = b"PK"  # every zip archive, empty ones too, starts with these bytes
+
+
 def save_weights(weights: EncoderWeights, path) -> None:
-    doc = {
-        "config": weights.config.to_dict(),
-        "tensors": {k: v.tolist() for k, v in sorted(weights.tensors.items())},
-        "seed": weights.seed,
-        "format_version": 1,
-    }
-    Path(path).write_text(json.dumps(doc), encoding="utf-8")
+    """Write a version 2 file. It goes through a file handle, so `path` is
+    kept as given (numpy appends ".npz" to a bare path name)."""
+    meta = json.dumps({"format_version": WEIGHTS_FORMAT_VERSION,
+                       "config": weights.config.to_dict(), "seed": weights.seed})
+    with open(path, "wb") as fh:
+        np.savez(fh, **{_META_ENTRY: np.array(meta),
+                        **dict(sorted(weights.tensors.items()))})
+
+
+def _check_version(doc, version: int) -> None:
+    found = doc.get("format_version") if isinstance(doc, dict) else None
+    if found != version:
+        raise WeightsFormatError(f"unsupported format_version {found}")
+
+
+def _filled_weights(doc: dict, names, read: Callable[[str], object]) -> EncoderWeights:
+    """Weights of the config in `doc`; packed buffers filled in place from read(name)."""
+    if not isinstance(doc.get("config"), dict):
+        raise WeightsFormatError("no config object")
+    try:
+        config = EncoderConfig.from_dict(doc["config"])
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise WeightsFormatError(f"bad config: {exc}") from exc
+    _check_names(tensor_shapes(config), names)
+    tensors = _empty_tensors(config)
+    for name, out in tensors.items():
+        out[...] = _as_tensor(name, read(name), out.shape)
+    return EncoderWeights(config=config, tensors=tensors, seed=doc.get("seed"))
+
+
+_NPZ_ERRORS = (zipfile.BadZipFile, EOFError, ValueError)  # damaged archive or entry
+
+
+def _npz_entry(archive, name: str):
+    try:
+        return archive[name]
+    except _NPZ_ERRORS as exc:
+        raise WeightsFormatError(f"npz entry {name}: {exc}") from exc
+
+
+def _load_npz(fh) -> EncoderWeights:
+    try:
+        archive = np.load(fh, allow_pickle=False)
+    except _NPZ_ERRORS as exc:
+        raise WeightsFormatError(f"unreadable npz archive: {exc}") from exc
+    with archive:
+        if _META_ENTRY not in archive.files:
+            raise WeightsFormatError(f"npz archive has no '{_META_ENTRY}' entry")
+        meta = _npz_entry(archive, _META_ENTRY)
+        if meta.dtype.kind != "U" or meta.shape != ():
+            raise WeightsFormatError(f"'{_META_ENTRY}' entry is not a string")
+        try:
+            doc = json.loads(str(meta))
+        except json.JSONDecodeError as exc:
+            raise WeightsFormatError(f"'{_META_ENTRY}' entry: {exc}") from exc
+        _check_version(doc, WEIGHTS_FORMAT_VERSION)
+        # Entries are read one at a time, straight into the packed buffers.
+        return _filled_weights(doc, [n for n in archive.files if n != _META_ENTRY],
+                               lambda name: _npz_entry(archive, name))
+
+
+def _load_json(text: bytes) -> EncoderWeights:
+    try:
+        doc = json.loads(text)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise WeightsFormatError(f"neither an npz archive nor JSON: {exc}") from exc
+    _check_version(doc, 1)
+    stored = doc.get("tensors")
+    if not isinstance(stored, dict):
+        raise WeightsFormatError("no tensors object")
+    return _filled_weights(doc, stored, stored.__getitem__)
 
 
 def load_weights(path) -> EncoderWeights:
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise WeightsFormatError(f"not valid JSON: {exc}") from exc
-    if doc.get("format_version") != 1:
-        raise WeightsFormatError(f"unsupported format_version {doc.get('format_version')}")
-    config = EncoderConfig.from_dict(doc["config"])
-    stored = doc["tensors"]
-    _check_names(tensor_shapes(config), stored)
-    tensors = _empty_tensors(config)
-    for name, out in tensors.items():
-        out[...] = _as_tensor(name, stored[name], out.shape)
-    return EncoderWeights(config=config, tensors=tensors, seed=doc.get("seed"))
+    """Read a version 2 (npz) or version 1 (JSON) weights file into the
+    packed layout. A damaged archive, bad JSON, a bad config or a missing,
+    unknown, wrongly shaped or non-finite tensor raises WeightsFormatError."""
+    with open(path, "rb") as fh:
+        if fh.read(len(_ZIP_MAGIC)) == _ZIP_MAGIC:
+            fh.seek(0)
+            return _load_npz(fh)
+        fh.seek(0)
+        return _load_json(fh.read())
 
 
 # ---------------------------------------------------------------------------

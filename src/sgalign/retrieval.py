@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
+import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -151,49 +152,112 @@ def retrieve(query: EncodedScene, db: SceneDatabase, k: int, mode: str,
 
 
 # ---------------------------------------------------------------------------
-# Persistence: directory with index.json + per-scene graph/embedding files
+# Persistence: a directory with index.json, embeddings.npz and one
+# <scene_id>.graph.json per scene. embeddings.npz holds the stacked globals
+# (S, d_model), the concatenated node embeddings (sum of N, d_model) and the
+# offsets (S+1,): scene i owns node rows offsets[i]:offsets[i+1].
+
+DB_FORMAT_VERSION = 2
+EMBEDDINGS_FILE = "embeddings.npz"
 
 
 def weights_fingerprint(weights: EncoderWeights) -> str:
-    doc = {"config": weights.config.to_dict(),
-           "tensors": {k: v.tolist() for k, v in sorted(weights.tensors.items())}}
-    return hashlib.sha256(json.dumps(doc).encode("utf-8")).hexdigest()
+    """sha256 over the config and, in name order, each tensor's name, dtype,
+    shape and raw bytes."""
+    digest = hashlib.sha256(json.dumps(weights.config.to_dict(), sort_keys=True)
+                            .encode("utf-8"))
+    for name, arr in sorted(weights.tensors.items()):
+        digest.update(json.dumps([name, arr.dtype.str, arr.shape]).encode("utf-8"))
+        digest.update(np.ascontiguousarray(arr).data)
+    return digest.hexdigest()
+
+
+def _check_scene_id(scene_id) -> None:
+    """A scene id names files in the database directory, so it must be a
+    plain file name: non-empty, no '/', '\\' or NUL, not '.' or '..'."""
+    if (not isinstance(scene_id, str) or scene_id in ("", ".", "..")
+            or any(c in scene_id for c in "/\\\0")):
+        raise InvalidInputError(f"scene id {scene_id!r} is not a safe file name")
 
 
 def save_database(db: SceneDatabase, directory, weights: EncoderWeights) -> None:
+    for entry in db.entries:
+        _check_scene_id(entry.scene_id)
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     for entry in db.entries:
         (directory / f"{entry.scene_id}.graph.json").write_text(
             json.dumps(graph_to_dict(entry.graph)), encoding="utf-8")
-        (directory / f"{entry.scene_id}.emb.json").write_text(json.dumps({
-            "global": entry.global_embedding.tolist(),
-            "nodes": entry.node_embeddings.tolist(),
-        }), encoding="utf-8")
-    index = {"scenes": [e.scene_id for e in db.entries],
+    d_model = weights.config.d_model
+    counts = [len(e.node_embeddings) for e in db.entries]
+    with open(directory / EMBEDDINGS_FILE, "wb") as fh:
+        np.savez(fh,
+                 globals=np.reshape([e.global_embedding for e in db.entries],
+                                    (len(db), d_model)),
+                 nodes=np.concatenate([np.zeros((0, d_model))]
+                                      + [e.node_embeddings for e in db.entries]),
+                 offsets=np.cumsum([0] + counts))
+    index = {"format_version": DB_FORMAT_VERSION,
+             "scenes": [e.scene_id for e in db.entries],
              "weights_hash": weights_fingerprint(weights)}
     (directory / "index.json").write_text(json.dumps(index), encoding="utf-8")
 
 
+def _read_embeddings(path: Path, n_scenes: int, d_model: int):
+    """(globals, nodes, offsets) of embeddings.npz, checked against each other."""
+    try:
+        with np.load(path, allow_pickle=False) as archive:
+            arrays = {k: archive[k] for k in ("globals", "nodes", "offsets")
+                      if k in archive.files}
+    except (zipfile.BadZipFile, EOFError, ValueError) as exc:
+        raise InvalidInputError(f"{path}: unreadable npz archive: {exc}") from exc
+    if len(arrays) != 3:
+        raise InvalidInputError(f"{path}: needs arrays globals, nodes and offsets, "
+                                f"has {sorted(arrays)}")
+    globals_, nodes, offsets = arrays["globals"], arrays["nodes"], arrays["offsets"]
+    if globals_.shape != (n_scenes, d_model) or globals_.dtype != np.float64:
+        raise InvalidInputError(f"{path}: globals are {globals_.dtype} {globals_.shape}, "
+                                f"expected float64 {(n_scenes, d_model)}")
+    if nodes.ndim != 2 or nodes.shape[1] != d_model or nodes.dtype != np.float64:
+        raise InvalidInputError(f"{path}: node embeddings are {nodes.dtype} "
+                                f"{nodes.shape}, expected float64 (*, {d_model})")
+    if (offsets.shape != (n_scenes + 1,) or offsets.dtype.kind not in "iu"
+            or offsets[0] != 0 or offsets[-1] != len(nodes)
+            or np.any(np.diff(offsets) < 0)):
+        raise InvalidInputError(f"{path}: offsets do not split {len(nodes)} node rows "
+                                f"into {n_scenes} scenes")
+    if not (np.isfinite(globals_).all() and np.isfinite(nodes).all()):
+        raise InvalidInputError(f"{path}: non-finite embeddings")
+    return globals_, nodes, offsets
+
+
 def load_database(directory, weights: EncoderWeights) -> SceneDatabase:
-    """Load a saved database; stale embedding caches are recomputed."""
+    """Load a saved database. When the stored weights hash differs from
+    `weights` (or the directory is in an older layout), every scene is
+    re-encoded instead of read from embeddings.npz."""
     directory = Path(directory)
     index = json.loads((directory / "index.json").read_text(encoding="utf-8"))
-    fresh = index.get("weights_hash") == weights_fingerprint(weights)
+    if not isinstance(index, dict) or not isinstance(index.get("scenes"), list):
+        raise InvalidInputError(f"{directory / 'index.json'}: no scenes list")
+    scene_ids = index["scenes"]
+    for scene_id in scene_ids:
+        _check_scene_id(scene_id)
+    graphs = [graph_from_dict(json.loads(
+        (directory / f"{scene_id}.graph.json").read_text(encoding="utf-8")))
+        for scene_id in scene_ids]
+    if not (index.get("format_version") == DB_FORMAT_VERSION
+            and index.get("weights_hash") == weights_fingerprint(weights)):
+        return SceneDatabase(entries=[encode_scene(scene_id, graph, weights)
+                                      for scene_id, graph in zip(scene_ids, graphs)])
+    globals_, nodes, offsets = _read_embeddings(
+        directory / EMBEDDINGS_FILE, len(scene_ids), weights.config.d_model)
     entries = []
-    for scene_id in index["scenes"]:
-        graph = graph_from_dict(json.loads(
-            (directory / f"{scene_id}.graph.json").read_text(encoding="utf-8")))
-        if fresh:
-            emb = json.loads(
-                (directory / f"{scene_id}.emb.json").read_text(encoding="utf-8"))
-            d_model = weights.config.d_model
-            nodes = (np.asarray(emb["nodes"], dtype=float)
-                     if emb["nodes"] else np.zeros((0, d_model)))
-            entries.append(EncodedScene(
-                scene_id=scene_id, graph=graph,
-                node_embeddings=nodes,
-                global_embedding=np.asarray(emb["global"], dtype=float)))
-        else:
-            entries.append(encode_scene(scene_id, graph, weights))
+    for i, (scene_id, graph) in enumerate(zip(scene_ids, graphs)):
+        block = nodes[offsets[i]:offsets[i + 1]]
+        if len(block) != len(graph.nodes):
+            raise InvalidInputError(
+                f"scene {scene_id!r}: {len(block)} node embeddings for "
+                f"{len(graph.nodes)} graph nodes")
+        entries.append(EncodedScene(scene_id=scene_id, graph=graph,
+                                    node_embeddings=block, global_embedding=globals_[i]))
     return SceneDatabase(entries=entries)

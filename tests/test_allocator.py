@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 from collections import Counter
 
 import numpy as np
@@ -115,6 +117,19 @@ def random_instance(rng, max_i=6, max_j=6, max_cands=5):
 
 
 class TestSolveMcf:
+    def test_flow_shortfall_raises_under_optimize(self):
+        """The invariant check is a raise, not an assert, so -O keeps it."""
+        code = ("import sgalign.allocator as a\n"
+                "a._FlowNetwork.min_cost_flow = lambda self, s, t, k: (0, 0)\n"
+                "try:\n"
+                "    a.solve_mcf([], {}, 2.0, None, 2, 1)\n"
+                "except a.InvariantError as exc:\n"
+                "    print('raised', exc)\n")
+        proc = subprocess.run([sys.executable, "-O", "-c", code],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("raised solve_mcf: flow 0 fell short of supply 2")
+
     def test_empty_candidates(self):
         res = solve_mcf([], {}, 2.0, None, 4, 3)
         assert res.matched == []

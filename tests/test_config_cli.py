@@ -8,7 +8,9 @@ import pytest
 
 from sgalign.config import (PipelineConfig, config_from_dict, load_config,
                             save_config)
+from sgalign.encoder import EncoderConfig, init_weights, save_weights
 from sgalign.errors import ConfigError
+from sgalign.retrieval import build_database, save_database
 from sgalign.scene_graph import save_graph
 from sgalign.synth import SynthConfig, generate_scene, make_sample, save_sample
 
@@ -110,6 +112,43 @@ class TestCliAlign:
         assert proc.stdout == ""
 
 
+@pytest.fixture(scope="module")
+def default_weights_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("weights") / "w.npz"
+    save_weights(init_weights(EncoderConfig(), seed=0), path)
+    return path
+
+
+def one_stderr_line(proc) -> str:
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1, proc.stderr
+    return lines[0]
+
+
+class TestCliWeights:
+    def test_saved_weights_match_seed(self, scene_file, default_weights_file):
+        by_seed = run_cli("align", str(scene_file), str(scene_file), "--seed", "0")
+        by_file = run_cli("align", str(scene_file), str(scene_file),
+                          "--weights", str(default_weights_file))
+        assert by_file.returncode == 0, by_file.stderr
+        assert json.loads(by_file.stdout)["pairs"] == json.loads(by_seed.stdout)["pairs"]
+
+    @pytest.mark.parametrize("kind", ["truncated", "garbage", "no_meta"])
+    def test_bad_weights_file(self, scene_file, default_weights_file, tmp_path, kind):
+        bad = tmp_path / "bad.npz"
+        if kind == "truncated":
+            bad.write_bytes(default_weights_file.read_bytes()[:4096])
+        elif kind == "garbage":
+            bad.write_bytes(b"\x89\x00\xff not a weights file")
+        else:
+            with open(bad, "wb") as fh:
+                np.savez(fh, cls_token=np.zeros(512))
+        proc = run_cli("align", str(scene_file), str(scene_file), "--weights", str(bad))
+        assert proc.returncode != 0
+        assert proc.stdout == ""
+        assert "Traceback" not in one_stderr_line(proc)
+
+
 class TestCliValidate:
     def test_valid_graph(self, scene_file):
         proc = run_cli("validate", str(scene_file))
@@ -195,6 +234,45 @@ class TestCliRetrieve:
         doc = json.loads(proc.stdout)
         assert doc["ranked"][0]["scene_id"] == "scene-2"
         assert all(r["seconds"] is not None for r in doc["ranked"])
+
+
+    @pytest.fixture()
+    def saved_db(self, tmp_path):
+        scenes = [(f"scene{seed}", generate_scene(SynthConfig(
+            seed=seed, n_objects=(5, 7), feature_noise_sigma=0.0))[0]) for seed in range(4)]
+        weights = init_weights(EncoderConfig(), seed=0)  # what --seed 0 builds
+        save_database(build_database(scenes, weights), tmp_path / "db", weights)
+        save_graph(scenes[2][1], tmp_path / "query.json")
+        return tmp_path / "db", tmp_path / "query.json"
+
+    def test_saved_database(self, saved_db):
+        db_dir, query = saved_db
+        proc = run_cli("retrieve", "--query", str(query), "--db", str(db_dir), "--k", "3")
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["ranked"][0]["scene_id"] == "scene2"
+
+    def test_embedding_mismatch_exit_2(self, saved_db):
+        db_dir, query = saved_db
+        path = db_dir / "embeddings.npz"
+        with np.load(path) as z:
+            arrays = {k: z[k] for k in z.files}
+        arrays["offsets"][2] += 1
+        with open(path, "wb") as fh:
+            np.savez(fh, **arrays)
+        proc = run_cli("retrieve", "--query", str(query), "--db", str(db_dir))
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "scene1" in one_stderr_line(proc)
+
+    def test_unsafe_scene_id_exit_2(self, saved_db):
+        db_dir, query = saved_db
+        index = json.loads((db_dir / "index.json").read_text())
+        index["scenes"][0] = "../scene0"
+        (db_dir / "index.json").write_text(json.dumps(index))
+        proc = run_cli("retrieve", "--query", str(query), "--db", str(db_dir))
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "safe file name" in one_stderr_line(proc)
 
 
 class TestCliDemoFit:

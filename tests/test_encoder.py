@@ -497,10 +497,27 @@ class TestPackedWeights:
         assert not np.array_equal(before, after)
 
 
+def v1_document(weights):
+    """The JSON document of a format_version 1 weights file."""
+    return {"config": weights.config.to_dict(),
+            "tensors": {k: v.tolist() for k, v in sorted(weights.tensors.items())},
+            "seed": weights.seed, "format_version": 1}
+
+
+def write_v2(path, weights, tensors=None, version=2):
+    """A format_version 2 file holding `tensors` (default: every tensor of weights)."""
+    meta = json.dumps({"format_version": version, "config": weights.config.to_dict(),
+                       "seed": weights.seed})
+    with open(path, "wb") as fh:
+        np.savez(fh, meta=np.array(meta),
+                 **(weights.tensors if tensors is None else tensors))
+
+
 class TestWeightsSerialization:
     def test_bit_exact_round_trip(self, small_config, small_weights, tmp_path):
-        path = tmp_path / "w.json"
+        path = tmp_path / "w.npz"
         save_weights(small_weights, path)
+        assert path.read_bytes()[:2] == b"PK"
         back = load_weights(path)
         assert back.config == small_config
         assert back.seed == small_weights.seed
@@ -509,7 +526,7 @@ class TestWeightsSerialization:
 
     def test_round_trip_keeps_packed_layout(self, small_config, small_weights,
                                             tmp_path):
-        path = tmp_path / "w.json"
+        path = tmp_path / "w.npz"
         save_weights(small_weights, path)
         back = load_weights(path)
         for group, names in packed_groups(small_config).items():
@@ -520,10 +537,26 @@ class TestWeightsSerialization:
         for a, b in zip(encode_graph(g, small_weights), encode_graph(g, back)):
             assert np.array_equal(a, b)
 
+    def test_path_kept_as_given(self, small_weights, tmp_path):
+        save_weights(small_weights, tmp_path / "weights")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["weights"]
+
+    def test_v1_reader_bit_exact(self, small_config, small_weights, tmp_path):
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps(v1_document(small_weights)))
+        back = load_weights(path)
+        assert back.config == small_config
+        assert back.seed == small_weights.seed
+        for group, names in packed_groups(small_config).items():
+            assert back.packed[group].tobytes() == small_weights.packed[group].tobytes()
+            for name in names:
+                assert back[name].base is back.packed[group], name
+        for name in small_weights.tensors:
+            assert back[name].tobytes() == small_weights[name].tobytes(), name
+
     def test_unknown_tensor_rejected(self, small_config, small_weights, tmp_path):
         path = tmp_path / "w.json"
-        save_weights(small_weights, path)
-        doc = json.loads(path.read_text())
+        doc = v1_document(small_weights)
         doc["tensors"]["bogus"] = [[1.0]]
         path.write_text(json.dumps(doc))
         with pytest.raises(WeightsFormatError, match="unknown"):
@@ -531,8 +564,7 @@ class TestWeightsSerialization:
 
     def test_missing_tensor_listed(self, small_config, small_weights, tmp_path):
         path = tmp_path / "w.json"
-        save_weights(small_weights, path)
-        doc = json.loads(path.read_text())
+        doc = v1_document(small_weights)
         del doc["tensors"]["layer0.Wq"]
         path.write_text(json.dumps(doc))
         with pytest.raises(WeightsFormatError, match="layer0.Wq"):
@@ -540,9 +572,68 @@ class TestWeightsSerialization:
 
     def test_bad_shape_rejected(self, small_config, small_weights, tmp_path):
         path = tmp_path / "w.json"
-        save_weights(small_weights, path)
-        doc = json.loads(path.read_text())
+        doc = v1_document(small_weights)
         doc["tensors"]["cls_token"] = [1.0, 2.0]
         path.write_text(json.dumps(doc))
         with pytest.raises(WeightsFormatError, match="shape"):
+            load_weights(path)
+
+    def test_unknown_tensor_rejected_v2(self, small_weights, tmp_path):
+        path = tmp_path / "w.npz"
+        write_v2(path, small_weights, {**small_weights.tensors, "bogus": np.ones((1, 1))})
+        with pytest.raises(WeightsFormatError, match="unknown"):
+            load_weights(path)
+
+    def test_missing_tensor_listed_v2(self, small_weights, tmp_path):
+        path = tmp_path / "w.npz"
+        tensors = dict(small_weights.tensors)
+        del tensors["layer0.Wq"]
+        write_v2(path, small_weights, tensors)
+        with pytest.raises(WeightsFormatError, match="layer0.Wq"):
+            load_weights(path)
+
+    def test_bad_shape_rejected_v2(self, small_weights, tmp_path):
+        path = tmp_path / "w.npz"
+        write_v2(path, small_weights,
+                 {**small_weights.tensors, "cls_token": np.array([1.0, 2.0])})
+        with pytest.raises(WeightsFormatError, match="shape"):
+            load_weights(path)
+
+    def test_non_finite_tensor_rejected_v2(self, small_weights, tmp_path):
+        path = tmp_path / "w.npz"
+        bad = small_weights["layer1.Wo"].copy()
+        bad[2, 3] = np.nan
+        write_v2(path, small_weights, {**small_weights.tensors, "layer1.Wo": bad})
+        with pytest.raises(WeightsFormatError, match="layer1.Wo: non-finite"):
+            load_weights(path)
+
+    def test_unsupported_version_rejected_v2(self, small_weights, tmp_path):
+        path = tmp_path / "w.npz"
+        write_v2(path, small_weights, version=3)
+        with pytest.raises(WeightsFormatError, match="format_version 3"):
+            load_weights(path)
+
+    def test_zip_without_meta_rejected(self, small_weights, tmp_path):
+        path = tmp_path / "w.npz"
+        with open(path, "wb") as fh:
+            np.savez(fh, **small_weights.tensors)
+        with pytest.raises(WeightsFormatError, match="meta"):
+            load_weights(path)
+
+    @pytest.mark.parametrize("keep", [0.1, 0.5, 0.99])
+    def test_truncated_npz_rejected(self, small_weights, tmp_path, keep):
+        path = tmp_path / "w.npz"
+        save_weights(small_weights, path)
+        data = path.read_bytes()
+        path.write_bytes(data[:int(len(data) * keep)])
+        with pytest.raises(WeightsFormatError):
+            load_weights(path)
+
+    @pytest.mark.parametrize("data", [b"", b"\x00\xff\xfe binary", b"not json",
+                                      b"[1, 2]", b'{"format_version": 1}',
+                                      b'{"format_version": 1, "config": {"heads": 0}}'])
+    def test_neither_zip_nor_json_rejected(self, tmp_path, data):
+        path = tmp_path / "w.bin"
+        path.write_bytes(data)
+        with pytest.raises(WeightsFormatError):
             load_weights(path)

@@ -1,14 +1,19 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
 from sgalign.config import PipelineConfig
-from sgalign.encoder import init_weights
+from sgalign.encoder import EncoderWeights, init_weights, load_weights, save_weights
 from sgalign.errors import InvalidInputError
 from sgalign.matcher import cosine_scores, score_matrix
 from sgalign.pipeline import allocate
 from sgalign.retrieval import (EncodedScene, SceneDatabase, build_database,
                                encode_scene, global_similarity, load_database,
-                               rerank, retrieve, save_database, topk_filter)
+                               rerank, retrieve, save_database, topk_filter,
+                               weights_fingerprint)
+from sgalign.scene_graph import graph_to_dict
 from sgalign.synth import SynthConfig, generate_scene
 
 
@@ -173,3 +178,167 @@ class TestPersistence:
         db, _ = db_and_weights
         with pytest.raises(InvalidInputError):
             SceneDatabase(entries=[db.entries[0], db.entries[0]])
+
+    def test_layout(self, db_and_weights, tmp_path):
+        db, weights = db_and_weights
+        save_database(db, tmp_path / "db", weights)
+        names = sorted(p.name for p in (tmp_path / "db").iterdir())
+        assert names == sorted(["index.json", "embeddings.npz"]
+                               + [f"{e.scene_id}.graph.json" for e in db.entries])
+        index = json.loads((tmp_path / "db" / "index.json").read_text())
+        assert index == {"format_version": 2,
+                         "scenes": [e.scene_id for e in db.entries],
+                         "weights_hash": weights_fingerprint(weights)}
+        with np.load(tmp_path / "db" / "embeddings.npz") as z:
+            assert z["globals"].shape == (len(db), weights.config.d_model)
+            assert list(np.diff(z["offsets"])) == [len(e.graph.nodes) for e in db.entries]
+
+    def test_empty_round_trip(self, db_and_weights, tmp_path):
+        _, weights = db_and_weights
+        save_database(SceneDatabase(), tmp_path / "db", weights)
+        assert len(load_database(tmp_path / "db", weights)) == 0
+
+    def test_old_layout_reencoded(self, db_and_weights, tmp_path):
+        """A directory of per-scene *.emb.json files under the old JSON-text
+        hash loads through re-encoding."""
+        db, weights = db_and_weights
+        old_doc = {"config": weights.config.to_dict(),
+                   "tensors": {k: v.tolist() for k, v in sorted(weights.tensors.items())}}
+        old_hash = hashlib.sha256(json.dumps(old_doc).encode("utf-8")).hexdigest()
+        directory = tmp_path / "old"
+        directory.mkdir()
+        for e in db.entries:
+            (directory / f"{e.scene_id}.graph.json").write_text(
+                json.dumps(graph_to_dict(e.graph)))
+            (directory / f"{e.scene_id}.emb.json").write_text(json.dumps(
+                {"global": e.global_embedding.tolist(), "nodes": e.node_embeddings.tolist()}))
+        (directory / "index.json").write_text(json.dumps(
+            {"scenes": [e.scene_id for e in db.entries], "weights_hash": old_hash}))
+        back = load_database(directory, weights)
+        assert [e.scene_id for e in back.entries] == [e.scene_id for e in db.entries]
+        for got, built in zip(back.entries, db.entries):
+            fresh = encode_scene(built.scene_id, built.graph, weights)
+            assert got.node_embeddings.tobytes() == fresh.node_embeddings.tobytes()
+            assert got.global_embedding.tobytes() == fresh.global_embedding.tobytes()
+
+
+UNSAFE_IDS = ["", "a/b", "a\\b", "a\0b", ".", ".."]
+
+
+class TestSceneIds:
+    @pytest.mark.parametrize("scene_id", UNSAFE_IDS)
+    def test_unsafe_id_rejected_on_save(self, db_and_weights, tmp_path, scene_id):
+        db, weights = db_and_weights
+        bad = EncodedScene(scene_id, db.entries[0].graph, db.entries[0].node_embeddings,
+                           db.entries[0].global_embedding)
+        with pytest.raises(InvalidInputError, match="safe file name"):
+            save_database(SceneDatabase(entries=[db.entries[1], bad]),
+                          tmp_path / "db", weights)
+        assert not (tmp_path / "db").exists()
+
+    @pytest.mark.parametrize("scene_id", UNSAFE_IDS)
+    def test_unsafe_id_rejected_on_load(self, db_and_weights, tmp_path, scene_id):
+        db, weights = db_and_weights
+        save_database(db, tmp_path / "db", weights)
+        index_path = tmp_path / "db" / "index.json"
+        index = json.loads(index_path.read_text())
+        index["scenes"][3] = scene_id
+        index_path.write_text(json.dumps(index))
+        with pytest.raises(InvalidInputError, match="safe file name"):
+            load_database(tmp_path / "db", weights)
+
+
+def rewrite_embeddings(directory, **changes):
+    path = directory / "embeddings.npz"
+    with np.load(path) as z:
+        arrays = {k: z[k] for k in z.files}
+    arrays.update(changes)
+    arrays = {k: v for k, v in arrays.items() if v is not None}
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+    return arrays
+
+
+class TestLoadChecks:
+    @pytest.fixture()
+    def saved(self, db_and_weights, tmp_path):
+        db, weights = db_and_weights
+        save_database(db, tmp_path / "db", weights)
+        with np.load(tmp_path / "db" / "embeddings.npz") as z:
+            arrays = {k: z[k] for k in z.files}
+        return tmp_path / "db", db, weights, arrays
+
+    def test_node_block_names_scene(self, saved):
+        directory, db, weights, arrays = saved
+        offsets = arrays["offsets"].copy()
+        offsets[5] += 1  # scene 4 gains a row, scene 5 loses one
+        rewrite_embeddings(directory, offsets=offsets)
+        with pytest.raises(InvalidInputError, match=db.entries[4].scene_id):
+            load_database(directory, weights)
+
+    @pytest.mark.parametrize("change", [
+        "globals_rows", "globals_cols", "nodes_cols", "offsets_len", "offsets_end",
+        "offsets_decreasing", "offsets_float", "missing_nodes", "non_finite"])
+    def test_inconsistent_arrays_rejected(self, saved, change):
+        directory, _, weights, arrays = saved
+        g, n, o = arrays["globals"], arrays["nodes"], arrays["offsets"]
+        bad_o = o.copy()
+        bad_o[2], bad_o[3] = o[3], o[2]
+        nan_n = n.copy()
+        nan_n[0, 0] = np.nan
+        changes = {
+            "globals_rows": {"globals": g[:-1]},
+            "globals_cols": {"globals": g[:, :-1]},
+            "nodes_cols": {"nodes": n[:, :-1]},
+            "offsets_len": {"offsets": o[:-1]},
+            "offsets_end": {"offsets": np.append(o[:-1], o[-1] - 1)},
+            "offsets_decreasing": {"offsets": bad_o},
+            "offsets_float": {"offsets": o.astype(float)},
+            "missing_nodes": {"nodes": None},
+            "non_finite": {"nodes": nan_n},
+        }[change]
+        rewrite_embeddings(directory, **changes)
+        with pytest.raises(InvalidInputError, match="embeddings.npz"):
+            load_database(directory, weights)
+
+    def test_truncated_embeddings_rejected(self, saved):
+        directory, _, weights, _ = saved
+        path = directory / "embeddings.npz"
+        path.write_bytes(path.read_bytes()[:100])
+        with pytest.raises(InvalidInputError, match="unreadable"):
+            load_database(directory, weights)
+
+    def test_index_without_scenes_rejected(self, saved):
+        directory, _, weights, _ = saved
+        (directory / "index.json").write_text("[]")
+        with pytest.raises(InvalidInputError, match="scenes"):
+            load_database(directory, weights)
+
+
+class TestFingerprint:
+    def test_equal_across_formats_and_packing(self, db_and_weights, tmp_path):
+        _, weights = db_and_weights
+        save_weights(weights, tmp_path / "w.npz")
+        (tmp_path / "w.json").write_text(json.dumps({
+            "config": weights.config.to_dict(), "seed": weights.seed, "format_version": 1,
+            "tensors": {k: v.tolist() for k, v in weights.tensors.items()}}))
+        unpacked = EncoderWeights(config=weights.config,
+                                  tensors={k: v.copy() for k, v in weights.tensors.items()})
+        expected = weights_fingerprint(weights)
+        assert weights_fingerprint(load_weights(tmp_path / "w.npz")) == expected
+        assert weights_fingerprint(load_weights(tmp_path / "w.json")) == expected
+        assert weights_fingerprint(unpacked) == expected
+
+    def test_changes_with_one_element(self, db_and_weights):
+        _, weights = db_and_weights
+        copy = init_weights(weights.config, seed=weights.seed)
+        before = weights_fingerprint(copy)
+        assert before == weights_fingerprint(weights)
+        copy["layer1.Wv_nn"][3, 5] = np.nextafter(copy["layer1.Wv_nn"][3, 5], 1.0)
+        assert weights_fingerprint(copy) != before
+
+    def test_config_enters_hash(self, db_and_weights):
+        _, weights = db_and_weights
+        other = EncoderWeights(config=type(weights.config)(**{
+            **weights.config.__dict__, "dropout": 0.2}), tensors=dict(weights.tensors))
+        assert weights_fingerprint(other) != weights_fingerprint(weights)
