@@ -5,7 +5,11 @@ iterative minimum-cost-flow formulation that supports many-to-one matches,
 per-node unmatched options and a geometric-consistency penalty that is
 recomputed from the previous iteration's matches.
 
-The flow solver is exact: successive shortest augmenting paths with node
+With B capacity unlimited (the default) the flow problem separates by row:
+each A node takes its cheapest candidate if that costs strictly less than
+the unmatched option, exact ties going to the lower B index. This is solved
+as one dense argmin. A finite B capacity couples the rows; that case runs an
+exact flow solver, successive shortest augmenting paths with node
 potentials on integer-scaled costs. A brute-force enumeration oracle over
 all capacity-feasible assignments is included for verification.
 """
@@ -66,22 +70,22 @@ class McfParams:
     lam: float = 1.0
     cap_max: int | None = None  # None = unlimited
     max_iters: int = 5
-    cost_scale: int = 10 ** 6
-    src_cap: int = 1  # >1 enables one-to-many; untested beyond feasibility
+    cost_scale: int = 10 ** 6  # integer cost resolution of the finite-cap_max solver
 
     def __post_init__(self):
         if not 0 <= self.tau <= 1:
             raise InvalidInputError(f"tau must be in [0,1], got {self.tau}")
         if self.top_k < 1:
             raise InvalidInputError(f"top_k must be >= 1, got {self.top_k}")
+        for name in ("c_unmatched", "lam"):
+            if not math.isfinite(getattr(self, name)):
+                raise InvalidInputError(f"{name} must be finite, got {getattr(self, name)}")
         if self.max_iters < 1:
             raise InvalidInputError(f"max_iters must be >= 1, got {self.max_iters}")
         if self.cost_scale < 1:
             raise InvalidInputError(f"cost_scale must be >= 1, got {self.cost_scale}")
         if self.cap_max is not None and self.cap_max < 1:
             raise InvalidInputError(f"cap_max must be >= 1 or None, got {self.cap_max}")
-        if self.src_cap < 1:
-            raise InvalidInputError(f"src_cap must be >= 1, got {self.src_cap}")
 
 
 def _as_p(P) -> np.ndarray:
@@ -107,32 +111,51 @@ def mnn_allocate(P, params: MnnParams = MnnParams()) -> MatchSet:
     return MatchSet(pairs=pairs, unmatched_a=unmatched)
 
 
+def _candidate_mask(p: np.ndarray, tau: float, top_k: int) -> np.ndarray:
+    if p.ndim != 2:
+        raise InvalidInputError(f"P must be 2-D, got shape {p.shape}")
+    if not np.isfinite(p).all():
+        raise InvalidInputError("P has non-finite entries")
+    if p.size and (p.min() < 0 or p.max() > 1):
+        raise InvalidInputError("P has entries outside [0, 1]")
+    n_a, n_b = p.shape
+    mask = np.zeros((n_a, n_b), dtype=bool)
+    # A stable sort of -P ranks ties at the K-th value by column index.
+    top = np.argsort(-p, axis=1, kind="stable")[:, :top_k]
+    mask[np.arange(n_a)[:, None], top] = True
+    return mask & (p >= tau) & (p > 0)
+
+
 def candidate_set(P, tau: float, top_k: int) -> list[tuple[int, int]]:
     """(i, j) with P >= tau and j among the top_k entries of row i.
 
     Ranking ties at the K-th value go to the lower column index; the tau
-    filter applies after ranking. Returned sorted for determinism.
+    filter applies after ranking. An entry P == 0 is never a candidate (its
+    cost -log P is infinite). Returned sorted for determinism.
     """
-    p = _as_p(P)
-    n_a, n_b = p.shape
-    out: list[tuple[int, int]] = []
-    for i in range(n_a):
-        ranked = sorted(range(n_b), key=lambda j: (-p[i, j], j))[:top_k]
-        out.extend((i, j) for j in ranked if p[i, j] >= tau)
-    return sorted(out)
+    ci, cj = np.nonzero(_candidate_mask(_as_p(P), tau, top_k))
+    return list(zip(ci.tolist(), cj.tolist()))
+
+
+def _penalties(ci: np.ndarray, cj: np.ndarray, ks: np.ndarray, ls: np.ndarray,
+               pos_a: np.ndarray, pos_b: np.ndarray) -> np.ndarray:
+    """Worst distance distortion of each pair (ci, cj) against the pairs (ks, ls)."""
+    if len(ks) == 0:
+        return np.zeros(len(ci))
+    d_a = np.linalg.norm(pos_a[ci][:, None, :] - pos_a[ks][None, :, :], axis=2)
+    d_b = np.linalg.norm(pos_b[cj][:, None, :] - pos_b[ls][None, :, :], axis=2)
+    return np.abs(d_a - d_b).max(axis=1)
 
 
 def geometry_penalty(i: int, j: int, prev_matches, pos_a: np.ndarray,
                      pos_b: np.ndarray) -> float:
     """Worst distance distortion of (i, j) against the previous matches."""
     pairs = prev_matches.pairs if isinstance(prev_matches, MatchSet) else prev_matches
-    if not pairs:
-        return 0.0
     ks = np.array([kl[0] for kl in pairs], dtype=int)
     ls = np.array([kl[1] for kl in pairs], dtype=int)
-    d_a = np.linalg.norm(pos_a[ks] - pos_a[i], axis=1)
-    d_b = np.linalg.norm(pos_b[ls] - pos_b[j], axis=1)
-    return float(np.abs(d_a - d_b).max())
+    pen = _penalties(np.array([i]), np.array([j]), ks, ls,
+                     np.asarray(pos_a, dtype=float), np.asarray(pos_b, dtype=float))
+    return float(pen[0])
 
 
 # ---------------------------------------------------------------------------
@@ -221,63 +244,80 @@ class _FlowNetwork:
         return flow, total_cost
 
 
-@dataclass
-class FlowResult:
-    matched: list[tuple[int, int]]        # (i, j) with unit flow
-    unmatched_a: list[int]
-    total_cost: float                     # float cost of the chosen assignment
-    objective_error_bound: float          # integer-rounding slack
+def _solve(ci: np.ndarray, cj: np.ndarray, cost: np.ndarray, c_unmatched: float,
+           cap_max: int | None, n_a: int, n_b: int,
+           cost_scale: int) -> tuple[np.ndarray, np.ndarray]:
+    """Optimal assignment of A nodes to candidates (ci, cj) or 'unmatched'.
 
-
-def solve_mcf(candidates: list[tuple[int, int]], costs: dict[tuple[int, int], float],
-              c_unmatched: float, cap_max: int | None, n_a: int, n_b: int,
-              cost_scale: int = 10 ** 6, src_cap: int = 1) -> FlowResult:
-    """Exact optimal assignment of A nodes to candidate B nodes or 'unmatched'."""
-    for key in candidates:
-        if not math.isfinite(costs[key]):
-            raise InvalidInputError(f"solve_mcf: non-finite cost for {key}")
+    The candidates must be sorted by (i, j). Returns the chosen pairs as
+    index arrays, sorted the same way.
+    """
+    bad = ~np.isfinite(cost)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise InvalidInputError(
+            f"solve_mcf: non-finite cost for {(int(ci[k]), int(cj[k]))}")
+    if cap_max is None:
+        # Unlimited B capacity: the rows are independent. argmin returns the
+        # first minimum, so exact ties go to the lower B index, and a cost
+        # equal to c_unmatched leaves the row unmatched.
+        if len(ci) == 0:
+            return ci, cj
+        dense = np.full((n_a, n_b), np.inf)
+        dense[ci, cj] = cost
+        best = dense.argmin(axis=1)
+        take = dense[np.arange(n_a), best] < c_unmatched
+        return np.flatnonzero(take), best[take]
 
     source = 0
     sink = n_a + n_b + 1
     net = _FlowNetwork(n_a + n_b + 2)
     for i in range(n_a):
-        net.add_edge(source, 1 + i, src_cap, 0)
-    cand_edges: dict[int, tuple[int, int]] = {}
-    for i, j in sorted(candidates):
-        e = net.add_edge(1 + i, 1 + n_a + j, 1, round(costs[(i, j)] * cost_scale))
-        cand_edges[e] = (i, j)
-    unmatched_edges: dict[int, int] = {}
+        net.add_edge(source, 1 + i, 1, 0)
+    cand_edges = [net.add_edge(1 + i, 1 + n_a + j, 1, round(c * cost_scale))
+                  for i, j, c in zip(ci.tolist(), cj.tolist(), cost.tolist())]
     c_un_int = round(c_unmatched * cost_scale)
     for i in range(n_a):
-        e = net.add_edge(1 + i, sink, src_cap, c_un_int)
-        unmatched_edges[e] = i
-    b_cap = cap_max if cap_max is not None else n_a * src_cap
+        net.add_edge(1 + i, sink, 1, c_un_int)
     for j in range(n_b):
-        net.add_edge(1 + n_a + j, sink, b_cap, 0)
+        net.add_edge(1 + n_a + j, sink, cap_max, 0)
 
-    supply = n_a * src_cap
-    flow, _ = net.min_cost_flow(source, sink, supply)
+    flow, _ = net.min_cost_flow(source, sink, n_a)
     # The unmatched edges guarantee feasibility of the full supply.
-    if flow != supply:
-        raise InvariantError(f"solve_mcf: flow {flow} fell short of supply {supply}")
+    if flow != n_a:
+        raise InvariantError(f"solve_mcf: flow {flow} fell short of supply {n_a}")
+    used = np.array([net.cap[e] == 0 for e in cand_edges], dtype=bool)
+    return ci[used], cj[used]
 
-    matched = sorted(ij for e, ij in cand_edges.items() if net.cap[e] == 0)
+
+@dataclass
+class FlowResult:
+    matched: list[tuple[int, int]]        # (i, j) with unit flow
+    unmatched_a: list[int]
+    total_cost: float                     # float cost of the chosen assignment
+    objective_error_bound: float          # integer-rounding slack (0 when uncapped)
+
+
+def solve_mcf(candidates: list[tuple[int, int]], costs: dict[tuple[int, int], float],
+              c_unmatched: float, cap_max: int | None, n_a: int, n_b: int,
+              cost_scale: int = 10 ** 6) -> FlowResult:
+    """Exact optimal assignment of A nodes to candidate B nodes or 'unmatched'."""
+    cands = sorted(candidates)
+    ci = np.array([i for i, _ in cands], dtype=np.intp)
+    cj = np.array([j for _, j in cands], dtype=np.intp)
+    cost = np.array([costs[key] for key in cands], dtype=float)
+    mi, mj = _solve(ci, cj, cost, c_unmatched, cap_max, n_a, n_b, cost_scale)
+    matched = list(zip(mi.tolist(), mj.tolist()))
+    matched_a = set(mi.tolist())
+    unmatched = [i for i in range(n_a) if i not in matched_a]
     total = sum(costs[ij] for ij in matched)
-    unmatched: list[int] = []
-    for e, i in unmatched_edges.items():
-        used = src_cap - net.cap[e]
-        total += used * c_unmatched
-        if used > 0:
-            unmatched.append(i)
-    matched_a = {i for i, _ in matched}
-    # With src_cap == 1 an A node is either matched or unmatched, never both.
-    if src_cap == 1:
-        unmatched = [i for i in range(n_a) if i not in matched_a]
+    for _ in unmatched:
+        total += c_unmatched
     return FlowResult(
         matched=matched,
-        unmatched_a=sorted(unmatched),
+        unmatched_a=unmatched,
         total_cost=total,
-        objective_error_bound=supply / cost_scale,
+        objective_error_bound=0.0 if cap_max is None else n_a / cost_scale,
     )
 
 
@@ -330,42 +370,24 @@ def mcf_allocate(P, pos_a: np.ndarray, pos_b: np.ndarray,
     p = _as_p(P)
     pos_a = np.asarray(pos_a, dtype=float)
     pos_b = np.asarray(pos_b, dtype=float)
+    ci, cj = np.nonzero(_candidate_mask(p, params.tau, params.top_k))
     n_a, n_b = p.shape
-    cands = candidate_set(p, params.tau, params.top_k)
-    neg_log = {(i, j): -math.log(p[i, j]) for i, j in cands}
+    neg_log = -np.log(p[ci, cj])
 
-    def penalties(prev_matched: list[tuple[int, int]]) -> np.ndarray:
-        if not prev_matched or not cands:
-            return np.zeros(len(cands))
-        ci = np.array([i for i, _ in cands])
-        cj = np.array([j for _, j in cands])
-        ks = np.array([k for k, _ in prev_matched])
-        ls = np.array([l for _, l in prev_matched])
-        d_a = np.linalg.norm(pos_a[ci][:, None, :] - pos_a[ks][None, :, :], axis=2)
-        d_b = np.linalg.norm(pos_b[cj][:, None, :] - pos_b[ls][None, :, :], axis=2)
-        return np.abs(d_a - d_b).max(axis=1)
-
-    prev: list[tuple[int, int]] | None = None
-    result: FlowResult | None = None
-    iterations = 0
+    prev = (ci[:0], cj[:0])
     converged = False
-    for _ in range(params.max_iters):
-        iterations += 1
-        pen = penalties(prev or [])
-        costs = {
-            (i, j): neg_log[(i, j)] + params.lam * pen[idx]
-            for idx, (i, j) in enumerate(cands)
-        }
-        result = solve_mcf(cands, costs, params.c_unmatched, params.cap_max,
-                           n_a, n_b, cost_scale=params.cost_scale,
-                           src_cap=params.src_cap)
-        if prev is not None and result.matched == prev:
+    for iterations in range(1, params.max_iters + 1):
+        cost = neg_log + params.lam * _penalties(ci, cj, *prev, pos_a, pos_b)
+        mi, mj = _solve(ci, cj, cost, params.c_unmatched, params.cap_max,
+                        n_a, n_b, params.cost_scale)
+        if iterations > 1 and np.array_equal(mi, prev[0]) \
+                and np.array_equal(mj, prev[1]):
             converged = True
             break
-        prev = result.matched
+        prev = (mi, mj)
 
-    if result is None:  # McfParams guarantees max_iters >= 1
-        raise InvariantError("mcf_allocate: no flow solve ran")
-    pairs = [(i, j, float(p[i, j])) for i, j in result.matched]
-    return MatchSet(pairs=pairs, unmatched_a=result.unmatched_a,
+    matched_a = np.zeros(n_a, dtype=bool)
+    matched_a[mi] = True
+    pairs = [(i, j, float(p[i, j])) for i, j in zip(mi.tolist(), mj.tolist())]
+    return MatchSet(pairs=pairs, unmatched_a=np.flatnonzero(~matched_a).tolist(),
                     iterations=iterations, converged=converged)

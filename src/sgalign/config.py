@@ -68,7 +68,6 @@ class PipelineConfig:
                 "cap_max": self.mcf.cap_max,
                 "max_iters": self.mcf.max_iters,
                 "cost_scale": self.mcf.cost_scale,
-                "src_cap": self.mcf.src_cap,
             },
             "edges": {"n_max": self.edges.n_max, "d_th": self.edges.d_th},
             "retrieval": {
@@ -85,7 +84,7 @@ _SECTION_KEYS = {
     "matcher": {"mode", "temperature", "dustbin_logit"},
     "mnn": {"min_score"},
     "mcf": {"tau", "top_k", "c_unmatched", "lambda", "cap_max", "max_iters",
-            "cost_scale", "src_cap"},
+            "cost_scale"},
     "edges": {"n_max", "d_th"},
     "retrieval": {"allocator", "rerank"},
 }

@@ -42,6 +42,14 @@ class EncoderConfig:
     feature_dims: tuple[int, int] = DEFAULT_FEATURE_DIMS
 
     def __post_init__(self):
+        for name in ("pe_dim", "heads", "d_model", "gate_hidden", "geo_hidden"):
+            if getattr(self, name) < 1:
+                raise InvalidInputError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if len(self.feature_dims) != 2 or min(self.feature_dims) < 1:
+            raise InvalidInputError(
+                f"feature_dims must be two sizes >= 1, got {list(self.feature_dims)}")
+        if self.layers < 0:
+            raise InvalidInputError(f"layers must be >= 0, got {self.layers}")
         if self.pe_dim % 2 != 0:
             raise InvalidInputError(f"pe_dim must be even, got {self.pe_dim}")
         if self.d_model % self.heads != 0:

@@ -81,6 +81,16 @@ class TestCandidateSet:
             expected = sorted((0, j) for j in ranked if P[0, j] >= tau)
             assert candidate_set(P, tau, k) == expected
 
+    def test_sort_filter_oracle_rows_with_ties(self, rng):
+        for _ in range(200):
+            P = np.round(rng.uniform(0, 1, (int(rng.integers(1, 7)), 8)), 1)
+            tau, k = float(rng.choice([0.0, 0.3, 0.5])), int(rng.integers(1, 9))
+            expected = []
+            for i in range(P.shape[0]):
+                ranked = sorted(range(8), key=lambda j: (-P[i, j], j))[:k]
+                expected.extend((i, j) for j in ranked if P[i, j] >= tau and P[i, j] > 0)
+            assert candidate_set(P, tau, k) == sorted(expected)
+
     def test_tie_at_kth_value(self):
         P = np.array([[0.5, 0.5, 0.5, 0.4]])
         assert candidate_set(P, 0.0, 2) == [(0, 0), (0, 1)]
@@ -122,7 +132,7 @@ class TestSolveMcf:
         code = ("import sgalign.allocator as a\n"
                 "a._FlowNetwork.min_cost_flow = lambda self, s, t, k: (0, 0)\n"
                 "try:\n"
-                "    a.solve_mcf([], {}, 2.0, None, 2, 1)\n"
+                "    a.solve_mcf([], {}, 2.0, 1, 2, 1)\n"
                 "except a.InvariantError as exc:\n"
                 "    print('raised', exc)\n")
         proc = subprocess.run([sys.executable, "-O", "-c", code],
@@ -169,6 +179,58 @@ class TestSolveMcf:
         a = solve_mcf(cands, costs, 2.0, 2, n_a, n_b)
         b = solve_mcf(cands, costs, 2.0, 2, n_a, n_b)
         assert a.matched == b.matched and a.unmatched_a == b.unmatched_a
+
+
+class TestUncappedBranch:
+    def test_against_enumeration_oracle_pairs(self, rng):
+        # continuous random costs are tie-free, so the optimum is unique
+        for _ in range(500):
+            n_a, n_b, cands, costs = random_instance(rng)
+            c_un = float(rng.uniform(0.5, 4.0))
+            res = solve_mcf(cands, costs, c_un, None, n_a, n_b)
+            best_cost, best = brute_force_allocate(cands, costs, c_un, None, n_a, n_b)
+            assert res.matched == sorted(best)
+            assert res.total_cost == pytest.approx(best_cost, abs=1e-12)
+            assert res.objective_error_bound == 0.0
+
+    def test_tie_goes_to_lower_b_index(self):
+        P = np.array([[0.9, 0.0], [0.5, 0.5]])
+        pos = np.zeros((2, 3))
+        ms = mcf_allocate(P, pos, pos, McfParams(lam=0.0, tau=0.0))
+        assert ms.pair_set() == {(0, 0), (1, 0)}
+        res = solve_mcf([(1, 0), (1, 1)], {(1, 0): 0.7, (1, 1): 0.7}, 2.0, None, 2, 2)
+        assert res.matched == [(1, 0)]
+        assert res.unmatched_a == [0]
+
+    def test_tie_with_unmatched_cost_leaves_row_unmatched(self):
+        res = solve_mcf([(0, 0), (1, 1)], {(0, 0): 2.0, (1, 1): 1.5}, 2.0, None, 2, 2)
+        assert res.matched == [(1, 1)]
+        assert res.unmatched_a == [0]
+        P = np.array([[0.25]])
+        ms = mcf_allocate(P, np.zeros((1, 3)), np.zeros((1, 3)),
+                          McfParams(c_unmatched=float(-np.log(0.25)), tau=0.0))
+        assert ms.pairs == [] and ms.unmatched_a == [0]
+
+
+class TestCappedBranch:
+    def test_total_cost_against_linear_sum_assignment(self, rng):
+        optimize = pytest.importorskip("scipy.optimize")
+        for trial in range(300):
+            n_a, n_b, cands, costs = random_instance(rng)
+            cap = 1 + trial % 3
+            c_un = float(rng.uniform(0.5, 4.0))
+            res = solve_mcf(cands, costs, c_un, cap, n_a, n_b)
+            # B column j copied cap times, plus one private unmatched column
+            # per row; forbidden cells get a cost no optimum would pay.
+            big = 1e6
+            cost = np.full((n_a, n_b * cap + n_a), big)
+            for (i, j), c in costs.items():
+                cost[i, j * cap:(j + 1) * cap] = c
+            cost[np.arange(n_a), n_b * cap + np.arange(n_a)] = c_un
+            rows, cols = optimize.linear_sum_assignment(cost)
+            expected = cost[rows, cols].sum()
+            assert abs(res.total_cost - expected) <= 2 * n_a / 10 ** 6
+            assert res.objective_error_bound == n_a / 10 ** 6
 
 
 class TestMcfAllocate:
@@ -239,10 +301,34 @@ class TestMcfAllocate:
         doc = ms.to_dict()
         assert set(doc) == {"pairs", "unmatched_a", "iterations", "converged"}
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -0.1, 1.5])
+    def test_invalid_p_rejected(self, bad):
+        P = np.array([[0.9, 0.2], [0.3, bad]])
+        with pytest.raises(InvalidInputError):
+            mcf_allocate(P, np.zeros((2, 3)), np.zeros((2, 3)), McfParams())
+
+    def test_p_must_be_2d(self):
+        with pytest.raises(InvalidInputError):
+            mcf_allocate(np.array([0.5, 0.5]), np.zeros((2, 3)), np.zeros((2, 3)))
+
+    def test_zero_entry_never_a_candidate(self):
+        P = np.array([[0.0, 0.0], [0.0, 0.6]])
+        pos = np.zeros((2, 3))
+        for cap in (None, 1):
+            ms = mcf_allocate(P, pos, pos, McfParams(tau=0.0, cap_max=cap))
+            assert ms.pair_set() == {(1, 1)}
+            assert ms.unmatched_a == [0]
+        assert candidate_set(P, 0.0, 2) == [(1, 1)]
+
     def test_param_validation(self):
         with pytest.raises(InvalidInputError):
             McfParams(tau=1.5)
         with pytest.raises(InvalidInputError):
             McfParams(max_iters=0)
+        for bad in (math.inf, math.nan):
+            with pytest.raises(InvalidInputError):
+                McfParams(c_unmatched=bad)
+            with pytest.raises(InvalidInputError):
+                McfParams(lam=bad)
         with pytest.raises(InvalidInputError):
             MnnParams(min_score=-0.1)

@@ -44,6 +44,11 @@ class TestConfig:
         assert any("mcf.bogus" in w for w in warnings)
         assert any("extra" in w for w in warnings)
 
+    def test_dropped_src_cap_is_unknown(self):
+        cfg, warnings = config_from_dict({"mcf": {"src_cap": 2}})
+        assert cfg.mcf == PipelineConfig().mcf
+        assert warnings == ["unknown field mcf.src_cap"]
+
     def test_partial_override(self):
         cfg, _ = config_from_dict({"mcf": {"tau": 0.5}, "mnn": {"min_score": 0.2}})
         assert cfg.mcf.tau == 0.5
@@ -206,6 +211,15 @@ class TestCliSynthEval:
         assert proc.stdout == ""
         lines = proc.stderr.strip().splitlines()
         assert len(lines) == 1 and "--jobs" in lines[0], proc.stderr
+
+    def test_eval_negative_encoder_size_exit_2(self, pair_dir, tmp_path):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"encoder": {"d_model": -8, "heads": 1}}))
+        proc = run_cli("eval", "--pairs", str(pair_dir), "--config", str(cfg))
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "d_model" in one_stderr_line(proc)
+        assert "Traceback" not in proc.stderr
 
 
 class TestCliRegister:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -431,6 +432,25 @@ class TestEncoderConfig:
     def test_dropout_range(self):
         with pytest.raises(InvalidInputError):
             EncoderConfig(dropout=1.0)
+
+    @pytest.mark.parametrize("field", ["pe_dim", "heads", "d_model",
+                                       "gate_hidden", "geo_hidden"])
+    @pytest.mark.parametrize("value", [0, -8])
+    def test_sizes_must_be_positive(self, field, value):
+        with pytest.raises(InvalidInputError, match=field):
+            EncoderConfig(**{field: value})
+
+    @pytest.mark.parametrize("dims", [(0, 384), (256, -1), (256,)])
+    def test_feature_dims_must_be_two_positive_sizes(self, dims):
+        with pytest.raises(InvalidInputError, match="feature_dims"):
+            EncoderConfig(feature_dims=dims)
+
+    def test_layers(self, small_config):
+        with pytest.raises(InvalidInputError, match="layers"):
+            EncoderConfig(layers=-1)
+        config = dataclasses.replace(small_config, layers=0)
+        emb, glob = encode_graph(random_graph(5, config), init_weights(config, seed=0))
+        assert emb.shape == (5, config.d_model) and np.isfinite(glob).all()
 
 
 class TestInitWeights:
