@@ -137,14 +137,26 @@ def candidate_set(P, tau: float, top_k: int) -> list[tuple[int, int]]:
     return list(zip(ci.tolist(), cj.tolist()))
 
 
+def _distances(rows: np.ndarray, pos: np.ndarray) -> np.ndarray:
+    """Euclidean distance from each of the row points to each point of pos.
+
+    The same operations as np.linalg.norm(..., axis=2), (dx² + dy²) + dz²,
+    so the same bits, at about half its cost on these small arrays.
+    """
+    d = rows[:, None, :] - pos[None, :, :]
+    d *= d
+    return np.sqrt(d[..., 0] + d[..., 1] + d[..., 2])
+
+
 def _penalties(ci: np.ndarray, cj: np.ndarray, ks: np.ndarray, ls: np.ndarray,
-               pos_a: np.ndarray, pos_b: np.ndarray) -> np.ndarray:
-    """Worst distance distortion of each pair (ci, cj) against the pairs (ks, ls)."""
+               dist_a: np.ndarray, dist_b: np.ndarray) -> np.ndarray:
+    """Worst distance distortion of each pair (ci, cj) against the pairs (ks, ls).
+
+    dist_a[i, k] and dist_b[j, l] are the distances between node positions.
+    """
     if len(ks) == 0:
         return np.zeros(len(ci))
-    d_a = np.linalg.norm(pos_a[ci][:, None, :] - pos_a[ks][None, :, :], axis=2)
-    d_b = np.linalg.norm(pos_b[cj][:, None, :] - pos_b[ls][None, :, :], axis=2)
-    return np.abs(d_a - d_b).max(axis=1)
+    return np.abs(dist_a[ci[:, None], ks] - dist_b[cj[:, None], ls]).max(axis=1)
 
 
 def geometry_penalty(i: int, j: int, prev_matches, pos_a: np.ndarray,
@@ -153,8 +165,10 @@ def geometry_penalty(i: int, j: int, prev_matches, pos_a: np.ndarray,
     pairs = prev_matches.pairs if isinstance(prev_matches, MatchSet) else prev_matches
     ks = np.array([kl[0] for kl in pairs], dtype=int)
     ls = np.array([kl[1] for kl in pairs], dtype=int)
-    pen = _penalties(np.array([i]), np.array([j]), ks, ls,
-                     np.asarray(pos_a, dtype=float), np.asarray(pos_b, dtype=float))
+    pos_a = np.asarray(pos_a, dtype=float)
+    pos_b = np.asarray(pos_b, dtype=float)
+    pen = _penalties(np.array([0]), np.array([0]), ks, ls,
+                     _distances(pos_a[[i]], pos_a), _distances(pos_b[[j]], pos_b))
     return float(pen[0])
 
 
@@ -375,9 +389,12 @@ def mcf_allocate(P, pos_a: np.ndarray, pos_b: np.ndarray,
     neg_log = -np.log(p[ci, cj])
 
     prev = (ci[:0], cj[:0])
+    dist = (None, None)  # pairwise node distances, built once matches exist
     converged = False
     for iterations in range(1, params.max_iters + 1):
-        cost = neg_log + params.lam * _penalties(ci, cj, *prev, pos_a, pos_b)
+        if dist[0] is None and len(prev[0]):
+            dist = (_distances(pos_a, pos_a), _distances(pos_b, pos_b))
+        cost = neg_log + params.lam * _penalties(ci, cj, *prev, *dist)
         mi, mj = _solve(ci, cj, cost, params.c_unmatched, params.cap_max,
                         n_a, n_b, params.cost_scale)
         if iterations > 1 and np.array_equal(mi, prev[0]) \

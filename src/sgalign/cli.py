@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 import time
@@ -199,6 +200,10 @@ def cmd_eval(args) -> int:
 
 
 def cmd_register(args) -> int:
+    if args.ransac_iters < 1:
+        raise UsageError(f"--ransac-iters must be >= 1, got {args.ransac_iters}")
+    if not (math.isfinite(args.inlier_eps) and args.inlier_eps >= 0):
+        raise UsageError(f"--inlier-eps must be finite and >= 0, got {args.inlier_eps}")
     config = _load_pipeline_config(args.config)
     weights, meta = _resolve_weights(args, config)
     sample = synth.load_sample(Path(args.pair))

@@ -9,6 +9,7 @@ and rotation angle of the relative transform against ground truth.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,45 +54,75 @@ class RegistrationError:
 
 
 def _kabsch(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Least-squares rotation/translation mapping point set a onto b."""
-    ca = a.mean(axis=0)
-    cb = b.mean(axis=0)
-    h = (a - ca).T @ (b - cb)
+    """Least-squares rotations/translations mapping point sets a onto b.
+
+    a and b are (..., k, 3); each leading index is one independent fit.
+    """
+    ca = a.mean(axis=-2)
+    cb = b.mean(axis=-2)
+    h = np.swapaxes(a - ca[..., None, :], -1, -2) @ (b - cb[..., None, :])
     u, _, vt = np.linalg.svd(h)
-    d = np.sign(np.linalg.det(vt.T @ u.T))
-    rot = vt.T @ np.diag([1.0, 1.0, d]) @ u.T
-    return rot, cb - rot @ ca
+    v, ut = np.swapaxes(vt, -1, -2), np.swapaxes(u, -1, -2)
+    d = np.sign(np.linalg.det(v @ ut))
+    # a product with diag(1, 1, d), not a sign flip of v's last column: the
+    # two can differ in the sign of a zero, and the test oracle uses the product
+    reflect = np.zeros(d.shape + (3, 3))
+    reflect[..., [0, 1], [0, 1]] = 1.0
+    reflect[..., 2, 2] = d
+    rot = v @ reflect @ ut
+    return rot, cb - (rot @ ca[..., None])[..., 0]
 
 
-def _collinear(points: np.ndarray) -> bool:
-    centered = points - points.mean(axis=0)
+def _collinear(points: np.ndarray) -> np.ndarray:
+    """Whether each (..., k, 3) point set lies on a line (or a point)."""
+    centered = points - points.mean(axis=-2)[..., None, :]
     s = np.linalg.svd(centered, compute_uv=False)
-    return s[1] <= COLLINEAR_EPS * max(1.0, s[0])
+    return s[..., 1] <= COLLINEAR_EPS * np.maximum(1.0, s[..., 0])
+
+
+def _positions(pairs, side: int, name: str) -> np.ndarray:
+    try:
+        pts = np.asarray([p[side] for p in pairs], dtype=float)
+    except (TypeError, ValueError, IndexError) as exc:
+        raise InvalidInputError(f"{name} positions are not numeric: {exc}") from None
+    if pts.ndim != 2 or pts.shape[1] != 3:
+        raise InvalidInputError(f"{name} positions must be (n, 3), got shape {pts.shape}")
+    if not np.isfinite(pts).all():
+        raise InvalidInputError(f"{name} positions are not finite")
+    return pts
 
 
 def estimate_rigid(pairs, iters: int = DEFAULT_RANSAC_ITERS,
                    inlier_eps: float = DEFAULT_INLIER_EPS,
                    seed: int = 0) -> tuple[RigidTransform, list[int]]:
-    """RANSAC rigid fit of A positions onto B; returns (transform, inliers)."""
-    a = np.asarray([p[0] for p in pairs], dtype=float)
-    b = np.asarray([p[1] for p in pairs], dtype=float)
+    """RANSAC rigid fit of A positions onto B; returns (transform, inliers).
+
+    All `iters` minimal samples are drawn first, then fitted and scored as
+    one batch; the best hypothesis is the first with the most inliers.
+    """
+    if isinstance(iters, bool) or not isinstance(iters, numbers.Integral) or iters < 1:
+        raise InvalidInputError(f"iters must be an int >= 1, got {iters!r}")
+    if isinstance(inlier_eps, bool) or not isinstance(inlier_eps, numbers.Real) \
+            or not math.isfinite(inlier_eps) or inlier_eps < 0:
+        raise InvalidInputError(f"inlier_eps must be finite and >= 0, got {inlier_eps!r}")
     n = len(pairs)
     if n < 3:
         raise InvalidInputError(f"estimate_rigid needs >= 3 pairs, got {n}")
+    a = _positions(pairs, 0, "A")
+    b = _positions(pairs, 1, "B")
     if _collinear(a):
         raise DegenerateGeometryError("A positions are collinear")
 
     rng = np.random.default_rng(seed)
+    idx = np.array([rng.choice(n, size=3, replace=False) for _ in range(iters)])
+    idx = idx[~_collinear(a[idx])]
     best_inliers: np.ndarray | None = None
-    for _ in range(iters):
-        idx = rng.choice(n, size=3, replace=False)
-        if _collinear(a[idx]):
-            continue
+    if len(idx):
         rot, t = _kabsch(a[idx], b[idx])
-        residuals = np.linalg.norm(a @ rot.T + t - b, axis=1)
-        inliers = np.where(residuals <= inlier_eps)[0]
-        if best_inliers is None or len(inliers) > len(best_inliers):
-            best_inliers = inliers
+        residuals = np.linalg.norm(a @ np.swapaxes(rot, -1, -2) + t[:, None, :] - b,
+                                   axis=-1)
+        inlier = residuals <= inlier_eps
+        best_inliers = np.flatnonzero(inlier[inlier.sum(axis=1).argmax()])
     if best_inliers is None or len(best_inliers) < 3 or _collinear(a[best_inliers]):
         # fall back to a full fit when no hypothesis separated an inlier set
         best_inliers = np.arange(n)

@@ -6,7 +6,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from sgalign.allocator import (McfParams, MnnParams, brute_force_allocate,
+from sgalign.allocator import (McfParams, MnnParams, _distances, _penalties,
+                               brute_force_allocate,
                                candidate_set, geometry_penalty, mcf_allocate,
                                mnn_allocate, solve_mcf)
 from sgalign.errors import InvalidInputError
@@ -112,6 +113,26 @@ class TestGeometryPenalty:
         # |d_a(0,1) - d_b(0,1)| = 0.3 ; |d_a(0,2) - d_b(0,2)| = 0.7
         pen = geometry_penalty(0, 0, [(1, 1), (2, 2)], pos_a, pos_b)
         assert pen == pytest.approx(0.7)
+
+    def test_gathered_distances_match_direct_differences(self):
+        # mcf_allocate gathers from pairwise distance matrices built once;
+        # each entry must be the same bits as the norm of its own difference
+        rng = np.random.default_rng(8)
+        for _ in range(300):
+            n_a, n_b = rng.integers(1, 30, 2)
+            pos_a = rng.uniform(-5, 5, (n_a, 3))
+            pos_b = rng.uniform(-5, 5, (n_b, 3))
+            m, k = rng.integers(1, 40), rng.integers(1, 20)
+            ci, cj = rng.integers(0, n_a, m), rng.integers(0, n_b, m)
+            ks, ls = rng.integers(0, n_a, k), rng.integers(0, n_b, k)
+            d_a = np.linalg.norm(pos_a[ci][:, None, :] - pos_a[ks][None, :, :], axis=2)
+            d_b = np.linalg.norm(pos_b[cj][:, None, :] - pos_b[ls][None, :, :], axis=2)
+            want = np.abs(d_a - d_b).max(axis=1)
+            got = _penalties(ci, cj, ks, ls, _distances(pos_a, pos_a),
+                             _distances(pos_b, pos_b))
+            assert got.tobytes() == want.tobytes()
+            pairs = list(zip(ks.tolist(), ls.tolist()))
+            assert geometry_penalty(int(ci[0]), int(cj[0]), pairs, pos_a, pos_b) == want[0]
 
 
 def random_instance(rng, max_i=6, max_j=6, max_cands=5):

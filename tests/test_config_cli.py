@@ -232,6 +232,17 @@ class TestCliRegister:
         assert doc["error"]["rre"] <= 1e-4
         assert all(th["success"] for th in doc["thresholds"])
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--ransac-iters", "-1"), ("--ransac-iters", "0"),
+        ("--inlier-eps", "nan"), ("--inlier-eps", "-1"), ("--inlier-eps", "inf")])
+    def test_bad_ransac_flag_is_usage_error(self, tmp_path, flag, value):
+        # the pair does not exist: the flag must be refused before any loading
+        proc = run_cli("register", "--pair", str(tmp_path / "missing"), flag, value)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        line = one_stderr_line(proc)
+        assert flag in line and "Traceback" not in line
+
 
 class TestCliRetrieve:
     def test_query_ranks_itself_first(self, tmp_path):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sgalign.errors import DegenerateGeometryError, InvalidInputError
-from sgalign.registration import (RigidTransform, estimate_rigid,
+from sgalign.registration import (COLLINEAR_EPS, RigidTransform, estimate_rigid,
                                   registration_error, success_flags)
 
 
@@ -75,6 +75,167 @@ class TestEstimateRigid:
                  for i in range(5)]
         with pytest.raises(DegenerateGeometryError):
             estimate_rigid(pairs)
+
+    @pytest.mark.parametrize("iters", [-1, 0, 2.5, "7", None, True])
+    def test_bad_iters_rejected(self, rng, iters):
+        a = rng.uniform(0, 5, (6, 3))
+        with pytest.raises(InvalidInputError, match="iters"):
+            estimate_rigid([(p, p) for p in a], iters=iters)
+
+    def test_numpy_int_iters_accepted(self, rng):
+        a = rng.uniform(0, 5, (6, 3))
+        pairs = [(p, p) for p in a]
+        assert_same_fit(estimate_rigid(pairs, iters=np.int64(7)),
+                        estimate_rigid(pairs, iters=7))
+
+    @pytest.mark.parametrize("eps", [math.nan, math.inf, -1.0, None, "0.2"])
+    def test_bad_inlier_eps_rejected(self, rng, eps):
+        a = rng.uniform(0, 5, (6, 3))
+        with pytest.raises(InvalidInputError, match="inlier_eps"):
+            estimate_rigid([(p, p) for p in a], inlier_eps=eps)
+
+    @pytest.mark.parametrize("side", [0, 1])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_point_rejected(self, rng, side, bad):
+        pairs = [[p, p.copy()] for p in rng.uniform(0, 5, (6, 3))]
+        pairs[2][side][1] = bad
+        with pytest.raises(InvalidInputError, match="finite"):
+            estimate_rigid(pairs)
+
+    def test_2d_points_rejected_as_shape(self, rng):
+        a = rng.uniform(0, 5, (6, 2))
+        with pytest.raises(InvalidInputError, match=r"\(n, 3\)"):
+            estimate_rigid([(p, p) for p in a])
+
+    def test_ragged_points_rejected(self, rng):
+        pairs = [(p, p) for p in rng.uniform(0, 5, (5, 3))]
+        pairs.append((np.zeros(2), np.zeros(3)))
+        with pytest.raises(InvalidInputError):
+            estimate_rigid(pairs)
+
+
+def _kabsch_oracle(a, b):
+    ca = a.mean(axis=0)
+    cb = b.mean(axis=0)
+    h = (a - ca).T @ (b - cb)
+    u, _, vt = np.linalg.svd(h)
+    d = np.sign(np.linalg.det(vt.T @ u.T))
+    rot = vt.T @ np.diag([1.0, 1.0, d]) @ u.T
+    return rot, cb - rot @ ca
+
+
+def _collinear_oracle(points):
+    centered = points - points.mean(axis=0)
+    s = np.linalg.svd(centered, compute_uv=False)
+    return s[1] <= COLLINEAR_EPS * max(1.0, s[0])
+
+
+def estimate_rigid_oracle(pairs, iters=256, inlier_eps=0.2, seed=0):
+    """One hypothesis at a time: draw, fit, score, keep the first strict best."""
+    a = np.asarray([p[0] for p in pairs], dtype=float)
+    b = np.asarray([p[1] for p in pairs], dtype=float)
+    n = len(pairs)
+    rng = np.random.default_rng(seed)
+    best_inliers = None
+    for _ in range(iters):
+        idx = rng.choice(n, size=3, replace=False)
+        if _collinear_oracle(a[idx]):
+            continue
+        rot, t = _kabsch_oracle(a[idx], b[idx])
+        residuals = np.linalg.norm(a @ rot.T + t - b, axis=1)
+        inliers = np.where(residuals <= inlier_eps)[0]
+        if best_inliers is None or len(inliers) > len(best_inliers):
+            best_inliers = inliers
+    if best_inliers is None or len(best_inliers) < 3 or _collinear_oracle(a[best_inliers]):
+        best_inliers = np.arange(n)
+    rot, t = _kabsch_oracle(a[best_inliers], b[best_inliers])
+    return RigidTransform(R=rot, t=t), [int(i) for i in best_inliers]
+
+
+def oracle_instance(rng):
+    """Random pairs: exact or noisy, 0-50% outliers, some degenerate layouts."""
+    n = int(rng.integers(3, 61))
+    a = rng.uniform(-5, 5, (n, 3))
+    layout = int(rng.integers(4))
+    if layout == 1:  # duplicate points
+        a[rng.integers(0, n, int(rng.integers(1, n)))] = a[0]
+    elif layout == 2:  # a collinear subset (the whole set when k == n)
+        k = int(rng.integers(3, n + 1))
+        a[rng.choice(n, k, replace=False)] = \
+            np.outer(rng.uniform(-3, 3, k), rng.standard_normal(3)) + 1.0
+    elif layout == 3:  # integer grid: exact ties in residuals
+        a = np.round(a)
+    b = a @ random_rotation(rng).T + rng.uniform(-3, 3, 3)
+    if rng.random() < 0.5:
+        b += rng.normal(0, 0.05, b.shape)
+    outliers = rng.choice(n, int(rng.integers(0, n // 2 + 1)), replace=False)
+    b[outliers] = rng.uniform(-5, 5, (len(outliers), 3))
+    return list(zip(a, b))
+
+
+def assert_same_fit(got, want):
+    assert got[0].R.tobytes() == want[0].R.tobytes()
+    assert got[0].t.tobytes() == want[0].t.tobytes()
+    assert got[1] == want[1]
+
+
+def draws(n, iters, seed):
+    """The index triples estimate_rigid draws, in order."""
+    rng = np.random.default_rng(seed)
+    return [rng.choice(n, size=3, replace=False).tolist() for _ in range(iters)]
+
+
+class TestEstimateRigidOracle:
+    def test_random_instances_bit_identical(self):
+        rng = np.random.default_rng(2024)
+        compared = degenerate = 0
+        while compared < 1000:
+            pairs = oracle_instance(rng)
+            iters = int(rng.choice([1, 7, 256], p=[0.45, 0.45, 0.1]))
+            seed = int(rng.integers(1 << 31))
+            if _collinear_oracle(np.asarray([p[0] for p in pairs])):
+                with pytest.raises(DegenerateGeometryError):
+                    estimate_rigid(pairs, iters=iters, seed=seed)
+                degenerate += 1
+                continue
+            want = estimate_rigid_oracle(pairs, iters=iters, seed=seed)
+            assert_same_fit(estimate_rigid(pairs, iters=iters, seed=seed), want)
+            compared += 1
+        assert degenerate > 0
+
+    def test_full_fit_when_every_draw_is_collinear(self):
+        # 29 points on a line and one off it: a seed whose draws all miss the
+        # off point leaves no hypothesis to score
+        n, iters = 30, 4
+        a = np.zeros((n, 3))
+        a[:-1, 0] = np.arange(n - 1)
+        a[-1] = (0.0, 2.0, 0.0)
+        b = a + np.random.default_rng(3).normal(0, 0.5, a.shape)
+        pairs = list(zip(a, b))
+        seed = next(s for s in range(1000)
+                    if all(n - 1 not in d for d in draws(n, iters, s)))
+        got = estimate_rigid(pairs, iters=iters, seed=seed)
+        assert got[1] == list(range(n))
+        assert_same_fit(got, estimate_rigid_oracle(pairs, iters=iters, seed=seed))
+
+    def test_first_of_tied_hypotheses_wins(self):
+        # two far-apart groups of five, each moved by its own rigid motion:
+        # a triple from either group scores exactly five inliers
+        rng = np.random.default_rng(11)
+        a = np.vstack([rng.uniform(0, 4, (5, 3)), rng.uniform(20, 24, (5, 3))])
+        b = a.copy()
+        b[:5] = a[:5] @ random_rotation(rng).T + (1.0, 2.0, 3.0)
+        b[5:] = a[5:] @ random_rotation(rng).T + (-4.0, 0.0, 9.0)
+        pairs = list(zip(a, b))
+        groups = (set(range(5)), set(range(5, 10)))
+        winners = set()
+        for seed in range(20):
+            first = next(g for d in draws(10, 64, seed) for g in groups if set(d) <= g)
+            got = estimate_rigid(pairs, iters=64, seed=seed)
+            assert set(got[1]) == first
+            assert_same_fit(got, estimate_rigid_oracle(pairs, iters=64, seed=seed))
+            winners.add(min(first))
+        assert winners == {0, 5}
 
 
 def relative_transform_oracle(est, gt):
