@@ -3,13 +3,17 @@
 The sample under-segments some objects (one map object observed as two
 frame nodes), which mutual-nearest-neighbor cannot resolve: it is
 one-to-one by construction. The flow allocator matches both halves to
-the same map node when its capacity allows it.
+the same map node when its capacity allows it. With the default unlimited
+capacity it does; with cap_max=1 each map node takes at most one frame
+node, so the second half of a split object is refused.
 """
+
+from dataclasses import replace
 
 import numpy as np
 
-from sgalign import (EncoderConfig, PipelineConfig, SynthConfig, align_graphs,
-                     init_weights, make_sample, sample_metrics)
+from sgalign import (EncoderConfig, McfParams, PipelineConfig, SynthConfig,
+                     align_graphs, init_weights, make_sample, sample_metrics)
 
 weights = init_weights(EncoderConfig(), seed=0)
 config = PipelineConfig()
@@ -24,11 +28,13 @@ split_targets = {b for a, b in sample.gt.pairs
                  if sum(1 for _, bb in sample.gt.pairs if bb == b) > 1}
 print(f"under-segmented map objects: {sorted(split_targets)}")
 
-for allocator in ("mnn", "mcf"):
-    result = align_graphs(sample.graph_a, sample.graph_b, weights, config,
+capped = replace(config, mcf=McfParams(cap_max=1))
+for label, allocator, cfg in (("MNN", "mnn", config), ("MCF", "mcf", config),
+                              ("MCF cap_max=1", "mcf", capped)):
+    result = align_graphs(sample.graph_a, sample.graph_b, weights, cfg,
                           allocator=allocator, validate=False)
     metrics = sample_metrics(result.matches, sample.gt, n_a)
-    print(f"\n{allocator.upper()} pairs (frame -> map):")
+    print(f"\n{label} pairs (frame -> map):")
     for i, j, score in result.matches.pairs:
         marker = "  <- shared map node" if j in split_targets else ""
         print(f"  {i:2d} -> {j:2d}  P={score:.3f}{marker}")

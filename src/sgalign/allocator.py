@@ -7,22 +7,25 @@ recomputed from the previous iteration's matches.
 
 With B capacity unlimited (the default) the flow problem separates by row:
 each A node takes its cheapest candidate if that costs strictly less than
-the unmatched option, exact ties going to the lower B index. This is solved
-as one dense argmin. A finite B capacity couples the rows; that case runs an
-exact flow solver, successive shortest augmenting paths with node
-potentials on integer-scaled costs. A brute-force enumeration oracle over
-all capacity-feasible assignments is included for verification.
+the unmatched option. This is solved as one dense argmin. A finite B
+capacity couples the rows; with unit supplies the flow is then a
+rectangular assignment of the A rows to a private unmatched column each
+and to cap_max copies of every B column, solved exactly on float costs by
+shortest augmenting paths. Both cases share one tie rule: the unmatched
+option wins an exact tie with a candidate, and among candidates the lower
+B index wins. A brute-force enumeration oracle over all capacity-feasible
+assignments is included for verification.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, InvariantError
+from .errors import InvalidInputError
 from .matcher import ScoreMatrix
 
 
@@ -53,11 +56,20 @@ class MatchSet:
         }
 
 
+def _check_types(params, kind, what: str, names: tuple[str, ...]) -> None:
+    """Reject a field that is not of the numbers ABC kind, or is a bool."""
+    for name in names:
+        value = getattr(params, name)
+        if isinstance(value, bool) or not isinstance(value, kind):
+            raise InvalidInputError(f"{name} must be {what}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class MnnParams:
     min_score: float = 0.1
 
     def __post_init__(self):
+        _check_types(self, numbers.Real, "a number", ("min_score",))
         if not 0 <= self.min_score <= 1:
             raise InvalidInputError(f"min_score must be in [0,1], got {self.min_score}")
 
@@ -70,9 +82,12 @@ class McfParams:
     lam: float = 1.0
     cap_max: int | None = None  # None = unlimited
     max_iters: int = 5
-    cost_scale: int = 10 ** 6  # integer cost resolution of the finite-cap_max solver
 
     def __post_init__(self):
+        _check_types(self, numbers.Real, "a number", ("tau", "c_unmatched", "lam"))
+        _check_types(self, numbers.Integral, "an integer", ("top_k", "max_iters"))
+        if self.cap_max is not None:
+            _check_types(self, numbers.Integral, "an integer or null", ("cap_max",))
         if not 0 <= self.tau <= 1:
             raise InvalidInputError(f"tau must be in [0,1], got {self.tau}")
         if self.top_k < 1:
@@ -82,8 +97,6 @@ class McfParams:
                 raise InvalidInputError(f"{name} must be finite, got {getattr(self, name)}")
         if self.max_iters < 1:
             raise InvalidInputError(f"max_iters must be >= 1, got {self.max_iters}")
-        if self.cost_scale < 1:
-            raise InvalidInputError(f"cost_scale must be >= 1, got {self.cost_scale}")
         if self.cap_max is not None and self.cap_max < 1:
             raise InvalidInputError(f"cap_max must be >= 1 or None, got {self.cap_max}")
 
@@ -173,94 +186,52 @@ def geometry_penalty(i: int, j: int, prev_matches, pos_a: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# Exact min-cost flow: successive shortest paths with potentials
+# Exact rectangular assignment: shortest augmenting paths with potentials
 
 
-class _FlowNetwork:
-    """Residual network on integer costs; edges stored as forward/backward pairs."""
+def _assign(cost: np.ndarray) -> np.ndarray:
+    """Column of each row in a minimum-cost assignment of a dense (n, m) matrix.
 
-    def __init__(self, n_nodes: int):
-        self.n = n_nodes
-        self.to: list[int] = []
-        self.cap: list[int] = []
-        self.cost: list[int] = []
-        self.adj: list[list[int]] = [[] for _ in range(n_nodes)]
-
-    def add_edge(self, u: int, v: int, cap: int, cost: int) -> int:
-        idx = len(self.to)
-        self.to.append(v)
-        self.cap.append(cap)
-        self.cost.append(cost)
-        self.adj[u].append(idx)
-        self.to.append(u)
-        self.cap.append(0)
-        self.cost.append(-cost)
-        self.adj[v].append(idx + 1)
-        return idx
-
-    def min_cost_flow(self, s: int, t: int, max_flow: int) -> tuple[int, int]:
-        """Push up to max_flow units; returns (flow sent, integer cost)."""
-        inf = float("inf")
-        # Bellman-Ford proofs the initial potentials (costs here are already
-        # non-negative, but this keeps the solver correct for any input).
-        pot = [0.0] * self.n
-        for _ in range(self.n - 1):
-            changed = False
-            for u in range(self.n):
-                if pot[u] == inf:
-                    continue
-                for e in self.adj[u]:
-                    if self.cap[e] > 0 and pot[u] + self.cost[e] < pot[self.to[e]]:
-                        pot[self.to[e]] = pot[u] + self.cost[e]
-                        changed = True
-            if not changed:
+    Needs n <= m and a feasible assignment of finite cost. Rows are added
+    one at a time along a shortest augmenting path (Dijkstra on reduced
+    costs with dual potentials u, v; Jonker & Volgenant 1987, Crouse 2016),
+    scanning a whole row per step. Ties go to the lowest column index.
+    """
+    n, m = cost.shape
+    u, v = np.zeros(n), np.zeros(m)
+    row4col = np.full(m, -1, dtype=np.intp)
+    col4row = np.full(n, -1, dtype=np.intp)
+    for cur in range(n):
+        dist = np.full(m, np.inf)   # shortest path cost to each column
+        path = np.full(m, -1, dtype=np.intp)
+        scanned = np.zeros(m, dtype=bool)
+        i, d = cur, 0.0
+        while True:
+            reduced = d + cost[i] - u[i] - v
+            better = (reduced < dist) & ~scanned
+            dist[better] = reduced[better]
+            path[better] = i
+            j = int(np.where(scanned, np.inf, dist).argmin())
+            d = dist[j]
+            scanned[j] = True
+            if row4col[j] < 0:
                 break
-
-        flow = total_cost = 0
-        while flow < max_flow:
-            dist = [inf] * self.n
-            dist[s] = 0
-            prev_edge = [-1] * self.n
-            heap: list[tuple[float, int]] = [(0.0, s)]
-            while heap:
-                d, u = heapq.heappop(heap)
-                if d > dist[u]:
-                    continue
-                for e in self.adj[u]:
-                    v = self.to[e]
-                    if self.cap[e] <= 0:
-                        continue
-                    nd = d + self.cost[e] + pot[u] - pot[v]
-                    if nd < dist[v]:
-                        dist[v] = nd
-                        prev_edge[v] = e
-                        heapq.heappush(heap, (nd, v))
-            if dist[t] == inf:
+            i = row4col[j]
+        passed = scanned & (row4col >= 0)  # columns the path runs through
+        u[cur] += d
+        u[row4col[passed]] += d - dist[passed]
+        v[scanned] -= d - dist[scanned]
+        while True:  # flip the path back to cur
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
                 break
-            for v in range(self.n):
-                if dist[v] < inf:
-                    pot[v] += dist[v]
-            # bottleneck along the augmenting path
-            push = max_flow - flow
-            v = t
-            while v != s:
-                e = prev_edge[v]
-                push = min(push, self.cap[e])
-                v = self.to[e ^ 1]
-            v = t
-            while v != s:
-                e = prev_edge[v]
-                self.cap[e] -= push
-                self.cap[e ^ 1] += push
-                total_cost += push * self.cost[e]
-                v = self.to[e ^ 1]
-            flow += push
-        return flow, total_cost
+    return col4row
 
 
 def _solve(ci: np.ndarray, cj: np.ndarray, cost: np.ndarray, c_unmatched: float,
-           cap_max: int | None, n_a: int, n_b: int,
-           cost_scale: int) -> tuple[np.ndarray, np.ndarray]:
+           cap_max: int | None, n_a: int, n_b: int) -> tuple[np.ndarray, np.ndarray]:
     """Optimal assignment of A nodes to candidates (ci, cj) or 'unmatched'.
 
     The candidates must be sorted by (i, j). Returns the chosen pairs as
@@ -283,25 +254,18 @@ def _solve(ci: np.ndarray, cj: np.ndarray, cost: np.ndarray, c_unmatched: float,
         take = dense[np.arange(n_a), best] < c_unmatched
         return np.flatnonzero(take), best[take]
 
-    source = 0
-    sink = n_a + n_b + 1
-    net = _FlowNetwork(n_a + n_b + 2)
-    for i in range(n_a):
-        net.add_edge(source, 1 + i, 1, 0)
-    cand_edges = [net.add_edge(1 + i, 1 + n_a + j, 1, round(c * cost_scale))
-                  for i, j, c in zip(ci.tolist(), cj.tolist(), cost.tolist())]
-    c_un_int = round(c_unmatched * cost_scale)
-    for i in range(n_a):
-        net.add_edge(1 + i, sink, 1, c_un_int)
-    for j in range(n_b):
-        net.add_edge(1 + n_a + j, sink, cap_max, 0)
-
-    flow, _ = net.min_cost_flow(source, sink, n_a)
-    # The unmatched edges guarantee feasibility of the full supply.
-    if flow != n_a:
-        raise InvariantError(f"solve_mcf: flow {flow} fell short of supply {n_a}")
-    used = np.array([net.cap[e] == 0 for e in cand_edges], dtype=bool)
-    return ci[used], cj[used]
+    # A finite capacity couples the rows: assign the A rows to their private
+    # unmatched columns (first, so they win exact ties) or to cap copies of
+    # each B column. No B node can take more than n_a rows.
+    if not math.isfinite(c_unmatched):
+        raise InvalidInputError(f"solve_mcf: c_unmatched must be finite, got {c_unmatched}")
+    cap = min(cap_max, n_a)
+    dense = np.full((n_a, n_a + n_b * cap), np.inf)
+    dense[np.arange(n_a), np.arange(n_a)] = c_unmatched
+    dense[ci[:, None], n_a + cj[:, None] * cap + np.arange(cap)] = cost[:, None]
+    col = _assign(dense)
+    take = col >= n_a
+    return np.flatnonzero(take), (col[take] - n_a) // cap
 
 
 @dataclass
@@ -309,18 +273,16 @@ class FlowResult:
     matched: list[tuple[int, int]]        # (i, j) with unit flow
     unmatched_a: list[int]
     total_cost: float                     # float cost of the chosen assignment
-    objective_error_bound: float          # integer-rounding slack (0 when uncapped)
 
 
 def solve_mcf(candidates: list[tuple[int, int]], costs: dict[tuple[int, int], float],
-              c_unmatched: float, cap_max: int | None, n_a: int, n_b: int,
-              cost_scale: int = 10 ** 6) -> FlowResult:
+              c_unmatched: float, cap_max: int | None, n_a: int, n_b: int) -> FlowResult:
     """Exact optimal assignment of A nodes to candidate B nodes or 'unmatched'."""
     cands = sorted(candidates)
     ci = np.array([i for i, _ in cands], dtype=np.intp)
     cj = np.array([j for _, j in cands], dtype=np.intp)
     cost = np.array([costs[key] for key in cands], dtype=float)
-    mi, mj = _solve(ci, cj, cost, c_unmatched, cap_max, n_a, n_b, cost_scale)
+    mi, mj = _solve(ci, cj, cost, c_unmatched, cap_max, n_a, n_b)
     matched = list(zip(mi.tolist(), mj.tolist()))
     matched_a = set(mi.tolist())
     unmatched = [i for i in range(n_a) if i not in matched_a]
@@ -331,7 +293,6 @@ def solve_mcf(candidates: list[tuple[int, int]], costs: dict[tuple[int, int], fl
         matched=matched,
         unmatched_a=unmatched,
         total_cost=total,
-        objective_error_bound=0.0 if cap_max is None else n_a / cost_scale,
     )
 
 
@@ -396,7 +357,7 @@ def mcf_allocate(P, pos_a: np.ndarray, pos_b: np.ndarray,
             dist = (_distances(pos_a, pos_a), _distances(pos_b, pos_b))
         cost = neg_log + params.lam * _penalties(ci, cj, *prev, *dist)
         mi, mj = _solve(ci, cj, cost, params.c_unmatched, params.cap_max,
-                        n_a, n_b, params.cost_scale)
+                        n_a, n_b)
         if iterations > 1 and np.array_equal(mi, prev[0]) \
                 and np.array_equal(mj, prev[1]):
             converged = True

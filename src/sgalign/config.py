@@ -67,7 +67,6 @@ class PipelineConfig:
                 "lambda": self.mcf.lam,
                 "cap_max": self.mcf.cap_max,
                 "max_iters": self.mcf.max_iters,
-                "cost_scale": self.mcf.cost_scale,
             },
             "edges": {"n_max": self.edges.n_max, "d_th": self.edges.d_th},
             "retrieval": {
@@ -83,8 +82,7 @@ _SECTION_KEYS = {
                 "geo_hidden", "dropout", "feature_dims"},
     "matcher": {"mode", "temperature", "dustbin_logit"},
     "mnn": {"min_score"},
-    "mcf": {"tau", "top_k", "c_unmatched", "lambda", "cap_max", "max_iters",
-            "cost_scale"},
+    "mcf": {"tau", "top_k", "c_unmatched", "lambda", "cap_max", "max_iters"},
     "edges": {"n_max", "d_th"},
     "retrieval": {"allocator", "rerank"},
 }

@@ -44,10 +44,22 @@ class TestConfig:
         assert any("mcf.bogus" in w for w in warnings)
         assert any("extra" in w for w in warnings)
 
-    def test_dropped_src_cap_is_unknown(self):
-        cfg, warnings = config_from_dict({"mcf": {"src_cap": 2}})
+    @pytest.mark.parametrize("dropped", ["src_cap", "cost_scale"])
+    def test_dropped_src_cap_is_unknown(self, dropped):
+        cfg, warnings = config_from_dict({"mcf": {dropped: 2}})
         assert cfg.mcf == PipelineConfig().mcf
-        assert warnings == ["unknown field mcf.src_cap"]
+        assert warnings == [f"unknown field mcf.{dropped}"]
+
+    @pytest.mark.parametrize("section,key,value", [
+        ("mcf", "cap_max", 1.5), ("mcf", "cap_max", True), ("mcf", "cap_max", "2"),
+        ("mcf", "top_k", 2.5), ("mcf", "top_k", "3"), ("mcf", "max_iters", 2.5),
+        ("mcf", "tau", "0.3"), ("mcf", "lambda", None), ("mcf", "c_unmatched", "x"),
+        ("mcf", "tau", True), ("mnn", "min_score", "0.1")])
+    def test_allocator_field_type_rejected(self, section, key, value):
+        with pytest.raises(ConfigError) as err:
+            config_from_dict({section: {key: value}})
+        assert section in str(err.value)
+        assert key.replace("lambda", "lam") in str(err.value)
 
     def test_partial_override(self):
         cfg, _ = config_from_dict({"mcf": {"tau": 0.5}, "mnn": {"min_score": 0.2}})
@@ -115,6 +127,15 @@ class TestCliAlign:
         proc = run_cli("align", str(bad), str(scene_file))
         assert proc.returncode == 2
         assert proc.stdout == ""
+
+    def test_align_fractional_cap_max_exit_2(self, scene_file, tmp_path):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"mcf": {"cap_max": 1.5}}))
+        proc = run_cli("align", str(scene_file), str(scene_file), "--config", str(cfg))
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "cap_max" in one_stderr_line(proc)
+        assert "Traceback" not in proc.stderr
 
 
 @pytest.fixture(scope="module")
