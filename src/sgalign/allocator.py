@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, check_types
 from .matcher import ScoreMatrix
 
 
@@ -56,22 +56,18 @@ class MatchSet:
         }
 
 
-def _check_types(params, kind, what: str, names: tuple[str, ...]) -> None:
-    """Reject a field that is not of the numbers ABC kind, or is a bool."""
-    for name in names:
-        value = getattr(params, name)
-        if isinstance(value, bool) or not isinstance(value, kind):
-            raise InvalidInputError(f"{name} must be {what}, got {value!r}")
-
-
 @dataclass(frozen=True)
 class MnnParams:
     min_score: float = 0.1
 
     def __post_init__(self):
-        _check_types(self, numbers.Real, "a number", ("min_score",))
+        check_types(self, numbers.Real, "a number", ("min_score",))
         if not 0 <= self.min_score <= 1:
             raise InvalidInputError(f"min_score must be in [0,1], got {self.min_score}")
+
+
+# McfParams fields that the config document names differently.
+_MCF_KEYS = {"lam": "lambda"}
 
 
 @dataclass(frozen=True)
@@ -84,17 +80,19 @@ class McfParams:
     max_iters: int = 5
 
     def __post_init__(self):
-        _check_types(self, numbers.Real, "a number", ("tau", "c_unmatched", "lam"))
-        _check_types(self, numbers.Integral, "an integer", ("top_k", "max_iters"))
+        check_types(self, numbers.Real, "a number", ("tau", "c_unmatched", "lam"),
+                    _MCF_KEYS)
+        check_types(self, numbers.Integral, "an integer", ("top_k", "max_iters"))
         if self.cap_max is not None:
-            _check_types(self, numbers.Integral, "an integer or null", ("cap_max",))
+            check_types(self, numbers.Integral, "an integer or null", ("cap_max",))
         if not 0 <= self.tau <= 1:
             raise InvalidInputError(f"tau must be in [0,1], got {self.tau}")
         if self.top_k < 1:
             raise InvalidInputError(f"top_k must be >= 1, got {self.top_k}")
         for name in ("c_unmatched", "lam"):
             if not math.isfinite(getattr(self, name)):
-                raise InvalidInputError(f"{name} must be finite, got {getattr(self, name)}")
+                raise InvalidInputError(f"{_MCF_KEYS.get(name, name)} must be finite, "
+                                        f"got {getattr(self, name)}")
         if self.max_iters < 1:
             raise InvalidInputError(f"max_iters must be >= 1, got {self.max_iters}")
         if self.cap_max is not None and self.cap_max < 1:
@@ -237,6 +235,8 @@ def _solve(ci: np.ndarray, cj: np.ndarray, cost: np.ndarray, c_unmatched: float,
     The candidates must be sorted by (i, j). Returns the chosen pairs as
     index arrays, sorted the same way.
     """
+    if not math.isfinite(c_unmatched):
+        raise InvalidInputError(f"solve_mcf: c_unmatched must be finite, got {c_unmatched}")
     bad = ~np.isfinite(cost)
     if bad.any():
         k = int(np.argmax(bad))
@@ -257,8 +257,6 @@ def _solve(ci: np.ndarray, cj: np.ndarray, cost: np.ndarray, c_unmatched: float,
     # A finite capacity couples the rows: assign the A rows to their private
     # unmatched columns (first, so they win exact ties) or to cap copies of
     # each B column. No B node can take more than n_a rows.
-    if not math.isfinite(c_unmatched):
-        raise InvalidInputError(f"solve_mcf: c_unmatched must be finite, got {c_unmatched}")
     cap = min(cap_max, n_a)
     dense = np.full((n_a, n_a + n_b * cap), np.inf)
     dense[np.arange(n_a), np.arange(n_a)] = c_unmatched

@@ -248,9 +248,10 @@ def cmd_retrieve(args) -> int:
     query_graph = _checked_graph(args.query, config)
     query = retrieval.encode_scene("query", query_graph, weights)
     started = time.perf_counter()
-    result = retrieval.retrieve(query, db, args.k, args.rerank, config)
+    rerank = args.rerank or config.retrieval.rerank
+    result = retrieval.retrieve(query, db, args.k, rerank, config)
     doc = result.to_dict()
-    doc["meta"] = {**meta, "k": args.k, "rerank": args.rerank,
+    doc["meta"] = {**meta, "k": args.k, "rerank": rerank,
                    "db_size": len(db), "total_seconds": time.perf_counter() - started}
     _emit(doc)
     return EXIT_OK
@@ -337,7 +338,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--query", required=True)
     p.add_argument("--db", required=True)
     p.add_argument("--k", type=int, default=5)
-    p.add_argument("--rerank", choices=["direct", "weighted"], default="weighted")
+    p.add_argument("--rerank", choices=["direct", "weighted"], default=None,
+                   help="rerank mode (default: retrieval.rerank of the config)")
     common(p)
     p.set_defaults(func=cmd_retrieve)
 

@@ -7,12 +7,13 @@ raise ConfigError naming the dotted field and the violated constraint.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .allocator import McfParams, MnnParams
 from .encoder import EncoderConfig
-from .errors import ConfigError, InvalidInputError
+from .errors import ConfigError, InvalidInputError, check_types
 from .matcher import MatcherParams
 from .scene_graph import DEFAULT_D_TH, DEFAULT_N_MAX
 
@@ -23,6 +24,8 @@ class EdgeParams:
     d_th: float = DEFAULT_D_TH
 
     def __post_init__(self):
+        check_types(self, numbers.Integral, "an integer", ("n_max",))
+        check_types(self, numbers.Real, "a number", ("d_th",))
         if self.n_max < 1:
             raise InvalidInputError(f"n_max must be >= 1, got {self.n_max}")
         if self.d_th <= 0:
@@ -117,7 +120,13 @@ def config_from_dict(data: dict) -> tuple[PipelineConfig, list[str]]:
             raise ConfigError(section, str(exc)) from exc
 
     enc_kwargs = dict(merged["encoder"])
+    if not isinstance(enc_kwargs["feature_dims"], list):
+        raise ConfigError("encoder", f"feature_dims must be a list, "
+                                     f"got {enc_kwargs['feature_dims']!r}")
     enc_kwargs["feature_dims"] = tuple(enc_kwargs["feature_dims"])
+    weights_path = data.get("weights_path")
+    if weights_path is not None and not isinstance(weights_path, str):
+        raise ConfigError("weights_path", f"must be a string or null, got {weights_path!r}")
     mcf_kwargs = dict(merged["mcf"])
     mcf_kwargs["lam"] = mcf_kwargs.pop("lambda")
     cfg = PipelineConfig(
@@ -127,7 +136,7 @@ def config_from_dict(data: dict) -> tuple[PipelineConfig, list[str]]:
         mcf=build("mcf", McfParams, mcf_kwargs),
         edges=build("edges", EdgeParams, merged["edges"]),
         retrieval=build("retrieval", RetrievalParams, merged["retrieval"]),
-        weights_path=data.get("weights_path", None),
+        weights_path=weights_path,
     )
     return cfg, warnings
 

@@ -10,13 +10,15 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import zipfile
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
-from .errors import InvalidInputError, NumericError, ShapeError, WeightsFormatError
+from .errors import (InvalidInputError, NumericError, ShapeError, WeightsFormatError,
+                     check_types)
 from .scene_graph import DEFAULT_FEATURE_DIMS, Node, SceneGraph
 
 LN_EPS = 1e-5
@@ -42,6 +44,13 @@ class EncoderConfig:
     feature_dims: tuple[int, int] = DEFAULT_FEATURE_DIMS
 
     def __post_init__(self):
+        check_types(self, numbers.Integral, "an integer",
+                    ("pe_dim", "heads", "layers", "d_model", "gate_hidden", "geo_hidden"))
+        check_types(self, numbers.Real, "a number", ("dropout",))
+        if not all(isinstance(n, numbers.Integral) and not isinstance(n, bool)
+                   for n in self.feature_dims):
+            raise InvalidInputError(
+                f"feature_dims must be integers, got {list(self.feature_dims)}")
         for name in ("pe_dim", "heads", "d_model", "gate_hidden", "geo_hidden"):
             if getattr(self, name) < 1:
                 raise InvalidInputError(f"{name} must be >= 1, got {getattr(self, name)}")
@@ -420,32 +429,26 @@ def _layer_norm(x: np.ndarray, scale: np.ndarray, bias: np.ndarray) -> np.ndarra
 
 @dataclass
 class _NeighborIndex:
-    """Flattened neighbor structure of a batch of graphs.
+    """Neighborhoods of a batch of graphs as padded (A, K) blocks.
 
     Node rows are the graphs' nodes concatenated in declaration order; graph
     g owns rows node_offsets[g]:node_offsets[g+1]. Only the active rows,
-    nodes with at least one neighbor, take part in attention, and pairs
-    refer to them by their position in `active`. Neighbors of an active
-    node are active, because adjacency is symmetric. Directed pairs (center
-    a, neighbor b) are grouped contiguously by center, neighbors sorted by
-    node id; ordered triples (a, j, k), j != k, are grouped contiguously by
-    the (a, j) pair.
+    nodes with at least one neighbor, take part in attention, and neighbors
+    are referred to by their position in `active` (neighbors of an active
+    node are active, because adjacency is symmetric). Block row a holds the
+    neighbors of active node a sorted by node id in its first real[a].sum()
+    slots; K is the largest degree, and padded slots point at position 0.
+    Row-major order over the real slots is the order of the E directed
+    (center, neighbor) pairs.
     """
 
     graphs: Sequence[SceneGraph]
     node_offsets: np.ndarray  # (G+1,) first row of each graph, then the total
     active: np.ndarray       # (A,) rows with at least one neighbor
-    pair_center: np.ndarray  # (E,) active position of the center
-    pair_nbr: np.ndarray     # (E,) active position of the neighbor
-    pair_dist: np.ndarray    # (E,) center-to-neighbor distance
-    pair_starts: np.ndarray  # (A,) first pair of each active center
-    nbr_counts: np.ndarray   # (A,) neighbors of each active center
-    tri_src: np.ndarray      # (T,) pair index of (a, j)
-    tri_tgt: np.ndarray      # (T,) pair index of (a, k)
-    tri_dist: np.ndarray     # (T,) neighbor-to-neighbor distance d_jk
-    tri_group: np.ndarray    # (T,) number of the (a, j) group among non-empty ones
-    tri_starts: np.ndarray   # (S,) first triple of each non-empty group
-    tri_pairs: np.ndarray    # (S,) pair index (a, j) of each non-empty group
+    nbr: np.ndarray          # (A, K) active position of each neighbor
+    real: np.ndarray         # (A, K) slot holds a neighbor, not padding
+    dist: np.ndarray         # (E,) center-to-neighbor distance of each pair
+    nn_dist: np.ndarray      # (A, K, K) neighbor-to-neighbor distances
 
     def row_names(self, rows) -> list[tuple[str, int]]:
         """(graph_id, node id) of node rows, for error messages."""
@@ -458,64 +461,53 @@ class _NeighborIndex:
 
 
 def _build_neighbor_index(graphs: Sequence[SceneGraph]) -> _NeighborIndex:
-    centers, nbrs, tri_src, tri_tgt = [], [], [], []
+    nbr_rows: list[list[int]] = []  # neighbor rows of every node row
     node_offsets = [0]
     for graph in graphs:
         base = node_offsets[-1]
         order = {n.id: base + idx for idx, n in enumerate(graph.nodes)}
         adj = graph.neighbor_ids()
-        for node in graph.nodes:
-            first = len(centers)
-            for nbr_id in adj[node.id]:
-                centers.append(order[node.id])
-                nbrs.append(order[nbr_id])
-            last = len(centers)
-            for e in range(first, last):
-                for e2 in range(first, last):
-                    if e2 != e:
-                        tri_src.append(e)
-                        tri_tgt.append(e2)
+        nbr_rows.extend([order[j] for j in adj[n.id]] for n in graph.nodes)
         node_offsets.append(base + len(graph.nodes))
 
-    centers = np.asarray(centers, dtype=int)
-    nbrs = np.asarray(nbrs, dtype=int)
-    tri_src = np.asarray(tri_src, dtype=int)
-    tri_tgt = np.asarray(tri_tgt, dtype=int)
-    pos = (np.concatenate([g.positions() for g in graphs]) if graphs
-           else np.zeros((0, 3)))
-    counts = np.bincount(centers, minlength=len(pos))
+    counts = np.array([len(r) for r in nbr_rows], dtype=int)
     active = np.flatnonzero(counts)
     position = np.cumsum(counts > 0) - 1  # active position of each active row
-    nbr_counts = counts[active]
-    tri_counts = np.bincount(tri_src, minlength=len(centers))
-    tri_pairs = np.flatnonzero(tri_counts)
-    group_sizes = tri_counts[tri_pairs]
+    real = np.arange(counts.max(initial=0)) < counts[active, None]
+    nbr = np.zeros(real.shape, dtype=int)
+    nbr[real] = position[[j for r in nbr_rows for j in r]]
+    pos = (np.concatenate([g.positions() for g in graphs]) if graphs
+           else np.zeros((0, 3)))[active]
+    nbr_pos = pos[nbr]
     return _NeighborIndex(
         graphs=graphs,
         node_offsets=np.asarray(node_offsets, dtype=int),
         active=active,
-        pair_center=position[centers],
-        pair_nbr=position[nbrs],
-        pair_dist=np.linalg.norm(pos[centers] - pos[nbrs], axis=1),
-        pair_starts=np.cumsum(nbr_counts) - nbr_counts,
-        nbr_counts=nbr_counts,
-        tri_src=tri_src,
-        tri_tgt=tri_tgt,
-        tri_dist=np.linalg.norm(pos[nbrs[tri_src]] - pos[nbrs[tri_tgt]], axis=1),
-        tri_group=np.repeat(np.arange(len(tri_pairs)), group_sizes),
-        tri_starts=np.cumsum(group_sizes) - group_sizes,
-        tri_pairs=tri_pairs,
+        nbr=nbr,
+        real=real,
+        dist=np.linalg.norm(np.repeat(pos, counts[active], axis=0) - nbr_pos[real],
+                            axis=1),
+        nn_dist=np.linalg.norm(nbr_pos[:, :, None] - nbr_pos[:, None], axis=3),
     )
 
 
-def _segment_softmax(scores: np.ndarray, starts: np.ndarray,
-                     group: np.ndarray) -> np.ndarray:
-    """Column-wise softmax within contiguous, non-empty row groups.
+def _padded(values: np.ndarray, slots: np.ndarray) -> np.ndarray:
+    """values (n, ...) placed in the n True slots of a zero block slots.shape + (...)."""
+    out = np.zeros(slots.shape + values.shape[1:])
+    out[slots] = values
+    return out
 
-    starts[g] is the first row of group g, group[r] the group of row r.
+
+def _attend(scores: np.ndarray, mask: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """softmax(scores) over the last axis, restricted to `mask`, times v.
+
+    A query row with no unmasked key gives a zero row.
     """
-    ex = np.exp(scores - np.maximum.reduceat(scores, starts)[group])
-    return ex / np.add.reduceat(ex, starts)[group]
+    top = np.max(scores, axis=-1, keepdims=True, where=mask, initial=-np.inf)
+    ex = np.exp(scores - top, out=np.zeros_like(scores), where=mask)
+    total = ex.sum(axis=-1, keepdims=True)
+    np.divide(ex, total, out=ex, where=total > 0)
+    return ex @ v
 
 
 def _attention(x: np.ndarray, index: _NeighborIndex, pe: np.ndarray,
@@ -525,41 +517,40 @@ def _attention(x: np.ndarray, index: _NeighborIndex, pe: np.ndarray,
 
     The five projections of h_ij = [PE(d_ij) || c_j] are split into a
     per-distance part and a per-node part (W @ h = W_pe @ PE + W_c @ c_j),
-    so the large feature block is projected once per node, not per pair.
+    so the large feature block is projected once per node, not per pair,
+    and the sum is formed on the E real pairs only. Each of the five is
+    placed into zero-padded (A, heads, K, d_head) neighborhood blocks only
+    when it is used.
     """
     cfg = weights.config
     heads, dh, pe_dim = cfg.heads, cfg.d_head, cfg.pe_dim
-    n_pairs = len(index.pair_center)
+    n_act, k_max = index.real.shape
     gate_w = _gate_weights(weights, layer)
     w_h = weights.packed[f"layer{layer}.h_proj"]
-    if not index.tri_src.size:  # no triples: only K and V are needed
+    if k_max < 2:  # no neighbor-to-neighbor term: only K and V are needed
         w_h = w_h[:2 * cfg.d_model]
-    h = (x @ w_h[:, pe_dim:].T)[index.pair_nbr]
+    h = (x @ w_h[:, pe_dim:].T)[index.nbr[index.real]]
     h += pe @ w_h[:, :pe_dim].T
-    h = h.reshape(n_pairs, -1, heads, dh)
+    h = h.reshape(len(h), -1, heads, dh)
+
+    def block(part: int) -> np.ndarray:
+        return _padded(h[:, part], index.real).transpose(0, 2, 1, 3)
 
     # center -> neighbor attention
-    q = (x @ weights[f"layer{layer}.Wq"].T).reshape(len(x), heads, dh)
-    k, v = h[:, 0], h[:, 1]
-    raw = (q[index.pair_center] * k).sum(axis=2) / math.sqrt(dh)
-    gate_cn = distance_gate(index.pair_dist, gate_w)
-    probs = _segment_softmax(gate_cn[:, None] * raw, index.pair_starts,
-                             index.pair_center)
-    out = np.add.reduceat(probs[:, :, None] * v, index.pair_starts)
+    q = (x @ weights[f"layer{layer}.Wq"].T).reshape(n_act, heads, 1, dh)
+    gate_cn = _padded(distance_gate(index.dist, gate_w), index.real)
+    raw = (q @ block(0).swapaxes(2, 3)) / math.sqrt(dh)
+    out = _attend(gate_cn[:, None, None] * raw, index.real[:, None, None],
+                  block(1))[:, :, 0]
 
     # neighbor -> neighbor attention, average-pooled over neighbors
-    if index.tri_src.size:
-        q2, k2, v2 = h[:, 2], h[:, 3], h[:, 4]
-        src, tgt = index.tri_src, index.tri_tgt
-        gate_nn = distance_gate(index.tri_dist, gate_w)
-        raw2 = gate_nn[:, None] * ((q2[src] * k2[tgt]).sum(axis=2) / math.sqrt(dh))
-        probs2 = _segment_softmax(raw2, index.tri_starts, index.tri_group)
-        per_pair = np.zeros((n_pairs, heads, dh))
-        per_pair[index.tri_pairs] = np.add.reduceat(probs2[:, :, None] * v2[tgt],
-                                                    index.tri_starts)
-        out += (np.add.reduceat(per_pair, index.pair_starts)
-                / index.nbr_counts[:, None, None])
-    return out.reshape(len(x), cfg.d_model)
+    if k_max > 1:
+        mask = index.real[:, :, None] & index.real[:, None] & ~np.eye(k_max, dtype=bool)
+        gate_nn = distance_gate(index.nn_dist, gate_w)
+        raw2 = (block(2) @ block(3).swapaxes(2, 3)) / math.sqrt(dh)
+        per_pair = _attend(gate_nn[:, None] * raw2, mask[:, None], block(4))
+        out += per_pair.sum(axis=2) / index.real.sum(axis=1)[:, None, None]
+    return out.reshape(n_act, cfg.d_model)
 
 
 def _dgsa(x: np.ndarray, index: _NeighborIndex, pe: np.ndarray,
@@ -583,7 +574,7 @@ def dgsa_layer(graph: SceneGraph, embeddings_in: np.ndarray,
                weights: EncoderWeights, layer: int) -> np.ndarray:
     """One distance-gated attention block over one graph's neighborhoods."""
     index = _build_neighbor_index([graph])
-    pe = sinusoidal_pe(index.pair_dist, weights.config.pe_dim)
+    pe = sinusoidal_pe(index.dist, weights.config.pe_dim)
     return _dgsa(embeddings_in, index, pe, weights, layer)
 
 
@@ -603,46 +594,39 @@ def _project(c: np.ndarray, c0: np.ndarray, index: _NeighborIndex,
 def _class_tokens(node_emb: np.ndarray, node_offsets: np.ndarray,
                   weights: EncoderWeights) -> np.ndarray:
     """Global descriptors (G, d_model): per graph, a CLS token attended over
-    that graph's node embeddings. Graph g owns rows starts[g]:ends[g], its
-    CLS row first; the last layer updates the CLS rows only."""
+    that graph's node embeddings.
+
+    Token rows are the graphs' CLS and node rows, graph by graph with the
+    CLS row first; the projections run on them alone. Attention runs on
+    padded (G, heads, L, L) blocks, row g holding graph g's tokens. The last
+    layer updates the CLS rows only, so its blocks are (G, heads, 1, L).
+    """
     cfg = weights.config
     heads, dh, d = cfg.heads, cfg.d_head, cfg.d_model
-    n_graphs = len(node_offsets) - 1
-    starts = node_offsets[:-1] + np.arange(n_graphs)
-    ends = node_offsets[1:] + np.arange(1, n_graphs + 1)
-    x = np.empty((len(node_emb) + n_graphs, d))
-    is_node = np.ones(len(x), dtype=bool)
-    is_node[starts] = False
-    x[starts] = weights["cls_token"]
-    x[is_node] = node_emb
+    counts = np.diff(node_offsets)
+    n_graphs = len(counts)
+    is_token = np.arange(int(counts.max(initial=0)) + 1) <= counts[:, None]  # (G, L)
+    cls_rows = node_offsets[:-1] + np.arange(n_graphs)
+    x = np.insert(node_emb, node_offsets[:-1], weights["cls_token"], axis=0)
 
-    for layer in range(CLS_ATTN_LAYERS - 1):
+    for layer in range(CLS_ATTN_LAYERS):
         p = f"cls_attn{layer}."
-        qkv = (x @ weights.packed[p + "qkv"].T).reshape(len(x), 3, heads, dh)
-        attn = np.empty((len(x), heads, dh))
-        for s, e in zip(starts, ends):
-            q, k, v = qkv[s:e, 0], qkv[s:e, 1], qkv[s:e, 2]
-            scores = np.einsum("ihd,jhd->hij", q, k) / math.sqrt(dh)
-            scores -= scores.max(axis=2, keepdims=True)
-            ex = np.exp(scores)
-            attn[s:e] = np.einsum("hij,jhd->ihd", ex / ex.sum(axis=2, keepdims=True), v)
-        x = _layer_norm(x + attn.reshape(len(x), d) @ weights[p + "Wo"].T,
+        last = layer == CLS_ATTN_LAYERS - 1
+        queries, q_slots = (cls_rows, is_token[:, :1]) if last else (slice(None), is_token)
+        w_qkv = weights.packed[p + "qkv"]
+        q = _padded(x[queries] @ w_qkv[:d].T, q_slots).reshape(*q_slots.shape, heads, dh)
+        kv = _padded(x @ w_qkv[d:].T, is_token).reshape(*is_token.shape, 2, heads, dh)
+        k_t = kv[:, :, 0].transpose(0, 2, 3, 1)  # (G, heads, d_head, L)
+        v = kv[:, :, 1].transpose(0, 2, 1, 3)    # (G, heads, L, d_head)
+        scores = (q.transpose(0, 2, 1, 3) @ k_t) / math.sqrt(dh)
+        attn = _attend(scores, is_token[:, None, None], v).transpose(0, 2, 1, 3)
+        attn = attn[q_slots].reshape(-1, d)
+        x = _layer_norm(x[queries] + attn @ weights[p + "Wo"].T,
                         weights[p + "ln_scale"], weights[p + "ln_bias"])
-
-    p = f"cls_attn{CLS_ATTN_LAYERS - 1}."
-    w_qkv = weights.packed[p + "qkv"]
-    kv = (x @ w_qkv[d:].T).reshape(len(x), 2, heads, dh)
-    q = (x[starts] @ w_qkv[:d].T).reshape(n_graphs, heads, dh)
-    group = np.repeat(np.arange(n_graphs), ends - starts)
-    probs = _segment_softmax((q[group] * kv[:, 0]).sum(axis=2) / math.sqrt(dh),
-                             starts, group)
-    attn = np.add.reduceat(probs[:, :, None] * kv[:, 1], starts)
-    cls = _layer_norm(x[starts] + attn.reshape(n_graphs, d) @ weights[p + "Wo"].T,
-                      weights[p + "ln_scale"], weights[p + "ln_bias"])
-    norms = np.linalg.norm(cls, axis=1)
+    norms = np.linalg.norm(x, axis=1)
     if np.any(norms == 0):
         raise NumericError("class token embedding collapsed to zero")
-    return cls / norms[:, None]
+    return x / norms[:, None]
 
 
 def encode_graphs(graphs: Sequence[SceneGraph], weights: EncoderWeights
@@ -660,7 +644,7 @@ def encode_graphs(graphs: Sequence[SceneGraph], weights: EncoderWeights
     cfg = weights.config
     c0 = _initial_embeddings([node for g in graphs for node in g.nodes], weights)
     index = _build_neighbor_index(graphs)
-    pe = sinusoidal_pe(index.pair_dist, cfg.pe_dim)
+    pe = sinusoidal_pe(index.dist, cfg.pe_dim)
     c = c0
     for layer in range(cfg.layers):
         c = _dgsa(c, index, pe, weights, layer)

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the field type check
+that raises one."""
+
+from __future__ import annotations
 
 
 class SgaError(Exception):
@@ -31,6 +34,18 @@ class InvariantError(SgaError, RuntimeError):
 
 class WeightsFormatError(SgaError, ValueError):
     """A weights file is malformed or lists wrong tensor names."""
+
+
+def check_types(params, kind, what: str, names: tuple[str, ...],
+                keys: dict[str, str] | None = None) -> None:
+    """Reject a field of `params` that is not of the numbers ABC `kind`, or
+    is a bool. `keys` maps a field to its key in the config document where
+    the two names differ; errors use the key."""
+    for name in names:
+        value = getattr(params, name)
+        if isinstance(value, bool) or not isinstance(value, kind):
+            key = (keys or {}).get(name, name)
+            raise InvalidInputError(f"{key} must be {what}, got {value!r}")
 
 
 class ConfigError(SgaError, ValueError):

@@ -8,11 +8,12 @@ affine rescale ("raw") or by a dustbin-augmented dual softmax
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, NumericError
+from .errors import InvalidInputError, NumericError, check_types
 
 # Floor keeps -log(P) bounded (~20.7), so flow costs stay interpretable
 # against the default unmatched cost of 2.0.
@@ -31,6 +32,7 @@ class MatcherParams:
     mode: str = MODE_DUAL_SOFTMAX
 
     def __post_init__(self):
+        check_types(self, numbers.Real, "a number", ("dustbin_logit", "temperature"))
         if self.temperature <= 0:
             raise InvalidInputError(f"temperature must be > 0, got {self.temperature}")
         if self.mode not in (MODE_RAW, MODE_DUAL_SOFTMAX):

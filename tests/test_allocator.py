@@ -356,7 +356,8 @@ class TestMcfAllocate:
                 McfParams(c_unmatched=bad)
             with pytest.raises(InvalidInputError):
                 McfParams(lam=bad)
-            with pytest.raises(InvalidInputError):
-                solve_mcf([(0, 0)], {(0, 0): 1.0}, bad, 1, 1, 1)
+            for cap in (1, None):
+                with pytest.raises(InvalidInputError, match="c_unmatched"):
+                    solve_mcf([(0, 0)], {(0, 0): 1.0}, bad, cap, 1, 1)
         with pytest.raises(InvalidInputError):
             MnnParams(min_score=-0.1)

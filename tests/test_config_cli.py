@@ -16,6 +16,14 @@ from sgalign.synth import SynthConfig, generate_scene, make_sample, save_sample
 
 GOLDEN = Path(__file__).parent / "data" / "default_config.json"
 
+# Field values of the wrong type: each must end in a ConfigError.
+TYPE_ERRORS = [
+    ("edges", "n_max", "4"), ("edges", "n_max", 2.5), ("edges", "d_th", None),
+    ("matcher", "temperature", "x"), ("matcher", "dustbin_logit", "a"),
+    ("encoder", "heads", "8"), ("encoder", "layers", 1.0), ("encoder", "dropout", "x"),
+    ("encoder", "d_model", True), ("encoder", "feature_dims", 5),
+    ("encoder", "feature_dims", ["a", 3])]
+
 
 class TestConfig:
     def test_empty_document_gives_defaults(self):
@@ -54,12 +62,24 @@ class TestConfig:
         ("mcf", "cap_max", 1.5), ("mcf", "cap_max", True), ("mcf", "cap_max", "2"),
         ("mcf", "top_k", 2.5), ("mcf", "top_k", "3"), ("mcf", "max_iters", 2.5),
         ("mcf", "tau", "0.3"), ("mcf", "lambda", None), ("mcf", "c_unmatched", "x"),
-        ("mcf", "tau", True), ("mnn", "min_score", "0.1")])
+        ("mcf", "tau", True), ("mnn", "min_score", "0.1"),
+        ("mcf", "lambda", float("inf"))])
     def test_allocator_field_type_rejected(self, section, key, value):
         with pytest.raises(ConfigError) as err:
             config_from_dict({section: {key: value}})
         assert section in str(err.value)
-        assert key.replace("lambda", "lam") in str(err.value)
+        assert f"{key} must be" in str(err.value)
+
+    @pytest.mark.parametrize("section,key,value", TYPE_ERRORS)
+    def test_field_type_rejected(self, section, key, value):
+        with pytest.raises(ConfigError) as err:
+            config_from_dict({section: {key: value}})
+        assert f"config field '{section}': {key} must be" in str(err.value)
+
+    @pytest.mark.parametrize("value", [3, ["w.npz"], True])
+    def test_weights_path_must_be_string(self, value):
+        with pytest.raises(ConfigError, match="weights_path"):
+            config_from_dict({"weights_path": value})
 
     def test_partial_override(self):
         cfg, _ = config_from_dict({"mcf": {"tau": 0.5}, "mnn": {"min_score": 0.2}})
@@ -127,6 +147,17 @@ class TestCliAlign:
         proc = run_cli("align", str(bad), str(scene_file))
         assert proc.returncode == 2
         assert proc.stdout == ""
+
+    @pytest.mark.parametrize("doc", [{s: {k: v}} for s, k, v in TYPE_ERRORS]
+                             + [{"weights_path": 3}])
+    def test_config_type_error_exit_2(self, scene_file, tmp_path, doc):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(doc))
+        proc = run_cli("align", str(scene_file), str(scene_file), "--config", str(cfg))
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "config field" in one_stderr_line(proc)
+        assert "Traceback" not in proc.stderr
 
     def test_align_fractional_cap_max_exit_2(self, scene_file, tmp_path):
         cfg = tmp_path / "c.json"
@@ -296,6 +327,25 @@ class TestCliRetrieve:
         proc = run_cli("retrieve", "--query", str(query), "--db", str(db_dir), "--k", "3")
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["ranked"][0]["scene_id"] == "scene2"
+
+    def test_config_rerank_mode_used(self, saved_db, tmp_path):
+        db_dir, query = saved_db
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"retrieval": {"rerank": "direct"}}))
+
+        def scores(*args):
+            proc = run_cli("retrieve", "--query", str(query), "--db", str(db_dir),
+                           "--k", "3", *args)
+            assert proc.returncode == 0, proc.stderr
+            doc = json.loads(proc.stdout)
+            return doc["meta"]["rerank"], [(r["scene_id"], r["score"]) for r in doc["ranked"]]
+
+        from_config = scores("--config", str(cfg))
+        assert from_config == scores("--rerank", "direct")
+        assert from_config[0] == "direct"
+        weighted = scores("--config", str(cfg), "--rerank", "weighted")  # the flag wins
+        assert weighted == scores()
+        assert weighted[0] == "weighted" and weighted[1] != from_config[1]
 
     def test_embedding_mismatch_exit_2(self, saved_db):
         db_dir, query = saved_db

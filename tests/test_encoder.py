@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from sgalign.encoder import (BATCH_NODES, EncoderConfig, EncoderWeights,
-                             dgsa_layer, distance_gate, encode_graph,
+from sgalign.encoder import (BATCH_NODES, CLS_ATTN_LAYERS, EncoderConfig,
+                             EncoderWeights, dgsa_layer, distance_gate, encode_graph,
                              encode_graphs, init_weights, initial_embed,
                              load_weights, node_batches, packed_groups,
                              save_weights, sinusoidal_pe, tensor_shapes)
@@ -302,6 +302,15 @@ class TestDgsaLayer:
             want = dgsa_layer_oracle(g, c, small_weights, layer)
             assert np.allclose(got, want, atol=1e-9)
 
+    @pytest.mark.parametrize("batch", ["degree_one", "uneven_degree"])
+    def test_full_layer_oracle_batch_graphs(self, small_weights, batch):
+        for g in BATCHES[batch](small_weights.config):
+            c = np.stack([initial_embed(n, small_weights) for n in g.nodes])
+            for layer in range(small_weights.config.layers):
+                got = dgsa_layer(g, c, small_weights, layer)
+                want = dgsa_layer_oracle(g, c, small_weights, layer)
+                assert np.allclose(got, want, atol=1e-9)
+
     def test_full_layer_oracle_default_size(self, default_weights):
         g = random_graph(4, default_weights.config, seed=13, span=2.0)
         c = np.stack([initial_embed(n, default_weights) for n in g.nodes])
@@ -392,20 +401,128 @@ def mixed_batch(config):
     ]
 
 
+def paired_graph(n_pairs, config, seed=0, isolated=1):
+    """Nodes in pairs 1 m apart, pairs 10 m apart, plus far isolated nodes:
+    every node with a neighbor has exactly one."""
+    rng = np.random.default_rng(seed)
+    d_vl, d_t = config.feature_dims
+    nodes = [Node(i, f"p{i}", np.array([10.0 * (i // 2) + i % 2, 0.0, 0.0])
+                  if i < 2 * n_pairs else np.array([0.0, 100.0 * i, 0.0]),
+                  NodeFeatures(rng.standard_normal(d_vl), rng.standard_normal(d_t),
+                               rng.uniform(0.1, 1.0, 3)))
+             for i in range(2 * n_pairs + isolated)]
+    return SceneGraph(f"pairs{seed}", "world", nodes, build_edges(nodes),
+                      config.feature_dims)
+
+
+def chain_graph(n, config, seed=0):
+    """Nodes 1 m apart on a line, joined to their direct neighbors only."""
+    rng = np.random.default_rng(seed)
+    d_vl, d_t = config.feature_dims
+    nodes = [Node(i, f"c{i}", np.array([float(i), 0.0, 0.0]),
+                  NodeFeatures(rng.standard_normal(d_vl), rng.standard_normal(d_t),
+                               rng.uniform(0.1, 1.0, 3))) for i in range(n)]
+    return SceneGraph(f"chain{seed}", "world", nodes,
+                      build_edges(nodes, n_max=1, d_th=1.5), config.feature_dims)
+
+
+def degree_one_batch(config):
+    """Every node with a neighbor has exactly one: one slot per neighborhood."""
+    return [paired_graph(3, config, seed=31), paired_graph(1, config, seed=32),
+            paired_graph(2, config, seed=33, isolated=0)]
+
+
+def uneven_degree_batch(config):
+    """A dense graph next to chains: the widest neighborhood pads the rest."""
+    return [chain_graph(6, config, seed=41), random_graph(10, config, seed=42, span=2.0),
+            chain_graph(2, config, seed=43), paired_graph(2, config, seed=44)]
+
+
+BATCHES = {"mixed": mixed_batch, "degree_one": degree_one_batch,
+           "uneven_degree": uneven_degree_batch}
+
+
+def degrees(graph):
+    return [len(nbrs) for nbrs in graph.neighbor_ids().values()]
+
+
+def test_batch_shapes(small_config):
+    assert {d for g in degree_one_batch(small_config) for d in degrees(g)} == {0, 1}
+    widths = [max(degrees(g)) for g in uneven_degree_batch(small_config)]
+    assert widths[1] >= 4 and min(widths) < widths[1]
+
+
+# ---------------------------------------------------------------------------
+# loop-level reference oracle for the class-token (global) embedding
+
+
+def class_token_oracle(node_emb, weights):
+    """Per graph: full multi-head self-attention over [CLS, nodes] for the
+    first layers, a CLS-only query in the last, each followed by the residual
+    and LayerNorm; then L2 normalization. Asserts softmax mass."""
+    cfg = weights.config
+    heads, dh = cfg.heads, cfg.d_head
+    rows = [weights["cls_token"]] + list(node_emb)
+    for layer in range(CLS_ATTN_LAYERS):
+        p = f"cls_attn{layer}."
+        keys = [weights[p + "Wk"] @ r for r in rows]
+        values = [weights[p + "Wv"] @ r for r in rows]
+        n_query = 1 if layer == CLS_ATTN_LAYERS - 1 else len(rows)
+        updated = []
+        for i in range(n_query):
+            q = weights[p + "Wq"] @ rows[i]
+            attn = np.zeros(cfg.d_model)
+            for head in range(heads):
+                sl = slice(head * dh, (head + 1) * dh)
+                scores = [float(q[sl] @ k[sl]) / math.sqrt(dh) for k in keys]
+                mx = max(scores)
+                ex = [math.exp(s - mx) for s in scores]
+                total = sum(ex)
+                assert abs(sum(e / total for e in ex) - 1.0) <= 1e-9
+                for e, v in zip(ex, values):
+                    attn[sl] += (e / total) * v[sl]
+            fused = rows[i] + weights[p + "Wo"] @ attn
+            updated.append(np.array(layer_norm_oracle(
+                list(fused), weights[p + "ln_scale"], weights[p + "ln_bias"])))
+        rows = updated
+    return rows[0] / np.linalg.norm(rows[0])
+
+
+class TestClassTokens:
+    @pytest.mark.parametrize("batch", sorted(BATCHES))
+    @pytest.mark.parametrize("weights_name", ["small_weights", "default_weights"])
+    def test_against_loop_oracle(self, weights_name, batch, request):
+        weights = request.getfixturevalue(weights_name)
+        graphs = BATCHES[batch](weights.config)
+        for graph, (emb, glob) in zip(graphs, encode_graphs(graphs, weights)):
+            assert np.abs(glob - class_token_oracle(emb, weights)).max() <= 1e-9
+            one_emb, one_glob = encode_graph(graph, weights)
+            assert np.abs(one_glob - class_token_oracle(one_emb, weights)).max() <= 1e-9
+
+
+def assert_batched_matches_one_graph_calls(graphs, weights):
+    batched = encode_graphs(graphs, weights)
+    assert len(batched) == len(graphs)
+    for graph, (emb, glob) in zip(graphs, batched):
+        one_emb, one_glob = encode_graph(graph, weights)
+        assert emb.shape == one_emb.shape == (len(graph.nodes), weights.config.d_model)
+        assert np.abs(emb - one_emb).max(initial=0.0) <= 1e-12
+        assert np.abs(glob - one_glob).max() <= 1e-12
+
+
 class TestEncodeGraphs:
     @pytest.mark.parametrize("weights_name", ["small_weights", "default_weights"])
     def test_matches_one_graph_calls(self, weights_name, request):
         weights = request.getfixturevalue(weights_name)
         graphs = mixed_batch(weights.config)
         assert graphs[3].edges == []  # all isolated
-        batched = encode_graphs(graphs, weights)
-        assert len(batched) == len(graphs)
-        for graph, (emb, glob) in zip(graphs, batched):
-            one_emb, one_glob = encode_graph(graph, weights)
-            assert emb.shape == one_emb.shape == (len(graph.nodes),
-                                                  weights.config.d_model)
-            assert np.abs(emb - one_emb).max(initial=0.0) <= 1e-12
-            assert np.abs(glob - one_glob).max() <= 1e-12
+        assert_batched_matches_one_graph_calls(graphs, weights)
+
+    @pytest.mark.parametrize("batch", ["degree_one", "uneven_degree"])
+    @pytest.mark.parametrize("weights_name", ["small_weights", "default_weights"])
+    def test_padded_batch_matches_one_graph_calls(self, weights_name, batch, request):
+        weights = request.getfixturevalue(weights_name)
+        assert_batched_matches_one_graph_calls(BATCHES[batch](weights.config), weights)
 
     def test_no_graphs(self, small_weights):
         assert encode_graphs([], small_weights) == []
