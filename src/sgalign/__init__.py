@@ -20,7 +20,7 @@ from .retrieval import (SceneDatabase, build_database, global_similarity,
                         topk_filter)
 from .scene_graph import (Edge, GroundTruthMap, Node, NodeFeatures, SceneGraph,
                           build_edges, load_graph, pairwise_distance,
-                          save_graph, validate_graph)
+                          read_graph, save_graph, validate_graph)
 from .synth import (SynthConfig, generate_scene, load_sample, make_f2s_pair,
                     make_s2s_pair, make_sample, save_sample)
 

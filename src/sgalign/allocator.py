@@ -41,12 +41,6 @@ class MatchSet:
     def pair_set(self) -> set[tuple[int, int]]:
         return {(i, j) for i, j, _ in self.pairs}
 
-    def counts_b(self) -> dict[int, int]:
-        counts: dict[int, int] = {}
-        for _, j, _ in self.pairs:
-            counts[j] = counts.get(j, 0) + 1
-        return counts
-
     def to_dict(self) -> dict:
         return {
             "pairs": [[i, j, s] for i, j, s in self.pairs],

@@ -27,7 +27,7 @@ from .errors import SgaError
 from .evaluation import bin_by_overlap, aggregate, sample_metrics
 from .losses import toy_embedding_fit
 from .pipeline import align_graphs, match_embeddings
-from .scene_graph import load_graph, validate_graph
+from .scene_graph import load_graph, read_graph
 
 logger = logging.getLogger("sgalign")
 
@@ -73,14 +73,6 @@ def _resolve_weights(args, config: PipelineConfig) -> tuple[EncoderWeights, dict
     return weights, meta
 
 
-def _checked_graph(path, config: PipelineConfig):
-    graph = load_graph(path, n_max=config.edges.n_max, d_th=config.edges.d_th)
-    violations = validate_graph(graph)
-    if violations:
-        raise SgaError(f"{path}: {violations}")
-    return graph
-
-
 # ---------------------------------------------------------------------------
 # commands
 
@@ -88,8 +80,9 @@ def _checked_graph(path, config: PipelineConfig):
 def cmd_align(args) -> int:
     config = _load_pipeline_config(args.config)
     weights, meta = _resolve_weights(args, config)
-    graph_a = _checked_graph(args.graph_a, config)
-    graph_b = _checked_graph(args.graph_b, config)
+    edges = config.edges
+    graph_a = load_graph(args.graph_a, edges.n_max, edges.d_th)
+    graph_b = load_graph(args.graph_b, edges.n_max, edges.d_th)
     result = align_graphs(graph_a, graph_b, weights, config,
                           allocator=args.allocator, validate=False)
     doc = result.matches.to_dict()
@@ -100,8 +93,7 @@ def cmd_align(args) -> int:
 
 def cmd_validate(args) -> int:
     config = _load_pipeline_config(args.config)
-    graph = load_graph(args.graph, n_max=config.edges.n_max, d_th=config.edges.d_th)
-    violations = validate_graph(graph)
+    graph, violations = read_graph(args.graph, config.edges.n_max, config.edges.d_th)
     _emit({"graph_id": graph.graph_id, "violations": violations})
     return EXIT_OK if not violations else EXIT_VALIDATION
 
@@ -109,7 +101,7 @@ def cmd_validate(args) -> int:
 def cmd_encode(args) -> int:
     config = _load_pipeline_config(args.config)
     weights, meta = _resolve_weights(args, config)
-    graph = _checked_graph(args.graph, config)
+    graph = load_graph(args.graph, config.edges.n_max, config.edges.d_th)
     node_emb, global_emb = encode_graph(graph, weights)
     _emit({
         "graph_id": graph.graph_id,
@@ -167,7 +159,8 @@ def cmd_eval(args) -> int:
     # Pairs stream through in batches of at most BATCH_NODES nodes: one
     # batched encode, then per-pair scoring on the pool. Batches depend
     # only on the sorted pairs, never on --jobs, so neither do the bytes.
-    samples = ((p.name, synth.load_sample(p)) for p in pair_dirs)
+    edges = config.edges
+    samples = ((p.name, synth.load_sample(p, edges.n_max, edges.d_th)) for p in pair_dirs)
     rows = []
     with ThreadPoolExecutor(max_workers=args.jobs) as pool:
         for batch in node_batches(samples, lambda item: len(item[1].graph_a.nodes)
@@ -206,7 +199,7 @@ def cmd_register(args) -> int:
         raise UsageError(f"--inlier-eps must be finite and >= 0, got {args.inlier_eps}")
     config = _load_pipeline_config(args.config)
     weights, meta = _resolve_weights(args, config)
-    sample = synth.load_sample(Path(args.pair))
+    sample = synth.load_sample(args.pair, config.edges.n_max, config.edges.d_th)
     result = align_graphs(sample.graph_a, sample.graph_b, weights, config,
                           allocator=args.allocator, validate=False)
     pos_a = sample.graph_a.positions()
@@ -235,17 +228,16 @@ def cmd_register(args) -> int:
 def cmd_retrieve(args) -> int:
     config = _load_pipeline_config(args.config)
     weights, meta = _resolve_weights(args, config)
+    edges = config.edges
     db_dir = Path(args.db)
     if (db_dir / "index.json").exists():
         db = retrieval.load_database(db_dir, weights)
     else:
         # bare directory of graph JSON files: encode on the fly
-        scenes = []
-        for path in sorted(db_dir.glob("*.json")):
-            graph = load_graph(path, n_max=config.edges.n_max, d_th=config.edges.d_th)
-            scenes.append((graph.graph_id, graph))
-        db = retrieval.build_database(scenes, weights)
-    query_graph = _checked_graph(args.query, config)
+        graphs = [load_graph(path, edges.n_max, edges.d_th)
+                  for path in sorted(db_dir.glob("*.json"))]
+        db = retrieval.build_database([(g.graph_id, g) for g in graphs], weights)
+    query_graph = load_graph(args.query, edges.n_max, edges.d_th)
     query = retrieval.encode_scene("query", query_graph, weights)
     started = time.perf_counter()
     rerank = args.rerank or config.retrieval.rerank

@@ -28,7 +28,7 @@ class EdgeParams:
         check_types(self, numbers.Real, "a number", ("d_th",))
         if self.n_max < 1:
             raise InvalidInputError(f"n_max must be >= 1, got {self.n_max}")
-        if self.d_th <= 0:
+        if not self.d_th > 0:  # also refuses NaN
             raise InvalidInputError(f"d_th must be > 0, got {self.d_th}")
 
 

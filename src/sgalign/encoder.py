@@ -13,7 +13,8 @@ import math
 import numbers
 import zipfile
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Sequence, TypeVar
+from types import MappingProxyType
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 import numpy as np
 
@@ -200,28 +201,30 @@ def _empty_tensors(config: EncoderConfig) -> dict[str, np.ndarray]:
 class EncoderWeights:
     """Named weight tensors; the packed ones are row views of `packed` buffers.
 
-    The forward pass reads packed tensors through their buffer, so change a
-    weight in place (``weights[name][...] = value``); rebinding a packed
-    name in ``tensors`` would detach it from the buffer.
+    The forward pass reads packed tensors through their buffer, so a weight
+    is changed in place (``weights[name][...] = value``). ``tensors`` is a
+    read-only mapping: rebinding a name, which would detach it from its
+    buffer, raises TypeError.
     """
 
     config: EncoderConfig
-    tensors: dict[str, np.ndarray]
+    tensors: Mapping[str, np.ndarray]
     seed: int | None = None
     packed: dict[str, np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
         expected = tensor_shapes(self.config)
         _check_names(expected, self.tensors)
-        for name, arr in self.tensors.items():
-            self.tensors[name] = _as_tensor(name, arr, expected[name])
+        tensors = {name: _as_tensor(name, arr, expected[name])
+                   for name, arr in self.tensors.items()}
         self.packed = {}
         for group, names in packed_groups(self.config).items():
-            buf = _packed_buffer([self.tensors[n] for n in names])
+            buf = _packed_buffer([tensors[n] for n in names])
             rows = len(buf) // len(names)
             for i, name in enumerate(names):
-                self.tensors[name] = buf[i * rows:(i + 1) * rows]
+                tensors[name] = buf[i * rows:(i + 1) * rows]
             self.packed[group] = buf
+        self.tensors = MappingProxyType(tensors)
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self.tensors[name]

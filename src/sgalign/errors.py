@@ -28,10 +28,6 @@ class DegenerateGeometryError(SgaError, ValueError):
     """Input geometry does not constrain the requested estimate."""
 
 
-class InvariantError(SgaError, RuntimeError):
-    """An internal invariant failed: a defect in the package, not in its input."""
-
-
 class WeightsFormatError(SgaError, ValueError):
     """A weights file is malformed or lists wrong tensor names."""
 

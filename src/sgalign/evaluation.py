@@ -12,8 +12,6 @@ from .allocator import MatchSet
 from .errors import InvalidInputError
 from .scene_graph import GroundTruthMap, SceneGraph
 
-N_OVERLAP_BINS = 10
-
 
 @dataclass(frozen=True)
 class SampleMetrics:

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
+from .matcher import softmax
 
 DEFAULT_INFO_NCE_TEMPERATURE = 0.07
 DEFAULT_TRIPLET_MARGIN = 0.5
@@ -39,11 +40,6 @@ class InfoNceInput:
                 "bidirectional form needs at most one positive per row and column")
 
 
-def _softmax(x: np.ndarray, axis: int) -> np.ndarray:
-    ex = np.exp(x - x.max(axis=axis, keepdims=True))
-    return ex / ex.sum(axis=axis, keepdims=True)
-
-
 def info_nce(inp: InfoNceInput) -> tuple[float, np.ndarray]:
     """Bidirectional cross-entropy over positive rows and columns.
 
@@ -57,8 +53,8 @@ def info_nce(inp: InfoNceInput) -> tuple[float, np.ndarray]:
     grad = np.zeros_like(S)
     positives = sorted(inp.positives)
 
-    row_sm = _softmax(S, axis=1)
-    col_sm = _softmax(S, axis=0)
+    row_sm = softmax(S, axis=1)
+    col_sm = softmax(S, axis=0)
     n_pos = len(positives)
 
     loss = 0.0

@@ -8,6 +8,7 @@ affine rescale ("raw") or by a dustbin-augmented dual softmax
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -33,8 +34,11 @@ class MatcherParams:
 
     def __post_init__(self):
         check_types(self, numbers.Real, "a number", ("dustbin_logit", "temperature"))
-        if self.temperature <= 0:
-            raise InvalidInputError(f"temperature must be > 0, got {self.temperature}")
+        if not (math.isfinite(self.temperature) and self.temperature > 0):
+            raise InvalidInputError(f"temperature must be finite and > 0, "
+                                    f"got {self.temperature}")
+        if not math.isfinite(self.dustbin_logit):
+            raise InvalidInputError(f"dustbin_logit must be finite, got {self.dustbin_logit}")
         if self.mode not in (MODE_RAW, MODE_DUAL_SOFTMAX):
             raise InvalidInputError(f"unknown matcher mode {self.mode!r}")
 
@@ -73,7 +77,7 @@ def cosine_scores(emb_a: np.ndarray, emb_b: np.ndarray) -> np.ndarray:
     return out[0] @ out[1].T
 
 
-def _softmax(x: np.ndarray, axis: int) -> np.ndarray:
+def softmax(x: np.ndarray, axis: int) -> np.ndarray:
     ex = np.exp(x - x.max(axis=axis, keepdims=True))
     return ex / ex.sum(axis=axis, keepdims=True)
 
@@ -108,10 +112,10 @@ def score_matrix(S: np.ndarray, params: MatcherParams = MatcherParams()) -> Scor
     bin_logit = params.dustbin_logit / params.temperature
     # Row softmax over J real columns plus the dustbin column.
     aug_rows = np.concatenate([logits, np.full((n_a, 1), bin_logit)], axis=1)
-    r = _softmax(aug_rows, axis=1)
+    r = softmax(aug_rows, axis=1)
     # Column softmax over I real rows plus the dustbin row.
     aug_cols = np.concatenate([logits, np.full((1, n_b), bin_logit)], axis=0)
-    c = _softmax(aug_cols, axis=0)
+    c = softmax(aug_cols, axis=0)
     P = np.maximum(r[:, :n_b] * c[:n_a, :], P_FLOOR)
     return ScoreMatrix(
         P=P,

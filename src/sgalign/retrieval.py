@@ -23,7 +23,7 @@ from .config import PipelineConfig
 from .encoder import EncoderWeights, encode_graph, encode_graphs, node_batches
 from .errors import InvalidInputError, SgaError
 from .pipeline import match_embeddings
-from .scene_graph import SceneGraph, graph_from_dict, graph_to_dict
+from .scene_graph import SceneGraph, load_graph, save_graph
 
 
 @dataclass
@@ -186,8 +186,7 @@ def save_database(db: SceneDatabase, directory, weights: EncoderWeights) -> None
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     for entry in db.entries:
-        (directory / f"{entry.scene_id}.graph.json").write_text(
-            json.dumps(graph_to_dict(entry.graph)), encoding="utf-8")
+        save_graph(entry.graph, directory / f"{entry.scene_id}.graph.json")
     d_model = weights.config.d_model
     counts = [len(e.node_embeddings) for e in db.entries]
     with open(directory / EMBEDDINGS_FILE, "wb") as fh:
@@ -232,9 +231,10 @@ def _read_embeddings(path: Path, n_scenes: int, d_model: int):
 
 
 def load_database(directory, weights: EncoderWeights) -> SceneDatabase:
-    """Load a saved database. When the stored weights hash differs from
-    `weights` (or the directory is in an older layout), every scene is
-    re-encoded instead of read from embeddings.npz."""
+    """Load a saved database; every scene graph is checked by `load_graph`.
+    When the stored weights hash differs from `weights` (or the directory is
+    in an older layout), `build_database` re-encodes every scene instead of
+    reading embeddings.npz."""
     directory = Path(directory)
     index = json.loads((directory / "index.json").read_text(encoding="utf-8"))
     if not isinstance(index, dict) or not isinstance(index.get("scenes"), list):
@@ -242,13 +242,10 @@ def load_database(directory, weights: EncoderWeights) -> SceneDatabase:
     scene_ids = index["scenes"]
     for scene_id in scene_ids:
         _check_scene_id(scene_id)
-    graphs = [graph_from_dict(json.loads(
-        (directory / f"{scene_id}.graph.json").read_text(encoding="utf-8")))
-        for scene_id in scene_ids]
+    graphs = [load_graph(directory / f"{scene_id}.graph.json") for scene_id in scene_ids]
     if not (index.get("format_version") == DB_FORMAT_VERSION
             and index.get("weights_hash") == weights_fingerprint(weights)):
-        return SceneDatabase(entries=[encode_scene(scene_id, graph, weights)
-                                      for scene_id, graph in zip(scene_ids, graphs)])
+        return build_database(list(zip(scene_ids, graphs)), weights)
     globals_, nodes, offsets = _read_embeddings(
         directory / EMBEDDINGS_FILE, len(scene_ids), weights.config.d_model)
     entries = []

@@ -127,7 +127,7 @@ def build_edges(nodes: Sequence[Node], n_max: int = DEFAULT_N_MAX,
     """
     if n_max < 1:
         raise InvalidInputError(f"build_edges: n_max must be >= 1, got {n_max}")
-    if d_th <= 0:
+    if not d_th > 0:  # also refuses NaN
         raise InvalidInputError(f"build_edges: d_th must be > 0, got {d_th}")
     if len(nodes) < 2:
         return []
@@ -206,10 +206,10 @@ def graph_to_dict(g: SceneGraph) -> dict:
             {
                 "id": n.id,
                 "label": n.label,
-                "position": [float(v) for v in n.x],
-                "f_vl": [float(v) for v in n.features.f_vl],
-                "f_t": [float(v) for v in n.features.f_t],
-                "f_g": [float(v) for v in n.features.f_g],
+                "position": n.x.tolist(),
+                "f_vl": n.features.f_vl.tolist(),
+                "f_t": n.features.f_t.tolist(),
+                "f_g": n.features.f_g.tolist(),
                 "gt_instance": n.gt_instance,
             }
             for n in g.nodes
@@ -253,6 +253,20 @@ def save_graph(g: SceneGraph, path) -> None:
     Path(path).write_text(json.dumps(graph_to_dict(g)), encoding="utf-8")
 
 
+def read_graph(path, n_max: int = DEFAULT_N_MAX,
+               d_th: float = DEFAULT_D_TH) -> tuple[SceneGraph, list[str]]:
+    """The one reader of graph files: parse `path`, rebuilding null edges
+    with n_max and d_th, and return the graph with its `validate_graph`
+    violations."""
+    graph = graph_from_dict(json.loads(Path(path).read_text(encoding="utf-8")),
+                            n_max=n_max, d_th=d_th)
+    return graph, validate_graph(graph)
+
+
 def load_graph(path, n_max: int = DEFAULT_N_MAX, d_th: float = DEFAULT_D_TH) -> SceneGraph:
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
-    return graph_from_dict(data, n_max=n_max, d_th=d_th)
+    """A valid graph from `path`; an invalid one raises InvalidInputError
+    naming the file and listing the violations."""
+    graph, violations = read_graph(path, n_max=n_max, d_th=d_th)
+    if violations:
+        raise InvalidInputError(f"{path}: {violations}")
+    return graph

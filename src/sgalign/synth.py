@@ -21,7 +21,7 @@ from .errors import GenerationError, InvalidInputError
 from .evaluation import AlignmentSample
 from .scene_graph import (DEFAULT_D_TH, DEFAULT_FEATURE_DIMS, DEFAULT_N_MAX,
                           GroundTruthMap, Node, NodeFeatures, SceneGraph,
-                          build_edges, graph_from_dict, graph_to_dict)
+                          build_edges, load_graph, save_graph)
 
 MAX_PLACEMENT_ATTEMPTS = 10 ** 5
 MAX_VIEW_ATTEMPTS = 100
@@ -342,10 +342,8 @@ def make_sample(task: str, config: SynthConfig) -> AlignmentSample:
 def save_sample(sample: AlignmentSample, directory) -> None:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    (directory / "a.json").write_text(
-        json.dumps(graph_to_dict(sample.graph_a)), encoding="utf-8")
-    (directory / "b.json").write_text(
-        json.dumps(graph_to_dict(sample.graph_b)), encoding="utf-8")
+    save_graph(sample.graph_a, directory / "a.json")
+    save_graph(sample.graph_b, directory / "b.json")
     gt_doc = {
         "pairs": sorted([list(p) for p in sample.gt.pairs]),
         "overlap": sample.overlap_ratio,
@@ -359,12 +357,12 @@ def save_sample(sample: AlignmentSample, directory) -> None:
     (directory / "gt.json").write_text(json.dumps(gt_doc), encoding="utf-8")
 
 
-def load_sample(directory) -> AlignmentSample:
+def load_sample(directory, n_max: int = DEFAULT_N_MAX,
+                d_th: float = DEFAULT_D_TH) -> AlignmentSample:
+    """Read a sample; both graphs go through `load_graph` with n_max and d_th."""
     directory = Path(directory)
-    graph_a = graph_from_dict(
-        json.loads((directory / "a.json").read_text(encoding="utf-8")))
-    graph_b = graph_from_dict(
-        json.loads((directory / "b.json").read_text(encoding="utf-8")))
+    graph_a = load_graph(directory / "a.json", n_max=n_max, d_th=d_th)
+    graph_b = load_graph(directory / "b.json", n_max=n_max, d_th=d_th)
     gt_doc = json.loads((directory / "gt.json").read_text(encoding="utf-8"))
     return AlignmentSample(
         graph_a=graph_a,

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -24,3 +29,21 @@ def small_weights(small_config):
 @pytest.fixture()
 def rng():
     return np.random.default_rng(12345)
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def child_env() -> dict:
+    """The environment with ./src first on PYTHONPATH, so a child Python
+    imports this checkout's sgalign whether or not it is installed."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return env
+
+
+def run_cli(*args, cwd=None, text=True):
+    """`python -m sgalign.cli *args` in a child process, output captured."""
+    return subprocess.run([sys.executable, "-m", "sgalign.cli", *args],
+                          capture_output=True, text=text, cwd=cwd, env=child_env())

@@ -6,14 +6,13 @@ lines as they complete.
 
 import functools
 import json
-import subprocess
-import sys
 import time
 from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import run_cli
 
 from sgalign.allocator import brute_force_allocate, solve_mcf
 from sgalign.config import PipelineConfig
@@ -304,19 +303,14 @@ def test_parameter_fidelity():
     assert doc["mnn"]["min_score"] == 0.1
 
 
-def run_cli(*args):
-    return subprocess.run([sys.executable, "-m", "sgalign.cli", *args],
-                          capture_output=True)
-
-
 @criterion(10, "align stdout and eval reports byte-identical across runs/jobs")
 def test_end_to_end_determinism(tmp_path):
     scene, _ = generate_scene(SynthConfig(seed=31, n_objects=(10, 10),
                                           unique_classes=True))
     graph_path = tmp_path / "g.json"
     save_graph(scene, graph_path)
-    first = run_cli("align", str(graph_path), str(graph_path), "--seed", "0")
-    second = run_cli("align", str(graph_path), str(graph_path), "--seed", "0")
+    first = run_cli("align", str(graph_path), str(graph_path), "--seed", "0", text=False)
+    second = run_cli("align", str(graph_path), str(graph_path), "--seed", "0", text=False)
     assert first.returncode == second.returncode == 0
     assert first.stdout == second.stdout
     assert first.stdout  # non-empty JSON
@@ -330,7 +324,7 @@ def test_end_to_end_determinism(tmp_path):
     for jobs in ("1", "8"):
         out = tmp_path / f"report_{jobs}.json"
         proc = run_cli("eval", "--pairs", str(pairs_dir), "--allocator", "mcf",
-                       "--jobs", jobs, "--out", str(out))
+                       "--jobs", jobs, "--out", str(out), text=False)
         assert proc.returncode == 0, proc.stderr.decode()
         reports.append(out.read_bytes())
     assert reports[0] == reports[1]
@@ -353,7 +347,7 @@ def test_batched_eval_equals_per_pair_alignment(tmp_path, default_weights):
     outputs = []
     for jobs in ("1", "2", "8"):
         proc = run_cli("eval", "--pairs", str(pairs_dir), "--allocator", "mcf",
-                       "--jobs", jobs)
+                       "--jobs", jobs, text=False)
         assert proc.returncode == 0, proc.stderr.decode()
         outputs.append(proc.stdout)
     assert outputs[0] == outputs[1] == outputs[2]

@@ -1,17 +1,17 @@
 import json
-import subprocess
-import sys
+import shutil
 from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import run_cli
 
 from sgalign.config import (PipelineConfig, config_from_dict, load_config,
                             save_config)
 from sgalign.encoder import EncoderConfig, init_weights, save_weights
 from sgalign.errors import ConfigError
 from sgalign.retrieval import build_database, save_database
-from sgalign.scene_graph import save_graph
+from sgalign.scene_graph import build_edges, save_graph
 from sgalign.synth import SynthConfig, generate_scene, make_sample, save_sample
 
 GOLDEN = Path(__file__).parent / "data" / "default_config.json"
@@ -23,6 +23,11 @@ TYPE_ERRORS = [
     ("encoder", "heads", "8"), ("encoder", "layers", 1.0), ("encoder", "dropout", "x"),
     ("encoder", "d_model", True), ("encoder", "feature_dims", 5),
     ("encoder", "feature_dims", ["a", 3])]
+# Non-finite values where a finite number is needed: the same.
+NON_FINITE = [
+    ("edges", "d_th", float("nan")), ("matcher", "temperature", float("inf")),
+    ("matcher", "temperature", float("nan")), ("matcher", "dustbin_logit", float("nan")),
+    ("matcher", "dustbin_logit", -float("inf"))]
 
 
 class TestConfig:
@@ -70,7 +75,7 @@ class TestConfig:
         assert section in str(err.value)
         assert f"{key} must be" in str(err.value)
 
-    @pytest.mark.parametrize("section,key,value", TYPE_ERRORS)
+    @pytest.mark.parametrize("section,key,value", TYPE_ERRORS + NON_FINITE)
     def test_field_type_rejected(self, section, key, value):
         with pytest.raises(ConfigError) as err:
             config_from_dict({section: {key: value}})
@@ -90,11 +95,6 @@ class TestConfig:
     def test_golden_default_file(self):
         golden = json.loads(GOLDEN.read_text())
         assert PipelineConfig().to_dict() == golden
-
-
-def run_cli(*args, cwd=None):
-    return subprocess.run([sys.executable, "-m", "sgalign.cli", *args],
-                          capture_output=True, text=True, cwd=cwd)
 
 
 @pytest.fixture(scope="module")
@@ -149,7 +149,8 @@ class TestCliAlign:
         assert proc.stdout == ""
 
     @pytest.mark.parametrize("doc", [{s: {k: v}} for s, k, v in TYPE_ERRORS]
-                             + [{"weights_path": 3}])
+                             + [{"weights_path": 3}]
+                             + [{s: {k: v}} for s, k, v in NON_FINITE])
     def test_config_type_error_exit_2(self, scene_file, tmp_path, doc):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps(doc))
@@ -274,6 +275,79 @@ class TestCliSynthEval:
         assert "Traceback" not in proc.stderr
 
 
+def broken_pair(pair_dir, tmp_path, edit):
+    """A copy of the first pair of `pair_dir`, alone under tmp_path/pairs,
+    whose a.json document `edit` changes in place. Returns the pair directory."""
+    src = sorted(pair_dir.iterdir())[0]
+    pair = tmp_path / "pairs" / src.name
+    shutil.copytree(src, pair)
+    doc = json.loads((pair / "a.json").read_text())
+    edit(doc)
+    (pair / "a.json").write_text(json.dumps(doc))
+    return pair
+
+
+def bad_extents_and_distance(doc):
+    doc["nodes"][0]["f_g"] = [5, -1, 5]
+    doc["edges"][0][2] = 99.0
+
+
+def duplicate_id(doc):
+    doc["nodes"][1]["id"] = doc["nodes"][0]["id"]
+
+
+BROKEN = [(bad_extents_and_distance, ["f_g components", "stored distance 99.0"]),
+          (duplicate_id, ["duplicate node id"])]
+
+
+class TestCliPairFiles:
+    """eval and register read pairs through the same checked reader as align."""
+
+    @pytest.mark.parametrize("edit,named", BROKEN, ids=["extents", "duplicate"])
+    def test_eval_invalid_pair_exit_2(self, pair_dir, tmp_path, edit, named):
+        pair = broken_pair(pair_dir, tmp_path, edit)
+        out, csv = tmp_path / "r.json", tmp_path / "r.csv"
+        proc = run_cli("eval", "--pairs", str(pair.parent), "--out", str(out),
+                       "--csv", str(csv))
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        line = one_stderr_line(proc)
+        assert all(part in line for part in [str(pair / "a.json"), *named]), line
+        assert not out.exists() and not csv.exists()
+
+    @pytest.mark.parametrize("edit,named", BROKEN, ids=["extents", "duplicate"])
+    def test_register_invalid_pair_exit_2(self, pair_dir, tmp_path, edit, named):
+        pair = broken_pair(pair_dir, tmp_path, edit)
+        proc = run_cli("register", "--pair", str(pair))
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        line = one_stderr_line(proc)
+        assert all(part in line for part in [str(pair / "a.json"), *named]), line
+
+    def test_eval_config_edges_rebuild_null_edges(self, tmp_path):
+        """Pairs whose edges are null, read with the config's edge parameters,
+        score exactly like pairs that store the edges those parameters build,
+        and unlike the same pairs read with the default parameters."""
+        n_max, d_th = 1, 5.0
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"edges": {"n_max": n_max, "d_th": d_th}}))
+        for k in range(4):
+            sample = make_sample("f2s", SynthConfig(seed=50 + k))
+            for graph in (sample.graph_a, sample.graph_b):
+                graph.edges = build_edges(graph.nodes, n_max=n_max, d_th=d_th)
+            save_sample(sample, tmp_path / "stored" / f"f2s_{k:03d}")
+            save_sample(sample, tmp_path / "null" / f"f2s_{k:03d}")
+            for name in ("a.json", "b.json"):
+                path = tmp_path / "null" / f"f2s_{k:03d}" / name
+                path.write_text(json.dumps({**json.loads(path.read_text()), "edges": None}))
+        stored, null = (run_cli("eval", "--pairs", str(tmp_path / kind), "--config", str(cfg))
+                        for kind in ("stored", "null"))
+        default = run_cli("eval", "--pairs", str(tmp_path / "null"))
+        assert stored.returncode == null.returncode == default.returncode == 0
+        assert null.stdout == stored.stdout
+        assert null.stdout != default.stdout
+
+
 class TestCliRegister:
     def test_register_zero_noise(self, pair_dir):
         proc = run_cli("register", "--pair", str(sorted(pair_dir.iterdir())[0]),
@@ -369,6 +443,31 @@ class TestCliRetrieve:
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert "safe file name" in one_stderr_line(proc)
+
+
+    def test_invalid_scene_graph_exit_2(self, saved_db):
+        db_dir, query = saved_db
+        path = db_dir / "scene1.graph.json"
+        doc = json.loads(path.read_text())
+        doc["nodes"][0]["f_g"] = [5, -1, 5]
+        path.write_text(json.dumps(doc))
+        proc = run_cli("retrieve", "--query", str(query), "--db", str(db_dir))
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert str(path) in one_stderr_line(proc)
+
+    def test_bare_directory_invalid_graph_exit_2(self, tmp_path):
+        g, _ = generate_scene(SynthConfig(seed=1, n_objects=(5, 7)))
+        save_graph(g, tmp_path / "query.json")
+        (tmp_path / "db").mkdir()
+        doc = json.loads((tmp_path / "query.json").read_text())
+        doc["edges"][0][2] = 99.0
+        (tmp_path / "db" / "scene.json").write_text(json.dumps(doc))
+        proc = run_cli("retrieve", "--query", str(tmp_path / "query.json"),
+                       "--db", str(tmp_path / "db"))
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert str(tmp_path / "db" / "scene.json") in one_stderr_line(proc)
 
 
 class TestCliDemoFit:

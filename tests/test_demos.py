@@ -1,13 +1,11 @@
 """Smoke test: every script under demos/ runs to completion."""
 
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
+from conftest import ROOT, child_env
 
-ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
@@ -17,10 +15,7 @@ def test_demos_found():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
 def test_demo_runs(demo, tmp_path):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
+    proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=child_env(),
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stderr

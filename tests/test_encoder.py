@@ -94,7 +94,7 @@ class TestInitialEmbed:
     def test_zero_geo_ffn_passthrough(self, small_config):
         w = init_weights(small_config, seed=1)
         for name in ("geo_ffn.w1", "geo_ffn.b1", "geo_ffn.w2", "geo_ffn.b2"):
-            w.tensors[name] = np.zeros_like(w.tensors[name])
+            w[name][...] = 0.0
         node = random_graph(1, small_config).nodes[0]
         c = initial_embed(node, w)
         d_vl, d_t = small_config.feature_dims
@@ -622,6 +622,12 @@ class TestPackedWeights:
         g = random_graph(6, small_config, seed=8)
         for a, b in zip(encode_graph(g, small_weights), encode_graph(g, rebuilt)):
             assert np.array_equal(a, b)
+
+    def test_rebinding_a_tensor_raises(self, small_config):
+        w = init_weights(small_config, seed=2)
+        with pytest.raises(TypeError):
+            w.tensors["layer0.Wv"] = np.zeros_like(w["layer0.Wv"])
+        assert w["layer0.Wv"].base is w.packed["layer0.h_proj"]
 
     def test_in_place_update_reaches_forward_pass(self, small_config):
         w = init_weights(small_config, seed=2)

@@ -139,6 +139,13 @@ class TestScoreMatrixDualSoftmax:
         with pytest.raises(InvalidInputError):
             MatcherParams(temperature=0.0)
 
+    @pytest.mark.parametrize("field,value", [
+        ("temperature", math.nan), ("temperature", math.inf),
+        ("dustbin_logit", math.nan), ("dustbin_logit", -math.inf)])
+    def test_non_finite_param_rejected(self, field, value):
+        with pytest.raises(InvalidInputError, match=f"{field} must be"):
+            MatcherParams(**{field: value})
+
     def test_non_finite_rejected(self):
         with pytest.raises(InvalidInputError):
             score_matrix(np.array([[np.nan]]))

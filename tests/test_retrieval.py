@@ -10,9 +10,8 @@ from sgalign.errors import InvalidInputError
 from sgalign.matcher import cosine_scores, score_matrix
 from sgalign.pipeline import allocate
 from sgalign.retrieval import (EncodedScene, SceneDatabase, build_database,
-                               encode_scene, global_similarity, load_database,
-                               rerank, retrieve, save_database, topk_filter,
-                               weights_fingerprint)
+                               global_similarity, load_database, rerank, retrieve,
+                               save_database, topk_filter, weights_fingerprint)
 from sgalign.scene_graph import graph_to_dict
 from sgalign.synth import SynthConfig, generate_scene
 
@@ -168,9 +167,10 @@ class TestPersistence:
         save_database(db, tmp_path / "db2", weights)
         other = init_weights(weights.config, seed=99)
         back = load_database(tmp_path / "db2", other)
-        fresh = encode_scene(db.entries[0].scene_id, db.entries[0].graph, other)
-        assert np.array_equal(back.entries[0].global_embedding,
-                              fresh.global_embedding)
+        fresh = build_database([(e.scene_id, e.graph) for e in db.entries], other)
+        for got, want in zip(back.entries, fresh.entries):
+            assert got.node_embeddings.tobytes() == want.node_embeddings.tobytes()
+            assert got.global_embedding.tobytes() == want.global_embedding.tobytes()
         assert not np.array_equal(back.entries[0].global_embedding,
                                   db.entries[0].global_embedding)
 
@@ -216,10 +216,10 @@ class TestPersistence:
             {"scenes": [e.scene_id for e in db.entries], "weights_hash": old_hash}))
         back = load_database(directory, weights)
         assert [e.scene_id for e in back.entries] == [e.scene_id for e in db.entries]
-        for got, built in zip(back.entries, db.entries):
-            fresh = encode_scene(built.scene_id, built.graph, weights)
-            assert got.node_embeddings.tobytes() == fresh.node_embeddings.tobytes()
-            assert got.global_embedding.tobytes() == fresh.global_embedding.tobytes()
+        fresh = build_database([(e.scene_id, e.graph) for e in db.entries], weights)
+        for got, want in zip(back.entries, fresh.entries):
+            assert got.node_embeddings.tobytes() == want.node_embeddings.tobytes()
+            assert got.global_embedding.tobytes() == want.global_embedding.tobytes()
 
 
 UNSAFE_IDS = ["", "a/b", "a\\b", "a\0b", ".", ".."]
@@ -267,6 +267,17 @@ class TestLoadChecks:
         with np.load(tmp_path / "db" / "embeddings.npz") as z:
             arrays = {k: z[k] for k in z.files}
         return tmp_path / "db", db, weights, arrays
+
+    def test_invalid_scene_graph_names_file(self, saved):
+        directory, db, weights, _ = saved
+        path = directory / f"{db.entries[3].scene_id}.graph.json"
+        doc = json.loads(path.read_text())
+        doc["nodes"][0]["f_g"] = [5, -1, 5]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(InvalidInputError) as err:
+            load_database(directory, weights)
+        assert str(err.value).startswith(f"{path}: ")
+        assert "f_g components" in str(err.value)
 
     def test_node_block_names_scene(self, saved):
         directory, db, weights, arrays = saved

@@ -6,7 +6,8 @@ import pytest
 from sgalign.errors import InvalidInputError
 from sgalign.scene_graph import (Edge, Node, NodeFeatures, SceneGraph,
                                  build_edges, graph_from_dict, graph_to_dict,
-                                 pairwise_distance, validate_graph)
+                                 load_graph, pairwise_distance, read_graph,
+                                 save_graph, validate_graph)
 
 
 def make_node(nid, pos, d_vl=4, d_t=5, rng=None):
@@ -86,6 +87,8 @@ class TestBuildEdges:
             build_edges(nodes, n_max=0)
         with pytest.raises(InvalidInputError):
             build_edges(nodes, d_th=0.0)
+        with pytest.raises(InvalidInputError):
+            build_edges(nodes, d_th=float("nan"))
 
     def test_rigid_invariance(self, rng):
         nodes = [make_node(i, rng.uniform(0, 5, 3)) for i in range(30)]
@@ -176,3 +179,40 @@ class TestJsonRoundTrip:
         doc["edges"] = None
         back = graph_from_dict(doc)
         assert {(e.i, e.j) for e in back.edges} == {(e.i, e.j) for e in g.edges}
+
+
+class TestGraphFiles:
+    def test_saved_bytes(self, tmp_path):
+        """save_graph writes every vector as JSON floats, in node order."""
+        g = well_formed_graph()
+        save_graph(g, tmp_path / "g.json")
+        doc = {"graph_id": "g", "frame_kind": "world", "feature_dims": [4, 5],
+               "nodes": [{"id": n.id, "label": n.label,
+                          "position": [float(v) for v in n.x],
+                          "f_vl": [float(v) for v in n.features.f_vl],
+                          "f_t": [float(v) for v in n.features.f_t],
+                          "f_g": [float(v) for v in n.features.f_g],
+                          "gt_instance": None} for n in g.nodes],
+               "edges": [[e.i, e.j, e.d] for e in g.edges]}
+        assert (tmp_path / "g.json").read_text() == json.dumps(doc)
+
+    def test_invalid_file_names_path_and_violations(self, tmp_path):
+        g = well_formed_graph()
+        g.nodes[0] = Node(0, "bad", g.nodes[0].x, NodeFeatures(
+            g.nodes[0].features.f_vl, g.nodes[0].features.f_t, [5.0, -1.0, 5.0]))
+        path = tmp_path / "bad.json"
+        save_graph(g, path)
+        back, violations = read_graph(path)
+        assert violations == validate_graph(g) != []
+        with pytest.raises(InvalidInputError) as err:
+            load_graph(path)
+        assert str(err.value) == f"{path}: {violations}"
+
+    def test_null_edges_use_callers_parameters(self, tmp_path):
+        g = well_formed_graph()
+        doc = graph_to_dict(g)
+        doc["edges"] = None
+        (tmp_path / "g.json").write_text(json.dumps(doc))
+        back = load_graph(tmp_path / "g.json", n_max=1, d_th=1.5)
+        assert back.edges == build_edges(g.nodes, n_max=1, d_th=1.5)
+        assert back.edges != build_edges(g.nodes)

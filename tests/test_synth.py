@@ -1,10 +1,11 @@
+import json
 from collections import Counter
 
 import numpy as np
 import pytest
 
 from sgalign.errors import GenerationError, InvalidInputError
-from sgalign.scene_graph import validate_graph
+from sgalign.scene_graph import build_edges, validate_graph
 from sgalign.synth import (SynthConfig, generate_scene, load_sample,
                            make_f2s_pair, make_s2s_pair, make_sample,
                            save_sample)
@@ -197,3 +198,21 @@ class TestSampleDeterminismAndIo:
         assert back.task == "s2s"
         assert np.allclose(back.gt_rotation, s.gt_rotation)
         assert graphs_equal(back.graph_a, s.graph_a)
+
+    def test_load_uses_edge_parameters(self, tmp_path):
+        s = make_sample("f2s", SynthConfig(seed=31))
+        save_sample(s, tmp_path / "pair")
+        path = tmp_path / "pair" / "b.json"
+        path.write_text(json.dumps({**json.loads(path.read_text()), "edges": None}))
+        back = load_sample(tmp_path / "pair", n_max=2, d_th=0.8)
+        assert back.graph_b.edges == build_edges(s.graph_b.nodes, n_max=2, d_th=0.8)
+        assert graphs_equal(back.graph_a, s.graph_a)
+
+    def test_load_rejects_invalid_graph(self, tmp_path):
+        save_sample(make_sample("f2s", SynthConfig(seed=31)), tmp_path / "pair")
+        path = tmp_path / "pair" / "a.json"
+        doc = json.loads(path.read_text())
+        doc["nodes"][0]["f_g"] = [5, -1, 5]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(InvalidInputError, match="a.json"):
+            load_sample(tmp_path / "pair")
