@@ -2,14 +2,17 @@
 
 A database of scenes is filtered to the Top-K most similar global
 descriptors, then the survivors are reranked by the mass of matched-pair
-scores, optionally weighted by the global similarity.
+scores, optionally weighted by the global similarity. The database is
+saved to a directory and loaded back, and the reloaded copy must rank the
+same way.
 """
 
+import tempfile
 import time
 
 from sgalign import (EncoderConfig, PipelineConfig, SynthConfig,
-                     build_database, generate_scene, init_weights, make_sample,
-                     retrieve, topk_filter)
+                     build_database, generate_scene, init_weights, load_database,
+                     make_sample, retrieve, save_database, topk_filter)
 from sgalign.retrieval import encode_scene
 
 weights = init_weights(EncoderConfig(), seed=0)
@@ -40,3 +43,16 @@ for mode in ("direct", "weighted"):
 best_id, _, best_matches = retrieve(query, db, 5, "weighted", config).ranked[0]
 print(f"\nbest candidate {best_id}: {len(best_matches.pairs)} node matches, "
       f"{len(best_matches.unmatched_a)} query nodes unmatched")
+
+
+def weighted_ranking(database):
+    return [(sid, score) for sid, score, _ in
+            retrieve(query, database, 5, "weighted", config).ranked]
+
+
+with tempfile.TemporaryDirectory() as tmp:
+    save_database(db, tmp, weights)
+    reloaded = load_database(tmp, weights)
+if weighted_ranking(reloaded) != weighted_ranking(db):
+    raise SystemExit("the reloaded database ranks differently")
+print(f"saved and reloaded {len(reloaded)} scenes: same weighted ranking")

@@ -23,7 +23,7 @@ from .config import PipelineConfig
 from .encoder import EncoderWeights, encode_graph, encode_graphs, node_batches
 from .errors import InvalidInputError, SgaError
 from .pipeline import match_embeddings
-from .scene_graph import SceneGraph, load_graph, save_graph
+from .scene_graph import SceneGraph, load_graph, pack_graphs, unpack_graphs
 
 
 @dataclass
@@ -121,12 +121,13 @@ def rerank(query: EncodedScene, candidates: list[EncodedScene], mode: str,
     rows: list[tuple[str, float, MatchSet | None]] = []
     timings: dict[str, float] = {}
     failed: list[str] = []
+    query_positions = query.graph.positions()
     for cand in candidates:
         started = time.perf_counter()
         try:
             scores, matches = match_embeddings(
                 query.node_embeddings, cand.node_embeddings,
-                query.graph.positions(), cand.graph.positions(), config,
+                query_positions, cand.graph.positions(), config,
                 config.retrieval.allocator)
             score = sum(scores.P[i, j] for i, j, _ in matches.pairs)
             if mode == "weighted":
@@ -152,12 +153,15 @@ def retrieve(query: EncodedScene, db: SceneDatabase, k: int, mode: str,
 
 
 # ---------------------------------------------------------------------------
-# Persistence: a directory with index.json, embeddings.npz and one
-# <scene_id>.graph.json per scene. embeddings.npz holds the stacked globals
-# (S, d_model), the concatenated node embeddings (sum of N, d_model) and the
-# offsets (S+1,): scene i owns node rows offsets[i]:offsets[i+1].
+# Persistence: a directory with index.json and embeddings.npz. The archive
+# holds the stacked globals (S, d_model), the concatenated node embeddings
+# (sum of N, d_model) and the arrays of `scene_graph.pack_graphs`; scene i
+# owns node rows offsets[i]:offsets[i+1] of both. index.json holds the scene
+# ids, the weights hash and the graphs' strings. Directories of older
+# format versions hold one <scene_id>.graph.json per scene instead, and are
+# re-encoded on load.
 
-DB_FORMAT_VERSION = 2
+DB_FORMAT_VERSION = 3
 EMBEDDINGS_FILE = "embeddings.npz"
 
 
@@ -173,8 +177,9 @@ def weights_fingerprint(weights: EncoderWeights) -> str:
 
 
 def _check_scene_id(scene_id) -> None:
-    """A scene id names files in the database directory, so it must be a
-    plain file name: non-empty, no '/', '\\' or NUL, not '.' or '..'."""
+    """A scene id names files in the database directory of older layouts,
+    so it must be a plain file name: non-empty, no '/', '\\' or NUL, not '.'
+    or '..'."""
     if (not isinstance(scene_id, str) or scene_id in ("", ".", "..")
             or any(c in scene_id for c in "/\\\0")):
         raise InvalidInputError(f"scene id {scene_id!r} is not a safe file name")
@@ -183,58 +188,61 @@ def _check_scene_id(scene_id) -> None:
 def save_database(db: SceneDatabase, directory, weights: EncoderWeights) -> None:
     for entry in db.entries:
         _check_scene_id(entry.scene_id)
+        if len(entry.node_embeddings) != len(entry.graph.nodes):
+            raise InvalidInputError(
+                f"scene {entry.scene_id!r}: {len(entry.node_embeddings)} node "
+                f"embeddings for {len(entry.graph.nodes)} graph nodes")
+    graph_arrays, graph_strings = pack_graphs([e.graph for e in db.entries])
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    for entry in db.entries:
-        save_graph(entry.graph, directory / f"{entry.scene_id}.graph.json")
     d_model = weights.config.d_model
-    counts = [len(e.node_embeddings) for e in db.entries]
     with open(directory / EMBEDDINGS_FILE, "wb") as fh:
         np.savez(fh,
                  globals=np.reshape([e.global_embedding for e in db.entries],
                                     (len(db), d_model)),
                  nodes=np.concatenate([np.zeros((0, d_model))]
                                       + [e.node_embeddings for e in db.entries]),
-                 offsets=np.cumsum([0] + counts))
+                 **graph_arrays)
     index = {"format_version": DB_FORMAT_VERSION,
              "scenes": [e.scene_id for e in db.entries],
-             "weights_hash": weights_fingerprint(weights)}
+             "weights_hash": weights_fingerprint(weights),
+             "graphs": graph_strings}
     (directory / "index.json").write_text(json.dumps(index), encoding="utf-8")
 
 
-def _read_embeddings(path: Path, n_scenes: int, d_model: int):
-    """(globals, nodes, offsets) of embeddings.npz, checked against each other."""
+def _read_archive(path: Path) -> dict[str, np.ndarray]:
     try:
         with np.load(path, allow_pickle=False) as archive:
-            arrays = {k: archive[k] for k in ("globals", "nodes", "offsets")
-                      if k in archive.files}
+            return {name: archive[name] for name in archive.files}
     except (zipfile.BadZipFile, EOFError, ValueError) as exc:
         raise InvalidInputError(f"{path}: unreadable npz archive: {exc}") from exc
-    if len(arrays) != 3:
-        raise InvalidInputError(f"{path}: needs arrays globals, nodes and offsets, "
+
+
+def _embeddings(path: Path, arrays: dict[str, np.ndarray], n_scenes: int, d_model: int):
+    """(globals, nodes) of the archive, checked against the unpacked graphs'
+    node count."""
+    if "globals" not in arrays or "nodes" not in arrays:
+        raise InvalidInputError(f"{path}: needs arrays globals and nodes, "
                                 f"has {sorted(arrays)}")
-    globals_, nodes, offsets = arrays["globals"], arrays["nodes"], arrays["offsets"]
+    globals_, nodes = arrays["globals"], arrays["nodes"]
     if globals_.shape != (n_scenes, d_model) or globals_.dtype != np.float64:
         raise InvalidInputError(f"{path}: globals are {globals_.dtype} {globals_.shape}, "
                                 f"expected float64 {(n_scenes, d_model)}")
-    if nodes.ndim != 2 or nodes.shape[1] != d_model or nodes.dtype != np.float64:
+    n_nodes = int(arrays["offsets"][-1])
+    if nodes.shape != (n_nodes, d_model) or nodes.dtype != np.float64:
         raise InvalidInputError(f"{path}: node embeddings are {nodes.dtype} "
-                                f"{nodes.shape}, expected float64 (*, {d_model})")
-    if (offsets.shape != (n_scenes + 1,) or offsets.dtype.kind not in "iu"
-            or offsets[0] != 0 or offsets[-1] != len(nodes)
-            or np.any(np.diff(offsets) < 0)):
-        raise InvalidInputError(f"{path}: offsets do not split {len(nodes)} node rows "
-                                f"into {n_scenes} scenes")
+                                f"{nodes.shape}, expected float64 {(n_nodes, d_model)}")
     if not (np.isfinite(globals_).all() and np.isfinite(nodes).all()):
         raise InvalidInputError(f"{path}: non-finite embeddings")
-    return globals_, nodes, offsets
+    return globals_, nodes
 
 
 def load_database(directory, weights: EncoderWeights) -> SceneDatabase:
-    """Load a saved database; every scene graph is checked by `load_graph`.
-    When the stored weights hash differs from `weights` (or the directory is
-    in an older layout), `build_database` re-encodes every scene instead of
-    reading embeddings.npz."""
+    """Load a saved database; its scene graphs are unpacked from
+    embeddings.npz and checked by `unpack_graphs`. When the stored weights
+    hash differs from `weights`, `build_database` re-encodes the graphs
+    instead of reading their embeddings. A directory of an older format
+    version is read through `load_graph` and re-encoded the same way."""
     directory = Path(directory)
     index = json.loads((directory / "index.json").read_text(encoding="utf-8"))
     if not isinstance(index, dict) or not isinstance(index.get("scenes"), list):
@@ -242,19 +250,18 @@ def load_database(directory, weights: EncoderWeights) -> SceneDatabase:
     scene_ids = index["scenes"]
     for scene_id in scene_ids:
         _check_scene_id(scene_id)
-    graphs = [load_graph(directory / f"{scene_id}.graph.json") for scene_id in scene_ids]
-    if not (index.get("format_version") == DB_FORMAT_VERSION
-            and index.get("weights_hash") == weights_fingerprint(weights)):
+    if index.get("format_version") != DB_FORMAT_VERSION:
+        graphs = [load_graph(directory / f"{scene_id}.graph.json") for scene_id in scene_ids]
         return build_database(list(zip(scene_ids, graphs)), weights)
-    globals_, nodes, offsets = _read_embeddings(
-        directory / EMBEDDINGS_FILE, len(scene_ids), weights.config.d_model)
-    entries = []
-    for i, (scene_id, graph) in enumerate(zip(scene_ids, graphs)):
-        block = nodes[offsets[i]:offsets[i + 1]]
-        if len(block) != len(graph.nodes):
-            raise InvalidInputError(
-                f"scene {scene_id!r}: {len(block)} node embeddings for "
-                f"{len(graph.nodes)} graph nodes")
-        entries.append(EncodedScene(scene_id=scene_id, graph=graph,
-                                    node_embeddings=block, global_embedding=globals_[i]))
-    return SceneDatabase(entries=entries)
+    path = directory / EMBEDDINGS_FILE
+    arrays = _read_archive(path)
+    graphs = unpack_graphs(arrays, index.get("graphs"), scene_ids, path)
+    if index.get("weights_hash") != weights_fingerprint(weights):
+        return build_database(list(zip(scene_ids, graphs)), weights)
+    globals_, nodes = _embeddings(path, arrays, len(scene_ids), weights.config.d_model)
+    offsets = arrays["offsets"]
+    return SceneDatabase(entries=[
+        EncodedScene(scene_id=scene_id, graph=graph,
+                     node_embeddings=nodes[offsets[i]:offsets[i + 1]],
+                     global_embedding=globals_[i])
+        for i, (scene_id, graph) in enumerate(zip(scene_ids, graphs))])

@@ -19,6 +19,8 @@ from .errors import InvalidInputError
 DEFAULT_FEATURE_DIMS = (256, 384)
 DEFAULT_N_MAX = 4
 DEFAULT_D_TH = 2.0
+FRAME_KINDS = ("camera", "world")
+_INT64 = np.iinfo(np.int64)
 
 # Stored edge distances must agree with recomputed ones to this rel. tol.
 EDGE_DISTANCE_RTOL = 1e-9
@@ -150,46 +152,97 @@ def build_edges(nodes: Sequence[Node], n_max: int = DEFAULT_N_MAX,
     return [Edge(i, j, dist_of[(i, j)]) for i, j in sorted(picked)]
 
 
+def _rows_with(vectors: list[np.ndarray], test) -> np.ndarray:
+    """Per vector, whether `test` holds for any of its elements."""
+    sizes = {v.size for v in vectors}
+    if len(sizes) == 1 and 0 not in sizes:  # one size: test them as one block
+        block = np.concatenate([v.ravel() for v in vectors]).reshape(len(vectors), -1)
+        return test(block).any(axis=1)
+    return np.array([test(v).any() for v in vectors], dtype=bool)
+
+
 def validate_graph(g: SceneGraph) -> list[str]:
-    """Return human-readable violations; empty list means the graph is valid."""
-    violations: list[str] = []
+    """Return human-readable violations; empty list means the graph is valid.
+
+    Each check runs over all nodes (or edges) at once; messages are built
+    only for flagged ones, node by node, then edge by edge."""
+    nodes = g.nodes
     d_vl, d_t = g.feature_dims
+    vectors = {"position": [n.x for n in nodes],
+               "f_vl": [n.features.f_vl for n in nodes],
+               "f_t": [n.features.f_t for n in nodes],
+               "f_g": [n.features.f_g for n in nodes]}
+    expected = {"position": (3,), "f_vl": (d_vl,), "f_t": (d_t,), "f_g": (3,)}
+    bad_shape = {name: np.array([v.shape != expected[name] for v in vecs], dtype=bool)
+                 for name, vecs in vectors.items()}
+    non_finite = {name: _rows_with(vecs, lambda a: ~np.isfinite(a))
+                  for name, vecs in vectors.items()}
+    out_of_range = (~bad_shape["f_g"] & ~non_finite["f_g"]
+                    & _rows_with(vectors["f_g"], lambda a: (a <= 0) | (a > 1)))
+    repeated = np.ones(len(nodes), dtype=bool)
+    repeated[np.unique(np.asarray([n.id for n in nodes]), return_index=True)[1]] = False
 
-    seen: set[int] = set()
-    for n in g.nodes:
-        if n.id in seen:
+    violations: list[str] = []
+    flagged = repeated | out_of_range
+    for name in vectors:
+        flagged |= bad_shape[name] | non_finite[name]
+    for k in np.flatnonzero(flagged):
+        n = nodes[k]
+        if repeated[k]:
             violations.append(f"duplicate node id {n.id}")
-        seen.add(n.id)
-        if not np.all(np.isfinite(n.x)):
+        if bad_shape["position"][k]:
+            violations.append(f"node {n.id}: position has shape {n.x.shape}, expected (3,)")
+        if non_finite["position"][k]:
             violations.append(f"node {n.id}: non-finite position")
-        f = n.features
-        if f.f_vl.shape != (d_vl,):
-            violations.append(f"node {n.id}: f_vl has shape {f.f_vl.shape}, expected ({d_vl},)")
-        if f.f_t.shape != (d_t,):
-            violations.append(f"node {n.id}: f_t has shape {f.f_t.shape}, expected ({d_t},)")
-        if f.f_g.shape != (3,):
-            violations.append(f"node {n.id}: f_g has shape {f.f_g.shape}, expected (3,)")
-        for name, vec in (("f_vl", f.f_vl), ("f_t", f.f_t), ("f_g", f.f_g)):
-            if not np.all(np.isfinite(vec)):
+        for name, dim in (("f_vl", d_vl), ("f_t", d_t), ("f_g", 3)):
+            if bad_shape[name][k]:
+                violations.append(f"node {n.id}: {name} has shape "
+                                  f"{vectors[name][k].shape}, expected ({dim},)")
+        for name in ("f_vl", "f_t", "f_g"):
+            if non_finite[name][k]:
                 violations.append(f"node {n.id}: non-finite values in {name}")
-        if f.f_g.shape == (3,) and np.all(np.isfinite(f.f_g)):
-            if np.any(f.f_g <= 0) or np.any(f.f_g > 1):
-                violations.append(f"node {n.id}: f_g components must lie in (0, 1]")
+        if out_of_range[k]:
+            violations.append(f"node {n.id}: f_g components must lie in (0, 1]")
 
-    by_id = g.node_by_id()
-    for e in g.edges:
-        if e.i == e.j:
+    edges = g.edges
+    if not edges:
+        return violations
+    # Row of each endpoint, -1 when dangling; the last node of a repeated id
+    # counts, as in node_by_id. Row -1 of the padded arrays is a sentinel.
+    row = {n.id: k for k, n in enumerate(nodes)}
+    ends = np.array([(row.get(e.i, -1), row.get(e.j, -1)) for e in edges], dtype=np.int64)
+    ids = np.array([(e.i, e.j) for e in edges])
+    self_loop = ids[:, 0] == ids[:, 1]
+    flipped = ids[:, 0] > ids[:, 1]
+    dangling = ~self_loop & (ends < 0).any(axis=1)
+    # An edge on a bad position is left to that node's message.
+    usable = np.append(~bad_shape["position"] & ~non_finite["position"], False)
+    pos = np.array([x if ok else np.zeros(3) for x, ok in zip(vectors["position"], usable)]
+                   + [np.zeros(3)]).reshape(-1, 3)
+    measured = ~self_loop & ~dangling & usable[ends].all(axis=1)
+    diff = pos[ends[:, 0]] - pos[ends[:, 1]]
+    approx = np.sqrt((diff * diff).sum(axis=1))
+    stored = np.array([e.d for e in edges], dtype=float)
+    # `approx` may differ from pairwise_distance (a BLAS dot) in the last
+    # bit, so it only picks suspects at half the tolerance; pairwise_distance
+    # decides, exactly as an edge-by-edge check would.
+    suspect = measured & (np.abs(stored - approx)
+                          > 0.5 * EDGE_DISTANCE_RTOL * np.maximum(1.0, approx))
+    for m in np.flatnonzero(self_loop | flipped | dangling | suspect):
+        e = edges[m]
+        if self_loop[m]:
             violations.append(f"edge ({e.i},{e.j}): self loop")
             continue
-        if e.i > e.j:
+        if flipped[m]:
             violations.append(f"edge ({e.i},{e.j}): not canonicalized i < j")
-        if e.i not in by_id or e.j not in by_id:
+        if dangling[m]:
             violations.append(f"edge ({e.i},{e.j}): dangling endpoint")
             continue
-        actual = pairwise_distance(by_id[e.i].x, by_id[e.j].x)
-        if abs(e.d - actual) > EDGE_DISTANCE_RTOL * max(1.0, actual):
-            violations.append(
-                f"edge ({e.i},{e.j}): stored distance {e.d} != actual {actual}")
+        if suspect[m]:
+            actual = pairwise_distance(pos[ends[m, 0]], pos[ends[m, 1]])
+            if abs(e.d - actual) > EDGE_DISTANCE_RTOL * max(1.0, actual):
+                violations.append(
+                    f"edge ({e.i},{e.j}): stored distance {e.d} != actual {actual}")
     return violations
 
 
@@ -218,35 +271,102 @@ def graph_to_dict(g: SceneGraph) -> dict:
     }
 
 
+def _int64(value, what: str) -> int:
+    """`value` as an int, if it is an integer (or a float with an integral
+    value) within int64; anything else raises InvalidInputError."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if (isinstance(value, bool) or not isinstance(value, int)
+            or not _INT64.min <= value <= _INT64.max):
+        raise InvalidInputError(f"{what} must be an integer within int64, got {value!r}")
+    return value
+
+
+def _float(value, what: str) -> float:
+    if not isinstance(value, bool) and isinstance(value, (int, float)):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    raise InvalidInputError(f"{what} must be a float64 number, got {value!r}")
+
+
+def _label(value, node_id) -> str:
+    if not isinstance(value, str):
+        raise InvalidInputError(f"node {node_id}: label must be a string, got {value!r}")
+    return value
+
+
+def _header(graph_id, frame_kind, feature_dims) -> tuple[str, str, tuple[int, int]]:
+    """The checked graph-level fields shared by the JSON and array formats."""
+    if not isinstance(graph_id, str):
+        raise InvalidInputError(f"graph_id must be a string, got {graph_id!r}")
+    if not isinstance(frame_kind, str) or frame_kind not in FRAME_KINDS:
+        raise InvalidInputError(
+            f"frame_kind must be one of {list(FRAME_KINDS)}, got {frame_kind!r}")
+    if not isinstance(feature_dims, (list, tuple)) or len(feature_dims) != 2:
+        raise InvalidInputError(
+            f"feature_dims must be a list of two integers, got {feature_dims!r}")
+    return graph_id, frame_kind, tuple(_int64(d, "feature_dims entry")
+                                       for d in feature_dims)
+
+
+def _node_from_dict(nd) -> Node:
+    if not isinstance(nd, dict):
+        raise InvalidInputError(f"a node must be a JSON object, got {type(nd).__name__}")
+    node_id = _int64(nd["id"], "node id")
+    vectors = {}
+    for name in ("position", "f_vl", "f_t", "f_g"):
+        try:
+            vectors[name] = np.asarray(nd[name], dtype=float)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise InvalidInputError(
+                f"node {node_id}: {name} is not an array of numbers ({exc})") from exc
+    gt_instance = nd.get("gt_instance")
+    return Node(
+        id=node_id,
+        label=_label(nd.get("label", ""), node_id),
+        x=vectors["position"],
+        features=NodeFeatures(f_vl=vectors["f_vl"], f_t=vectors["f_t"], f_g=vectors["f_g"]),
+        gt_instance=(None if gt_instance is None
+                     else _int64(gt_instance, f"node {node_id}: gt_instance")),
+    )
+
+
+def _edge_from_list(raw) -> Edge:
+    if not isinstance(raw, list) or len(raw) != 3:
+        raise InvalidInputError(f"an edge must be a list [i, j, d], got {raw!r}")
+    i, j, d = raw
+    return Edge(_int64(i, "edge endpoint"), _int64(j, "edge endpoint"),
+                _float(d, f"edge {raw!r}: distance"))
+
+
 def graph_from_dict(data: dict, n_max: int = DEFAULT_N_MAX,
                     d_th: float = DEFAULT_D_TH) -> SceneGraph:
-    """Build a SceneGraph from the JSON schema; null edges are rebuilt."""
-    nodes = [
-        Node(
-            id=int(nd["id"]),
-            label=nd.get("label", ""),
-            x=np.asarray(nd["position"], dtype=float),
-            features=NodeFeatures(
-                f_vl=np.asarray(nd["f_vl"], dtype=float),
-                f_t=np.asarray(nd["f_t"], dtype=float),
-                f_g=np.asarray(nd["f_g"], dtype=float),
-            ),
-            gt_instance=nd.get("gt_instance"),
-        )
-        for nd in data["nodes"]
-    ]
+    """Build a SceneGraph from the JSON schema; null edges are rebuilt.
+
+    Types are checked field by field before any array conversion: a
+    document that is not an object, a node id, edge endpoint or
+    gt_instance that is not an int64 integer, a label that is not a string,
+    an edge that is not [i, j, d] or a frame kind other than camera/world
+    raises InvalidInputError. Array shapes and values are left to
+    `validate_graph`."""
+    if not isinstance(data, dict):
+        raise InvalidInputError(f"a graph must be a JSON object, got {type(data).__name__}")
+    graph_id, frame_kind, feature_dims = _header(
+        data["graph_id"], data["frame_kind"], data.get("feature_dims", DEFAULT_FEATURE_DIMS))
+    if not isinstance(data["nodes"], list):
+        raise InvalidInputError("nodes must be a list")
+    nodes = [_node_from_dict(nd) for nd in data["nodes"]]
     raw_edges = data.get("edges")
     if raw_edges is None:
         edges = build_edges(nodes, n_max=n_max, d_th=d_th)
+    elif isinstance(raw_edges, list):
+        edges = [_edge_from_list(raw) for raw in raw_edges]
     else:
-        edges = [Edge(int(i), int(j), float(d)) for i, j, d in raw_edges]
-    return SceneGraph(
-        graph_id=data["graph_id"],
-        frame_kind=data["frame_kind"],
-        nodes=nodes,
-        edges=edges,
-        feature_dims=tuple(data.get("feature_dims", DEFAULT_FEATURE_DIMS)),
-    )
+        raise InvalidInputError("edges must be a list or null")
+    return SceneGraph(graph_id=graph_id, frame_kind=frame_kind, nodes=nodes,
+                      edges=edges, feature_dims=feature_dims)
 
 
 def save_graph(g: SceneGraph, path) -> None:
@@ -258,8 +378,11 @@ def read_graph(path, n_max: int = DEFAULT_N_MAX,
     """The one reader of graph files: parse `path`, rebuilding null edges
     with n_max and d_th, and return the graph with its `validate_graph`
     violations."""
-    graph = graph_from_dict(json.loads(Path(path).read_text(encoding="utf-8")),
-                            n_max=n_max, d_th=d_th)
+    try:
+        graph = graph_from_dict(json.loads(Path(path).read_text(encoding="utf-8")),
+                                n_max=n_max, d_th=d_th)
+    except InvalidInputError as exc:
+        raise InvalidInputError(f"{path}: {exc}") from exc
     return graph, validate_graph(graph)
 
 
@@ -270,3 +393,140 @@ def load_graph(path, n_max: int = DEFAULT_N_MAX, d_th: float = DEFAULT_D_TH) -> 
     if violations:
         raise InvalidInputError(f"{path}: {violations}")
     return graph
+
+
+# ---------------------------------------------------------------------------
+# Array interchange: many graphs as concatenated arrays. Graph k owns node
+# rows offsets[k]:offsets[k+1] and edge rows edge_offsets[k]:edge_offsets[k+1].
+# Graph ids, frame kinds, feature dims and labels travel beside the arrays
+# as JSON-ready dicts, because NumPy "U" arrays drop trailing NULs.
+
+_NODE_VECTORS = ("positions", "f_vl", "f_t", "f_g")
+_PACKED_ARRAYS = ("offsets", "node_ids", *_NODE_VECTORS, "gt_instance", "gt_present",
+                  "edge_offsets", "edges", "edge_distances")
+
+
+def _int64_column(values: list) -> np.ndarray:
+    column = np.array(values, dtype=np.int64)
+    if column.tolist() != values:  # a float id would be truncated silently
+        raise ValueError("ids, edge endpoints and gt_instance must be integers")
+    return column
+
+
+def _node_rows(vectors: list[np.ndarray]) -> np.ndarray:
+    block = np.stack(vectors) if vectors else np.zeros((0, 0))
+    if block.ndim != 2:
+        raise ValueError("node vectors must be 1-D")
+    return block
+
+
+def pack_graphs(graphs: Sequence[SceneGraph]) -> tuple[dict[str, np.ndarray], list[dict]]:
+    """The graphs as arrays (`offsets`, `node_ids`, `positions`, `f_vl`,
+    `f_t`, `f_g`, `gt_instance` with its `gt_present` mask, `edge_offsets`,
+    `edges` and `edge_distances`) plus, per graph, a dict of its strings
+    and feature dims; `unpack_graphs` inverts it bit for bit."""
+    nodes = [n for g in graphs for n in g.nodes]
+    edges = [e for g in graphs for e in g.edges]
+    try:
+        arrays = {
+            "offsets": np.cumsum([0] + [len(g.nodes) for g in graphs], dtype=np.int64),
+            "node_ids": _int64_column([n.id for n in nodes]),
+            "positions": _node_rows([n.x for n in nodes]),
+            "f_vl": _node_rows([n.features.f_vl for n in nodes]),
+            "f_t": _node_rows([n.features.f_t for n in nodes]),
+            "f_g": _node_rows([n.features.f_g for n in nodes]),
+            "gt_instance": _int64_column([0 if n.gt_instance is None else n.gt_instance
+                                          for n in nodes]),
+            "gt_present": np.array([n.gt_instance is not None for n in nodes], dtype=bool),
+            "edge_offsets": np.cumsum([0] + [len(g.edges) for g in graphs], dtype=np.int64),
+            "edges": _int64_column([[e.i, e.j] for e in edges]).reshape(-1, 2),
+            "edge_distances": np.array([e.d for e in edges], dtype=np.float64),
+        }
+    except (OverflowError, TypeError, ValueError) as exc:
+        raise InvalidInputError(f"cannot pack graphs: {exc}") from exc
+    strings = [{"graph_id": g.graph_id, "frame_kind": g.frame_kind,
+                "feature_dims": list(g.feature_dims), "labels": [n.label for n in g.nodes]}
+               for g in graphs]
+    return arrays, strings
+
+
+def _first_bad_slice(offsets: np.ndarray, total: int) -> int | None:
+    """None when offsets split `total` rows (start 0, never decrease, end at
+    total); else the graph whose slice is wrong first."""
+    down = np.flatnonzero(np.diff(offsets) < 0)
+    if len(down):
+        return int(down[0])
+    if offsets[0] != 0:
+        return 0
+    if offsets[-1] != total:
+        return len(offsets) - 2
+    return None
+
+
+def unpack_graphs(arrays, strings, names: Sequence[str], source) -> list[SceneGraph]:
+    """Rebuild the graphs `pack_graphs` packed into `arrays` and `strings`.
+
+    Checks dtypes, shapes, offsets and the string fields, then runs
+    `validate_graph` on every graph. A failure raises InvalidInputError
+    naming `source` and, where one graph is at fault, its entry of `names`.
+    Node vectors are views of the arrays, not copies."""
+    def error(problem: str, k: int | None = None) -> InvalidInputError:
+        scene = "" if k is None or not 0 <= k < len(names) else f"scene {names[k]!r}: "
+        return InvalidInputError(f"{source}: {scene}{problem}")
+
+    missing = [name for name in _PACKED_ARRAYS if name not in arrays]
+    if missing:
+        raise error(f"missing graph arrays {missing}")
+    ids, pairs = arrays["node_ids"], arrays["edges"]
+    n_nodes = len(ids) if ids.ndim == 1 else None  # None: node_ids fails below
+    n_edges = len(pairs) if pairs.ndim == 2 else None
+    layout = {"offsets": (np.int64, (len(names) + 1,)),
+              "node_ids": (np.int64, (n_nodes,)),
+              **{name: (np.float64, (n_nodes, None)) for name in _NODE_VECTORS},
+              "gt_instance": (np.int64, (n_nodes,)),
+              "gt_present": (np.bool_, (n_nodes,)),
+              "edge_offsets": (np.int64, (len(names) + 1,)),
+              "edges": (np.int64, (n_edges, 2)),
+              "edge_distances": (np.float64, (n_edges,))}
+    for name, (dtype, shape) in layout.items():  # None in a shape: any size
+        arr = arrays[name]
+        if (arr.dtype != dtype or arr.ndim != len(shape)
+                or any(want not in (None, got) for got, want in zip(arr.shape, shape))):
+            raise error(f"{name} is {arr.dtype} {arr.shape}, expected {np.dtype(dtype)} "
+                        f"{shape}")
+    for name, total in (("offsets", n_nodes), ("edge_offsets", n_edges)):
+        k = _first_bad_slice(arrays[name], total)
+        if k is not None:
+            raise error(f"{name} do not split {total} rows into {len(names)} graphs", k)
+    if not isinstance(strings, list) or len(strings) != len(names):
+        raise error(f"needs the strings of {len(names)} graphs")
+
+    offsets, edge_offsets = arrays["offsets"].tolist(), arrays["edge_offsets"].tolist()
+    ids, gt, present = (arrays[k].tolist() for k in ("node_ids", "gt_instance", "gt_present"))
+    pairs, dists = arrays["edges"].tolist(), arrays["edge_distances"].tolist()
+    pos, f_vl, f_t, f_g = (arrays[k] for k in _NODE_VECTORS)
+    graphs = []
+    for k, entry in enumerate(strings):
+        lo, hi = offsets[k], offsets[k + 1]
+        try:
+            if not isinstance(entry, dict):
+                raise InvalidInputError("graph strings must be an object")
+            graph_id, frame_kind, feature_dims = _header(
+                entry.get("graph_id"), entry.get("frame_kind"), entry.get("feature_dims"))
+            labels = entry.get("labels")
+            if not isinstance(labels, list) or len(labels) != hi - lo:
+                raise InvalidInputError(f"needs {hi - lo} labels for its node rows")
+            labels = [_label(label, ids[r]) for r, label in zip(range(lo, hi), labels)]
+        except InvalidInputError as exc:
+            raise error(str(exc), k) from exc
+        nodes = [Node(ids[r], label, pos[r], NodeFeatures(f_vl[r], f_t[r], f_g[r]),
+                      gt[r] if present[r] else None)
+                 for r, label in zip(range(lo, hi), labels)]
+        rows = slice(edge_offsets[k], edge_offsets[k + 1])
+        edges = [Edge(i, j, d) for (i, j), d in zip(pairs[rows], dists[rows])]
+        graph = SceneGraph(graph_id, frame_kind, nodes, edges, feature_dims)
+        violations = validate_graph(graph)
+        if violations:
+            raise error(str(violations), k)
+        graphs.append(graph)
+    return graphs

@@ -47,3 +47,27 @@ def run_cli(*args, cwd=None, text=True):
     """`python -m sgalign.cli *args` in a child process, output captured."""
     return subprocess.run([sys.executable, "-m", "sgalign.cli", *args],
                           capture_output=True, text=text, cwd=cwd, env=child_env())
+
+
+def node_vectors(n):
+    return n.x, n.features.f_vl, n.features.f_t, n.features.f_g
+
+
+def assert_same_graphs(got, want):
+    """Every graph, node and edge field equal bit for bit, with the same
+    Python types for ids, gt_instance values and distances."""
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert (g.graph_id, g.frame_kind, g.feature_dims) == (w.graph_id, w.frame_kind,
+                                                               w.feature_dims)
+        assert [(n.id, type(n.id), n.label, n.gt_instance, type(n.gt_instance))
+                for n in g.nodes] == \
+               [(n.id, type(n.id), n.label, n.gt_instance, type(n.gt_instance))
+                for n in w.nodes]
+        for m, n in zip(g.nodes, w.nodes):
+            for got_v, want_v in zip(node_vectors(m), node_vectors(n)):
+                assert got_v.dtype == want_v.dtype and got_v.shape == want_v.shape
+                assert got_v.tobytes() == want_v.tobytes()
+        assert g.edges == w.edges
+        assert [type(x) for e in g.edges for x in (e.i, e.j, e.d)] == \
+               [type(x) for e in w.edges for x in (e.i, e.j, e.d)]

@@ -223,6 +223,45 @@ class TestCliValidate:
         assert json.loads(proc.stdout)["violations"]
 
 
+    @pytest.mark.parametrize("edit", [
+        "top_level_list", "two_element_edge", "fractional_id", "id_beyond_int64",
+        "numeric_label", "string_gt_instance", "unknown_frame_kind"])
+    def test_malformed_graph_exit_2(self, tmp_path, scene_file, edit):
+        doc = json.loads(scene_file.read_text())
+        if edit == "top_level_list":
+            doc = [doc]
+        elif edit == "two_element_edge":
+            doc["edges"].append([0, 1])
+        elif edit == "fractional_id":
+            doc["nodes"][0]["id"] = 1.7
+        elif edit == "id_beyond_int64":
+            doc["nodes"][0]["id"] = 2 ** 63
+        elif edit == "numeric_label":
+            doc["nodes"][0]["label"] = 5
+        elif edit == "string_gt_instance":
+            doc["nodes"][0]["gt_instance"] = "x"
+        else:
+            doc["frame_kind"] = "banana"
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        proc = run_cli("validate", str(bad))
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        line = one_stderr_line(proc)
+        assert str(bad) in line and "Traceback" not in proc.stderr
+
+    def test_two_dimensional_position_is_a_violation(self, tmp_path, scene_file):
+        doc = json.loads(scene_file.read_text())
+        doc["nodes"][0]["position"] = [doc["nodes"][0]["position"]]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        proc = run_cli("validate", str(bad))
+        assert proc.returncode == 2
+        violations = json.loads(proc.stdout)["violations"]
+        assert f"node {doc['nodes'][0]['id']}: position has shape (1, 3), expected (3,)" \
+            in violations
+
+
 class TestCliEncode:
     def test_embeddings_unit_norm(self, scene_file):
         proc = run_cli("encode", str(scene_file))
@@ -447,14 +486,17 @@ class TestCliRetrieve:
 
     def test_invalid_scene_graph_exit_2(self, saved_db):
         db_dir, query = saved_db
-        path = db_dir / "scene1.graph.json"
-        doc = json.loads(path.read_text())
-        doc["nodes"][0]["f_g"] = [5, -1, 5]
-        path.write_text(json.dumps(doc))
+        path = db_dir / "embeddings.npz"
+        with np.load(path) as z:
+            arrays = {k: z[k] for k in z.files}
+        arrays["f_g"][arrays["offsets"][1]] = [5, -1, 5]
+        with open(path, "wb") as fh:
+            np.savez(fh, **arrays)
         proc = run_cli("retrieve", "--query", str(query), "--db", str(db_dir))
         assert proc.returncode == 2
         assert proc.stdout == ""
-        assert str(path) in one_stderr_line(proc)
+        line = one_stderr_line(proc)
+        assert f"{path}: scene 'scene1': " in line and "f_g components" in line
 
     def test_bare_directory_invalid_graph_exit_2(self, tmp_path):
         g, _ = generate_scene(SynthConfig(seed=1, n_objects=(5, 7)))

@@ -12,8 +12,9 @@ from sgalign.pipeline import allocate
 from sgalign.retrieval import (EncodedScene, SceneDatabase, build_database,
                                global_similarity, load_database, rerank, retrieve,
                                save_database, topk_filter, weights_fingerprint)
-from sgalign.scene_graph import graph_to_dict
+from sgalign.scene_graph import Node, SceneGraph, graph_to_dict, save_graph
 from sgalign.synth import SynthConfig, generate_scene
+from conftest import assert_same_graphs
 
 
 @pytest.fixture(scope="module")
@@ -183,15 +184,51 @@ class TestPersistence:
         db, weights = db_and_weights
         save_database(db, tmp_path / "db", weights)
         names = sorted(p.name for p in (tmp_path / "db").iterdir())
-        assert names == sorted(["index.json", "embeddings.npz"]
-                               + [f"{e.scene_id}.graph.json" for e in db.entries])
+        assert names == ["embeddings.npz", "index.json"]
         index = json.loads((tmp_path / "db" / "index.json").read_text())
-        assert index == {"format_version": 2,
+        assert index == {"format_version": 3,
                          "scenes": [e.scene_id for e in db.entries],
-                         "weights_hash": weights_fingerprint(weights)}
+                         "weights_hash": weights_fingerprint(weights),
+                         "graphs": [{"graph_id": e.graph.graph_id,
+                                     "frame_kind": e.graph.frame_kind,
+                                     "feature_dims": list(e.graph.feature_dims),
+                                     "labels": [n.label for n in e.graph.nodes]}
+                                    for e in db.entries]}
         with np.load(tmp_path / "db" / "embeddings.npz") as z:
+            assert sorted(z.files) == sorted([
+                "globals", "nodes", "offsets", "node_ids", "positions", "f_vl", "f_t",
+                "f_g", "gt_instance", "gt_present", "edge_offsets", "edges",
+                "edge_distances"])
             assert z["globals"].shape == (len(db), weights.config.d_model)
             assert list(np.diff(z["offsets"])) == [len(e.graph.nodes) for e in db.entries]
+            assert list(np.diff(z["edge_offsets"])) == [len(e.graph.edges) for e in db.entries]
+
+    def test_round_trip_graphs_bit_exact(self, db_and_weights, tmp_path):
+        db, weights = db_and_weights
+        first = db.entries[0]
+        labels = ["chair\0", "стол", "🪑", "", "a\0\0"]
+        gts = [None, 0, -3, 2 ** 63 - 1, None]
+        odd = SceneGraph("id\0 ü", "camera", [
+            Node(n.id, labels[k % 5], n.x, n.features, gts[k % 5])
+            for k, n in enumerate(first.graph.nodes)], first.graph.edges,
+            first.graph.feature_dims)
+        entries = [EncodedScene("odd", odd, first.node_embeddings, first.global_embedding)]
+        entries += db.entries[1:]
+        save_database(SceneDatabase(entries=entries), tmp_path / "db", weights)
+        back = load_database(tmp_path / "db", weights)
+        assert_same_graphs([e.graph for e in back.entries], [e.graph for e in entries])
+        for got, want in zip(back.entries, entries):
+            assert got.node_embeddings.tobytes() == want.node_embeddings.tobytes()
+            assert got.global_embedding.tobytes() == want.global_embedding.tobytes()
+
+    def test_embedding_rows_must_match_nodes(self, db_and_weights, tmp_path):
+        db, weights = db_and_weights
+        e = db.entries[2]
+        short = EncodedScene(e.scene_id, e.graph, e.node_embeddings[1:], e.global_embedding)
+        with pytest.raises(InvalidInputError, match=e.scene_id):
+            save_database(SceneDatabase(entries=[db.entries[0], short]),
+                          tmp_path / "db", weights)
+        assert not (tmp_path / "db").exists()
 
     def test_empty_round_trip(self, db_and_weights, tmp_path):
         _, weights = db_and_weights
@@ -217,6 +254,31 @@ class TestPersistence:
         back = load_database(directory, weights)
         assert [e.scene_id for e in back.entries] == [e.scene_id for e in db.entries]
         fresh = build_database([(e.scene_id, e.graph) for e in db.entries], weights)
+        for got, want in zip(back.entries, fresh.entries):
+            assert got.node_embeddings.tobytes() == want.node_embeddings.tobytes()
+            assert got.global_embedding.tobytes() == want.global_embedding.tobytes()
+
+    def test_v2_layout_reencoded(self, db_and_weights, tmp_path):
+        """A format_version 2 directory (graph JSON per scene, an archive of
+        embeddings only) loads through re-encoding, even under the current
+        weights hash: its stored embeddings are not served."""
+        db, weights = db_and_weights
+        directory = tmp_path / "v2"
+        directory.mkdir()
+        for e in db.entries:
+            save_graph(e.graph, directory / f"{e.scene_id}.graph.json")
+        with open(directory / "embeddings.npz", "wb") as fh:
+            np.savez(fh, globals=np.zeros((len(db), weights.config.d_model)),
+                     nodes=np.zeros((sum(len(e.graph.nodes) for e in db.entries),
+                                     weights.config.d_model)),
+                     offsets=np.cumsum([0] + [len(e.graph.nodes) for e in db.entries]))
+        (directory / "index.json").write_text(json.dumps(
+            {"format_version": 2, "scenes": [e.scene_id for e in db.entries],
+             "weights_hash": weights_fingerprint(weights)}))
+        back = load_database(directory, weights)
+        fresh = build_database([(e.scene_id, e.graph) for e in db.entries], weights)
+        assert [e.scene_id for e in back.entries] == [e.scene_id for e in db.entries]
+        assert_same_graphs([e.graph for e in back.entries], [e.graph for e in db.entries])
         for got, want in zip(back.entries, fresh.entries):
             assert got.node_embeddings.tobytes() == want.node_embeddings.tobytes()
             assert got.global_embedding.tobytes() == want.global_embedding.tobytes()
@@ -268,16 +330,85 @@ class TestLoadChecks:
             arrays = {k: z[k] for k in z.files}
         return tmp_path / "db", db, weights, arrays
 
-    def test_invalid_scene_graph_names_file(self, saved):
-        directory, db, weights, _ = saved
-        path = directory / f"{db.entries[3].scene_id}.graph.json"
-        doc = json.loads(path.read_text())
-        doc["nodes"][0]["f_g"] = [5, -1, 5]
-        path.write_text(json.dumps(doc))
+    @staticmethod
+    def assert_names_scene(directory, weights, scene_id, message):
         with pytest.raises(InvalidInputError) as err:
             load_database(directory, weights)
-        assert str(err.value).startswith(f"{path}: ")
-        assert "f_g components" in str(err.value)
+        assert str(err.value).startswith(f"{directory / 'embeddings.npz'}: "
+                                         f"scene {scene_id!r}: ")
+        assert message in str(err.value)
+
+    def test_invalid_scene_graph_names_file(self, saved):
+        directory, db, weights, arrays = saved
+        f_g = arrays["f_g"].copy()
+        f_g[arrays["offsets"][3]] = [5, -1, 5]
+        rewrite_embeddings(directory, f_g=f_g)
+        self.assert_names_scene(directory, weights, db.entries[3].scene_id,
+                                "f_g components must lie in (0, 1]")
+
+    @pytest.mark.parametrize("change, scene, message", [
+        ("nan_position", 6, "non-finite position"),
+        ("distance", 5, "stored distance"),
+        ("edge_offsets", 2, "edge_offsets do not split"),
+        ("label", 7, "label must be a string"),
+        ("frame_kind", 1, "frame_kind must be one of"),
+    ])
+    def test_invalid_scene_graph_names_scene(self, saved, change, scene, message):
+        directory, db, weights, arrays = saved
+        if change == "nan_position":
+            positions = arrays["positions"].copy()
+            positions[arrays["offsets"][scene] + 1, 2] = np.nan
+            rewrite_embeddings(directory, positions=positions)
+        elif change == "distance":
+            distances = arrays["edge_distances"].copy()
+            distances[arrays["edge_offsets"][scene]] *= 1.001
+            rewrite_embeddings(directory, edge_distances=distances)
+        elif change == "edge_offsets":
+            edge_offsets = arrays["edge_offsets"].copy()
+            edge_offsets[2], edge_offsets[3] = edge_offsets[3], edge_offsets[2]
+            rewrite_embeddings(directory, edge_offsets=edge_offsets)
+        else:
+            index = json.loads((directory / "index.json").read_text())
+            if change == "label":
+                index["graphs"][scene]["labels"][0] = 5
+            else:
+                index["graphs"][scene]["frame_kind"] = "banana"
+            (directory / "index.json").write_text(json.dumps(index))
+        self.assert_names_scene(directory, weights, db.entries[scene].scene_id, message)
+
+    @pytest.mark.parametrize("name, value", [
+        ("positions", lambda a: a.astype(np.float32)),
+        ("node_ids", lambda a: a.astype(np.int32)),
+        ("gt_present", lambda a: a.astype(np.int64)),
+        ("edges", lambda a: a[:, :1]),
+        ("edge_distances", lambda a: a[:-1]),
+        ("f_vl", lambda a: a[:-1]),
+        ("f_t", lambda a: a[:, 0]),
+        ("edge_offsets", lambda a: a[:-1]),
+        ("edges", lambda a: None),
+    ])
+    def test_bad_graph_array_names_archive(self, saved, name, value):
+        directory, _, weights, arrays = saved
+        rewrite_embeddings(directory, **{name: value(arrays[name])})
+        with pytest.raises(InvalidInputError, match=name) as err:
+            load_database(directory, weights)
+        assert str(err.value).startswith(f"{directory / 'embeddings.npz'}: ")
+
+    def test_missing_graph_strings_rejected(self, saved):
+        directory, _, weights, _ = saved
+        index = json.loads((directory / "index.json").read_text())
+        del index["graphs"]
+        (directory / "index.json").write_text(json.dumps(index))
+        with pytest.raises(InvalidInputError, match="strings of 12 graphs"):
+            load_database(directory, weights)
+
+    def test_stale_hash_still_checks_graphs(self, saved):
+        directory, db, weights, arrays = saved
+        f_g = arrays["f_g"].copy()
+        f_g[0] = [5, -1, 5]
+        rewrite_embeddings(directory, f_g=f_g)
+        with pytest.raises(InvalidInputError, match=db.entries[0].scene_id):
+            load_database(directory, init_weights(weights.config, seed=99))
 
     def test_node_block_names_scene(self, saved):
         directory, db, weights, arrays = saved

@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 
 from sgalign.errors import InvalidInputError
-from sgalign.scene_graph import (Edge, Node, NodeFeatures, SceneGraph,
-                                 build_edges, graph_from_dict, graph_to_dict,
-                                 load_graph, pairwise_distance, read_graph,
-                                 save_graph, validate_graph)
+from sgalign.scene_graph import (EDGE_DISTANCE_RTOL, Edge, Node, NodeFeatures,
+                                 SceneGraph, build_edges, graph_from_dict,
+                                 graph_to_dict, load_graph, pack_graphs,
+                                 pairwise_distance, read_graph, save_graph,
+                                 unpack_graphs, validate_graph)
+from sgalign.synth import SynthConfig, generate_scene, make_sample
+from conftest import assert_same_graphs
 
 
 def make_node(nid, pos, d_vl=4, d_t=5, rng=None):
@@ -152,6 +155,171 @@ class TestValidateGraph:
         assert any("f_vl" in v for v in validate_graph(g))
 
 
+def validate_graph_loop(g):
+    """The node-by-node validator that validate_graph replaced, kept as its
+    oracle."""
+    violations = []
+    d_vl, d_t = g.feature_dims
+
+    seen = set()
+    for n in g.nodes:
+        if n.id in seen:
+            violations.append(f"duplicate node id {n.id}")
+        seen.add(n.id)
+        if not np.all(np.isfinite(n.x)):
+            violations.append(f"node {n.id}: non-finite position")
+        f = n.features
+        if f.f_vl.shape != (d_vl,):
+            violations.append(f"node {n.id}: f_vl has shape {f.f_vl.shape}, expected ({d_vl},)")
+        if f.f_t.shape != (d_t,):
+            violations.append(f"node {n.id}: f_t has shape {f.f_t.shape}, expected ({d_t},)")
+        if f.f_g.shape != (3,):
+            violations.append(f"node {n.id}: f_g has shape {f.f_g.shape}, expected (3,)")
+        for name, vec in (("f_vl", f.f_vl), ("f_t", f.f_t), ("f_g", f.f_g)):
+            if not np.all(np.isfinite(vec)):
+                violations.append(f"node {n.id}: non-finite values in {name}")
+        if f.f_g.shape == (3,) and np.all(np.isfinite(f.f_g)):
+            if np.any(f.f_g <= 0) or np.any(f.f_g > 1):
+                violations.append(f"node {n.id}: f_g components must lie in (0, 1]")
+
+    by_id = g.node_by_id()
+    for e in g.edges:
+        if e.i == e.j:
+            violations.append(f"edge ({e.i},{e.j}): self loop")
+            continue
+        if e.i > e.j:
+            violations.append(f"edge ({e.i},{e.j}): not canonicalized i < j")
+        if e.i not in by_id or e.j not in by_id:
+            violations.append(f"edge ({e.i},{e.j}): dangling endpoint")
+            continue
+        actual = pairwise_distance(by_id[e.i].x, by_id[e.j].x)
+        if abs(e.d - actual) > EDGE_DISTANCE_RTOL * max(1.0, actual):
+            violations.append(
+                f"edge ({e.i},{e.j}): stored distance {e.d} != actual {actual}")
+    return violations
+
+
+def with_features(node, **features):
+    f = node.features
+    return Node(node.id, node.label, node.x, NodeFeatures(
+        features.get("f_vl", f.f_vl), features.get("f_t", f.f_t),
+        features.get("f_g", f.f_g)), node.gt_instance)
+
+
+def isolate(g, k):
+    """Drop the edges of node k, so a bad position does not reach the
+    oracle's pairwise_distance, which raises on it."""
+    nid = g.nodes[k].id
+    g.edges = [e for e in g.edges if nid not in (e.i, e.j)]
+
+
+def mutate(name, g):
+    """Apply one violation (or a mix) to a well-formed 8-node graph."""
+    nodes, edges = g.nodes, g.edges
+    if name == "duplicate_id":
+        nodes[5] = Node(2, "dup", nodes[5].x, nodes[5].features)
+    elif name == "duplicate_twice":
+        nodes[5] = Node(2, "dup", nodes[5].x, nodes[5].features)
+        nodes[7] = Node(2, "dup", nodes[7].x, nodes[7].features)
+    elif name in ("nan_position", "inf_position"):
+        bad = np.nan if name == "nan_position" else np.inf
+        nodes[3] = Node(3, "p", [0.0, bad, 1.0], nodes[3].features)
+        isolate(g, 3)
+    elif name == "f_vl_shape":
+        nodes[1] = with_features(nodes[1], f_vl=np.ones(3))
+    elif name == "f_t_shape":
+        nodes[2] = with_features(nodes[2], f_t=np.ones((5, 1)))
+    elif name == "f_g_shape":
+        nodes[4] = with_features(nodes[4], f_g=np.full(2, 0.5))
+    elif name == "f_g_shape_out_of_range":
+        nodes[4] = with_features(nodes[4], f_g=np.full(4, 7.0))
+    elif name == "f_vl_nan":
+        nodes[6] = with_features(nodes[6], f_vl=np.full(4, np.nan))
+    elif name == "f_t_inf":
+        f_t = nodes[0].features.f_t.copy()
+        f_t[2] = -np.inf
+        nodes[0] = with_features(nodes[0], f_t=f_t)
+    elif name == "f_g_nan":
+        nodes[1] = with_features(nodes[1], f_g=np.array([0.5, np.nan, 2.0]))
+    elif name in ("f_g_zero", "f_g_above_one", "f_g_negative"):
+        value = {"f_g_zero": 0.0, "f_g_above_one": 1.0 + 1e-12, "f_g_negative": -0.2}[name]
+        nodes[2] = with_features(nodes[2], f_g=np.array([0.5, value, 0.5]))
+    elif name == "f_g_one":  # 1 is inside (0, 1]
+        nodes[2] = with_features(nodes[2], f_g=np.array([1.0, 1.0, 1.0]))
+    elif name == "feature_dims":
+        g.feature_dims = (7, 5)
+    elif name == "self_loop":
+        edges.insert(1, Edge(3, 3, 0.0))
+    elif name == "not_canonical":
+        e = edges[0]
+        edges[0] = Edge(e.j, e.i, e.d)
+    elif name == "dangling":
+        edges.append(Edge(0, 99, 1.0))
+        edges.append(Edge(99, 1, 1.0))
+    elif name == "stale_distance":
+        e = edges[-1]
+        edges[-1] = Edge(e.i, e.j, e.d * (1 + 3 * EDGE_DISTANCE_RTOL))
+    elif name == "distance_within_tolerance":
+        e = edges[-1]
+        edges[-1] = Edge(e.i, e.j, e.d * (1 + 0.9 * EDGE_DISTANCE_RTOL))
+    elif name == "nan_distance":
+        e = edges[0]
+        edges[0] = Edge(e.i, e.j, float("nan"))
+    elif name == "mixed":
+        for other in ("duplicate_id", "f_vl_shape", "f_g_nan", "f_g_negative",
+                      "self_loop", "not_canonical", "dangling", "stale_distance"):
+            mutate(other, g)
+    else:
+        raise AssertionError(name)
+    return g
+
+
+MUTATIONS = ["duplicate_id", "duplicate_twice", "nan_position", "inf_position",
+             "f_vl_shape", "f_t_shape", "f_g_shape", "f_g_shape_out_of_range",
+             "f_vl_nan", "f_t_inf", "f_g_nan", "f_g_zero", "f_g_above_one",
+             "f_g_negative", "f_g_one", "feature_dims", "self_loop", "not_canonical",
+             "dangling", "stale_distance", "distance_within_tolerance", "nan_distance",
+             "mixed"]
+
+
+class TestValidateGraphOracle:
+    def test_valid_graphs(self):
+        graphs = [well_formed_graph(n, seed) for n, seed in ((0, 0), (1, 1), (8, 2), (40, 3))]
+        graphs.append(generate_scene(SynthConfig(seed=4))[0])
+        sample = make_sample("f2s", SynthConfig(seed=5))
+        graphs += [sample.graph_a, sample.graph_b]
+        for g in graphs:
+            assert validate_graph(g) == validate_graph_loop(g) == []
+
+    @pytest.mark.parametrize("name", MUTATIONS)
+    def test_each_violation(self, name):
+        g = mutate(name, well_formed_graph(8, seed=11))
+        expected = validate_graph_loop(g)
+        assert validate_graph(g) == expected
+        if name not in ("f_g_one", "distance_within_tolerance", "nan_distance"):
+            assert expected
+
+    def test_bad_position_reported_not_raised(self):
+        """The loop raised from pairwise_distance on an edge to a non-finite
+        position; validate_graph reports the node and skips its edges."""
+        g = well_formed_graph(8, seed=11)
+        nid = g.edges[0].i
+        k = [n.id for n in g.nodes].index(nid)
+        g.nodes[k] = Node(nid, "p", [np.nan, 0.0, 0.0], g.nodes[k].features)
+        with pytest.raises(InvalidInputError):
+            validate_graph_loop(g)
+        assert validate_graph(g) == [f"node {nid}: non-finite position"]
+
+    def test_position_shape(self):
+        """A position that is not a 3-vector is a violation (the loop let a
+        2-D position through)."""
+        g = well_formed_graph(8, seed=11)
+        nid = g.edges[0].i
+        k = [n.id for n in g.nodes].index(nid)
+        g.nodes[k] = Node(nid, "p", [[1.0, 2.0, 3.0]], g.nodes[k].features)
+        assert validate_graph(g) == [f"node {nid}: position has shape (1, 3), expected (3,)"]
+
+
 class TestGroundTruthMap:
     def test_many_to_one_allowed(self):
         from sgalign.scene_graph import GroundTruthMap
@@ -216,3 +384,118 @@ class TestGraphFiles:
         back = load_graph(tmp_path / "g.json", n_max=1, d_th=1.5)
         assert back.edges == build_edges(g.nodes, n_max=1, d_th=1.5)
         assert back.edges != build_edges(g.nodes)
+
+
+def graph_doc():
+    return graph_to_dict(well_formed_graph())
+
+
+def set_path(doc, path, value):
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return doc
+
+
+class TestGraphFromDictTypes:
+    @pytest.mark.parametrize("path, value, message", [
+        (("nodes", 0, "id"), 1.7, "node id must be an integer"),
+        (("nodes", 0, "id"), 2 ** 63, "node id must be an integer within int64"),
+        (("nodes", 0, "id"), "1", "node id must be an integer"),
+        (("nodes", 0, "id"), True, "node id must be an integer"),
+        (("nodes", 1, "gt_instance"), "x", "node 1: gt_instance must be an integer"),
+        (("nodes", 1, "gt_instance"), 0.5, "node 1: gt_instance must be an integer"),
+        (("nodes", 1, "gt_instance"), -2 ** 63 - 1, "gt_instance must be an integer"),
+        (("nodes", 2, "label"), 5, "node 2: label must be a string"),
+        (("nodes", 2, "label"), None, "node 2: label must be a string"),
+        (("nodes", 2, "f_vl"), [1.0, [2.0, 3.0]], "node 2: f_vl is not an array of numbers"),
+        (("nodes", 2, "position"), "abc", "node 2: position is not an array of numbers"),
+        (("nodes", 3), [1, 2], "a node must be a JSON object"),
+        (("frame_kind",), "banana", "frame_kind must be one of"),
+        (("graph_id",), 7, "graph_id must be a string"),
+        (("feature_dims",), [4, 5, 6], "feature_dims must be a list of two integers"),
+        (("feature_dims",), [4, "5"], "feature_dims entry must be an integer"),
+        (("nodes",), {"0": {}}, "nodes must be a list"),
+        (("edges",), {"0": [0, 1, 1.0]}, "edges must be a list or null"),
+        (("edges", 0), [0, 1], "an edge must be a list [i, j, d]"),
+        (("edges", 0), [0, 1, 1.0, 2.0], "an edge must be a list [i, j, d]"),
+        (("edges", 0), [0.5, 1, 1.0], "edge endpoint must be an integer"),
+        (("edges", 0), [0, 1, "1.0"], "distance must be a float64 number"),
+        (("edges", 0), [0, 1, 10 ** 400], "distance must be a float64 number"),
+    ])
+    def test_refused(self, path, value, message):
+        with pytest.raises(InvalidInputError, match=message.replace("[", r"\[")):
+            graph_from_dict(set_path(graph_doc(), path, value))
+
+    @pytest.mark.parametrize("doc", [[graph_doc()], "g", 3, None])
+    def test_document_must_be_object(self, doc):
+        with pytest.raises(InvalidInputError, match="a graph must be a JSON object"):
+            graph_from_dict(doc)
+
+    def test_integral_floats_become_ints(self):
+        doc = set_path(set_path(graph_doc(), ("nodes", 0, "gt_instance"), 4.0),
+                       ("nodes", 0, "id"), 0.0)
+        node = graph_from_dict(doc).nodes[0]
+        assert (node.id, node.gt_instance) == (0, 4)
+        assert type(node.id) is int and type(node.gt_instance) is int
+
+    def test_read_graph_names_file(self, tmp_path):
+        (tmp_path / "g.json").write_text(json.dumps(
+            set_path(graph_doc(), ("frame_kind",), "banana")))
+        with pytest.raises(InvalidInputError) as err:
+            read_graph(tmp_path / "g.json")
+        assert str(err.value).startswith(f"{tmp_path / 'g.json'}: frame_kind must be")
+
+
+def odd_graphs():
+    """Graphs that exercise every packed field: None and int gt_instance
+    (int64 extremes included), labels with a trailing NUL and non-ASCII
+    text, a graph without nodes and one without edges."""
+    a = well_formed_graph(6, seed=1)
+    a.nodes = [Node(n.id, label, n.x, n.features, gt)
+               for n, label, gt in zip(a.nodes, ["chair\0", "стол", "🪑 lamp", "", "a\0\0", "b"],
+                                       [None, 0, -3, 2 ** 63 - 1, -2 ** 63, None])]
+    b = well_formed_graph(1, seed=2)
+    b.graph_id, b.frame_kind = "g\0", "camera"
+    return [a, SceneGraph("empty", "world", [], [], (4, 5)), b, well_formed_graph(9, seed=3)]
+
+
+class TestPackGraphs:
+    def test_round_trip_bit_exact(self):
+        graphs = odd_graphs()
+        arrays, strings = pack_graphs(graphs)
+        back = unpack_graphs(arrays, json.loads(json.dumps(strings)),
+                             [f"s{k}" for k in range(len(graphs))], "src")
+        assert_same_graphs(back, graphs)
+        assert back[0].nodes[0].gt_instance is None and back[0].nodes[1].gt_instance == 0
+
+    def test_views_not_copies(self):
+        arrays, strings = pack_graphs(odd_graphs())
+        back = unpack_graphs(arrays, strings, list("abcd"), "src")
+        nodes = [n for g in back for n in g.nodes]
+        assert all(n.x.base is arrays["positions"] for n in nodes)
+        assert all(n.features.f_vl.base is arrays["f_vl"] for n in nodes)
+        assert all(n.features.f_g.base is arrays["f_g"] for n in nodes)
+
+    def test_no_graphs(self):
+        arrays, strings = pack_graphs([])
+        assert unpack_graphs(arrays, strings, [], "src") == []
+
+    @pytest.mark.parametrize("change", ["ragged_f_vl", "2d_position", "float_id",
+                                        "float_endpoint", "huge_gt_instance"])
+    def test_unpackable_graph_refused(self, change):
+        g = well_formed_graph(3)
+        n = g.nodes[1]
+        if change == "ragged_f_vl":
+            g.nodes[1] = with_features(n, f_vl=np.ones(6))
+        elif change == "2d_position":
+            g.nodes = [Node(m.id, m.label, m.x[None], m.features) for m in g.nodes]
+        elif change == "float_id":
+            g.nodes[1] = Node(1.5, n.label, n.x, n.features)
+        elif change == "float_endpoint":
+            g.edges = [Edge(0, 1.5, 1.0)]
+        else:
+            g.nodes[1] = Node(n.id, n.label, n.x, n.features, 2 ** 63)
+        with pytest.raises(InvalidInputError, match="cannot pack"):
+            pack_graphs([g])
