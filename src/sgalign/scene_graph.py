@@ -83,9 +83,6 @@ class SceneGraph:
     edges: list[Edge] = field(default_factory=list)
     feature_dims: tuple[int, int] = DEFAULT_FEATURE_DIMS
 
-    def node_by_id(self) -> dict[int, Node]:
-        return {n.id: n for n in self.nodes}
-
     def positions(self) -> np.ndarray:
         """(n, 3) array of node positions in declaration order."""
         if not self.nodes:
@@ -208,7 +205,7 @@ def validate_graph(g: SceneGraph) -> list[str]:
     if not edges:
         return violations
     # Row of each endpoint, -1 when dangling; the last node of a repeated id
-    # counts, as in node_by_id. Row -1 of the padded arrays is a sentinel.
+    # counts. Row -1 of the padded arrays is a sentinel.
     row = {n.id: k for k, n in enumerate(nodes)}
     ends = np.array([(row.get(e.i, -1), row.get(e.j, -1)) for e in edges], dtype=np.int64)
     ids = np.array([(e.i, e.j) for e in edges])
@@ -225,9 +222,9 @@ def validate_graph(g: SceneGraph) -> list[str]:
     stored = np.array([e.d for e in edges], dtype=float)
     # `approx` may differ from pairwise_distance (a BLAS dot) in the last
     # bit, so it only picks suspects at half the tolerance; pairwise_distance
-    # decides, exactly as an edge-by-edge check would.
-    suspect = measured & (np.abs(stored - approx)
-                          > 0.5 * EDGE_DISTANCE_RTOL * np.maximum(1.0, approx))
+    # decides, exactly as an edge-by-edge check would. A NaN distance fails.
+    suspect = measured & ~(np.abs(stored - approx)
+                           <= 0.5 * EDGE_DISTANCE_RTOL * np.maximum(1.0, approx))
     for m in np.flatnonzero(self_loop | flipped | dangling | suspect):
         e = edges[m]
         if self_loop[m]:
@@ -240,7 +237,7 @@ def validate_graph(g: SceneGraph) -> list[str]:
             continue
         if suspect[m]:
             actual = pairwise_distance(pos[ends[m, 0]], pos[ends[m, 1]])
-            if abs(e.d - actual) > EDGE_DISTANCE_RTOL * max(1.0, actual):
+            if not abs(e.d - actual) <= EDGE_DISTANCE_RTOL * max(1.0, actual):
                 violations.append(
                     f"edge ({e.i},{e.j}): stored distance {e.d} != actual {actual}")
     return violations

@@ -349,6 +349,7 @@ class TestLoadChecks:
     @pytest.mark.parametrize("change, scene, message", [
         ("nan_position", 6, "non-finite position"),
         ("distance", 5, "stored distance"),
+        ("nan_distance", 5, "stored distance nan"),
         ("edge_offsets", 2, "edge_offsets do not split"),
         ("label", 7, "label must be a string"),
         ("frame_kind", 1, "frame_kind must be one of"),
@@ -359,9 +360,10 @@ class TestLoadChecks:
             positions = arrays["positions"].copy()
             positions[arrays["offsets"][scene] + 1, 2] = np.nan
             rewrite_embeddings(directory, positions=positions)
-        elif change == "distance":
+        elif change in ("distance", "nan_distance"):
             distances = arrays["edge_distances"].copy()
-            distances[arrays["edge_offsets"][scene]] *= 1.001
+            row = arrays["edge_offsets"][scene]
+            distances[row] = distances[row] * 1.001 if change == "distance" else np.nan
             rewrite_embeddings(directory, edge_distances=distances)
         elif change == "edge_offsets":
             edge_offsets = arrays["edge_offsets"].copy()

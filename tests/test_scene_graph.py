@@ -182,7 +182,7 @@ def validate_graph_loop(g):
             if np.any(f.f_g <= 0) or np.any(f.f_g > 1):
                 violations.append(f"node {n.id}: f_g components must lie in (0, 1]")
 
-    by_id = g.node_by_id()
+    by_id = {n.id: n for n in g.nodes}
     for e in g.edges:
         if e.i == e.j:
             violations.append(f"edge ({e.i},{e.j}): self loop")
@@ -262,9 +262,6 @@ def mutate(name, g):
     elif name == "distance_within_tolerance":
         e = edges[-1]
         edges[-1] = Edge(e.i, e.j, e.d * (1 + 0.9 * EDGE_DISTANCE_RTOL))
-    elif name == "nan_distance":
-        e = edges[0]
-        edges[0] = Edge(e.i, e.j, float("nan"))
     elif name == "mixed":
         for other in ("duplicate_id", "f_vl_shape", "f_g_nan", "f_g_negative",
                       "self_loop", "not_canonical", "dangling", "stale_distance"):
@@ -278,8 +275,7 @@ MUTATIONS = ["duplicate_id", "duplicate_twice", "nan_position", "inf_position",
              "f_vl_shape", "f_t_shape", "f_g_shape", "f_g_shape_out_of_range",
              "f_vl_nan", "f_t_inf", "f_g_nan", "f_g_zero", "f_g_above_one",
              "f_g_negative", "f_g_one", "feature_dims", "self_loop", "not_canonical",
-             "dangling", "stale_distance", "distance_within_tolerance", "nan_distance",
-             "mixed"]
+             "dangling", "stale_distance", "distance_within_tolerance", "mixed"]
 
 
 class TestValidateGraphOracle:
@@ -296,8 +292,17 @@ class TestValidateGraphOracle:
         g = mutate(name, well_formed_graph(8, seed=11))
         expected = validate_graph_loop(g)
         assert validate_graph(g) == expected
-        if name not in ("f_g_one", "distance_within_tolerance", "nan_distance"):
+        if name not in ("f_g_one", "distance_within_tolerance"):
             assert expected
+
+    def test_nan_distance(self):
+        """The loop let a NaN stored distance through (NaN > tol is false)."""
+        g = well_formed_graph(8, seed=11)
+        e = g.edges[2]
+        g.edges[2] = Edge(e.i, e.j, float("nan"))
+        assert validate_graph_loop(g) == []
+        actual = pairwise_distance(g.nodes[e.i].x, g.nodes[e.j].x)
+        assert validate_graph(g) == [f"edge ({e.i},{e.j}): stored distance nan != actual {actual}"]
 
     def test_bad_position_reported_not_raised(self):
         """The loop raised from pairwise_distance on an edge to a non-finite
