@@ -222,7 +222,6 @@ class TestCliValidate:
         assert proc.returncode == 2
         assert json.loads(proc.stdout)["violations"]
 
-
     @pytest.mark.parametrize("edit", [
         "top_level_list", "two_element_edge", "fractional_id", "id_beyond_int64",
         "numeric_label", "string_gt_instance", "unknown_frame_kind"])
