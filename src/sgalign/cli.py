@@ -113,6 +113,8 @@ def cmd_encode(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    if args.count < 1:
+        raise UsageError(f"--count must be >= 1, got {args.count}")
     config = synth.SynthConfig(
         seed=args.seed,
         feature_noise_sigma=args.feature_noise,
@@ -276,7 +278,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", default=None, help="pipeline config JSON")
         if weights:
             p.add_argument("--weights", default=None,
-                           help="encoder weights file (npz v2 or JSON v1)")
+                           help="encoder weights file (npz, format_version 2)")
             p.add_argument("--seed", type=int, default=0,
                            help="weight-init seed when --weights is absent")
 
@@ -360,9 +362,6 @@ def main(argv=None) -> int:
     except SgaError as exc:
         logger.error("%s", exc)
         return EXIT_VALIDATION
-    except KeyError as exc:
-        logger.error("malformed input: missing key %s", exc)
-        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -58,7 +58,6 @@ class PipelineConfig:
         return {
             "encoder": self.encoder.to_dict(),
             "matcher": {
-                "mode": self.matcher.mode,
                 "temperature": self.matcher.temperature,
                 "dustbin_logit": self.matcher.dustbin_logit,
             },
@@ -80,38 +79,29 @@ class PipelineConfig:
         }
 
 
-_SECTION_KEYS = {
-    "encoder": {"pe_dim", "heads", "layers", "d_model", "gate_hidden",
-                "geo_hidden", "dropout", "feature_dims"},
-    "matcher": {"mode", "temperature", "dustbin_logit"},
-    "mnn": {"min_score"},
-    "mcf": {"tau", "top_k", "c_unmatched", "lambda", "cap_max", "max_iters"},
-    "edges": {"n_max", "d_th"},
-    "retrieval": {"allocator", "rerank"},
-}
-
-
 def config_from_dict(data: dict) -> tuple[PipelineConfig, list[str]]:
     """Merge a (possibly partial) document over defaults.
 
-    Returns (config, warnings); warnings list unknown fields.
+    The default document (`PipelineConfig().to_dict()`) is the schema: a
+    field it lacks is not read. Returns (config, warnings); warnings list
+    unknown fields.
     """
     warnings: list[str] = []
     defaults = PipelineConfig().to_dict()
     merged: dict = {}
-    for section, keys in _SECTION_KEYS.items():
+    for section, fields in defaults.items():
+        if not isinstance(fields, dict):  # weights_path, a plain field
+            continue
         given = data.get(section, {})
         if not isinstance(given, dict):
             raise ConfigError(section, "must be an object")
-        merged[section] = dict(defaults[section])
+        merged[section] = dict(fields)
         for key, value in given.items():
-            if key not in keys:
+            if key not in fields:
                 warnings.append(f"unknown field {section}.{key}")
                 continue
             merged[section][key] = value
-    for key in data:
-        if key not in _SECTION_KEYS and key != "weights_path":
-            warnings.append(f"unknown field {key}")
+    warnings += [f"unknown field {key}" for key in data if key not in defaults]
 
     def build(section: str, ctor, kwargs: dict):
         try:

@@ -28,6 +28,9 @@ CLS_ATTN_LAYERS = 2
 # (eval, database build). Bigger batches read the weights fewer times per
 # graph but hold more transient memory.
 BATCH_NODES = 64
+# Tensor names are listed layer by layer before any buffer is allocated, so
+# the layer count is bounded; other sizes are bounded by what NumPy allocates.
+MAX_LAYERS = 1024
 # Largest double below 1.0; keeps gate outputs in the open interval.
 _GATE_HI = np.nextafter(1.0, 0.0)
 _GATE_LO = np.nextafter(0.0, 1.0)
@@ -58,8 +61,8 @@ class EncoderConfig:
         if len(self.feature_dims) != 2 or min(self.feature_dims) < 1:
             raise InvalidInputError(
                 f"feature_dims must be two sizes >= 1, got {list(self.feature_dims)}")
-        if self.layers < 0:
-            raise InvalidInputError(f"layers must be >= 0, got {self.layers}")
+        if not 0 <= self.layers <= MAX_LAYERS:
+            raise InvalidInputError(f"layers must be in [0, {MAX_LAYERS}], got {self.layers}")
         if self.pe_dim % 2 != 0:
             raise InvalidInputError(f"pe_dim must be even, got {self.pe_dim}")
         if self.d_model % self.heads != 0:
@@ -185,16 +188,20 @@ def _packed_buffer(parts: list[np.ndarray]) -> np.ndarray:
 
 
 def _empty_tensors(config: EncoderConfig) -> dict[str, np.ndarray]:
-    """Uninitialised tensors in the packed layout, for init and load to fill in place."""
+    """Uninitialised tensors in the packed layout, for init and load to fill
+    in place. Sizes NumPy cannot allocate raise InvalidInputError."""
     shapes = tensor_shapes(config)
     views = {}
-    for names in packed_groups(config).values():
-        rows, cols = shapes[names[0]]
-        buf = np.empty((len(names) * rows, cols))
-        for i, name in enumerate(names):
-            views[name] = buf[i * rows:(i + 1) * rows]
-    return {name: views[name] if name in views else np.empty(shape)
-            for name, shape in shapes.items()}
+    try:
+        for names in packed_groups(config).values():
+            rows, cols = shapes[names[0]]
+            buf = np.empty((len(names) * rows, cols))
+            for i, name in enumerate(names):
+                views[name] = buf[i * rows:(i + 1) * rows]
+        return {name: views[name] if name in views else np.empty(shape)
+                for name, shape in shapes.items()}
+    except (ValueError, MemoryError) as exc:
+        raise InvalidInputError(f"encoder sizes cannot be allocated: {exc}") from exc
 
 
 @dataclass
@@ -265,10 +272,9 @@ def init_weights(config: EncoderConfig, seed: int = 0) -> EncoderWeights:
     return EncoderWeights(config=config, tensors=tensors, seed=seed)
 
 
-# Weights files. Version 2 (written) is an uncompressed NumPy .npz archive:
+# Weights files (format_version 2): an uncompressed NumPy .npz archive with
 # one float64 entry per tensor plus `meta`, a JSON string holding
-# format_version, config and seed. Version 1 (still read) is one JSON
-# document with the same fields and the tensors as nested lists.
+# format_version, config and seed.
 WEIGHTS_FORMAT_VERSION = 2
 _META_ENTRY = "meta"
 _ZIP_MAGIC = b"PK"  # every zip archive, empty ones too, starts with these bytes
@@ -284,27 +290,6 @@ def save_weights(weights: EncoderWeights, path) -> None:
                         **dict(sorted(weights.tensors.items()))})
 
 
-def _check_version(doc, version: int) -> None:
-    found = doc.get("format_version") if isinstance(doc, dict) else None
-    if found != version:
-        raise WeightsFormatError(f"unsupported format_version {found}")
-
-
-def _filled_weights(doc: dict, names, read: Callable[[str], object]) -> EncoderWeights:
-    """Weights of the config in `doc`; packed buffers filled in place from read(name)."""
-    if not isinstance(doc.get("config"), dict):
-        raise WeightsFormatError("no config object")
-    try:
-        config = EncoderConfig.from_dict(doc["config"])
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
-        raise WeightsFormatError(f"bad config: {exc}") from exc
-    _check_names(tensor_shapes(config), names)
-    tensors = _empty_tensors(config)
-    for name, out in tensors.items():
-        out[...] = _as_tensor(name, read(name), out.shape)
-    return EncoderWeights(config=config, tensors=tensors, seed=doc.get("seed"))
-
-
 _NPZ_ERRORS = (zipfile.BadZipFile, EOFError, ValueError)  # damaged archive or entry
 
 
@@ -315,7 +300,13 @@ def _npz_entry(archive, name: str):
         raise WeightsFormatError(f"npz entry {name}: {exc}") from exc
 
 
-def _load_npz(fh) -> EncoderWeights:
+def _read_weights(fh) -> EncoderWeights:
+    # np.load would hand back a bare array for a .npy file and report a JSON
+    # file as pickled data, so anything but a zip is refused here.
+    if fh.read(len(_ZIP_MAGIC)) != _ZIP_MAGIC:
+        raise WeightsFormatError(
+            f"not an npz weights archive (format_version {WEIGHTS_FORMAT_VERSION})")
+    fh.seek(0)
     try:
         archive = np.load(fh, allow_pickle=False)
     except _NPZ_ERRORS as exc:
@@ -330,34 +321,36 @@ def _load_npz(fh) -> EncoderWeights:
             doc = json.loads(str(meta))
         except json.JSONDecodeError as exc:
             raise WeightsFormatError(f"'{_META_ENTRY}' entry: {exc}") from exc
-        _check_version(doc, WEIGHTS_FORMAT_VERSION)
+        found = doc.get("format_version") if isinstance(doc, dict) else None
+        if found != WEIGHTS_FORMAT_VERSION:
+            raise WeightsFormatError(f"unsupported format_version {found}")
+        if not isinstance(doc.get("config"), dict):
+            raise WeightsFormatError("no config object")
+        seed = doc.get("seed")
+        if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)):
+            raise WeightsFormatError(f"seed must be an integer or null, got {seed!r}")
+        try:
+            config = EncoderConfig.from_dict(doc["config"])
+            tensors = _empty_tensors(config)
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
+            raise WeightsFormatError(f"bad config: {exc}") from exc
+        _check_names(tensors, [n for n in archive.files if n != _META_ENTRY])
         # Entries are read one at a time, straight into the packed buffers.
-        return _filled_weights(doc, [n for n in archive.files if n != _META_ENTRY],
-                               lambda name: _npz_entry(archive, name))
-
-
-def _load_json(text: bytes) -> EncoderWeights:
-    try:
-        doc = json.loads(text)
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise WeightsFormatError(f"neither an npz archive nor JSON: {exc}") from exc
-    _check_version(doc, 1)
-    stored = doc.get("tensors")
-    if not isinstance(stored, dict):
-        raise WeightsFormatError("no tensors object")
-    return _filled_weights(doc, stored, stored.__getitem__)
+        for name, out in tensors.items():
+            out[...] = _as_tensor(name, _npz_entry(archive, name), out.shape)
+    return EncoderWeights(config=config, tensors=tensors, seed=seed)
 
 
 def load_weights(path) -> EncoderWeights:
-    """Read a version 2 (npz) or version 1 (JSON) weights file into the
-    packed layout. A damaged archive, bad JSON, a bad config or a missing,
-    unknown, wrongly shaped or non-finite tensor raises WeightsFormatError."""
+    """Read a version 2 weights file into the packed layout. A file that is
+    not a zip archive, a damaged archive, a bad config or a missing, unknown,
+    wrongly shaped or non-finite tensor raises WeightsFormatError naming
+    `path`."""
     with open(path, "rb") as fh:
-        if fh.read(len(_ZIP_MAGIC)) == _ZIP_MAGIC:
-            fh.seek(0)
-            return _load_npz(fh)
-        fh.seek(0)
-        return _load_json(fh.read())
+        try:
+            return _read_weights(fh)
+        except WeightsFormatError as exc:
+            raise WeightsFormatError(f"{path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

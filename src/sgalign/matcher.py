@@ -1,9 +1,8 @@
 """Pairwise matching scores between two node-embedding sets.
 
-Raw cosine similarities are turned into a probability-like matrix P in
-[0, 1] with an explicit dustbin channel for non-matches, either by a plain
-affine rescale ("raw") or by a dustbin-augmented dual softmax
-("dual_softmax", the default).
+Cosine similarities are turned into a probability-like matrix P in [0, 1]
+with an explicit dustbin channel for non-matches by a dustbin-augmented
+dual softmax (SuperGlue, Sarlin et al., CVPR 2020).
 """
 
 from __future__ import annotations
@@ -20,9 +19,6 @@ from .errors import InvalidInputError, NumericError, check_types
 # against the default unmatched cost of 2.0.
 P_FLOOR = 1e-9
 
-MODE_RAW = "raw"
-MODE_DUAL_SOFTMAX = "dual_softmax"
-
 
 @dataclass(frozen=True)
 class MatcherParams:
@@ -30,7 +26,6 @@ class MatcherParams:
     # the candidate threshold under dual-softmax column competition.
     dustbin_logit: float = 0.0
     temperature: float = 0.07
-    mode: str = MODE_DUAL_SOFTMAX
 
     def __post_init__(self):
         check_types(self, numbers.Real, "a number", ("dustbin_logit", "temperature"))
@@ -39,8 +34,6 @@ class MatcherParams:
                                     f"got {self.temperature}")
         if not math.isfinite(self.dustbin_logit):
             raise InvalidInputError(f"dustbin_logit must be finite, got {self.dustbin_logit}")
-        if self.mode not in (MODE_RAW, MODE_DUAL_SOFTMAX):
-            raise InvalidInputError(f"unknown matcher mode {self.mode!r}")
 
 
 @dataclass
@@ -54,7 +47,6 @@ class ScoreMatrix:
     P: np.ndarray
     dustbin_row: np.ndarray
     dustbin_col: np.ndarray
-    mode: str
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -83,31 +75,13 @@ def softmax(x: np.ndarray, axis: int) -> np.ndarray:
 
 
 def score_matrix(S: np.ndarray, params: MatcherParams = MatcherParams()) -> ScoreMatrix:
-    """Convert raw similarities into the [0,1] score matrix with dustbin."""
+    """Convert similarities into the [0,1] score matrix with dustbin."""
     S = np.asarray(S, dtype=float)
     if not np.all(np.isfinite(S)):
         raise InvalidInputError("score_matrix: non-finite similarities")
     n_a, n_b = S.shape
 
-    if params.mode == MODE_RAW:
-        P = np.clip((S + 1.0) / 2.0, P_FLOOR, 1.0)
-        bin_mass = 1.0 / (1.0 + np.exp(-params.dustbin_logit))
-        return ScoreMatrix(
-            P=P,
-            dustbin_row=np.full(n_b, bin_mass),
-            dustbin_col=np.full(n_a, bin_mass),
-            mode=params.mode,
-        )
-
-    if n_a == 0 or n_b == 0:
-        # Degenerate sides: every row/column softmax collapses onto the dustbin.
-        return ScoreMatrix(
-            P=np.zeros((n_a, n_b)),
-            dustbin_row=np.ones(n_b),
-            dustbin_col=np.ones(n_a),
-            mode=params.mode,
-        )
-
+    # With an empty side every row/column softmax is the dustbin alone: 1.0.
     logits = S / params.temperature
     bin_logit = params.dustbin_logit / params.temperature
     # Row softmax over J real columns plus the dustbin column.
@@ -121,5 +95,4 @@ def score_matrix(S: np.ndarray, params: MatcherParams = MatcherParams()) -> Scor
         P=P,
         dustbin_row=c[n_a, :].copy(),
         dustbin_col=r[:, n_b].copy(),
-        mode=params.mode,
     )

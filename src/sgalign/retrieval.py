@@ -23,7 +23,7 @@ from .config import PipelineConfig
 from .encoder import EncoderWeights, encode_graph, encode_graphs, node_batches
 from .errors import InvalidInputError, SgaError
 from .pipeline import match_embeddings
-from .scene_graph import SceneGraph, load_graph, pack_graphs, unpack_graphs
+from .scene_graph import SceneGraph, pack_graphs, unpack_graphs
 
 
 @dataclass
@@ -157,9 +157,8 @@ def retrieve(query: EncodedScene, db: SceneDatabase, k: int, mode: str,
 # holds the stacked globals (S, d_model), the concatenated node embeddings
 # (sum of N, d_model) and the arrays of `scene_graph.pack_graphs`; scene i
 # owns node rows offsets[i]:offsets[i+1] of both. index.json holds the scene
-# ids, the weights hash and the graphs' strings. Directories of older
-# format versions hold one <scene_id>.graph.json per scene instead, and are
-# re-encoded on load.
+# ids, the weights hash and the graphs' strings. A directory of any other
+# format version is refused: it has to be rebuilt from its scene graphs.
 
 DB_FORMAT_VERSION = 3
 EMBEDDINGS_FILE = "embeddings.npz"
@@ -177,9 +176,8 @@ def weights_fingerprint(weights: EncoderWeights) -> str:
 
 
 def _check_scene_id(scene_id) -> None:
-    """A scene id names files in the database directory of older layouts,
-    so it must be a plain file name: non-empty, no '/', '\\' or NUL, not '.'
-    or '..'."""
+    """A scene id must be a plain file name: non-empty, no '/', '\\' or
+    NUL, not '.' or '..'."""
     if (not isinstance(scene_id, str) or scene_id in ("", ".", "..")
             or any(c in scene_id for c in "/\\\0")):
         raise InvalidInputError(f"scene id {scene_id!r} is not a safe file name")
@@ -238,21 +236,24 @@ def _embeddings(path: Path, arrays: dict[str, np.ndarray], n_scenes: int, d_mode
 
 
 def load_database(directory, weights: EncoderWeights) -> SceneDatabase:
-    """Load a saved database; its scene graphs are unpacked from
-    embeddings.npz and checked by `unpack_graphs`. When the stored weights
-    hash differs from `weights`, `build_database` re-encodes the graphs
-    instead of reading their embeddings. A directory of an older format
-    version is read through `load_graph` and re-encoded the same way."""
+    """Load a saved database of format version 3; its scene graphs are
+    unpacked from embeddings.npz and checked by `unpack_graphs`. When the
+    stored weights hash differs from `weights`, `build_database` re-encodes
+    the graphs instead of reading their embeddings. An index.json of any
+    other format version raises InvalidInputError before the archive is
+    opened."""
     directory = Path(directory)
-    index = json.loads((directory / "index.json").read_text(encoding="utf-8"))
+    index_path = directory / "index.json"
+    index = json.loads(index_path.read_text(encoding="utf-8"))
     if not isinstance(index, dict) or not isinstance(index.get("scenes"), list):
-        raise InvalidInputError(f"{directory / 'index.json'}: no scenes list")
+        raise InvalidInputError(f"{index_path}: no scenes list")
+    if index.get("format_version") != DB_FORMAT_VERSION:
+        raise InvalidInputError(
+            f"{index_path}: database format_version {index.get('format_version')!r} "
+            f"is not {DB_FORMAT_VERSION}; rebuild the database from its scene graphs")
     scene_ids = index["scenes"]
     for scene_id in scene_ids:
         _check_scene_id(scene_id)
-    if index.get("format_version") != DB_FORMAT_VERSION:
-        graphs = [load_graph(directory / f"{scene_id}.graph.json") for scene_id in scene_ids]
-        return build_database(list(zip(scene_ids, graphs)), weights)
     path = directory / EMBEDDINGS_FILE
     arrays = _read_archive(path)
     graphs = unpack_graphs(arrays, index.get("graphs"), scene_ids, path)

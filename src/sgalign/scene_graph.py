@@ -288,6 +288,15 @@ def _float(value, what: str) -> float:
     raise InvalidInputError(f"{what} must be a float64 number, got {value!r}")
 
 
+def _floats(value, what: str) -> np.ndarray:
+    """`value` as a float64 array; a value NumPy cannot convert (ragged,
+    "abc") raises InvalidInputError."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidInputError(f"{what} is not an array of numbers ({exc})") from exc
+
+
 def _label(value, node_id) -> str:
     if not isinstance(value, str):
         raise InvalidInputError(f"node {node_id}: label must be a string, got {value!r}")
@@ -308,17 +317,19 @@ def _header(graph_id, frame_kind, feature_dims) -> tuple[str, str, tuple[int, in
                                        for d in feature_dims)
 
 
-def _node_from_dict(nd) -> Node:
+def _key(doc: dict, key: str, where: str = ""):
+    """doc[key]; a missing key raises InvalidInputError naming it."""
+    if key not in doc:
+        raise InvalidInputError(f"{where}missing key {key!r}")
+    return doc[key]
+
+
+def _node_from_dict(nd, k: int) -> Node:
     if not isinstance(nd, dict):
         raise InvalidInputError(f"a node must be a JSON object, got {type(nd).__name__}")
-    node_id = _int64(nd["id"], "node id")
-    vectors = {}
-    for name in ("position", "f_vl", "f_t", "f_g"):
-        try:
-            vectors[name] = np.asarray(nd[name], dtype=float)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise InvalidInputError(
-                f"node {node_id}: {name} is not an array of numbers ({exc})") from exc
+    node_id = _int64(_key(nd, "id", f"node #{k}: "), "node id")
+    vectors = {name: _floats(_key(nd, name, f"node {node_id}: "), f"node {node_id}: {name}")
+               for name in ("position", "f_vl", "f_t", "f_g")}
     gt_instance = nd.get("gt_instance")
     return Node(
         id=node_id,
@@ -343,21 +354,24 @@ def graph_from_dict(data: dict, n_max: int = DEFAULT_N_MAX,
     """Build a SceneGraph from the JSON schema; null edges are rebuilt.
 
     Types are checked field by field before any array conversion: a
-    document that is not an object, a node id, edge endpoint or
-    gt_instance that is not an int64 integer, a label that is not a string,
-    an edge that is not [i, j, d] or a frame kind other than camera/world
-    raises InvalidInputError. Array shapes and values are left to
-    `validate_graph`."""
+    document that is not an object, a missing required key, a node id, edge
+    endpoint or gt_instance that is not an int64 integer, a label that is
+    not a string, an edge that is not [i, j, d] or a frame kind other than
+    camera/world raises InvalidInputError. Array shapes and values are left
+    to `validate_graph`."""
     if not isinstance(data, dict):
         raise InvalidInputError(f"a graph must be a JSON object, got {type(data).__name__}")
     graph_id, frame_kind, feature_dims = _header(
-        data["graph_id"], data["frame_kind"], data.get("feature_dims", DEFAULT_FEATURE_DIMS))
-    if not isinstance(data["nodes"], list):
+        _key(data, "graph_id"), _key(data, "frame_kind"),
+        data.get("feature_dims", DEFAULT_FEATURE_DIMS))
+    if not isinstance(_key(data, "nodes"), list):
         raise InvalidInputError("nodes must be a list")
-    nodes = [_node_from_dict(nd) for nd in data["nodes"]]
+    nodes = [_node_from_dict(nd, k) for k, nd in enumerate(data["nodes"])]
     raw_edges = data.get("edges")
     if raw_edges is None:
-        edges = build_edges(nodes, n_max=n_max, d_th=d_th)
+        # A position that is not a finite 3-vector is left to validate_graph.
+        rebuild = all(n.x.shape == (3,) and np.isfinite(n.x).all() for n in nodes)
+        edges = build_edges(nodes, n_max=n_max, d_th=d_th) if rebuild else []
     elif isinstance(raw_edges, list):
         edges = [_edge_from_list(raw) for raw in raw_edges]
     else:

@@ -21,7 +21,7 @@ from .errors import GenerationError, InvalidInputError
 from .evaluation import AlignmentSample
 from .scene_graph import (DEFAULT_D_TH, DEFAULT_FEATURE_DIMS, DEFAULT_N_MAX,
                           GroundTruthMap, Node, NodeFeatures, SceneGraph,
-                          build_edges, load_graph, save_graph)
+                          _floats, _int64, build_edges, load_graph, save_graph)
 
 MAX_PLACEMENT_ATTEMPTS = 10 ** 5
 MAX_VIEW_ATTEMPTS = 100
@@ -45,16 +45,20 @@ class SynthConfig:
     unique_classes: bool = False  # sample classes without replacement
 
     def __post_init__(self):
-        if self.box_size <= 0 or self.min_separation <= 0 or self.f2s_view_radius <= 0:
-            raise InvalidInputError("lengths must be positive")
+        for name in ("box_size", "min_separation", "f2s_view_radius"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise InvalidInputError(f"{name} must be finite and > 0, got {value}")
+        for name in ("feature_noise_sigma", "position_noise_sigma"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise InvalidInputError(f"{name} must be finite and >= 0, got {value}")
         if not 0 <= self.undersegment_prob <= 1:
             raise InvalidInputError("undersegment_prob must be in [0, 1]")
         if not 0 < self.s2s_crop_overlap <= 1:
             raise InvalidInputError("s2s_crop_overlap must be in (0, 1]")
         if self.n_objects[0] < 1 or self.n_objects[0] > self.n_objects[1]:
             raise InvalidInputError(f"bad n_objects range {self.n_objects}")
-        if self.feature_noise_sigma < 0 or self.position_noise_sigma < 0:
-            raise InvalidInputError("noise sigmas must be >= 0")
 
 
 @dataclass
@@ -85,6 +89,26 @@ def _noisy_extents(ext: np.ndarray, sigma: float, rng: np.random.Generator) -> n
     if sigma > 0:
         ext = ext * (1.0 + rng.normal(0.0, sigma, size=ext.shape))
     return np.clip(ext, 1e-6, 1.0)
+
+
+def _observe(src: Node, node_id: int, pos: np.ndarray, config: SynthConfig,
+             rng: np.random.Generator) -> Node:
+    """A noisy observation of `src` at `pos`: position noise is drawn first,
+    then f_vl, f_t and f_g noise."""
+    if config.position_noise_sigma > 0:
+        pos = pos + rng.normal(0.0, config.position_noise_sigma, size=3)
+    f, sigma = src.features, config.feature_noise_sigma
+    return Node(
+        id=node_id,
+        label=src.label,
+        x=pos,
+        features=NodeFeatures(
+            f_vl=_noisy_unit(f.f_vl, sigma, rng),
+            f_t=_noisy_unit(f.f_t, sigma, rng),
+            f_g=_noisy_extents(f.f_g, sigma, rng),
+        ),
+        gt_instance=src.id,
+    )
 
 
 def _random_rotation(rng: np.random.Generator) -> np.ndarray:
@@ -189,21 +213,7 @@ def make_f2s_pair(scene: SceneGraph, config: SynthConfig,
     gt_pairs: set[tuple[int, int]] = set()
 
     def add_node(world_pos: np.ndarray, src: Node) -> None:
-        cam = rot @ world_pos + trans
-        if config.position_noise_sigma > 0:
-            cam = cam + rng.normal(0.0, config.position_noise_sigma, size=3)
-        f = src.features
-        a_nodes.append(Node(
-            id=len(a_nodes),
-            label=src.label,
-            x=cam,
-            features=NodeFeatures(
-                f_vl=_noisy_unit(f.f_vl, config.feature_noise_sigma, rng),
-                f_t=_noisy_unit(f.f_t, config.feature_noise_sigma, rng),
-                f_g=_noisy_extents(f.f_g, config.feature_noise_sigma, rng),
-            ),
-            gt_instance=src.id,
-        ))
+        a_nodes.append(_observe(src, len(a_nodes), rot @ world_pos + trans, config, rng))
         gt_pairs.add((a_nodes[-1].id, src.id))
 
     for src in sorted(in_view, key=lambda nd: nd.id):
@@ -241,23 +251,8 @@ def make_f2s_pair(scene: SceneGraph, config: SynthConfig,
 def _crop_graph(scene: SceneGraph, members: list[Node], suffix: str,
                 rot: np.ndarray, trans: np.ndarray, config: SynthConfig,
                 rng: np.random.Generator) -> SceneGraph:
-    nodes = []
-    for new_id, src in enumerate(sorted(members, key=lambda nd: nd.id)):
-        pos = rot @ src.x + trans
-        if config.position_noise_sigma > 0:
-            pos = pos + rng.normal(0.0, config.position_noise_sigma, size=3)
-        f = src.features
-        nodes.append(Node(
-            id=new_id,
-            label=src.label,
-            x=pos,
-            features=NodeFeatures(
-                f_vl=_noisy_unit(f.f_vl, config.feature_noise_sigma, rng),
-                f_t=_noisy_unit(f.f_t, config.feature_noise_sigma, rng),
-                f_g=_noisy_extents(f.f_g, config.feature_noise_sigma, rng),
-            ),
-            gt_instance=src.id,
-        ))
+    nodes = [_observe(src, new_id, rot @ src.x + trans, config, rng)
+             for new_id, src in enumerate(sorted(members, key=lambda nd: nd.id))]
     return SceneGraph(
         graph_id=f"{scene.graph_id}-{suffix}",
         frame_kind="world",
@@ -357,22 +352,53 @@ def save_sample(sample: AlignmentSample, directory) -> None:
     (directory / "gt.json").write_text(json.dumps(gt_doc), encoding="utf-8")
 
 
+def _matrix(value, shape: tuple[int, ...], what: str) -> np.ndarray | None:
+    """`value` as a finite float array of `shape`, or None for null."""
+    if value is None:
+        return None
+    arr = _floats(value, what)
+    if arr.shape != shape or not np.all(np.isfinite(arr)):
+        raise InvalidInputError(f"{what} must be a finite array of shape {shape} or null")
+    return arr
+
+
+def _ground_truth(doc) -> dict:
+    """The AlignmentSample fields of a gt.json document, checked; absent
+    optional fields take their defaults."""
+    if not isinstance(doc, dict):
+        raise InvalidInputError(f"must be a JSON object, got {type(doc).__name__}")
+    pairs = doc.get("pairs")
+    if not (isinstance(pairs, list) and all(isinstance(p, list) and len(p) == 2 for p in pairs)):
+        raise InvalidInputError("pairs must be a list of [id_A, id_B] lists")
+    overlap = doc.get("overlap", 1.0)
+    if (isinstance(overlap, bool) or not isinstance(overlap, (int, float))
+            or not 0 <= overlap <= 1):
+        raise InvalidInputError(f"overlap must be a number in [0, 1], got {overlap!r}")
+    task = doc.get("task", "f2s")
+    if task not in ("f2s", "s2s"):
+        raise InvalidInputError(f"task must be f2s or s2s, got {task!r}")
+    return {
+        "gt": GroundTruthMap(pairs={(_int64(a, "pair id"), _int64(b, "pair id"))
+                                    for a, b in pairs}),
+        "overlap_ratio": overlap,
+        "task": task,
+        "seed": _int64(doc.get("seed", 0), "seed"),
+        "gt_rotation": _matrix(doc.get("gt_rotation"), (3, 3), "gt_rotation"),
+        "gt_translation": _matrix(doc.get("gt_translation"), (3,), "gt_translation"),
+    }
+
+
 def load_sample(directory, n_max: int = DEFAULT_N_MAX,
                 d_th: float = DEFAULT_D_TH) -> AlignmentSample:
-    """Read a sample; both graphs go through `load_graph` with n_max and d_th."""
+    """Read a sample; both graphs go through `load_graph` with n_max and d_th,
+    and gt.json is checked by `_ground_truth`. A fault raises
+    InvalidInputError naming the file."""
     directory = Path(directory)
     graph_a = load_graph(directory / "a.json", n_max=n_max, d_th=d_th)
     graph_b = load_graph(directory / "b.json", n_max=n_max, d_th=d_th)
-    gt_doc = json.loads((directory / "gt.json").read_text(encoding="utf-8"))
-    return AlignmentSample(
-        graph_a=graph_a,
-        graph_b=graph_b,
-        gt=GroundTruthMap(pairs={tuple(p) for p in gt_doc["pairs"]}),
-        overlap_ratio=gt_doc.get("overlap", 1.0),
-        task=gt_doc.get("task", "f2s"),
-        seed=gt_doc.get("seed", 0),
-        gt_rotation=None if gt_doc.get("gt_rotation") is None
-        else np.asarray(gt_doc["gt_rotation"], dtype=float),
-        gt_translation=None if gt_doc.get("gt_translation") is None
-        else np.asarray(gt_doc["gt_translation"], dtype=float),
-    )
+    gt_path = directory / "gt.json"
+    try:
+        fields = _ground_truth(json.loads(gt_path.read_text(encoding="utf-8")))
+    except InvalidInputError as exc:
+        raise InvalidInputError(f"{gt_path}: {exc}") from exc
+    return AlignmentSample(graph_a=graph_a, graph_b=graph_b, **fields)

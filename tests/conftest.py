@@ -1,6 +1,10 @@
+import contextlib
+import io
+import logging
 import os
 import subprocess
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -47,6 +51,32 @@ def run_cli(*args, cwd=None, text=True):
     """`python -m sgalign.cli *args` in a child process, output captured."""
     return subprocess.run([sys.executable, "-m", "sgalign.cli", *args],
                           capture_output=True, text=text, cwd=cwd, env=child_env())
+
+
+@dataclass
+class CliRun:
+    returncode: int
+    stdout: str
+    stderr: str
+
+
+def run_main(*args) -> CliRun:
+    """`sgalign.cli.main(args)` in this process, as a fresh process would run
+    it: stdout and stderr captured, logging set up from scratch. An
+    exception that escapes main propagates."""
+    from sgalign import cli
+    root = logging.getLogger()
+    saved = root.handlers[:], root.level
+    root.handlers.clear()
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main([str(a) for a in args])
+    finally:
+        for handler in root.handlers:
+            handler.close()
+        root.handlers[:], root.level = saved
+    return CliRun(code, out.getvalue(), err.getvalue())
 
 
 def node_vectors(n):

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import run_cli
+from conftest import run_cli, run_main
 
 from sgalign.config import (PipelineConfig, config_from_dict, load_config,
                             save_config)
@@ -62,6 +62,12 @@ class TestConfig:
         cfg, warnings = config_from_dict({"mcf": {dropped: 2}})
         assert cfg.mcf == PipelineConfig().mcf
         assert warnings == [f"unknown field mcf.{dropped}"]
+
+    @pytest.mark.parametrize("mode", ["raw", "dual_softmax"])
+    def test_dropped_matcher_mode_is_unknown(self, mode):
+        cfg, warnings = config_from_dict({"matcher": {"mode": mode}})
+        assert cfg.matcher == PipelineConfig().matcher
+        assert warnings == ["unknown field matcher.mode"]
 
     @pytest.mark.parametrize("section,key,value", [
         ("mcf", "cap_max", 1.5), ("mcf", "cap_max", True), ("mcf", "cap_max", "2"),
@@ -177,6 +183,13 @@ def default_weights_file(tmp_path_factory):
     return path
 
 
+@pytest.fixture(scope="module")
+def small_weights_file(tmp_path_factory, small_weights):
+    path = tmp_path_factory.mktemp("weights") / "small.npz"
+    save_weights(small_weights, path)
+    return path
+
+
 def one_stderr_line(proc) -> str:
     lines = proc.stderr.strip().splitlines()
     assert len(lines) == 1, proc.stderr
@@ -249,6 +262,22 @@ class TestCliValidate:
         line = one_stderr_line(proc)
         assert str(bad) in line and "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("key", ["nodes", "graph_id", "frame_kind", "id",
+                                     "position", "f_vl", "f_t", "f_g"])
+    def test_missing_key_exit_2(self, tmp_path, scene_file, key):
+        doc = json.loads(scene_file.read_text())
+        node = doc["nodes"][1]
+        where = ("" if key in doc else "node #1: " if key == "id"
+                 else f"node {node['id']}: ")
+        del (doc if key in doc else node)[key]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        proc = run_main("validate", bad)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        line = one_stderr_line(proc)
+        assert f"{bad}: {where}missing key '{key}'" in line, line
+
     def test_two_dimensional_position_is_a_violation(self, tmp_path, scene_file):
         doc = json.loads(scene_file.read_text())
         doc["nodes"][0]["position"] = [doc["nodes"][0]["position"]]
@@ -302,6 +331,25 @@ class TestCliSynthEval:
         assert proc.stdout == ""
         lines = proc.stderr.strip().splitlines()
         assert len(lines) == 1 and "--jobs" in lines[0], proc.stderr
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--feature-noise", "inf"), ("--feature-noise", "nan"), ("--feature-noise", "-1"),
+        ("--position-noise", "inf"), ("--position-noise", "nan")])
+    def test_synth_bad_noise_exit_2(self, tmp_path, flag, value):
+        proc = run_main("synth", "--task", "f2s", "--out", tmp_path / "out", flag, value)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        field = flag[2:].replace("-noise", "_noise_sigma")
+        assert f"{field} must be finite and >= 0" in one_stderr_line(proc)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("count", ["0", "-2"])
+    def test_synth_count_below_one_is_usage_error(self, tmp_path, count):
+        proc = run_main("synth", "--task", "f2s", "--out", tmp_path / "out", "--count", count)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert "--count" in one_stderr_line(proc)
+        assert not (tmp_path / "out").exists()
 
     def test_eval_negative_encoder_size_exit_2(self, pair_dir, tmp_path):
         cfg = tmp_path / "c.json"
@@ -361,6 +409,42 @@ class TestCliPairFiles:
         assert proc.stdout == ""
         line = one_stderr_line(proc)
         assert all(part in line for part in [str(pair / "a.json"), *named]), line
+
+    @pytest.mark.parametrize("gt,named", [
+        ({"pairs": [[1]]}, "pairs must be a list"), ({"pairs": "x"}, "pairs must be a list"),
+        ({}, "pairs must be a list"), ([], "must be a JSON object"),
+        ({"pairs": [[0, 1.5]]}, "pair id must be an integer"),
+        ({"pairs": [], "overlap": 1.5}, "overlap must be a number in [0, 1]"),
+        ({"pairs": [], "overlap": "1"}, "overlap must be a number in [0, 1]"),
+        ({"pairs": [], "task": "x2y"}, "task must be f2s or s2s"),
+        ({"pairs": [], "seed": 0.5}, "seed must be an integer"),
+        ({"pairs": [], "gt_rotation": "abc"}, "gt_rotation is not an array of numbers"),
+        ({"pairs": [], "gt_rotation": [[1, 0, 0], [0, 1, 0], [0, 0, float("nan")]]},
+         "gt_rotation must be a finite array of shape (3, 3) or null"),
+        ({"pairs": [], "gt_translation": [0, 0]},
+         "gt_translation must be a finite array of shape (3,) or null")])
+    def test_eval_malformed_gt_exit_2(self, pair_dir, tmp_path, small_weights_file, gt,
+                                      named):
+        pair = broken_pair(pair_dir, tmp_path, lambda doc: None)
+        (pair / "gt.json").write_text(json.dumps(gt))
+        # gt.json is read before any encoding, so small weights do
+        proc = run_main("eval", "--pairs", pair.parent, "--weights", small_weights_file)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        line = one_stderr_line(proc)
+        assert f"{pair / 'gt.json'}: {named}" in line, line
+
+    def test_absent_gt_fields_take_defaults(self, pair_dir, tmp_path):
+        pair = broken_pair(pair_dir, tmp_path, lambda doc: None)
+        pairs = json.loads((pair / "gt.json").read_text())["pairs"]
+        (pair / "gt.json").write_text(json.dumps({"pairs": pairs}))
+        proc = run_main("eval", "--pairs", pair.parent)
+        assert proc.returncode == 0, proc.stderr
+        row = json.loads(proc.stdout)["per_sample"][0]
+        assert (row["overlap"], row["task"], row["f1"]) == (1.0, "f2s", 1.0)
+        proc = run_main("register", "--pair", pair)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["error"] is None
 
     def test_eval_config_edges_rebuild_null_edges(self, tmp_path):
         """Pairs whose edges are null, read with the config's edge parameters,
@@ -458,6 +542,23 @@ class TestCliRetrieve:
         weighted = scores("--config", str(cfg), "--rerank", "weighted")  # the flag wins
         assert weighted == scores()
         assert weighted[0] == "weighted" and weighted[1] != from_config[1]
+
+    @pytest.mark.parametrize("version", [None, 2])
+    def test_old_database_format_exit_2(self, scene_file, tmp_path, version):
+        """Directories of per-scene graph JSON (format 1 has no format_version)
+        are refused, not re-encoded."""
+        db_dir = tmp_path / "db"
+        db_dir.mkdir()
+        shutil.copy(scene_file, db_dir / "s0.graph.json")
+        index = {"scenes": ["s0"], "weights_hash": "0" * 64}
+        if version is not None:
+            index["format_version"] = version
+        (db_dir / "index.json").write_text(json.dumps(index))
+        proc = run_main("retrieve", "--query", scene_file, "--db", db_dir)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert f"{db_dir / 'index.json'}: database format_version {version}" \
+            in one_stderr_line(proc)
 
     def test_embedding_mismatch_exit_2(self, saved_db):
         db_dir, query = saved_db

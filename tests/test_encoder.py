@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from sgalign.encoder import (BATCH_NODES, CLS_ATTN_LAYERS, EncoderConfig,
+from sgalign.encoder import (BATCH_NODES, CLS_ATTN_LAYERS, MAX_LAYERS, EncoderConfig,
                              EncoderWeights, dgsa_layer, distance_gate, encode_graph,
                              encode_graphs, init_weights, initial_embed,
                              load_weights, node_batches, packed_groups,
@@ -563,8 +563,9 @@ class TestEncoderConfig:
             EncoderConfig(feature_dims=dims)
 
     def test_layers(self, small_config):
-        with pytest.raises(InvalidInputError, match="layers"):
-            EncoderConfig(layers=-1)
+        for layers in (-1, MAX_LAYERS + 1, 2 ** 64):
+            with pytest.raises(InvalidInputError, match="layers"):
+                EncoderConfig(layers=layers)
         config = dataclasses.replace(small_config, layers=0)
         emb, glob = encode_graph(random_graph(5, config), init_weights(config, seed=0))
         assert emb.shape == (5, config.d_model) and np.isfinite(glob).all()
@@ -640,13 +641,6 @@ class TestPackedWeights:
         assert not np.array_equal(before, after)
 
 
-def v1_document(weights):
-    """The JSON document of a format_version 1 weights file."""
-    return {"config": weights.config.to_dict(),
-            "tensors": {k: v.tolist() for k, v in sorted(weights.tensors.items())},
-            "seed": weights.seed, "format_version": 1}
-
-
 def write_v2(path, weights, tensors=None, version=2):
     """A format_version 2 file holding `tensors` (default: every tensor of weights)."""
     meta = json.dumps({"format_version": version, "config": weights.config.to_dict(),
@@ -684,42 +678,21 @@ class TestWeightsSerialization:
         save_weights(small_weights, tmp_path / "weights")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["weights"]
 
-    def test_v1_reader_bit_exact(self, small_config, small_weights, tmp_path):
-        path = tmp_path / "w.json"
-        path.write_text(json.dumps(v1_document(small_weights)))
-        back = load_weights(path)
-        assert back.config == small_config
-        assert back.seed == small_weights.seed
-        for group, names in packed_groups(small_config).items():
-            assert back.packed[group].tobytes() == small_weights.packed[group].tobytes()
-            for name in names:
-                assert back[name].base is back.packed[group], name
-        for name in small_weights.tensors:
-            assert back[name].tobytes() == small_weights[name].tobytes(), name
-
-    def test_unknown_tensor_rejected(self, small_config, small_weights, tmp_path):
-        path = tmp_path / "w.json"
-        doc = v1_document(small_weights)
-        doc["tensors"]["bogus"] = [[1.0]]
-        path.write_text(json.dumps(doc))
+    def test_unknown_tensor_rejected(self, small_config, small_weights):
         with pytest.raises(WeightsFormatError, match="unknown"):
-            load_weights(path)
+            EncoderWeights(config=small_config,
+                           tensors={**small_weights.tensors, "bogus": np.ones((1, 1))})
 
-    def test_missing_tensor_listed(self, small_config, small_weights, tmp_path):
-        path = tmp_path / "w.json"
-        doc = v1_document(small_weights)
-        del doc["tensors"]["layer0.Wq"]
-        path.write_text(json.dumps(doc))
+    def test_missing_tensor_listed(self, small_config, small_weights):
+        tensors = dict(small_weights.tensors)
+        del tensors["layer0.Wq"]
         with pytest.raises(WeightsFormatError, match="layer0.Wq"):
-            load_weights(path)
+            EncoderWeights(config=small_config, tensors=tensors)
 
-    def test_bad_shape_rejected(self, small_config, small_weights, tmp_path):
-        path = tmp_path / "w.json"
-        doc = v1_document(small_weights)
-        doc["tensors"]["cls_token"] = [1.0, 2.0]
-        path.write_text(json.dumps(doc))
+    def test_bad_shape_rejected(self, small_config, small_weights):
         with pytest.raises(WeightsFormatError, match="shape"):
-            load_weights(path)
+            EncoderWeights(config=small_config,
+                           tensors={**small_weights.tensors, "cls_token": [1.0, 2.0]})
 
     def test_unknown_tensor_rejected_v2(self, small_weights, tmp_path):
         path = tmp_path / "w.npz"
@@ -771,6 +744,20 @@ class TestWeightsSerialization:
         path.write_bytes(data[:int(len(data) * keep)])
         with pytest.raises(WeightsFormatError):
             load_weights(path)
+
+    def test_json_and_npy_refused(self, small_weights, tmp_path):
+        """Format 1 JSON documents and bare .npy arrays are not read."""
+        legacy = tmp_path / "w.json"
+        legacy.write_text(json.dumps({
+            "config": small_weights.config.to_dict(), "seed": small_weights.seed,
+            "format_version": 1,
+            "tensors": {k: v.tolist() for k, v in small_weights.tensors.items()}}))
+        array = tmp_path / "w.npy"
+        np.save(array, small_weights["cls_token"])
+        for path in (legacy, array):
+            with pytest.raises(WeightsFormatError,
+                               match=f"{path.name}: not an npz weights archive"):
+                load_weights(path)
 
     @pytest.mark.parametrize("data", [b"", b"\x00\xff\xfe binary", b"not json",
                                       b"[1, 2]", b'{"format_version": 1}',

@@ -63,30 +63,6 @@ def dual_softmax_oracle(S, params):
     return r, c
 
 
-class TestScoreMatrixRaw:
-    def test_identity_like(self):
-        S = np.full((3, 3), -1.0)
-        np.fill_diagonal(S, 1.0)
-        sm = score_matrix(S, MatcherParams(mode="raw"))
-        assert np.all(np.diag(sm.P) == 1.0)
-        off = sm.P[~np.eye(3, dtype=bool)]
-        assert np.all(off == P_FLOOR)
-
-    def test_dustbin_is_sigmoid(self):
-        sm = score_matrix(np.zeros((2, 3)), MatcherParams(mode="raw",
-                                                          dustbin_logit=0.4))
-        expected = 1.0 / (1.0 + math.exp(-0.4))
-        assert np.allclose(sm.dustbin_row, expected)
-        assert np.allclose(sm.dustbin_col, expected)
-
-    def test_monotone(self, rng):
-        S = rng.uniform(-0.9, 0.9, (5, 6))
-        P = score_matrix(S, MatcherParams(mode="raw")).P
-        for i in range(5):
-            order = np.argsort(S[i])
-            assert np.all(np.diff(P[i][order]) > 0)
-
-
 class TestScoreMatrixDualSoftmax:
     def test_singleton_softmax_limit(self):
         sm = score_matrix(np.array([[1.0]]),
@@ -131,9 +107,15 @@ class TestScoreMatrixDualSoftmax:
         assert np.all(np.isfinite(-np.log(P)))
 
     def test_empty_sides(self):
-        sm = score_matrix(np.zeros((0, 3)))
-        assert sm.P.shape == (0, 3)
-        assert np.all(sm.dustbin_row == 1.0)
+        """With an empty side each softmax holds the dustbin alone, so every
+        dustbin mass is exactly 1.0 whatever the dustbin logit."""
+        for shape in ((0, 3), (4, 0), (0, 0)):
+            for params in (MatcherParams(), MatcherParams(dustbin_logit=0.7,
+                                                          temperature=0.3)):
+                sm = score_matrix(np.zeros(shape), params)
+                assert sm.P.shape == shape and sm.P.dtype == np.float64
+                assert sm.dustbin_row.tolist() == [1.0] * shape[1]
+                assert sm.dustbin_col.tolist() == [1.0] * shape[0]
 
     def test_bad_temperature(self):
         with pytest.raises(InvalidInputError):

@@ -1,0 +1,230 @@
+"""Property tests of the CLI parse boundary.
+
+Valid graph, gt.json, config, weights and database-index documents are
+mutated (a key dropped, a value of another type, a non-finite number, a
+value wrapped in a list) and handed to `sgalign.cli.main` in process. Every
+run must end in exit 0, 1 or 2 without an escaping exception or a
+traceback: on success stdout holds exactly one JSON document, on error
+stdout is empty and stderr holds one error line. `validate` may also exit 2
+with its violations document on stdout.
+"""
+
+import copy
+import json
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+from conftest import run_main
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from sgalign.config import PipelineConfig
+from sgalign.encoder import EncoderConfig, init_weights, save_weights
+from sgalign.retrieval import build_database, save_database
+from sgalign.synth import SynthConfig, generate_scene, make_sample, save_sample
+
+# Derandomized, so every run of the suite draws the same examples.
+SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=100,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+SMALL = EncoderConfig(pe_dim=4, heads=1, layers=1, d_model=8, gate_hidden=2,
+                      geo_hidden=3, feature_dims=(3, 4))
+# Values that replace a field: other types, out-of-range integers (format
+# versions 1 and 2 among them), non-finite numbers.
+REPLACEMENTS = [None, True, "x", 1.5, -1, 0, 1, 2, 2 ** 64, float("nan"), float("inf"),
+                -float("inf"), [], {}, [[1.0, 2.0]]]
+
+
+@pytest.fixture(scope="module")
+def files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    save_weights(init_weights(SMALL, seed=0), root / "w.npz")
+    synth = SynthConfig(seed=3, n_objects=(4, 6), feature_dims=SMALL.feature_dims)
+    save_sample(make_sample("f2s", synth), root / "pair")
+    (root / "config.json").write_text(json.dumps(PipelineConfig().to_dict()))
+    weights = init_weights(SMALL, seed=0)
+    scenes = [(f"s{k}", generate_scene(SynthConfig(
+        seed=k, n_objects=(3, 4), feature_dims=SMALL.feature_dims))[0]) for k in range(2)]
+    save_database(build_database(scenes, weights), root / "db", weights)
+    return root
+
+
+def document(path: Path):
+    return json.loads(path.read_text())
+
+
+def paths(doc, prefix=()):
+    """The path of `doc` and of every value inside it."""
+    yield prefix
+    if isinstance(doc, (dict, list)):
+        for key, value in (doc.items() if isinstance(doc, dict) else enumerate(doc)):
+            yield from paths(value, prefix + (key,))
+
+
+@st.composite
+def mutated(draw, doc):
+    """`doc` with one or two mutations at drawn paths."""
+    doc = copy.deepcopy(doc)
+    for _ in range(draw(st.integers(1, 2))):
+        path = draw(st.sampled_from(list(paths(doc))))
+        op = draw(st.sampled_from(["drop", "replace", "wrap"]))
+        if not path:
+            doc = [doc] if op == "wrap" else copy.deepcopy(draw(st.sampled_from(REPLACEMENTS)))
+            continue
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        key = path[-1]
+        if op == "drop":
+            del parent[key]
+        elif op == "replace":
+            parent[key] = copy.deepcopy(draw(st.sampled_from(REPLACEMENTS)))
+        else:
+            parent[key] = [parent[key]]
+    return doc
+
+
+def strict_json(text: str):
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+def check(run, command: str) -> None:
+    assert run.returncode in (0, 1, 2), run
+    assert "Traceback" not in run.stderr
+    errors = [line for line in run.stderr.splitlines() if not line.startswith("WARNING ")]
+    if run.stdout:
+        assert run.stdout.endswith("\n") and run.stdout.count("\n") == 1, run.stdout
+        doc = strict_json(run.stdout)
+        assert errors == [], run.stderr
+        assert run.returncode == 0 or (command == "validate" and run.returncode == 2
+                                       and doc["violations"]), run
+    else:
+        assert run.returncode != 0, run
+        assert len(errors) == 1 and errors[0].startswith("ERROR "), run.stderr
+
+
+def write(directory: Path, name: str, doc) -> Path:
+    path = directory / name
+    path.write_text(json.dumps(doc))
+    return path
+
+
+class TestMutatedDocuments:
+    @pytest.fixture(scope="class")
+    def graph(self, files):
+        return document(files / "pair" / "a.json")
+
+    @pytest.fixture(scope="class")
+    def gt(self, files):
+        return document(files / "pair" / "gt.json")
+
+    @pytest.fixture(scope="class")
+    def config(self, files):
+        return document(files / "config.json")
+
+    @pytest.fixture(scope="class")
+    def index(self, files):
+        return document(files / "db" / "index.json")
+
+    @SETTINGS
+    @given(data=st.data())
+    def test_graph(self, files, graph, data):
+        doc = data.draw(mutated(graph))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = write(Path(tmp), "g.json", doc)
+            check(run_main("validate", path), "validate")
+            check(run_main("align", path, files / "pair" / "b.json",
+                           "--weights", files / "w.npz"), "align")
+
+    @SETTINGS
+    @given(data=st.data())
+    def test_gt(self, files, gt, data):
+        doc = data.draw(mutated(gt))
+        with tempfile.TemporaryDirectory() as tmp:
+            pair = Path(tmp) / "pairs" / "p0"
+            pair.mkdir(parents=True)
+            for name in ("a.json", "b.json"):
+                (pair / name).write_bytes((files / "pair" / name).read_bytes())
+            write(pair, "gt.json", doc)
+            check(run_main("eval", "--pairs", pair.parent, "--weights", files / "w.npz"),
+                  "eval")
+
+    @SETTINGS
+    @given(data=st.data())
+    def test_config(self, files, config, data):
+        doc = data.draw(mutated(config))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = write(Path(tmp), "c.json", doc)
+            check(run_main("align", files / "pair" / "a.json", files / "pair" / "b.json",
+                           "--config", path, "--weights", files / "w.npz"), "align")
+
+    @SETTINGS
+    @given(data=st.data())
+    def test_database_index(self, files, index, data):
+        doc = data.draw(mutated(index))
+        with tempfile.TemporaryDirectory() as tmp:
+            db = Path(tmp) / "db"
+            db.mkdir()
+            (db / "embeddings.npz").write_bytes((files / "db" / "embeddings.npz").read_bytes())
+            write(db, "index.json", doc)
+            check(run_main("retrieve", "--query", files / "pair" / "a.json", "--db", db,
+                           "--k", "2", "--weights", files / "w.npz"), "retrieve")
+
+
+# Changes to one tensor entry of a weights archive.
+TENSOR_EDITS = ["none", "drop", "extra", "shape", "nan", "int", "text", "object"]
+
+
+class TestMutatedWeights:
+    @pytest.fixture(scope="class")
+    def archive(self, files):
+        with np.load(files / "w.npz") as z:
+            return {name: z[name] for name in z.files}
+
+    @SETTINGS
+    @given(data=st.data())
+    def test_weights(self, files, archive, data):
+        entries = dict(archive)
+        meta = data.draw(mutated(json.loads(str(entries["meta"]))))
+        entries["meta"] = np.array(json.dumps(meta))
+        name = data.draw(st.sampled_from(sorted(n for n in entries if n != "meta")))
+        edit = data.draw(st.sampled_from(TENSOR_EDITS))
+        if edit == "drop":
+            del entries[name]
+        elif edit == "extra":
+            entries["bogus"] = np.ones((2, 2))
+        elif edit == "shape":
+            entries[name] = entries[name][..., :1]
+        elif edit == "nan":
+            entries[name] = np.full_like(entries[name], np.nan)
+        elif edit == "int":
+            entries[name] = entries[name].astype(np.int64)
+        elif edit == "text":
+            entries[name] = np.array("x")
+        elif edit == "object":
+            entries[name] = np.array([None, 1], dtype=object)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "w.npz"
+            with open(path, "wb") as fh:
+                np.savez(fh, **entries)
+            check(run_main("encode", files / "pair" / "a.json", "--weights", path), "encode")
+
+    @pytest.mark.parametrize("kind", ["json_v1", "npy", "empty", "text"])
+    def test_refused_file_kinds(self, files, archive, tmp_path, kind):
+        path = tmp_path / "w"
+        if kind == "json_v1":
+            meta = json.loads(str(archive["meta"]))
+            path.write_text(json.dumps({**meta, "format_version": 1, "tensors": {
+                name: arr.tolist() for name, arr in archive.items() if name != "meta"}}))
+        elif kind == "npy":
+            np.save(tmp_path / "w.npy", archive["cls_token"])
+            path = tmp_path / "w.npy"
+        else:
+            path.write_text("" if kind == "empty" else "weights")
+        run = run_main("encode", files / "pair" / "a.json", "--weights", path)
+        check(run, "encode")
+        assert run.returncode == 2 and "not an npz weights archive" in run.stderr

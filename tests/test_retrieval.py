@@ -1,4 +1,3 @@
-import hashlib
 import json
 
 import numpy as np
@@ -12,7 +11,7 @@ from sgalign.pipeline import allocate
 from sgalign.retrieval import (EncodedScene, SceneDatabase, build_database,
                                global_similarity, load_database, rerank, retrieve,
                                save_database, topk_filter, weights_fingerprint)
-from sgalign.scene_graph import Node, SceneGraph, graph_to_dict, save_graph
+from sgalign.scene_graph import Node, SceneGraph, save_graph
 from sgalign.synth import SynthConfig, generate_scene
 from conftest import assert_same_graphs
 
@@ -235,53 +234,26 @@ class TestPersistence:
         save_database(SceneDatabase(), tmp_path / "db", weights)
         assert len(load_database(tmp_path / "db", weights)) == 0
 
-    def test_old_layout_reencoded(self, db_and_weights, tmp_path):
-        """A directory of per-scene *.emb.json files under the old JSON-text
-        hash loads through re-encoding."""
+    @pytest.mark.parametrize("version", [None, 1, 2])
+    def test_old_format_refused(self, db_and_weights, tmp_path, version):
+        """Directories of per-scene graph JSON (format 1, whose index has no
+        format_version, and format 2) are refused before embeddings.npz is
+        opened; they are rebuilt from their graphs, not re-encoded on load."""
         db, weights = db_and_weights
-        old_doc = {"config": weights.config.to_dict(),
-                   "tensors": {k: v.tolist() for k, v in sorted(weights.tensors.items())}}
-        old_hash = hashlib.sha256(json.dumps(old_doc).encode("utf-8")).hexdigest()
         directory = tmp_path / "old"
         directory.mkdir()
         for e in db.entries:
-            (directory / f"{e.scene_id}.graph.json").write_text(
-                json.dumps(graph_to_dict(e.graph)))
-            (directory / f"{e.scene_id}.emb.json").write_text(json.dumps(
-                {"global": e.global_embedding.tolist(), "nodes": e.node_embeddings.tolist()}))
-        (directory / "index.json").write_text(json.dumps(
-            {"scenes": [e.scene_id for e in db.entries], "weights_hash": old_hash}))
-        back = load_database(directory, weights)
-        assert [e.scene_id for e in back.entries] == [e.scene_id for e in db.entries]
-        fresh = build_database([(e.scene_id, e.graph) for e in db.entries], weights)
-        for got, want in zip(back.entries, fresh.entries):
-            assert got.node_embeddings.tobytes() == want.node_embeddings.tobytes()
-            assert got.global_embedding.tobytes() == want.global_embedding.tobytes()
-
-    def test_v2_layout_reencoded(self, db_and_weights, tmp_path):
-        """A format_version 2 directory (graph JSON per scene, an archive of
-        embeddings only) loads through re-encoding, even under the current
-        weights hash: its stored embeddings are not served."""
-        db, weights = db_and_weights
-        directory = tmp_path / "v2"
-        directory.mkdir()
-        for e in db.entries:
             save_graph(e.graph, directory / f"{e.scene_id}.graph.json")
-        with open(directory / "embeddings.npz", "wb") as fh:
-            np.savez(fh, globals=np.zeros((len(db), weights.config.d_model)),
-                     nodes=np.zeros((sum(len(e.graph.nodes) for e in db.entries),
-                                     weights.config.d_model)),
-                     offsets=np.cumsum([0] + [len(e.graph.nodes) for e in db.entries]))
-        (directory / "index.json").write_text(json.dumps(
-            {"format_version": 2, "scenes": [e.scene_id for e in db.entries],
-             "weights_hash": weights_fingerprint(weights)}))
-        back = load_database(directory, weights)
-        fresh = build_database([(e.scene_id, e.graph) for e in db.entries], weights)
-        assert [e.scene_id for e in back.entries] == [e.scene_id for e in db.entries]
-        assert_same_graphs([e.graph for e in back.entries], [e.graph for e in db.entries])
-        for got, want in zip(back.entries, fresh.entries):
-            assert got.node_embeddings.tobytes() == want.node_embeddings.tobytes()
-            assert got.global_embedding.tobytes() == want.global_embedding.tobytes()
+        (directory / "embeddings.npz").write_bytes(b"not an archive")
+        index = {"scenes": [e.scene_id for e in db.entries],
+                 "weights_hash": weights_fingerprint(weights)}
+        if version is not None:
+            index["format_version"] = version
+        (directory / "index.json").write_text(json.dumps(index))
+        with pytest.raises(InvalidInputError,
+                           match=rf"index.json: database format_version {version}"
+                                 r" is not 3; rebuild"):
+            load_database(directory, weights)
 
 
 UNSAFE_IDS = ["", "a/b", "a\\b", "a\0b", ".", ".."]
@@ -463,14 +435,10 @@ class TestFingerprint:
     def test_equal_across_formats_and_packing(self, db_and_weights, tmp_path):
         _, weights = db_and_weights
         save_weights(weights, tmp_path / "w.npz")
-        (tmp_path / "w.json").write_text(json.dumps({
-            "config": weights.config.to_dict(), "seed": weights.seed, "format_version": 1,
-            "tensors": {k: v.tolist() for k, v in weights.tensors.items()}}))
         unpacked = EncoderWeights(config=weights.config,
                                   tensors={k: v.copy() for k, v in weights.tensors.items()})
         expected = weights_fingerprint(weights)
         assert weights_fingerprint(load_weights(tmp_path / "w.npz")) == expected
-        assert weights_fingerprint(load_weights(tmp_path / "w.json")) == expected
         assert weights_fingerprint(unpacked) == expected
 
     def test_changes_with_one_element(self, db_and_weights):
