@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, check_types
+from .errors import DOCUMENT_KEYS, InvalidInputError, check_types
 from .matcher import ScoreMatrix
 
 
@@ -60,10 +60,6 @@ class MnnParams:
             raise InvalidInputError(f"min_score must be in [0,1], got {self.min_score}")
 
 
-# McfParams fields that the config document names differently.
-_MCF_KEYS = {"lam": "lambda"}
-
-
 @dataclass(frozen=True)
 class McfParams:
     tau: float = 0.3
@@ -74,8 +70,7 @@ class McfParams:
     max_iters: int = 5
 
     def __post_init__(self):
-        check_types(self, numbers.Real, "a number", ("tau", "c_unmatched", "lam"),
-                    _MCF_KEYS)
+        check_types(self, numbers.Real, "a number", ("tau", "c_unmatched", "lam"))
         check_types(self, numbers.Integral, "an integer", ("top_k", "max_iters"))
         if self.cap_max is not None:
             check_types(self, numbers.Integral, "an integer or null", ("cap_max",))
@@ -85,7 +80,7 @@ class McfParams:
             raise InvalidInputError(f"top_k must be >= 1, got {self.top_k}")
         for name in ("c_unmatched", "lam"):
             if not math.isfinite(getattr(self, name)):
-                raise InvalidInputError(f"{_MCF_KEYS.get(name, name)} must be finite, "
+                raise InvalidInputError(f"{DOCUMENT_KEYS.get(name, name)} must be finite, "
                                         f"got {getattr(self, name)}")
         if self.max_iters < 1:
             raise InvalidInputError(f"max_iters must be >= 1, got {self.max_iters}")

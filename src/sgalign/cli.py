@@ -13,7 +13,6 @@ import logging
 import math
 import os
 import sys
-import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -241,12 +240,10 @@ def cmd_retrieve(args) -> int:
         db = retrieval.build_database([(g.graph_id, g) for g in graphs], weights)
     query_graph = load_graph(args.query, edges.n_max, edges.d_th)
     query = retrieval.encode_scene("query", query_graph, weights)
-    started = time.perf_counter()
     rerank = args.rerank or config.retrieval.rerank
     result = retrieval.retrieve(query, db, args.k, rerank, config)
     doc = result.to_dict()
-    doc["meta"] = {**meta, "k": args.k, "rerank": rerank,
-                   "db_size": len(db), "total_seconds": time.perf_counter() - started}
+    doc["meta"] = {**meta, "k": args.k, "rerank": rerank, "db_size": len(db)}
     _emit(doc)
     return EXIT_OK
 
@@ -356,7 +353,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
         return args.func(args)
-    except (UsageError, OSError, json.JSONDecodeError) as exc:
+    except (UsageError, OSError) as exc:
         logger.error("%s", exc)
         return EXIT_USAGE
     except SgaError as exc:

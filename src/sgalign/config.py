@@ -8,12 +8,13 @@ from __future__ import annotations
 
 import json
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 from .allocator import McfParams, MnnParams
 from .encoder import EncoderConfig
-from .errors import ConfigError, InvalidInputError, check_types
+from .errors import (ConfigError, InvalidInputError, check_types, from_section, read_json,
+                     section_dict)
 from .matcher import MatcherParams
 from .scene_graph import DEFAULT_D_TH, DEFAULT_N_MAX
 
@@ -55,87 +56,45 @@ class PipelineConfig:
     weights_path: str | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "encoder": self.encoder.to_dict(),
-            "matcher": {
-                "temperature": self.matcher.temperature,
-                "dustbin_logit": self.matcher.dustbin_logit,
-            },
-            "mnn": {"min_score": self.mnn.min_score},
-            "mcf": {
-                "tau": self.mcf.tau,
-                "top_k": self.mcf.top_k,
-                "c_unmatched": self.mcf.c_unmatched,
-                "lambda": self.mcf.lam,
-                "cap_max": self.mcf.cap_max,
-                "max_iters": self.mcf.max_iters,
-            },
-            "edges": {"n_max": self.edges.n_max, "d_th": self.edges.d_th},
-            "retrieval": {
-                "allocator": self.retrieval.allocator,
-                "rerank": self.retrieval.rerank,
-            },
-            "weights_path": self.weights_path,
-        }
+        """The config document: the `section_dict` of each params field,
+        then `weights_path`."""
+        return {f.name: section_dict(value) if is_dataclass(value := getattr(self, f.name))
+                else value for f in fields(self)}
 
 
 def config_from_dict(data: dict) -> tuple[PipelineConfig, list[str]]:
     """Merge a (possibly partial) document over defaults.
 
-    The default document (`PipelineConfig().to_dict()`) is the schema: a
-    field it lacks is not read. Returns (config, warnings); warnings list
+    Each params field of PipelineConfig is a section, read over its default
+    by `from_section`; `weights_path` is the one plain field. The shape of
+    the document (sections are objects, `weights_path` a string or null) is
+    checked before any value. Returns (config, warnings); warnings list
     unknown fields.
     """
-    warnings: list[str] = []
-    defaults = PipelineConfig().to_dict()
-    merged: dict = {}
-    for section, fields in defaults.items():
-        if not isinstance(fields, dict):  # weights_path, a plain field
-            continue
-        given = data.get(section, {})
-        if not isinstance(given, dict):
-            raise ConfigError(section, "must be an object")
-        merged[section] = dict(fields)
-        for key, value in given.items():
-            if key not in fields:
-                warnings.append(f"unknown field {section}.{key}")
-                continue
-            merged[section][key] = value
-    warnings += [f"unknown field {key}" for key in data if key not in defaults]
-
-    def build(section: str, ctor, kwargs: dict):
-        try:
-            return ctor(**kwargs)
-        except InvalidInputError as exc:
-            raise ConfigError(section, str(exc)) from exc
-
-    enc_kwargs = dict(merged["encoder"])
-    if not isinstance(enc_kwargs["feature_dims"], list):
-        raise ConfigError("encoder", f"feature_dims must be a list, "
-                                     f"got {enc_kwargs['feature_dims']!r}")
-    enc_kwargs["feature_dims"] = tuple(enc_kwargs["feature_dims"])
+    defaults = PipelineConfig()
+    given = {f.name: data.get(f.name, {}) for f in fields(PipelineConfig)
+             if is_dataclass(getattr(defaults, f.name))}
+    for name, section in given.items():
+        if not isinstance(section, dict):
+            raise ConfigError(name, "must be an object")
     weights_path = data.get("weights_path")
     if weights_path is not None and not isinstance(weights_path, str):
         raise ConfigError("weights_path", f"must be a string or null, got {weights_path!r}")
-    mcf_kwargs = dict(merged["mcf"])
-    mcf_kwargs["lam"] = mcf_kwargs.pop("lambda")
-    cfg = PipelineConfig(
-        encoder=build("encoder", EncoderConfig, enc_kwargs),
-        matcher=build("matcher", MatcherParams, merged["matcher"]),
-        mnn=build("mnn", MnnParams, merged["mnn"]),
-        mcf=build("mcf", McfParams, mcf_kwargs),
-        edges=build("edges", EdgeParams, merged["edges"]),
-        retrieval=build("retrieval", RetrievalParams, merged["retrieval"]),
-        weights_path=weights_path,
-    )
-    return cfg, warnings
+    sections: dict = {}
+    warnings: list[str] = []
+    for name, section in given.items():
+        try:
+            sections[name], unknown = from_section(getattr(defaults, name), section)
+        except InvalidInputError as exc:
+            raise ConfigError(name, str(exc)) from exc
+        warnings += [f"unknown field {name}.{key}" for key in unknown]
+    warnings += [f"unknown field {key}" for key in data
+                 if key not in given and key != "weights_path"]
+    return PipelineConfig(**sections, weights_path=weights_path), warnings
 
 
 def load_config(path) -> tuple[PipelineConfig, list[str]]:
-    try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(str(path), f"not valid JSON: {exc}") from exc
+    data = read_json(path)
     if not isinstance(data, dict):
         raise ConfigError(str(path), "top level must be an object")
     return config_from_dict(data)

@@ -19,7 +19,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 import numpy as np
 
 from .errors import (InvalidInputError, NumericError, ShapeError, WeightsFormatError,
-                     check_types)
+                     check_types, from_section, section_dict)
 from .scene_graph import DEFAULT_FEATURE_DIMS, Node, SceneGraph
 
 LN_EPS = 1e-5
@@ -79,21 +79,6 @@ class EncoderConfig:
     def d_init(self) -> int:
         d_vl, d_t = self.feature_dims
         return d_vl + d_t + self.geo_hidden
-
-    def to_dict(self) -> dict:
-        return {
-            "pe_dim": self.pe_dim, "heads": self.heads, "layers": self.layers,
-            "d_model": self.d_model, "gate_hidden": self.gate_hidden,
-            "geo_hidden": self.geo_hidden, "dropout": self.dropout,
-            "feature_dims": list(self.feature_dims),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "EncoderConfig":
-        data = dict(data)
-        if "feature_dims" in data:
-            data["feature_dims"] = tuple(data["feature_dims"])
-        return cls(**data)
 
 
 def tensor_shapes(config: EncoderConfig) -> dict[str, tuple[int, ...]]:
@@ -284,7 +269,7 @@ def save_weights(weights: EncoderWeights, path) -> None:
     """Write a version 2 file. It goes through a file handle, so `path` is
     kept as given (numpy appends ".npz" to a bare path name)."""
     meta = json.dumps({"format_version": WEIGHTS_FORMAT_VERSION,
-                       "config": weights.config.to_dict(), "seed": weights.seed})
+                       "config": section_dict(weights.config), "seed": weights.seed})
     with open(path, "wb") as fh:
         np.savez(fh, **{_META_ENTRY: np.array(meta),
                         **dict(sorted(weights.tensors.items()))})
@@ -319,7 +304,7 @@ def _read_weights(fh) -> EncoderWeights:
             raise WeightsFormatError(f"'{_META_ENTRY}' entry is not a string")
         try:
             doc = json.loads(str(meta))
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise WeightsFormatError(f"'{_META_ENTRY}' entry: {exc}") from exc
         found = doc.get("format_version") if isinstance(doc, dict) else None
         if found != WEIGHTS_FORMAT_VERSION:
@@ -330,7 +315,9 @@ def _read_weights(fh) -> EncoderWeights:
         if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)):
             raise WeightsFormatError(f"seed must be an integer or null, got {seed!r}")
         try:
-            config = EncoderConfig.from_dict(doc["config"])
+            config, unknown = from_section(EncoderConfig(), doc["config"])
+            if unknown:
+                raise InvalidInputError(f"unknown fields {unknown}")
             tensors = _empty_tensors(config)
         except (TypeError, ValueError, ZeroDivisionError) as exc:
             raise WeightsFormatError(f"bad config: {exc}") from exc

@@ -1,7 +1,19 @@
-"""Exception types shared across the package, and the field type check
-that raises one."""
+"""Exception types shared across the package, and the parse-boundary
+helpers that raise them: the field type check of the params dataclasses,
+the mapping between a params dataclass and its config section, and the one
+reader of JSON files.
+
+A params dataclass (EncoderConfig, MatcherParams, MnnParams, McfParams,
+EdgeParams, RetrievalParams) is the schema of its config section: the
+section lists exactly its fields, in field order, each under its name or,
+where DOCUMENT_KEYS says so, under another key.
+"""
 
 from __future__ import annotations
+
+import dataclasses
+import json
+from pathlib import Path
 
 
 class SgaError(Exception):
@@ -32,16 +44,57 @@ class WeightsFormatError(SgaError, ValueError):
     """A weights file is malformed or lists wrong tensor names."""
 
 
-def check_types(params, kind, what: str, names: tuple[str, ...],
-                keys: dict[str, str] | None = None) -> None:
+# Params fields whose config document key differs from the field name.
+DOCUMENT_KEYS = {"lam": "lambda"}
+
+
+def check_types(params, kind, what: str, names: tuple[str, ...]) -> None:
     """Reject a field of `params` that is not of the numbers ABC `kind`, or
-    is a bool. `keys` maps a field to its key in the config document where
-    the two names differ; errors use the key."""
+    is a bool. Errors name the field by its document key."""
     for name in names:
         value = getattr(params, name)
         if isinstance(value, bool) or not isinstance(value, kind):
-            key = (keys or {}).get(name, name)
-            raise InvalidInputError(f"{key} must be {what}, got {value!r}")
+            raise InvalidInputError(
+                f"{DOCUMENT_KEYS.get(name, name)} must be {what}, got {value!r}")
+
+
+def section_dict(params) -> dict:
+    """The config section of a params dataclass: every field under its
+    document key, in field order, with tuples written as lists."""
+    section = {}
+    for f in dataclasses.fields(params):
+        value = getattr(params, f.name)
+        section[DOCUMENT_KEYS.get(f.name, f.name)] = (
+            list(value) if isinstance(value, tuple) else value)
+    return section
+
+
+def from_section(default, doc: dict) -> tuple[object, list[str]]:
+    """(`default` with the fields that `doc` names replaced, the keys of
+    `doc` that name no field). A tuple field must be given as a list. The
+    dataclass checks the result, so a bad value raises InvalidInputError."""
+    names = {DOCUMENT_KEYS.get(f.name, f.name): f.name for f in dataclasses.fields(default)}
+    changes, unknown = {}, []
+    for key, value in doc.items():
+        if key not in names:
+            unknown.append(key)
+            continue
+        if isinstance(getattr(default, names[key]), tuple):
+            if not isinstance(value, list):
+                raise InvalidInputError(f"{key} must be a list, got {value!r}")
+            value = tuple(value)
+        changes[names[key]] = value
+    return dataclasses.replace(default, **changes), unknown
+
+
+def read_json(path):
+    """The JSON document in the file at `path`. Text that is not UTF-8, not
+    JSON or nested too deeply to decode raises InvalidInputError naming the
+    file; an OSError passes through."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (ValueError, RecursionError) as exc:  # ValueError: JSON and UTF-8 errors
+        raise InvalidInputError(f"{path}: unreadable JSON: {exc}") from exc
 
 
 class ConfigError(SgaError, ValueError):

@@ -24,8 +24,8 @@ P_FLOOR = 1e-9
 class MatcherParams:
     # Temperature 0.07 keeps both halves of an under-segmented object above
     # the candidate threshold under dual-softmax column competition.
-    dustbin_logit: float = 0.0
     temperature: float = 0.07
+    dustbin_logit: float = 0.0
 
     def __post_init__(self):
         check_types(self, numbers.Real, "a number", ("dustbin_logit", "temperature"))

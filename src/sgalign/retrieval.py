@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import time
 import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -21,7 +20,7 @@ import numpy as np
 from .allocator import MatchSet
 from .config import PipelineConfig
 from .encoder import EncoderWeights, encode_graph, encode_graphs, node_batches
-from .errors import InvalidInputError, SgaError
+from .errors import InvalidInputError, SgaError, read_json, section_dict
 from .pipeline import match_embeddings
 from .scene_graph import SceneGraph, pack_graphs, unpack_graphs
 
@@ -58,15 +57,13 @@ class RetrievalResult:
     """Candidates ranked by non-increasing score."""
 
     ranked: list[tuple[str, float, MatchSet | None]]
-    timings: dict[str, float] = field(default_factory=dict)
     failed: list[str] = field(default_factory=list)
 
     def to_dict(self) -> dict:
         return {
             "ranked": [
                 {"scene_id": sid, "score": score,
-                 "matches": None if m is None else m.to_dict(),
-                 "seconds": self.timings.get(sid)}
+                 "matches": None if m is None else m.to_dict()}
                 for sid, score, m in self.ranked
             ],
             "failed": list(self.failed),
@@ -119,11 +116,9 @@ def rerank(query: EncodedScene, candidates: list[EncodedScene], mode: str,
     if not candidates:
         raise InvalidInputError("rerank: no candidates")
     rows: list[tuple[str, float, MatchSet | None]] = []
-    timings: dict[str, float] = {}
     failed: list[str] = []
     query_positions = query.graph.positions()
     for cand in candidates:
-        started = time.perf_counter()
         try:
             scores, matches = match_embeddings(
                 query.node_embeddings, cand.node_embeddings,
@@ -137,9 +132,8 @@ def rerank(query: EncodedScene, candidates: list[EncodedScene], mode: str,
         except SgaError:
             rows.append((cand.scene_id, float("-inf"), None))
             failed.append(cand.scene_id)
-        timings[cand.scene_id] = time.perf_counter() - started
     rows.sort(key=lambda r: (-r[1], r[0]))
-    return RetrievalResult(ranked=rows, timings=timings, failed=failed)
+    return RetrievalResult(ranked=rows, failed=failed)
 
 
 def retrieve(query: EncodedScene, db: SceneDatabase, k: int, mode: str,
@@ -167,7 +161,7 @@ EMBEDDINGS_FILE = "embeddings.npz"
 def weights_fingerprint(weights: EncoderWeights) -> str:
     """sha256 over the config and, in name order, each tensor's name, dtype,
     shape and raw bytes."""
-    digest = hashlib.sha256(json.dumps(weights.config.to_dict(), sort_keys=True)
+    digest = hashlib.sha256(json.dumps(section_dict(weights.config), sort_keys=True)
                             .encode("utf-8"))
     for name, arr in sorted(weights.tensors.items()):
         digest.update(json.dumps([name, arr.dtype.str, arr.shape]).encode("utf-8"))
@@ -244,7 +238,7 @@ def load_database(directory, weights: EncoderWeights) -> SceneDatabase:
     opened."""
     directory = Path(directory)
     index_path = directory / "index.json"
-    index = json.loads(index_path.read_text(encoding="utf-8"))
+    index = read_json(index_path)
     if not isinstance(index, dict) or not isinstance(index.get("scenes"), list):
         raise InvalidInputError(f"{index_path}: no scenes list")
     if index.get("format_version") != DB_FORMAT_VERSION:

@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, read_json
 
 DEFAULT_FEATURE_DIMS = (256, 384)
 DEFAULT_N_MAX = 4
@@ -24,6 +24,9 @@ _INT64 = np.iinfo(np.int64)
 
 # Stored edge distances must agree with recomputed ones to this rel. tol.
 EDGE_DISTANCE_RTOL = 1e-9
+# Largest coordinate magnitude: squared distances between positions within
+# it stay finite in float64.
+MAX_COORDINATE = 1e150
 
 
 def pairwise_distance(a, b) -> float:
@@ -176,11 +179,13 @@ def validate_graph(g: SceneGraph) -> list[str]:
                   for name, vecs in vectors.items()}
     out_of_range = (~bad_shape["f_g"] & ~non_finite["f_g"]
                     & _rows_with(vectors["f_g"], lambda a: (a <= 0) | (a > 1)))
+    too_far = (~bad_shape["position"] & ~non_finite["position"]
+               & _rows_with(vectors["position"], lambda a: np.abs(a) > MAX_COORDINATE))
     repeated = np.ones(len(nodes), dtype=bool)
     repeated[np.unique(np.asarray([n.id for n in nodes]), return_index=True)[1]] = False
 
     violations: list[str] = []
-    flagged = repeated | out_of_range
+    flagged = repeated | out_of_range | too_far
     for name in vectors:
         flagged |= bad_shape[name] | non_finite[name]
     for k in np.flatnonzero(flagged):
@@ -191,6 +196,9 @@ def validate_graph(g: SceneGraph) -> list[str]:
             violations.append(f"node {n.id}: position has shape {n.x.shape}, expected (3,)")
         if non_finite["position"][k]:
             violations.append(f"node {n.id}: non-finite position")
+        if too_far[k]:
+            violations.append(f"node {n.id}: position has a coordinate beyond "
+                              f"+-{MAX_COORDINATE:g}")
         for name, dim in (("f_vl", d_vl), ("f_t", d_t), ("f_g", 3)):
             if bad_shape[name][k]:
                 violations.append(f"node {n.id}: {name} has shape "
@@ -213,7 +221,7 @@ def validate_graph(g: SceneGraph) -> list[str]:
     flipped = ids[:, 0] > ids[:, 1]
     dangling = ~self_loop & (ends < 0).any(axis=1)
     # An edge on a bad position is left to that node's message.
-    usable = np.append(~bad_shape["position"] & ~non_finite["position"], False)
+    usable = np.append(~bad_shape["position"] & ~non_finite["position"] & ~too_far, False)
     pos = np.array([x if ok else np.zeros(3) for x, ok in zip(vectors["position"], usable)]
                    + [np.zeros(3)]).reshape(-1, 3)
     measured = ~self_loop & ~dangling & usable[ends].all(axis=1)
@@ -369,8 +377,10 @@ def graph_from_dict(data: dict, n_max: int = DEFAULT_N_MAX,
     nodes = [_node_from_dict(nd, k) for k, nd in enumerate(data["nodes"])]
     raw_edges = data.get("edges")
     if raw_edges is None:
-        # A position that is not a finite 3-vector is left to validate_graph.
-        rebuild = all(n.x.shape == (3,) and np.isfinite(n.x).all() for n in nodes)
+        # A position that is not a 3-vector within MAX_COORDINATE (NaN is not)
+        # is left to validate_graph.
+        rebuild = all(n.x.shape == (3,) and (np.abs(n.x) <= MAX_COORDINATE).all()
+                      for n in nodes)
         edges = build_edges(nodes, n_max=n_max, d_th=d_th) if rebuild else []
     elif isinstance(raw_edges, list):
         edges = [_edge_from_list(raw) for raw in raw_edges]
@@ -389,9 +399,9 @@ def read_graph(path, n_max: int = DEFAULT_N_MAX,
     """The one reader of graph files: parse `path`, rebuilding null edges
     with n_max and d_th, and return the graph with its `validate_graph`
     violations."""
+    data = read_json(path)
     try:
-        graph = graph_from_dict(json.loads(Path(path).read_text(encoding="utf-8")),
-                                n_max=n_max, d_th=d_th)
+        graph = graph_from_dict(data, n_max=n_max, d_th=d_th)
     except InvalidInputError as exc:
         raise InvalidInputError(f"{path}: {exc}") from exc
     return graph, validate_graph(graph)

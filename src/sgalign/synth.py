@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import GenerationError, InvalidInputError
+from .errors import GenerationError, InvalidInputError, read_json
 from .evaluation import AlignmentSample
 from .scene_graph import (DEFAULT_D_TH, DEFAULT_FEATURE_DIMS, DEFAULT_N_MAX,
                           GroundTruthMap, Node, NodeFeatures, SceneGraph,
@@ -397,8 +397,9 @@ def load_sample(directory, n_max: int = DEFAULT_N_MAX,
     graph_a = load_graph(directory / "a.json", n_max=n_max, d_th=d_th)
     graph_b = load_graph(directory / "b.json", n_max=n_max, d_th=d_th)
     gt_path = directory / "gt.json"
+    doc = read_json(gt_path)
     try:
-        fields = _ground_truth(json.loads(gt_path.read_text(encoding="utf-8")))
+        fields = _ground_truth(doc)
     except InvalidInputError as exc:
         raise InvalidInputError(f"{gt_path}: {exc}") from exc
     return AlignmentSample(graph_a=graph_a, graph_b=graph_b, **fields)

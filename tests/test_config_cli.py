@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import shutil
 from pathlib import Path
@@ -6,10 +7,12 @@ import numpy as np
 import pytest
 from conftest import run_cli, run_main
 
-from sgalign.config import (PipelineConfig, config_from_dict, load_config,
-                            save_config)
+from sgalign.allocator import McfParams, MnnParams
+from sgalign.config import (EdgeParams, PipelineConfig, RetrievalParams, config_from_dict,
+                            load_config, save_config)
 from sgalign.encoder import EncoderConfig, init_weights, save_weights
 from sgalign.errors import ConfigError
+from sgalign.matcher import MatcherParams
 from sgalign.retrieval import build_database, save_database
 from sgalign.scene_graph import build_edges, save_graph
 from sgalign.synth import SynthConfig, generate_scene, make_sample, save_sample
@@ -98,6 +101,31 @@ class TestConfig:
         assert cfg.mcf.top_k == 5
         assert cfg.mnn.min_score == 0.2
 
+    def test_non_default_round_trip(self, tmp_path):
+        """Every field set to a valid non-default value survives a save and a
+        load."""
+        cfg = PipelineConfig(
+            encoder=EncoderConfig(pe_dim=6, heads=3, layers=1, d_model=12, gate_hidden=5,
+                                  geo_hidden=7, dropout=0.25, feature_dims=(9, 11)),
+            matcher=MatcherParams(temperature=0.2, dustbin_logit=-0.5),
+            mnn=MnnParams(min_score=0.3),
+            mcf=McfParams(tau=0.4, top_k=3, c_unmatched=1.5, lam=0.5, cap_max=2,
+                          max_iters=7),
+            edges=EdgeParams(n_max=6, d_th=1.5),
+            retrieval=RetrievalParams(allocator="mcf", rerank="direct"),
+            weights_path="w.npz")
+        for f in dataclasses.fields(cfg):
+            value, default = getattr(cfg, f.name), getattr(PipelineConfig(), f.name)
+            if dataclasses.is_dataclass(value):
+                assert all(getattr(value, g.name) != getattr(default, g.name)
+                           for g in dataclasses.fields(value)), f.name
+            else:
+                assert value != default
+        save_config(cfg, tmp_path / "c.json")
+        back, warnings = load_config(tmp_path / "c.json")
+        assert back == cfg
+        assert warnings == []
+
     def test_golden_default_file(self):
         golden = json.loads(GOLDEN.read_text())
         assert PipelineConfig().to_dict() == golden
@@ -134,12 +162,13 @@ class TestCliAlign:
         assert [(i, j) for i, j, _ in doc["pairs"]] == [(i, i) for i in range(n)]
         assert doc["meta"]["allocator"] == "mnn"
 
-    def test_malformed_json_exit_1(self, tmp_path):
+    def test_malformed_json_exit_2(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         proc = run_cli("align", str(bad), str(bad))
-        assert proc.returncode == 1
+        assert proc.returncode == 2
         assert proc.stdout == ""
+        assert f"{bad}: unreadable JSON" in one_stderr_line(proc)
 
     def test_missing_file_exit_1(self, scene_file):
         proc = run_cli("align", str(scene_file), "/nonexistent.json")
@@ -288,6 +317,24 @@ class TestCliValidate:
         violations = json.loads(proc.stdout)["violations"]
         assert f"node {doc['nodes'][0]['id']}: position has shape (1, 3), expected (3,)" \
             in violations
+
+    def test_huge_coordinate_exit_2(self, tmp_path, scene_file):
+        """A coordinate whose squared distances would overflow is a violation,
+        reported without a numpy warning."""
+        doc = json.loads(scene_file.read_text())
+        doc["nodes"][0]["position"] = [1e200, 0, 0]
+        doc["edges"] = None
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        message = f"node {doc['nodes'][0]['id']}: position has a coordinate beyond +-1e+150"
+        proc = run_cli("validate", str(bad))
+        assert proc.returncode == 2
+        assert json.loads(proc.stdout)["violations"] == [message]
+        assert proc.stderr == ""
+        proc = run_cli("align", str(bad), str(scene_file))
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert message in one_stderr_line(proc)
 
 
 class TestCliEncode:
@@ -470,6 +517,54 @@ class TestCliPairFiles:
         assert null.stdout != default.stdout
 
 
+# Bytes that no JSON file kind accepts: a cut document, text that is not
+# UTF-8, and nesting too deep to decode.
+UNREADABLE = {"truncated": lambda data: data[:len(data) // 2],
+              "not_utf8": lambda data: b"\xff" + data,
+              "nested": lambda data: b"[" * 100_000 + data + b"]" * 100_000}
+
+
+class TestCliUnreadableJson:
+    """Every JSON file kind refuses undecodable bytes: exit 2 and one stderr
+    line naming the file."""
+
+    @pytest.mark.parametrize("damage", sorted(UNREADABLE))
+    @pytest.mark.parametrize("kind", ["graph", "gt", "config", "index"])
+    def test_exit_2_naming_file(self, kind, damage, scene_file, pair_dir,
+                                small_weights_file, tmp_path):
+        pair = broken_pair(pair_dir, tmp_path, lambda doc: None)
+        graph = tmp_path / "g.json"
+        shutil.copy(scene_file, graph)
+        config = tmp_path / "c.json"
+        save_config(PipelineConfig(), config)
+        db = tmp_path / "db"
+        db.mkdir()
+        (db / "index.json").write_text(json.dumps(
+            {"format_version": 3, "scenes": [], "weights_hash": "", "graphs": []}))
+        weights = ["--weights", small_weights_file]
+        path, argv = {
+            "graph": (graph, ["validate", graph]),
+            "gt": (pair / "gt.json", ["eval", "--pairs", pair.parent, *weights]),
+            "config": (config, ["align", graph, graph, "--config", config, *weights]),
+            "index": (db / "index.json",
+                      ["retrieve", "--query", graph, "--db", db, *weights]),
+        }[kind]
+        path.write_bytes(UNREADABLE[damage](path.read_bytes()))
+        proc = run_main(*argv)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert f"{path}: unreadable JSON: " in one_stderr_line(proc)
+
+    def test_nested_weights_meta_exit_2(self, scene_file, small_weights, tmp_path):
+        path = tmp_path / "w.npz"
+        with open(path, "wb") as fh:
+            np.savez(fh, meta=np.array("[" * 100_000), **small_weights.tensors)
+        proc = run_main("encode", scene_file, "--weights", path)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert f"{path}: 'meta' entry: " in one_stderr_line(proc)
+
+
 class TestCliRegister:
     def test_register_zero_noise(self, pair_dir):
         proc = run_cli("register", "--pair", str(sorted(pair_dir.iterdir())[0]),
@@ -506,7 +601,9 @@ class TestCliRetrieve:
         assert proc.returncode == 0, proc.stderr
         doc = json.loads(proc.stdout)
         assert doc["ranked"][0]["scene_id"] == "scene-2"
-        assert all(r["seconds"] is not None for r in doc["ranked"])
+        again = run_cli("retrieve", "--query", str(query), "--db", str(db_dir),
+                        "--k", "3", "--rerank", "weighted")
+        assert again.stdout == proc.stdout
 
 
     @pytest.fixture()

@@ -10,7 +10,7 @@ from sgalign.encoder import (BATCH_NODES, CLS_ATTN_LAYERS, MAX_LAYERS, EncoderCo
                              encode_graphs, init_weights, initial_embed,
                              load_weights, node_batches, packed_groups,
                              save_weights, sinusoidal_pe, tensor_shapes)
-from sgalign.errors import InvalidInputError, WeightsFormatError
+from sgalign.errors import InvalidInputError, WeightsFormatError, section_dict
 from sgalign.scene_graph import Node, NodeFeatures, SceneGraph, build_edges
 
 
@@ -643,7 +643,7 @@ class TestPackedWeights:
 
 def write_v2(path, weights, tensors=None, version=2):
     """A format_version 2 file holding `tensors` (default: every tensor of weights)."""
-    meta = json.dumps({"format_version": version, "config": weights.config.to_dict(),
+    meta = json.dumps({"format_version": version, "config": section_dict(weights.config),
                        "seed": weights.seed})
     with open(path, "wb") as fh:
         np.savez(fh, meta=np.array(meta),
@@ -660,6 +660,17 @@ class TestWeightsSerialization:
         assert back.seed == small_weights.seed
         for name in small_weights.tensors:
             assert np.array_equal(back[name], small_weights[name]), name
+
+    def test_non_default_config_round_trip(self, tmp_path):
+        config = EncoderConfig(pe_dim=6, heads=3, layers=1, d_model=12, gate_hidden=5,
+                               geo_hidden=7, dropout=0.25, feature_dims=(9, 11))
+        assert all(getattr(config, f.name) != getattr(EncoderConfig(), f.name)
+                   for f in dataclasses.fields(config))
+        weights = init_weights(config, seed=4)
+        save_weights(weights, tmp_path / "w.npz")
+        back = load_weights(tmp_path / "w.npz")
+        assert back.config == config
+        assert all(np.array_equal(back[name], weights[name]) for name in weights.tensors)
 
     def test_round_trip_keeps_packed_layout(self, small_config, small_weights,
                                             tmp_path):
@@ -723,6 +734,15 @@ class TestWeightsSerialization:
         with pytest.raises(WeightsFormatError, match="layer1.Wo: non-finite"):
             load_weights(path)
 
+    def test_unknown_config_key_rejected_v2(self, small_weights, tmp_path):
+        path = tmp_path / "w.npz"
+        meta = {"format_version": 2, "seed": 0,
+                "config": {**section_dict(small_weights.config), "bogus": 1}}
+        with open(path, "wb") as fh:
+            np.savez(fh, meta=np.array(json.dumps(meta)), **small_weights.tensors)
+        with pytest.raises(WeightsFormatError, match=r"bad config: unknown fields \['bogus'\]"):
+            load_weights(path)
+
     def test_unsupported_version_rejected_v2(self, small_weights, tmp_path):
         path = tmp_path / "w.npz"
         write_v2(path, small_weights, version=3)
@@ -749,7 +769,7 @@ class TestWeightsSerialization:
         """Format 1 JSON documents and bare .npy arrays are not read."""
         legacy = tmp_path / "w.json"
         legacy.write_text(json.dumps({
-            "config": small_weights.config.to_dict(), "seed": small_weights.seed,
+            "config": section_dict(small_weights.config), "seed": small_weights.seed,
             "format_version": 1,
             "tensors": {k: v.tolist() for k, v in small_weights.tensors.items()}}))
         array = tmp_path / "w.npy"

@@ -2,7 +2,8 @@
 
 Valid graph, gt.json, config, weights and database-index documents are
 mutated (a key dropped, a value of another type, a non-finite number, a
-value wrapped in a list) and handed to `sgalign.cli.main` in process. Every
+value wrapped in a list) and handed to `sgalign.cli.main` in process; the
+bytes of the JSON files are also damaged beyond decoding. Every
 run must end in exit 0, 1 or 2 without an escaping exception or a
 traceback: on success stdout holds exactly one JSON document, on error
 stdout is empty and stderr holds one error line. `validate` may also exit 2
@@ -173,6 +174,78 @@ class TestMutatedDocuments:
             write(db, "index.json", doc)
             check(run_main("retrieve", "--query", files / "pair" / "a.json", "--db", db,
                            "--k", "2", "--weights", files / "w.npz"), "retrieve")
+
+
+@st.composite
+def damaged(draw, data: bytes):
+    """`data`, a JSON document in ASCII, made undecodable: cut at a drawn
+    offset, the top bit of one drawn byte flipped (never UTF-8 after ASCII),
+    a \\xff prefix, or wrapped in 10^5 brackets."""
+    op = draw(st.sampled_from(["truncate", "flip", "prefix", "wrap"]))
+    if op == "truncate":
+        return data[:draw(st.integers(0, len(data) - 1))]
+    if op == "flip":
+        k = draw(st.integers(0, len(data) - 1))
+        return data[:k] + bytes([data[k] ^ 0x80]) + data[k + 1:]
+    if op == "prefix":
+        return b"\xff" + data
+    return b"[" * 10 ** 5 + data + b"]" * 10 ** 5
+
+
+def check_refused(run) -> None:
+    assert run.returncode in (1, 2), run
+    assert run.stdout == ""
+    assert len(run.stderr.splitlines()) == 1 and run.stderr.startswith("ERROR "), run
+
+
+class TestDamagedBytes:
+    """Graph, gt.json, config and index.json files whose bytes no JSON
+    reader accepts are refused with one stderr line."""
+
+    @SETTINGS
+    @given(data=st.data())
+    def test_graph(self, files, data):
+        raw = data.draw(damaged((files / "pair" / "a.json").read_bytes()))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "g.json"
+            path.write_bytes(raw)
+            check_refused(run_main("validate", path))
+
+    @SETTINGS
+    @given(data=st.data())
+    def test_gt(self, files, data):
+        raw = data.draw(damaged((files / "pair" / "gt.json").read_bytes()))
+        with tempfile.TemporaryDirectory() as tmp:
+            pair = Path(tmp) / "pairs" / "p0"
+            pair.mkdir(parents=True)
+            for name in ("a.json", "b.json"):
+                (pair / name).write_bytes((files / "pair" / name).read_bytes())
+            (pair / "gt.json").write_bytes(raw)
+            check_refused(run_main("eval", "--pairs", pair.parent,
+                                   "--weights", files / "w.npz"))
+
+    @SETTINGS
+    @given(data=st.data())
+    def test_config(self, files, data):
+        raw = data.draw(damaged((files / "config.json").read_bytes()))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "c.json"
+            path.write_bytes(raw)
+            check_refused(run_main("align", files / "pair" / "a.json",
+                                   files / "pair" / "b.json", "--config", path,
+                                   "--weights", files / "w.npz"))
+
+    @SETTINGS
+    @given(data=st.data())
+    def test_database_index(self, files, data):
+        raw = data.draw(damaged((files / "db" / "index.json").read_bytes()))
+        with tempfile.TemporaryDirectory() as tmp:
+            db = Path(tmp) / "db"
+            db.mkdir()
+            (db / "embeddings.npz").write_bytes((files / "db" / "embeddings.npz").read_bytes())
+            (db / "index.json").write_bytes(raw)
+            check_refused(run_main("retrieve", "--query", files / "pair" / "a.json",
+                                   "--db", db, "--k", "2", "--weights", files / "w.npz"))
 
 
 # Changes to one tensor entry of a weights archive.

@@ -432,6 +432,13 @@ class TestLoadChecks:
 
 
 class TestFingerprint:
+    def test_pinned_values(self, default_weights, db_and_weights):
+        """Saved databases hold these hashes; a change re-encodes them all."""
+        assert weights_fingerprint(default_weights) == \
+            "b6ec4a408bdaef0980c19eef5d8df4c24068713c05031930d7ad0416a6372f2f"
+        assert weights_fingerprint(db_and_weights[1]) == \
+            "0d74ff7034099f92741cdf0bc355214859be2d18375070c560cc21106348c65b"
+
     def test_equal_across_formats_and_packing(self, db_and_weights, tmp_path):
         _, weights = db_and_weights
         save_weights(weights, tmp_path / "w.npz")

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from sgalign.errors import InvalidInputError
-from sgalign.scene_graph import (EDGE_DISTANCE_RTOL, Edge, Node, NodeFeatures,
-                                 SceneGraph, build_edges, graph_from_dict,
+from sgalign.scene_graph import (EDGE_DISTANCE_RTOL, MAX_COORDINATE, Edge, Node,
+                                 NodeFeatures, SceneGraph, build_edges, graph_from_dict,
                                  graph_to_dict, load_graph, pack_graphs,
                                  pairwise_distance, read_graph, save_graph,
                                  unpack_graphs, validate_graph)
@@ -323,6 +323,30 @@ class TestValidateGraphOracle:
         k = [n.id for n in g.nodes].index(nid)
         g.nodes[k] = Node(nid, "p", [[1.0, 2.0, 3.0]], g.nodes[k].features)
         assert validate_graph(g) == [f"node {nid}: position has shape (1, 3), expected (3,)"]
+
+    @pytest.mark.parametrize("x", [1e200, -1.5e150, 1.7e308])
+    def test_huge_coordinate(self, x):
+        """A coordinate beyond MAX_COORDINATE is a violation, and the
+        distances of its edges are not computed (they would overflow)."""
+        g = well_formed_graph(8, seed=11)
+        nid = g.edges[0].i
+        k = [n.id for n in g.nodes].index(nid)
+        g.nodes[k] = Node(nid, "p", [0.0, x, 1.0], g.nodes[k].features)
+        with np.errstate(all="raise"):
+            assert validate_graph(g) == [f"node {nid}: position has a coordinate beyond "
+                                         f"+-{MAX_COORDINATE:g}"]
+        g.nodes[k] = Node(nid, "p", [0.0, MAX_COORDINATE, 1.0], g.nodes[k].features)
+        assert not any(v.startswith(f"node {nid}:") for v in validate_graph(g))
+
+    def test_null_edges_not_rebuilt_on_huge_coordinate(self):
+        doc = graph_to_dict(well_formed_graph(8, seed=11))
+        doc["edges"] = None
+        doc["nodes"][0]["position"] = [1e200, 0.0, 0.0]
+        with np.errstate(all="raise"):
+            g = graph_from_dict(doc)
+        assert g.edges == []
+        assert validate_graph(g) == [f"node {g.nodes[0].id}: position has a coordinate "
+                                     f"beyond +-1e+150"]
 
 
 class TestGroundTruthMap:
