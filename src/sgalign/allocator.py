@@ -27,6 +27,7 @@ import numpy as np
 
 from .errors import DOCUMENT_KEYS, InvalidInputError, check_types
 from .matcher import ScoreMatrix
+from .scene_graph import point_distances
 
 
 @dataclass
@@ -137,17 +138,6 @@ def candidate_set(P, tau: float, top_k: int) -> list[tuple[int, int]]:
     return list(zip(ci.tolist(), cj.tolist()))
 
 
-def _distances(rows: np.ndarray, pos: np.ndarray) -> np.ndarray:
-    """Euclidean distance from each of the row points to each point of pos.
-
-    The same operations as np.linalg.norm(..., axis=2), (dx² + dy²) + dz²,
-    so the same bits, at about half its cost on these small arrays.
-    """
-    d = rows[:, None, :] - pos[None, :, :]
-    d *= d
-    return np.sqrt(d[..., 0] + d[..., 1] + d[..., 2])
-
-
 def _penalties(ci: np.ndarray, cj: np.ndarray, ks: np.ndarray, ls: np.ndarray,
                dist_a: np.ndarray, dist_b: np.ndarray) -> np.ndarray:
     """Worst distance distortion of each pair (ci, cj) against the pairs (ks, ls).
@@ -165,10 +155,9 @@ def geometry_penalty(i: int, j: int, prev_matches, pos_a: np.ndarray,
     pairs = prev_matches.pairs if isinstance(prev_matches, MatchSet) else prev_matches
     ks = np.array([kl[0] for kl in pairs], dtype=int)
     ls = np.array([kl[1] for kl in pairs], dtype=int)
-    pos_a = np.asarray(pos_a, dtype=float)
-    pos_b = np.asarray(pos_b, dtype=float)
     pen = _penalties(np.array([0]), np.array([0]), ks, ls,
-                     _distances(pos_a[[i]], pos_a), _distances(pos_b[[j]], pos_b))
+                     point_distances(pos_a[i], pos_a)[None],
+                     point_distances(pos_b[j], pos_b)[None])
     return float(pen[0])
 
 
@@ -341,7 +330,8 @@ def mcf_allocate(P, pos_a: np.ndarray, pos_b: np.ndarray,
     converged = False
     for iterations in range(1, params.max_iters + 1):
         if dist[0] is None and len(prev[0]):
-            dist = (_distances(pos_a, pos_a), _distances(pos_b, pos_b))
+            dist = (point_distances(pos_a[:, None], pos_a),
+                    point_distances(pos_b[:, None], pos_b))
         cost = neg_log + params.lam * _penalties(ci, cj, *prev, *dist)
         mi, mj = _solve(ci, cj, cost, params.c_unmatched, params.cap_max,
                         n_a, n_b)

@@ -2,7 +2,8 @@
 
 Every command prints exactly one JSON document to stdout; all human
 diagnostics go to stderr (verbosity via the SGA_LOG environment variable).
-Exit codes: 0 success, 1 usage/IO error, 2 validation error.
+Exit codes: 0 success, 1 usage/IO error, 2 validation error (arithmetic that
+overflows or turns invalid included).
 """
 
 from __future__ import annotations
@@ -46,6 +47,14 @@ def _setup_logging() -> None:
     level = _LOG_LEVELS.get(os.environ.get("SGA_LOG", "warn"), logging.WARNING)
     logging.basicConfig(stream=sys.stderr, level=level,
                         format="%(levelname)s %(name)s: %(message)s")
+
+
+def _float_errors() -> np.errstate:
+    """Overflow, division by zero and invalid operations raise
+    FloatingPointError, reported as one error line, instead of printing a
+    RuntimeWarning; underflow to zero stays silent. Each thread enters its
+    own: a thread does not inherit the error state of the one that made it."""
+    return np.errstate(over="raise", divide="raise", invalid="raise", under="ignore")
 
 
 def _emit(doc) -> None:
@@ -137,8 +146,9 @@ def cmd_synth(args) -> int:
 
 def _eval_pair(item, emb_a, emb_b, config, allocator):
     name, sample = item
-    _, matches = match_embeddings(emb_a, emb_b, sample.graph_a.positions(),
-                                  sample.graph_b.positions(), config, allocator)
+    with _float_errors():
+        _, matches = match_embeddings(emb_a, emb_b, sample.graph_a.positions(),
+                                      sample.graph_b.positions(), config, allocator)
     metrics = sample_metrics(matches, sample.gt, len(sample.graph_a.nodes))
     return {
         "sample": name,
@@ -352,12 +362,16 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
-        return args.func(args)
+        with _float_errors():
+            return args.func(args)
     except (UsageError, OSError) as exc:
         logger.error("%s", exc)
         return EXIT_USAGE
     except SgaError as exc:
         logger.error("%s", exc)
+        return EXIT_VALIDATION
+    except FloatingPointError as exc:
+        logger.error("floating-point error: %s", exc)
         return EXIT_VALIDATION
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import math
 import numbers
-import zipfile
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
@@ -19,8 +18,8 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 import numpy as np
 
 from .errors import (InvalidInputError, NumericError, ShapeError, WeightsFormatError,
-                     check_types, from_section, section_dict)
-from .scene_graph import DEFAULT_FEATURE_DIMS, Node, SceneGraph
+                     check_types, from_section, npz_entry, open_npz, section_dict)
+from .scene_graph import DEFAULT_FEATURE_DIMS, Node, SceneGraph, point_distances
 
 LN_EPS = 1e-5
 CLS_ATTN_LAYERS = 2
@@ -262,7 +261,6 @@ def init_weights(config: EncoderConfig, seed: int = 0) -> EncoderWeights:
 # format_version, config and seed.
 WEIGHTS_FORMAT_VERSION = 2
 _META_ENTRY = "meta"
-_ZIP_MAGIC = b"PK"  # every zip archive, empty ones too, starts with these bytes
 
 
 def save_weights(weights: EncoderWeights, path) -> None:
@@ -275,31 +273,12 @@ def save_weights(weights: EncoderWeights, path) -> None:
                         **dict(sorted(weights.tensors.items()))})
 
 
-_NPZ_ERRORS = (zipfile.BadZipFile, EOFError, ValueError)  # damaged archive or entry
-
-
-def _npz_entry(archive, name: str):
-    try:
-        return archive[name]
-    except _NPZ_ERRORS as exc:
-        raise WeightsFormatError(f"npz entry {name}: {exc}") from exc
-
-
 def _read_weights(fh) -> EncoderWeights:
-    # np.load would hand back a bare array for a .npy file and report a JSON
-    # file as pickled data, so anything but a zip is refused here.
-    if fh.read(len(_ZIP_MAGIC)) != _ZIP_MAGIC:
-        raise WeightsFormatError(
-            f"not an npz weights archive (format_version {WEIGHTS_FORMAT_VERSION})")
-    fh.seek(0)
-    try:
-        archive = np.load(fh, allow_pickle=False)
-    except _NPZ_ERRORS as exc:
-        raise WeightsFormatError(f"unreadable npz archive: {exc}") from exc
-    with archive:
+    what = f"npz weights archive (format_version {WEIGHTS_FORMAT_VERSION})"
+    with open_npz(fh, what, WeightsFormatError) as archive:
         if _META_ENTRY not in archive.files:
             raise WeightsFormatError(f"npz archive has no '{_META_ENTRY}' entry")
-        meta = _npz_entry(archive, _META_ENTRY)
+        meta = npz_entry(archive, _META_ENTRY, WeightsFormatError)
         if meta.dtype.kind != "U" or meta.shape != ():
             raise WeightsFormatError(f"'{_META_ENTRY}' entry is not a string")
         try:
@@ -324,7 +303,8 @@ def _read_weights(fh) -> EncoderWeights:
         _check_names(tensors, [n for n in archive.files if n != _META_ENTRY])
         # Entries are read one at a time, straight into the packed buffers.
         for name, out in tensors.items():
-            out[...] = _as_tensor(name, _npz_entry(archive, name), out.shape)
+            out[...] = _as_tensor(name, npz_entry(archive, name, WeightsFormatError),
+                                  out.shape)
     return EncoderWeights(config=config, tensors=tensors, seed=seed)
 
 
@@ -369,7 +349,10 @@ def distance_gate(d, gate_weights: dict[str, np.ndarray]):
         raise InvalidInputError("distance_gate: distance must be finite and >= 0")
     h = np.maximum(d[..., None] * gate_weights["w1"][:, 0] + gate_weights["b1"], 0.0)
     z = h @ gate_weights["w2"][0] + gate_weights["b2"][0]
-    s = 1.0 / (1.0 + np.exp(-z))
+    # At very large distances exp(-z) overflows to inf and the sigmoid
+    # saturates at 0, which the clip below lifts to _GATE_LO: intended.
+    with np.errstate(over="ignore"):
+        s = 1.0 / (1.0 + np.exp(-z))
     out = np.clip(s, _GATE_LO, _GATE_HI)
     return float(out) if out.ndim == 0 else out
 
@@ -468,9 +451,8 @@ def _build_neighbor_index(graphs: Sequence[SceneGraph]) -> _NeighborIndex:
         active=active,
         nbr=nbr,
         real=real,
-        dist=np.linalg.norm(np.repeat(pos, counts[active], axis=0) - nbr_pos[real],
-                            axis=1),
-        nn_dist=np.linalg.norm(nbr_pos[:, :, None] - nbr_pos[:, None], axis=3),
+        dist=point_distances(np.repeat(pos, counts[active], axis=0), nbr_pos[real]),
+        nn_dist=point_distances(nbr_pos[:, :, None], nbr_pos[:, None]),
     )
 
 

@@ -1,7 +1,7 @@
 """Exception types shared across the package, and the parse-boundary
 helpers that raise them: the field type check of the params dataclasses,
-the mapping between a params dataclass and its config section, and the one
-reader of JSON files.
+the mapping between a params dataclass and its config section, the one
+reader of JSON files and the one opener of npz archives.
 
 A params dataclass (EncoderConfig, MatcherParams, MnnParams, McfParams,
 EdgeParams, RetrievalParams) is the schema of its config section: the
@@ -13,7 +13,10 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import zipfile
 from pathlib import Path
+
+import numpy as np
 
 
 class SgaError(Exception):
@@ -95,6 +98,32 @@ def read_json(path):
         return json.loads(Path(path).read_text(encoding="utf-8"))
     except (ValueError, RecursionError) as exc:  # ValueError: JSON and UTF-8 errors
         raise InvalidInputError(f"{path}: unreadable JSON: {exc}") from exc
+
+
+_ZIP_MAGIC = b"PK"  # every zip archive, empty ones too, starts with these bytes
+_NPZ_ERRORS = (zipfile.BadZipFile, EOFError, ValueError)  # damaged archive or entry
+
+
+def open_npz(fh, what: str, error=InvalidInputError):
+    """The npz archive in the binary file `fh`, as np.load returns it. np.load
+    would hand back a bare array for a .npy file and report a JSON file as
+    pickled data, so bytes that do not start with the zip magic raise
+    `error("not an <what>")`; a damaged archive raises `error` too."""
+    if fh.read(len(_ZIP_MAGIC)) != _ZIP_MAGIC:
+        raise error(f"not an {what}")
+    fh.seek(0)
+    try:
+        return np.load(fh, allow_pickle=False)
+    except _NPZ_ERRORS as exc:
+        raise error(f"unreadable npz archive: {exc}") from exc
+
+
+def npz_entry(archive, name: str, error=InvalidInputError) -> np.ndarray:
+    """Entry `name` of an archive from `open_npz`; a damaged one raises `error`."""
+    try:
+        return archive[name]
+    except _NPZ_ERRORS as exc:
+        raise error(f"npz entry {name}: {exc}") from exc
 
 
 class ConfigError(SgaError, ValueError):

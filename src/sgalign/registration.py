@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateGeometryError, InvalidInputError
+from .scene_graph import point_distances
 
 DEFAULT_RANSAC_ITERS = 256
 DEFAULT_INLIER_EPS = 0.2
@@ -119,8 +120,7 @@ def estimate_rigid(pairs, iters: int = DEFAULT_RANSAC_ITERS,
     best_inliers: np.ndarray | None = None
     if len(idx):
         rot, t = _kabsch(a[idx], b[idx])
-        residuals = np.linalg.norm(a @ np.swapaxes(rot, -1, -2) + t[:, None, :] - b,
-                                   axis=-1)
+        residuals = point_distances(a @ np.swapaxes(rot, -1, -2) + t[:, None, :], b)
         inlier = residuals <= inlier_eps
         best_inliers = np.flatnonzero(inlier[inlier.sum(axis=1).argmax()])
     if best_inliers is None or len(best_inliers) < 3 or _collinear(a[best_inliers]):

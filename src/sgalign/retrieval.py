@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -20,7 +19,8 @@ import numpy as np
 from .allocator import MatchSet
 from .config import PipelineConfig
 from .encoder import EncoderWeights, encode_graph, encode_graphs, node_batches
-from .errors import InvalidInputError, SgaError, read_json, section_dict
+from .errors import (InvalidInputError, SgaError, npz_entry, open_npz, read_json,
+                     section_dict)
 from .pipeline import match_embeddings
 from .scene_graph import SceneGraph, pack_graphs, unpack_graphs
 
@@ -203,11 +203,12 @@ def save_database(db: SceneDatabase, directory, weights: EncoderWeights) -> None
 
 
 def _read_archive(path: Path) -> dict[str, np.ndarray]:
-    try:
-        with np.load(path, allow_pickle=False) as archive:
-            return {name: archive[name] for name in archive.files}
-    except (zipfile.BadZipFile, EOFError, ValueError) as exc:
-        raise InvalidInputError(f"{path}: unreadable npz archive: {exc}") from exc
+    with open(path, "rb") as fh:
+        try:
+            with open_npz(fh, "npz archive") as archive:
+                return {name: npz_entry(archive, name) for name in archive.files}
+        except InvalidInputError as exc:
+            raise InvalidInputError(f"{path}: {exc}") from exc
 
 
 def _embeddings(path: Path, arrays: dict[str, np.ndarray], n_scenes: int, d_model: int):

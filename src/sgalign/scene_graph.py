@@ -29,13 +29,26 @@ EDGE_DISTANCE_RTOL = 1e-9
 MAX_COORDINATE = 1e150
 
 
+def point_distances(a, b) -> np.ndarray:
+    """Euclidean distances between the 3D points of `a` and `b`, (..., 3)
+    arrays broadcast against each other: sqrt((dx² + dy²) + dz²) over the
+    last axis. Every point distance of the package is this formula, so a
+    stored, checked, encoded or penalised distance has the same bits."""
+    d = np.subtract(a, b, dtype=float)
+    d *= d
+    return np.sqrt((d[..., 0] + d[..., 1]) + d[..., 2])
+
+
 def pairwise_distance(a, b) -> float:
-    """Euclidean distance between two 3D points (meters)."""
+    """Euclidean distance between two finite 3D points (meters)."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
+    if a.shape != (3,) or b.shape != (3,):
+        raise InvalidInputError(f"pairwise_distance: points must be 3-vectors, "
+                                f"got shapes {a.shape} and {b.shape}")
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
         raise InvalidInputError("pairwise_distance: non-finite input point")
-    return float(np.linalg.norm(a - b))
+    return float(point_distances(a, b))
 
 
 @dataclass(frozen=True)
@@ -136,8 +149,7 @@ def build_edges(nodes: Sequence[Node], n_max: int = DEFAULT_N_MAX,
 
     ids = np.array([n.id for n in nodes])
     pos = np.stack([n.x for n in nodes])
-    diff = pos[:, None, :] - pos[None, :, :]
-    dist = np.sqrt((diff * diff).sum(axis=2))
+    dist = point_distances(pos[:, None], pos)
 
     picked: set[tuple[int, int]] = set()
     dist_of: dict[tuple[int, int], float] = {}
@@ -225,15 +237,12 @@ def validate_graph(g: SceneGraph) -> list[str]:
     pos = np.array([x if ok else np.zeros(3) for x, ok in zip(vectors["position"], usable)]
                    + [np.zeros(3)]).reshape(-1, 3)
     measured = ~self_loop & ~dangling & usable[ends].all(axis=1)
-    diff = pos[ends[:, 0]] - pos[ends[:, 1]]
-    approx = np.sqrt((diff * diff).sum(axis=1))
+    actual = point_distances(pos[ends[:, 0]], pos[ends[:, 1]])
     stored = np.array([e.d for e in edges], dtype=float)
-    # `approx` may differ from pairwise_distance (a BLAS dot) in the last
-    # bit, so it only picks suspects at half the tolerance; pairwise_distance
-    # decides, exactly as an edge-by-edge check would. A NaN distance fails.
-    suspect = measured & ~(np.abs(stored - approx)
-                           <= 0.5 * EDGE_DISTANCE_RTOL * np.maximum(1.0, approx))
-    for m in np.flatnonzero(self_loop | flipped | dangling | suspect):
+    # A NaN stored distance fails the comparison, so it is stale too.
+    stale = measured & ~(np.abs(stored - actual)
+                         <= EDGE_DISTANCE_RTOL * np.maximum(1.0, actual))
+    for m in np.flatnonzero(self_loop | flipped | dangling | stale):
         e = edges[m]
         if self_loop[m]:
             violations.append(f"edge ({e.i},{e.j}): self loop")
@@ -243,11 +252,9 @@ def validate_graph(g: SceneGraph) -> list[str]:
         if dangling[m]:
             violations.append(f"edge ({e.i},{e.j}): dangling endpoint")
             continue
-        if suspect[m]:
-            actual = pairwise_distance(pos[ends[m, 0]], pos[ends[m, 1]])
-            if not abs(e.d - actual) <= EDGE_DISTANCE_RTOL * max(1.0, actual):
-                violations.append(
-                    f"edge ({e.i},{e.j}): stored distance {e.d} != actual {actual}")
+        if stale[m]:
+            violations.append(f"edge ({e.i},{e.j}): stored distance {e.d} != actual "
+                              f"{float(actual[m])}")
     return violations
 
 

@@ -4,11 +4,12 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from sgalign.allocator import (McfParams, MnnParams, _distances, _penalties,
+from sgalign.allocator import (McfParams, MnnParams, _penalties,
                                brute_force_allocate,
                                candidate_set, geometry_penalty, mcf_allocate,
                                mnn_allocate, solve_mcf)
 from sgalign.errors import InvalidInputError
+from sgalign.scene_graph import point_distances
 
 
 def mnn_oracle(P, min_score):
@@ -126,8 +127,8 @@ class TestGeometryPenalty:
             d_a = np.linalg.norm(pos_a[ci][:, None, :] - pos_a[ks][None, :, :], axis=2)
             d_b = np.linalg.norm(pos_b[cj][:, None, :] - pos_b[ls][None, :, :], axis=2)
             want = np.abs(d_a - d_b).max(axis=1)
-            got = _penalties(ci, cj, ks, ls, _distances(pos_a, pos_a),
-                             _distances(pos_b, pos_b))
+            got = _penalties(ci, cj, ks, ls, point_distances(pos_a[:, None], pos_a),
+                             point_distances(pos_b[:, None], pos_b))
             assert got.tobytes() == want.tobytes()
             pairs = list(zip(ks.tolist(), ls.tolist()))
             assert geometry_penalty(int(ci[0]), int(cj[0]), pairs, pos_a, pos_b) == want[0]

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from conftest import run_cli, run_main
 
+from sgalign import cli
 from sgalign.allocator import McfParams, MnnParams
 from sgalign.config import (EdgeParams, PipelineConfig, RetrievalParams, config_from_dict,
                             load_config, save_config)
@@ -346,6 +347,25 @@ class TestCliEncode:
         assert np.all(np.abs(np.linalg.norm(emb, axis=1) - 1) <= 1e-6)
         assert abs(np.linalg.norm(doc["global_embedding"]) - 1) <= 1e-6
 
+    def test_overflowing_features_exit_2(self, tmp_path):
+        """Features of 1e300 are valid but overflow in the encoder: encode and
+        align end in one error line, not in numpy warnings and a zero "unit"
+        embedding or a later zero-norm error."""
+        g, _ = generate_scene(SynthConfig(seed=1))
+        save_graph(g, tmp_path / "g.json")
+        doc = json.loads((tmp_path / "g.json").read_text())
+        doc["nodes"][0]["f_vl"] = [1e300] * len(doc["nodes"][0]["f_vl"])
+        huge = tmp_path / "huge.json"
+        huge.write_text(json.dumps(doc))
+        assert run_cli("validate", str(huge)).returncode == 0
+        for args in (("encode", huge), ("align", huge, tmp_path / "g.json")):
+            proc = run_cli(*map(str, args))
+            assert proc.returncode == 2
+            assert proc.stdout == ""
+            assert one_stderr_line(proc).startswith(
+                "ERROR sgalign: floating-point error: overflow encountered")
+            assert "Warning" not in proc.stderr
+
 
 class TestCliSynthEval:
     def test_synth_writes_samples(self, tmp_path):
@@ -397,6 +417,19 @@ class TestCliSynthEval:
         assert proc.stdout == ""
         assert "--count" in one_stderr_line(proc)
         assert not (tmp_path / "out").exists()
+
+    def test_eval_pool_overflow_exit_2(self, pair_dir, monkeypatch):
+        """The per-pair work on eval's thread pool raises on overflow too: a
+        pool thread does not inherit the command's floating-point state."""
+        def overflowing(*args):
+            return np.float64(1e300) * np.float64(1e300)
+
+        monkeypatch.setattr(cli, "match_embeddings", overflowing)
+        proc = run_main("eval", "--pairs", pair_dir, "--jobs", "2")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert one_stderr_line(proc) == \
+            "ERROR sgalign: floating-point error: overflow encountered in scalar multiply"
 
     def test_eval_negative_encoder_size_exit_2(self, pair_dir, tmp_path):
         cfg = tmp_path / "c.json"
@@ -669,6 +702,22 @@ class TestCliRetrieve:
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert "scene1" in one_stderr_line(proc)
+
+    @pytest.mark.parametrize("kind", ["npy", "text"])
+    def test_archive_not_a_zip_exit_2(self, saved_db, kind):
+        """An embeddings.npz holding .npy bytes or text is refused in one line
+        naming it, as a weights file is."""
+        db_dir, query = saved_db
+        path = db_dir / "embeddings.npz"
+        if kind == "npy":
+            with open(path, "wb") as fh:
+                np.save(fh, np.zeros(3))
+        else:
+            path.write_text("embeddings")
+        proc = run_cli("retrieve", "--query", str(query), "--db", str(db_dir))
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert one_stderr_line(proc) == f"ERROR sgalign: {path}: not an npz archive"
 
     def test_unsafe_scene_id_exit_2(self, saved_db):
         db_dir, query = saved_db

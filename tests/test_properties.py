@@ -2,12 +2,12 @@
 
 Valid graph, gt.json, config, weights and database-index documents are
 mutated (a key dropped, a value of another type, a non-finite number, a
-value wrapped in a list) and handed to `sgalign.cli.main` in process; the
-bytes of the JSON files are also damaged beyond decoding. Every
-run must end in exit 0, 1 or 2 without an escaping exception or a
-traceback: on success stdout holds exactly one JSON document, on error
-stdout is empty and stderr holds one error line. `validate` may also exit 2
-with its violations document on stdout.
+value wrapped in a list, a huge finite number) and handed to
+`sgalign.cli.main` in process; the bytes of the JSON files are also damaged
+beyond decoding. Every run must end in exit 0, 1 or 2 without an escaping
+exception or a traceback: on success stdout holds exactly one JSON
+document, on error stdout is empty and stderr holds one error line.
+`validate` may also exit 2 with its violations document on stdout.
 """
 
 import copy
@@ -246,6 +246,87 @@ class TestDamagedBytes:
             (db / "index.json").write_bytes(raw)
             check_refused(run_main("retrieve", "--query", files / "pair" / "a.json",
                                    "--db", db, "--k", "2", "--weights", files / "w.npz"))
+
+
+# Finite numbers far beyond the data's scale, whose squares, sums or
+# products overflow float64, coordinates at and beyond the +-1e150 limit of
+# positions, and a subnormal that underflows.
+HUGE = [1e300, -1e300, 1.7976931348623157e308, -1e200, 1e155, 1e150, -1e150,
+        9.9e149, 1e-310]
+
+
+def numbers(doc, prefix=()):
+    """The path of every number (not bool) inside `doc`."""
+    if isinstance(doc, (dict, list)):
+        for key, value in (doc.items() if isinstance(doc, dict) else enumerate(doc)):
+            yield from numbers(value, prefix + (key,))
+    elif isinstance(doc, (int, float)) and not isinstance(doc, bool):
+        yield prefix
+
+
+@st.composite
+def with_huge(draw, doc, where):
+    """`doc` with one to three of its numbers whose path `where` accepts
+    replaced by drawn HUGE values."""
+    doc = copy.deepcopy(doc)
+    places = [path for path in numbers(doc) if where(path)]
+    for path in draw(st.lists(st.sampled_from(places), min_size=1, max_size=3)):
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = draw(st.sampled_from(HUGE))
+    return doc
+
+
+def check_quiet(run, command: str) -> None:
+    """`check`, and no numpy warning: a refusal is exactly one stderr line."""
+    check(run, command)
+    assert "Warning" not in run.stderr, run.stderr
+    if not run.stdout:
+        assert len(run.stderr.splitlines()) == 1, run.stderr
+
+
+def graph_number(path) -> bool:
+    """A feature entry, a position coordinate or an edge distance."""
+    return (path[0] == "nodes" and path[2] in ("position", "f_vl", "f_t", "f_g")
+            or path[0] == "edges" and path[2] == 2)
+
+
+class TestHugeNumbers:
+    """Huge finite numbers inside otherwise valid documents end in a result
+    or in one error line, never in numpy warnings."""
+
+    @SETTINGS
+    @given(data=st.data())
+    def test_graph(self, files, data):
+        doc = data.draw(with_huge(document(files / "pair" / "a.json"), graph_number))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = write(Path(tmp), "g.json", doc)
+            check_quiet(run_main("validate", path), "validate")
+            check_quiet(run_main("align", path, files / "pair" / "b.json",
+                                 "--weights", files / "w.npz"), "align")
+
+    @SETTINGS
+    @given(data=st.data())
+    def test_gt(self, files, data):
+        doc = data.draw(with_huge(document(files / "pair" / "gt.json"),
+                                  lambda path: path[0] in ("gt_rotation", "gt_translation")))
+        with tempfile.TemporaryDirectory() as tmp:
+            pair = Path(tmp)
+            for name in ("a.json", "b.json"):
+                (pair / name).write_bytes((files / "pair" / name).read_bytes())
+            write(pair, "gt.json", doc)
+            check_quiet(run_main("register", "--pair", pair, "--weights", files / "w.npz"),
+                        "register")
+
+    @SETTINGS
+    @given(data=st.data())
+    def test_config(self, files, data):
+        doc = data.draw(with_huge(document(files / "config.json"), lambda path: True))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = write(Path(tmp), "c.json", doc)
+            check_quiet(run_main("align", files / "pair" / "a.json", files / "pair" / "b.json",
+                                 "--config", path, "--weights", files / "w.npz"), "align")
 
 
 # Changes to one tensor entry of a weights archive.

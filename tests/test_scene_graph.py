@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -7,8 +8,8 @@ from sgalign.errors import InvalidInputError
 from sgalign.scene_graph import (EDGE_DISTANCE_RTOL, MAX_COORDINATE, Edge, Node,
                                  NodeFeatures, SceneGraph, build_edges, graph_from_dict,
                                  graph_to_dict, load_graph, pack_graphs,
-                                 pairwise_distance, read_graph, save_graph,
-                                 unpack_graphs, validate_graph)
+                                 pairwise_distance, point_distances, read_graph,
+                                 save_graph, unpack_graphs, validate_graph)
 from sgalign.synth import SynthConfig, generate_scene, make_sample
 from conftest import assert_same_graphs
 
@@ -47,6 +48,28 @@ class TestPairwiseDistance:
             pairwise_distance((np.nan, 0, 0), (0, 0, 0))
         with pytest.raises(InvalidInputError):
             pairwise_distance((0, 0, 0), (np.inf, 0, 0))
+
+    @pytest.mark.parametrize("a, b", [((0, 0), (0, 0)), ((0, 0, 0, 0), (0, 0, 0, 0)),
+                                      ([[0, 0, 0]], (1, 0, 0)), ((0, 0, 0), 5.0)])
+    def test_non_3_vector_rejected(self, a, b):
+        with pytest.raises(InvalidInputError, match="3-vectors"):
+            pairwise_distance(a, b)
+
+
+class TestPointDistances:
+    def test_broadcasts_to_one_formula(self, rng):
+        """Every shape gives the bits of sqrt((dx² + dy²) + dz²) per pair,
+        and pairwise_distance is its scalar case."""
+        a, b = rng.uniform(-10, 10, (40, 3)), rng.uniform(-10, 10, (30, 3))
+        got = point_distances(a[:, None], b)
+        assert got.shape == (40, 30)
+        for i in range(40):
+            for j in range(30):
+                dx, dy, dz = a[i] - b[j]
+                assert got[i, j] == math.sqrt((dx * dx + dy * dy) + dz * dz)
+                assert got[i, j] == pairwise_distance(a[i], b[j])
+        rows = np.arange(30)
+        assert point_distances(a[:30], b).tobytes() == got[rows, rows].tobytes()
 
 
 def brute_force_edges(nodes, n_max, d_th):
@@ -118,6 +141,18 @@ class TestBuildEdges:
         for e in build_edges(nodes):
             actual = pairwise_distance(by_id[e.i].x, by_id[e.j].x)
             assert abs(e.d - actual) <= 1e-9 * max(1.0, actual)
+
+    def test_stored_distances_are_pairwise_distance(self):
+        """Every stored distance has the bits of pairwise_distance of its
+        endpoints, over 20 random 25-node graphs: one formula writes and
+        checks them."""
+        rng = np.random.default_rng(0)
+        for _ in range(20):
+            nodes = [make_node(i, rng.uniform(0, 5, 3)) for i in range(25)]
+            edges = build_edges(nodes)
+            assert edges
+            assert [e.d for e in edges] == [pairwise_distance(nodes[e.i].x, nodes[e.j].x)
+                                            for e in edges]
 
 
 def well_formed_graph(n=5, seed=0):
