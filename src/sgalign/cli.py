@@ -149,7 +149,7 @@ def _eval_pair(item, emb_a, emb_b, config, allocator):
     with _float_errors():
         _, matches = match_embeddings(emb_a, emb_b, sample.graph_a.positions(),
                                       sample.graph_b.positions(), config, allocator)
-    metrics = sample_metrics(matches, sample.gt, len(sample.graph_a.nodes))
+    metrics = sample_metrics(matches, sample.gt, len(sample.graph_a.ids))
     return {
         "sample": name,
         "overlap": sample.overlap_ratio,
@@ -174,8 +174,8 @@ def cmd_eval(args) -> int:
     samples = ((p.name, synth.load_sample(p, edges.n_max, edges.d_th)) for p in pair_dirs)
     rows = []
     with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-        for batch in node_batches(samples, lambda item: len(item[1].graph_a.nodes)
-                                  + len(item[1].graph_b.nodes)):
+        for batch in node_batches(samples, lambda item: len(item[1].graph_a.ids)
+                                  + len(item[1].graph_b.ids)):
             encoded = encode_graphs([g for _, sample in batch
                                      for g in (sample.graph_a, sample.graph_b)], weights)
             rows += pool.map(

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import (InvalidInputError, NumericError, ShapeError, WeightsFormatError,
                      check_types, from_section, npz_entry, open_npz, section_dict)
-from .scene_graph import DEFAULT_FEATURE_DIMS, Node, SceneGraph, point_distances
+from .scene_graph import DEFAULT_FEATURE_DIMS, SceneGraph, point_distances
 
 LN_EPS = 1e-5
 CLS_ATTN_LAYERS = 2
@@ -362,29 +362,18 @@ def _gate_weights(weights: EncoderWeights, layer: int) -> dict[str, np.ndarray]:
     return {k: weights[p + k] for k in ("w1", "b1", "w2", "b2")}
 
 
-def _initial_embeddings(nodes: Sequence[Node], weights: EncoderWeights) -> np.ndarray:
-    """Rows [f_vl || f_t || GeoFFN(f_g)], one per node, in that fixed order."""
-    cfg = weights.config
-    d_vl, d_t = cfg.feature_dims
-    out = np.empty((len(nodes), cfg.d_init))
-    f_g = np.empty((len(nodes), 3))
-    for row, node in enumerate(nodes):
-        f = node.features
-        if f.f_vl.shape != (d_vl,) or f.f_t.shape != (d_t,) or f.f_g.shape != (3,):
-            raise ShapeError(
-                f"node {node.id}: feature shapes {f.f_vl.shape}/{f.f_t.shape}/{f.f_g.shape} "
-                f"do not match config dims ({d_vl},)/({d_t},)/(3,)")
-        out[row, :d_vl] = f.f_vl
-        out[row, d_vl:d_vl + d_t] = f.f_t
-        f_g[row] = f.f_g
+def initial_embeddings(graphs: Sequence[SceneGraph], weights: EncoderWeights) -> np.ndarray:
+    """Rows [f_vl || f_t || GeoFFN(f_g)], one per node of the graphs in turn."""
+    dims = tuple(weights.config.feature_dims)
+    for g in graphs:
+        if g.feature_dims != dims:
+            raise ShapeError(f"graph {g.graph_id!r}: feature dims {list(g.feature_dims)} do "
+                             f"not match config dims {list(dims)}")
+    f_g = np.concatenate([g.f_g for g in graphs])
     h = np.maximum(f_g @ weights["geo_ffn.w1"].T + weights["geo_ffn.b1"], 0.0)
-    out[:, d_vl + d_t:] = h @ weights["geo_ffn.w2"].T + weights["geo_ffn.b2"]
-    return out
-
-
-def initial_embed(node: Node, weights: EncoderWeights) -> np.ndarray:
-    """[f_vl || f_t || GeoFFN(f_g)] in that fixed order."""
-    return _initial_embeddings([node], weights)[0]
+    return np.concatenate([np.concatenate([g.f_vl for g in graphs]),
+                           np.concatenate([g.f_t for g in graphs]),
+                           h @ weights["geo_ffn.w2"].T + weights["geo_ffn.b2"]], axis=1)
 
 
 def _layer_norm(x: np.ndarray, scale: np.ndarray, bias: np.ndarray) -> np.ndarray:
@@ -422,36 +411,41 @@ class _NeighborIndex:
         for row in rows:
             g = int(np.searchsorted(self.node_offsets, row, side="right")) - 1
             graph = self.graphs[g]
-            names.append((graph.graph_id, graph.nodes[row - self.node_offsets[g]].id))
+            names.append((graph.graph_id, int(graph.ids[row - self.node_offsets[g]])))
         return names
 
 
 def _build_neighbor_index(graphs: Sequence[SceneGraph]) -> _NeighborIndex:
-    nbr_rows: list[list[int]] = []  # neighbor rows of every node row
-    node_offsets = [0]
-    for graph in graphs:
-        base = node_offsets[-1]
-        order = {n.id: base + idx for idx, n in enumerate(graph.nodes)}
-        adj = graph.neighbor_ids()
-        nbr_rows.extend([order[j] for j in adj[n.id]] for n in graph.nodes)
-        node_offsets.append(base + len(graph.nodes))
+    node_offsets = np.cumsum([0] + [len(g.ids) for g in graphs])
+    ends = []  # node rows of each edge's endpoints
+    for graph, base in zip(graphs, node_offsets):
+        rows = graph.rows_of(graph.endpoints)
+        if (rows < 0).any():
+            raise InvalidInputError(f"graph {graph.graph_id!r}: edge with a dangling endpoint")
+        ends.append(rows + base)
+    ends = np.concatenate(ends)
+    ids = np.concatenate([g.ids for g in graphs])
+    # Directed (center row, neighbor id, neighbor row) triples, sorted by
+    # center row, then by neighbor id; a repeated edge gives one triple.
+    center, neighbor = np.concatenate([ends, ends[:, ::-1]]).T
+    center, _, neighbor = np.unique(np.stack([center, ids[neighbor], neighbor], axis=1),
+                                    axis=0).T
 
-    counts = np.array([len(r) for r in nbr_rows], dtype=int)
+    counts = np.bincount(center, minlength=node_offsets[-1])
     active = np.flatnonzero(counts)
     position = np.cumsum(counts > 0) - 1  # active position of each active row
     real = np.arange(counts.max(initial=0)) < counts[active, None]
     nbr = np.zeros(real.shape, dtype=int)
-    nbr[real] = position[[j for r in nbr_rows for j in r]]
-    pos = (np.concatenate([g.positions() for g in graphs]) if graphs
-           else np.zeros((0, 3)))[active]
-    nbr_pos = pos[nbr]
+    nbr[real] = position[neighbor]
+    pos = np.concatenate([g.positions() for g in graphs])
+    nbr_pos = pos[active][nbr]
     return _NeighborIndex(
         graphs=graphs,
-        node_offsets=np.asarray(node_offsets, dtype=int),
+        node_offsets=node_offsets,
         active=active,
         nbr=nbr,
         real=real,
-        dist=point_distances(np.repeat(pos, counts[active], axis=0), nbr_pos[real]),
+        dist=point_distances(pos[center], pos[neighbor]),
         nn_dist=point_distances(nbr_pos[:, :, None], nbr_pos[:, None]),
     )
 
@@ -607,7 +601,7 @@ def encode_graphs(graphs: Sequence[SceneGraph], weights: EncoderWeights
     if not graphs:
         return []
     cfg = weights.config
-    c0 = _initial_embeddings([node for g in graphs for node in g.nodes], weights)
+    c0 = initial_embeddings(graphs, weights)
     index = _build_neighbor_index(graphs)
     pe = sinusoidal_pe(index.dist, cfg.pe_dim)
     c = c0

@@ -139,8 +139,8 @@ def toy_embedding_fit(sample, steps: int = 200, lr: float = 0.1,
     gt_pairs = sorted(sample.gt.pairs)
     if not gt_pairs:
         raise InvalidInputError("toy_embedding_fit: sample has no positive pairs")
-    ids_a = [n.id for n in sample.graph_a.nodes]
-    ids_b = [n.id for n in sample.graph_b.nodes]
+    ids_a = sample.graph_a.ids.tolist()
+    ids_b = sample.graph_b.ids.tolist()
     index_a = {nid: k for k, nid in enumerate(ids_a)}
     index_b = {nid: k for k, nid in enumerate(ids_b)}
     # One-to-many B reuse is fine for InfoNCE only if columns stay unique;

@@ -81,7 +81,7 @@ def build_database(scenes: list[tuple[str, SceneGraph]],
                    weights: EncoderWeights) -> SceneDatabase:
     """Encode every scene, several per batched forward pass."""
     entries = []
-    for batch in node_batches(scenes, lambda scene: len(scene[1].nodes)):
+    for batch in node_batches(scenes, lambda scene: len(scene[1].ids)):
         encoded = encode_graphs([graph for _, graph in batch], weights)
         entries += [EncodedScene(scene_id=sid, graph=graph, node_embeddings=node_emb,
                                  global_embedding=global_emb)
@@ -180,10 +180,10 @@ def _check_scene_id(scene_id) -> None:
 def save_database(db: SceneDatabase, directory, weights: EncoderWeights) -> None:
     for entry in db.entries:
         _check_scene_id(entry.scene_id)
-        if len(entry.node_embeddings) != len(entry.graph.nodes):
+        if len(entry.node_embeddings) != len(entry.graph.ids):
             raise InvalidInputError(
                 f"scene {entry.scene_id!r}: {len(entry.node_embeddings)} node "
-                f"embeddings for {len(entry.graph.nodes)} graph nodes")
+                f"embeddings for {len(entry.graph.ids)} graph nodes")
     graph_arrays, graph_strings = pack_graphs([e.graph for e in db.entries])
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)

@@ -1,8 +1,9 @@
 """Scene-graph data model and distance-labelled k-NN edge construction.
 
-Nodes carry a 3D position plus intrinsic features (vision-language vector,
-text vector, normalized bounding-box extents). Edges are undirected and
-store only the Euclidean distance between their endpoints.
+A scene graph is stored as columns with one row per node: an id, a label,
+a 3D position and the intrinsic features (vision-language vector, text
+vector, normalized bounding-box extents). Edges are undirected and store
+only the Euclidean distance between their endpoints.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ DEFAULT_FEATURE_DIMS = (256, 384)
 DEFAULT_N_MAX = 4
 DEFAULT_D_TH = 2.0
 FRAME_KINDS = ("camera", "world")
-_INT64 = np.iinfo(np.int64)
 
 # Stored edge distances must agree with recomputed ones to this rel. tol.
 EDGE_DISTANCE_RTOL = 1e-9
@@ -64,22 +64,16 @@ class NodeFeatures:
     f_t: np.ndarray
     f_g: np.ndarray
 
-    def __post_init__(self):
-        object.__setattr__(self, "f_vl", np.asarray(self.f_vl, dtype=float))
-        object.__setattr__(self, "f_t", np.asarray(self.f_t, dtype=float))
-        object.__setattr__(self, "f_g", np.asarray(self.f_g, dtype=float))
-
 
 @dataclass(frozen=True)
 class Node:
+    """One node row; a SceneGraph built from it holds x and the features as float64."""
+
     id: int
     label: str
     x: np.ndarray
     features: NodeFeatures
     gt_instance: Optional[int] = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "x", np.asarray(self.x, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -91,27 +85,117 @@ class Edge:
     d: float
 
 
-@dataclass
+_VECTORS = ("position", "f_vl", "f_t", "f_g")
+
+
+@dataclass(frozen=True, init=False, eq=False, repr=False)
 class SceneGraph:
+    """A scene graph as read-only columns: row k of the node columns is
+    node k, row m of `endpoints` and `edge_distances` is edge m.
+
+    `SceneGraph(graph_id, frame_kind, nodes, edges, feature_dims)` converts
+    Node and Edge lists once. Building a graph is the one place types and
+    shapes are checked: int64 ids, gt_instance values and endpoints, float64
+    distances, string labels, and 1-D node vectors 3 wide (position, f_g)
+    or as wide as `feature_dims` (f_vl, f_t). A fault raises
+    InvalidInputError naming the node; values are left to `validate_graph`.
+    `nodes` and `edges` build Node and Edge views on each access.
+    """
+
     graph_id: str
     frame_kind: str  # "camera" | "world"
-    nodes: list[Node] = field(default_factory=list)
-    edges: list[Edge] = field(default_factory=list)
-    feature_dims: tuple[int, int] = DEFAULT_FEATURE_DIMS
+    feature_dims: tuple[int, int]
+    ids: np.ndarray             # (n,) int64
+    labels: tuple[str, ...]
+    _positions: np.ndarray      # (n, 3) float64
+    f_vl: np.ndarray            # (n, d_vl) float64
+    f_t: np.ndarray             # (n, d_t) float64
+    f_g: np.ndarray             # (n, 3) float64
+    gt_instance: np.ndarray     # (n,) int64, 0 where not gt_present
+    gt_present: np.ndarray      # (n,) bool
+    endpoints: np.ndarray       # (m, 2) int64 node ids
+    edge_distances: np.ndarray  # (m,) float64
+
+    def __init__(self, graph_id: str, frame_kind: str, nodes: Sequence[Node] = (),
+                 edges: Sequence[Edge] = (), feature_dims=DEFAULT_FEATURE_DIMS):
+        self._build(graph_id, frame_kind, feature_dims, [n.id for n in nodes],
+                    [n.label for n in nodes], [n.gt_instance for n in nodes],
+                    [(e.i, e.j, e.d) for e in edges],
+                    [[n.x for n in nodes], [n.features.f_vl for n in nodes],
+                     [n.features.f_t for n in nodes], [n.features.f_g for n in nodes]])
+
+    def _build(self, graph_id, frame_kind, feature_dims, ids: list, labels: list,
+               gt_instance: list, edges: list, vectors: list) -> SceneGraph:
+        """Check and store the columns from per-node ids, labels and
+        gt_instance values (None where absent), (i, j, d) edges and, in
+        _VECTORS order, the nodes' vectors (see `_column`)."""
+        if not isinstance(graph_id, str):
+            raise InvalidInputError(f"graph_id must be a string, got {graph_id!r}")
+        if not isinstance(frame_kind, str) or frame_kind not in FRAME_KINDS:
+            raise InvalidInputError(
+                f"frame_kind must be one of {list(FRAME_KINDS)}, got {frame_kind!r}")
+        if not isinstance(feature_dims, (list, tuple)) or len(feature_dims) != 2:
+            raise InvalidInputError(
+                f"feature_dims must be a list of two integers, got {feature_dims!r}")
+        ids = [_int64(i, "node id") for i in ids]
+        for i, label in zip(ids, labels):
+            if not isinstance(label, str):
+                raise InvalidInputError(f"node {i}: label must be a string, got {label!r}")
+        columns = {
+            "graph_id": graph_id, "frame_kind": frame_kind, "ids": np.array(ids, dtype=np.int64),
+            "labels": tuple(labels),
+            "gt_instance": np.array([0 if gt is None else _int64(gt, f"node {i}: gt_instance")
+                                     for i, gt in zip(ids, gt_instance)], dtype=np.int64),
+            "gt_present": np.array([gt is not None for gt in gt_instance], dtype=bool),
+            "endpoints": np.array([(_int64(i, "edge endpoint"), _int64(j, "edge endpoint"))
+                                   for i, j, _ in edges], dtype=np.int64).reshape(-1, 2),
+            "edge_distances": np.array([_float(d, "edge {!r}: distance", [i, j, d])
+                                        for i, j, d in edges], dtype=np.float64),
+            "feature_dims": tuple(_int64(d, "feature_dims entry") for d in feature_dims)}
+        d_vl, d_t = columns["feature_dims"]
+        for attr, values, name, width in zip(("_positions", "f_vl", "f_t", "f_g"), vectors,
+                                             _VECTORS, (3, d_vl, d_t, 3)):
+            columns[attr] = _column(values, name, ids, width)
+        for name, value in columns.items():
+            if isinstance(value, np.ndarray):
+                value = value.view()
+                value.flags.writeable = False
+            object.__setattr__(self, name, value)
+        return self
+
+    @property
+    def nodes(self) -> tuple[Node, ...]:
+        """The node rows as Node views of the columns."""
+        gt = np.where(self.gt_present, self.gt_instance, None).tolist()
+        return tuple(Node(i, label, x, NodeFeatures(f_vl, f_t, f_g), g)
+                     for i, label, x, f_vl, f_t, f_g, g in zip(
+                         self.ids.tolist(), self.labels, self._positions, self.f_vl,
+                         self.f_t, self.f_g, gt))
+
+    @property
+    def edges(self) -> tuple[Edge, ...]:
+        """The edge rows as Edge views of the columns."""
+        return tuple(Edge(i, j, d) for (i, j), d in zip(self.endpoints.tolist(),
+                                                         self.edge_distances.tolist()))
 
     def positions(self) -> np.ndarray:
-        """(n, 3) array of node positions in declaration order."""
-        if not self.nodes:
-            return np.zeros((0, 3))
-        return np.stack([n.x for n in self.nodes])
+        """(n, 3) read-only array of node positions in row order."""
+        return self._positions
 
     def neighbor_ids(self) -> dict[int, list[int]]:
         """Adjacency as sorted neighbor-id lists (deterministic order)."""
-        adj: dict[int, set[int]] = {n.id: set() for n in self.nodes}
-        for e in self.edges:
-            adj[e.i].add(e.j)
-            adj[e.j].add(e.i)
+        adj: dict[int, set[int]] = {i: set() for i in self.ids.tolist()}
+        for i, j in self.endpoints.tolist():
+            adj[i].add(j)
+            adj[j].add(i)
         return {i: sorted(s) for i, s in adj.items()}
+
+    def rows_of(self, ids) -> np.ndarray:
+        """The node row of each id in `ids`, -1 where no node has it; a
+        repeated id gives its last row."""
+        order = np.argsort(self.ids, kind="stable")
+        rows = np.append(-1, order)[np.searchsorted(self.ids[order], ids, side="right")]
+        return np.where(np.append(self.ids, 0)[rows] == ids, rows, -1)
 
 
 @dataclass
@@ -146,115 +230,72 @@ def build_edges(nodes: Sequence[Node], n_max: int = DEFAULT_N_MAX,
         raise InvalidInputError(f"build_edges: d_th must be > 0, got {d_th}")
     if len(nodes) < 2:
         return []
-
     ids = np.array([n.id for n in nodes])
     pos = np.stack([n.x for n in nodes])
     dist = point_distances(pos[:, None], pos)
-
-    picked: set[tuple[int, int]] = set()
-    dist_of: dict[tuple[int, int], float] = {}
-    for a in range(len(nodes)):
-        cands = [(dist[a, b], ids[b], b) for b in range(len(nodes))
-                 if b != a and dist[a, b] <= d_th]
-        cands.sort()  # distance, then lower id
-        for d, _, b in cands[:n_max]:
-            key = (int(min(ids[a], ids[b])), int(max(ids[a], ids[b])))
-            picked.add(key)
-            dist_of[key] = float(d)
-    return [Edge(i, j, dist_of[(i, j)]) for i, j in sorted(picked)]
-
-
-def _rows_with(vectors: list[np.ndarray], test) -> np.ndarray:
-    """Per vector, whether `test` holds for any of its elements."""
-    sizes = {v.size for v in vectors}
-    if len(sizes) == 1 and 0 not in sizes:  # one size: test them as one block
-        block = np.concatenate([v.ravel() for v in vectors]).reshape(len(vectors), -1)
-        return test(block).any(axis=1)
-    return np.array([test(v).any() for v in vectors], dtype=bool)
+    np.fill_diagonal(dist, np.nan)  # sorts last and is never within d_th
+    # Per node, its n_max nearest nodes (ties to the lower id) within d_th.
+    nearest = np.lexsort((np.broadcast_to(ids, dist.shape), dist))[:, :n_max]
+    a, b = np.repeat(np.arange(len(ids)), nearest.shape[1]), nearest.ravel()
+    a, b = a[dist[a, b] <= d_th], b[dist[a, b] <= d_th]
+    pairs, first = np.unique(np.sort(np.stack([ids[a], ids[b]], axis=1), axis=1), axis=0,
+                             return_index=True)
+    return [Edge(i, j, d) for (i, j), d in zip(pairs.tolist(), dist[a, b][first].tolist())]
 
 
 def validate_graph(g: SceneGraph) -> list[str]:
     """Return human-readable violations; empty list means the graph is valid.
 
-    Each check runs over all nodes (or edges) at once; messages are built
-    only for flagged ones, node by node, then edge by edge."""
-    nodes = g.nodes
-    d_vl, d_t = g.feature_dims
-    vectors = {"position": [n.x for n in nodes],
-               "f_vl": [n.features.f_vl for n in nodes],
-               "f_t": [n.features.f_t for n in nodes],
-               "f_g": [n.features.f_g for n in nodes]}
-    expected = {"position": (3,), "f_vl": (d_vl,), "f_t": (d_t,), "f_g": (3,)}
-    bad_shape = {name: np.array([v.shape != expected[name] for v in vecs], dtype=bool)
-                 for name, vecs in vectors.items()}
-    non_finite = {name: _rows_with(vecs, lambda a: ~np.isfinite(a))
-                  for name, vecs in vectors.items()}
-    out_of_range = (~bad_shape["f_g"] & ~non_finite["f_g"]
-                    & _rows_with(vectors["f_g"], lambda a: (a <= 0) | (a > 1)))
-    too_far = (~bad_shape["position"] & ~non_finite["position"]
-               & _rows_with(vectors["position"], lambda a: np.abs(a) > MAX_COORDINATE))
-    repeated = np.ones(len(nodes), dtype=bool)
-    repeated[np.unique(np.asarray([n.id for n in nodes]), return_index=True)[1]] = False
+    Shapes are checked when the graph is built; this checks values. Each
+    check runs over all nodes (or edges) at once; messages are built only
+    for flagged ones, node by node, then edge by edge."""
+    ids = g.ids.tolist()
+    vectors = {"position": g.positions(), "f_vl": g.f_vl, "f_t": g.f_t, "f_g": g.f_g}
+    non_finite = {name: ~np.isfinite(v).all(axis=1) for name, v in vectors.items()}
+    # Beyond MAX_COORDINATE, squares and sums of squares may overflow.
+    too_big = {name: ~non_finite[name] & (np.abs(vectors[name]) > MAX_COORDINATE).any(axis=1)
+               for name in ("position", "f_vl", "f_t")}
+    bound = f"+-{MAX_COORDINATE:g}"
+    out_of_range = ~non_finite["f_g"] & ((g.f_g <= 0) | (g.f_g > 1)).any(axis=1)
+    repeated = np.ones(len(ids), dtype=bool)
+    repeated[np.unique(g.ids, return_index=True)[1]] = False
 
-    violations: list[str] = []
-    flagged = repeated | out_of_range | too_far
-    for name in vectors:
-        flagged |= bad_shape[name] | non_finite[name]
-    for k in np.flatnonzero(flagged):
-        n = nodes[k]
-        if repeated[k]:
-            violations.append(f"duplicate node id {n.id}")
-        if bad_shape["position"][k]:
-            violations.append(f"node {n.id}: position has shape {n.x.shape}, expected (3,)")
-        if non_finite["position"][k]:
-            violations.append(f"node {n.id}: non-finite position")
-        if too_far[k]:
-            violations.append(f"node {n.id}: position has a coordinate beyond "
-                              f"+-{MAX_COORDINATE:g}")
-        for name, dim in (("f_vl", d_vl), ("f_t", d_t), ("f_g", 3)):
-            if bad_shape[name][k]:
-                violations.append(f"node {n.id}: {name} has shape "
-                                  f"{vectors[name][k].shape}, expected ({dim},)")
-        for name in ("f_vl", "f_t", "f_g"):
-            if non_finite[name][k]:
-                violations.append(f"node {n.id}: non-finite values in {name}")
-        if out_of_range[k]:
-            violations.append(f"node {n.id}: f_g components must lie in (0, 1]")
+    # Each node check and its message, in the order a node's messages take.
+    checks = [(repeated, "duplicate node id {}"),
+              (non_finite["position"], "node {}: non-finite position"),
+              (too_big["position"], f"node {{}}: position has a coordinate beyond {bound}"),
+              *((non_finite[name], f"node {{}}: non-finite values in {name}")
+                for name in ("f_vl", "f_t", "f_g")),
+              *((too_big[name], f"node {{}}: {name} has a value beyond {bound}")
+                for name in ("f_vl", "f_t")),
+              (out_of_range, "node {}: f_g components must lie in (0, 1]")]
+    violations = []
+    for k in np.flatnonzero(np.any([mask for mask, _ in checks], axis=0)):
+        violations += [message.format(ids[k]) for mask, message in checks if mask[k]]
 
-    edges = g.edges
-    if not edges:
-        return violations
-    # Row of each endpoint, -1 when dangling; the last node of a repeated id
-    # counts. Row -1 of the padded arrays is a sentinel.
-    row = {n.id: k for k, n in enumerate(nodes)}
-    ends = np.array([(row.get(e.i, -1), row.get(e.j, -1)) for e in edges], dtype=np.int64)
-    ids = np.array([(e.i, e.j) for e in edges])
-    self_loop = ids[:, 0] == ids[:, 1]
-    flipped = ids[:, 0] > ids[:, 1]
-    dangling = ~self_loop & (ends < 0).any(axis=1)
-    # An edge on a bad position is left to that node's message.
-    usable = np.append(~bad_shape["position"] & ~non_finite["position"] & ~too_far, False)
-    pos = np.array([x if ok else np.zeros(3) for x, ok in zip(vectors["position"], usable)]
-                   + [np.zeros(3)]).reshape(-1, 3)
-    measured = ~self_loop & ~dangling & usable[ends].all(axis=1)
-    actual = point_distances(pos[ends[:, 0]], pos[ends[:, 1]])
-    stored = np.array([e.d for e in edges], dtype=float)
+    ends = g.endpoints
+    self_loop = ends[:, 0] == ends[:, 1]
+    flipped = ends[:, 0] > ends[:, 1]
+    # Row of each endpoint, -1 when dangling, which picks the zero sentinel
+    # row appended to the positions. An edge on a bad position is left to
+    # that node's message.
+    rows = g.rows_of(ends)
+    dangling = ~self_loop & (rows < 0).any(axis=1)
+    usable = np.append(~non_finite["position"] & ~too_big["position"], False)
+    pos = np.where(usable[:, None], np.append(g.positions(), np.zeros((1, 3)), axis=0), 0.0)
+    measured = ~self_loop & ~dangling & usable[rows].all(axis=1)
+    actual = point_distances(pos[rows[:, 0]], pos[rows[:, 1]])
     # A NaN stored distance fails the comparison, so it is stale too.
-    stale = measured & ~(np.abs(stored - actual)
+    stale = measured & ~(np.abs(g.edge_distances - actual)
                          <= EDGE_DISTANCE_RTOL * np.maximum(1.0, actual))
+    # A self loop is neither dangling nor stale, a dangling edge not stale.
+    checks = [(self_loop, "self loop"), (flipped, "not canonicalized i < j"),
+              (dangling, "dangling endpoint"), (stale, "stored distance {} != actual {}")]
+    pairs, stored = ends.tolist(), g.edge_distances.tolist()
     for m in np.flatnonzero(self_loop | flipped | dangling | stale):
-        e = edges[m]
-        if self_loop[m]:
-            violations.append(f"edge ({e.i},{e.j}): self loop")
-            continue
-        if flipped[m]:
-            violations.append(f"edge ({e.i},{e.j}): not canonicalized i < j")
-        if dangling[m]:
-            violations.append(f"edge ({e.i},{e.j}): dangling endpoint")
-            continue
-        if stale[m]:
-            violations.append(f"edge ({e.i},{e.j}): stored distance {e.d} != actual "
-                              f"{float(actual[m])}")
+        violations += [f"edge ({pairs[m][0]},{pairs[m][1]}): "
+                       + message.format(stored[m], float(actual[m]))
+                       for mask, message in checks if mask[m]]
     return violations
 
 
@@ -263,44 +304,41 @@ def validate_graph(g: SceneGraph) -> list[str]:
 
 
 def graph_to_dict(g: SceneGraph) -> dict:
+    gt = np.where(g.gt_present, g.gt_instance, None).tolist()
     return {
         "graph_id": g.graph_id,
         "frame_kind": g.frame_kind,
         "feature_dims": list(g.feature_dims),
         "nodes": [
-            {
-                "id": n.id,
-                "label": n.label,
-                "position": n.x.tolist(),
-                "f_vl": n.features.f_vl.tolist(),
-                "f_t": n.features.f_t.tolist(),
-                "f_g": n.features.f_g.tolist(),
-                "gt_instance": n.gt_instance,
-            }
-            for n in g.nodes
+            {"id": i, "label": label, "position": x, "f_vl": f_vl, "f_t": f_t, "f_g": f_g,
+             "gt_instance": gt_instance}
+            for i, label, x, f_vl, f_t, f_g, gt_instance in zip(
+                g.ids.tolist(), g.labels, g.positions().tolist(), g.f_vl.tolist(),
+                g.f_t.tolist(), g.f_g.tolist(), gt)
         ],
-        "edges": [[e.i, e.j, e.d] for e in g.edges],
+        "edges": [[i, j, d] for (i, j), d in zip(g.endpoints.tolist(),
+                                                  g.edge_distances.tolist())],
     }
 
 
 def _int64(value, what: str) -> int:
     """`value` as an int, if it is an integer (or a float with an integral
     value) within int64; anything else raises InvalidInputError."""
-    if isinstance(value, float) and value.is_integer():
+    if isinstance(value, float) and value.is_integer() or isinstance(value, np.integer):
         value = int(value)
     if (isinstance(value, bool) or not isinstance(value, int)
-            or not _INT64.min <= value <= _INT64.max):
+            or not -2 ** 63 <= value < 2 ** 63):
         raise InvalidInputError(f"{what} must be an integer within int64, got {value!r}")
     return value
 
 
-def _float(value, what: str) -> float:
+def _float(value, what: str, *args) -> float:
     if not isinstance(value, bool) and isinstance(value, (int, float)):
         try:
             return float(value)
         except OverflowError:
             pass
-    raise InvalidInputError(f"{what} must be a float64 number, got {value!r}")
+    raise InvalidInputError(f"{what.format(*args)} must be a float64 number, got {value!r}")
 
 
 def _floats(value, what: str) -> np.ndarray:
@@ -312,24 +350,24 @@ def _floats(value, what: str) -> np.ndarray:
         raise InvalidInputError(f"{what} is not an array of numbers ({exc})") from exc
 
 
-def _label(value, node_id) -> str:
-    if not isinstance(value, str):
-        raise InvalidInputError(f"node {node_id}: label must be a string, got {value!r}")
-    return value
-
-
-def _header(graph_id, frame_kind, feature_dims) -> tuple[str, str, tuple[int, int]]:
-    """The checked graph-level fields shared by the JSON and array formats."""
-    if not isinstance(graph_id, str):
-        raise InvalidInputError(f"graph_id must be a string, got {graph_id!r}")
-    if not isinstance(frame_kind, str) or frame_kind not in FRAME_KINDS:
-        raise InvalidInputError(
-            f"frame_kind must be one of {list(FRAME_KINDS)}, got {frame_kind!r}")
-    if not isinstance(feature_dims, (list, tuple)) or len(feature_dims) != 2:
-        raise InvalidInputError(
-            f"feature_dims must be a list of two integers, got {feature_dims!r}")
-    return graph_id, frame_kind, tuple(_int64(d, "feature_dims entry")
-                                       for d in feature_dims)
+def _column(values, name: str, ids: list[int], width: int) -> np.ndarray:
+    """The nodes' `name` vectors as one (n, width) float64 array. `values`
+    is that array already or a list of per-node vectors, converted at once
+    when they agree in shape and node by node otherwise. The first vector
+    that is not 1-D and `width` long raises InvalidInputError naming its
+    node."""
+    try:
+        block = np.asarray(values, dtype=float)
+        if block.shape == (len(ids), width):
+            return block
+    except (TypeError, ValueError, OverflowError):
+        pass
+    rows = [_floats(v, f"node {i}: {name}") for i, v in zip(ids, values)]
+    for i, row in zip(ids, rows):
+        if row.shape != (width,):
+            raise InvalidInputError(f"node {i}: {name} has shape {row.shape}, "
+                                    f"expected ({width},)")
+    return np.stack(rows) if rows else np.zeros((0, max(width, 0)))
 
 
 def _key(doc: dict, key: str, where: str = ""):
@@ -339,62 +377,43 @@ def _key(doc: dict, key: str, where: str = ""):
     return doc[key]
 
 
-def _node_from_dict(nd, k: int) -> Node:
-    if not isinstance(nd, dict):
-        raise InvalidInputError(f"a node must be a JSON object, got {type(nd).__name__}")
-    node_id = _int64(_key(nd, "id", f"node #{k}: "), "node id")
-    vectors = {name: _floats(_key(nd, name, f"node {node_id}: "), f"node {node_id}: {name}")
-               for name in ("position", "f_vl", "f_t", "f_g")}
-    gt_instance = nd.get("gt_instance")
-    return Node(
-        id=node_id,
-        label=_label(nd.get("label", ""), node_id),
-        x=vectors["position"],
-        features=NodeFeatures(f_vl=vectors["f_vl"], f_t=vectors["f_t"], f_g=vectors["f_g"]),
-        gt_instance=(None if gt_instance is None
-                     else _int64(gt_instance, f"node {node_id}: gt_instance")),
-    )
-
-
-def _edge_from_list(raw) -> Edge:
-    if not isinstance(raw, list) or len(raw) != 3:
-        raise InvalidInputError(f"an edge must be a list [i, j, d], got {raw!r}")
-    i, j, d = raw
-    return Edge(_int64(i, "edge endpoint"), _int64(j, "edge endpoint"),
-                _float(d, f"edge {raw!r}: distance"))
-
-
 def graph_from_dict(data: dict, n_max: int = DEFAULT_N_MAX,
                     d_th: float = DEFAULT_D_TH) -> SceneGraph:
     """Build a SceneGraph from the JSON schema; null edges are rebuilt.
 
-    Types are checked field by field before any array conversion: a
-    document that is not an object, a missing required key, a node id, edge
-    endpoint or gt_instance that is not an int64 integer, a label that is
-    not a string, an edge that is not [i, j, d] or a frame kind other than
-    camera/world raises InvalidInputError. Array shapes and values are left
-    to `validate_graph`."""
+    A document that is not an object, a missing required key, a node that
+    is not an object or an edge that is not [i, j, d] raises
+    InvalidInputError; building the SceneGraph then checks the graph
+    fields and scalar types, converts each vector column once and checks
+    shapes. Values are left to `validate_graph`."""
     if not isinstance(data, dict):
         raise InvalidInputError(f"a graph must be a JSON object, got {type(data).__name__}")
-    graph_id, frame_kind, feature_dims = _header(
-        _key(data, "graph_id"), _key(data, "frame_kind"),
-        data.get("feature_dims", DEFAULT_FEATURE_DIMS))
-    if not isinstance(_key(data, "nodes"), list):
+    graph_id, frame_kind, nodes = (_key(data, key) for key in ("graph_id", "frame_kind", "nodes"))
+    if not isinstance(nodes, list):
         raise InvalidInputError("nodes must be a list")
-    nodes = [_node_from_dict(nd, k) for k, nd in enumerate(data["nodes"])]
-    raw_edges = data.get("edges")
-    if raw_edges is None:
-        # A position that is not a 3-vector within MAX_COORDINATE (NaN is not)
-        # is left to validate_graph.
-        rebuild = all(n.x.shape == (3,) and (np.abs(n.x) <= MAX_COORDINATE).all()
-                      for n in nodes)
-        edges = build_edges(nodes, n_max=n_max, d_th=d_th) if rebuild else []
-    elif isinstance(raw_edges, list):
-        edges = [_edge_from_list(raw) for raw in raw_edges]
-    else:
+    for k, nd in enumerate(nodes):
+        if not isinstance(nd, dict):
+            raise InvalidInputError(f"a node must be a JSON object, got {type(nd).__name__}")
+        node_id = _key(nd, "id", f"node #{k}: ")
+        for name in _VECTORS:
+            _key(nd, name, f"node {node_id}: ")
+    edges = data.get("edges")
+    if not isinstance(edges, (list, type(None))):
         raise InvalidInputError("edges must be a list or null")
-    return SceneGraph(graph_id=graph_id, frame_kind=frame_kind, nodes=nodes,
-                      edges=edges, feature_dims=feature_dims)
+    for edge in edges or []:
+        if not isinstance(edge, list) or len(edge) != 3:
+            raise InvalidInputError(f"an edge must be a list [i, j, d], got {edge!r}")
+    graph = SceneGraph.__new__(SceneGraph)._build(
+        graph_id, frame_kind, data.get("feature_dims", DEFAULT_FEATURE_DIMS),
+        [nd["id"] for nd in nodes], [nd.get("label", "") for nd in nodes],
+        [nd.get("gt_instance") for nd in nodes], edges or [],
+        [[nd[name] for nd in nodes] for name in _VECTORS])
+    # A coordinate beyond MAX_COORDINATE (or NaN) is left to validate_graph.
+    if edges is None and (np.abs(graph.positions()) <= MAX_COORDINATE).all():
+        nodes = graph.nodes
+        graph = SceneGraph(graph_id, frame_kind, nodes, build_edges(nodes, n_max, d_th),
+                           graph.feature_dims)
+    return graph
 
 
 def save_graph(g: SceneGraph, path) -> None:
@@ -405,7 +424,8 @@ def read_graph(path, n_max: int = DEFAULT_N_MAX,
                d_th: float = DEFAULT_D_TH) -> tuple[SceneGraph, list[str]]:
     """The one reader of graph files: parse `path`, rebuilding null edges
     with n_max and d_th, and return the graph with its `validate_graph`
-    violations."""
+    violations. A fault of structure, type or shape raises
+    InvalidInputError naming the file; the violations are of values."""
     data = read_json(path)
     try:
         graph = graph_from_dict(data, n_max=n_max, d_th=d_th)
@@ -424,56 +444,34 @@ def load_graph(path, n_max: int = DEFAULT_N_MAX, d_th: float = DEFAULT_D_TH) -> 
 
 
 # ---------------------------------------------------------------------------
-# Array interchange: many graphs as concatenated arrays. Graph k owns node
+# Array interchange: many graphs as concatenated columns. Graph k owns node
 # rows offsets[k]:offsets[k+1] and edge rows edge_offsets[k]:edge_offsets[k+1].
 # Graph ids, frame kinds, feature dims and labels travel beside the arrays
 # as JSON-ready dicts, because NumPy "U" arrays drop trailing NULs.
 
+# Each packed array and the SceneGraph column it concatenates, in archive
+# order; an offsets array counts the rows of its column graph by graph.
+_PACKED = {"offsets": "ids", "node_ids": "ids", "positions": "_positions", "f_vl": "f_vl",
+           "f_t": "f_t", "f_g": "f_g", "gt_instance": "gt_instance",
+           "gt_present": "gt_present", "edge_offsets": "endpoints", "edges": "endpoints",
+           "edge_distances": "edge_distances"}
 _NODE_VECTORS = ("positions", "f_vl", "f_t", "f_g")
-_PACKED_ARRAYS = ("offsets", "node_ids", *_NODE_VECTORS, "gt_instance", "gt_present",
-                  "edge_offsets", "edges", "edge_distances")
-
-
-def _int64_column(values: list) -> np.ndarray:
-    column = np.array(values, dtype=np.int64)
-    if column.tolist() != values:  # a float id would be truncated silently
-        raise ValueError("ids, edge endpoints and gt_instance must be integers")
-    return column
-
-
-def _node_rows(vectors: list[np.ndarray]) -> np.ndarray:
-    block = np.stack(vectors) if vectors else np.zeros((0, 0))
-    if block.ndim != 2:
-        raise ValueError("node vectors must be 1-D")
-    return block
 
 
 def pack_graphs(graphs: Sequence[SceneGraph]) -> tuple[dict[str, np.ndarray], list[dict]]:
-    """The graphs as arrays (`offsets`, `node_ids`, `positions`, `f_vl`,
-    `f_t`, `f_g`, `gt_instance` with its `gt_present` mask, `edge_offsets`,
-    `edges` and `edge_distances`) plus, per graph, a dict of its strings
-    and feature dims; `unpack_graphs` inverts it bit for bit."""
-    nodes = [n for g in graphs for n in g.nodes]
-    edges = [e for g in graphs for e in g.edges]
+    """The graphs' columns concatenated into the arrays of `_PACKED`, plus,
+    per graph, a dict of its strings and feature dims; `unpack_graphs`
+    inverts it bit for bit."""
+    parts = list(graphs) or [SceneGraph("", "world", feature_dims=(0, 0))]
     try:
-        arrays = {
-            "offsets": np.cumsum([0] + [len(g.nodes) for g in graphs], dtype=np.int64),
-            "node_ids": _int64_column([n.id for n in nodes]),
-            "positions": _node_rows([n.x for n in nodes]),
-            "f_vl": _node_rows([n.features.f_vl for n in nodes]),
-            "f_t": _node_rows([n.features.f_t for n in nodes]),
-            "f_g": _node_rows([n.features.f_g for n in nodes]),
-            "gt_instance": _int64_column([0 if n.gt_instance is None else n.gt_instance
-                                          for n in nodes]),
-            "gt_present": np.array([n.gt_instance is not None for n in nodes], dtype=bool),
-            "edge_offsets": np.cumsum([0] + [len(g.edges) for g in graphs], dtype=np.int64),
-            "edges": _int64_column([[e.i, e.j] for e in edges]).reshape(-1, 2),
-            "edge_distances": np.array([e.d for e in edges], dtype=np.float64),
-        }
-    except (OverflowError, TypeError, ValueError) as exc:
+        arrays = {packed: np.cumsum([0] + [len(getattr(g, column)) for g in graphs],
+                                    dtype=np.int64) if packed.endswith("offsets")
+                  else np.concatenate([getattr(g, column) for g in parts])
+                  for packed, column in _PACKED.items()}
+    except ValueError as exc:  # feature dims that differ between graphs
         raise InvalidInputError(f"cannot pack graphs: {exc}") from exc
     strings = [{"graph_id": g.graph_id, "frame_kind": g.frame_kind,
-                "feature_dims": list(g.feature_dims), "labels": [n.label for n in g.nodes]}
+                "feature_dims": list(g.feature_dims), "labels": list(g.labels)}
                for g in graphs]
     return arrays, strings
 
@@ -494,15 +492,15 @@ def _first_bad_slice(offsets: np.ndarray, total: int) -> int | None:
 def unpack_graphs(arrays, strings, names: Sequence[str], source) -> list[SceneGraph]:
     """Rebuild the graphs `pack_graphs` packed into `arrays` and `strings`.
 
-    Checks dtypes, shapes, offsets and the string fields, then runs
-    `validate_graph` on every graph. A failure raises InvalidInputError
-    naming `source` and, where one graph is at fault, its entry of `names`.
-    Node vectors are views of the arrays, not copies."""
+    Checks dtypes, shapes, offsets and the string fields, builds each graph
+    from slices of the arrays (views, not copies) and runs `validate_graph`
+    on it. A failure raises InvalidInputError naming `source` and, where
+    one graph is at fault, its entry of `names`."""
     def error(problem: str, k: int | None = None) -> InvalidInputError:
         scene = "" if k is None or not 0 <= k < len(names) else f"scene {names[k]!r}: "
         return InvalidInputError(f"{source}: {scene}{problem}")
 
-    missing = [name for name in _PACKED_ARRAYS if name not in arrays]
+    missing = [name for name in _PACKED if name not in arrays]
     if missing:
         raise error(f"missing graph arrays {missing}")
     ids, pairs = arrays["node_ids"], arrays["edges"]
@@ -530,29 +528,24 @@ def unpack_graphs(arrays, strings, names: Sequence[str], source) -> list[SceneGr
         raise error(f"needs the strings of {len(names)} graphs")
 
     offsets, edge_offsets = arrays["offsets"].tolist(), arrays["edge_offsets"].tolist()
-    ids, gt, present = (arrays[k].tolist() for k in ("node_ids", "gt_instance", "gt_present"))
-    pairs, dists = arrays["edges"].tolist(), arrays["edge_distances"].tolist()
-    pos, f_vl, f_t, f_g = (arrays[k] for k in _NODE_VECTORS)
+    gt = np.where(arrays["gt_present"], arrays["gt_instance"], None).tolist()
+    edges = [(i, j, d) for (i, j), d in zip(pairs.tolist(), arrays["edge_distances"].tolist())]
     graphs = []
     for k, entry in enumerate(strings):
         lo, hi = offsets[k], offsets[k + 1]
         try:
             if not isinstance(entry, dict):
                 raise InvalidInputError("graph strings must be an object")
-            graph_id, frame_kind, feature_dims = _header(
-                entry.get("graph_id"), entry.get("frame_kind"), entry.get("feature_dims"))
             labels = entry.get("labels")
             if not isinstance(labels, list) or len(labels) != hi - lo:
                 raise InvalidInputError(f"needs {hi - lo} labels for its node rows")
-            labels = [_label(label, ids[r]) for r, label in zip(range(lo, hi), labels)]
+            graph = SceneGraph.__new__(SceneGraph)._build(
+                entry.get("graph_id"), entry.get("frame_kind"), entry.get("feature_dims"),
+                ids[lo:hi].tolist(), labels, gt[lo:hi],
+                edges[edge_offsets[k]:edge_offsets[k + 1]],
+                [arrays[name][lo:hi] for name in _NODE_VECTORS])
         except InvalidInputError as exc:
             raise error(str(exc), k) from exc
-        nodes = [Node(ids[r], label, pos[r], NodeFeatures(f_vl[r], f_t[r], f_g[r]),
-                      gt[r] if present[r] else None)
-                 for r, label in zip(range(lo, hi), labels)]
-        rows = slice(edge_offsets[k], edge_offsets[k + 1])
-        edges = [Edge(i, j, d) for (i, j), d in zip(pairs[rows], dists[rows])]
-        graph = SceneGraph(graph_id, frame_kind, nodes, edges, feature_dims)
         violations = validate_graph(graph)
         if violations:
             raise error(str(violations), k)

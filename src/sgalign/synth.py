@@ -19,8 +19,9 @@ import numpy as np
 
 from .errors import GenerationError, InvalidInputError, read_json
 from .evaluation import AlignmentSample
+from .registration import RigidTransform
 from .scene_graph import (DEFAULT_D_TH, DEFAULT_FEATURE_DIMS, DEFAULT_N_MAX,
-                          GroundTruthMap, Node, NodeFeatures, SceneGraph,
+                          MAX_COORDINATE, GroundTruthMap, Node, NodeFeatures, SceneGraph,
                           _floats, _int64, build_edges, load_graph, save_graph)
 
 MAX_PLACEMENT_ATTEMPTS = 10 ** 5
@@ -191,14 +192,14 @@ def generate_scene(config: SynthConfig,
 def make_f2s_pair(scene: SceneGraph, config: SynthConfig,
                   rng: np.random.Generator | None = None) -> AlignmentSample:
     """A frame graph (camera frame, possibly under-segmented) vs. the scene."""
-    if len(scene.nodes) < 3:
+    if len(scene.ids) < 3:
         raise InvalidInputError("make_f2s_pair: scene needs >= 3 objects")
     rng = rng or np.random.default_rng(config.seed)
 
-    in_view: list[Node] = []
+    nodes, in_view = scene.nodes, []
     for _ in range(MAX_VIEW_ATTEMPTS):
         viewpoint = rng.uniform(0.0, config.box_size, size=3)
-        in_view = [n for n in scene.nodes
+        in_view = [n for n in nodes
                    if np.linalg.norm(n.x - viewpoint) <= config.f2s_view_radius]
         if len(in_view) >= 2:
             break
@@ -265,10 +266,10 @@ def _crop_graph(scene: SceneGraph, members: list[Node], suffix: str,
 def make_s2s_pair(scene: SceneGraph, config: SynthConfig,
                   rng: np.random.Generator | None = None) -> AlignmentSample:
     """Two overlapping axis-aligned crops, each in its own yawed world frame."""
-    if len(scene.nodes) < 6:
+    if len(scene.ids) < 6:
         raise InvalidInputError("make_s2s_pair: scene needs >= 6 objects")
     rng = rng or np.random.default_rng(config.seed)
-    n = len(scene.nodes)
+    nodes, n = scene.nodes, len(scene.ids)
     target = config.s2s_crop_overlap
 
     best: tuple[float, list[Node], list[Node]] | None = None
@@ -277,7 +278,7 @@ def make_s2s_pair(scene: SceneGraph, config: SynthConfig,
         jitter = int(rng.integers(-1, 2))
         take = round(n * (1.0 + target) / 2.0) + jitter
         take = max(1, min(n, take))
-        order = sorted(scene.nodes, key=lambda nd: (nd.x[axis], nd.id))
+        order = sorted(nodes, key=lambda nd: (nd.x[axis], nd.id))
         crop_a = order[:take]
         crop_b = order[n - take:]
         shared = {nd.id for nd in crop_a} & {nd.id for nd in crop_b}
@@ -352,13 +353,14 @@ def save_sample(sample: AlignmentSample, directory) -> None:
     (directory / "gt.json").write_text(json.dumps(gt_doc), encoding="utf-8")
 
 
-def _matrix(value, shape: tuple[int, ...], what: str) -> np.ndarray | None:
-    """`value` as a finite float array of `shape`, or None for null."""
+def _matrix(value, shape: tuple[int, ...], what: str, bound: float) -> np.ndarray | None:
+    """`value` as a float array of `shape` within +-bound, or None for null."""
     if value is None:
         return None
     arr = _floats(value, what)
-    if arr.shape != shape or not np.all(np.isfinite(arr)):
-        raise InvalidInputError(f"{what} must be a finite array of shape {shape} or null")
+    if arr.shape != shape or not (np.abs(arr) <= bound).all():  # NaN fails too
+        raise InvalidInputError(f"{what} must be a finite array of shape {shape} or null, "
+                                f"with entries within +-{bound:g}")
     return arr
 
 
@@ -377,14 +379,22 @@ def _ground_truth(doc) -> dict:
     task = doc.get("task", "f2s")
     if task not in ("f2s", "s2s"):
         raise InvalidInputError(f"task must be f2s or s2s, got {task!r}")
+    # Bounded entries keep the products of the rotation check finite.
+    rotation = _matrix(doc.get("gt_rotation"), (3, 3), "gt_rotation", 1.0 + 1e-9)
+    if rotation is not None:
+        try:
+            RigidTransform(rotation, np.zeros(3))
+        except InvalidInputError as exc:
+            raise InvalidInputError(f"gt_rotation: {exc}") from exc
     return {
         "gt": GroundTruthMap(pairs={(_int64(a, "pair id"), _int64(b, "pair id"))
                                     for a, b in pairs}),
         "overlap_ratio": overlap,
         "task": task,
         "seed": _int64(doc.get("seed", 0), "seed"),
-        "gt_rotation": _matrix(doc.get("gt_rotation"), (3, 3), "gt_rotation"),
-        "gt_translation": _matrix(doc.get("gt_translation"), (3,), "gt_translation"),
+        "gt_rotation": rotation,
+        "gt_translation": _matrix(doc.get("gt_translation"), (3,), "gt_translation",
+                                  MAX_COORDINATE),
     }
 
 

@@ -15,7 +15,7 @@ from sgalign.encoder import EncoderConfig, init_weights, save_weights
 from sgalign.errors import ConfigError
 from sgalign.matcher import MatcherParams
 from sgalign.retrieval import build_database, save_database
-from sgalign.scene_graph import build_edges, save_graph
+from sgalign.scene_graph import SceneGraph, build_edges, save_graph
 from sgalign.synth import SynthConfig, generate_scene, make_sample, save_sample
 
 GOLDEN = Path(__file__).parent / "data" / "default_config.json"
@@ -309,15 +309,17 @@ class TestCliValidate:
         assert f"{bad}: {where}missing key '{key}'" in line, line
 
     def test_two_dimensional_position_is_a_violation(self, tmp_path, scene_file):
+        """A position that is not a 3-vector cannot be stored as a graph: one
+        error line names the file, the node and the shape."""
         doc = json.loads(scene_file.read_text())
         doc["nodes"][0]["position"] = [doc["nodes"][0]["position"]]
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
         proc = run_cli("validate", str(bad))
         assert proc.returncode == 2
-        violations = json.loads(proc.stdout)["violations"]
-        assert f"node {doc['nodes'][0]['id']}: position has shape (1, 3), expected (3,)" \
-            in violations
+        assert proc.stdout == ""
+        assert one_stderr_line(proc).endswith(
+            f"{bad}: node {doc['nodes'][0]['id']}: position has shape (1, 3), expected (3,)")
 
     def test_huge_coordinate_exit_2(self, tmp_path, scene_file):
         """A coordinate whose squared distances would overflow is a violation,
@@ -348,22 +350,25 @@ class TestCliEncode:
         assert abs(np.linalg.norm(doc["global_embedding"]) - 1) <= 1e-6
 
     def test_overflowing_features_exit_2(self, tmp_path):
-        """Features of 1e300 are valid but overflow in the encoder: encode and
-        align end in one error line, not in numpy warnings and a zero "unit"
-        embedding or a later zero-norm error."""
+        """Features of 1e300 would overflow in the encoder, so they are a
+        violation: validate reports it, and encode and align end in one
+        error line naming the file, not in a floating-point error."""
         g, _ = generate_scene(SynthConfig(seed=1))
         save_graph(g, tmp_path / "g.json")
         doc = json.loads((tmp_path / "g.json").read_text())
         doc["nodes"][0]["f_vl"] = [1e300] * len(doc["nodes"][0]["f_vl"])
         huge = tmp_path / "huge.json"
         huge.write_text(json.dumps(doc))
-        assert run_cli("validate", str(huge)).returncode == 0
+        message = f"node {doc['nodes'][0]['id']}: f_vl has a value beyond +-1e+150"
+        proc = run_cli("validate", str(huge))
+        assert proc.returncode == 2
+        assert json.loads(proc.stdout)["violations"] == [message]
         for args in (("encode", huge), ("align", huge, tmp_path / "g.json")):
             proc = run_cli(*map(str, args))
             assert proc.returncode == 2
             assert proc.stdout == ""
-            assert one_stderr_line(proc).startswith(
-                "ERROR sgalign: floating-point error: overflow encountered")
+            line = one_stderr_line(proc)
+            assert str(huge) in line and message in line, line
             assert "Warning" not in proc.stderr
 
 
@@ -502,7 +507,16 @@ class TestCliPairFiles:
         ({"pairs": [], "gt_rotation": [[1, 0, 0], [0, 1, 0], [0, 0, float("nan")]]},
          "gt_rotation must be a finite array of shape (3, 3) or null"),
         ({"pairs": [], "gt_translation": [0, 0]},
-         "gt_translation must be a finite array of shape (3,) or null")])
+         "gt_translation must be a finite array of shape (3,) or null"),
+        ({"pairs": [], "gt_rotation": [[1e300, 0, 0], [0, 1, 0], [0, 0, 1]]},
+         "gt_rotation must be a finite array of shape (3, 3) or null, with entries within +-1"),
+        ({"pairs": [], "gt_rotation": [[0.5, 0, 0], [0, 0.5, 0], [0, 0, 0.5]]},
+         "gt_rotation: R is not orthonormal"),
+        ({"pairs": [], "gt_rotation": [[-1, 0, 0], [0, 1, 0], [0, 0, 1]]},
+         "gt_rotation: R is not a proper rotation"),
+        ({"pairs": [], "gt_translation": [1e200, 0, 0]},
+         "gt_translation must be a finite array of shape (3,) or null, with entries within "
+         "+-1e+150")])
     def test_eval_malformed_gt_exit_2(self, pair_dir, tmp_path, small_weights_file, gt,
                                       named):
         pair = broken_pair(pair_dir, tmp_path, lambda doc: None)
@@ -535,8 +549,10 @@ class TestCliPairFiles:
         cfg.write_text(json.dumps({"edges": {"n_max": n_max, "d_th": d_th}}))
         for k in range(4):
             sample = make_sample("f2s", SynthConfig(seed=50 + k))
-            for graph in (sample.graph_a, sample.graph_b):
-                graph.edges = build_edges(graph.nodes, n_max=n_max, d_th=d_th)
+            sample.graph_a, sample.graph_b = (
+                SceneGraph(g.graph_id, g.frame_kind, g.nodes,
+                           build_edges(g.nodes, n_max=n_max, d_th=d_th), g.feature_dims)
+                for g in (sample.graph_a, sample.graph_b))
             save_sample(sample, tmp_path / "stored" / f"f2s_{k:03d}")
             save_sample(sample, tmp_path / "null" / f"f2s_{k:03d}")
             for name in ("a.json", "b.json"):

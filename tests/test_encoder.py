@@ -7,11 +7,12 @@ import pytest
 
 from sgalign.encoder import (BATCH_NODES, CLS_ATTN_LAYERS, MAX_LAYERS, EncoderConfig,
                              EncoderWeights, dgsa_layer, distance_gate, encode_graph,
-                             encode_graphs, init_weights, initial_embed,
+                             encode_graphs, init_weights, initial_embeddings,
                              load_weights, node_batches, packed_groups,
                              save_weights, sinusoidal_pe, tensor_shapes)
-from sgalign.errors import InvalidInputError, WeightsFormatError, section_dict
-from sgalign.scene_graph import Node, NodeFeatures, SceneGraph, build_edges
+from sgalign.errors import InvalidInputError, ShapeError, WeightsFormatError, section_dict
+from sgalign.scene_graph import (Node, NodeFeatures, SceneGraph, build_edges, graph_to_dict,
+                                 load_graph)
 
 
 def random_graph(n, config, seed=0, span=4.0):
@@ -95,21 +96,25 @@ class TestInitialEmbed:
         w = init_weights(small_config, seed=1)
         for name in ("geo_ffn.w1", "geo_ffn.b1", "geo_ffn.w2", "geo_ffn.b2"):
             w[name][...] = 0.0
-        node = random_graph(1, small_config).nodes[0]
-        c = initial_embed(node, w)
+        g = random_graph(1, small_config)
+        node = g.nodes[0]
+        c = initial_embeddings([g], w)[0]
         d_vl, d_t = small_config.feature_dims
         assert np.array_equal(c[:d_vl], node.features.f_vl)
         assert np.array_equal(c[d_vl:d_vl + d_t], node.features.f_t)
         assert np.array_equal(c[d_vl + d_t:], np.zeros(small_config.geo_hidden))
 
     def test_position_independent(self, small_config, small_weights):
-        node = random_graph(1, small_config).nodes[0]
-        moved = Node(node.id, node.label, node.x + 5.0, node.features)
-        assert np.array_equal(initial_embed(node, small_weights),
-                              initial_embed(moved, small_weights))
+        g = random_graph(1, small_config)
+        node = g.nodes[0]
+        moved = SceneGraph("t", "world", [Node(node.id, node.label, node.x + 5.0, node.features)],
+                           feature_dims=small_config.feature_dims)
+        assert np.array_equal(initial_embeddings([g], small_weights),
+                              initial_embeddings([moved], small_weights))
 
     def test_dense_oracle(self, small_config, small_weights):
-        node = random_graph(1, small_config, seed=3).nodes[0]
+        g = random_graph(1, small_config, seed=3)
+        node = g.nodes[0]
         f_g = node.features.f_g
         w1, b1 = small_weights["geo_ffn.w1"], small_weights["geo_ffn.b1"]
         w2, b2 = small_weights["geo_ffn.w2"], small_weights["geo_ffn.b2"]
@@ -118,14 +123,13 @@ class TestInitialEmbed:
         geo = [sum(w2[r][c] * hidden[c] for c in range(len(hidden))) + b2[r]
                for r in range(small_config.geo_hidden)]
         expected = np.concatenate([node.features.f_vl, node.features.f_t, geo])
-        assert np.allclose(initial_embed(node, small_weights), expected, atol=1e-12)
+        assert np.allclose(initial_embeddings([g], small_weights)[0], expected, atol=1e-12)
 
     def test_shape_error(self, small_config, small_weights):
-        node = random_graph(1, small_config).nodes[0]
-        bad = Node(0, "", node.x, NodeFeatures(np.zeros(3), node.features.f_t,
-                                               node.features.f_g))
-        with pytest.raises(Exception):
-            initial_embed(bad, small_weights)
+        """A graph whose feature dims are not the weights' is refused."""
+        g = random_graph(1, dataclasses.replace(small_config, feature_dims=(3, 12)))
+        with pytest.raises(ShapeError, match="feature dims"):
+            initial_embeddings([g], small_weights)
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +249,7 @@ def with_isolated_nodes(graph, config, count=3, seed=0):
 class TestDgsaLayer:
     def test_isolated_node_is_layernorm_only(self, small_config, small_weights):
         g = random_graph(1, small_config, seed=5)
-        c = np.stack([initial_embed(n, small_weights) for n in g.nodes])
+        c = initial_embeddings([g], small_weights)
         out = dgsa_layer(g, c, small_weights, 0)
         expected = layer_norm_oracle(list(c[0]), small_weights["layer0.ln_scale"],
                                      small_weights["layer0.ln_bias"])
@@ -254,8 +258,8 @@ class TestDgsaLayer:
     def test_isolated_node_independent_of_others(self, small_config, small_weights):
         # two far-apart nodes: no edges, so each output depends only on itself
         g = random_graph(2, small_config, seed=6, span=100.0)
-        assert g.edges == []
-        c = np.stack([initial_embed(n, small_weights) for n in g.nodes])
+        assert g.edges == ()
+        c = initial_embeddings([g], small_weights)
         out = dgsa_layer(g, c, small_weights, 0)
         c2 = c.copy()
         c2[1] = 2.0 * c2[1] + 1.0
@@ -273,7 +277,7 @@ class TestDgsaLayer:
                                    rng.standard_normal(d_t),
                                    rng.uniform(0.1, 1, 3))) for i in range(2)]
         g = SceneGraph("s", "world", nodes, build_edges(nodes), cfg.feature_dims)
-        c = np.stack([initial_embed(n, small_weights) for n in g.nodes])
+        c = initial_embeddings([g], small_weights)
         out = dgsa_layer(g, c, small_weights, 0)
         h = np.concatenate([pe_oracle(1.0, cfg.pe_dim), c[1]])
         o_cn = small_weights["layer0.Wv"] @ h  # singleton softmax == 1
@@ -285,7 +289,7 @@ class TestDgsaLayer:
     def test_full_layer_against_loop_oracle(self, small_config, small_weights):
         g = random_graph(5, small_config, seed=11, span=2.5)
         assert len(g.edges) >= 4  # want real neighborhoods
-        c = np.stack([initial_embed(n, small_weights) for n in g.nodes])
+        c = initial_embeddings([g], small_weights)
         got = dgsa_layer(g, c, small_weights, 1)
         want = dgsa_layer_oracle(g, c, small_weights, 1)
         assert np.allclose(got, want, atol=1e-9)
@@ -296,7 +300,7 @@ class TestDgsaLayer:
                                 small_config)
         counts = {i: len(nbrs) for i, nbrs in g.neighbor_ids().items()}
         assert 0 in counts.values() and max(counts.values()) >= 2
-        c = np.stack([initial_embed(n, small_weights) for n in g.nodes])
+        c = initial_embeddings([g], small_weights)
         for layer in range(small_config.layers):
             got = dgsa_layer(g, c, small_weights, layer)
             want = dgsa_layer_oracle(g, c, small_weights, layer)
@@ -305,7 +309,7 @@ class TestDgsaLayer:
     @pytest.mark.parametrize("batch", ["degree_one", "uneven_degree"])
     def test_full_layer_oracle_batch_graphs(self, small_weights, batch):
         for g in BATCHES[batch](small_weights.config):
-            c = np.stack([initial_embed(n, small_weights) for n in g.nodes])
+            c = initial_embeddings([g], small_weights)
             for layer in range(small_weights.config.layers):
                 got = dgsa_layer(g, c, small_weights, layer)
                 want = dgsa_layer_oracle(g, c, small_weights, layer)
@@ -313,13 +317,25 @@ class TestDgsaLayer:
 
     def test_full_layer_oracle_default_size(self, default_weights):
         g = random_graph(4, default_weights.config, seed=13, span=2.0)
-        c = np.stack([initial_embed(n, default_weights) for n in g.nodes])
+        c = initial_embeddings([g], default_weights)
         got = dgsa_layer(g, c, default_weights, 0)
         want = dgsa_layer_oracle(g, c, default_weights, 0)
         assert np.allclose(got, want, atol=1e-9)
 
 
 class TestEncodeGraph:
+    def test_repeated_edges_encode_like_one(self, small_config, small_weights, tmp_path):
+        """A graph file that lists every edge twice encodes to the bits of
+        the file that lists each once: a repeated edge is one neighbor."""
+        doc = graph_to_dict(random_graph(8, small_config, seed=2))
+        assert len(doc["edges"]) >= 4
+        once, twice = tmp_path / "once.json", tmp_path / "twice.json"
+        once.write_text(json.dumps(doc))
+        twice.write_text(json.dumps({**doc, "edges": [e for e in doc["edges"] for _ in "ab"]}))
+        (emb_a, glob_a), (emb_b, glob_b) = (encode_graph(load_graph(path), small_weights)
+                                            for path in (once, twice))
+        assert emb_a.tobytes() == emb_b.tobytes() and glob_a.tobytes() == glob_b.tobytes()
+
     def test_empty_graph(self, small_config, small_weights):
         g = SceneGraph("e", "world", [], [], small_config.feature_dims)
         emb, glob = encode_graph(g, small_weights)
@@ -515,7 +531,7 @@ class TestEncodeGraphs:
     def test_matches_one_graph_calls(self, weights_name, request):
         weights = request.getfixturevalue(weights_name)
         graphs = mixed_batch(weights.config)
-        assert graphs[3].edges == []  # all isolated
+        assert graphs[3].edges == ()  # all isolated
         assert_batched_matches_one_graph_calls(graphs, weights)
 
     @pytest.mark.parametrize("batch", ["degree_one", "uneven_degree"])

@@ -3,7 +3,9 @@ UTF-8, not JSON or nested too deeply ends in one error naming it; the one
 exception is the `meta` string inside a weights archive. Every npz archive
 is opened by `errors.open_npz`, so bytes that are not a zip archive end in
 one error too. These scans fail when library code calls `json.loads`,
-`json.load` or `np.load` anywhere else."""
+`json.load` or `np.load` anywhere else. A last scan keeps the scene-graph
+columns the one graph layout the pipeline reads: only `scene_graph` and
+`synth` may read `.nodes` or build `Node`/`NodeFeatures` objects."""
 
 import ast
 from pathlib import Path
@@ -45,3 +47,17 @@ def test_one_npz_opener():
     calls = found({"np", "numpy"}, {"load"})
     assert [(name, function) for name, function, _ in calls] == [("errors.py", "open_npz")], \
         sorted(calls)
+
+
+def test_graphs_read_as_columns():
+    allowed = {"scene_graph.py", "synth.py"}
+    found_uses = []
+    for path in sorted(SOURCES.glob("*.py")):
+        if path.name in allowed:
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (isinstance(node, ast.Attribute) and node.attr == "nodes"
+                    or isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id in ("Node", "NodeFeatures")):
+                found_uses.append((path.name, node.lineno))
+    assert found_uses == []

@@ -1,5 +1,7 @@
 import json
 import math
+import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -167,27 +169,42 @@ class TestValidateGraph:
 
     def test_duplicate_id(self):
         g = well_formed_graph()
-        g.nodes.append(Node(3, "dup", np.zeros(3), g.nodes[0].features))
+        g = rebuilt(g, nodes=[*g.nodes, Node(3, "dup", np.zeros(3), g.nodes[0].features)])
         violations = validate_graph(g)
         assert any("duplicate" in v and "3" in v for v in violations)
 
     def test_stale_edge_distance(self):
         g = well_formed_graph()
         i, j = g.nodes[0].id, g.nodes[1].id
-        g.edges = [Edge(min(i, j), max(i, j),
-                        pairwise_distance(g.nodes[0].x, g.nodes[1].x) * 2.0)]
+        g = rebuilt(g, edges=[Edge(min(i, j), max(i, j),
+                                   pairwise_distance(g.nodes[0].x, g.nodes[1].x) * 2.0)])
         violations = validate_graph(g)
         assert any("stored distance" in v for v in violations)
 
     def test_dangling_endpoint(self):
-        g = well_formed_graph()
-        g.edges = [Edge(0, 99, 1.0)]
+        g = rebuilt(well_formed_graph(), edges=[Edge(0, 99, 1.0)])
         assert any("dangling" in v for v in validate_graph(g))
 
     def test_dimension_mismatch(self):
-        g = well_formed_graph()
-        g.feature_dims = (7, 5)
-        assert any("f_vl" in v for v in validate_graph(g))
+        with pytest.raises(InvalidInputError, match="f_vl"):
+            rebuilt(well_formed_graph(), feature_dims=(7, 5))
+
+
+def rebuilt(g, **changes):
+    """A copy of g with some of nodes, edges and feature_dims replaced."""
+    parts = {"nodes": g.nodes, "edges": g.edges, "feature_dims": g.feature_dims, **changes}
+    return SceneGraph(g.graph_id, g.frame_kind, **parts)
+
+
+def parts_of(g):
+    """g's nodes, edges and feature_dims as a mutable stand-in, which the
+    oracle reads as it reads a graph."""
+    return SimpleNamespace(nodes=list(g.nodes), edges=list(g.edges),
+                           feature_dims=g.feature_dims)
+
+
+def built(parts):
+    return SceneGraph("g", "world", parts.nodes, parts.edges, parts.feature_dims)
 
 
 def validate_graph_loop(g):
@@ -311,6 +328,9 @@ MUTATIONS = ["duplicate_id", "duplicate_twice", "nan_position", "inf_position",
              "f_vl_nan", "f_t_inf", "f_g_nan", "f_g_zero", "f_g_above_one",
              "f_g_negative", "f_g_one", "feature_dims", "self_loop", "not_canonical",
              "dangling", "stale_distance", "distance_within_tolerance", "mixed"]
+# Mutations that leave a vector of the wrong shape, which a graph cannot hold.
+SHAPE_MUTATIONS = {"f_vl_shape", "f_t_shape", "f_g_shape", "f_g_shape_out_of_range",
+                   "feature_dims", "mixed"}
 
 
 class TestValidateGraphOracle:
@@ -324,54 +344,77 @@ class TestValidateGraphOracle:
 
     @pytest.mark.parametrize("name", MUTATIONS)
     def test_each_violation(self, name):
-        g = mutate(name, well_formed_graph(8, seed=11))
+        g = mutate(name, parts_of(well_formed_graph(8, seed=11)))
         expected = validate_graph_loop(g)
-        assert validate_graph(g) == expected
+        if name in SHAPE_MUTATIONS:
+            # Construction raises the oracle's first message of the first
+            # node with a shape fault.
+            first = next(v for v in expected if " has shape " in v)
+            node = first.split(":")[0]
+            assert first == next(v for v in expected if v.startswith(node + ":"))
+            with pytest.raises(InvalidInputError) as err:
+                built(g)
+            assert str(err.value) == first
+        else:
+            assert validate_graph(built(g)) == expected
         if name not in ("f_g_one", "distance_within_tolerance"):
             assert expected
 
+    def test_mixed_values(self):
+        """The value faults of `mixed`, without its shape fault."""
+        g = parts_of(well_formed_graph(8, seed=11))
+        for name in ("duplicate_id", "f_g_nan", "f_g_negative", "self_loop",
+                     "not_canonical", "dangling", "stale_distance"):
+            mutate(name, g)
+        expected = validate_graph_loop(g)
+        assert len(expected) >= 7
+        assert validate_graph(built(g)) == expected
+
     def test_nan_distance(self):
         """The loop let a NaN stored distance through (NaN > tol is false)."""
-        g = well_formed_graph(8, seed=11)
+        g = parts_of(well_formed_graph(8, seed=11))
         e = g.edges[2]
         g.edges[2] = Edge(e.i, e.j, float("nan"))
         assert validate_graph_loop(g) == []
         actual = pairwise_distance(g.nodes[e.i].x, g.nodes[e.j].x)
-        assert validate_graph(g) == [f"edge ({e.i},{e.j}): stored distance nan != actual {actual}"]
+        assert validate_graph(built(g)) == [
+            f"edge ({e.i},{e.j}): stored distance nan != actual {actual}"]
 
     def test_bad_position_reported_not_raised(self):
         """The loop raised from pairwise_distance on an edge to a non-finite
         position; validate_graph reports the node and skips its edges."""
-        g = well_formed_graph(8, seed=11)
+        g = parts_of(well_formed_graph(8, seed=11))
         nid = g.edges[0].i
         k = [n.id for n in g.nodes].index(nid)
         g.nodes[k] = Node(nid, "p", [np.nan, 0.0, 0.0], g.nodes[k].features)
         with pytest.raises(InvalidInputError):
             validate_graph_loop(g)
-        assert validate_graph(g) == [f"node {nid}: non-finite position"]
+        assert validate_graph(built(g)) == [f"node {nid}: non-finite position"]
 
     def test_position_shape(self):
-        """A position that is not a 3-vector is a violation (the loop let a
-        2-D position through)."""
-        g = well_formed_graph(8, seed=11)
+        """A position that is not a 3-vector cannot be stored (the loop let
+        a 2-D position through)."""
+        g = parts_of(well_formed_graph(8, seed=11))
         nid = g.edges[0].i
         k = [n.id for n in g.nodes].index(nid)
         g.nodes[k] = Node(nid, "p", [[1.0, 2.0, 3.0]], g.nodes[k].features)
-        assert validate_graph(g) == [f"node {nid}: position has shape (1, 3), expected (3,)"]
+        with pytest.raises(InvalidInputError) as err:
+            built(g)
+        assert str(err.value) == f"node {nid}: position has shape (1, 3), expected (3,)"
 
     @pytest.mark.parametrize("x", [1e200, -1.5e150, 1.7e308])
     def test_huge_coordinate(self, x):
         """A coordinate beyond MAX_COORDINATE is a violation, and the
         distances of its edges are not computed (they would overflow)."""
-        g = well_formed_graph(8, seed=11)
+        g = parts_of(well_formed_graph(8, seed=11))
         nid = g.edges[0].i
         k = [n.id for n in g.nodes].index(nid)
         g.nodes[k] = Node(nid, "p", [0.0, x, 1.0], g.nodes[k].features)
         with np.errstate(all="raise"):
-            assert validate_graph(g) == [f"node {nid}: position has a coordinate beyond "
-                                         f"+-{MAX_COORDINATE:g}"]
+            assert validate_graph(built(g)) == [f"node {nid}: position has a coordinate "
+                                                f"beyond +-{MAX_COORDINATE:g}"]
         g.nodes[k] = Node(nid, "p", [0.0, MAX_COORDINATE, 1.0], g.nodes[k].features)
-        assert not any(v.startswith(f"node {nid}:") for v in validate_graph(g))
+        assert not any(v.startswith(f"node {nid}:") for v in validate_graph(built(g)))
 
     def test_null_edges_not_rebuilt_on_huge_coordinate(self):
         doc = graph_to_dict(well_formed_graph(8, seed=11))
@@ -379,7 +422,7 @@ class TestValidateGraphOracle:
         doc["nodes"][0]["position"] = [1e200, 0.0, 0.0]
         with np.errstate(all="raise"):
             g = graph_from_dict(doc)
-        assert g.edges == []
+        assert g.edges == ()
         assert validate_graph(g) == [f"node {g.nodes[0].id}: position has a coordinate "
                                      f"beyond +-1e+150"]
 
@@ -430,8 +473,9 @@ class TestGraphFiles:
 
     def test_invalid_file_names_path_and_violations(self, tmp_path):
         g = well_formed_graph()
-        g.nodes[0] = Node(0, "bad", g.nodes[0].x, NodeFeatures(
-            g.nodes[0].features.f_vl, g.nodes[0].features.f_t, [5.0, -1.0, 5.0]))
+        g = rebuilt(g, nodes=[Node(0, "bad", g.nodes[0].x, NodeFeatures(
+            g.nodes[0].features.f_vl, g.nodes[0].features.f_t, [5.0, -1.0, 5.0])),
+            *g.nodes[1:]])
         path = tmp_path / "bad.json"
         save_graph(g, path)
         back, violations = read_graph(path)
@@ -446,8 +490,8 @@ class TestGraphFiles:
         doc["edges"] = None
         (tmp_path / "g.json").write_text(json.dumps(doc))
         back = load_graph(tmp_path / "g.json", n_max=1, d_th=1.5)
-        assert back.edges == build_edges(g.nodes, n_max=1, d_th=1.5)
-        assert back.edges != build_edges(g.nodes)
+        assert list(back.edges) == build_edges(g.nodes, n_max=1, d_th=1.5)
+        assert list(back.edges) != build_edges(g.nodes)
 
 
 def graph_doc():
@@ -517,11 +561,11 @@ def odd_graphs():
     (int64 extremes included), labels with a trailing NUL and non-ASCII
     text, a graph without nodes and one without edges."""
     a = well_formed_graph(6, seed=1)
-    a.nodes = [Node(n.id, label, n.x, n.features, gt)
-               for n, label, gt in zip(a.nodes, ["chair\0", "стол", "🪑 lamp", "", "a\0\0", "b"],
-                                       [None, 0, -3, 2 ** 63 - 1, -2 ** 63, None])]
+    a = rebuilt(a, nodes=[Node(n.id, label, n.x, n.features, gt) for n, label, gt in zip(
+        a.nodes, ["chair\0", "стол", "🪑 lamp", "", "a\0\0", "b"],
+        [None, 0, -3, 2 ** 63 - 1, -2 ** 63, None])])
     b = well_formed_graph(1, seed=2)
-    b.graph_id, b.frame_kind = "g\0", "camera"
+    b = SceneGraph("g\0", "camera", b.nodes, b.edges, b.feature_dims)
     return [a, SceneGraph("empty", "world", [], [], (4, 5)), b, well_formed_graph(9, seed=3)]
 
 
@@ -549,7 +593,9 @@ class TestPackGraphs:
     @pytest.mark.parametrize("change", ["ragged_f_vl", "2d_position", "float_id",
                                         "float_endpoint", "huge_gt_instance"])
     def test_unpackable_graph_refused(self, change):
-        g = well_formed_graph(3)
+        """What pack_graphs could not store is refused when the graph is
+        built, so no graph reaches it."""
+        g = parts_of(well_formed_graph(3))
         n = g.nodes[1]
         if change == "ragged_f_vl":
             g.nodes[1] = with_features(n, f_vl=np.ones(6))
@@ -561,5 +607,10 @@ class TestPackGraphs:
             g.edges = [Edge(0, 1.5, 1.0)]
         else:
             g.nodes[1] = Node(n.id, n.label, n.x, n.features, 2 ** 63)
-        with pytest.raises(InvalidInputError, match="cannot pack"):
-            pack_graphs([g])
+        message = {"ragged_f_vl": "node 1: f_vl has shape (6,), expected (4,)",
+                   "2d_position": "node 0: position has shape (1, 3), expected (3,)",
+                   "float_id": "node id must be an integer within int64, got 1.5",
+                   "float_endpoint": "edge endpoint must be an integer within int64, got 1.5",
+                   "huge_gt_instance": "node 1: gt_instance must be an integer within int64"}
+        with pytest.raises(InvalidInputError, match=re.escape(message[change])):
+            built(g)

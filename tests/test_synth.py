@@ -26,7 +26,7 @@ def graphs_equal(a, b):
 class TestGenerateScene:
     def test_single_object(self):
         g, _ = generate_scene(SynthConfig(seed=1, n_objects=(1, 1)))
-        assert len(g.nodes) == 1 and g.edges == []
+        assert len(g.nodes) == 1 and g.edges == ()
 
     def test_seed_determinism(self):
         a, _ = generate_scene(SynthConfig(seed=9))
@@ -205,7 +205,7 @@ class TestSampleDeterminismAndIo:
         path = tmp_path / "pair" / "b.json"
         path.write_text(json.dumps({**json.loads(path.read_text()), "edges": None}))
         back = load_sample(tmp_path / "pair", n_max=2, d_th=0.8)
-        assert back.graph_b.edges == build_edges(s.graph_b.nodes, n_max=2, d_th=0.8)
+        assert list(back.graph_b.edges) == build_edges(s.graph_b.nodes, n_max=2, d_th=0.8)
         assert graphs_equal(back.graph_a, s.graph_a)
 
     def test_load_rejects_invalid_graph(self, tmp_path):
