@@ -27,7 +27,15 @@ import numpy as np
 
 from .errors import DOCUMENT_KEYS, InvalidInputError, check_types
 from .matcher import ScoreMatrix
-from .scene_graph import point_distances
+from .scene_graph import MAX_COORDINATE, point_distances
+
+# Flow costs are -log(P) (at most ~20.7) plus lambda times a distance
+# distortion, and the unmatched cost. Keeping each within MAX_COST leaves a
+# factor of 1e8 for the sums of costs the shortest-path solver forms. A
+# distortion |d_a - d_b| is at most the largest distance between positions
+# within +-MAX_COORDINATE.
+MAX_COST = 1e300
+MAX_PENALTY = 2 * math.sqrt(3) * MAX_COORDINATE
 
 
 @dataclass
@@ -79,9 +87,10 @@ class McfParams:
             raise InvalidInputError(f"tau must be in [0,1], got {self.tau}")
         if self.top_k < 1:
             raise InvalidInputError(f"top_k must be >= 1, got {self.top_k}")
-        for name in ("c_unmatched", "lam"):
-            if not math.isfinite(getattr(self, name)):
-                raise InvalidInputError(f"{DOCUMENT_KEYS.get(name, name)} must be finite, "
+        for name, bound in (("c_unmatched", MAX_COST), ("lam", MAX_COST / MAX_PENALTY)):
+            if not abs(getattr(self, name)) <= bound:  # also refuses NaN
+                raise InvalidInputError(f"{DOCUMENT_KEYS.get(name, name)} must be within "
+                                        f"+-{bound:g} for finite costs, "
                                         f"got {getattr(self, name)}")
         if self.max_iters < 1:
             raise InvalidInputError(f"max_iters must be >= 1, got {self.max_iters}")

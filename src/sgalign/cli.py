@@ -21,7 +21,7 @@ import numpy as np
 
 from . import registration, retrieval, synth
 from .config import PipelineConfig, load_config
-from .encoder import (EncoderWeights, encode_graph, encode_graphs, init_weights,
+from .encoder import (EncoderWeights, encode_graph, encode_nodes, init_weights,
                       load_weights, node_batches)
 from .errors import SgaError
 from .evaluation import bin_by_overlap, aggregate, sample_metrics
@@ -168,18 +168,19 @@ def cmd_eval(args) -> int:
         raise SgaError(f"no sample directories under {args.pairs}")
 
     # Pairs stream through in batches of at most BATCH_NODES nodes: one
-    # batched encode, then per-pair scoring on the pool. Batches depend
-    # only on the sorted pairs, never on --jobs, so neither do the bytes.
+    # batched node pass (no global embedding is read), then per-pair scoring
+    # on the pool. Batches depend only on the sorted pairs, never on --jobs,
+    # so neither do the bytes.
     edges = config.edges
     samples = ((p.name, synth.load_sample(p, edges.n_max, edges.d_th)) for p in pair_dirs)
     rows = []
     with ThreadPoolExecutor(max_workers=args.jobs) as pool:
         for batch in node_batches(samples, lambda item: len(item[1].graph_a.ids)
                                   + len(item[1].graph_b.ids)):
-            encoded = encode_graphs([g for _, sample in batch
-                                     for g in (sample.graph_a, sample.graph_b)], weights)
+            encoded = encode_nodes([g for _, sample in batch
+                                    for g in (sample.graph_a, sample.graph_b)], weights)
             rows += pool.map(
-                lambda item, a, b: _eval_pair(item, a[0], b[0], config, args.allocator),
+                lambda item, a, b: _eval_pair(item, a, b, config, args.allocator),
                 batch, encoded[0::2], encoded[1::2])
 
     per_sample = [r[0] for r in rows]

@@ -1,6 +1,7 @@
 """Distance-gated spatial attention encoder.
 
-Produces one embedding per node plus a graph-level class-token embedding.
+Produces one embedding per node (`encode_nodes`) and, where a caller reads
+it, a graph-level class-token embedding as well (`encode_graphs`).
 All geometry enters exclusively through pairwise distances (center-to-
 neighbor and neighbor-to-neighbor), so the output is invariant to rigid
 transforms of the node positions.
@@ -394,7 +395,8 @@ class _NeighborIndex:
     neighbors of active node a sorted by node id in its first real[a].sum()
     slots; K is the largest degree, and padded slots point at position 0.
     Row-major order over the real slots is the order of the E directed
-    (center, neighbor) pairs.
+    (center, neighbor) pairs. Everything here depends on the graphs alone,
+    so it is built once per call and read by every layer.
     """
 
     graphs: Sequence[SceneGraph]
@@ -402,7 +404,10 @@ class _NeighborIndex:
     active: np.ndarray       # (A,) rows with at least one neighbor
     nbr: np.ndarray          # (A, K) active position of each neighbor
     real: np.ndarray         # (A, K) slot holds a neighbor, not padding
+    pair_nbr: np.ndarray     # (E,) active position of each pair's neighbor
+    degree: np.ndarray       # (A,) neighbors of each active node
     dist: np.ndarray         # (E,) center-to-neighbor distance of each pair
+    nn_mask: np.ndarray      # (A, K, K) both slots real and distinct
     nn_dist: np.ndarray      # (A, K, K) neighbor-to-neighbor distances
 
     def row_names(self, rows) -> list[tuple[str, int]]:
@@ -434,9 +439,11 @@ def _build_neighbor_index(graphs: Sequence[SceneGraph]) -> _NeighborIndex:
     counts = np.bincount(center, minlength=node_offsets[-1])
     active = np.flatnonzero(counts)
     position = np.cumsum(counts > 0) - 1  # active position of each active row
-    real = np.arange(counts.max(initial=0)) < counts[active, None]
+    k_max = counts.max(initial=0)
+    real = np.arange(k_max) < counts[active, None]
     nbr = np.zeros(real.shape, dtype=int)
-    nbr[real] = position[neighbor]
+    pair_nbr = position[neighbor]
+    nbr[real] = pair_nbr
     pos = np.concatenate([g.positions() for g in graphs])
     nbr_pos = pos[active][nbr]
     return _NeighborIndex(
@@ -445,7 +452,10 @@ def _build_neighbor_index(graphs: Sequence[SceneGraph]) -> _NeighborIndex:
         active=active,
         nbr=nbr,
         real=real,
+        pair_nbr=pair_nbr,
+        degree=counts[active],
         dist=point_distances(pos[center], pos[neighbor]),
+        nn_mask=real[:, :, None] & real[:, None] & ~np.eye(k_max, dtype=bool),
         nn_dist=point_distances(nbr_pos[:, :, None], nbr_pos[:, None]),
     )
 
@@ -488,7 +498,7 @@ def _attention(x: np.ndarray, index: _NeighborIndex, pe: np.ndarray,
     w_h = weights.packed[f"layer{layer}.h_proj"]
     if k_max < 2:  # no neighbor-to-neighbor term: only K and V are needed
         w_h = w_h[:2 * cfg.d_model]
-    h = (x @ w_h[:, pe_dim:].T)[index.nbr[index.real]]
+    h = (x @ w_h[:, pe_dim:].T)[index.pair_nbr]
     h += pe @ w_h[:, :pe_dim].T
     h = h.reshape(len(h), -1, heads, dh)
 
@@ -504,11 +514,10 @@ def _attention(x: np.ndarray, index: _NeighborIndex, pe: np.ndarray,
 
     # neighbor -> neighbor attention, average-pooled over neighbors
     if k_max > 1:
-        mask = index.real[:, :, None] & index.real[:, None] & ~np.eye(k_max, dtype=bool)
         gate_nn = distance_gate(index.nn_dist, gate_w)
         raw2 = (block(2) @ block(3).swapaxes(2, 3)) / math.sqrt(dh)
-        per_pair = _attend(gate_nn[:, None] * raw2, mask[:, None], block(4))
-        out += per_pair.sum(axis=2) / index.real.sum(axis=1)[:, None, None]
+        per_pair = _attend(gate_nn[:, None] * raw2, index.nn_mask[:, None], block(4))
+        out += per_pair.sum(axis=2) / index.degree[:, None, None]
     return out.reshape(n_act, cfg.d_model)
 
 
@@ -588,18 +597,9 @@ def _class_tokens(node_emb: np.ndarray, node_offsets: np.ndarray,
     return x / norms[:, None]
 
 
-def encode_graphs(graphs: Sequence[SceneGraph], weights: EncoderWeights
-                  ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Batched forward pass: per graph, (node embeddings (n, d_model), global
-    (d_model,)).
-
-    The graphs' nodes run through every layer together, so each weight
-    matrix is read once per batch instead of once per graph. Results match
-    one-graph calls up to floating-point rounding, since BLAS may round a
-    row differently with the number of rows it is given.
-    """
-    if not graphs:
-        return []
+def _node_pass(graphs: Sequence[SceneGraph], weights: EncoderWeights
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """(node embeddings of the graphs' nodes in turn, node_offsets)."""
     cfg = weights.config
     c0 = initial_embeddings(graphs, weights)
     index = _build_neighbor_index(graphs)
@@ -607,10 +607,40 @@ def encode_graphs(graphs: Sequence[SceneGraph], weights: EncoderWeights
     c = c0
     for layer in range(cfg.layers):
         c = _dgsa(c, index, pe, weights, layer)
-    node_emb = _project(c, c0, index, weights)
-    del c, c0, pe
-    global_emb = _class_tokens(node_emb, index.node_offsets, weights)
-    offsets = index.node_offsets
+    return _project(c, c0, index, weights), index.node_offsets
+
+
+def encode_nodes(graphs: Sequence[SceneGraph], weights: EncoderWeights
+                 ) -> list[np.ndarray]:
+    """Batched node pass: per graph, its node embeddings (n, d_model).
+
+    This is `encode_graphs` without the class-token stage, for callers that
+    match nodes and never read a global embedding (alignment, eval). The
+    class tokens read the node rows and write nothing back, so the rows are
+    bit-identical to those `encode_graphs` returns for the same batch.
+    """
+    if not graphs:
+        return []
+    node_emb, offsets = _node_pass(graphs, weights)
+    return [node_emb[offsets[g]:offsets[g + 1]] for g in range(len(graphs))]
+
+
+def encode_graphs(graphs: Sequence[SceneGraph], weights: EncoderWeights
+                  ) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Batched forward pass: per graph, (node embeddings (n, d_model), global
+    (d_model,)).
+
+    The node pass of `encode_nodes` followed by the class-token stage, for
+    callers that read the global embedding (encode, retrieval, database
+    build). The graphs' nodes run through every layer together, so each
+    weight matrix is read once per batch instead of once per graph. Results
+    match one-graph calls up to floating-point rounding, since BLAS may
+    round a row differently with the number of rows it is given.
+    """
+    if not graphs:
+        return []
+    node_emb, offsets = _node_pass(graphs, weights)
+    global_emb = _class_tokens(node_emb, offsets, weights)
     return [(node_emb[offsets[g]:offsets[g + 1]], global_emb[g])
             for g in range(len(graphs))]
 

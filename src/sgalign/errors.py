@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import numbers
 import zipfile
 from pathlib import Path
 
@@ -53,12 +54,19 @@ DOCUMENT_KEYS = {"lam": "lambda"}
 
 def check_types(params, kind, what: str, names: tuple[str, ...]) -> None:
     """Reject a field of `params` that is not of the numbers ABC `kind`, or
-    is a bool. Errors name the field by its document key."""
+    is a bool. A number field also refuses an integer too large for a
+    float. Errors name the field by its document key."""
     for name in names:
         value = getattr(params, name)
         if isinstance(value, bool) or not isinstance(value, kind):
             raise InvalidInputError(
                 f"{DOCUMENT_KEYS.get(name, name)} must be {what}, got {value!r}")
+        if kind is not numbers.Integral and isinstance(value, numbers.Integral):
+            try:
+                float(value)
+            except OverflowError:
+                raise InvalidInputError(f"{DOCUMENT_KEYS.get(name, name)} must be {what} "
+                                        f"within the float range") from None
 
 
 def section_dict(params) -> dict:

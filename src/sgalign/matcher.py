@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +19,11 @@ from .errors import InvalidInputError, NumericError, check_types
 # Floor keeps -log(P) bounded (~20.7), so flow costs stay interpretable
 # against the default unmatched cost of 2.0.
 P_FLOOR = 1e-9
+# Cosine similarities satisfy |S| <= 1, so the logits S / temperature and the
+# dustbin logit span at most max(2, 1 + |dustbin_logit|) / temperature, the
+# largest difference the softmax forms. Half the float range leaves room for
+# similarities a few ulp beyond 1.
+MAX_LOGIT_SPAN = sys.float_info.max / 2
 
 
 @dataclass(frozen=True)
@@ -34,6 +40,14 @@ class MatcherParams:
                                     f"got {self.temperature}")
         if not math.isfinite(self.dustbin_logit):
             raise InvalidInputError(f"dustbin_logit must be finite, got {self.dustbin_logit}")
+        if 2 / self.temperature > MAX_LOGIT_SPAN:
+            raise InvalidInputError(f"temperature must be >= {2 / MAX_LOGIT_SPAN:g} for "
+                                    f"finite logits, got {self.temperature}")
+        if (1 + abs(self.dustbin_logit)) / self.temperature > MAX_LOGIT_SPAN:
+            raise InvalidInputError(
+                f"dustbin_logit must be within +-{MAX_LOGIT_SPAN * self.temperature - 1:g} "
+                f"for finite logits at temperature {self.temperature}, "
+                f"got {self.dustbin_logit}")
 
 
 @dataclass

@@ -8,7 +8,7 @@ import numpy as np
 
 from .allocator import MatchSet, mcf_allocate, mnn_allocate
 from .config import PipelineConfig
-from .encoder import EncoderWeights, encode_graph
+from .encoder import EncoderWeights, encode_nodes
 from .errors import InvalidInputError
 from .matcher import ScoreMatrix, cosine_scores, score_matrix
 from .scene_graph import SceneGraph, validate_graph
@@ -20,8 +20,6 @@ class AlignmentResult:
     scores: ScoreMatrix
     emb_a: np.ndarray
     emb_b: np.ndarray
-    global_a: np.ndarray
-    global_b: np.ndarray
 
 
 def allocate(scores: ScoreMatrix, pos_a: np.ndarray, pos_b: np.ndarray,
@@ -44,21 +42,20 @@ def match_embeddings(emb_a: np.ndarray, emb_b: np.ndarray, pos_a: np.ndarray,
 def align_graphs(graph_a: SceneGraph, graph_b: SceneGraph,
                  weights: EncoderWeights, config: PipelineConfig,
                  allocator: str = "mcf", validate: bool = True) -> AlignmentResult:
-    """Full forward pass from two scene graphs to a MatchSet.
+    """Node embeddings of two scene graphs, scored and allocated to a MatchSet.
 
-    Each graph is encoded on its own: BLAS may round a row differently with
-    the number of rows in the product, and a one-graph call keeps the
-    embeddings equal to those of `encode_graph`.
+    Matching reads node embeddings only, so the class-token stage does not
+    run. Each graph is encoded on its own: BLAS may round a row differently
+    with the number of rows in the product, and a one-graph node pass keeps
+    the embeddings bit-identical to those of `encode_graph`.
     """
     if validate:
         for name, g in (("graph_a", graph_a), ("graph_b", graph_b)):
             violations = validate_graph(g)
             if violations:
                 raise InvalidInputError(f"{name} invalid: {violations}")
-    emb_a, global_a = encode_graph(graph_a, weights)
-    emb_b, global_b = encode_graph(graph_b, weights)
+    [emb_a] = encode_nodes([graph_a], weights)
+    [emb_b] = encode_nodes([graph_b], weights)
     scores, matches = match_embeddings(emb_a, emb_b, graph_a.positions(),
                                        graph_b.positions(), config, allocator)
-    return AlignmentResult(matches=matches, scores=scores,
-                           emb_a=emb_a, emb_b=emb_b,
-                           global_a=global_a, global_b=global_b)
+    return AlignmentResult(matches=matches, scores=scores, emb_a=emb_a, emb_b=emb_b)

@@ -211,22 +211,45 @@ def _read_archive(path: Path) -> dict[str, np.ndarray]:
             raise InvalidInputError(f"{path}: {exc}") from exc
 
 
-def _embeddings(path: Path, arrays: dict[str, np.ndarray], n_scenes: int, d_model: int):
+# Stored embeddings are unit rows, as the encoder writes them; a row whose
+# norm is further from 1 than this was not written by it.
+UNIT_NORM_TOL = 1e-9
+
+
+def _unit_rows(path: Path, what: str, rows: np.ndarray, scene_of) -> None:
+    """Refuse a row of `rows` whose norm is not 1 within UNIT_NORM_TOL,
+    naming its scene (`scene_of(row)`). Entries are bounded first, so the
+    squared norms cannot overflow, and no temporary copy of the rows is made."""
+    bound = 1 + UNIT_NORM_TOL
+    bad = ~((rows.max(axis=1) <= bound) & (rows.min(axis=1) >= -bound))  # NaN too
+    if not bad.any():
+        bad = ~(np.abs(np.sqrt(np.einsum("ij,ij->i", rows, rows)) - 1) <= UNIT_NORM_TOL)
+    if bad.any():
+        row = int(np.argmax(bad))
+        raise InvalidInputError(f"{path}: scene {scene_of(row)!r}: {what} row {row} is not "
+                                f"a unit vector within {UNIT_NORM_TOL:g}")
+
+
+def _embeddings(path: Path, arrays: dict[str, np.ndarray], scene_ids: list[str],
+                d_model: int):
     """(globals, nodes) of the archive, checked against the unpacked graphs'
-    node count."""
+    node count; every row must be a unit vector."""
     if "globals" not in arrays or "nodes" not in arrays:
         raise InvalidInputError(f"{path}: needs arrays globals and nodes, "
                                 f"has {sorted(arrays)}")
     globals_, nodes = arrays["globals"], arrays["nodes"]
+    n_scenes = len(scene_ids)
     if globals_.shape != (n_scenes, d_model) or globals_.dtype != np.float64:
         raise InvalidInputError(f"{path}: globals are {globals_.dtype} {globals_.shape}, "
                                 f"expected float64 {(n_scenes, d_model)}")
-    n_nodes = int(arrays["offsets"][-1])
+    offsets = arrays["offsets"]
+    n_nodes = int(offsets[-1])
     if nodes.shape != (n_nodes, d_model) or nodes.dtype != np.float64:
         raise InvalidInputError(f"{path}: node embeddings are {nodes.dtype} "
                                 f"{nodes.shape}, expected float64 {(n_nodes, d_model)}")
-    if not (np.isfinite(globals_).all() and np.isfinite(nodes).all()):
-        raise InvalidInputError(f"{path}: non-finite embeddings")
+    _unit_rows(path, "global embedding", globals_, lambda row: scene_ids[row])
+    _unit_rows(path, "node embedding", nodes, lambda row: scene_ids[
+        int(np.searchsorted(offsets, row, side="right")) - 1])
     return globals_, nodes
 
 
@@ -254,7 +277,7 @@ def load_database(directory, weights: EncoderWeights) -> SceneDatabase:
     graphs = unpack_graphs(arrays, index.get("graphs"), scene_ids, path)
     if index.get("weights_hash") != weights_fingerprint(weights):
         return build_database(list(zip(scene_ids, graphs)), weights)
-    globals_, nodes = _embeddings(path, arrays, len(scene_ids), weights.config.d_model)
+    globals_, nodes = _embeddings(path, arrays, scene_ids, weights.config.d_model)
     offsets = arrays["offsets"]
     return SceneDatabase(entries=[
         EncodedScene(scene_id=scene_id, graph=graph,

@@ -32,6 +32,12 @@ NON_FINITE = [
     ("edges", "d_th", float("nan")), ("matcher", "temperature", float("inf")),
     ("matcher", "temperature", float("nan")), ("matcher", "dustbin_logit", float("nan")),
     ("matcher", "dustbin_logit", -float("inf"))]
+# Finite values whose logits or flow costs would overflow at the first score,
+# and an integer no float holds: the same.
+OVERFLOWING = [
+    ("matcher", "temperature", 1e-310), ("mcf", "lambda", 1.7e308),
+    ("matcher", "dustbin_logit", 1e308), ("mcf", "c_unmatched", -1.7e308),
+    ("matcher", "dustbin_logit", 10 ** 400), ("edges", "d_th", -10 ** 400)]
 
 
 class TestConfig:
@@ -85,7 +91,7 @@ class TestConfig:
         assert section in str(err.value)
         assert f"{key} must be" in str(err.value)
 
-    @pytest.mark.parametrize("section,key,value", TYPE_ERRORS + NON_FINITE)
+    @pytest.mark.parametrize("section,key,value", TYPE_ERRORS + NON_FINITE + OVERFLOWING)
     def test_field_type_rejected(self, section, key, value):
         with pytest.raises(ConfigError) as err:
             config_from_dict({section: {key: value}})
@@ -195,6 +201,25 @@ class TestCliAlign:
         assert proc.stdout == ""
         assert "config field" in one_stderr_line(proc)
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("section,key,value", OVERFLOWING)
+    def test_overflowing_config_exit_2(self, scene_file, tmp_path, section, key, value):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({section: {key: value}}))
+        proc = run_main("align", scene_file, scene_file, "--config", cfg)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert f"config field '{section}': {key} must be" in one_stderr_line(proc)
+
+    @pytest.mark.parametrize("section,key,value", [
+        ("matcher", "temperature", 2.3e-308), ("mcf", "lambda", 2.8e149),
+        ("mcf", "lambda", -2.8e149), ("mcf", "c_unmatched", 1e300)])
+    def test_config_just_inside_bound_runs(self, scene_file, tmp_path, section, key, value):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({section: {key: value}, "encoder": {
+            "d_model": 16, "heads": 2, "layers": 1, "pe_dim": 8}}))
+        proc = run_main("align", scene_file, scene_file, "--config", cfg)
+        assert proc.returncode == 0, proc.stderr
 
     def test_align_fractional_cap_max_exit_2(self, scene_file, tmp_path):
         cfg = tmp_path / "c.json"

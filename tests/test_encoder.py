@@ -4,15 +4,21 @@ import math
 
 import numpy as np
 import pytest
+from conftest import run_main
 
+from sgalign import encoder
+from sgalign.config import PipelineConfig
 from sgalign.encoder import (BATCH_NODES, CLS_ATTN_LAYERS, MAX_LAYERS, EncoderConfig,
                              EncoderWeights, dgsa_layer, distance_gate, encode_graph,
-                             encode_graphs, init_weights, initial_embeddings,
+                             encode_graphs, encode_nodes, init_weights, initial_embeddings,
                              load_weights, node_batches, packed_groups,
                              save_weights, sinusoidal_pe, tensor_shapes)
 from sgalign.errors import InvalidInputError, ShapeError, WeightsFormatError, section_dict
+from sgalign.pipeline import align_graphs
+from sgalign.retrieval import build_database, encode_scene
 from sgalign.scene_graph import (Node, NodeFeatures, SceneGraph, build_edges, graph_to_dict,
                                  load_graph)
+from sgalign.synth import SynthConfig, make_sample, save_sample
 
 
 def random_graph(n, config, seed=0, span=4.0):
@@ -551,6 +557,83 @@ class TestEncodeGraphs:
             assert len(batch) == 1 or sum(batch) <= BATCH_NODES
         for this, after in zip(batches, batches[1:]):
             assert sum(this) + after[0] > BATCH_NODES  # greedy: no room left
+
+
+class TestNodePass:
+    """`encode_nodes` is `encode_graphs` without the class-token stage;
+    commands that only match nodes never run that stage."""
+
+    @pytest.mark.parametrize("batch", sorted(BATCHES))
+    @pytest.mark.parametrize("weights_name", ["small_weights", "default_weights"])
+    def test_rows_equal_encode_graphs(self, weights_name, batch, request):
+        weights = request.getfixturevalue(weights_name)
+        graphs = BATCHES[batch](weights.config)
+        nodes = encode_nodes(graphs, weights)
+        assert len(nodes) == len(graphs)
+        for emb, (full, _) in zip(nodes, encode_graphs(graphs, weights)):
+            assert emb.shape == full.shape and emb.tobytes() == full.tobytes()
+        for graph in graphs:
+            [emb] = encode_nodes([graph], weights)
+            one = encode_graph(graph, weights)[0]
+            assert emb.shape == one.shape and emb.tobytes() == one.tobytes()
+
+    def test_no_graphs(self, small_weights):
+        assert encode_nodes([], small_weights) == []
+
+    @pytest.fixture()
+    def files(self, tmp_path, small_config, small_weights):
+        save_weights(small_weights, tmp_path / "w.npz")
+        for k in range(2):
+            save_sample(make_sample("s2s", SynthConfig(
+                seed=60 + k, n_objects=(8, 10), feature_dims=small_config.feature_dims)),
+                tmp_path / "pairs" / f"p{k}")
+        return tmp_path
+
+    @pytest.fixture()
+    def class_token_calls(self, monkeypatch):
+        """The number of class-token stage runs so far."""
+        calls = []
+        stage = encoder._class_tokens
+
+        def counted(*args):
+            calls.append(1)
+            return stage(*args)
+        monkeypatch.setattr(encoder, "_class_tokens", counted)
+        return calls
+
+    @pytest.fixture()
+    def no_class_tokens(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("class-token stage ran")
+        monkeypatch.setattr(encoder, "_class_tokens", refuse)
+
+    @pytest.mark.parametrize("allocator", ["mnn", "mcf"])
+    def test_matching_skips_class_tokens(self, files, small_weights, allocator,
+                                         no_class_tokens):
+        pair = files / "pairs" / "p0"
+        weights = ("--weights", files / "w.npz")
+        runs = [run_main("eval", "--pairs", files / "pairs", "--allocator", allocator,
+                         *weights),
+                run_main("align", pair / "a.json", pair / "b.json", "--allocator",
+                         allocator, *weights),
+                run_main("register", "--pair", pair, "--allocator", allocator, *weights)]
+        for run in runs:
+            assert run.returncode == 0 and run.stderr == "", run
+        a, b = (load_graph(pair / name) for name in ("a.json", "b.json"))
+        result = align_graphs(a, b, small_weights, PipelineConfig(), allocator)
+        assert result.matches.pairs
+        assert not hasattr(result, "global_a") and not hasattr(result, "global_b")
+
+    def test_global_readers_run_class_tokens(self, files, small_weights, class_token_calls):
+        pair = files / "pairs" / "p0"
+        run = run_main("encode", pair / "a.json", "--weights", files / "w.npz")
+        assert run.returncode == 0 and json.loads(run.stdout)["global_embedding"]
+        assert len(class_token_calls) == 1
+        graph = load_graph(pair / "a.json")
+        assert encode_scene("q", graph, small_weights).global_embedding.shape == (32,)
+        assert len(class_token_calls) == 2
+        db = build_database([("a", graph), ("b", load_graph(pair / "b.json"))], small_weights)
+        assert len(db) == 2 and len(class_token_calls) == 3
 
 
 class TestEncoderConfig:

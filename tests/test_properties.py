@@ -2,7 +2,8 @@
 
 Valid graph, gt.json, config, weights and database-index documents are
 mutated (a key dropped, a value of another type, a non-finite number, a
-value wrapped in a list, a huge finite number) and handed to
+value wrapped in a list, a huge finite number), as are the float arrays of
+the weights and database npz archives (huge finite entries), and handed to
 `sgalign.cli.main` in process; the bytes of the JSON files are also damaged
 beyond decoding. Every run must end in exit 0, 1 or 2 without an escaping
 exception or a traceback: on success stdout holds exactly one JSON
@@ -334,6 +335,56 @@ class TestHugeNumbers:
                                  "--config", path, "--weights", files / "w.npz"), "align")
 
 
+def with_huge_entries(data, array: np.ndarray) -> np.ndarray:
+    """A copy of the float `array` with one to three drawn entries replaced
+    by drawn HUGE values."""
+    out = array.copy()
+    flat = out.reshape(-1)
+    for k in data.draw(st.lists(st.integers(0, flat.size - 1), min_size=1, max_size=3)):
+        flat[k] = data.draw(st.sampled_from(HUGE))
+    return out
+
+
+class TestHugeDatabaseArrays:
+    """Huge finite values in the float arrays of a saved database end in a
+    ranking or in one error line; embeddings that are not unit rows are
+    refused with the archive and the scene named."""
+
+    @pytest.fixture(scope="class")
+    def database(self, tmp_path_factory):
+        """A saved database whose scenes have edges, and its archive."""
+        db = tmp_path_factory.mktemp("db") / "db"
+        weights = init_weights(SMALL, seed=0)
+        scenes = [(f"s{k}", generate_scene(SynthConfig(
+            seed=k, n_objects=(8, 10), feature_dims=SMALL.feature_dims))[0]) for k in range(2)]
+        save_database(build_database(scenes, weights), db, weights)
+        with np.load(db / "embeddings.npz") as z:
+            archive = {name: z[name] for name in z.files}
+        assert len(archive["edge_distances"])
+        return db, archive
+
+    @SETTINGS
+    @given(data=st.data())
+    def test_database(self, files, database, data):
+        saved, archive = database
+        entries = dict(archive)
+        name = data.draw(st.sampled_from(
+            ["positions", "f_vl", "edge_distances", "globals", "nodes"]))
+        entries[name] = with_huge_entries(data, entries[name])
+        with tempfile.TemporaryDirectory() as tmp:
+            db = Path(tmp) / "db"
+            db.mkdir()
+            (db / "index.json").write_bytes((saved / "index.json").read_bytes())
+            with open(db / "embeddings.npz", "wb") as fh:
+                np.savez(fh, **entries)
+            run = run_main("retrieve", "--query", files / "pair" / "a.json", "--db", db,
+                           "--k", "2", "--weights", files / "w.npz")
+            check_quiet(run, "retrieve")
+            if name in ("globals", "nodes") and (np.abs(entries[name]) > 1).any():
+                assert run.returncode == 2, run
+                assert "embeddings.npz: scene 's" in run.stderr, run.stderr
+
+
 # Changes to one tensor entry of a weights archive.
 TENSOR_EDITS = ["none", "drop", "extra", "shape", "nan", "int", "text", "object"]
 
@@ -371,6 +422,19 @@ class TestMutatedWeights:
             with open(path, "wb") as fh:
                 np.savez(fh, **entries)
             check(run_main("encode", files / "pair" / "a.json", "--weights", path), "encode")
+
+    @SETTINGS
+    @given(data=st.data())
+    def test_huge_tensor_entries(self, files, archive, data):
+        entries = dict(archive)
+        name = data.draw(st.sampled_from(sorted(n for n in entries if n != "meta")))
+        entries[name] = with_huge_entries(data, entries[name])
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "w.npz"
+            with open(path, "wb") as fh:
+                np.savez(fh, **entries)
+            check_quiet(run_main("encode", files / "pair" / "a.json", "--weights", path),
+                        "encode")
 
     @pytest.mark.parametrize("kind", ["json_v1", "npy", "empty", "text"])
     def test_refused_file_kinds(self, files, archive, tmp_path, kind):

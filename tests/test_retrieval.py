@@ -417,6 +417,22 @@ class TestLoadChecks:
         with pytest.raises(InvalidInputError, match="embeddings.npz"):
             load_database(directory, weights)
 
+    @pytest.mark.parametrize("name, scene, edit", [
+        ("globals", 3, lambda row: row * 1.5),
+        ("globals", 0, lambda row: np.where(np.arange(len(row)) == 0, 1e300, row)),
+        ("nodes", 4, lambda row: row * 0.999),
+        ("nodes", 6, lambda row: np.where(np.arange(len(row)) == 5, -1e300, row)),
+    ])
+    def test_non_unit_embedding_names_scene(self, saved, name, scene, edit):
+        directory, db, weights, arrays = saved
+        rows = arrays[name].copy()
+        row = scene if name == "globals" else arrays["offsets"][scene] + 1
+        rows[row] = edit(rows[row])
+        rewrite_embeddings(directory, **{name: rows})
+        what = "global" if name == "globals" else "node"
+        self.assert_names_scene(directory, weights, db.entries[scene].scene_id,
+                                f"{what} embedding row {row} is not a unit vector")
+
     def test_truncated_embeddings_rejected(self, saved):
         directory, _, weights, _ = saved
         path = directory / "embeddings.npz"
