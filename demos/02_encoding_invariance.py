@@ -10,13 +10,13 @@ import numpy as np
 
 from sgalign import (EncoderConfig, SynthConfig, encode_graph, generate_scene,
                      init_weights)
-from sgalign.scene_graph import Node, SceneGraph, build_edges
+from sgalign.scene_graph import SceneGraph, build_edges
 
 weights = init_weights(EncoderConfig(), seed=0)
 scene, _ = generate_scene(SynthConfig(seed=7, n_objects=(12, 12)))
 
 node_emb, global_emb = encode_graph(scene, weights)
-print(f"{len(scene.nodes)} nodes -> embeddings {node_emb.shape}, "
+print(f"{len(scene.ids)} nodes -> embeddings {node_emb.shape}, "
       f"global {global_emb.shape}")
 print("node norms (should all be 1):",
       np.round(np.linalg.norm(node_emb, axis=1)[:5], 12))
@@ -31,10 +31,15 @@ K = np.array([[0, -axis[2], axis[1]],
 rot = np.eye(3) + np.sin(theta) * K + (1 - np.cos(theta)) * (K @ K)
 shift = np.array([10.0, -4.0, 2.5])
 
-moved_nodes = [Node(n.id, n.label, rot @ n.x + shift, n.features)
-               for n in scene.nodes]
-moved = SceneGraph("moved", "world", moved_nodes, build_edges(moved_nodes),
-                   scene.feature_dims)
+# A graph is built from its columns: the moved one keeps the scene's node
+# columns, takes the moved positions and the edges built from them.
+moved_positions = scene.positions() @ rot.T + shift
+endpoints, distances = build_edges(scene.ids, moved_positions)
+moved = SceneGraph("moved", "world", ids=scene.ids, labels=scene.labels,
+                   positions=moved_positions, f_vl=scene.f_vl, f_t=scene.f_t,
+                   f_g=scene.f_g, gt_instance=scene.gt_instance,
+                   gt_present=scene.gt_present, endpoints=endpoints,
+                   edge_distances=distances)
 node_emb2, global_emb2 = encode_graph(moved, weights)
 
 print("max |node embedding delta| under the rigid move:",
@@ -43,9 +48,13 @@ print("max |global embedding delta|:",
       f"{np.abs(global_emb - global_emb2).max():.2e}")
 
 # node order is irrelevant too: shuffling permutes the embeddings in step
-perm = np.random.default_rng(0).permutation(len(scene.nodes))
-shuffled = SceneGraph("shuffled", "world", [scene.nodes[i] for i in perm],
-                      scene.edges, scene.feature_dims)
+perm = np.random.default_rng(0).permutation(len(scene.ids))
+shuffled = SceneGraph("shuffled", "world", ids=scene.ids[perm],
+                      labels=[scene.labels[i] for i in perm],
+                      positions=scene.positions()[perm], f_vl=scene.f_vl[perm],
+                      f_t=scene.f_t[perm], f_g=scene.f_g[perm],
+                      gt_instance=scene.gt_instance[perm], gt_present=scene.gt_present[perm],
+                      endpoints=scene.endpoints, edge_distances=scene.edge_distances)
 node_emb3, global_emb3 = encode_graph(shuffled, weights)
 print("max |delta| after shuffling node order:",
       f"{np.abs(node_emb[perm] - node_emb3).max():.2e} (nodes), "

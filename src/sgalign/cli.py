@@ -260,6 +260,10 @@ def cmd_retrieve(args) -> int:
 
 
 def cmd_demo_fit(args) -> int:
+    if args.steps < 0:
+        raise UsageError(f"--steps must be >= 0, got {args.steps}")
+    if not (math.isfinite(args.lr) and args.lr > 0):
+        raise UsageError(f"--lr must be finite and > 0, got {args.lr}")
     sample = synth.make_sample(args.task, synth.SynthConfig(seed=args.seed))
     trajectory = toy_embedding_fit(sample, steps=args.steps, lr=args.lr,
                                    seed=args.seed)
@@ -363,6 +367,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
+        # Every --seed seeds a NumPy generator, which refuses a negative one.
+        if getattr(args, "seed", 0) < 0:
+            raise UsageError(f"--seed must be >= 0, got {args.seed}")
         with _float_errors():
             return args.func(args)
     except (UsageError, OSError) as exc:

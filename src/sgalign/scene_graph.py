@@ -3,7 +3,8 @@
 A scene graph is stored as columns with one row per node: an id, a label,
 a 3D position and the intrinsic features (vision-language vector, text
 vector, normalized bounding-box extents). Edges are undirected and store
-only the Euclidean distance between their endpoints.
+only the Euclidean distance between their endpoints. A graph is built from
+its columns only; `Node` and `Edge` are row views for reading.
 """
 
 from __future__ import annotations
@@ -67,7 +68,7 @@ class NodeFeatures:
 
 @dataclass(frozen=True)
 class Node:
-    """One node row; a SceneGraph built from it holds x and the features as float64."""
+    """One node row of a SceneGraph, as `SceneGraph.nodes` gives it."""
 
     id: int
     label: str
@@ -78,7 +79,7 @@ class Node:
 
 @dataclass(frozen=True)
 class Edge:
-    """Undirected edge, canonicalized i < j, with cached distance d."""
+    """One edge row of a SceneGraph, as `SceneGraph.edges` gives it."""
 
     i: int
     j: int
@@ -93,75 +94,59 @@ class SceneGraph:
     """A scene graph as read-only columns: row k of the node columns is
     node k, row m of `endpoints` and `edge_distances` is edge m.
 
-    `SceneGraph(graph_id, frame_kind, nodes, edges, feature_dims)` converts
-    Node and Edge lists once. Building a graph is the one place types and
-    shapes are checked: int64 ids, gt_instance values and endpoints, float64
-    distances, string labels, and 1-D node vectors 3 wide (position, f_g)
-    or as wide as `feature_dims` (f_vl, f_t). A fault raises
-    InvalidInputError naming the node; values are left to `validate_graph`.
-    `nodes` and `edges` build Node and Edge views on each access.
+    The constructor takes the columns below (labels: n strings), keeps
+    read-only views of them and is the one place their dtypes and shapes
+    are checked, each over its whole array. A fault raises
+    InvalidInputError; values are left to `validate_graph`. `nodes` and
+    `edges` build Node and Edge views on each access.
     """
 
     graph_id: str
     frame_kind: str  # "camera" | "world"
-    feature_dims: tuple[int, int]
     ids: np.ndarray             # (n,) int64
     labels: tuple[str, ...]
     _positions: np.ndarray      # (n, 3) float64
     f_vl: np.ndarray            # (n, d_vl) float64
     f_t: np.ndarray             # (n, d_t) float64
     f_g: np.ndarray             # (n, 3) float64
-    gt_instance: np.ndarray     # (n,) int64, 0 where not gt_present
+    gt_instance: np.ndarray     # (n,) int64, read where gt_present
     gt_present: np.ndarray      # (n,) bool
     endpoints: np.ndarray       # (m, 2) int64 node ids
     edge_distances: np.ndarray  # (m,) float64
 
-    def __init__(self, graph_id: str, frame_kind: str, nodes: Sequence[Node] = (),
-                 edges: Sequence[Edge] = (), feature_dims=DEFAULT_FEATURE_DIMS):
-        self._build(graph_id, frame_kind, feature_dims, [n.id for n in nodes],
-                    [n.label for n in nodes], [n.gt_instance for n in nodes],
-                    [(e.i, e.j, e.d) for e in edges],
-                    [[n.x for n in nodes], [n.features.f_vl for n in nodes],
-                     [n.features.f_t for n in nodes], [n.features.f_g for n in nodes]])
-
-    def _build(self, graph_id, frame_kind, feature_dims, ids: list, labels: list,
-               gt_instance: list, edges: list, vectors: list) -> SceneGraph:
-        """Check and store the columns from per-node ids, labels and
-        gt_instance values (None where absent), (i, j, d) edges and, in
-        _VECTORS order, the nodes' vectors (see `_column`)."""
+    def __init__(self, graph_id: str, frame_kind: str, *, ids, labels, positions, f_vl, f_t,
+                 f_g, gt_instance, gt_present, endpoints, edge_distances):
         if not isinstance(graph_id, str):
             raise InvalidInputError(f"graph_id must be a string, got {graph_id!r}")
         if not isinstance(frame_kind, str) or frame_kind not in FRAME_KINDS:
             raise InvalidInputError(
                 f"frame_kind must be one of {list(FRAME_KINDS)}, got {frame_kind!r}")
-        if not isinstance(feature_dims, (list, tuple)) or len(feature_dims) != 2:
-            raise InvalidInputError(
-                f"feature_dims must be a list of two integers, got {feature_dims!r}")
-        ids = [_int64(i, "node id") for i in ids]
-        for i, label in zip(ids, labels):
+        ids = _checked("ids", ids, np.int64, (None,))
+        endpoints = _checked("endpoints", endpoints, np.int64, (None, 2))
+        n = len(ids)
+        if not isinstance(labels, (list, tuple)) or len(labels) != n:
+            raise InvalidInputError(f"needs {n} labels for its node rows")
+        for k, label in enumerate(labels):
             if not isinstance(label, str):
-                raise InvalidInputError(f"node {i}: label must be a string, got {label!r}")
+                raise InvalidInputError(f"node {ids[k]}: label must be a string, got {label!r}")
         columns = {
-            "graph_id": graph_id, "frame_kind": frame_kind, "ids": np.array(ids, dtype=np.int64),
-            "labels": tuple(labels),
-            "gt_instance": np.array([0 if gt is None else _int64(gt, f"node {i}: gt_instance")
-                                     for i, gt in zip(ids, gt_instance)], dtype=np.int64),
-            "gt_present": np.array([gt is not None for gt in gt_instance], dtype=bool),
-            "endpoints": np.array([(_int64(i, "edge endpoint"), _int64(j, "edge endpoint"))
-                                   for i, j, _ in edges], dtype=np.int64).reshape(-1, 2),
-            "edge_distances": np.array([_float(d, "edge {!r}: distance", [i, j, d])
-                                        for i, j, d in edges], dtype=np.float64),
-            "feature_dims": tuple(_int64(d, "feature_dims entry") for d in feature_dims)}
-        d_vl, d_t = columns["feature_dims"]
-        for attr, values, name, width in zip(("_positions", "f_vl", "f_t", "f_g"), vectors,
-                                             _VECTORS, (3, d_vl, d_t, 3)):
-            columns[attr] = _column(values, name, ids, width)
+            "graph_id": graph_id, "frame_kind": frame_kind, "ids": ids, "labels": tuple(labels),
+            "_positions": _checked("positions", positions, np.float64, (n, 3)),
+            "f_vl": _checked("f_vl", f_vl, np.float64, (n, None)),
+            "f_t": _checked("f_t", f_t, np.float64, (n, None)),
+            "f_g": _checked("f_g", f_g, np.float64, (n, 3)),
+            "gt_instance": _checked("gt_instance", gt_instance, np.int64, (n,)),
+            "gt_present": _checked("gt_present", gt_present, np.bool_, (n,)),
+            "endpoints": endpoints,
+            "edge_distances": _checked("edge_distances", edge_distances, np.float64,
+                                       (len(endpoints),))}
         for name, value in columns.items():
-            if isinstance(value, np.ndarray):
-                value = value.view()
-                value.flags.writeable = False
             object.__setattr__(self, name, value)
-        return self
+
+    @property
+    def feature_dims(self) -> tuple[int, int]:
+        """(d_vl, d_t), the widths of f_vl and f_t."""
+        return self.f_vl.shape[1], self.f_t.shape[1]
 
     @property
     def nodes(self) -> tuple[Node, ...]:
@@ -217,22 +202,21 @@ class GroundTruthMap:
         return {a for a, _ in self.pairs}
 
 
-def build_edges(nodes: Sequence[Node], n_max: int = DEFAULT_N_MAX,
-                d_th: float = DEFAULT_D_TH) -> list[Edge]:
-    """Distance-thresholded k-NN edges, symmetrized by union.
+def build_edges(ids, positions, n_max: int = DEFAULT_N_MAX,
+                d_th: float = DEFAULT_D_TH) -> tuple[np.ndarray, np.ndarray]:
+    """Distance-thresholded k-NN edges of the nodes with `ids` (n,) at
+    `positions` (n, 3), symmetrized by union: the (m, 2) int64 endpoints,
+    canonicalized i < j and sorted, and the (m,) float64 distances.
 
     Per node: candidates within d_th, ranked by (distance, id), up to n_max
-    directed picks. The undirected union is canonicalized i < j.
+    directed picks.
     """
     if n_max < 1:
         raise InvalidInputError(f"build_edges: n_max must be >= 1, got {n_max}")
     if not d_th > 0:  # also refuses NaN
         raise InvalidInputError(f"build_edges: d_th must be > 0, got {d_th}")
-    if len(nodes) < 2:
-        return []
-    ids = np.array([n.id for n in nodes])
-    pos = np.stack([n.x for n in nodes])
-    dist = point_distances(pos[:, None], pos)
+    ids = np.asarray(ids, dtype=np.int64)
+    dist = point_distances(np.asarray(positions)[:, None], positions)
     np.fill_diagonal(dist, np.nan)  # sorts last and is never within d_th
     # Per node, its n_max nearest nodes (ties to the lower id) within d_th.
     nearest = np.lexsort((np.broadcast_to(ids, dist.shape), dist))[:, :n_max]
@@ -240,7 +224,7 @@ def build_edges(nodes: Sequence[Node], n_max: int = DEFAULT_N_MAX,
     a, b = a[dist[a, b] <= d_th], b[dist[a, b] <= d_th]
     pairs, first = np.unique(np.sort(np.stack([ids[a], ids[b]], axis=1), axis=1), axis=0,
                              return_index=True)
-    return [Edge(i, j, d) for (i, j), d in zip(pairs.tolist(), dist[a, b][first].tolist())]
+    return pairs, dist[a, b][first]
 
 
 def validate_graph(g: SceneGraph) -> list[str]:
@@ -351,11 +335,10 @@ def _floats(value, what: str) -> np.ndarray:
 
 
 def _column(values, name: str, ids: list[int], width: int) -> np.ndarray:
-    """The nodes' `name` vectors as one (n, width) float64 array. `values`
-    is that array already or a list of per-node vectors, converted at once
-    when they agree in shape and node by node otherwise. The first vector
-    that is not 1-D and `width` long raises InvalidInputError naming its
-    node."""
+    """The nodes' `name` vectors, a list, as one (n, width) float64 array:
+    converted at once when they agree in shape and node by node otherwise.
+    The first vector that is not 1-D and `width` long raises
+    InvalidInputError naming its node."""
     try:
         block = np.asarray(values, dtype=float)
         if block.shape == (len(ids), width):
@@ -370,6 +353,19 @@ def _column(values, name: str, ids: list[int], width: int) -> np.ndarray:
     return np.stack(rows) if rows else np.zeros((0, max(width, 0)))
 
 
+def _checked(name: str, value, dtype, shape: tuple) -> np.ndarray:
+    """`value` as a read-only array, if it is a `dtype` array of `shape`
+    (None: any size); anything else raises InvalidInputError."""
+    arr = np.asarray(value)
+    if (arr.dtype != dtype or arr.ndim != len(shape)
+            or any(want not in (None, got) for got, want in zip(arr.shape, shape))):
+        raise InvalidInputError(f"{name} is {arr.dtype} {arr.shape}, expected "
+                                f"{np.dtype(dtype)} {shape}")
+    arr = arr.view()
+    arr.flags.writeable = False
+    return arr
+
+
 def _key(doc: dict, key: str, where: str = ""):
     """doc[key]; a missing key raises InvalidInputError naming it."""
     if key not in doc:
@@ -382,10 +378,10 @@ def graph_from_dict(data: dict, n_max: int = DEFAULT_N_MAX,
     """Build a SceneGraph from the JSON schema; null edges are rebuilt.
 
     A document that is not an object, a missing required key, a node that
-    is not an object or an edge that is not [i, j, d] raises
-    InvalidInputError; building the SceneGraph then checks the graph
-    fields and scalar types, converts each vector column once and checks
-    shapes. Values are left to `validate_graph`."""
+    is not an object, an edge that is not [i, j, d], a field or scalar of
+    the wrong type or a vector of the wrong shape raises InvalidInputError,
+    naming the node where one is at fault. Each vector column is converted
+    once. Values are left to `validate_graph`."""
     if not isinstance(data, dict):
         raise InvalidInputError(f"a graph must be a JSON object, got {type(data).__name__}")
     graph_id, frame_kind, nodes = (_key(data, key) for key in ("graph_id", "frame_kind", "nodes"))
@@ -403,17 +399,30 @@ def graph_from_dict(data: dict, n_max: int = DEFAULT_N_MAX,
     for edge in edges or []:
         if not isinstance(edge, list) or len(edge) != 3:
             raise InvalidInputError(f"an edge must be a list [i, j, d], got {edge!r}")
-    graph = SceneGraph.__new__(SceneGraph)._build(
-        graph_id, frame_kind, data.get("feature_dims", DEFAULT_FEATURE_DIMS),
-        [nd["id"] for nd in nodes], [nd.get("label", "") for nd in nodes],
-        [nd.get("gt_instance") for nd in nodes], edges or [],
-        [[nd[name] for nd in nodes] for name in _VECTORS])
+    feature_dims = data.get("feature_dims", DEFAULT_FEATURE_DIMS)
+    if not isinstance(feature_dims, (list, tuple)) or len(feature_dims) != 2:
+        raise InvalidInputError(
+            f"feature_dims must be a list of two integers, got {feature_dims!r}")
+    ids = [_int64(nd["id"], "node id") for nd in nodes]
+    gt = [nd.get("gt_instance") for nd in nodes]
+    gt_instance = [0 if g is None else _int64(g, f"node {i}: gt_instance")
+                   for i, g in zip(ids, gt)]
+    endpoints = [(_int64(i, "edge endpoint"), _int64(j, "edge endpoint"))
+                 for i, j, _ in edges or []]
+    distances = [_float(d, "edge {!r}: distance", [i, j, d]) for i, j, d in edges or []]
+    widths = [3, *(_int64(d, "feature_dims entry") for d in feature_dims), 3]
+    positions, f_vl, f_t, f_g = (_column([nd[name] for nd in nodes], name, ids, width)
+                                 for name, width in zip(_VECTORS, widths))
     # A coordinate beyond MAX_COORDINATE (or NaN) is left to validate_graph.
-    if edges is None and (np.abs(graph.positions()) <= MAX_COORDINATE).all():
-        nodes = graph.nodes
-        graph = SceneGraph(graph_id, frame_kind, nodes, build_edges(nodes, n_max, d_th),
-                           graph.feature_dims)
-    return graph
+    if edges is None and (np.abs(positions) <= MAX_COORDINATE).all():
+        endpoints, distances = build_edges(ids, positions, n_max, d_th)
+    return SceneGraph(graph_id, frame_kind, ids=np.array(ids, dtype=np.int64),
+                      labels=[nd.get("label", "") for nd in nodes],
+                      positions=positions, f_vl=f_vl, f_t=f_t, f_g=f_g,
+                      gt_instance=np.array(gt_instance, dtype=np.int64),
+                      gt_present=np.array([g is not None for g in gt], dtype=bool),
+                      endpoints=np.array(endpoints, dtype=np.int64).reshape(-1, 2),
+                      edge_distances=np.array(distances, dtype=np.float64))
 
 
 def save_graph(g: SceneGraph, path) -> None:
@@ -462,7 +471,8 @@ def pack_graphs(graphs: Sequence[SceneGraph]) -> tuple[dict[str, np.ndarray], li
     """The graphs' columns concatenated into the arrays of `_PACKED`, plus,
     per graph, a dict of its strings and feature dims; `unpack_graphs`
     inverts it bit for bit."""
-    parts = list(graphs) or [SceneGraph("", "world", feature_dims=(0, 0))]
+    parts = list(graphs) or [graph_from_dict({"graph_id": "", "frame_kind": "world",
+                                              "feature_dims": [0, 0], "nodes": [], "edges": []})]
     try:
         arrays = {packed: np.cumsum([0] + [len(getattr(g, column)) for g in graphs],
                                     dtype=np.int64) if packed.endswith("offsets")
@@ -492,10 +502,11 @@ def _first_bad_slice(offsets: np.ndarray, total: int) -> int | None:
 def unpack_graphs(arrays, strings, names: Sequence[str], source) -> list[SceneGraph]:
     """Rebuild the graphs `pack_graphs` packed into `arrays` and `strings`.
 
-    Checks dtypes, shapes, offsets and the string fields, builds each graph
-    from slices of the arrays (views, not copies) and runs `validate_graph`
-    on it. A failure raises InvalidInputError naming `source` and, where
-    one graph is at fault, its entry of `names`."""
+    Checks dtypes, shapes, offsets and the string fields (feature dims are
+    the array widths), builds each graph from slices of the arrays (views,
+    not copies) and runs `validate_graph` on it. A failure raises
+    InvalidInputError naming `source` and, where one graph is at fault,
+    its entry of `names`."""
     def error(problem: str, k: int | None = None) -> InvalidInputError:
         scene = "" if k is None or not 0 <= k < len(names) else f"scene {names[k]!r}: "
         return InvalidInputError(f"{source}: {scene}{problem}")
@@ -514,12 +525,11 @@ def unpack_graphs(arrays, strings, names: Sequence[str], source) -> list[SceneGr
               "edge_offsets": (np.int64, (len(names) + 1,)),
               "edges": (np.int64, (n_edges, 2)),
               "edge_distances": (np.float64, (n_edges,))}
-    for name, (dtype, shape) in layout.items():  # None in a shape: any size
-        arr = arrays[name]
-        if (arr.dtype != dtype or arr.ndim != len(shape)
-                or any(want not in (None, got) for got, want in zip(arr.shape, shape))):
-            raise error(f"{name} is {arr.dtype} {arr.shape}, expected {np.dtype(dtype)} "
-                        f"{shape}")
+    try:
+        for name, (dtype, shape) in layout.items():
+            _checked(name, arrays[name], dtype, shape)
+    except InvalidInputError as exc:
+        raise error(str(exc)) from exc
     for name, total in (("offsets", n_nodes), ("edge_offsets", n_edges)):
         k = _first_bad_slice(arrays[name], total)
         if k is not None:
@@ -528,22 +538,19 @@ def unpack_graphs(arrays, strings, names: Sequence[str], source) -> list[SceneGr
         raise error(f"needs the strings of {len(names)} graphs")
 
     offsets, edge_offsets = arrays["offsets"].tolist(), arrays["edge_offsets"].tolist()
-    gt = np.where(arrays["gt_present"], arrays["gt_instance"], None).tolist()
-    edges = [(i, j, d) for (i, j), d in zip(pairs.tolist(), arrays["edge_distances"].tolist())]
     graphs = []
     for k, entry in enumerate(strings):
-        lo, hi = offsets[k], offsets[k + 1]
+        nodes = slice(offsets[k], offsets[k + 1])
+        edges = slice(edge_offsets[k], edge_offsets[k + 1])
         try:
             if not isinstance(entry, dict):
                 raise InvalidInputError("graph strings must be an object")
-            labels = entry.get("labels")
-            if not isinstance(labels, list) or len(labels) != hi - lo:
-                raise InvalidInputError(f"needs {hi - lo} labels for its node rows")
-            graph = SceneGraph.__new__(SceneGraph)._build(
-                entry.get("graph_id"), entry.get("frame_kind"), entry.get("feature_dims"),
-                ids[lo:hi].tolist(), labels, gt[lo:hi],
-                edges[edge_offsets[k]:edge_offsets[k + 1]],
-                [arrays[name][lo:hi] for name in _NODE_VECTORS])
+            graph = SceneGraph(
+                entry.get("graph_id"), entry.get("frame_kind"), ids=ids[nodes],
+                labels=entry.get("labels"), positions=arrays["positions"][nodes],
+                f_vl=arrays["f_vl"][nodes], f_t=arrays["f_t"][nodes], f_g=arrays["f_g"][nodes],
+                gt_instance=arrays["gt_instance"][nodes], gt_present=arrays["gt_present"][nodes],
+                endpoints=pairs[edges], edge_distances=arrays["edge_distances"][edges])
         except InvalidInputError as exc:
             raise error(str(exc), k) from exc
         violations = validate_graph(graph)

@@ -21,8 +21,8 @@ from .errors import GenerationError, InvalidInputError, read_json
 from .evaluation import AlignmentSample
 from .registration import RigidTransform
 from .scene_graph import (DEFAULT_D_TH, DEFAULT_FEATURE_DIMS, DEFAULT_N_MAX,
-                          MAX_COORDINATE, GroundTruthMap, Node, NodeFeatures, SceneGraph,
-                          _floats, _int64, build_edges, load_graph, save_graph)
+                          MAX_COORDINATE, GroundTruthMap, SceneGraph, _floats, _int64,
+                          build_edges, load_graph, save_graph)
 
 MAX_PLACEMENT_ATTEMPTS = 10 ** 5
 MAX_VIEW_ATTEMPTS = 100
@@ -92,24 +92,29 @@ def _noisy_extents(ext: np.ndarray, sigma: float, rng: np.random.Generator) -> n
     return np.clip(ext, 1e-6, 1.0)
 
 
-def _observe(src: Node, node_id: int, pos: np.ndarray, config: SynthConfig,
-             rng: np.random.Generator) -> Node:
-    """A noisy observation of `src` at `pos`: position noise is drawn first,
-    then f_vl, f_t and f_g noise."""
+def _observe(scene: SceneGraph, row: int, pos: np.ndarray, config: SynthConfig,
+             rng: np.random.Generator) -> tuple[np.ndarray, ...]:
+    """A noisy observation of node `row` of `scene` at `pos`, as its
+    (position, f_vl, f_t, f_g) row: position noise is drawn first, then
+    f_vl, f_t and f_g noise."""
     if config.position_noise_sigma > 0:
         pos = pos + rng.normal(0.0, config.position_noise_sigma, size=3)
-    f, sigma = src.features, config.feature_noise_sigma
-    return Node(
-        id=node_id,
-        label=src.label,
-        x=pos,
-        features=NodeFeatures(
-            f_vl=_noisy_unit(f.f_vl, sigma, rng),
-            f_t=_noisy_unit(f.f_t, sigma, rng),
-            f_g=_noisy_extents(f.f_g, sigma, rng),
-        ),
-        gt_instance=src.id,
-    )
+    sigma = config.feature_noise_sigma
+    return (pos, _noisy_unit(scene.f_vl[row], sigma, rng),
+            _noisy_unit(scene.f_t[row], sigma, rng), _noisy_extents(scene.f_g[row], sigma, rng))
+
+
+def _graph(graph_id: str, frame_kind: str, labels: list[str], rows: list[tuple],
+           gt_instance: list[int]) -> SceneGraph:
+    """The graph of nodes 0..n-1 with these labels, (position, f_vl, f_t,
+    f_g) rows and gt instances, and its default edges."""
+    ids = np.arange(len(rows), dtype=np.int64)
+    positions, f_vl, f_t, f_g = (np.array(column) for column in zip(*rows))
+    endpoints, distances = build_edges(ids, positions, DEFAULT_N_MAX, DEFAULT_D_TH)
+    return SceneGraph(graph_id, frame_kind, ids=ids, labels=labels, positions=positions,
+                      f_vl=f_vl, f_t=f_t, f_g=f_g, gt_instance=np.array(gt_instance, np.int64),
+                      gt_present=np.ones(len(ids), bool), endpoints=endpoints,
+                      edge_distances=distances)
 
 
 def _random_rotation(rng: np.random.Generator) -> np.ndarray:
@@ -165,27 +170,11 @@ def generate_scene(config: SynthConfig,
         if all(np.linalg.norm(cand - p) >= config.min_separation for p in positions):
             positions.append(cand)
 
-    nodes = []
-    for idx in range(n):
-        k = int(classes[idx])
-        nodes.append(Node(
-            id=idx,
-            label=protos.labels[k],
-            x=positions[idx],
-            features=NodeFeatures(
-                f_vl=_noisy_unit(protos.f_vl[k], config.feature_noise_sigma, rng),
-                f_t=_noisy_unit(protos.f_t[k], config.feature_noise_sigma, rng),
-                f_g=_noisy_extents(protos.extents[k], config.feature_noise_sigma, rng),
-            ),
-            gt_instance=idx,
-        ))
-    graph = SceneGraph(
-        graph_id=f"scene-{config.seed}",
-        frame_kind="world",
-        nodes=nodes,
-        edges=build_edges(nodes, DEFAULT_N_MAX, DEFAULT_D_TH),
-        feature_dims=config.feature_dims,
-    )
+    sigma, classes = config.feature_noise_sigma, classes.tolist()
+    rows = [(x, _noisy_unit(protos.f_vl[k], sigma, rng), _noisy_unit(protos.f_t[k], sigma, rng),
+             _noisy_extents(protos.extents[k], sigma, rng)) for x, k in zip(positions, classes)]
+    graph = _graph(f"scene-{config.seed}", "world", [protos.labels[k] for k in classes],
+                   rows, list(range(n)))
     return graph, protos
 
 
@@ -196,11 +185,11 @@ def make_f2s_pair(scene: SceneGraph, config: SynthConfig,
         raise InvalidInputError("make_f2s_pair: scene needs >= 3 objects")
     rng = rng or np.random.default_rng(config.seed)
 
-    nodes, in_view = scene.nodes, []
+    positions, ids, in_view = scene.positions(), scene.ids.tolist(), []
     for _ in range(MAX_VIEW_ATTEMPTS):
         viewpoint = rng.uniform(0.0, config.box_size, size=3)
-        in_view = [n for n in nodes
-                   if np.linalg.norm(n.x - viewpoint) <= config.f2s_view_radius]
+        in_view = [k for k in range(len(ids))
+                   if np.linalg.norm(positions[k] - viewpoint) <= config.f2s_view_radius]
         if len(in_view) >= 2:
             break
     else:
@@ -210,33 +199,28 @@ def make_f2s_pair(scene: SceneGraph, config: SynthConfig,
     rot = _random_rotation(rng)
     trans = rng.uniform(-config.box_size, config.box_size, size=3)
 
-    a_nodes: list[Node] = []
-    gt_pairs: set[tuple[int, int]] = set()
+    labels, rows, gt_instance = [], [], []
 
-    def add_node(world_pos: np.ndarray, src: Node) -> None:
-        a_nodes.append(_observe(src, len(a_nodes), rot @ world_pos + trans, config, rng))
-        gt_pairs.add((a_nodes[-1].id, src.id))
+    def add_node(world_pos: np.ndarray, k: int) -> None:
+        rows.append(_observe(scene, k, rot @ world_pos + trans, config, rng))
+        labels.append(scene.labels[k])
+        gt_instance.append(ids[k])
 
-    for src in sorted(in_view, key=lambda nd: nd.id):
+    for k in sorted(in_view, key=lambda k: ids[k]):
         if rng.uniform() < config.undersegment_prob:
             # Under-segmentation: two halves separated by half the extent
             # along a random horizontal axis, features shared.
             axis = int(rng.integers(0, 2))
             offset = np.zeros(3)
-            offset[axis] = src.features.f_g[axis] / 4.0
-            add_node(src.x + offset, src)
-            add_node(src.x - offset, src)
+            offset[axis] = scene.f_g[k, axis] / 4.0
+            add_node(positions[k] + offset, k)
+            add_node(positions[k] - offset, k)
         else:
-            add_node(src.x, src)
+            add_node(positions[k], k)
 
-    graph_a = SceneGraph(
-        graph_id=f"{scene.graph_id}-frame",
-        frame_kind="camera",
-        nodes=a_nodes,
-        edges=build_edges(a_nodes, DEFAULT_N_MAX, DEFAULT_D_TH),
-        feature_dims=scene.feature_dims,
-    )
-    overlap = len({a for a, _ in gt_pairs}) / len(a_nodes)
+    graph_a = _graph(f"{scene.graph_id}-frame", "camera", labels, rows, gt_instance)
+    gt_pairs = set(enumerate(gt_instance))
+    overlap = len(gt_pairs) / len(rows)
     return AlignmentSample(
         graph_a=graph_a,
         graph_b=scene,
@@ -249,18 +233,14 @@ def make_f2s_pair(scene: SceneGraph, config: SynthConfig,
     )
 
 
-def _crop_graph(scene: SceneGraph, members: list[Node], suffix: str,
+def _crop_graph(scene: SceneGraph, members: list[int], suffix: str,
                 rot: np.ndarray, trans: np.ndarray, config: SynthConfig,
                 rng: np.random.Generator) -> SceneGraph:
-    nodes = [_observe(src, new_id, rot @ src.x + trans, config, rng)
-             for new_id, src in enumerate(sorted(members, key=lambda nd: nd.id))]
-    return SceneGraph(
-        graph_id=f"{scene.graph_id}-{suffix}",
-        frame_kind="world",
-        nodes=nodes,
-        edges=build_edges(nodes, DEFAULT_N_MAX, DEFAULT_D_TH),
-        feature_dims=scene.feature_dims,
-    )
+    positions, ids = scene.positions(), scene.ids.tolist()
+    members = sorted(members, key=lambda k: ids[k])
+    rows = [_observe(scene, k, rot @ positions[k] + trans, config, rng) for k in members]
+    return _graph(f"{scene.graph_id}-{suffix}", "world", [scene.labels[k] for k in members],
+                  rows, [ids[k] for k in members])
 
 
 def make_s2s_pair(scene: SceneGraph, config: SynthConfig,
@@ -269,20 +249,20 @@ def make_s2s_pair(scene: SceneGraph, config: SynthConfig,
     if len(scene.ids) < 6:
         raise InvalidInputError("make_s2s_pair: scene needs >= 6 objects")
     rng = rng or np.random.default_rng(config.seed)
-    nodes, n = scene.nodes, len(scene.ids)
+    positions, ids, n = scene.positions(), scene.ids.tolist(), len(scene.ids)
     target = config.s2s_crop_overlap
 
-    best: tuple[float, list[Node], list[Node]] | None = None
+    best: tuple[float, list[int], list[int]] | None = None
     for _ in range(MAX_CROP_ATTEMPTS):
         axis = int(rng.integers(0, 2))
         jitter = int(rng.integers(-1, 2))
         take = round(n * (1.0 + target) / 2.0) + jitter
         take = max(1, min(n, take))
-        order = sorted(nodes, key=lambda nd: (nd.x[axis], nd.id))
+        order = sorted(range(n), key=lambda k: (positions[k, axis], ids[k]))
         crop_a = order[:take]
         crop_b = order[n - take:]
-        shared = {nd.id for nd in crop_a} & {nd.id for nd in crop_b}
-        union = {nd.id for nd in crop_a} | {nd.id for nd in crop_b}
+        shared = {ids[k] for k in crop_a} & {ids[k] for k in crop_b}
+        union = {ids[k] for k in crop_a} | {ids[k] for k in crop_b}
         achieved = len(shared) / len(union)
         if best is None or abs(achieved - target) < abs(best[0] - target):
             best = (achieved, crop_a, crop_b)
@@ -303,9 +283,10 @@ def make_s2s_pair(scene: SceneGraph, config: SynthConfig,
     graph_a = _crop_graph(scene, crop_a, "subA", rot_a, trans_a, config, rng)
     graph_b = _crop_graph(scene, crop_b, "subB", rot_b, trans_b, config, rng)
 
-    b_of_instance = {nd.gt_instance: nd.id for nd in graph_b.nodes}
-    gt_pairs = {(nd.id, b_of_instance[nd.gt_instance])
-                for nd in graph_a.nodes if nd.gt_instance in b_of_instance}
+    b_of_instance = dict(zip(graph_b.gt_instance.tolist(), graph_b.ids.tolist()))
+    gt_pairs = {(i, b_of_instance[g]) for i, g in zip(graph_a.ids.tolist(),
+                                                       graph_a.gt_instance.tolist())
+                if g in b_of_instance}
 
     rot_ab = rot_b @ rot_a.T
     return AlignmentSample(

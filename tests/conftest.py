@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from sgalign import EncoderConfig, init_weights
+from sgalign.scene_graph import DEFAULT_D_TH, DEFAULT_N_MAX, SceneGraph, build_edges
 
 
 @pytest.fixture(scope="session")
@@ -79,25 +80,56 @@ def run_main(*args) -> CliRun:
     return CliRun(code, out.getvalue(), err.getvalue())
 
 
-def node_vectors(n):
-    return n.x, n.features.f_vl, n.features.f_t, n.features.f_g
+def graph_columns(g) -> dict:
+    """The SceneGraph keywords that rebuild g: its columns."""
+    return {"ids": g.ids, "labels": g.labels, "positions": g.positions(), "f_vl": g.f_vl,
+            "f_t": g.f_t, "f_g": g.f_g, "gt_instance": g.gt_instance,
+            "gt_present": g.gt_present, "endpoints": g.endpoints,
+            "edge_distances": g.edge_distances}
+
+
+def with_columns(g, graph_id=None, frame_kind=None, **columns):
+    """A copy of graph g with its id, frame kind or some columns replaced."""
+    return SceneGraph(graph_id or g.graph_id, frame_kind or g.frame_kind,
+                      **{**graph_columns(g), **columns})
+
+
+def with_edges(g, n_max=DEFAULT_N_MAX, d_th=DEFAULT_D_TH, **changes):
+    """`with_columns(g, **changes)` with the edges `build_edges` gives its
+    ids and positions."""
+    g = with_columns(g, **changes)
+    endpoints, distances = build_edges(g.ids, g.positions(), n_max, d_th)
+    return with_columns(g, endpoints=endpoints, edge_distances=distances)
+
+
+def rows_graph(rows, feature_dims, graph_id="g", ids=None, labels=None,
+               n_max=DEFAULT_N_MAX, d_th=DEFAULT_D_TH):
+    """The world-frame graph of these (position, f_vl, f_t, f_g) node rows,
+    with ids 0..n-1 and empty labels unless given, no ground truth, and the
+    edges `build_edges` gives with n_max and d_th."""
+    n = len(rows)
+    ids = np.arange(n, dtype=np.int64) if ids is None else np.asarray(ids, dtype=np.int64)
+    positions, f_vl, f_t, f_g = (np.array([row[k] for row in rows], dtype=float).reshape(n, width)
+                                 for k, width in enumerate((3, *feature_dims, 3)))
+    endpoints, distances = build_edges(ids, positions, n_max, d_th)
+    return SceneGraph(graph_id, "world", ids=ids, labels=[""] * n if labels is None else labels,
+                      positions=positions, f_vl=f_vl, f_t=f_t, f_g=f_g,
+                      gt_instance=np.zeros(n, np.int64), gt_present=np.zeros(n, bool),
+                      endpoints=endpoints, edge_distances=distances)
 
 
 def assert_same_graphs(got, want):
-    """Every graph, node and edge field equal bit for bit, with the same
-    Python types for ids, gt_instance values and distances."""
+    """Every graph field and column equal: the strings and feature dims, and
+    each column's dtype, shape and bytes, all read-only."""
     assert len(got) == len(want)
     for g, w in zip(got, want):
-        assert (g.graph_id, g.frame_kind, g.feature_dims) == (w.graph_id, w.frame_kind,
-                                                               w.feature_dims)
-        assert [(n.id, type(n.id), n.label, n.gt_instance, type(n.gt_instance))
-                for n in g.nodes] == \
-               [(n.id, type(n.id), n.label, n.gt_instance, type(n.gt_instance))
-                for n in w.nodes]
-        for m, n in zip(g.nodes, w.nodes):
-            for got_v, want_v in zip(node_vectors(m), node_vectors(n)):
-                assert got_v.dtype == want_v.dtype and got_v.shape == want_v.shape
-                assert got_v.tobytes() == want_v.tobytes()
-        assert g.edges == w.edges
-        assert [type(x) for e in g.edges for x in (e.i, e.j, e.d)] == \
-               [type(x) for e in w.edges for x in (e.i, e.j, e.d)]
+        assert (g.graph_id, g.frame_kind, g.feature_dims, g.labels) == \
+               (w.graph_id, w.frame_kind, w.feature_dims, w.labels)
+        assert [type(label) for label in g.labels] == [type(label) for label in w.labels]
+        for name, got_v in graph_columns(g).items():
+            if name == "labels":
+                continue
+            want_v = graph_columns(w)[name]
+            assert (got_v.dtype, got_v.shape) == (want_v.dtype, want_v.shape), name
+            assert got_v.tobytes() == want_v.tobytes(), name
+            assert not got_v.flags.writeable and not want_v.flags.writeable, name

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import run_cli
+from conftest import run_cli, with_edges
 
 from sgalign.allocator import brute_force_allocate, solve_mcf
 from sgalign.config import PipelineConfig
@@ -25,8 +25,7 @@ from sgalign.registration import (RigidTransform, estimate_rigid,
                                   registration_error)
 from sgalign.retrieval import (EncodedScene, build_database, encode_scene,
                                rerank, retrieve, topk_filter)
-from sgalign.scene_graph import (GroundTruthMap, Node, SceneGraph, build_edges,
-                                 save_graph)
+from sgalign.scene_graph import GroundTruthMap, save_graph
 from sgalign.synth import (SynthConfig, generate_scene, load_sample, make_sample,
                            save_sample)
 
@@ -94,10 +93,8 @@ def test_rigid_invariance(default_weights):
         for _ in range(5):
             rot = random_so3(rng)
             t = rng.uniform(-10, 10, 3)
-            moved = [Node(n.id, n.label, rot @ n.x + t, n.features,
-                          n.gt_instance) for n in graph.nodes]
-            g2 = SceneGraph("m", "world", moved, build_edges(moved),
-                            graph.feature_dims)
+            g2 = with_edges(graph, graph_id="m",
+                            positions=np.array([rot @ x + t for x in graph.positions()]))
             emb2, glob2 = encode_graph(g2, default_weights)
             assert np.abs(emb - emb2).max() <= 1e-5
             assert np.abs(glob - glob2).max() <= 1e-5

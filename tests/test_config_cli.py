@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import run_cli, run_main
+from conftest import run_cli, run_main, with_edges
 
 from sgalign import cli
 from sgalign.allocator import McfParams, MnnParams
@@ -15,7 +15,7 @@ from sgalign.encoder import EncoderConfig, init_weights, save_weights
 from sgalign.errors import ConfigError
 from sgalign.matcher import MatcherParams
 from sgalign.retrieval import build_database, save_database
-from sgalign.scene_graph import SceneGraph, build_edges, save_graph
+from sgalign.scene_graph import save_graph
 from sgalign.synth import SynthConfig, generate_scene, make_sample, save_sample
 
 GOLDEN = Path(__file__).parent / "data" / "default_config.json"
@@ -574,10 +574,8 @@ class TestCliPairFiles:
         cfg.write_text(json.dumps({"edges": {"n_max": n_max, "d_th": d_th}}))
         for k in range(4):
             sample = make_sample("f2s", SynthConfig(seed=50 + k))
-            sample.graph_a, sample.graph_b = (
-                SceneGraph(g.graph_id, g.frame_kind, g.nodes,
-                           build_edges(g.nodes, n_max=n_max, d_th=d_th), g.feature_dims)
-                for g in (sample.graph_a, sample.graph_b))
+            sample.graph_a, sample.graph_b = (with_edges(g, n_max=n_max, d_th=d_th)
+                                              for g in (sample.graph_a, sample.graph_b))
             save_sample(sample, tmp_path / "stored" / f"f2s_{k:03d}")
             save_sample(sample, tmp_path / "null" / f"f2s_{k:03d}")
             for name in ("a.json", "b.json"):
@@ -799,6 +797,29 @@ class TestCliRetrieve:
         assert str(tmp_path / "db" / "scene.json") in one_stderr_line(proc)
 
 
+# Each command that takes --seed, with inputs under a directory that holds
+# none, so only a refusal before any loading names --seed.
+SEED_COMMANDS = {
+    "synth": ["synth", "--task", "f2s", "--out", "{tmp}/out"],
+    "align": ["align", "{tmp}/a.json", "{tmp}/b.json"],
+    "encode": ["encode", "{tmp}/a.json"],
+    "eval": ["eval", "--pairs", "{tmp}"],
+    "register": ["register", "--pair", "{tmp}"],
+    "retrieve": ["retrieve", "--query", "{tmp}/a.json", "--db", "{tmp}"],
+    "demo-fit": ["demo-fit", "--steps", "1"],
+}
+
+
+@pytest.mark.parametrize("command", list(SEED_COMMANDS))
+def test_negative_seed_is_usage_error(tmp_path, command):
+    args = [arg.format(tmp=tmp_path) for arg in SEED_COMMANDS[command]]
+    proc = run_main(*args, "--seed", "-1")
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert "--seed must be >= 0, got -1" in one_stderr_line(proc)
+    assert not (tmp_path / "out").exists()
+
+
 class TestCliDemoFit:
     def test_loss_drops(self):
         proc = run_cli("demo-fit", "--task", "f2s", "--steps", "60",
@@ -806,3 +827,20 @@ class TestCliDemoFit:
         assert proc.returncode == 0, proc.stderr
         doc = json.loads(proc.stdout)
         assert doc["final_loss"] < doc["initial_loss"]
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--steps", "-3"), ("--steps", "-1"), ("--lr", "nan"), ("--lr", "inf"),
+        ("--lr", "0"), ("--lr", "-0.1")])
+    def test_bad_flag_is_usage_error(self, flag, value):
+        proc = run_main("demo-fit", flag, value)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        want = ">= 0" if flag == "--steps" else "finite and > 0"
+        assert f"{flag} must be {want}, got " in one_stderr_line(proc)
+
+    def test_zero_steps_give_one_loss(self):
+        proc = run_main("demo-fit", "--steps", "0")
+        assert proc.returncode == 0, proc.stderr
+        doc = json.loads(proc.stdout)
+        assert len(doc["trajectory"]) == 1
+        assert doc["initial_loss"] == doc["final_loss"] == doc["trajectory"][0]

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import run_main
+from conftest import graph_columns, rows_graph, run_main, with_columns, with_edges
 
 from sgalign import encoder
 from sgalign.config import PipelineConfig
@@ -16,24 +16,20 @@ from sgalign.encoder import (BATCH_NODES, CLS_ATTN_LAYERS, MAX_LAYERS, EncoderCo
 from sgalign.errors import InvalidInputError, ShapeError, WeightsFormatError, section_dict
 from sgalign.pipeline import align_graphs
 from sgalign.retrieval import build_database, encode_scene
-from sgalign.scene_graph import (Node, NodeFeatures, SceneGraph, build_edges, graph_to_dict,
-                                 load_graph)
+from sgalign.scene_graph import graph_to_dict, load_graph
 from sgalign.synth import SynthConfig, make_sample, save_sample
 
 
 def random_graph(n, config, seed=0, span=4.0):
     rng = np.random.default_rng(seed)
     d_vl, d_t = config.feature_dims
-    nodes = []
-    for i in range(n):
+    rows = []
+    for _ in range(n):
         f_vl = rng.standard_normal(d_vl)
         f_t = rng.standard_normal(d_t)
-        nodes.append(Node(
-            id=i, label=f"n{i}", x=rng.uniform(0, span, 3),
-            features=NodeFeatures(f_vl=f_vl / np.linalg.norm(f_vl),
-                                  f_t=f_t / np.linalg.norm(f_t),
-                                  f_g=rng.uniform(0.1, 1.0, 3))))
-    return SceneGraph("t", "world", nodes, build_edges(nodes), config.feature_dims)
+        rows.append((rng.uniform(0, span, 3), f_vl / np.linalg.norm(f_vl),
+                     f_t / np.linalg.norm(f_t), rng.uniform(0.1, 1.0, 3)))
+    return rows_graph(rows, config.feature_dims, "t", labels=[f"n{i}" for i in range(n)])
 
 
 class TestSinusoidalPe:
@@ -112,9 +108,7 @@ class TestInitialEmbed:
 
     def test_position_independent(self, small_config, small_weights):
         g = random_graph(1, small_config)
-        node = g.nodes[0]
-        moved = SceneGraph("t", "world", [Node(node.id, node.label, node.x + 5.0, node.features)],
-                           feature_dims=small_config.feature_dims)
+        moved = with_columns(g, positions=g.positions() + 5.0)
         assert np.array_equal(initial_embeddings([g], small_weights),
                               initial_embeddings([moved], small_weights))
 
@@ -242,14 +236,14 @@ def with_isolated_nodes(graph, config, count=3, seed=0):
     """The graph plus `count` nodes 100 m from everything, interleaved."""
     rng = np.random.default_rng(seed)
     d_vl, d_t = config.feature_dims
-    nodes = list(graph.nodes)
+    ids = graph.ids.tolist()
+    rows = list(zip(graph.positions(), graph.f_vl, graph.f_t, graph.f_g))
     for k in range(count):
-        far = Node(len(graph.nodes) + k, "far", np.array([100.0 * (k + 1), 0.0, 0.0]),
-                   NodeFeatures(rng.standard_normal(d_vl), rng.standard_normal(d_t),
+        ids.insert(2 * k + 1, len(graph.ids) + k)
+        rows.insert(2 * k + 1, (np.array([100.0 * (k + 1), 0.0, 0.0]),
+                                rng.standard_normal(d_vl), rng.standard_normal(d_t),
                                 rng.uniform(0.1, 1.0, 3)))
-        nodes.insert(2 * k + 1, far)
-    return SceneGraph(graph.graph_id, "world", nodes, build_edges(nodes),
-                      config.feature_dims)
+    return rows_graph(rows, config.feature_dims, graph.graph_id, ids=ids)
 
 
 class TestDgsaLayer:
@@ -278,11 +272,9 @@ class TestDgsaLayer:
         cfg = small_config
         rng = np.random.default_rng(8)
         d_vl, d_t = cfg.feature_dims
-        nodes = [Node(i, "", np.array([float(i), 0, 0]),
-                      NodeFeatures(rng.standard_normal(d_vl),
-                                   rng.standard_normal(d_t),
-                                   rng.uniform(0.1, 1, 3))) for i in range(2)]
-        g = SceneGraph("s", "world", nodes, build_edges(nodes), cfg.feature_dims)
+        rows = [(np.array([float(i), 0, 0]), rng.standard_normal(d_vl),
+                 rng.standard_normal(d_t), rng.uniform(0.1, 1, 3)) for i in range(2)]
+        g = rows_graph(rows, cfg.feature_dims, "s")
         c = initial_embeddings([g], small_weights)
         out = dgsa_layer(g, c, small_weights, 0)
         h = np.concatenate([pe_oracle(1.0, cfg.pe_dim), c[1]])
@@ -343,7 +335,7 @@ class TestEncodeGraph:
         assert emb_a.tobytes() == emb_b.tobytes() and glob_a.tobytes() == glob_b.tobytes()
 
     def test_empty_graph(self, small_config, small_weights):
-        g = SceneGraph("e", "world", [], [], small_config.feature_dims)
+        g = rows_graph([], small_config.feature_dims, "e")
         emb, glob = encode_graph(g, small_weights)
         assert emb.shape == (0, small_config.d_model)
         assert abs(np.linalg.norm(glob) - 1.0) <= 1e-6
@@ -365,9 +357,7 @@ class TestEncodeGraph:
                 [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
                 [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)]])
             t = rng.uniform(-10, 10, 3)
-            moved = [Node(n.id, n.label, rot @ n.x + t, n.features) for n in g.nodes]
-            g2 = SceneGraph("m", "world", moved, build_edges(moved),
-                            small_config.feature_dims)
+            g2 = with_edges(g, graph_id="m", positions=g.positions() @ rot.T + t)
             emb2, glob2 = encode_graph(g2, small_weights)
             assert np.abs(emb - emb2).max() <= 1e-5
             assert np.abs(glob - glob2).max() <= 1e-5
@@ -375,9 +365,10 @@ class TestEncodeGraph:
     def test_permutation_equivariance(self, small_config, small_weights, rng):
         g = random_graph(9, small_config, seed=9)
         emb, glob = encode_graph(g, small_weights)
-        perm = rng.permutation(len(g.nodes))
-        shuffled = SceneGraph("p", "world", [g.nodes[i] for i in perm], g.edges,
-                              small_config.feature_dims)
+        perm = rng.permutation(len(g.ids))
+        shuffled = with_columns(g, "p", labels=[g.labels[i] for i in perm], **{
+            name: graph_columns(g)[name][perm] for name in (
+                "ids", "positions", "f_vl", "f_t", "f_g", "gt_instance", "gt_present")})
         emb2, glob2 = encode_graph(shuffled, small_weights)
         assert np.abs(emb[perm] - emb2).max() <= 1e-6
         assert np.abs(glob - glob2).max() <= 1e-6
@@ -390,18 +381,15 @@ class TestEncodeGraph:
         d_vl, d_t = cfg.feature_dims
 
         def chain(feat_override=None):
-            nodes = []
+            rows = []
             for i in range(8):
                 rr = np.random.default_rng(100 + i)
                 f_vl = rr.standard_normal(d_vl)
                 if feat_override and i == feat_override[0]:
                     f_vl = feat_override[1]
-                nodes.append(Node(i, "", np.array([i * 1.0, 0, 0]),
-                                  NodeFeatures(f_vl, rr.standard_normal(d_t),
-                                               rr.uniform(0.1, 1, 3))))
-            return SceneGraph("c", "world", nodes,
-                              build_edges(nodes, n_max=1, d_th=1.5),
-                              cfg.feature_dims)
+                rows.append((np.array([i * 1.0, 0, 0]), f_vl, rr.standard_normal(d_t),
+                             rr.uniform(0.1, 1, 3)))
+            return rows_graph(rows, cfg.feature_dims, "c", n_max=1, d_th=1.5)
 
         base = chain()
         # n_max=1 symmetrized still chains consecutive nodes
@@ -415,7 +403,7 @@ def mixed_batch(config):
     """Connected, empty, one-node, all-isolated and mixed graphs."""
     return [
         random_graph(8, config, seed=21),
-        SceneGraph("empty", "world", [], [], config.feature_dims),
+        rows_graph([], config.feature_dims, "empty"),
         random_graph(1, config, seed=22),
         random_graph(5, config, seed=23, span=100.0),
         with_isolated_nodes(random_graph(6, config, seed=24, span=2.5), config),
@@ -428,24 +416,22 @@ def paired_graph(n_pairs, config, seed=0, isolated=1):
     every node with a neighbor has exactly one."""
     rng = np.random.default_rng(seed)
     d_vl, d_t = config.feature_dims
-    nodes = [Node(i, f"p{i}", np.array([10.0 * (i // 2) + i % 2, 0.0, 0.0])
-                  if i < 2 * n_pairs else np.array([0.0, 100.0 * i, 0.0]),
-                  NodeFeatures(rng.standard_normal(d_vl), rng.standard_normal(d_t),
-                               rng.uniform(0.1, 1.0, 3)))
-             for i in range(2 * n_pairs + isolated)]
-    return SceneGraph(f"pairs{seed}", "world", nodes, build_edges(nodes),
-                      config.feature_dims)
+    n = 2 * n_pairs + isolated
+    rows = [(np.array([10.0 * (i // 2) + i % 2, 0.0, 0.0]) if i < 2 * n_pairs
+             else np.array([0.0, 100.0 * i, 0.0]), rng.standard_normal(d_vl),
+             rng.standard_normal(d_t), rng.uniform(0.1, 1.0, 3)) for i in range(n)]
+    return rows_graph(rows, config.feature_dims, f"pairs{seed}",
+                      labels=[f"p{i}" for i in range(n)])
 
 
 def chain_graph(n, config, seed=0):
     """Nodes 1 m apart on a line, joined to their direct neighbors only."""
     rng = np.random.default_rng(seed)
     d_vl, d_t = config.feature_dims
-    nodes = [Node(i, f"c{i}", np.array([float(i), 0.0, 0.0]),
-                  NodeFeatures(rng.standard_normal(d_vl), rng.standard_normal(d_t),
-                               rng.uniform(0.1, 1.0, 3))) for i in range(n)]
-    return SceneGraph(f"chain{seed}", "world", nodes,
-                      build_edges(nodes, n_max=1, d_th=1.5), config.feature_dims)
+    rows = [(np.array([float(i), 0.0, 0.0]), rng.standard_normal(d_vl),
+             rng.standard_normal(d_t), rng.uniform(0.1, 1.0, 3)) for i in range(n)]
+    return rows_graph(rows, config.feature_dims, f"chain{seed}",
+                      labels=[f"c{i}" for i in range(n)], n_max=1, d_th=1.5)
 
 
 def degree_one_batch(config):

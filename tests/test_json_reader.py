@@ -4,8 +4,9 @@ exception is the `meta` string inside a weights archive. Every npz archive
 is opened by `errors.open_npz`, so bytes that are not a zip archive end in
 one error too. These scans fail when library code calls `json.loads`,
 `json.load` or `np.load` anywhere else. A last scan keeps the scene-graph
-columns the one graph layout the pipeline reads: only `scene_graph` and
-`synth` may read `.nodes` or build `Node`/`NodeFeatures` objects."""
+columns the one graph layout the library builds and reads: only
+`scene_graph`, whose `nodes`/`edges` views make them, may read `.nodes` or
+`.edges` or build `Node`/`NodeFeatures`/`Edge` objects."""
 
 import ast
 from pathlib import Path
@@ -49,15 +50,28 @@ def test_one_npz_opener():
         sorted(calls)
 
 
+def row_view_uses(tree: ast.AST):
+    """Line of each `.nodes`/`.edges` read and `Node`/`NodeFeatures`/`Edge`
+    call under `tree`. `config.edges`, the edge-parameter section of a
+    PipelineConfig, is not a graph's edges."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and (
+                node.attr == "nodes" or node.attr == "edges" and not (
+                    isinstance(node.value, ast.Name) and node.value.id == "config")):
+            yield node.lineno
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id in ("Node", "NodeFeatures", "Edge")):
+            yield node.lineno
+
+
 def test_graphs_read_as_columns():
-    allowed = {"scene_graph.py", "synth.py"}
-    found_uses = []
-    for path in sorted(SOURCES.glob("*.py")):
-        if path.name in allowed:
-            continue
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if (isinstance(node, ast.Attribute) and node.attr == "nodes"
-                    or isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-                    and node.func.id in ("Node", "NodeFeatures")):
-                found_uses.append((path.name, node.lineno))
+    found_uses = [(path.name, line) for path in sorted(SOURCES.glob("*.py"))
+                  if path.name != "scene_graph.py"
+                  for line in row_view_uses(ast.parse(path.read_text(), str(path)))]
     assert found_uses == []
+
+
+def test_row_view_scan_sees_each_case():
+    source = ("g.nodes\ng.edges\nNode(1)\nNodeFeatures(1)\nEdge(1)\n"
+              "config.edges\nsample.graph_a.nodes\n")
+    assert list(row_view_uses(ast.parse(source))) == [1, 2, 3, 4, 5, 7]

@@ -11,9 +11,9 @@ from sgalign.pipeline import allocate
 from sgalign.retrieval import (EncodedScene, SceneDatabase, build_database,
                                global_similarity, load_database, rerank, retrieve,
                                save_database, topk_filter, weights_fingerprint)
-from sgalign.scene_graph import Node, SceneGraph, save_graph
+from sgalign.scene_graph import save_graph
 from sgalign.synth import SynthConfig, generate_scene
-from conftest import assert_same_graphs
+from conftest import assert_same_graphs, with_columns
 
 
 @pytest.fixture(scope="module")
@@ -207,10 +207,11 @@ class TestPersistence:
         first = db.entries[0]
         labels = ["chair\0", "стол", "🪑", "", "a\0\0"]
         gts = [None, 0, -3, 2 ** 63 - 1, None]
-        odd = SceneGraph("id\0 ü", "camera", [
-            Node(n.id, labels[k % 5], n.x, n.features, gts[k % 5])
-            for k, n in enumerate(first.graph.nodes)], first.graph.edges,
-            first.graph.feature_dims)
+        n = len(first.graph.ids)
+        odd = with_columns(first.graph, "id\0 ü", "camera",
+                           labels=[labels[k % 5] for k in range(n)],
+                           gt_instance=[gts[k % 5] or 0 for k in range(n)],
+                           gt_present=[gts[k % 5] is not None for k in range(n)])
         entries = [EncodedScene("odd", odd, first.node_embeddings, first.global_embedding)]
         entries += db.entries[1:]
         save_database(SceneDatabase(entries=entries), tmp_path / "db", weights)

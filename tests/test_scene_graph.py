@@ -13,18 +13,8 @@ from sgalign.scene_graph import (EDGE_DISTANCE_RTOL, MAX_COORDINATE, Edge, Node,
                                  pairwise_distance, point_distances, read_graph,
                                  save_graph, unpack_graphs, validate_graph)
 from sgalign.synth import SynthConfig, generate_scene, make_sample
-from conftest import assert_same_graphs
-
-
-def make_node(nid, pos, d_vl=4, d_t=5, rng=None):
-    rng = rng or np.random.default_rng(nid)
-    return Node(
-        id=nid, label=f"n{nid}", x=np.asarray(pos, dtype=float),
-        features=NodeFeatures(
-            f_vl=rng.standard_normal(d_vl),
-            f_t=rng.standard_normal(d_t),
-            f_g=rng.uniform(0.1, 1.0, 3),
-        ))
+from conftest import (assert_same_graphs, graph_columns, rows_graph, with_columns,
+                      with_edges)
 
 
 class TestPairwiseDistance:
@@ -74,75 +64,88 @@ class TestPointDistances:
         assert point_distances(a[:30], b).tobytes() == got[rows, rows].tobytes()
 
 
-def brute_force_edges(nodes, n_max, d_th):
+def brute_force_edges(ids, positions, n_max, d_th):
     """Independent O(n^2) neighbor oracle: rank by distance, union, dedupe."""
     picked = set()
-    for a in nodes:
+    for a, xa in zip(ids, positions):
         cands = []
-        for b in nodes:
-            if b.id == a.id:
+        for b, xb in zip(ids, positions):
+            if b == a:
                 continue
-            d = np.linalg.norm(a.x - b.x)
+            d = np.linalg.norm(xa - xb)
             if d <= d_th:
-                cands.append((d, b.id))
+                cands.append((d, b))
         cands.sort()
-        for _, bid in cands[:n_max]:
-            picked.add((min(a.id, bid), max(a.id, bid)))
+        for _, b in cands[:n_max]:
+            picked.add((min(a, b), max(a, b)))
     return picked
+
+
+def edge_set(endpoints):
+    return set(map(tuple, endpoints.tolist()))
+
+
+def assert_no_edges(edges):
+    endpoints, distances = edges
+    assert (endpoints.dtype, endpoints.shape) == (np.int64, (0, 2))
+    assert (distances.dtype, distances.shape) == (np.float64, (0,))
 
 
 class TestBuildEdges:
     def test_single_node(self):
-        assert build_edges([make_node(0, (0, 0, 0))]) == []
+        assert_no_edges(build_edges([0], np.zeros((1, 3))))
 
     def test_empty(self):
-        assert build_edges([]) == []
+        assert_no_edges(build_edges([], np.zeros((0, 3))))
 
     def test_threshold_excludes_far_node(self):
-        nodes = [make_node(i, (x, 0, 0)) for i, x in enumerate([0.0, 1.0, 10.0])]
-        edges = build_edges(nodes, n_max=4, d_th=2.0)
-        assert [(e.i, e.j) for e in edges] == [(0, 1)]
-        assert edges[0].d == pytest.approx(1.0, abs=1e-12)
+        endpoints, distances = build_edges([0, 1, 2], np.array([[0.0, 0, 0], [1.0, 0, 0],
+                                                                [10.0, 0, 0]]), 4, 2.0)
+        assert endpoints.tolist() == [[0, 1]]
+        assert distances[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_matches_brute_force_oracle(self, rng):
-        nodes = [make_node(i, rng.uniform(0, 6, 3)) for i in range(50)]
-        edges = build_edges(nodes, n_max=4, d_th=2.0)
-        assert {(e.i, e.j) for e in edges} == brute_force_edges(nodes, 4, 2.0)
+        ids, positions = np.arange(50), rng.uniform(0, 6, (50, 3))
+        endpoints, _ = build_edges(ids, positions, n_max=4, d_th=2.0)
+        assert edge_set(endpoints) == brute_force_edges(ids.tolist(), positions, 4, 2.0)
+
+    def test_sorted_and_canonical(self, rng):
+        endpoints, _ = build_edges(rng.permutation(30), rng.uniform(0, 5, (30, 3)))
+        assert len(endpoints) and (endpoints[:, 0] < endpoints[:, 1]).all()
+        assert endpoints.tolist() == sorted(endpoints.tolist())
 
     def test_invalid_params(self):
-        nodes = [make_node(0, (0, 0, 0)), make_node(1, (1, 0, 0))]
+        ids, positions = [0, 1], np.array([[0.0, 0, 0], [1.0, 0, 0]])
         with pytest.raises(InvalidInputError):
-            build_edges(nodes, n_max=0)
+            build_edges(ids, positions, n_max=0)
         with pytest.raises(InvalidInputError):
-            build_edges(nodes, d_th=0.0)
+            build_edges(ids, positions, d_th=0.0)
         with pytest.raises(InvalidInputError):
-            build_edges(nodes, d_th=float("nan"))
+            build_edges(ids, positions, d_th=float("nan"))
 
     def test_rigid_invariance(self, rng):
-        nodes = [make_node(i, rng.uniform(0, 5, 3)) for i in range(30)]
-        before = {(e.i, e.j) for e in build_edges(nodes)}
+        ids, positions = np.arange(30), rng.uniform(0, 5, (30, 3))
+        before = edge_set(build_edges(ids, positions)[0])
         theta = 0.77
         rot = np.array([[np.cos(theta), -np.sin(theta), 0],
                         [np.sin(theta), np.cos(theta), 0],
                         [0, 0, 1.0]])
-        moved = [Node(n.id, n.label, rot @ n.x + np.array([3.0, -1.0, 2.0]),
-                      n.features) for n in nodes]
-        assert {(e.i, e.j) for e in build_edges(moved)} == before
+        moved = np.array([rot @ x + np.array([3.0, -1.0, 2.0]) for x in positions])
+        assert edge_set(build_edges(ids, moved)[0]) == before
 
     def test_relabel_equivariance(self, rng):
-        nodes = [make_node(i, rng.uniform(0, 5, 3)) for i in range(20)]
+        ids, positions = np.arange(20), rng.uniform(0, 5, (20, 3))
         perm = rng.permutation(20)
-        relabeled = [Node(int(perm[n.id]), n.label, n.x, n.features) for n in nodes]
         expected = {tuple(sorted((int(perm[i]), int(perm[j]))))
-                    for i, j in {(e.i, e.j) for e in build_edges(nodes)}}
-        assert {(e.i, e.j) for e in build_edges(relabeled)} == expected
+                    for i, j in edge_set(build_edges(ids, positions)[0])}
+        assert edge_set(build_edges(perm[ids], positions)[0]) == expected
 
     def test_stored_distances_match(self, rng):
-        nodes = [make_node(i, rng.uniform(0, 5, 3)) for i in range(25)]
-        by_id = {n.id: n for n in nodes}
-        for e in build_edges(nodes):
-            actual = pairwise_distance(by_id[e.i].x, by_id[e.j].x)
-            assert abs(e.d - actual) <= 1e-9 * max(1.0, actual)
+        positions = rng.uniform(0, 5, (25, 3))
+        endpoints, distances = build_edges(np.arange(25), positions)
+        for (i, j), d in zip(endpoints, distances):
+            actual = pairwise_distance(positions[i], positions[j])
+            assert abs(d - actual) <= 1e-9 * max(1.0, actual)
 
     def test_stored_distances_are_pairwise_distance(self):
         """Every stored distance has the bits of pairwise_distance of its
@@ -150,17 +153,18 @@ class TestBuildEdges:
         checks them."""
         rng = np.random.default_rng(0)
         for _ in range(20):
-            nodes = [make_node(i, rng.uniform(0, 5, 3)) for i in range(25)]
-            edges = build_edges(nodes)
-            assert edges
-            assert [e.d for e in edges] == [pairwise_distance(nodes[e.i].x, nodes[e.j].x)
-                                            for e in edges]
+            positions = rng.uniform(0, 5, (25, 3))
+            endpoints, distances = build_edges(np.arange(25), positions)
+            assert len(endpoints)
+            assert distances.tolist() == [pairwise_distance(positions[i], positions[j])
+                                          for i, j in endpoints]
 
 
 def well_formed_graph(n=5, seed=0):
     rng = np.random.default_rng(seed)
-    nodes = [make_node(i, rng.uniform(0, 4, 3), rng=rng) for i in range(n)]
-    return SceneGraph("g", "world", nodes, build_edges(nodes), (4, 5))
+    rows = [(rng.uniform(0, 4, 3), rng.standard_normal(4), rng.standard_normal(5),
+             rng.uniform(0.1, 1.0, 3)) for _ in range(n)]
+    return rows_graph(rows, (4, 5), labels=[f"n{i}" for i in range(n)])
 
 
 class TestValidateGraph:
@@ -168,32 +172,27 @@ class TestValidateGraph:
         assert validate_graph(well_formed_graph()) == []
 
     def test_duplicate_id(self):
-        g = well_formed_graph()
-        g = rebuilt(g, nodes=[*g.nodes, Node(3, "dup", np.zeros(3), g.nodes[0].features)])
-        violations = validate_graph(g)
+        g = parts_of(well_formed_graph())
+        g.nodes.append(Node(3, "dup", np.zeros(3), g.nodes[0].features))
+        violations = validate_graph(built(g))
         assert any("duplicate" in v and "3" in v for v in violations)
 
     def test_stale_edge_distance(self):
         g = well_formed_graph()
-        i, j = g.nodes[0].id, g.nodes[1].id
-        g = rebuilt(g, edges=[Edge(min(i, j), max(i, j),
-                                   pairwise_distance(g.nodes[0].x, g.nodes[1].x) * 2.0)])
+        d = pairwise_distance(g.positions()[0], g.positions()[1]) * 2.0
+        g = with_columns(g, endpoints=[[0, 1]], edge_distances=[d])
         violations = validate_graph(g)
         assert any("stored distance" in v for v in violations)
 
     def test_dangling_endpoint(self):
-        g = rebuilt(well_formed_graph(), edges=[Edge(0, 99, 1.0)])
+        g = with_columns(well_formed_graph(), endpoints=[[0, 99]], edge_distances=[1.0])
         assert any("dangling" in v for v in validate_graph(g))
 
     def test_dimension_mismatch(self):
+        g = parts_of(well_formed_graph())
+        g.feature_dims = (7, 5)
         with pytest.raises(InvalidInputError, match="f_vl"):
-            rebuilt(well_formed_graph(), feature_dims=(7, 5))
-
-
-def rebuilt(g, **changes):
-    """A copy of g with some of nodes, edges and feature_dims replaced."""
-    parts = {"nodes": g.nodes, "edges": g.edges, "feature_dims": g.feature_dims, **changes}
-    return SceneGraph(g.graph_id, g.frame_kind, **parts)
+            built(g)
 
 
 def parts_of(g):
@@ -204,7 +203,14 @@ def parts_of(g):
 
 
 def built(parts):
-    return SceneGraph("g", "world", parts.nodes, parts.edges, parts.feature_dims)
+    """The graph `graph_from_dict` reads from the JSON text of the parts, so
+    that vectors of any shape reach the reader's checks."""
+    doc = {"graph_id": "g", "frame_kind": "world", "feature_dims": list(parts.feature_dims),
+           "nodes": [{"id": n.id, "label": n.label, "position": n.x, "f_vl": n.features.f_vl,
+                      "f_t": n.features.f_t, "f_g": n.features.f_g,
+                      "gt_instance": n.gt_instance} for n in parts.nodes],
+           "edges": [[e.i, e.j, e.d] for e in parts.edges]}
+    return graph_from_dict(json.loads(json.dumps(doc, default=list)))
 
 
 def validate_graph_loop(g):
@@ -473,9 +479,9 @@ class TestGraphFiles:
 
     def test_invalid_file_names_path_and_violations(self, tmp_path):
         g = well_formed_graph()
-        g = rebuilt(g, nodes=[Node(0, "bad", g.nodes[0].x, NodeFeatures(
-            g.nodes[0].features.f_vl, g.nodes[0].features.f_t, [5.0, -1.0, 5.0])),
-            *g.nodes[1:]])
+        f_g = g.f_g.copy()
+        f_g[0] = [5.0, -1.0, 5.0]
+        g = with_columns(g, f_g=f_g)
         path = tmp_path / "bad.json"
         save_graph(g, path)
         back, violations = read_graph(path)
@@ -490,8 +496,8 @@ class TestGraphFiles:
         doc["edges"] = None
         (tmp_path / "g.json").write_text(json.dumps(doc))
         back = load_graph(tmp_path / "g.json", n_max=1, d_th=1.5)
-        assert list(back.edges) == build_edges(g.nodes, n_max=1, d_th=1.5)
-        assert list(back.edges) != build_edges(g.nodes)
+        assert_same_graphs([back], [with_edges(g, n_max=1, d_th=1.5)])
+        assert back.endpoints.tolist() != g.endpoints.tolist()
 
 
 def graph_doc():
@@ -560,13 +566,12 @@ def odd_graphs():
     """Graphs that exercise every packed field: None and int gt_instance
     (int64 extremes included), labels with a trailing NUL and non-ASCII
     text, a graph without nodes and one without edges."""
-    a = well_formed_graph(6, seed=1)
-    a = rebuilt(a, nodes=[Node(n.id, label, n.x, n.features, gt) for n, label, gt in zip(
-        a.nodes, ["chair\0", "стол", "🪑 lamp", "", "a\0\0", "b"],
-        [None, 0, -3, 2 ** 63 - 1, -2 ** 63, None])])
-    b = well_formed_graph(1, seed=2)
-    b = SceneGraph("g\0", "camera", b.nodes, b.edges, b.feature_dims)
-    return [a, SceneGraph("empty", "world", [], [], (4, 5)), b, well_formed_graph(9, seed=3)]
+    a = with_columns(well_formed_graph(6, seed=1),
+                     labels=["chair\0", "стол", "🪑 lamp", "", "a\0\0", "b"],
+                     gt_instance=[0, 0, -3, 2 ** 63 - 1, -2 ** 63, 0],
+                     gt_present=[False, True, True, True, True, False])
+    b = with_columns(well_formed_graph(1, seed=2), "g\0", "camera")
+    return [a, rows_graph([], (4, 5), "empty"), b, well_formed_graph(9, seed=3)]
 
 
 class TestPackGraphs:
@@ -581,10 +586,12 @@ class TestPackGraphs:
     def test_views_not_copies(self):
         arrays, strings = pack_graphs(odd_graphs())
         back = unpack_graphs(arrays, strings, list("abcd"), "src")
-        nodes = [n for g in back for n in g.nodes]
-        assert all(n.x.base is arrays["positions"] for n in nodes)
-        assert all(n.features.f_vl.base is arrays["f_vl"] for n in nodes)
-        assert all(n.features.f_g.base is arrays["f_g"] for n in nodes)
+        packed = {"ids": "node_ids", "positions": "positions", "f_vl": "f_vl", "f_t": "f_t",
+                  "f_g": "f_g", "gt_instance": "gt_instance", "gt_present": "gt_present",
+                  "endpoints": "edges", "edge_distances": "edge_distances"}
+        for g in back:
+            columns = graph_columns(g)
+            assert all(columns[name].base is arrays[packed[name]] for name in packed)
 
     def test_no_graphs(self):
         arrays, strings = pack_graphs([])
@@ -593,8 +600,8 @@ class TestPackGraphs:
     @pytest.mark.parametrize("change", ["ragged_f_vl", "2d_position", "float_id",
                                         "float_endpoint", "huge_gt_instance"])
     def test_unpackable_graph_refused(self, change):
-        """What pack_graphs could not store is refused when the graph is
-        built, so no graph reaches it."""
+        """What pack_graphs could not store is refused when a graph file is
+        read, naming the node where one is at fault."""
         g = parts_of(well_formed_graph(3))
         n = g.nodes[1]
         if change == "ragged_f_vl":
@@ -614,3 +621,49 @@ class TestPackGraphs:
                    "huge_gt_instance": "node 1: gt_instance must be an integer within int64"}
         with pytest.raises(InvalidInputError, match=re.escape(message[change])):
             built(g)
+
+
+def columns_of(n=3):
+    """Constructor keywords of a well-formed n-node graph with n - 1 edges."""
+    return {**graph_columns(well_formed_graph(n)),
+            "endpoints": np.stack([np.arange(n - 1), np.arange(1, n)], axis=1),
+            "edge_distances": np.ones(n - 1)}
+
+
+class TestColumns:
+    def test_columns_read_only_and_kept(self):
+        columns = columns_of()
+        g = SceneGraph("g", "world", **columns)
+        assert g.feature_dims == (4, 5)
+        for name, column in graph_columns(g).items():
+            if name != "labels":
+                assert not column.flags.writeable, name
+                assert column.tobytes() == np.asarray(columns[name]).tobytes(), name
+        assert validate_graph(g) != []  # the distances are values, left to validate_graph
+
+    @pytest.mark.parametrize("name, value, message", [
+        ("ids", np.arange(3.0), "ids is float64 (3,), expected int64 (None,)"),
+        ("ids", np.arange(3, dtype=np.int32), "ids is int32 (3,), expected int64"),
+        ("positions", np.zeros((2, 3)), "positions is float64 (2, 3), expected float64 (3, 3)"),
+        ("positions", np.zeros((3, 3), np.float32), "positions is float32"),
+        ("f_vl", np.zeros(3), "f_vl is float64 (3,), expected float64 (3, None)"),
+        ("f_t", np.zeros((3, 5, 1)), "f_t is float64 (3, 5, 1), expected float64 (3, None)"),
+        ("f_g", np.zeros((3, 2)), "f_g is float64 (3, 2), expected float64 (3, 3)"),
+        ("gt_instance", np.zeros(3), "gt_instance is float64 (3,), expected int64 (3,)"),
+        ("gt_present", np.zeros(3, np.int64), "gt_present is int64 (3,), expected bool (3,)"),
+        ("endpoints", np.zeros((2, 3), np.int64), "endpoints is int64 (2, 3), expected int64"),
+        ("endpoints", np.zeros((2, 2)), "endpoints is float64 (2, 2)"),
+        ("edge_distances", np.ones(3), "edge_distances is float64 (3,), expected float64 (2,)"),
+        ("labels", ["a", "b"], "needs 3 labels for its node rows"),
+        ("labels", "abc", "needs 3 labels for its node rows"),
+        ("labels", ["a", 5, "c"], "node 1: label must be a string, got 5"),
+    ])
+    def test_refused(self, name, value, message):
+        with pytest.raises(InvalidInputError, match=re.escape(message)):
+            SceneGraph("g", "world", **{**columns_of(), name: value})
+
+    @pytest.mark.parametrize("graph_id, frame_kind, message", [
+        (7, "world", "graph_id must be a string"), ("g", "banana", "frame_kind must be one of")])
+    def test_names_refused(self, graph_id, frame_kind, message):
+        with pytest.raises(InvalidInputError, match=message):
+            SceneGraph(graph_id, frame_kind, **columns_of())

@@ -4,8 +4,10 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from conftest import assert_same_graphs, with_edges
+
 from sgalign.errors import GenerationError, InvalidInputError
-from sgalign.scene_graph import build_edges, validate_graph
+from sgalign.scene_graph import validate_graph
 from sgalign.synth import (SynthConfig, generate_scene, load_sample,
                            make_f2s_pair, make_s2s_pair, make_sample,
                            save_sample)
@@ -205,7 +207,7 @@ class TestSampleDeterminismAndIo:
         path = tmp_path / "pair" / "b.json"
         path.write_text(json.dumps({**json.loads(path.read_text()), "edges": None}))
         back = load_sample(tmp_path / "pair", n_max=2, d_th=0.8)
-        assert list(back.graph_b.edges) == build_edges(s.graph_b.nodes, n_max=2, d_th=0.8)
+        assert_same_graphs([back.graph_b], [with_edges(s.graph_b, n_max=2, d_th=0.8)])
         assert graphs_equal(back.graph_a, s.graph_a)
 
     def test_load_rejects_invalid_graph(self, tmp_path):
