@@ -9,6 +9,7 @@ overflows or turns invalid included).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import math
@@ -40,7 +41,15 @@ EXIT_VALIDATION = 2
 
 
 class UsageError(Exception):
-    """A flag value argparse accepts but the command cannot use."""
+    """A flag or argument the command cannot use."""
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports what it refuses as a UsageError, so the refusal is one stderr
+    line, not a usage block; its subparsers are of this class too."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
 
 
 def _setup_logging() -> None:
@@ -134,8 +143,7 @@ def cmd_synth(args) -> int:
     out = Path(args.out)
     dirs = []
     for idx in range(args.count):
-        sample_config = synth.SynthConfig(
-            **{**config.__dict__, "seed": args.seed + idx})
+        sample_config = dataclasses.replace(config, seed=args.seed + idx)
         sample = synth.make_sample(args.task, sample_config)
         name = f"{args.task}_{args.seed + idx:05d}"
         synth.save_sample(sample, out / name)
@@ -169,8 +177,9 @@ def cmd_eval(args) -> int:
 
     # Pairs stream through in batches of at most BATCH_NODES nodes: one
     # batched node pass (no global embedding is read), then per-pair scoring
-    # on the pool. Batches depend only on the sorted pairs, never on --jobs,
-    # so neither do the bytes.
+    # on the pool. The node pass is batch-invariant, so each pair's
+    # embeddings, and the report bytes, are those `align` computes, whatever
+    # the batches or --jobs.
     edges = config.edges
     samples = ((p.name, synth.load_sample(p, edges.n_max, edges.d_th)) for p in pair_dirs)
     rows = []
@@ -238,6 +247,8 @@ def cmd_register(args) -> int:
 
 
 def cmd_retrieve(args) -> int:
+    if args.k < 1:
+        raise UsageError(f"--k must be >= 1, got {args.k}")
     config = _load_pipeline_config(args.config)
     weights, meta = _resolve_weights(args, config)
     edges = config.edges
@@ -282,7 +293,7 @@ def cmd_demo_fit(args) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="sgalign", description="3D scene-graph alignment toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -361,17 +372,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     _setup_logging()
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code else EXIT_OK
-    try:
+        args = _build_parser().parse_args(argv)
         # Every --seed seeds a NumPy generator, which refuses a negative one.
         if getattr(args, "seed", 0) < 0:
             raise UsageError(f"--seed must be >= 0, got {args.seed}")
         with _float_errors():
             return args.func(args)
+    except SystemExit:  # argparse exits only after printing --help
+        return EXIT_OK
     except (UsageError, OSError) as exc:
         logger.error("%s", exc)
         return EXIT_USAGE

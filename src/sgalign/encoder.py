@@ -26,8 +26,14 @@ LN_EPS = 1e-5
 CLS_ATTN_LAYERS = 2
 # Node budget of one batched forward pass where many graphs are encoded
 # (eval, database build). Bigger batches read the weights fewer times per
-# graph but hold more transient memory.
+# graph but hold more transient memory; no output depends on it.
 BATCH_NODES = 64
+# Row floor of every weight product over rows (`_rows_matmul`). OpenBLAS
+# rounds a row differently when a product has one row (its GEMV path) or
+# few output entries (its small-matrix kernels); past both, a row's bits
+# depend on that row alone.
+_MIN_ROWS = 2
+_MIN_ENTRIES = 2048
 # Tensor names are listed layer by layer before any buffer is allocated, so
 # the layer count is bounded; other sizes are bounded by what NumPy allocates.
 MAX_LAYERS = 1024
@@ -349,7 +355,9 @@ def distance_gate(d, gate_weights: dict[str, np.ndarray]):
     if np.any(d < 0) or not np.all(np.isfinite(d)):
         raise InvalidInputError("distance_gate: distance must be finite and >= 0")
     h = np.maximum(d[..., None] * gate_weights["w1"][:, 0] + gate_weights["b1"], 0.0)
-    z = h @ gate_weights["w2"][0] + gate_weights["b2"][0]
+    # A sum over each distance's own hidden units; a GEMV would round a
+    # distance differently with the number of distances.
+    z = (h * gate_weights["w2"][0]).sum(axis=-1) + gate_weights["b2"][0]
     # At very large distances exp(-z) overflows to inf and the sigmoid
     # saturates at 0, which the clip below lifts to _GATE_LO: intended.
     with np.errstate(over="ignore"):
@@ -371,10 +379,21 @@ def initial_embeddings(graphs: Sequence[SceneGraph], weights: EncoderWeights) ->
             raise ShapeError(f"graph {g.graph_id!r}: feature dims {list(g.feature_dims)} do "
                              f"not match config dims {list(dims)}")
     f_g = np.concatenate([g.f_g for g in graphs])
-    h = np.maximum(f_g @ weights["geo_ffn.w1"].T + weights["geo_ffn.b1"], 0.0)
+    h = np.maximum(_rows_matmul(f_g, weights["geo_ffn.w1"]) + weights["geo_ffn.b1"], 0.0)
     return np.concatenate([np.concatenate([g.f_vl for g in graphs]),
                            np.concatenate([g.f_t for g in graphs]),
-                           h @ weights["geo_ffn.w2"].T + weights["geo_ffn.b2"]], axis=1)
+                           _rows_matmul(h, weights["geo_ffn.w2"]) + weights["geo_ffn.b2"]],
+                          axis=1)
+
+
+def _rows_matmul(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """x @ w.T, with x padded by zero rows up to the row floor."""
+    floor = max(_MIN_ROWS, -(-_MIN_ENTRIES // len(w)))
+    if len(x) >= floor:
+        return x @ w.T
+    padded = np.zeros((floor, x.shape[1]))
+    padded[:len(x)] = x
+    return (padded @ w.T)[:len(x)]
 
 
 def _layer_norm(x: np.ndarray, scale: np.ndarray, bias: np.ndarray) -> np.ndarray:
@@ -385,30 +404,28 @@ def _layer_norm(x: np.ndarray, scale: np.ndarray, bias: np.ndarray) -> np.ndarra
 
 @dataclass
 class _NeighborIndex:
-    """Neighborhoods of a batch of graphs as padded (A, K) blocks.
+    """Neighborhoods of a batch of graphs, as one block per degree.
 
     Node rows are the graphs' nodes concatenated in declaration order; graph
     g owns rows node_offsets[g]:node_offsets[g+1]. Only the active rows,
-    nodes with at least one neighbor, take part in attention, and neighbors
-    are referred to by their position in `active` (neighbors of an active
-    node are active, because adjacency is symmetric). Block row a holds the
-    neighbors of active node a sorted by node id in its first real[a].sum()
-    slots; K is the largest degree, and padded slots point at position 0.
-    Row-major order over the real slots is the order of the E directed
-    (center, neighbor) pairs. Everything here depends on the graphs alone,
-    so it is built once per call and read by every layer.
+    nodes with at least one neighbor, take part in attention, and nodes are
+    referred to by their position in `active` (neighbors of an active node
+    are active, because adjacency is symmetric). The E directed (center,
+    neighbor) pairs are sorted by center, then by neighbor id. Block k holds
+    the active nodes of degree k, each neighborhood a row of k pairs, so no
+    neighborhood is padded and every product and sum over it has a shape set
+    by its own degree, whatever the other graphs of the batch are. It is
+    built once per call and read by every layer.
     """
 
     graphs: Sequence[SceneGraph]
     node_offsets: np.ndarray  # (G+1,) first row of each graph, then the total
     active: np.ndarray       # (A,) rows with at least one neighbor
-    nbr: np.ndarray          # (A, K) active position of each neighbor
-    real: np.ndarray         # (A, K) slot holds a neighbor, not padding
     pair_nbr: np.ndarray     # (E,) active position of each pair's neighbor
-    degree: np.ndarray       # (A,) neighbors of each active node
     dist: np.ndarray         # (E,) center-to-neighbor distance of each pair
-    nn_mask: np.ndarray      # (A, K, K) both slots real and distinct
-    nn_dist: np.ndarray      # (A, K, K) neighbor-to-neighbor distances
+    # per degree k: active positions (n,), their pairs (n, k) and the
+    # neighbor-to-neighbor distances (n, k, k)
+    blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
 
     def row_names(self, rows) -> list[tuple[str, int]]:
         """(graph_id, node id) of node rows, for error messages."""
@@ -418,6 +435,17 @@ class _NeighborIndex:
             graph = self.graphs[g]
             names.append((graph.graph_id, int(graph.ids[row - self.node_offsets[g]])))
         return names
+
+
+def _size_blocks(sizes: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Consecutive segments of the given sizes, grouped by size: per size s,
+    the segments of that size (n,) and their elements (n, s)."""
+    starts = np.cumsum(sizes) - sizes
+    blocks = []
+    for size in np.unique(sizes):
+        members = np.flatnonzero(sizes == size)
+        blocks.append((members, starts[members, None] + np.arange(size)))
+    return blocks
 
 
 def _build_neighbor_index(graphs: Sequence[SceneGraph]) -> _NeighborIndex:
@@ -439,43 +467,28 @@ def _build_neighbor_index(graphs: Sequence[SceneGraph]) -> _NeighborIndex:
     counts = np.bincount(center, minlength=node_offsets[-1])
     active = np.flatnonzero(counts)
     position = np.cumsum(counts > 0) - 1  # active position of each active row
-    k_max = counts.max(initial=0)
-    real = np.arange(k_max) < counts[active, None]
-    nbr = np.zeros(real.shape, dtype=int)
-    pair_nbr = position[neighbor]
-    nbr[real] = pair_nbr
     pos = np.concatenate([g.positions() for g in graphs])
-    nbr_pos = pos[active][nbr]
+    nbr_pos = pos[neighbor]
+    # A node's pairs are consecutive, so its neighborhood is a segment of
+    # its degree.
+    blocks = [(nodes, pairs, point_distances(nbr_pos[pairs][:, :, None], nbr_pos[pairs][:, None]))
+              for nodes, pairs in _size_blocks(counts[active])]
     return _NeighborIndex(
         graphs=graphs,
         node_offsets=node_offsets,
         active=active,
-        nbr=nbr,
-        real=real,
-        pair_nbr=pair_nbr,
-        degree=counts[active],
-        dist=point_distances(pos[center], pos[neighbor]),
-        nn_mask=real[:, :, None] & real[:, None] & ~np.eye(k_max, dtype=bool),
-        nn_dist=point_distances(nbr_pos[:, :, None], nbr_pos[:, None]),
+        pair_nbr=position[neighbor],
+        dist=point_distances(pos[center], nbr_pos),
+        blocks=blocks,
     )
 
 
-def _padded(values: np.ndarray, slots: np.ndarray) -> np.ndarray:
-    """values (n, ...) placed in the n True slots of a zero block slots.shape + (...)."""
-    out = np.zeros(slots.shape + values.shape[1:])
-    out[slots] = values
-    return out
-
-
-def _attend(scores: np.ndarray, mask: np.ndarray, v: np.ndarray) -> np.ndarray:
+def _attend(scores: np.ndarray, v: np.ndarray, mask=True) -> np.ndarray:
     """softmax(scores) over the last axis, restricted to `mask`, times v.
-
-    A query row with no unmasked key gives a zero row.
-    """
+    Every query row has an unmasked key."""
     top = np.max(scores, axis=-1, keepdims=True, where=mask, initial=-np.inf)
     ex = np.exp(scores - top, out=np.zeros_like(scores), where=mask)
-    total = ex.sum(axis=-1, keepdims=True)
-    np.divide(ex, total, out=ex, where=total > 0)
+    ex /= ex.sum(axis=-1, keepdims=True)
     return ex @ v
 
 
@@ -487,37 +500,34 @@ def _attention(x: np.ndarray, index: _NeighborIndex, pe: np.ndarray,
     The five projections of h_ij = [PE(d_ij) || c_j] are split into a
     per-distance part and a per-node part (W @ h = W_pe @ PE + W_c @ c_j),
     so the large feature block is projected once per node, not per pair,
-    and the sum is formed on the E real pairs only. Each of the five is
-    placed into zero-padded (A, heads, K, d_head) neighborhood blocks only
-    when it is used.
+    and the sum is formed on the E pairs. Attention then runs block by
+    block: (n, heads, 1, k) center-to-neighbor and (n, heads, k, k)
+    neighbor-to-neighbor for the n nodes of degree k.
     """
     cfg = weights.config
     heads, dh, pe_dim = cfg.heads, cfg.d_head, cfg.pe_dim
-    n_act, k_max = index.real.shape
+    n_act = len(x)
     gate_w = _gate_weights(weights, layer)
     w_h = weights.packed[f"layer{layer}.h_proj"]
-    if k_max < 2:  # no neighbor-to-neighbor term: only K and V are needed
-        w_h = w_h[:2 * cfg.d_model]
-    h = (x @ w_h[:, pe_dim:].T)[index.pair_nbr]
-    h += pe @ w_h[:, :pe_dim].T
-    h = h.reshape(len(h), -1, heads, dh)
-
-    def block(part: int) -> np.ndarray:
-        return _padded(h[:, part], index.real).transpose(0, 2, 1, 3)
-
-    # center -> neighbor attention
-    q = (x @ weights[f"layer{layer}.Wq"].T).reshape(n_act, heads, 1, dh)
-    gate_cn = _padded(distance_gate(index.dist, gate_w), index.real)
-    raw = (q @ block(0).swapaxes(2, 3)) / math.sqrt(dh)
-    out = _attend(gate_cn[:, None, None] * raw, index.real[:, None, None],
-                  block(1))[:, :, 0]
-
-    # neighbor -> neighbor attention, average-pooled over neighbors
-    if k_max > 1:
-        gate_nn = distance_gate(index.nn_dist, gate_w)
-        raw2 = (block(2) @ block(3).swapaxes(2, 3)) / math.sqrt(dh)
-        per_pair = _attend(gate_nn[:, None] * raw2, index.nn_mask[:, None], block(4))
-        out += per_pair.sum(axis=2) / index.degree[:, None, None]
+    h = _rows_matmul(x, w_h[:, pe_dim:])[index.pair_nbr]
+    h += _rows_matmul(pe, w_h[:, :pe_dim])
+    h = h.reshape(len(h), 5, heads, dh)
+    q = _rows_matmul(x, weights[f"layer{layer}.Wq"]).reshape(n_act, heads, 1, dh)
+    gate_cn = distance_gate(index.dist, gate_w)
+    out = np.empty((n_act, heads, dh))
+    for nodes, pairs, nn_dist in index.blocks:
+        k = pairs.shape[1]
+        block = h[pairs].transpose(0, 2, 3, 1, 4)  # (n, 5, heads, k, d_head)
+        # center -> neighbor attention
+        raw = (q[nodes] @ block[:, 0].swapaxes(2, 3)) / math.sqrt(dh)
+        att = _attend(gate_cn[pairs][:, None, None] * raw, block[:, 1])[:, :, 0]
+        # neighbor -> neighbor attention, average-pooled over neighbors
+        if k > 1:
+            raw2 = (block[:, 2] @ block[:, 3].swapaxes(2, 3)) / math.sqrt(dh)
+            per_pair = _attend(distance_gate(nn_dist, gate_w)[:, None] * raw2,
+                               block[:, 4], ~np.eye(k, dtype=bool))
+            att += per_pair.sum(axis=2) / k
+        out[nodes] = att
     return out.reshape(n_act, cfg.d_model)
 
 
@@ -529,7 +539,7 @@ def _dgsa(x: np.ndarray, index: _NeighborIndex, pe: np.ndarray,
     fused = x.copy()
     if index.active.size:
         attn = _attention(x[index.active], index, pe, weights, layer)
-        fused[index.active] += attn @ weights[p + "Wo"].T
+        fused[index.active] += _rows_matmul(attn, weights[p + "Wo"])
     result = _layer_norm(fused, weights[p + "ln_scale"], weights[p + "ln_bias"])
     if not np.all(np.isfinite(result)):
         bad = np.flatnonzero(~np.isfinite(result).all(axis=1))
@@ -550,8 +560,8 @@ def _project(c: np.ndarray, c0: np.ndarray, index: _NeighborIndex,
              weights: EncoderWeights) -> np.ndarray:
     """ProjFFN([c || c0]), L2-normalized so matcher dot products are cosines."""
     cat = np.concatenate([c, c0], axis=1)
-    h = np.maximum(cat @ weights["proj_ffn.w1"].T + weights["proj_ffn.b1"], 0.0)
-    emb = h @ weights["proj_ffn.w2"].T + weights["proj_ffn.b2"]
+    h = np.maximum(_rows_matmul(cat, weights["proj_ffn.w1"]) + weights["proj_ffn.b1"], 0.0)
+    emb = _rows_matmul(h, weights["proj_ffn.w2"]) + weights["proj_ffn.b2"]
     norms = np.linalg.norm(emb, axis=1)
     if np.any(norms == 0):
         raise NumericError(f"zero-norm node embeddings for nodes "
@@ -566,30 +576,31 @@ def _class_tokens(node_emb: np.ndarray, node_offsets: np.ndarray,
 
     Token rows are the graphs' CLS and node rows, graph by graph with the
     CLS row first; the projections run on them alone. Attention runs on
-    padded (G, heads, L, L) blocks, row g holding graph g's tokens. The last
-    layer updates the CLS rows only, so its blocks are (G, heads, 1, L).
+    (n, heads, L, L) blocks for the n graphs of L tokens, so a graph's
+    blocks have its own size. The last layer updates the CLS rows only, so
+    its blocks are (n, heads, 1, L).
     """
     cfg = weights.config
     heads, dh, d = cfg.heads, cfg.d_head, cfg.d_model
-    counts = np.diff(node_offsets)
-    n_graphs = len(counts)
-    is_token = np.arange(int(counts.max(initial=0)) + 1) <= counts[:, None]  # (G, L)
-    cls_rows = node_offsets[:-1] + np.arange(n_graphs)
+    sizes = np.diff(node_offsets) + 1  # tokens of each graph
+    cls_rows = np.cumsum(sizes) - sizes
     x = np.insert(node_emb, node_offsets[:-1], weights["cls_token"], axis=0)
+    blocks = _size_blocks(sizes)
 
     for layer in range(CLS_ATTN_LAYERS):
         p = f"cls_attn{layer}."
         last = layer == CLS_ATTN_LAYERS - 1
-        queries, q_slots = (cls_rows, is_token[:, :1]) if last else (slice(None), is_token)
+        queries = cls_rows if last else slice(None)
         w_qkv = weights.packed[p + "qkv"]
-        q = _padded(x[queries] @ w_qkv[:d].T, q_slots).reshape(*q_slots.shape, heads, dh)
-        kv = _padded(x @ w_qkv[d:].T, is_token).reshape(*is_token.shape, 2, heads, dh)
-        k_t = kv[:, :, 0].transpose(0, 2, 3, 1)  # (G, heads, d_head, L)
-        v = kv[:, :, 1].transpose(0, 2, 1, 3)    # (G, heads, L, d_head)
-        scores = (q.transpose(0, 2, 1, 3) @ k_t) / math.sqrt(dh)
-        attn = _attend(scores, is_token[:, None, None], v).transpose(0, 2, 1, 3)
-        attn = attn[q_slots].reshape(-1, d)
-        x = _layer_norm(x[queries] + attn @ weights[p + "Wo"].T,
+        q = _rows_matmul(x[queries], w_qkv[:d]).reshape(-1, heads, dh)
+        kv = _rows_matmul(x, w_qkv[d:]).reshape(len(x), 2, heads, dh)
+        attn = np.empty_like(q)
+        for graphs, tokens in blocks:
+            rows = graphs[:, None] if last else tokens  # query rows of q
+            block = kv[tokens].transpose(0, 2, 3, 1, 4)  # (n, 2, heads, L, d_head)
+            scores = (q[rows].transpose(0, 2, 1, 3) @ block[:, 0].swapaxes(2, 3)) / math.sqrt(dh)
+            attn[rows] = _attend(scores, block[:, 1]).transpose(0, 2, 1, 3)
+        x = _layer_norm(x[queries] + _rows_matmul(attn.reshape(-1, d), weights[p + "Wo"]),
                         weights[p + "ln_scale"], weights[p + "ln_bias"])
     norms = np.linalg.norm(x, axis=1)
     if np.any(norms == 0):
@@ -617,7 +628,8 @@ def encode_nodes(graphs: Sequence[SceneGraph], weights: EncoderWeights
     This is `encode_graphs` without the class-token stage, for callers that
     match nodes and never read a global embedding (alignment, eval). The
     class tokens read the node rows and write nothing back, so the rows are
-    bit-identical to those `encode_graphs` returns for the same batch.
+    bit-identical to those of `encode_graphs`, and like them they do not
+    depend on the other graphs of the batch.
     """
     if not graphs:
         return []
@@ -633,9 +645,11 @@ def encode_graphs(graphs: Sequence[SceneGraph], weights: EncoderWeights
     The node pass of `encode_nodes` followed by the class-token stage, for
     callers that read the global embedding (encode, retrieval, database
     build). The graphs' nodes run through every layer together, so each
-    weight matrix is read once per batch instead of once per graph. Results
-    match one-graph calls up to floating-point rounding, since BLAS may
-    round a row differently with the number of rows it is given.
+    weight matrix is read once per batch instead of once per graph. The
+    pass is batch-invariant: every graph's rows and global embedding equal
+    those of its one-graph call bit for bit, whatever batch it rides in.
+    Weight products are given at least the row floor, and each attention
+    block has the shape of its own neighborhood or graph.
     """
     if not graphs:
         return []

@@ -45,17 +45,15 @@ def align_graphs(graph_a: SceneGraph, graph_b: SceneGraph,
     """Node embeddings of two scene graphs, scored and allocated to a MatchSet.
 
     Matching reads node embeddings only, so the class-token stage does not
-    run. Each graph is encoded on its own: BLAS may round a row differently
-    with the number of rows in the product, and a one-graph node pass keeps
-    the embeddings bit-identical to those of `encode_graph`.
+    run. Both graphs go through one node pass, and each graph's rows equal
+    those of `encode_graph`.
     """
     if validate:
         for name, g in (("graph_a", graph_a), ("graph_b", graph_b)):
             violations = validate_graph(g)
             if violations:
                 raise InvalidInputError(f"{name} invalid: {violations}")
-    [emb_a] = encode_nodes([graph_a], weights)
-    [emb_b] = encode_nodes([graph_b], weights)
+    emb_a, emb_b = encode_nodes([graph_a, graph_b], weights)
     scores, matches = match_embeddings(emb_a, emb_b, graph_a.positions(),
                                        graph_b.positions(), config, allocator)
     return AlignmentResult(matches=matches, scores=scores, emb_a=emb_a, emb_b=emb_b)

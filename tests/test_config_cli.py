@@ -429,6 +429,16 @@ class TestCliSynthEval:
         lines = proc.stderr.strip().splitlines()
         assert len(lines) == 1 and "--jobs" in lines[0], proc.stderr
 
+    @pytest.mark.parametrize("k", ["0", "-2"])
+    def test_retrieve_k_below_one_is_usage_error(self, tmp_path, k):
+        # An empty directory and a missing query: only a refusal before any
+        # file is read names --k.
+        proc = run_main("retrieve", "--query", tmp_path / "q.json", "--db", tmp_path,
+                        "--k", k)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert f"--k must be >= 1, got {k}" in one_stderr_line(proc)
+
     @pytest.mark.parametrize("flag,value", [
         ("--feature-noise", "inf"), ("--feature-noise", "nan"), ("--feature-noise", "-1"),
         ("--position-noise", "inf"), ("--position-noise", "nan")])
@@ -818,6 +828,27 @@ def test_negative_seed_is_usage_error(tmp_path, command):
     assert proc.stdout == ""
     assert "--seed must be >= 0, got -1" in one_stderr_line(proc)
     assert not (tmp_path / "out").exists()
+
+
+class TestArgparseRefusals:
+    """What argparse itself refuses ends like every other usage error:
+    exit 1, nothing on stdout, one stderr line."""
+
+    @pytest.mark.parametrize("args, message", [
+        (["demo-fit", "--steps", "x"], "sgalign demo-fit: argument --steps: invalid int value: 'x'"),
+        (["align", "a.json"], "sgalign align: the following arguments are required: graph_b"),
+        (["frobnicate"], "sgalign: argument command: invalid choice: 'frobnicate'")])
+    def test_one_line_usage_error(self, args, message):
+        proc = run_main(*args)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert message in one_stderr_line(proc)
+
+    @pytest.mark.parametrize("args", [["--help"], ["align", "--help"]])
+    def test_help_goes_to_stdout(self, args):
+        proc = run_main(*args)
+        assert proc.returncode == 0
+        assert proc.stdout.startswith("usage: sgalign") and proc.stderr == ""
 
 
 class TestCliDemoFit:

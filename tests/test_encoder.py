@@ -514,8 +514,8 @@ def assert_batched_matches_one_graph_calls(graphs, weights):
     for graph, (emb, glob) in zip(graphs, batched):
         one_emb, one_glob = encode_graph(graph, weights)
         assert emb.shape == one_emb.shape == (len(graph.nodes), weights.config.d_model)
-        assert np.abs(emb - one_emb).max(initial=0.0) <= 1e-12
-        assert np.abs(glob - one_glob).max() <= 1e-12
+        assert emb.tobytes() == one_emb.tobytes()
+        assert glob.tobytes() == one_glob.tobytes()
 
 
 class TestEncodeGraphs:
@@ -586,6 +586,33 @@ class TestNodePass:
             return stage(*args)
         monkeypatch.setattr(encoder, "_class_tokens", counted)
         return calls
+
+    @pytest.fixture()
+    def node_pass_graphs(self, monkeypatch):
+        """The number of graphs of each node pass run so far."""
+        calls = []
+        node_pass = encoder._node_pass
+
+        def counted(graphs, weights):
+            calls.append(len(graphs))
+            return node_pass(graphs, weights)
+        monkeypatch.setattr(encoder, "_node_pass", counted)
+        return calls
+
+    def test_alignment_encodes_both_graphs_in_one_pass(self, files, small_weights,
+                                                       node_pass_graphs):
+        pair = files / "pairs" / "p0"
+        a, b = (load_graph(pair / name) for name in ("a.json", "b.json"))
+        result = align_graphs(a, b, small_weights, PipelineConfig())
+        assert node_pass_graphs == [2]
+        assert result.emb_a.tobytes() == encode_graph(a, small_weights)[0].tobytes()
+        assert result.emb_b.tobytes() == encode_graph(b, small_weights)[0].tobytes()
+        del node_pass_graphs[:]
+        weights = ("--weights", files / "w.npz")
+        for run in (run_main("register", "--pair", pair, *weights),
+                    run_main("align", pair / "a.json", pair / "b.json", *weights)):
+            assert run.returncode == 0 and run.stderr == "", run
+        assert node_pass_graphs == [2, 2]
 
     @pytest.fixture()
     def no_class_tokens(self, monkeypatch):

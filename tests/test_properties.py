@@ -18,12 +18,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import run_main
+from conftest import rows_graph, run_main
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from sgalign.config import PipelineConfig
-from sgalign.encoder import EncoderConfig, init_weights, save_weights
+from sgalign.encoder import (EncoderConfig, encode_graph, encode_graphs, encode_nodes,
+                             init_weights, save_weights)
 from sgalign.retrieval import build_database, save_database
 from sgalign.synth import SynthConfig, generate_scene, make_sample, save_sample
 
@@ -451,3 +452,40 @@ class TestMutatedWeights:
         run = run_main("encode", files / "pair" / "a.json", "--weights", path)
         check(run, "encode")
         assert run.returncode == 2 and "not an npz weights archive" in run.stderr
+
+
+# ---------------------------------------------------------------------------
+# The encoder is batch-invariant: a graph's rows and global embedding do not
+# depend on the other graphs of its batch.
+
+
+@st.composite
+def encoder_batches(draw, feature_dims):
+    """1-4 graphs of 0-12 nodes. Dense spans give high, uneven degrees and
+    far-flung ones isolated nodes; a graph of 0 or 1 node has no active row,
+    and one of 2 nodes has 0 or 2."""
+    d_vl, d_t = feature_dims
+    graphs = []
+    for g in range(draw(st.integers(1, 4))):
+        n = draw(st.integers(0, 12))
+        span = draw(st.sampled_from([0.5, 2.0, 5.0, 1000.0]))
+        n_max = draw(st.integers(1, 8))
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+        rows = [(rng.uniform(0.0, span, 3), rng.standard_normal(d_vl),
+                 rng.standard_normal(d_t), rng.uniform(0.1, 1.0, 3)) for _ in range(n)]
+        graphs.append(rows_graph(rows, feature_dims, f"g{g}", n_max=n_max))
+    return graphs
+
+
+class TestBatchInvariance:
+    @SETTINGS
+    @given(data=st.data())
+    def test_rows_and_globals_equal_one_graph_calls(self, small_weights, data):
+        graphs = data.draw(encoder_batches(small_weights.config.feature_dims))
+        nodes = encode_nodes(graphs, small_weights)
+        full = encode_graphs(graphs, small_weights)
+        for graph, emb, (full_emb, glob) in zip(graphs, nodes, full):
+            [one] = encode_nodes([graph], small_weights)
+            one_emb, one_glob = encode_graph(graph, small_weights)
+            assert emb.tobytes() == one.tobytes() == full_emb.tobytes() == one_emb.tobytes()
+            assert glob.tobytes() == one_glob.tobytes()
