@@ -26,8 +26,13 @@ LN_EPS = 1e-5
 CLS_ATTN_LAYERS = 2
 # Node budget of one batched forward pass where many graphs are encoded
 # (eval, database build). Bigger batches read the weights fewer times per
-# graph but hold more transient memory; no output depends on it.
-BATCH_NODES = 64
+# graph but hold more transient memory; no output depends on it. Chosen by
+# a sweep of the f2s_eval benchmark (median of seeds 1-3, 2-core VM; pairs/s
+# and eval peak RSS): 128 nodes 37.1 at 151.1 MiB, 192 38.6 at 154.4, 256
+# 43.6 at 158.6, 384 46.9 at 163.2, against 31.4 at 150.8 for 64 nodes
+# before DGSA attention skipped unread work. 256 is at the +5% RSS target
+# (0.3 MiB past it); 384 spends +8%.
+BATCH_NODES = 256
 # Row floor of every weight product over rows (`_rows_matmul`). OpenBLAS
 # rounds a row differently when a product has one row (its GEMV path) or
 # few output entries (its small-matrix kernels); past both, a row's bits
@@ -37,6 +42,14 @@ _MIN_ENTRIES = 2048
 # Tensor names are listed layer by layer before any buffer is allocated, so
 # the layer count is bounded; other sizes are bounded by what NumPy allocates.
 MAX_LAYERS = 1024
+# The projections of h packed in each DGSA layer's h_proj buffer, in order,
+# and the sections of them a block of degree k reads, by min(k, 3). A
+# softmax over one key is 1, so a degree-1 centre reads its neighbor's Wv
+# row alone, and in a degree-2 block each neighbor's neighbor-to-neighbor
+# term is the other neighbor's Wv_nn row (no Wq_nn or Wk_nn). In this order
+# each of these is one range of h_proj rows.
+_H_PROJ = ("Wk", "Wv", "Wv_nn", "Wq_nn", "Wk_nn")
+_BLOCK_SECTIONS = {1: slice(1, 2), 2: slice(0, 3), 3: slice(0, 5)}
 # Largest double below 1.0; keeps gate outputs in the open interval.
 _GATE_HI = np.nextafter(1.0, 0.0)
 _GATE_LO = np.nextafter(0.0, 1.0)
@@ -131,14 +144,14 @@ def tensor_shapes(config: EncoderConfig) -> dict[str, tuple[int, ...]]:
 def packed_groups(config: EncoderConfig) -> dict[str, tuple[str, ...]]:
     """Buffer name -> the tensors it holds as consecutive row blocks.
 
-    The forward pass projects with one GEMM per buffer instead of one per
-    tensor. Each DGSA layer packs the five projections of h = [PE(d) || c],
-    all (d_model, pe_dim + d_init); each class-token layer packs Q, K, V.
+    The forward pass projects with one GEMM per buffer, or per range of
+    it, instead of one per tensor. Each DGSA layer packs the five
+    projections of h = [PE(d) || c], all (d_model, pe_dim + d_init), in
+    the order of `_H_PROJ`; each class-token layer packs Q, K, V.
     """
     groups = {}
     for layer in range(config.layers):
-        groups[f"layer{layer}.h_proj"] = tuple(
-            f"layer{layer}.{n}" for n in ("Wk", "Wv", "Wq_nn", "Wk_nn", "Wv_nn"))
+        groups[f"layer{layer}.h_proj"] = tuple(f"layer{layer}.{n}" for n in _H_PROJ)
     for layer in range(CLS_ATTN_LAYERS):
         groups[f"cls_attn{layer}.qkv"] = tuple(
             f"cls_attn{layer}.{n}" for n in ("Wq", "Wk", "Wv"))
@@ -403,6 +416,20 @@ def _layer_norm(x: np.ndarray, scale: np.ndarray, bias: np.ndarray) -> np.ndarra
 
 
 @dataclass
+class _Block:
+    """The n active nodes of one degree k, each neighborhood a row of k pairs,
+    and where the block reads the per-node parts (see _NeighborIndex)."""
+
+    centres: np.ndarray            # (n,) active positions
+    pairs: np.ndarray              # (n, k)
+    nbr: np.ndarray                # (n * k,) active positions of the neighbors
+    at_near: np.ndarray | None     # (n * k,) the neighbors' rows of `near`, k >= 2
+    at_far: np.ndarray | None      # (n * k,) the neighbors' rows of `far`, k >= 3
+    at_q: np.ndarray | None        # (n,) the centres' rows of `centres_q`, k >= 2
+    nn_dist: np.ndarray | None     # (n, k, k) neighbor-to-neighbor distances, k >= 3
+
+
+@dataclass
 class _NeighborIndex:
     """Neighborhoods of a batch of graphs, as one block per degree.
 
@@ -414,18 +441,24 @@ class _NeighborIndex:
     neighbor) pairs are sorted by center, then by neighbor id. Block k holds
     the active nodes of degree k, each neighborhood a row of k pairs, so no
     neighborhood is padded and every product and sum over it has a shape set
-    by its own degree, whatever the other graphs of the batch are. It is
-    built once per call and read by every layer.
+    by its own degree, whatever the other graphs of the batch are.
+
+    The per-node part of each projection is read at these active rows:
+    Wk, Wv and Wv_nn at `near`, the neighbors of centres of degree >= 2;
+    Wv alone at `lone`, every other active node; Wq_nn and Wk_nn at `far`,
+    the neighbors of centres of degree >= 3; Wq at `centres_q`, the centres
+    of degree >= 2. It is built once per call and read by every layer.
     """
 
     graphs: Sequence[SceneGraph]
     node_offsets: np.ndarray  # (G+1,) first row of each graph, then the total
     active: np.ndarray       # (A,) rows with at least one neighbor
-    pair_nbr: np.ndarray     # (E,) active position of each pair's neighbor
     dist: np.ndarray         # (E,) center-to-neighbor distance of each pair
-    # per degree k: active positions (n,), their pairs (n, k) and the
-    # neighbor-to-neighbor distances (n, k, k)
-    blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
+    near: np.ndarray
+    lone: np.ndarray
+    far: np.ndarray
+    centres_q: np.ndarray
+    blocks: list[_Block]     # by increasing degree
 
     def row_names(self, rows) -> list[tuple[str, int]]:
         """(graph_id, node id) of node rows, for error messages."""
@@ -467,18 +500,36 @@ def _build_neighbor_index(graphs: Sequence[SceneGraph]) -> _NeighborIndex:
     counts = np.bincount(center, minlength=node_offsets[-1])
     active = np.flatnonzero(counts)
     position = np.cumsum(counts > 0) - 1  # active position of each active row
+    pair_nbr = position[neighbor]
     pos = np.concatenate([g.positions() for g in graphs])
     nbr_pos = pos[neighbor]
+    # The highest block degree, capped at 3, each active node is read at as
+    # a neighbor; it sets the per-node parts the node needs.
+    degree = counts[active]
+    reach = np.zeros(len(active), np.intp)
+    np.maximum.at(reach, pair_nbr, np.minimum(counts[center], 3))
+    near, lone, far = (np.flatnonzero(reach >= 2), np.flatnonzero(reach == 1),
+                       np.flatnonzero(reach == 3))
+    centres_q = np.flatnonzero(degree >= 2)
+    blocks = []
     # A node's pairs are consecutive, so its neighborhood is a segment of
     # its degree.
-    blocks = [(nodes, pairs, point_distances(nbr_pos[pairs][:, :, None], nbr_pos[pairs][:, None]))
-              for nodes, pairs in _size_blocks(counts[active])]
+    for nodes, pairs in _size_blocks(degree):
+        k = pairs.shape[1]
+        nbr = pair_nbr[pairs].ravel()
+        blocks.append(_Block(
+            centres=nodes, pairs=pairs, nbr=nbr,
+            at_near=np.searchsorted(near, nbr) if k >= 2 else None,
+            at_far=np.searchsorted(far, nbr) if k >= 3 else None,
+            at_q=np.searchsorted(centres_q, nodes) if k >= 2 else None,
+            nn_dist=point_distances(nbr_pos[pairs][:, :, None], nbr_pos[pairs][:, None])
+            if k >= 3 else None))
     return _NeighborIndex(
         graphs=graphs,
         node_offsets=node_offsets,
         active=active,
-        pair_nbr=position[neighbor],
         dist=point_distances(pos[center], nbr_pos),
+        near=near, lone=lone, far=far, centres_q=centres_q,
         blocks=blocks,
     )
 
@@ -497,38 +548,73 @@ def _attention(x: np.ndarray, index: _NeighborIndex, pe: np.ndarray,
     """Center-to-neighbor plus pooled neighbor-to-neighbor attention of the
     active rows x (A, d_init); returns (A, d_model) before Wo.
 
-    The five projections of h_ij = [PE(d_ij) || c_j] are split into a
-    per-distance part and a per-node part (W @ h = W_pe @ PE + W_c @ c_j),
-    so the large feature block is projected once per node, not per pair,
-    and the sum is formed on the E pairs. Attention then runs block by
-    block: (n, heads, 1, k) center-to-neighbor and (n, heads, k, k)
-    neighbor-to-neighbor for the n nodes of degree k.
+    Only work whose result is read is done. Each projection of
+    h_ij = [PE(d_ij) || c_j] is split into a per-node part and a
+    per-distance part (W @ h = W_c @ c_j + W_pe @ PE). The per-node part of
+    each projection (and Wq) runs once per node, on the rows the index
+    names for it, in one product per row set. The per-distance part and
+    the sum are formed block by block, one product over the block's pairs
+    and the h_proj rows it reads, so no array spans all of the batch's
+    pairs. For the n nodes of degree k, attention is (n, heads, 1, k)
+    center-to-neighbor and (n, heads, k, k) neighbor-to-neighbor. A softmax
+    over one key is 1 and is not computed: a degree-1 centre's row is its
+    neighbor's value row, and in a degree-2 block each neighbor's
+    neighbor-to-neighbor term is the other neighbor's Wv_nn row. Both are
+    written as 0.0 + v, the bits of the softmax product (1.0 times v, plus
+    0.0).
     """
     cfg = weights.config
-    heads, dh, pe_dim = cfg.heads, cfg.d_head, cfg.pe_dim
-    n_act = len(x)
+    heads, dh, pe_dim, d = cfg.heads, cfg.d_head, cfg.pe_dim, cfg.d_model
+    p = f"layer{layer}."
     gate_w = _gate_weights(weights, layer)
-    w_h = weights.packed[f"layer{layer}.h_proj"]
-    h = _rows_matmul(x, w_h[:, pe_dim:])[index.pair_nbr]
-    h += _rows_matmul(pe, w_h[:, :pe_dim])
-    h = h.reshape(len(h), 5, heads, dh)
-    q = _rows_matmul(x, weights[f"layer{layer}.Wq"]).reshape(n_act, heads, 1, dh)
-    gate_cn = distance_gate(index.dist, gate_w)
-    out = np.empty((n_act, heads, dh))
-    for nodes, pairs, nn_dist in index.blocks:
-        k = pairs.shape[1]
-        block = h[pairs].transpose(0, 2, 3, 1, 4)  # (n, 5, heads, k, d_head)
+    w_h = weights.packed[p + "h_proj"]
+    w_c = w_h[:, pe_dim:]
+
+    def node_part(rows, w):
+        return _rows_matmul(x[rows], w) if len(rows) else None
+    near = node_part(index.near, w_c[:3 * d])   # Wk, Wv, Wv_nn
+    far = node_part(index.far, w_c[3 * d:])     # Wq_nn, Wk_nn
+    q_all = node_part(index.centres_q, weights[p + "Wq"])
+
+    def block_rows(block):  # (n, d_model); its temporaries end with the block
+        n, k = block.pairs.shape
+        sections = _BLOCK_SECTIONS[min(k, 3)]
+        h = _rows_matmul(pe[block.pairs.ravel()],
+                         w_h[sections.start * d:sections.stop * d, :pe_dim])
+        if k == 1:
+            wv = np.empty((len(x), d))  # Wv of every active row
+            if near is not None:
+                wv[index.near] = near[:, d:2 * d]
+            if len(index.lone):
+                wv[index.lone] = node_part(index.lone, w_c[d:2 * d])
+            h += wv[block.nbr]
+            return 0.0 + h
+        for i in range(3):  # a section at a time: the gathered copy is one section wide
+            h[:, i * d:(i + 1) * d] += near[block.at_near, i * d:(i + 1) * d]
+        if k >= 3:
+            h[:, 3 * d:] += far[block.at_far]
+        # the block's h rows under each projection read, (n, heads, k, d_head)
+        proj = dict(zip(_H_PROJ[sections],
+                        h.reshape(n, k, -1, heads, dh).transpose(2, 0, 3, 1, 4)))
         # center -> neighbor attention
-        raw = (q[nodes] @ block[:, 0].swapaxes(2, 3)) / math.sqrt(dh)
-        att = _attend(gate_cn[pairs][:, None, None] * raw, block[:, 1])[:, :, 0]
+        q = q_all[block.at_q].reshape(n, heads, 1, dh)
+        raw = (q @ proj["Wk"].swapaxes(2, 3)) / math.sqrt(dh)
+        gate = distance_gate(index.dist[block.pairs], gate_w)
+        att = _attend(gate[:, None, None] * raw, proj["Wv"])[:, :, 0]
         # neighbor -> neighbor attention, average-pooled over neighbors
-        if k > 1:
-            raw2 = (block[:, 2] @ block[:, 3].swapaxes(2, 3)) / math.sqrt(dh)
-            per_pair = _attend(distance_gate(nn_dist, gate_w)[:, None] * raw2,
-                               block[:, 4], ~np.eye(k, dtype=bool))
-            att += per_pair.sum(axis=2) / k
-        out[nodes] = att
-    return out.reshape(n_act, cfg.d_model)
+        if k == 2:
+            per_pair = 0.0 + proj["Wv_nn"][:, :, ::-1]
+        else:
+            raw2 = (proj["Wq_nn"] @ proj["Wk_nn"].swapaxes(2, 3)) / math.sqrt(dh)
+            per_pair = _attend(distance_gate(block.nn_dist, gate_w)[:, None] * raw2,
+                               proj["Wv_nn"], ~np.eye(k, dtype=bool))
+        att += per_pair.sum(axis=2) / k
+        return att.reshape(n, d)
+
+    out = np.empty((len(x), d))
+    for block in index.blocks:
+        out[block.centres] = block_rows(block)
+    return out
 
 
 def _dgsa(x: np.ndarray, index: _NeighborIndex, pe: np.ndarray,
@@ -536,9 +622,10 @@ def _dgsa(x: np.ndarray, index: _NeighborIndex, pe: np.ndarray,
     """One DGSA layer over the node rows x. An isolated node attends to
     nothing, so its output is LayerNorm(x) and it skips every projection."""
     p = f"layer{layer}."
-    fused = x.copy()
+    fused = x
     if index.active.size:
         attn = _attention(x[index.active], index, pe, weights, layer)
+        fused = x.copy()  # made after attention, whose peak it would add to
         fused[index.active] += _rows_matmul(attn, weights[p + "Wo"])
     result = _layer_norm(fused, weights[p + "ln_scale"], weights[p + "ln_bias"])
     if not np.all(np.isfinite(result)):
@@ -559,9 +646,11 @@ def dgsa_layer(graph: SceneGraph, embeddings_in: np.ndarray,
 def _project(c: np.ndarray, c0: np.ndarray, index: _NeighborIndex,
              weights: EncoderWeights) -> np.ndarray:
     """ProjFFN([c || c0]), L2-normalized so matcher dot products are cosines."""
-    cat = np.concatenate([c, c0], axis=1)
-    h = np.maximum(_rows_matmul(cat, weights["proj_ffn.w1"]) + weights["proj_ffn.b1"], 0.0)
-    emb = _rows_matmul(h, weights["proj_ffn.w2"]) + weights["proj_ffn.b2"]
+    h = _rows_matmul(np.concatenate([c, c0], axis=1), weights["proj_ffn.w1"])
+    h += weights["proj_ffn.b1"]
+    np.maximum(h, 0.0, out=h)
+    emb = _rows_matmul(h, weights["proj_ffn.w2"])
+    emb += weights["proj_ffn.b2"]
     norms = np.linalg.norm(emb, axis=1)
     if np.any(norms == 0):
         raise NumericError(f"zero-norm node embeddings for nodes "

@@ -16,7 +16,7 @@ from conftest import run_cli, with_edges
 
 from sgalign.allocator import brute_force_allocate, solve_mcf
 from sgalign.config import PipelineConfig
-from sgalign.encoder import encode_graph, node_batches
+from sgalign.encoder import BATCH_NODES, encode_graph, node_batches
 from sgalign.evaluation import aggregate, bin_by_overlap, sample_metrics
 from sgalign.losses import InfoNceInput, TripletInput, info_nce, triplet_loss
 from sgalign.matcher import cosine_scores, score_matrix
@@ -332,7 +332,9 @@ def test_batched_eval_equals_per_pair_alignment(tmp_path, default_weights):
     encoder batches gives the same bytes at every --jobs, equal to a report
     built from one align_graphs call per pair."""
     pairs_dir = tmp_path / "pairs"
-    for k in range(8):
+    # Eight pairs per 64 nodes of budget (about 22 nodes a pair): three or
+    # more batches at any BATCH_NODES.
+    for k in range(8 * BATCH_NODES // 64):
         save_sample(make_sample("f2s", SynthConfig(seed=700 + k)),
                     pairs_dir / f"p{k:02d}")
     dirs = sorted(pairs_dir.iterdir())

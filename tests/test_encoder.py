@@ -1,6 +1,8 @@
 import dataclasses
+import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,10 +15,11 @@ from sgalign.encoder import (BATCH_NODES, CLS_ATTN_LAYERS, MAX_LAYERS, EncoderCo
                              encode_graphs, encode_nodes, init_weights, initial_embeddings,
                              load_weights, node_batches, packed_groups,
                              save_weights, sinusoidal_pe, tensor_shapes)
-from sgalign.errors import InvalidInputError, ShapeError, WeightsFormatError, section_dict
+from sgalign.errors import (GenerationError, InvalidInputError, ShapeError,
+                            WeightsFormatError, section_dict)
 from sgalign.pipeline import align_graphs
 from sgalign.retrieval import build_database, encode_scene
-from sgalign.scene_graph import graph_to_dict, load_graph
+from sgalign.scene_graph import graph_to_dict, load_graph, point_distances
 from sgalign.synth import SynthConfig, make_sample, save_sample
 
 
@@ -304,7 +307,7 @@ class TestDgsaLayer:
             want = dgsa_layer_oracle(g, c, small_weights, layer)
             assert np.allclose(got, want, atol=1e-9)
 
-    @pytest.mark.parametrize("batch", ["degree_one", "uneven_degree"])
+    @pytest.mark.parametrize("batch", ["degree_one", "degree_two", "uneven_degree"])
     def test_full_layer_oracle_batch_graphs(self, small_weights, batch):
         for g in BATCHES[batch](small_weights.config):
             c = initial_embeddings([g], small_weights)
@@ -319,6 +322,89 @@ class TestDgsaLayer:
         got = dgsa_layer(g, c, default_weights, 0)
         want = dgsa_layer_oracle(g, c, default_weights, 0)
         assert np.allclose(got, want, atol=1e-9)
+
+
+def exact_work_graph(config):
+    """Node 0 has neighbors 1, 2, 3 (degree 3), node 1 also has node 4
+    (degree 2), nodes 2-6 have one neighbor each (5 and 6 are a separate
+    pair), and node 7 is isolated."""
+    points = [(0, 0, 0), (1, 0, 0), (-1, 0, 0), (0, 1, 0), (2, 0, 0),
+              (10, 0, 0), (11, 0, 0), (0, 50, 0)]
+    rng = np.random.default_rng(3)
+    d_vl, d_t = config.feature_dims
+    rows = [(np.array(p, dtype=float), rng.standard_normal(d_vl), rng.standard_normal(d_t),
+             rng.uniform(0.1, 1.0, 3)) for p in points]
+    return rows_graph(rows, config.feature_dims, "exact", n_max=8, d_th=1.2)
+
+
+class TestExactWork:
+    """Each projection of a DGSA layer runs on the rows that are read."""
+
+    @pytest.fixture()
+    def layer_calls(self, monkeypatch):
+        """The (row count, weight) of each _rows_matmul call and the
+        (x, output) of each _attention call."""
+        products, attentions = [], []
+        matmul, attention = encoder._rows_matmul, encoder._attention
+
+        def spy_matmul(x, w):
+            products.append((len(x), w))
+            return matmul(x, w)
+
+        def spy_attention(x, *args):
+            out = attention(x, *args)
+            attentions.append((x, out))
+            return out
+        monkeypatch.setattr(encoder, "_rows_matmul", spy_matmul)
+        monkeypatch.setattr(encoder, "_attention", spy_attention)
+        return products, attentions
+
+    def test_rows_per_projection(self, small_weights, layer_calls):
+        cfg = small_weights.config
+        g = exact_work_graph(cfg)
+        assert degrees(g) == [3, 2, 1, 1, 1, 1, 1, 0]
+        c = initial_embeddings([g], small_weights)
+        products, _ = layer_calls
+        del products[:]
+        dgsa_layer(g, c, small_weights, 0)
+
+        w_h, wq = small_weights.packed["layer0.h_proj"], small_weights["layer0.Wq"]
+        names = [n.split(".")[1] for n in packed_groups(cfg)["layer0.h_proj"]]
+        rows = {}
+        for n, w in products:
+            if w.ctypes.data == wq.ctypes.data and w.shape == wq.shape:
+                rows["Wq", "node"] = rows.get(("Wq", "node"), 0) + n
+            elif np.shares_memory(w, w_h):
+                # a range of h_proj rows, over its PE or its node columns
+                first, col = divmod(w.ctypes.data - w_h.ctypes.data, w_h.strides[0])
+                part = "pe" if col == 0 else "node"
+                assert w.shape[1] == (cfg.pe_dim if part == "pe" else cfg.d_init)
+                section = first // cfg.d_model
+                for name in names[section:section + len(w) // cfg.d_model]:
+                    rows[name, part] = rows.get((name, part), 0) + n
+        # Node rows: Wv at the 7 active nodes; Wk and Wv_nn at the neighbors
+        # of nodes 0 and 1 (1, 2, 3, 0, 4); Wq_nn and Wk_nn at those of node
+        # 0; Wq at nodes 0 and 1. Pair rows: Wv at all 10 pairs; Wk and
+        # Wv_nn at the 5 pairs of nodes 0 and 1; Wq_nn and Wk_nn at node 0's 3.
+        assert rows == {("Wv", "node"): 7, ("Wk", "node"): 5, ("Wv_nn", "node"): 5,
+                        ("Wq_nn", "node"): 3, ("Wk_nn", "node"): 3, ("Wq", "node"): 2,
+                        ("Wv", "pe"): 10, ("Wk", "pe"): 5, ("Wv_nn", "pe"): 5,
+                        ("Wq_nn", "pe"): 3, ("Wk_nn", "pe"): 3}
+
+    def test_degree_one_row_is_the_value_row(self, small_weights, layer_calls):
+        cfg = small_weights.config
+        g = exact_work_graph(cfg)
+        c = initial_embeddings([g], small_weights)
+        _, attentions = layer_calls
+        dgsa_layer(g, c, small_weights, 0)
+        [(x, out)] = attentions
+        # Node 2's one neighbor is node 0; both are active rows 0 and 2.
+        wv = small_weights["layer0.Wv"]
+        pos = g.positions()
+        pe = sinusoidal_pe(point_distances(pos[2:3], pos[0:1]), cfg.pe_dim)
+        value = (encoder._rows_matmul(x[0:1], wv[:, cfg.pe_dim:])
+                 + encoder._rows_matmul(pe, wv[:, :cfg.pe_dim]))
+        assert out[2].tobytes() == value[0].tobytes()
 
 
 class TestEncodeGraph:
@@ -440,6 +526,12 @@ def degree_one_batch(config):
             paired_graph(2, config, seed=33, isolated=0)]
 
 
+def degree_two_batch(config):
+    """A 3-node path: one centre of degree 2, whose neighbor-to-neighbor
+    softmaxes each have one key, and two of degree 1."""
+    return [chain_graph(3, config, seed=51)]
+
+
 def uneven_degree_batch(config):
     """A dense graph next to chains: the widest neighborhood pads the rest."""
     return [chain_graph(6, config, seed=41), random_graph(10, config, seed=42, span=2.0),
@@ -447,7 +539,7 @@ def uneven_degree_batch(config):
 
 
 BATCHES = {"mixed": mixed_batch, "degree_one": degree_one_batch,
-           "uneven_degree": uneven_degree_batch}
+           "degree_two": degree_two_batch, "uneven_degree": uneven_degree_batch}
 
 
 def degrees(graph):
@@ -456,6 +548,7 @@ def degrees(graph):
 
 def test_batch_shapes(small_config):
     assert {d for g in degree_one_batch(small_config) for d in degrees(g)} == {0, 1}
+    assert sorted(d for g in degree_two_batch(small_config) for d in degrees(g)) == [1, 1, 2]
     widths = [max(degrees(g)) for g in uneven_degree_batch(small_config)]
     assert widths[1] >= 4 and min(widths) < widths[1]
 
@@ -647,6 +740,39 @@ class TestNodePass:
         assert len(class_token_calls) == 2
         db = build_database([("a", graph), ("b", load_graph(pair / "b.json"))], small_weights)
         assert len(db) == 2 and len(class_token_calls) == 3
+
+
+def f2s_samples(first_seed):
+    """Default f2s samples from consecutive seeds, skipping those that
+    cannot be generated."""
+    for seed in itertools.count(first_seed):
+        try:
+            yield make_sample("f2s", SynthConfig(seed=seed))
+        except GenerationError:
+            continue
+
+
+# Peak traced allocation of one BATCH_NODES batch of default f2s pairs in
+# encode_nodes, weights excluded: 7.2-8.6 MiB measured at a 256-node budget
+# (seeds 900, 1900 and 2900; 11.9-14.3 MiB before attention skipped unread
+# work), bound at the largest with 20% headroom. The budget is sized
+# against the process's peak RSS, so a change that grows the pass's
+# transient memory must also revisit BATCH_NODES.
+BATCH_PEAK_MIB = 10.3
+
+
+def test_batch_peak_memory(default_weights):
+    batch = next(node_batches(f2s_samples(900), lambda s: len(s.graph_a.ids)
+                              + len(s.graph_b.ids)))
+    graphs = [g for s in batch for g in (s.graph_a, s.graph_b)]
+    assert sum(len(g.ids) for g in graphs) > BATCH_NODES * 3 // 4  # a full batch
+    tracemalloc.start()
+    try:
+        encode_nodes(graphs, default_weights)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= BATCH_PEAK_MIB * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
 
 
 class TestEncoderConfig:
