@@ -37,6 +37,9 @@ from .scene_graph import MAX_COORDINATE, point_distances
 MAX_COST = 1e300
 MAX_PENALTY = 2 * math.sqrt(3) * MAX_COORDINATE
 
+# The allocator names `pipeline.allocate` dispatches on.
+ALLOCATORS = ("mnn", "mcf")
+
 
 @dataclass
 class MatchSet:

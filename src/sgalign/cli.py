@@ -1,7 +1,7 @@
 """Command-line surface over the alignment pipeline.
 
 Every command prints exactly one JSON document to stdout; all human
-diagnostics go to stderr (verbosity via the SGA_LOG environment variable).
+diagnostics go to the sys.stderr of the call (SGA_LOG=error hides warnings).
 Exit codes: 0 success, 1 usage/IO error, 2 validation error (arithmetic that
 overflows or turns invalid included).
 """
@@ -9,10 +9,7 @@ overflows or turns invalid included).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
-import logging
-import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -21,19 +18,15 @@ from pathlib import Path
 import numpy as np
 
 from . import registration, retrieval, synth
-from .config import PipelineConfig, load_config
+from .allocator import ALLOCATORS
+from .config import RERANK_MODES, PipelineConfig, load_config
 from .encoder import (EncoderWeights, encode_graph, encode_nodes, init_weights,
                       load_weights, node_batches)
-from .errors import SgaError
-from .evaluation import bin_by_overlap, aggregate, sample_metrics
+from .errors import BOUNDS, InvalidInputError, SgaError
+from .evaluation import aggregate, bin_by_overlap, matches_by_id, sample_metrics
 from .losses import toy_embedding_fit
 from .pipeline import align_graphs, match_embeddings
 from .scene_graph import load_graph, read_graph
-
-logger = logging.getLogger("sgalign")
-
-_LOG_LEVELS = {"error": logging.ERROR, "warn": logging.WARNING,
-               "info": logging.INFO, "debug": logging.DEBUG}
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -52,10 +45,26 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
-def _setup_logging() -> None:
-    level = _LOG_LEVELS.get(os.environ.get("SGA_LOG", "warn"), logging.WARNING)
-    logging.basicConfig(stream=sys.stderr, level=level,
-                        format="%(levelname)s %(name)s: %(message)s")
+def _log(level: str, message) -> None:
+    """Write `LEVEL sgalign: message` to the sys.stderr of this moment.
+    SGA_LOG=error hides warnings; any other value, or none, shows them."""
+    if level == "WARNING" and os.environ.get("SGA_LOG") == "error":
+        return
+    sys.stderr.write(f"{level} sgalign: {message}\n")
+
+
+def _add_number(parser, flag: str, kind: type, rule: str, **kwargs) -> None:
+    """Add `flag`, parsed as `kind`; a value that breaks `rule` raises a
+    UsageError while parsing. The type callable carries `kind`'s name,
+    which argparse puts in its `invalid int value` line."""
+    def parse(text: str):
+        value = kind(text)
+        if not BOUNDS[rule](value):
+            raise UsageError(f"{flag} must be {rule}, got {value}")
+        return value
+
+    parse.__name__ = kind.__name__
+    parser.add_argument(flag, type=parse, **kwargs)
 
 
 def _float_errors() -> np.errstate:
@@ -75,7 +84,7 @@ def _load_pipeline_config(path: str | None) -> PipelineConfig:
         return PipelineConfig()
     config, warnings = load_config(path)
     for w in warnings:
-        logger.warning("config: %s", w)
+        _log("WARNING", f"config: {w}")
     return config
 
 
@@ -130,36 +139,34 @@ def cmd_encode(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    if args.count < 1:
-        raise UsageError(f"--count must be >= 1, got {args.count}")
-    config = synth.SynthConfig(
-        seed=args.seed,
-        feature_noise_sigma=args.feature_noise,
-        position_noise_sigma=args.position_noise,
-        undersegment_prob=args.undersegment,
-        s2s_crop_overlap=args.overlap,
-        unique_classes=args.unique_classes,
-    )
-    out = Path(args.out)
-    dirs = []
-    for idx in range(args.count):
-        sample_config = dataclasses.replace(config, seed=args.seed + idx)
-        sample = synth.make_sample(args.task, sample_config)
-        name = f"{args.task}_{args.seed + idx:05d}"
-        synth.save_sample(sample, out / name)
+    out, dirs = Path(args.out), []
+    for seed in range(args.seed, args.seed + args.count):
+        config = synth.SynthConfig(
+            seed=seed,
+            feature_noise_sigma=args.feature_noise,
+            position_noise_sigma=args.position_noise,
+            undersegment_prob=args.undersegment,
+            s2s_crop_overlap=args.overlap,
+            unique_classes=args.unique_classes,
+        )
+        name = f"{args.task}_{seed:05d}"
+        synth.save_sample(synth.make_sample(args.task, config), out / name)
         dirs.append(name)
     _emit({"task": args.task, "count": args.count, "out": str(out), "dirs": dirs})
     return EXIT_OK
 
 
 def _eval_pair(item, emb_a, emb_b, config, allocator):
-    name, sample = item
+    directory, sample = item
+    if not len(sample.graph_a.ids):  # eval scores each node of a.json
+        raise InvalidInputError(f"{directory}: a.json has no nodes to score")
     with _float_errors():
         _, matches = match_embeddings(emb_a, emb_b, sample.graph_a.positions(),
                                       sample.graph_b.positions(), config, allocator)
-    metrics = sample_metrics(matches, sample.gt, len(sample.graph_a.ids))
+    metrics = sample_metrics(matches_by_id(matches, sample.graph_a, sample.graph_b),
+                             sample.gt, len(sample.graph_a.ids))
     return {
-        "sample": name,
+        "sample": directory.name,
         "overlap": sample.overlap_ratio,
         "task": sample.task,
         **metrics.to_dict(),
@@ -167,8 +174,6 @@ def _eval_pair(item, emb_a, emb_b, config, allocator):
 
 
 def cmd_eval(args) -> int:
-    if args.jobs < 1:
-        raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
     config = _load_pipeline_config(args.config)
     weights, meta = _resolve_weights(args, config)
     pair_dirs = sorted(p for p in Path(args.pairs).iterdir() if p.is_dir())
@@ -181,7 +186,7 @@ def cmd_eval(args) -> int:
     # embeddings, and the report bytes, are those `align` computes, whatever
     # the batches or --jobs.
     edges = config.edges
-    samples = ((p.name, synth.load_sample(p, edges.n_max, edges.d_th)) for p in pair_dirs)
+    samples = ((p, synth.load_sample(p, edges.n_max, edges.d_th)) for p in pair_dirs)
     rows = []
     with ThreadPoolExecutor(max_workers=args.jobs) as pool:
         for batch in node_batches(samples, lambda item: len(item[1].graph_a.ids)
@@ -193,14 +198,10 @@ def cmd_eval(args) -> int:
                 batch, encoded[0::2], encoded[1::2])
 
     per_sample = [r[0] for r in rows]
-    overall = aggregate([m for _, (_, m) in rows])
-    bins = bin_by_overlap([om for _, om in rows])
-    report = {
-        "overall": overall,
-        "bins": bins,
-        "per_sample": per_sample,
-        "meta": {**meta, "allocator": args.allocator, "n_samples": len(rows)},
-    }
+    report = {"overall": aggregate([m for _, (_, m) in rows]),
+              "bins": bin_by_overlap([om for _, om in rows]),
+              "per_sample": per_sample,
+              "meta": {**meta, "allocator": args.allocator, "n_samples": len(rows)}}
     text = json.dumps(report, sort_keys=True)
     if args.out:
         Path(args.out).write_text(text + "\n", encoding="utf-8")
@@ -214,10 +215,6 @@ def cmd_eval(args) -> int:
 
 
 def cmd_register(args) -> int:
-    if args.ransac_iters < 1:
-        raise UsageError(f"--ransac-iters must be >= 1, got {args.ransac_iters}")
-    if not (math.isfinite(args.inlier_eps) and args.inlier_eps >= 0):
-        raise UsageError(f"--inlier-eps must be finite and >= 0, got {args.inlier_eps}")
     config = _load_pipeline_config(args.config)
     weights, meta = _resolve_weights(args, config)
     sample = synth.load_sample(args.pair, config.edges.n_max, config.edges.d_th)
@@ -233,27 +230,24 @@ def cmd_register(args) -> int:
         "n_correspondences": len(pairs),
         "n_inliers": len(inliers),
         "meta": {**meta, "allocator": args.allocator},
+        "error": None,
+        "thresholds": None,
     }
     if sample.gt_rotation is not None:
         gt = registration.RigidTransform(sample.gt_rotation, sample.gt_translation)
         err = registration.registration_error(transform, gt)
         doc["error"] = {"rte": err.rte, "rre": err.rre}
         doc["thresholds"] = registration.success_flags(err)
-    else:
-        doc["error"] = None
-        doc["thresholds"] = None
     _emit(doc)
     return EXIT_OK
 
 
 def cmd_retrieve(args) -> int:
-    if args.k < 1:
-        raise UsageError(f"--k must be >= 1, got {args.k}")
     config = _load_pipeline_config(args.config)
     weights, meta = _resolve_weights(args, config)
     edges = config.edges
     db_dir = Path(args.db)
-    if (db_dir / "index.json").exists():
+    if (db_dir / retrieval.INDEX_FILE).exists():
         db = retrieval.load_database(db_dir, weights)
     else:
         # bare directory of graph JSON files: encode on the fly
@@ -271,10 +265,6 @@ def cmd_retrieve(args) -> int:
 
 
 def cmd_demo_fit(args) -> int:
-    if args.steps < 0:
-        raise UsageError(f"--steps must be >= 0, got {args.steps}")
-    if not (math.isfinite(args.lr) and args.lr > 0):
-        raise UsageError(f"--lr must be finite and > 0, got {args.lr}")
     sample = synth.make_sample(args.task, synth.SynthConfig(seed=args.seed))
     trajectory = toy_embedding_fit(sample, steps=args.steps, lr=args.lr,
                                    seed=args.seed)
@@ -302,13 +292,13 @@ def _build_parser() -> argparse.ArgumentParser:
         if weights:
             p.add_argument("--weights", default=None,
                            help="encoder weights file (npz, format_version 2)")
-            p.add_argument("--seed", type=int, default=0,
-                           help="weight-init seed when --weights is absent")
+            _add_number(p, "--seed", int, ">= 0", default=0,
+                        help="weight-init seed when --weights is absent")
 
     p = sub.add_parser("align", help="match two scene graphs")
     p.add_argument("graph_a")
     p.add_argument("graph_b")
-    p.add_argument("--allocator", choices=["mnn", "mcf"], default="mcf")
+    p.add_argument("--allocator", choices=ALLOCATORS, default="mcf")
     common(p)
     p.set_defaults(func=cmd_align)
 
@@ -323,9 +313,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_encode)
 
     p = sub.add_parser("synth", help="generate synthetic alignment samples")
-    p.add_argument("--task", choices=["f2s", "s2s"], required=True)
-    p.add_argument("--count", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--task", choices=synth.TASKS, required=True)
+    _add_number(p, "--count", int, ">= 1", default=1)
+    _add_number(p, "--seed", int, ">= 0", default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--feature-noise", type=float, default=0.05)
     p.add_argument("--position-noise", type=float, default=0.02)
@@ -336,59 +326,56 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="score predictions over a sample directory")
     p.add_argument("--pairs", required=True)
-    p.add_argument("--allocator", choices=["mnn", "mcf"], default="mnn")
+    p.add_argument("--allocator", choices=ALLOCATORS, default="mnn")
     p.add_argument("--out", default=None)
     p.add_argument("--csv", default=None)
-    p.add_argument("--jobs", type=int, default=1)
+    _add_number(p, "--jobs", int, ">= 1", default=1)
     common(p)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("register", help="rigid transform from matched centers")
     p.add_argument("--pair", required=True)
-    p.add_argument("--allocator", choices=["mnn", "mcf"], default="mcf")
-    p.add_argument("--ransac-iters", type=int, default=registration.DEFAULT_RANSAC_ITERS)
-    p.add_argument("--inlier-eps", type=float, default=registration.DEFAULT_INLIER_EPS)
+    p.add_argument("--allocator", choices=ALLOCATORS, default="mcf")
+    _add_number(p, "--ransac-iters", int, ">= 1", default=registration.DEFAULT_RANSAC_ITERS)
+    _add_number(p, "--inlier-eps", float, "finite and >= 0",
+                default=registration.DEFAULT_INLIER_EPS)
     common(p)
     p.set_defaults(func=cmd_register)
 
     p = sub.add_parser("retrieve", help="query a scene database")
     p.add_argument("--query", required=True)
     p.add_argument("--db", required=True)
-    p.add_argument("--k", type=int, default=5)
-    p.add_argument("--rerank", choices=["direct", "weighted"], default=None,
+    _add_number(p, "--k", int, ">= 1", default=5)
+    p.add_argument("--rerank", choices=RERANK_MODES, default=None,
                    help="rerank mode (default: retrieval.rerank of the config)")
     common(p)
     p.set_defaults(func=cmd_retrieve)
 
     p = sub.add_parser("demo-fit", help="contrastive fit of free embeddings")
-    p.add_argument("--task", choices=["f2s", "s2s"], default="f2s")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--steps", type=int, default=200)
-    p.add_argument("--lr", type=float, default=0.1)
+    p.add_argument("--task", choices=synth.TASKS, default="f2s")
+    _add_number(p, "--seed", int, ">= 0", default=0)
+    _add_number(p, "--steps", int, ">= 0", default=200)
+    _add_number(p, "--lr", float, "finite and > 0", default=0.1)
     p.set_defaults(func=cmd_demo_fit)
 
     return parser
 
 
 def main(argv=None) -> int:
-    _setup_logging()
     try:
         args = _build_parser().parse_args(argv)
-        # Every --seed seeds a NumPy generator, which refuses a negative one.
-        if getattr(args, "seed", 0) < 0:
-            raise UsageError(f"--seed must be >= 0, got {args.seed}")
         with _float_errors():
             return args.func(args)
     except SystemExit:  # argparse exits only after printing --help
         return EXIT_OK
     except (UsageError, OSError) as exc:
-        logger.error("%s", exc)
+        _log("ERROR", exc)
         return EXIT_USAGE
     except SgaError as exc:
-        logger.error("%s", exc)
+        _log("ERROR", exc)
         return EXIT_VALIDATION
     except FloatingPointError as exc:
-        logger.error("floating-point error: %s", exc)
+        _log("ERROR", f"floating-point error: {exc}")
         return EXIT_VALIDATION
 
 

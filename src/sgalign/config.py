@@ -11,7 +11,7 @@ import numbers
 from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
 
-from .allocator import McfParams, MnnParams
+from .allocator import ALLOCATORS, McfParams, MnnParams
 from .encoder import EncoderConfig
 from .errors import (ConfigError, InvalidInputError, check_types, from_section, read_json,
                      section_dict)
@@ -33,16 +33,20 @@ class EdgeParams:
             raise InvalidInputError(f"d_th must be > 0, got {self.d_th}")
 
 
+# The modes of `retrieval.rerank`.
+RERANK_MODES = ("direct", "weighted")
+
+
 @dataclass(frozen=True)
 class RetrievalParams:
     allocator: str = "mnn"   # allocator used inside rerank
     rerank: str = "weighted"
 
     def __post_init__(self):
-        if self.allocator not in ("mnn", "mcf"):
-            raise InvalidInputError(f"allocator must be mnn|mcf, got {self.allocator}")
-        if self.rerank not in ("direct", "weighted"):
-            raise InvalidInputError(f"rerank must be direct|weighted, got {self.rerank}")
+        for name, allowed in (("allocator", ALLOCATORS), ("rerank", RERANK_MODES)):
+            if getattr(self, name) not in allowed:
+                raise InvalidInputError(f"{name} must be {'|'.join(allowed)}, "
+                                        f"got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,8 @@
 """Exception types shared across the package, and the parse-boundary
-helpers that raise them: the field type check of the params dataclasses,
-the mapping between a params dataclass and its config section, the one
-reader of JSON files and the one opener of npz archives.
+helpers that raise them: the numeric bounds of flags and params, the field
+type check of the params dataclasses, the mapping between a params
+dataclass and its config section, the one reader of JSON files and the one
+opener of npz archives.
 
 A params dataclass (EncoderConfig, MatcherParams, MnnParams, McfParams,
 EdgeParams, RetrievalParams) is the schema of its config section: the
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import numbers
 import zipfile
 from pathlib import Path
@@ -50,6 +52,12 @@ class WeightsFormatError(SgaError, ValueError):
 
 # Params fields whose config document key differs from the field name.
 DOCUMENT_KEYS = {"lam": "lambda"}
+
+# Numeric bounds as a refusal states them ("<name> must be <rule>, got
+# <value>"), and their tests.
+BOUNDS = {">= 0": lambda v: v >= 0, ">= 1": lambda v: v >= 1,
+          "finite and >= 0": lambda v: math.isfinite(v) and v >= 0,
+          "finite and > 0": lambda v: math.isfinite(v) and v > 0}
 
 
 def check_types(params, kind, what: str, names: tuple[str, ...]) -> None:

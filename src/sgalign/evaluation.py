@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -25,12 +25,7 @@ class SampleMetrics:
     tn_nomatch: int
 
     def to_dict(self) -> dict:
-        return {
-            "accuracy": self.accuracy, "precision": self.precision,
-            "recall": self.recall, "f1": self.f1,
-            "tp": self.tp, "fp": self.fp, "fn": self.fn,
-            "tn_nomatch": self.tn_nomatch,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -41,15 +36,24 @@ class AlignmentSample:
     graph_b: SceneGraph
     gt: GroundTruthMap
     overlap_ratio: float = 1.0
-    task: str = "f2s"  # "f2s" | "s2s"
+    task: str = "f2s"  # one of synth.TASKS
     seed: int = 0
     # Rigid map from graph_a positions into graph_b's frame, when known.
     gt_rotation: Optional[np.ndarray] = None
     gt_translation: Optional[np.ndarray] = None
 
 
+def matches_by_id(pred: MatchSet, graph_a: SceneGraph, graph_b: SceneGraph) -> MatchSet:
+    """`pred`, whose entries are rows of graph_a and graph_b, with each row
+    replaced by its node id: the terms of a GroundTruthMap."""
+    ids_a, ids_b = graph_a.ids.tolist(), graph_b.ids.tolist()
+    return replace(pred, pairs=[(ids_a[i], ids_b[j], s) for i, j, s in pred.pairs],
+                   unmatched_a=[ids_a[i] for i in pred.unmatched_a])
+
+
 def sample_metrics(pred: MatchSet, gt: GroundTruthMap, n_a: int) -> SampleMetrics:
-    """Pair-level counts over A-side decisions, including correct no-matches."""
+    """Pair-level counts over A-side decisions, including correct no-matches.
+    `pred` names nodes by id, as `gt` does (see `matches_by_id`)."""
     if n_a <= 0:
         raise InvalidInputError("sample_metrics: n_a must be > 0")
     pred_pairs = pred.pair_set()
@@ -83,12 +87,8 @@ def aggregate(samples: list[SampleMetrics]) -> dict[str, float]:
     """
     if not samples:
         raise InvalidInputError("aggregate: empty sample list")
-    return {
-        "accuracy": math.fsum(s.accuracy for s in samples) / len(samples),
-        "precision": math.fsum(s.precision for s in samples) / len(samples),
-        "recall": math.fsum(s.recall for s in samples) / len(samples),
-        "f1": math.fsum(s.f1 for s in samples) / len(samples),
-    }
+    return {name: math.fsum(getattr(s, name) for s in samples) / len(samples)
+            for name in ("accuracy", "precision", "recall", "f1")}
 
 
 def bin_by_overlap(samples: list[tuple[float, SampleMetrics]],
@@ -103,13 +103,5 @@ def bin_by_overlap(samples: list[tuple[float, SampleMetrics]],
         # 0.3 * 10 rounding down to 2.9999999999999996.
         idx = min(int(overlap * n_bins + 1e-9), n_bins - 1)
         buckets[idx].append(metrics)
-    out = []
-    for b, bucket in enumerate(buckets):
-        entry: dict = {
-            "lo": b * bin_width,
-            "hi": (b + 1) * bin_width,
-            "count": len(bucket),
-            "mean": aggregate(bucket) if bucket else None,
-        }
-        out.append(entry)
-    return out
+    return [{"lo": b * bin_width, "hi": (b + 1) * bin_width, "count": len(bucket),
+             "mean": aggregate(bucket) if bucket else None} for b, bucket in enumerate(buckets)]

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .allocator import MatchSet, mcf_allocate, mnn_allocate
+from .allocator import ALLOCATORS, MatchSet, mcf_allocate, mnn_allocate
 from .config import PipelineConfig
 from .encoder import EncoderWeights, encode_nodes
 from .errors import InvalidInputError
@@ -24,11 +24,11 @@ class AlignmentResult:
 
 def allocate(scores: ScoreMatrix, pos_a: np.ndarray, pos_b: np.ndarray,
              config: PipelineConfig, allocator: str) -> MatchSet:
+    if allocator not in ALLOCATORS:
+        raise InvalidInputError(f"unknown allocator {allocator!r}")
     if allocator == "mnn":
         return mnn_allocate(scores, config.mnn)
-    if allocator == "mcf":
-        return mcf_allocate(scores, pos_a, pos_b, config.mcf)
-    raise InvalidInputError(f"unknown allocator {allocator!r}")
+    return mcf_allocate(scores, pos_a, pos_b, config.mcf)
 
 
 def match_embeddings(emb_a: np.ndarray, emb_b: np.ndarray, pos_a: np.ndarray,

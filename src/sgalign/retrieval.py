@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .allocator import MatchSet
-from .config import PipelineConfig
+from .config import RERANK_MODES, PipelineConfig
 from .encoder import EncoderWeights, encode_graph, encode_graphs, node_batches
 from .errors import (InvalidInputError, SgaError, npz_entry, open_npz, read_json,
                      section_dict)
@@ -111,8 +111,8 @@ def rerank(query: EncodedScene, candidates: list[EncodedScene], mode: str,
     mode "direct": score = sum of P[i, j] over the allocated matches.
     mode "weighted": the same sum multiplied by the global dot product.
     """
-    if mode not in ("direct", "weighted"):
-        raise InvalidInputError(f"rerank mode must be direct|weighted, got {mode!r}")
+    if mode not in RERANK_MODES:
+        raise InvalidInputError(f"rerank mode must be {'|'.join(RERANK_MODES)}, got {mode!r}")
     if not candidates:
         raise InvalidInputError("rerank: no candidates")
     rows: list[tuple[str, float, MatchSet | None]] = []
@@ -155,6 +155,7 @@ def retrieve(query: EncodedScene, db: SceneDatabase, k: int, mode: str,
 # format version is refused: it has to be rebuilt from its scene graphs.
 
 DB_FORMAT_VERSION = 3
+INDEX_FILE = "index.json"
 EMBEDDINGS_FILE = "embeddings.npz"
 
 
@@ -199,7 +200,7 @@ def save_database(db: SceneDatabase, directory, weights: EncoderWeights) -> None
              "scenes": [e.scene_id for e in db.entries],
              "weights_hash": weights_fingerprint(weights),
              "graphs": graph_strings}
-    (directory / "index.json").write_text(json.dumps(index), encoding="utf-8")
+    (directory / INDEX_FILE).write_text(json.dumps(index), encoding="utf-8")
 
 
 def _read_archive(path: Path) -> dict[str, np.ndarray]:
@@ -261,7 +262,7 @@ def load_database(directory, weights: EncoderWeights) -> SceneDatabase:
     other format version raises InvalidInputError before the archive is
     opened."""
     directory = Path(directory)
-    index_path = directory / "index.json"
+    index_path = directory / INDEX_FILE
     index = read_json(index_path)
     if not isinstance(index, dict) or not isinstance(index.get("scenes"), list):
         raise InvalidInputError(f"{index_path}: no scenes list")

@@ -469,8 +469,8 @@ _NODE_VECTORS = ("positions", "f_vl", "f_t", "f_g")
 
 def pack_graphs(graphs: Sequence[SceneGraph]) -> tuple[dict[str, np.ndarray], list[dict]]:
     """The graphs' columns concatenated into the arrays of `_PACKED`, plus,
-    per graph, a dict of its strings and feature dims; `unpack_graphs`
-    inverts it bit for bit."""
+    per graph, a dict of its strings; `unpack_graphs` inverts it bit for
+    bit."""
     parts = list(graphs) or [graph_from_dict({"graph_id": "", "frame_kind": "world",
                                               "feature_dims": [0, 0], "nodes": [], "edges": []})]
     try:
@@ -480,8 +480,7 @@ def pack_graphs(graphs: Sequence[SceneGraph]) -> tuple[dict[str, np.ndarray], li
                   for packed, column in _PACKED.items()}
     except ValueError as exc:  # feature dims that differ between graphs
         raise InvalidInputError(f"cannot pack graphs: {exc}") from exc
-    strings = [{"graph_id": g.graph_id, "frame_kind": g.frame_kind,
-                "feature_dims": list(g.feature_dims), "labels": list(g.labels)}
+    strings = [{"graph_id": g.graph_id, "frame_kind": g.frame_kind, "labels": list(g.labels)}
                for g in graphs]
     return arrays, strings
 

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import GenerationError, InvalidInputError, read_json
+from .errors import BOUNDS, GenerationError, InvalidInputError, read_json
 from .evaluation import AlignmentSample
 from .registration import RigidTransform
 from .scene_graph import (DEFAULT_D_TH, DEFAULT_FEATURE_DIMS, DEFAULT_N_MAX,
@@ -27,6 +27,9 @@ from .scene_graph import (DEFAULT_D_TH, DEFAULT_FEATURE_DIMS, DEFAULT_N_MAX,
 MAX_PLACEMENT_ATTEMPTS = 10 ** 5
 MAX_VIEW_ATTEMPTS = 100
 MAX_CROP_ATTEMPTS = 100
+
+# The pair kinds `make_sample` makes: frame-to-scan and subscan-to-subscan.
+TASKS = ("f2s", "s2s")
 
 
 @dataclass(frozen=True)
@@ -46,14 +49,11 @@ class SynthConfig:
     unique_classes: bool = False  # sample classes without replacement
 
     def __post_init__(self):
-        for name in ("box_size", "min_separation", "f2s_view_radius"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise InvalidInputError(f"{name} must be finite and > 0, got {value}")
-        for name in ("feature_noise_sigma", "position_noise_sigma"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise InvalidInputError(f"{name} must be finite and >= 0, got {value}")
+        for rule, names in (("finite and > 0", ("box_size", "min_separation", "f2s_view_radius")),
+                            ("finite and >= 0", ("feature_noise_sigma", "position_noise_sigma"))):
+            for name in names:
+                if not BOUNDS[rule](getattr(self, name)):
+                    raise InvalidInputError(f"{name} must be {rule}, got {getattr(self, name)}")
         if not 0 <= self.undersegment_prob <= 1:
             raise InvalidInputError("undersegment_prob must be in [0, 1]")
         if not 0 < self.s2s_crop_overlap <= 1:
@@ -303,13 +303,12 @@ def make_s2s_pair(scene: SceneGraph, config: SynthConfig,
 
 def make_sample(task: str, config: SynthConfig) -> AlignmentSample:
     """Generate one scene and one pair of the requested task from one seed."""
+    if task not in TASKS:
+        raise InvalidInputError(f"unknown task {task!r}")
     rng = np.random.default_rng(config.seed)
     scene, _ = generate_scene(config, rng)
-    if task == "f2s":
-        return make_f2s_pair(scene, config, rng)
-    if task == "s2s":
-        return make_s2s_pair(scene, config, rng)
-    raise InvalidInputError(f"unknown task {task!r}")
+    make_pair = make_f2s_pair if task == "f2s" else make_s2s_pair
+    return make_pair(scene, config, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -345,9 +344,10 @@ def _matrix(value, shape: tuple[int, ...], what: str, bound: float) -> np.ndarra
     return arr
 
 
-def _ground_truth(doc) -> dict:
-    """The AlignmentSample fields of a gt.json document, checked; absent
-    optional fields take their defaults."""
+def _ground_truth(doc, graph_a: SceneGraph, graph_b: SceneGraph) -> dict:
+    """The AlignmentSample fields of a gt.json document, checked against the
+    node ids of the pair's graphs; absent optional fields take their
+    defaults."""
     if not isinstance(doc, dict):
         raise InvalidInputError(f"must be a JSON object, got {type(doc).__name__}")
     pairs = doc.get("pairs")
@@ -358,8 +358,8 @@ def _ground_truth(doc) -> dict:
             or not 0 <= overlap <= 1):
         raise InvalidInputError(f"overlap must be a number in [0, 1], got {overlap!r}")
     task = doc.get("task", "f2s")
-    if task not in ("f2s", "s2s"):
-        raise InvalidInputError(f"task must be f2s or s2s, got {task!r}")
+    if task not in TASKS:
+        raise InvalidInputError(f"task must be {' or '.join(TASKS)}, got {task!r}")
     # Bounded entries keep the products of the rotation check finite.
     rotation = _matrix(doc.get("gt_rotation"), (3, 3), "gt_rotation", 1.0 + 1e-9)
     if rotation is not None:
@@ -367,9 +367,13 @@ def _ground_truth(doc) -> dict:
             RigidTransform(rotation, np.zeros(3))
         except InvalidInputError as exc:
             raise InvalidInputError(f"gt_rotation: {exc}") from exc
+    gt = GroundTruthMap(pairs={(_int64(a, "pair id"), _int64(b, "pair id")) for a, b in pairs})
+    for side, (name, graph) in enumerate((("a.json", graph_a), ("b.json", graph_b))):
+        unknown = {pair[side] for pair in gt.pairs}.difference(graph.ids.tolist())
+        if unknown:
+            raise InvalidInputError(f"pair id {min(unknown)} is not a node of {name}")
     return {
-        "gt": GroundTruthMap(pairs={(_int64(a, "pair id"), _int64(b, "pair id"))
-                                    for a, b in pairs}),
+        "gt": gt,
         "overlap_ratio": overlap,
         "task": task,
         "seed": _int64(doc.get("seed", 0), "seed"),
@@ -382,7 +386,7 @@ def _ground_truth(doc) -> dict:
 def load_sample(directory, n_max: int = DEFAULT_N_MAX,
                 d_th: float = DEFAULT_D_TH) -> AlignmentSample:
     """Read a sample; both graphs go through `load_graph` with n_max and d_th,
-    and gt.json is checked by `_ground_truth`. A fault raises
+    and gt.json is checked against them by `_ground_truth`. A fault raises
     InvalidInputError naming the file."""
     directory = Path(directory)
     graph_a = load_graph(directory / "a.json", n_max=n_max, d_th=d_th)
@@ -390,7 +394,7 @@ def load_sample(directory, n_max: int = DEFAULT_N_MAX,
     gt_path = directory / "gt.json"
     doc = read_json(gt_path)
     try:
-        fields = _ground_truth(doc)
+        fields = _ground_truth(doc, graph_a, graph_b)
     except InvalidInputError as exc:
         raise InvalidInputError(f"{gt_path}: {exc}") from exc
     return AlignmentSample(graph_a=graph_a, graph_b=graph_b, **fields)

@@ -1,6 +1,5 @@
 import contextlib
 import io
-import logging
 import os
 import subprocess
 import sys
@@ -62,21 +61,12 @@ class CliRun:
 
 
 def run_main(*args) -> CliRun:
-    """`sgalign.cli.main(args)` in this process, as a fresh process would run
-    it: stdout and stderr captured, logging set up from scratch. An
-    exception that escapes main propagates."""
+    """`sgalign.cli.main(args)` in this process, stdout and stderr captured.
+    An exception that escapes main propagates."""
     from sgalign import cli
-    root = logging.getLogger()
-    saved = root.handlers[:], root.level
-    root.handlers.clear()
     out, err = io.StringIO(), io.StringIO()
-    try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = cli.main([str(a) for a in args])
-    finally:
-        for handler in root.handlers:
-            handler.close()
-        root.handlers[:], root.level = saved
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main([str(a) for a in args])
     return CliRun(code, out.getvalue(), err.getvalue())
 
 

@@ -1,4 +1,6 @@
+import contextlib
 import dataclasses
+import io
 import json
 import shutil
 from pathlib import Path
@@ -875,3 +877,104 @@ class TestCliDemoFit:
         doc = json.loads(proc.stdout)
         assert len(doc["trajectory"]) == 1
         assert doc["initial_loss"] == doc["final_loss"] == doc["trajectory"][0]
+
+
+class TestStderrLines:
+    """main writes its diagnostics to the sys.stderr of each call, and
+    SGA_LOG=error hides warnings."""
+
+    def test_each_call_writes_to_its_own_stderr(self, tmp_path):
+        missing = str(tmp_path / "missing.json")
+        buffers = [io.StringIO(), io.StringIO()]
+        for buffer in buffers:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(buffer):
+                assert cli.main(["validate", missing]) == cli.EXIT_USAGE
+        for buffer in buffers:
+            lines = buffer.getvalue().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("ERROR sgalign: [Errno 2] "), lines
+            assert missing in lines[0]
+
+    @pytest.mark.parametrize("level, shown", [
+        (None, True), ("warn", True), ("debug", True), ("anything", True), ("error", False)])
+    def test_sga_log_error_hides_warnings(self, scene_file, tmp_path, monkeypatch, level,
+                                          shown):
+        if level is None:
+            monkeypatch.delenv("SGA_LOG", raising=False)
+        else:
+            monkeypatch.setenv("SGA_LOG", level)
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"bogus": 1, "mcf": {"extra": 2}}))
+        proc = run_main("validate", scene_file, "--config", cfg)
+        assert proc.returncode == 0
+        assert proc.stderr == ("WARNING sgalign: config: unknown field mcf.extra\n"
+                               "WARNING sgalign: config: unknown field bogus\n" if shown else "")
+
+    @pytest.mark.parametrize("args, message", [
+        (["demo-fit", "--lr", "x"], "sgalign demo-fit: argument --lr: invalid float value: 'x'"),
+        (["eval", "--pairs", ".", "--jobs", "1.5"],
+         "sgalign eval: argument --jobs: invalid int value: '1.5'")])
+    def test_bounded_flags_name_their_type(self, args, message):
+        proc = run_main(*args)
+        assert (proc.returncode, proc.stdout) == (cli.EXIT_USAGE, "")
+        assert one_stderr_line(proc) == f"ERROR sgalign: {message}"
+
+    def test_bounds_are_refused_while_parsing(self):
+        with pytest.raises(cli.UsageError, match=r"^--count must be >= 1, got 0$"):
+            cli._build_parser().parse_args(["synth", "--task", "f2s", "--out", "x",
+                                            "--count", "0"])
+
+
+def renumbered(src: Path, dst: Path, new_id) -> None:
+    """A copy of the pair at src with every node id i replaced by new_id(i)
+    in a.json, b.json (nodes and edges) and gt.json."""
+    dst.mkdir(parents=True)
+    for name in ("a.json", "b.json"):
+        doc = json.loads((src / name).read_text())
+        for node in doc["nodes"]:
+            node["id"] = new_id(node["id"])
+        doc["edges"] = [[new_id(i), new_id(j), d] for i, j, d in doc["edges"]]
+        (dst / name).write_text(json.dumps(doc))
+    gt = json.loads((src / "gt.json").read_text())
+    gt["pairs"] = [[new_id(a), new_id(b)] for a, b in gt["pairs"]]
+    (dst / "gt.json").write_text(json.dumps(gt))
+
+
+class TestEvalNodeIds:
+    """eval compares predicted matches with gt.json by node id, so pairs
+    whose ids are not their row numbers score like those whose ids are."""
+
+    def test_renumbered_pair_scores_alike(self, tmp_path):
+        sample = make_sample("s2s", SynthConfig(seed=3, feature_noise_sigma=0.0,
+                                                position_noise_sigma=0.0,
+                                                undersegment_prob=0.0))
+        save_sample(sample, tmp_path / "rows" / "s2s_00003")
+        renumbered(tmp_path / "rows" / "s2s_00003", tmp_path / "ids" / "s2s_00003",
+                   lambda i: 10 * i + 7)
+        rows, ids = (run_main("eval", "--pairs", tmp_path / kind, "--allocator", "mcf")
+                     for kind in ("rows", "ids"))
+        assert rows.returncode == ids.returncode == 0, rows.stderr + ids.stderr
+        assert json.loads(rows.stdout)["overall"]["f1"] > 0
+        assert json.loads(ids.stdout)["overall"] == json.loads(rows.stdout)["overall"]
+        assert ids.stdout == rows.stdout
+
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_gt_id_that_is_no_node_exit_2(self, pair_dir, tmp_path, side):
+        pair = broken_pair(pair_dir, tmp_path, lambda doc: None)
+        gt = json.loads((pair / "gt.json").read_text())
+        gt["pairs"][0][side] = 999
+        (pair / "gt.json").write_text(json.dumps(gt))
+        for argv in (("eval", "--pairs", pair.parent), ("register", "--pair", pair)):
+            proc = run_main(*argv)
+            assert (proc.returncode, proc.stdout) == (cli.EXIT_VALIDATION, "")
+            assert one_stderr_line(proc) == (f"ERROR sgalign: {pair / 'gt.json'}: pair id 999 "
+                                             f"is not a node of {'ab'[side]}.json")
+
+    def test_eval_empty_a_names_the_pair(self, pair_dir, tmp_path):
+        def no_nodes(doc):
+            doc["nodes"], doc["edges"] = [], []
+
+        pair = broken_pair(pair_dir, tmp_path, no_nodes)
+        (pair / "gt.json").write_text(json.dumps({"pairs": []}))
+        proc = run_main("eval", "--pairs", pair.parent)
+        assert (proc.returncode, proc.stdout) == (cli.EXIT_VALIDATION, "")
+        assert one_stderr_line(proc) == f"ERROR sgalign: {pair}: a.json has no nodes to score"

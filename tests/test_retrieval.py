@@ -190,7 +190,6 @@ class TestPersistence:
                          "weights_hash": weights_fingerprint(weights),
                          "graphs": [{"graph_id": e.graph.graph_id,
                                      "frame_kind": e.graph.frame_kind,
-                                     "feature_dims": list(e.graph.feature_dims),
                                      "labels": [n.label for n in e.graph.nodes]}
                                     for e in db.entries]}
         with np.load(tmp_path / "db" / "embeddings.npz") as z:
@@ -201,6 +200,24 @@ class TestPersistence:
             assert z["globals"].shape == (len(db), weights.config.d_model)
             assert list(np.diff(z["offsets"])) == [len(e.graph.nodes) for e in db.entries]
             assert list(np.diff(z["edge_offsets"])) == [len(e.graph.edges) for e in db.entries]
+
+    def test_index_with_feature_dims_loads_alike(self, db_and_weights, tmp_path):
+        """Graph strings written with `feature_dims`, as databases saved
+        before it was dropped hold them, load to the same database."""
+        db, weights = db_and_weights
+        save_database(db, tmp_path / "db", weights)
+        back = load_database(tmp_path / "db", weights)
+        index_path = tmp_path / "db" / "index.json"
+        index = json.loads(index_path.read_text())
+        for entry, strings in zip(db.entries, index["graphs"]):
+            strings["feature_dims"] = list(entry.graph.feature_dims)
+        index_path.write_text(json.dumps(index))
+        old = load_database(tmp_path / "db", weights)
+        assert_same_graphs([e.graph for e in old.entries], [e.graph for e in back.entries])
+        for got, want in zip(old.entries, back.entries):
+            assert got.scene_id == want.scene_id
+            assert got.node_embeddings.tobytes() == want.node_embeddings.tobytes()
+            assert got.global_embedding.tobytes() == want.global_embedding.tobytes()
 
     def test_round_trip_graphs_bit_exact(self, db_and_weights, tmp_path):
         db, weights = db_and_weights

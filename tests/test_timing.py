@@ -9,10 +9,11 @@ from sgalign.synth import SynthConfig, generate_scene
 
 @pytest.mark.xfail(
     strict=False,
-    reason="the 10 ms budget needs >100 GFLOP/s sustained: one 25-node "
-    "encode costs ~0.65 GFLOP (4 attention blocks at d_model=512 over 672-dim "
-    "features, plus the class-token module), and an alignment runs two; "
-    "a single commodity core peaks well below that in double precision")
+    reason="the 10 ms budget needs >60 GFLOP/s sustained: the alignment's "
+    "one node pass over both 25-node graphs (4 attention blocks at d_model=512 "
+    "over 672-dim features, no class tokens) runs ~0.63 GFLOP of weight "
+    "products and reads ~90 MB of float64 weights, which is about what "
+    "double-precision GEMM peaks at on a commodity core or two")
 def test_align_25x25_under_10ms(default_weights):
     config = PipelineConfig()
     graph_a, _ = generate_scene(SynthConfig(seed=3, n_objects=(25, 25),
