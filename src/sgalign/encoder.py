@@ -33,12 +33,16 @@ CLS_ATTN_LAYERS = 2
 # before DGSA attention skipped unread work. 256 is at the +5% RSS target
 # (0.3 MiB past it); 384 spends +8%.
 BATCH_NODES = 256
-# Row floor of every weight product over rows (`_rows_matmul`). OpenBLAS
-# rounds a row differently when a product has one row (its GEMV path) or
-# few output entries (its small-matrix kernels); past both, a row's bits
-# depend on that row alone.
-_MIN_ROWS = 2
+# Row count of every weight product over rows (`_rows_matmul`): at least
+# _MIN_ENTRIES output entries, rounded up to a multiple of _ROW_TILE, with
+# zero rows. OpenBLAS rounds a row differently when a product has one row
+# (its GEMV path) or few output entries (its small-matrix kernels). Its
+# Haswell kernels, which AMD Zen CPUs also get, run the rows past the last
+# multiple of 4 through other kernels, so the count is a multiple of 4.
+# Past both rules a row's bits depend on that row alone, under the Haswell
+# and SkylakeX kernels alike.
 _MIN_ENTRIES = 2048
+_ROW_TILE = 4
 # Tensor names are listed layer by layer before any buffer is allocated, so
 # the layer count is bounded; other sizes are bounded by what NumPy allocates.
 MAX_LAYERS = 1024
@@ -167,13 +171,18 @@ def _check_names(expected, names) -> None:
         raise WeightsFormatError(f"unknown tensors: {unknown}")
 
 
-def _as_tensor(name: str, value, shape: tuple[int, ...]) -> np.ndarray:
+def _as_array(name: str, value, shape: tuple[int, ...]) -> np.ndarray:
     try:
         arr = np.asarray(value, dtype=float)
     except (TypeError, ValueError) as exc:
         raise WeightsFormatError(f"tensor {name}: {exc}") from exc
     if arr.shape != shape:
         raise WeightsFormatError(f"tensor {name}: shape {arr.shape}, expected {shape}")
+    return arr
+
+
+def _as_tensor(name: str, value, shape: tuple[int, ...]) -> np.ndarray:
+    arr = _as_array(name, value, shape)
     if not np.all(np.isfinite(arr)):
         raise WeightsFormatError(f"tensor {name}: non-finite values")
     return arr
@@ -321,10 +330,11 @@ def _read_weights(fh) -> EncoderWeights:
         except (TypeError, ValueError, ZeroDivisionError) as exc:
             raise WeightsFormatError(f"bad config: {exc}") from exc
         _check_names(tensors, [n for n in archive.files if n != _META_ENTRY])
-        # Entries are read one at a time, straight into the packed buffers.
+        # Entries are read one at a time, straight into the packed buffers;
+        # EncoderWeights checks that they are finite.
         for name, out in tensors.items():
-            out[...] = _as_tensor(name, npz_entry(archive, name, WeightsFormatError),
-                                  out.shape)
+            out[...] = _as_array(name, npz_entry(archive, name, WeightsFormatError),
+                                 out.shape)
     return EncoderWeights(config=config, tensors=tensors, seed=seed)
 
 
@@ -399,39 +409,86 @@ def initial_embeddings(graphs: Sequence[SceneGraph], weights: EncoderWeights) ->
                           axis=1)
 
 
+def _tile(n: int) -> int:
+    """n rounded up to a multiple of _ROW_TILE, at least one tile."""
+    return max(-(-n // _ROW_TILE), 1) * _ROW_TILE
+
+
+def _padded(n: int, cols: int) -> np.ndarray:
+    """An uninitialised (n, cols) array at the head of a buffer of _tile(n)
+    rows whose other rows are zero, so `_rows_matmul` needs no padded copy."""
+    buf = np.empty((_tile(n), cols))
+    buf[n:] = 0.0
+    return buf[:n]
+
+
+def _take(a: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """a[rows] as a `_padded` array."""
+    out = _padded(len(rows), a.shape[1])
+    # The rows are in range; mode="raise" would gather into a temporary first.
+    return np.take(a, rows, axis=0, out=out, mode="clip")
+
+
 def _rows_matmul(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """x @ w.T, with x padded by zero rows up to the row floor."""
-    floor = max(_MIN_ROWS, -(-_MIN_ENTRIES // len(w)))
-    if len(x) >= floor:
+    """x @ w.T over the padded row count (see _ROW_TILE). Where x is the
+    head of its base array (a `_padded` array or a padded product's
+    result) and the base has rows enough, those rows are the padding;
+    otherwise x is copied into zero rows."""
+    rows = _tile(max(len(x), -(-_MIN_ENTRIES // len(w))))
+    if len(x) == rows:
         return x @ w.T
-    padded = np.zeros((floor, x.shape[1]))
-    padded[:len(x)] = x
-    return (padded @ w.T)[:len(x)]
+    buf = x.base
+    if not (isinstance(buf, np.ndarray) and buf.ctypes.data == x.ctypes.data
+            and buf.flags.c_contiguous and x.flags.c_contiguous
+            and buf.shape[1:] == x.shape[1:] and len(buf) >= rows):
+        buf = np.zeros((rows, x.shape[1]))
+        buf[:len(x)] = x
+    return (buf[:rows] @ w.T)[:len(x)]
 
 
 def _layer_norm(x: np.ndarray, scale: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    mean = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    return (x - mean) / np.sqrt(var + LN_EPS) * scale + bias
+    """LayerNorm over the last axis in one pass: x - mean is formed once and
+    reused for the variance, which np.var forms with the same operations."""
+    d = x - x.mean(axis=-1, keepdims=True)
+    var = (d * d).sum(axis=-1, keepdims=True) / x.shape[-1]
+    d /= np.sqrt(var + LN_EPS)
+    d *= scale
+    d += bias
+    return d
 
 
 @dataclass
 class _Block:
     """The n active nodes of one degree k, each neighborhood a row of k pairs,
-    and where the block reads the per-node parts (see _NeighborIndex)."""
+    and where the block reads the per-node parts and the per-pass rows (see
+    _NeighborIndex)."""
 
     centres: np.ndarray            # (n,) active positions
     pairs: np.ndarray              # (n, k)
     nbr: np.ndarray                # (n * k,) active positions of the neighbors
-    at_near: np.ndarray | None     # (n * k,) the neighbors' rows of `near`, k >= 2
-    at_far: np.ndarray | None      # (n * k,) the neighbors' rows of `far`, k >= 3
-    at_q: np.ndarray | None        # (n,) the centres' rows of `centres_q`, k >= 2
-    nn_dist: np.ndarray | None     # (n, k, k) neighbor-to-neighbor distances, k >= 3
+    pe_rows: slice                 # its pairs' rows of its group's `pe`
+    at_near: np.ndarray | None = None  # (n * k,) the neighbors' rows of `near`, k >= 2
+    at_far: np.ndarray | None = None   # (n * k,) the neighbors' rows of `far`, k >= 3
+    at_q: np.ndarray | None = None     # (n,) the centres' rows of `centres_q`, k >= 2
+    gates: slice | None = None         # its (n, k) pairs' distances in `gate_dist`, k >= 2
+    nn_gates: slice | None = None      # its (n, k, k) distances in `nn_dist`, k >= 3
+
+
+@dataclass
+class _PeGroup:
+    """The blocks that read the same h_proj sections. One product of their
+    pairs' PE rows per layer serves them all; each block reads its rows of
+    it as a view."""
+
+    sections: slice          # of _H_PROJ
+    pe: np.ndarray           # (P, pe_dim) PE rows of the blocks' pairs, block by block
+    blocks: list[_Block]
 
 
 @dataclass
 class _NeighborIndex:
-    """Neighborhoods of a batch of graphs, as one block per degree.
+    """Neighborhoods of a batch of graphs, as one block per degree, and the
+    per-pass inputs every DGSA layer reads.
 
     Node rows are the graphs' nodes concatenated in declaration order; graph
     g owns rows node_offsets[g]:node_offsets[g+1]. Only the active rows,
@@ -440,25 +497,29 @@ class _NeighborIndex:
     are active, because adjacency is symmetric). The E directed (center,
     neighbor) pairs are sorted by center, then by neighbor id. Block k holds
     the active nodes of degree k, each neighborhood a row of k pairs, so no
-    neighborhood is padded and every product and sum over it has a shape set
-    by its own degree, whatever the other graphs of the batch are.
+    neighborhood is padded and every attention product and sum over it has
+    a shape set by its own degree, whatever the other graphs of the batch
+    are.
 
     The per-node part of each projection is read at these active rows:
     Wk, Wv and Wv_nn at `near`, the neighbors of centres of degree >= 2;
     Wv alone at `lone`, every other active node; Wq_nn and Wk_nn at `far`,
     the neighbors of centres of degree >= 3; Wq at `centres_q`, the centres
-    of degree >= 2. It is built once per call and read by every layer.
+    of degree >= 2. The PE rows of the pairs are gathered per group, and
+    the distances the gates read are laid out block by block. It is built
+    once per call and read by every layer.
     """
 
     graphs: Sequence[SceneGraph]
     node_offsets: np.ndarray  # (G+1,) first row of each graph, then the total
     active: np.ndarray       # (A,) rows with at least one neighbor
-    dist: np.ndarray         # (E,) center-to-neighbor distance of each pair
     near: np.ndarray
     lone: np.ndarray
     far: np.ndarray
     centres_q: np.ndarray
-    blocks: list[_Block]     # by increasing degree
+    groups: list[_PeGroup]   # blocks by increasing degree, grouped by min(k, 3)
+    gate_dist: np.ndarray    # center-to-neighbor distances of the pairs of degree >= 2
+    nn_dist: np.ndarray      # neighbor-to-neighbor distances of the blocks of degree >= 3
 
     def row_names(self, rows) -> list[tuple[str, int]]:
         """(graph_id, node id) of node rows, for error messages."""
@@ -481,7 +542,7 @@ def _size_blocks(sizes: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     return blocks
 
 
-def _build_neighbor_index(graphs: Sequence[SceneGraph]) -> _NeighborIndex:
+def _build_neighbor_index(graphs: Sequence[SceneGraph], pe_dim: int) -> _NeighborIndex:
     node_offsets = np.cumsum([0] + [len(g.ids) for g in graphs])
     ends = []  # node rows of each edge's endpoints
     for graph, base in zip(graphs, node_offsets):
@@ -503,6 +564,7 @@ def _build_neighbor_index(graphs: Sequence[SceneGraph]) -> _NeighborIndex:
     pair_nbr = position[neighbor]
     pos = np.concatenate([g.positions() for g in graphs])
     nbr_pos = pos[neighbor]
+    dist = point_distances(pos[center], nbr_pos)
     # The highest block degree, capped at 3, each active node is read at as
     # a neighbor; it sets the per-node parts the node needs.
     degree = counts[active]
@@ -511,26 +573,43 @@ def _build_neighbor_index(graphs: Sequence[SceneGraph]) -> _NeighborIndex:
     near, lone, far = (np.flatnonzero(reach >= 2), np.flatnonzero(reach == 1),
                        np.flatnonzero(reach == 3))
     centres_q = np.flatnonzero(degree >= 2)
-    blocks = []
+    group_pairs: dict[int, list[np.ndarray]] = {}  # by min(k, 3), each block's pairs
+    group_blocks: dict[int, list[_Block]] = {}
+    gated, nn_dist = [], []
+    n_gated = n_nn = 0
     # A node's pairs are consecutive, so its neighborhood is a segment of
     # its degree.
     for nodes, pairs in _size_blocks(degree):
-        k = pairs.shape[1]
+        n, k = pairs.shape
         nbr = pair_nbr[pairs].ravel()
-        blocks.append(_Block(
-            centres=nodes, pairs=pairs, nbr=nbr,
-            at_near=np.searchsorted(near, nbr) if k >= 2 else None,
-            at_far=np.searchsorted(far, nbr) if k >= 3 else None,
-            at_q=np.searchsorted(centres_q, nodes) if k >= 2 else None,
-            nn_dist=point_distances(nbr_pos[pairs][:, :, None], nbr_pos[pairs][:, None])
-            if k >= 3 else None))
+        members = group_pairs.setdefault(min(k, 3), [])
+        done = sum(map(len, members))
+        members.append(pairs.ravel())
+        block = _Block(centres=nodes, pairs=pairs, nbr=nbr, pe_rows=slice(done, done + n * k))
+        group_blocks.setdefault(min(k, 3), []).append(block)
+        if k >= 2:
+            block.at_near = np.searchsorted(near, nbr)
+            block.at_q = np.searchsorted(centres_q, nodes)
+            block.gates = slice(n_gated, n_gated + n * k)
+            gated.append(pairs.ravel())
+            n_gated += n * k
+        if k >= 3:
+            block.at_far = np.searchsorted(far, nbr)
+            block.nn_gates = slice(n_nn, n_nn + n * k * k)
+            nn_dist.append(point_distances(nbr_pos[pairs][:, :, None],
+                                           nbr_pos[pairs][:, None]).ravel())
+            n_nn += n * k * k
+    pe = sinusoidal_pe(dist, pe_dim)
     return _NeighborIndex(
         graphs=graphs,
         node_offsets=node_offsets,
         active=active,
-        dist=point_distances(pos[center], nbr_pos),
         near=near, lone=lone, far=far, centres_q=centres_q,
-        blocks=blocks,
+        groups=[_PeGroup(sections=_BLOCK_SECTIONS[s],
+                         pe=_take(pe, np.concatenate(group_pairs[s])),
+                         blocks=group_blocks[s]) for s in group_pairs],
+        gate_dist=dist[np.concatenate(gated)] if gated else dist[:0],
+        nn_dist=np.concatenate(nn_dist) if nn_dist else dist[:0],
     )
 
 
@@ -543,7 +622,7 @@ def _attend(scores: np.ndarray, v: np.ndarray, mask=True) -> np.ndarray:
     return ex @ v
 
 
-def _attention(x: np.ndarray, index: _NeighborIndex, pe: np.ndarray,
+def _attention(x: np.ndarray, index: _NeighborIndex,
                weights: EncoderWeights, layer: int) -> np.ndarray:
     """Center-to-neighbor plus pooled neighbor-to-neighbor attention of the
     active rows x (A, d_init); returns (A, d_model) before Wo.
@@ -552,16 +631,16 @@ def _attention(x: np.ndarray, index: _NeighborIndex, pe: np.ndarray,
     h_ij = [PE(d_ij) || c_j] is split into a per-node part and a
     per-distance part (W @ h = W_c @ c_j + W_pe @ PE). The per-node part of
     each projection (and Wq) runs once per node, on the rows the index
-    names for it, in one product per row set. The per-distance part and
-    the sum are formed block by block, one product over the block's pairs
-    and the h_proj rows it reads, so no array spans all of the batch's
-    pairs. For the n nodes of degree k, attention is (n, heads, 1, k)
-    center-to-neighbor and (n, heads, k, k) neighbor-to-neighbor. A softmax
-    over one key is 1 and is not computed: a degree-1 centre's row is its
-    neighbor's value row, and in a degree-2 block each neighbor's
-    neighbor-to-neighbor term is the other neighbor's Wv_nn row. Both are
-    written as 0.0 + v, the bits of the softmax product (1.0 times v, plus
-    0.0).
+    names for it, in one product per row set. The per-distance part runs
+    once per group of blocks that read the same h_proj rows, one product
+    over the group's pairs, and each block adds the per-node parts to its
+    rows of it. The gates run once over all blocks' distances. For the n
+    nodes of degree k, attention is (n, heads, 1, k) center-to-neighbor and
+    (n, heads, k, k) neighbor-to-neighbor. A softmax over one key is 1 and
+    is not computed: a degree-1 centre's row is its neighbor's value row,
+    and in a degree-2 block each neighbor's neighbor-to-neighbor term is the
+    other neighbor's Wv_nn row. Both are written as 0.0 + v, the bits of
+    the softmax product (1.0 times v, plus 0.0).
     """
     cfg = weights.config
     heads, dh, pe_dim, d = cfg.heads, cfg.d_head, cfg.pe_dim, cfg.d_model
@@ -571,16 +650,15 @@ def _attention(x: np.ndarray, index: _NeighborIndex, pe: np.ndarray,
     w_c = w_h[:, pe_dim:]
 
     def node_part(rows, w):
-        return _rows_matmul(x[rows], w) if len(rows) else None
+        return _rows_matmul(_take(x, rows), w) if len(rows) else None
     near = node_part(index.near, w_c[:3 * d])   # Wk, Wv, Wv_nn
     far = node_part(index.far, w_c[3 * d:])     # Wq_nn, Wk_nn
     q_all = node_part(index.centres_q, weights[p + "Wq"])
+    gate = distance_gate(index.gate_dist, gate_w)
+    gate_nn = distance_gate(index.nn_dist, gate_w)
 
-    def block_rows(block):  # (n, d_model); its temporaries end with the block
+    def block_rows(block, h):  # h: the block's rows of its group's PE product
         n, k = block.pairs.shape
-        sections = _BLOCK_SECTIONS[min(k, 3)]
-        h = _rows_matmul(pe[block.pairs.ravel()],
-                         w_h[sections.start * d:sections.stop * d, :pe_dim])
         if k == 1:
             wv = np.empty((len(x), d))  # Wv of every active row
             if near is not None:
@@ -589,42 +667,43 @@ def _attention(x: np.ndarray, index: _NeighborIndex, pe: np.ndarray,
                 wv[index.lone] = node_part(index.lone, w_c[d:2 * d])
             h += wv[block.nbr]
             return 0.0 + h
-        for i in range(3):  # a section at a time: the gathered copy is one section wide
-            h[:, i * d:(i + 1) * d] += near[block.at_near, i * d:(i + 1) * d]
+        h[:, :3 * d] += near[block.at_near]
         if k >= 3:
             h[:, 3 * d:] += far[block.at_far]
         # the block's h rows under each projection read, (n, heads, k, d_head)
-        proj = dict(zip(_H_PROJ[sections],
+        proj = dict(zip(_H_PROJ[_BLOCK_SECTIONS[min(k, 3)]],
                         h.reshape(n, k, -1, heads, dh).transpose(2, 0, 3, 1, 4)))
         # center -> neighbor attention
         q = q_all[block.at_q].reshape(n, heads, 1, dh)
         raw = (q @ proj["Wk"].swapaxes(2, 3)) / math.sqrt(dh)
-        gate = distance_gate(index.dist[block.pairs], gate_w)
-        att = _attend(gate[:, None, None] * raw, proj["Wv"])[:, :, 0]
+        att = _attend(gate[block.gates].reshape(n, 1, 1, k) * raw, proj["Wv"])[:, :, 0]
         # neighbor -> neighbor attention, average-pooled over neighbors
         if k == 2:
             per_pair = 0.0 + proj["Wv_nn"][:, :, ::-1]
         else:
             raw2 = (proj["Wq_nn"] @ proj["Wk_nn"].swapaxes(2, 3)) / math.sqrt(dh)
-            per_pair = _attend(distance_gate(block.nn_dist, gate_w)[:, None] * raw2,
+            per_pair = _attend(gate_nn[block.nn_gates].reshape(n, 1, k, k) * raw2,
                                proj["Wv_nn"], ~np.eye(k, dtype=bool))
         att += per_pair.sum(axis=2) / k
         return att.reshape(n, d)
 
-    out = np.empty((len(x), d))
-    for block in index.blocks:
-        out[block.centres] = block_rows(block)
+    out = _padded(len(x), d)
+    for group in index.groups:
+        rows = slice(group.sections.start * d, group.sections.stop * d)
+        h = _rows_matmul(group.pe, w_h[rows, :pe_dim])
+        for block in group.blocks:
+            out[block.centres] = block_rows(block, h[block.pe_rows])
     return out
 
 
-def _dgsa(x: np.ndarray, index: _NeighborIndex, pe: np.ndarray,
-          weights: EncoderWeights, layer: int) -> np.ndarray:
+def _dgsa(x: np.ndarray, index: _NeighborIndex, weights: EncoderWeights,
+          layer: int) -> np.ndarray:
     """One DGSA layer over the node rows x. An isolated node attends to
     nothing, so its output is LayerNorm(x) and it skips every projection."""
     p = f"layer{layer}."
     fused = x
     if index.active.size:
-        attn = _attention(x[index.active], index, pe, weights, layer)
+        attn = _attention(x[index.active], index, weights, layer)
         fused = x.copy()  # made after attention, whose peak it would add to
         fused[index.active] += _rows_matmul(attn, weights[p + "Wo"])
     result = _layer_norm(fused, weights[p + "ln_scale"], weights[p + "ln_bias"])
@@ -638,15 +717,15 @@ def _dgsa(x: np.ndarray, index: _NeighborIndex, pe: np.ndarray,
 def dgsa_layer(graph: SceneGraph, embeddings_in: np.ndarray,
                weights: EncoderWeights, layer: int) -> np.ndarray:
     """One distance-gated attention block over one graph's neighborhoods."""
-    index = _build_neighbor_index([graph])
-    pe = sinusoidal_pe(index.dist, weights.config.pe_dim)
-    return _dgsa(embeddings_in, index, pe, weights, layer)
+    index = _build_neighbor_index([graph], weights.config.pe_dim)
+    return _dgsa(embeddings_in, index, weights, layer)
 
 
 def _project(c: np.ndarray, c0: np.ndarray, index: _NeighborIndex,
              weights: EncoderWeights) -> np.ndarray:
     """ProjFFN([c || c0]), L2-normalized so matcher dot products are cosines."""
-    h = _rows_matmul(np.concatenate([c, c0], axis=1), weights["proj_ffn.w1"])
+    cc = np.concatenate([c, c0], axis=1, out=_padded(len(c), c.shape[1] + c0.shape[1]))
+    h = _rows_matmul(cc, weights["proj_ffn.w1"])
     h += weights["proj_ffn.b1"]
     np.maximum(h, 0.0, out=h)
     emb = _rows_matmul(h, weights["proj_ffn.w2"])
@@ -702,11 +781,10 @@ def _node_pass(graphs: Sequence[SceneGraph], weights: EncoderWeights
     """(node embeddings of the graphs' nodes in turn, node_offsets)."""
     cfg = weights.config
     c0 = initial_embeddings(graphs, weights)
-    index = _build_neighbor_index(graphs)
-    pe = sinusoidal_pe(index.dist, cfg.pe_dim)
+    index = _build_neighbor_index(graphs, cfg.pe_dim)
     c = c0
     for layer in range(cfg.layers):
-        c = _dgsa(c, index, pe, weights, layer)
+        c = _dgsa(c, index, weights, layer)
     return _project(c, c0, index, weights), index.node_offsets
 
 

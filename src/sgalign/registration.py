@@ -93,13 +93,34 @@ def _positions(pairs, side: int, name: str) -> np.ndarray:
     return pts
 
 
+def _minimal_samples(rng: np.random.Generator, n: int, iters: int) -> np.ndarray:
+    """`iters` calls of rng.choice(n, 3, replace=False), in one draw.
+
+    choice takes a 3-subset by Floyd's algorithm (Bentley and Floyd, CACM
+    1987): values from [0, n-3], [0, n-2] and [0, n-1] in turn, where a
+    value already taken gives way to the top of its range. It then shuffles
+    the three with values from [0, 2] and [0, 1]. One `integers` call makes
+    the same bounded draws in the same order, so the triples and the
+    generator's end state are those of the calls.
+    """
+    draws = rng.integers(0, np.tile([n - 2, n - 1, n, 3, 2], iters)).reshape(iters, 5)
+    idx = draws[:, :3].copy()
+    idx[idx[:, 1] == idx[:, 0], 1] = n - 2
+    idx[(draws[:, 2] == idx[:, 0]) | (draws[:, 2] == idx[:, 1]), 2] = n - 1
+    rows = np.arange(iters)
+    for i, j in ((2, draws[:, 3]), (1, draws[:, 4])):  # swap positions i and j
+        idx[rows, i], idx[rows, j] = idx[rows, j], idx[rows, i]
+    return idx
+
+
 def estimate_rigid(pairs, iters: int = DEFAULT_RANSAC_ITERS,
                    inlier_eps: float = DEFAULT_INLIER_EPS,
                    seed: int = 0) -> tuple[RigidTransform, list[int]]:
     """RANSAC rigid fit of A positions onto B; returns (transform, inliers).
 
-    All `iters` minimal samples are drawn first, then fitted and scored as
-    one batch; the best hypothesis is the first with the most inliers.
+    All `iters` minimal samples are drawn first, in one call, then fitted
+    and scored as one batch; the best hypothesis is the first with the most
+    inliers.
     """
     if isinstance(iters, bool) or not isinstance(iters, numbers.Integral) or iters < 1:
         raise InvalidInputError(f"iters must be an int >= 1, got {iters!r}")
@@ -114,8 +135,7 @@ def estimate_rigid(pairs, iters: int = DEFAULT_RANSAC_ITERS,
     if _collinear(a):
         raise DegenerateGeometryError("A positions are collinear")
 
-    rng = np.random.default_rng(seed)
-    idx = np.array([rng.choice(n, size=3, replace=False) for _ in range(iters)])
+    idx = _minimal_samples(np.random.default_rng(seed), n, iters)
     idx = idx[~_collinear(a[idx])]
     best_inliers: np.ndarray | None = None
     if len(idx):

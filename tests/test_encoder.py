@@ -2,11 +2,15 @@ import dataclasses
 import itertools
 import json
 import math
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import graph_columns, rows_graph, run_main, with_columns, with_edges
+from conftest import (ROOT, child_env, graph_columns, rows_graph, run_main, with_columns,
+                      with_edges)
 
 from sgalign import encoder
 from sgalign.config import PipelineConfig
@@ -391,6 +395,24 @@ class TestExactWork:
                         ("Wv", "pe"): 10, ("Wk", "pe"): 5, ("Wv_nn", "pe"): 5,
                         ("Wq_nn", "pe"): 3, ("Wk_nn", "pe"): 3}
 
+    def test_one_pe_product_per_section_set(self, small_weights, layer_calls):
+        """Blocks that read the same h_proj sections share one PE product:
+        degree 1 reads Wv, degree 2 Wk to Wv_nn, degrees 3 and up all five."""
+        cfg = small_weights.config
+        g = random_graph(8, cfg, seed=5, span=3.0)
+        deg = degrees(g)
+        assert {3, 4, 5} <= set(deg) and {1, 2} <= set(deg)
+        c = initial_embeddings([g], small_weights)
+        products, _ = layer_calls
+        del products[:]
+        dgsa_layer(g, c, small_weights, 0)
+        w_h = small_weights.packed["layer0.h_proj"]
+        # (sections, pair rows) of each product over the PE columns
+        pe = sorted((len(w) // cfg.d_model, n) for n, w in products
+                    if np.shares_memory(w, w_h) and w.shape[1] == cfg.pe_dim)
+        assert pe == [(1, deg.count(1)), (3, 2 * deg.count(2)),
+                      (5, sum(k for k in deg if k >= 3))]
+
     def test_degree_one_row_is_the_value_row(self, small_weights, layer_calls):
         cfg = small_weights.config
         g = exact_work_graph(cfg)
@@ -405,6 +427,37 @@ class TestExactWork:
         value = (encoder._rows_matmul(x[0:1], wv[:, cfg.pe_dim:])
                  + encoder._rows_matmul(pe, wv[:, :cfg.pe_dim]))
         assert out[2].tobytes() == value[0].tobytes()
+
+
+class TestHoistedGates:
+    """Each layer gates every block's distances in one call; a block's gates
+    are the bits of a call on its own distances."""
+
+    @pytest.mark.parametrize("make", [exact_work_graph,
+                                      lambda cfg: random_graph(8, cfg, seed=5, span=3.0)])
+    def test_equal_per_block_calls(self, small_weights, make):
+        cfg = small_weights.config
+        g = make(cfg)
+        index = encoder._build_neighbor_index([g], cfg.pe_dim)
+        pos = g.positions()[index.active]
+        for layer in range(cfg.layers):
+            gw = encoder._gate_weights(small_weights, layer)
+            gate = distance_gate(index.gate_dist, gw)
+            gate_nn = distance_gate(index.nn_dist, gw)
+            blocks = [b for group in index.groups for b in group.blocks]
+            assert {b.pairs.shape[1] for b in blocks} >= {1, 2, 3}
+            for block in blocks:
+                n, k = block.pairs.shape
+                if k == 1:
+                    continue
+                nbr = pos[block.nbr]
+                own = distance_gate(point_distances(np.repeat(pos[block.centres], k, axis=0),
+                                                    nbr).reshape(n, k), gw)
+                assert gate[block.gates].tobytes() == own.tobytes()
+                if k >= 3:
+                    q = nbr.reshape(n, k, 3)
+                    own = distance_gate(point_distances(q[:, :, None], q[:, None]), gw)
+                    assert gate_nn[block.nn_gates].tobytes() == own.tobytes()
 
 
 class TestEncodeGraph:
@@ -636,6 +689,32 @@ class TestEncodeGraphs:
             assert len(batch) == 1 or sum(batch) <= BATCH_NODES
         for this, after in zip(batches, batches[1:]):
             assert sum(this) + after[0] > BATCH_NODES  # greedy: no room left
+
+
+def haswell_kernels_available() -> bool:
+    """Whether numpy's OpenBLAS picks its kernels at run time and the CPU
+    runs the Haswell ones (AVX2)."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        flags = Path("/proc/cpuinfo").read_text().split()
+    except (TypeError, KeyError, OSError):  # numpy < 1.25 has no mode; not Linux
+        return False
+    return "DYNAMIC_ARCH" in blas.get("openblas configuration", "") and "avx2" in flags
+
+
+@pytest.mark.skipif(not haswell_kernels_available(),
+                    reason="needs a DYNAMIC_ARCH OpenBLAS and an AVX2 CPU")
+def test_batch_invariant_on_haswell_kernels():
+    """The Haswell kernels, which AMD Zen CPUs also get, round the rows past
+    a multiple of 4 otherwise; the batch-invariance tests pass under them."""
+    env = child_env()
+    env["OPENBLAS_CORETYPE"] = "Haswell"
+    run = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                          "tests/test_encoder.py", "tests/test_properties.py",
+                          "-k", "one_graph_calls or BatchInvariance"],
+                         cwd=ROOT, env=env, capture_output=True, text=True, check=False)
+    assert run.returncode == 0, run.stdout[-3000:] + run.stderr[-1000:]
+    assert run.stdout.splitlines()[-1].startswith("7 passed"), run.stdout[-3000:]
 
 
 class TestNodePass:

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from sgalign.errors import DegenerateGeometryError, InvalidInputError
-from sgalign.registration import (COLLINEAR_EPS, RigidTransform, estimate_rigid,
-                                  registration_error, success_flags)
+from sgalign.registration import (COLLINEAR_EPS, RigidTransform, _minimal_samples,
+                                  estimate_rigid, registration_error, success_flags)
 
 
 def random_rotation(rng):
@@ -183,6 +183,23 @@ def draws(n, iters, seed):
     """The index triples estimate_rigid draws, in order."""
     rng = np.random.default_rng(seed)
     return [rng.choice(n, size=3, replace=False).tolist() for _ in range(iters)]
+
+
+class TestMinimalSamples:
+    """One draw for all samples gives the triples of one rng.choice call per
+    sample, and leaves the generator in the same state."""
+
+    @pytest.mark.parametrize("iters", [1, 7, 256])
+    def test_equal_choice_calls(self, iters):
+        # n = 3 draws from [0, 0] first, which consumes nothing; 2**31 + 5
+        # needs whole 32-bit draws and 2**32 + 7 64-bit ones
+        for n in [*range(3, 300), 2 ** 31 + 5, 2 ** 32 + 7]:
+            for seed in (0, n):
+                loop, vectorised = np.random.default_rng(seed), np.random.default_rng(seed)
+                want = np.array([loop.choice(n, size=3, replace=False) for _ in range(iters)])
+                got = _minimal_samples(vectorised, n, iters)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (n, seed)
+                assert vectorised.bit_generator.state == loop.bit_generator.state, (n, seed)
 
 
 class TestEstimateRigidOracle:
