@@ -21,11 +21,11 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DOCUMENT_KEYS, InvalidInputError, check_types
+from .errors import DOCUMENT_KEYS, InvalidInputError, check_bound, check_bounds, check_types
 from .matcher import ScoreMatrix
 from .scene_graph import MAX_COORDINATE, point_distances
 
@@ -64,41 +64,32 @@ class MatchSet:
 
 @dataclass(frozen=True)
 class MnnParams:
-    min_score: float = 0.1
+    min_score: float = field(default=0.1, metadata={"bound": "in [0, 1]"})
 
     def __post_init__(self):
-        check_types(self, numbers.Real, "a number", ("min_score",))
-        if not 0 <= self.min_score <= 1:
-            raise InvalidInputError(f"min_score must be in [0,1], got {self.min_score}")
+        check_bounds(self)
 
 
 @dataclass(frozen=True)
 class McfParams:
-    tau: float = 0.3
-    top_k: int = 5
-    c_unmatched: float = 2.0
-    lam: float = 1.0
+    tau: float = field(default=0.3, metadata={"bound": "in [0, 1]"})
+    top_k: int = field(default=5, metadata={"bound": ">= 1"})
+    c_unmatched: float = field(default=2.0, metadata={"bound": "finite"})
+    lam: float = field(default=1.0, metadata={"bound": "finite"})
     cap_max: int | None = None  # None = unlimited
-    max_iters: int = 5
+    max_iters: int = field(default=5, metadata={"bound": ">= 1"})
 
     def __post_init__(self):
-        check_types(self, numbers.Real, "a number", ("tau", "c_unmatched", "lam"))
-        check_types(self, numbers.Integral, "an integer", ("top_k", "max_iters"))
-        if self.cap_max is not None:
-            check_types(self, numbers.Integral, "an integer or null", ("cap_max",))
-        if not 0 <= self.tau <= 1:
-            raise InvalidInputError(f"tau must be in [0,1], got {self.tau}")
-        if self.top_k < 1:
-            raise InvalidInputError(f"top_k must be >= 1, got {self.top_k}")
+        check_bounds(self)
         for name, bound in (("c_unmatched", MAX_COST), ("lam", MAX_COST / MAX_PENALTY)):
-            if not abs(getattr(self, name)) <= bound:  # also refuses NaN
+            if not abs(getattr(self, name)) <= bound:
                 raise InvalidInputError(f"{DOCUMENT_KEYS.get(name, name)} must be within "
                                         f"+-{bound:g} for finite costs, "
                                         f"got {getattr(self, name)}")
-        if self.max_iters < 1:
-            raise InvalidInputError(f"max_iters must be >= 1, got {self.max_iters}")
-        if self.cap_max is not None and self.cap_max < 1:
-            raise InvalidInputError(f"cap_max must be >= 1 or None, got {self.cap_max}")
+        if self.cap_max is not None:
+            check_types(self, numbers.Integral, "an integer or null", ("cap_max",))
+            if self.cap_max < 1:
+                raise InvalidInputError(f"cap_max must be >= 1 or None, got {self.cap_max}")
 
 
 def _as_p(P) -> np.ndarray:
@@ -127,10 +118,7 @@ def mnn_allocate(P, params: MnnParams = MnnParams()) -> MatchSet:
 def _candidate_mask(p: np.ndarray, tau: float, top_k: int) -> np.ndarray:
     if p.ndim != 2:
         raise InvalidInputError(f"P must be 2-D, got shape {p.shape}")
-    if not np.isfinite(p).all():
-        raise InvalidInputError("P has non-finite entries")
-    if p.size and (p.min() < 0 or p.max() > 1):
-        raise InvalidInputError("P has entries outside [0, 1]")
+    check_bound("P", p, "in [0, 1]")
     n_a, n_b = p.shape
     mask = np.zeros((n_a, n_b), dtype=bool)
     # A stable sort of -P ranks ties at the K-th value by column index.
@@ -225,8 +213,7 @@ def _solve(ci: np.ndarray, cj: np.ndarray, cost: np.ndarray, c_unmatched: float,
     The candidates must be sorted by (i, j). Returns the chosen pairs as
     index arrays, sorted the same way.
     """
-    if not math.isfinite(c_unmatched):
-        raise InvalidInputError(f"solve_mcf: c_unmatched must be finite, got {c_unmatched}")
+    check_bound("c_unmatched", c_unmatched, "finite", where="solve_mcf")
     bad = ~np.isfinite(cost)
     if bad.any():
         k = int(np.argmax(bad))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import numbers
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -22,7 +23,7 @@ from .allocator import ALLOCATORS
 from .config import RERANK_MODES, PipelineConfig, load_config
 from .encoder import (EncoderWeights, encode_graph, encode_nodes, init_weights,
                       load_weights, node_batches)
-from .errors import BOUNDS, InvalidInputError, SgaError
+from .errors import BOUNDS, InvalidInputError, SgaError, check_bound
 from .evaluation import aggregate, bin_by_overlap, matches_by_id, sample_metrics
 from .losses import toy_embedding_fit
 from .pipeline import align_graphs, match_embeddings
@@ -53,14 +54,19 @@ def _log(level: str, message) -> None:
     sys.stderr.write(f"{level} sgalign: {message}\n")
 
 
-def _add_number(parser, flag: str, kind: type, rule: str, **kwargs) -> None:
-    """Add `flag`, parsed as `kind`; a value that breaks `rule` raises a
-    UsageError while parsing. The type callable carries `kind`'s name,
-    which argparse puts in its `invalid int value` line."""
+def _add_number(parser, flag: str, rule: str, **kwargs) -> None:
+    """Add `flag`, parsed as an int or a float by the kind of BOUNDS[rule];
+    a value that breaks the rule raises a UsageError while parsing. The
+    type callable carries the parser's name, which argparse puts in its
+    `invalid int value` line."""
+    kind = int if BOUNDS[rule][0] is numbers.Integral else float
+
     def parse(text: str):
         value = kind(text)
-        if not BOUNDS[rule](value):
-            raise UsageError(f"{flag} must be {rule}, got {value}")
+        try:
+            check_bound(flag, value, rule)
+        except InvalidInputError as exc:
+            raise UsageError(str(exc)) from None
         return value
 
     parse.__name__ = kind.__name__
@@ -292,7 +298,7 @@ def _build_parser() -> argparse.ArgumentParser:
         if weights:
             p.add_argument("--weights", default=None,
                            help="encoder weights file (npz, format_version 2)")
-            _add_number(p, "--seed", int, ">= 0", default=0,
+            _add_number(p, "--seed", ">= 0", default=0,
                         help="weight-init seed when --weights is absent")
 
     p = sub.add_parser("align", help="match two scene graphs")
@@ -314,8 +320,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate synthetic alignment samples")
     p.add_argument("--task", choices=synth.TASKS, required=True)
-    _add_number(p, "--count", int, ">= 1", default=1)
-    _add_number(p, "--seed", int, ">= 0", default=0)
+    _add_number(p, "--count", ">= 1", default=1)
+    _add_number(p, "--seed", ">= 0", default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--feature-noise", type=float, default=0.05)
     p.add_argument("--position-noise", type=float, default=0.02)
@@ -329,15 +335,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--allocator", choices=ALLOCATORS, default="mnn")
     p.add_argument("--out", default=None)
     p.add_argument("--csv", default=None)
-    _add_number(p, "--jobs", int, ">= 1", default=1)
+    _add_number(p, "--jobs", ">= 1", default=1)
     common(p)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("register", help="rigid transform from matched centers")
     p.add_argument("--pair", required=True)
     p.add_argument("--allocator", choices=ALLOCATORS, default="mcf")
-    _add_number(p, "--ransac-iters", int, ">= 1", default=registration.DEFAULT_RANSAC_ITERS)
-    _add_number(p, "--inlier-eps", float, "finite and >= 0",
+    _add_number(p, "--ransac-iters", ">= 1", default=registration.DEFAULT_RANSAC_ITERS)
+    _add_number(p, "--inlier-eps", "finite and >= 0",
                 default=registration.DEFAULT_INLIER_EPS)
     common(p)
     p.set_defaults(func=cmd_register)
@@ -345,7 +351,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("retrieve", help="query a scene database")
     p.add_argument("--query", required=True)
     p.add_argument("--db", required=True)
-    _add_number(p, "--k", int, ">= 1", default=5)
+    _add_number(p, "--k", ">= 1", default=5)
     p.add_argument("--rerank", choices=RERANK_MODES, default=None,
                    help="rerank mode (default: retrieval.rerank of the config)")
     common(p)
@@ -353,9 +359,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("demo-fit", help="contrastive fit of free embeddings")
     p.add_argument("--task", choices=synth.TASKS, default="f2s")
-    _add_number(p, "--seed", int, ">= 0", default=0)
-    _add_number(p, "--steps", int, ">= 0", default=200)
-    _add_number(p, "--lr", float, "finite and > 0", default=0.1)
+    _add_number(p, "--seed", ">= 0", default=0)
+    _add_number(p, "--steps", ">= 0", default=200)
+    _add_number(p, "--lr", "finite and > 0", default=0.1)
     p.set_defaults(func=cmd_demo_fit)
 
     return parser

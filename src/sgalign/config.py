@@ -7,13 +7,12 @@ raise ConfigError naming the dotted field and the violated constraint.
 from __future__ import annotations
 
 import json
-import numbers
 from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 from .allocator import ALLOCATORS, McfParams, MnnParams
 from .encoder import EncoderConfig
-from .errors import (ConfigError, InvalidInputError, check_types, from_section, read_json,
+from .errors import (ConfigError, InvalidInputError, check_bounds, from_section, read_json,
                      section_dict)
 from .matcher import MatcherParams
 from .scene_graph import DEFAULT_D_TH, DEFAULT_N_MAX
@@ -21,16 +20,11 @@ from .scene_graph import DEFAULT_D_TH, DEFAULT_N_MAX
 
 @dataclass(frozen=True)
 class EdgeParams:
-    n_max: int = DEFAULT_N_MAX
-    d_th: float = DEFAULT_D_TH
+    n_max: int = field(default=DEFAULT_N_MAX, metadata={"bound": ">= 1"})
+    d_th: float = field(default=DEFAULT_D_TH, metadata={"bound": "> 0"})
 
     def __post_init__(self):
-        check_types(self, numbers.Integral, "an integer", ("n_max",))
-        check_types(self, numbers.Real, "a number", ("d_th",))
-        if self.n_max < 1:
-            raise InvalidInputError(f"n_max must be >= 1, got {self.n_max}")
-        if not self.d_th > 0:  # also refuses NaN
-            raise InvalidInputError(f"d_th must be > 0, got {self.d_th}")
+        check_bounds(self)
 
 
 # The modes of `retrieval.rerank`.

@@ -19,7 +19,8 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 import numpy as np
 
 from .errors import (InvalidInputError, NumericError, ShapeError, WeightsFormatError,
-                     check_types, from_section, npz_entry, open_npz, section_dict)
+                     check_bound, check_bounds, check_sizes, check_types, from_section,
+                     npz_entry, open_npz, section_dict)
 from .scene_graph import DEFAULT_FEATURE_DIMS, SceneGraph, point_distances
 
 LN_EPS = 1e-5
@@ -61,38 +62,25 @@ _GATE_LO = np.nextafter(0.0, 1.0)
 
 @dataclass(frozen=True)
 class EncoderConfig:
-    pe_dim: int = 64
-    heads: int = 8
+    pe_dim: int = field(default=64, metadata={"bound": "even and >= 2"})
+    heads: int = field(default=8, metadata={"bound": ">= 1"})
     layers: int = 4
-    d_model: int = 512
-    gate_hidden: int = 16
-    geo_hidden: int = 32
-    dropout: float = 0.1  # stored for fidelity; inert at inference
+    d_model: int = field(default=512, metadata={"bound": ">= 1"})
+    gate_hidden: int = field(default=16, metadata={"bound": ">= 1"})
+    geo_hidden: int = field(default=32, metadata={"bound": ">= 1"})
+    # stored for fidelity; inert at inference
+    dropout: float = field(default=0.1, metadata={"bound": "in [0, 1)"})
     feature_dims: tuple[int, int] = DEFAULT_FEATURE_DIMS
 
     def __post_init__(self):
-        check_types(self, numbers.Integral, "an integer",
-                    ("pe_dim", "heads", "layers", "d_model", "gate_hidden", "geo_hidden"))
-        check_types(self, numbers.Real, "a number", ("dropout",))
-        if not all(isinstance(n, numbers.Integral) and not isinstance(n, bool)
-                   for n in self.feature_dims):
-            raise InvalidInputError(
-                f"feature_dims must be integers, got {list(self.feature_dims)}")
-        for name in ("pe_dim", "heads", "d_model", "gate_hidden", "geo_hidden"):
-            if getattr(self, name) < 1:
-                raise InvalidInputError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if len(self.feature_dims) != 2 or min(self.feature_dims) < 1:
-            raise InvalidInputError(
-                f"feature_dims must be two sizes >= 1, got {list(self.feature_dims)}")
+        check_bounds(self)
+        check_types(self, numbers.Integral, "an integer", ("layers",))
         if not 0 <= self.layers <= MAX_LAYERS:
             raise InvalidInputError(f"layers must be in [0, {MAX_LAYERS}], got {self.layers}")
-        if self.pe_dim % 2 != 0:
-            raise InvalidInputError(f"pe_dim must be even, got {self.pe_dim}")
+        check_sizes("feature_dims", self.feature_dims)
         if self.d_model % self.heads != 0:
             raise InvalidInputError(
                 f"d_model {self.d_model} not divisible by heads {self.heads}")
-        if not 0 <= self.dropout < 1:
-            raise InvalidInputError(f"dropout must be in [0, 1), got {self.dropout}")
 
     @property
     def d_head(self) -> int:
@@ -356,11 +344,9 @@ def load_weights(path) -> EncoderWeights:
 
 def sinusoidal_pe(d: float, pe_dim: int) -> np.ndarray:
     """Standard sinusoidal encoding of a scalar distance."""
-    if pe_dim % 2 != 0:
-        raise InvalidInputError(f"pe_dim must be even, got {pe_dim}")
+    check_bound("pe_dim", pe_dim, "even and >= 2", where="sinusoidal_pe")
     d = np.asarray(d, dtype=float)
-    if np.any(d < 0) or not np.all(np.isfinite(d)):
-        raise InvalidInputError("sinusoidal_pe: distance must be finite and >= 0")
+    check_bound("distance", d, "finite and >= 0", where="sinusoidal_pe")
     k = np.arange(pe_dim // 2)
     args = d[..., None] / np.power(10000.0, 2.0 * k / pe_dim)
     out = np.empty(d.shape + (pe_dim,))
@@ -375,8 +361,7 @@ def distance_gate(d, gate_weights: dict[str, np.ndarray]):
     gate_weights holds w1 (hidden, 1), b1, w2 (1, hidden), b2.
     """
     d = np.asarray(d, dtype=float)
-    if np.any(d < 0) or not np.all(np.isfinite(d)):
-        raise InvalidInputError("distance_gate: distance must be finite and >= 0")
+    check_bound("distance", d, "finite and >= 0", where="distance_gate")
     h = np.maximum(d[..., None] * gate_weights["w1"][:, 0] + gate_weights["b1"], 0.0)
     # A sum over each distance's own hidden units; a GEMV would round a
     # distance differently with the number of distances.

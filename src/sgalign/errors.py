@@ -1,20 +1,20 @@
 """Exception types shared across the package, and the parse-boundary
-helpers that raise them: the numeric bounds of flags and params, the field
-type check of the params dataclasses, the mapping between a params
-dataclass and its config section, the one reader of JSON files and the one
-opener of npz archives.
+helpers that raise them: the numeric bounds of flags, params fields and
+function arguments, the field type check of the params dataclasses, the
+mapping between a params dataclass and its config section, the one reader
+of JSON files and the one opener of npz archives.
 
 A params dataclass (EncoderConfig, MatcherParams, MnnParams, McfParams,
 EdgeParams, RetrievalParams) is the schema of its config section: the
 section lists exactly its fields, in field order, each under its name or,
-where DOCUMENT_KEYS says so, under another key.
+where DOCUMENT_KEYS says so, under another key. A field with a numeric
+bound declares it once, as field metadata {"bound": <a key of BOUNDS>}.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-import math
 import numbers
 import zipfile
 from pathlib import Path
@@ -54,27 +54,75 @@ class WeightsFormatError(SgaError, ValueError):
 DOCUMENT_KEYS = {"lam": "lambda"}
 
 # Numeric bounds as a refusal states them ("<name> must be <rule>, got
-# <value>"), and their tests.
-BOUNDS = {">= 0": lambda v: v >= 0, ">= 1": lambda v: v >= 1,
-          "finite and >= 0": lambda v: math.isfinite(v) and v >= 0,
-          "finite and > 0": lambda v: math.isfinite(v) and v > 0}
+# <value>"): the numbers ABC a value under the rule belongs to, and the
+# rule's test, which holds elementwise on an array.
+BOUNDS = {
+    ">= 0": (numbers.Integral, lambda v: v >= 0),
+    ">= 1": (numbers.Integral, lambda v: v >= 1),
+    "even and >= 2": (numbers.Integral, lambda v: (v >= 2) & (v % 2 == 0)),
+    "> 0": (numbers.Real, lambda v: v > 0),
+    "finite": (numbers.Real, np.isfinite),
+    "finite and >= 0": (numbers.Real, lambda v: np.isfinite(v) & (v >= 0)),
+    "finite and > 0": (numbers.Real, lambda v: np.isfinite(v) & (v > 0)),
+    "in [0, 1]": (numbers.Real, lambda v: (v >= 0) & (v <= 1)),
+    "in (0, 1]": (numbers.Real, lambda v: (v > 0) & (v <= 1)),
+    "in [0, 1)": (numbers.Real, lambda v: (v >= 0) & (v < 1)),
+}
+_KIND_NAMES = {numbers.Integral: "an integer", numbers.Real: "a number"}
+
+
+def _check_kind(name: str, value, kind, what: str) -> None:
+    """Reject `value` unless it is of the numbers ABC `kind` and not a bool.
+    A number also refuses an integer too large for a float."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise InvalidInputError(f"{name} must be {what}, got {value!r}")
+    if kind is not numbers.Integral and isinstance(value, numbers.Integral):
+        try:
+            float(value)
+        except OverflowError:
+            raise InvalidInputError(f"{name} must be {what} within the float range") from None
+
+
+def check_bound(name: str, value, rule: str, where: str | None = None) -> None:
+    """Reject `value` unless it is a number of the kind of BOUNDS[rule] that
+    meets the rule. An ndarray, already of numbers, is checked in one
+    vectorised pass, and the refusal shows its first value that breaks the
+    rule. Refusals read "[where: ]<name> must be ..."."""
+    kind, test = BOUNDS[rule]
+    name = f"{where}: {name}" if where else name
+    if isinstance(value, np.ndarray):
+        bad = value[~np.asarray(test(value))]
+        if bad.size:
+            raise InvalidInputError(f"{name} must be {rule}, got {bad[0]}")
+        return
+    _check_kind(name, value, kind, _KIND_NAMES[kind])
+    if not test(float(value) if kind is numbers.Real else value):  # np.isfinite: no big int
+        raise InvalidInputError(f"{name} must be {rule}, got {value}")
+
+
+def check_bounds(params) -> None:
+    """check_bound on each field of the params dataclass whose metadata
+    declares a "bound" (a key of BOUNDS), in field order. Errors name the
+    field by its document key."""
+    for f in dataclasses.fields(params):
+        if "bound" in f.metadata:
+            check_bound(DOCUMENT_KEYS.get(f.name, f.name), getattr(params, f.name),
+                        f.metadata["bound"])
+
+
+def check_sizes(name: str, value) -> None:
+    """Reject `value` unless it is a tuple or list of two integers >= 1."""
+    if not (isinstance(value, (tuple, list)) and len(value) == 2
+            and all(not isinstance(n, bool) and isinstance(n, numbers.Integral) and n >= 1
+                    for n in value)):
+        raise InvalidInputError(f"{name} must be two integers >= 1, got {value!r}")
 
 
 def check_types(params, kind, what: str, names: tuple[str, ...]) -> None:
-    """Reject a field of `params` that is not of the numbers ABC `kind`, or
-    is a bool. A number field also refuses an integer too large for a
-    float. Errors name the field by its document key."""
+    """_check_kind on each field of `params` in `names`; errors name the
+    field by its document key."""
     for name in names:
-        value = getattr(params, name)
-        if isinstance(value, bool) or not isinstance(value, kind):
-            raise InvalidInputError(
-                f"{DOCUMENT_KEYS.get(name, name)} must be {what}, got {value!r}")
-        if kind is not numbers.Integral and isinstance(value, numbers.Integral):
-            try:
-                float(value)
-            except OverflowError:
-                raise InvalidInputError(f"{DOCUMENT_KEYS.get(name, name)} must be {what} "
-                                        f"within the float range") from None
+        _check_kind(DOCUMENT_KEYS.get(name, name), getattr(params, name), kind, what)
 
 
 def section_dict(params) -> dict:

@@ -9,7 +9,7 @@ from typing import Optional
 import numpy as np
 
 from .allocator import MatchSet
-from .errors import InvalidInputError
+from .errors import InvalidInputError, check_bound
 from .scene_graph import GroundTruthMap, SceneGraph
 
 
@@ -54,8 +54,7 @@ def matches_by_id(pred: MatchSet, graph_a: SceneGraph, graph_b: SceneGraph) -> M
 def sample_metrics(pred: MatchSet, gt: GroundTruthMap, n_a: int) -> SampleMetrics:
     """Pair-level counts over A-side decisions, including correct no-matches.
     `pred` names nodes by id, as `gt` does (see `matches_by_id`)."""
-    if n_a <= 0:
-        raise InvalidInputError("sample_metrics: n_a must be > 0")
+    check_bound("n_a", n_a, ">= 1", where="sample_metrics")
     pred_pairs = pred.pair_set()
     gt_pairs = set(gt.pairs)
     tp = len(pred_pairs & gt_pairs)
@@ -97,8 +96,7 @@ def bin_by_overlap(samples: list[tuple[float, SampleMetrics]],
     n_bins = round(1.0 / bin_width)
     buckets: list[list[SampleMetrics]] = [[] for _ in range(n_bins)]
     for overlap, metrics in samples:
-        if not 0 <= overlap <= 1:
-            raise InvalidInputError(f"overlap ratio {overlap} outside [0, 1]")
+        check_bound("overlap", overlap, "in [0, 1]", where="bin_by_overlap")
         # Nudge guards decimal edges: 0.3 must land in [0.3, 0.4) despite
         # 0.3 * 10 rounding down to 2.9999999999999996.
         idx = min(int(overlap * n_bins + 1e-9), n_bins - 1)

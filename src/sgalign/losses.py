@@ -8,11 +8,11 @@ free per-node embeddings to one alignment sample.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, check_bound, check_bounds
 from .matcher import softmax
 
 DEFAULT_INFO_NCE_TEMPERATURE = 0.07
@@ -23,13 +23,13 @@ DEFAULT_TRIPLET_MARGIN = 0.5
 class InfoNceInput:
     similarities: np.ndarray            # (I, J), pre-temperature
     positives: set[tuple[int, int]]
-    temperature: float = DEFAULT_INFO_NCE_TEMPERATURE
+    temperature: float = field(default=DEFAULT_INFO_NCE_TEMPERATURE,
+                               metadata={"bound": "finite and > 0"})
 
     def __post_init__(self):
         self.similarities = np.asarray(self.similarities, dtype=float)
         self.positives = set(map(tuple, self.positives))
-        if self.temperature <= 0:
-            raise InvalidInputError("temperature must be > 0")
+        check_bounds(self)
         n_a, n_b = self.similarities.shape
         rows = [i for i, _ in self.positives]
         cols = [j for _, j in self.positives]
@@ -82,14 +82,13 @@ class TripletInput:
     anchor: np.ndarray
     positive: np.ndarray
     negative: np.ndarray
-    margin: float = DEFAULT_TRIPLET_MARGIN
+    margin: float = field(default=DEFAULT_TRIPLET_MARGIN, metadata={"bound": "finite and > 0"})
 
     def __post_init__(self):
         self.anchor = np.asarray(self.anchor, dtype=float)
         self.positive = np.asarray(self.positive, dtype=float)
         self.negative = np.asarray(self.negative, dtype=float)
-        if self.margin <= 0:
-            raise InvalidInputError("margin must be > 0")
+        check_bounds(self)
 
 
 def triplet_loss(inp: TripletInput) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
@@ -136,6 +135,8 @@ def toy_embedding_fit(sample, steps: int = 200, lr: float = 0.1,
     minimizable on exact ground truth. Returns the per-step loss trajectory
     (length steps + 1, including the initial loss).
     """
+    check_bound("steps", steps, ">= 0", where="toy_embedding_fit")
+    check_bound("lr", lr, "finite and >= 0", where="toy_embedding_fit")
     gt_pairs = sorted(sample.gt.pairs)
     if not gt_pairs:
         raise InvalidInputError("toy_embedding_fit: sample has no positive pairs")

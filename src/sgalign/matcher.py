@@ -7,14 +7,12 @@ dual softmax (SuperGlue, Sarlin et al., CVPR 2020).
 
 from __future__ import annotations
 
-import math
-import numbers
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInputError, NumericError, check_types
+from .errors import InvalidInputError, NumericError, check_bounds
 
 # Floor keeps -log(P) bounded (~20.7), so flow costs stay interpretable
 # against the default unmatched cost of 2.0.
@@ -30,16 +28,11 @@ MAX_LOGIT_SPAN = sys.float_info.max / 2
 class MatcherParams:
     # Temperature 0.07 keeps both halves of an under-segmented object above
     # the candidate threshold under dual-softmax column competition.
-    temperature: float = 0.07
-    dustbin_logit: float = 0.0
+    temperature: float = field(default=0.07, metadata={"bound": "finite and > 0"})
+    dustbin_logit: float = field(default=0.0, metadata={"bound": "finite"})
 
     def __post_init__(self):
-        check_types(self, numbers.Real, "a number", ("dustbin_logit", "temperature"))
-        if not (math.isfinite(self.temperature) and self.temperature > 0):
-            raise InvalidInputError(f"temperature must be finite and > 0, "
-                                    f"got {self.temperature}")
-        if not math.isfinite(self.dustbin_logit):
-            raise InvalidInputError(f"dustbin_logit must be finite, got {self.dustbin_logit}")
+        check_bounds(self)
         if 2 / self.temperature > MAX_LOGIT_SPAN:
             raise InvalidInputError(f"temperature must be >= {2 / MAX_LOGIT_SPAN:g} for "
                                     f"finite logits, got {self.temperature}")

@@ -9,12 +9,11 @@ and rotation angle of the relative transform against ground truth.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateGeometryError, InvalidInputError
+from .errors import DegenerateGeometryError, InvalidInputError, check_bound
 from .scene_graph import point_distances
 
 DEFAULT_RANSAC_ITERS = 256
@@ -88,8 +87,7 @@ def _positions(pairs, side: int, name: str) -> np.ndarray:
         raise InvalidInputError(f"{name} positions are not numeric: {exc}") from None
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise InvalidInputError(f"{name} positions must be (n, 3), got shape {pts.shape}")
-    if not np.isfinite(pts).all():
-        raise InvalidInputError(f"{name} positions are not finite")
+    check_bound(f"{name} positions", pts, "finite")
     return pts
 
 
@@ -122,11 +120,8 @@ def estimate_rigid(pairs, iters: int = DEFAULT_RANSAC_ITERS,
     and scored as one batch; the best hypothesis is the first with the most
     inliers.
     """
-    if isinstance(iters, bool) or not isinstance(iters, numbers.Integral) or iters < 1:
-        raise InvalidInputError(f"iters must be an int >= 1, got {iters!r}")
-    if isinstance(inlier_eps, bool) or not isinstance(inlier_eps, numbers.Real) \
-            or not math.isfinite(inlier_eps) or inlier_eps < 0:
-        raise InvalidInputError(f"inlier_eps must be finite and >= 0, got {inlier_eps!r}")
+    check_bound("iters", iters, ">= 1", where="estimate_rigid")
+    check_bound("inlier_eps", inlier_eps, "finite and >= 0", where="estimate_rigid")
     n = len(pairs)
     if n < 3:
         raise InvalidInputError(f"estimate_rigid needs >= 3 pairs, got {n}")

@@ -19,8 +19,8 @@ import numpy as np
 from .allocator import MatchSet
 from .config import RERANK_MODES, PipelineConfig
 from .encoder import EncoderWeights, encode_graph, encode_graphs, node_batches
-from .errors import (InvalidInputError, SgaError, npz_entry, open_npz, read_json,
-                     section_dict)
+from .errors import (InvalidInputError, SgaError, check_bound, npz_entry, open_npz,
+                     read_json, section_dict)
 from .pipeline import match_embeddings
 from .scene_graph import SceneGraph, pack_graphs, unpack_graphs
 
@@ -96,8 +96,7 @@ def global_similarity(q: np.ndarray, t: np.ndarray) -> float:
 
 def topk_filter(query_global: np.ndarray, db: SceneDatabase, k: int) -> list[str]:
     """Scene ids of the k most similar globals; ties favor lower scene_id."""
-    if k < 1:
-        raise InvalidInputError(f"k must be >= 1, got {k}")
+    check_bound("k", k, ">= 1", where="topk_filter")
     scored = sorted(
         ((-global_similarity(query_global, e.global_embedding), e.scene_id)
          for e in db.entries))

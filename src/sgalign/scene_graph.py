@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import InvalidInputError, read_json
+from .errors import InvalidInputError, check_bound, read_json
 
 DEFAULT_FEATURE_DIMS = (256, 384)
 DEFAULT_N_MAX = 4
@@ -211,10 +211,8 @@ def build_edges(ids, positions, n_max: int = DEFAULT_N_MAX,
     Per node: candidates within d_th, ranked by (distance, id), up to n_max
     directed picks.
     """
-    if n_max < 1:
-        raise InvalidInputError(f"build_edges: n_max must be >= 1, got {n_max}")
-    if not d_th > 0:  # also refuses NaN
-        raise InvalidInputError(f"build_edges: d_th must be > 0, got {d_th}")
+    check_bound("n_max", n_max, ">= 1", where="build_edges")
+    check_bound("d_th", d_th, "> 0", where="build_edges")
     ids = np.asarray(ids, dtype=np.int64)
     dist = point_distances(np.asarray(positions)[:, None], positions)
     np.fill_diagonal(dist, np.nan)  # sorts last and is never within d_th

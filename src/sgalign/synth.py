@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .errors import BOUNDS, GenerationError, InvalidInputError, read_json
+from .errors import GenerationError, InvalidInputError, check_bounds, check_sizes, read_json
 from .evaluation import AlignmentSample
 from .registration import RigidTransform
 from .scene_graph import (DEFAULT_D_TH, DEFAULT_FEATURE_DIMS, DEFAULT_N_MAX,
@@ -34,32 +34,26 @@ TASKS = ("f2s", "s2s")
 
 @dataclass(frozen=True)
 class SynthConfig:
-    seed: int = 0
+    seed: int = field(default=0, metadata={"bound": ">= 0"})
     n_objects: tuple[int, int] = (8, 30)
-    box_size: float = 8.0
-    n_classes: int = 40
-    feature_noise_sigma: float = 0.05
-    position_noise_sigma: float = 0.02
-    undersegment_prob: float = 0.05
-    f2s_view_radius: float = 3.0
-    s2s_crop_overlap: float = 0.5
-    s2s_overlap_tol: float = 0.15
-    min_separation: float = 0.3
+    box_size: float = field(default=8.0, metadata={"bound": "finite and > 0"})
+    n_classes: int = field(default=40, metadata={"bound": ">= 1"})
+    feature_noise_sigma: float = field(default=0.05, metadata={"bound": "finite and >= 0"})
+    position_noise_sigma: float = field(default=0.02, metadata={"bound": "finite and >= 0"})
+    undersegment_prob: float = field(default=0.05, metadata={"bound": "in [0, 1]"})
+    f2s_view_radius: float = field(default=3.0, metadata={"bound": "finite and > 0"})
+    s2s_crop_overlap: float = field(default=0.5, metadata={"bound": "in (0, 1]"})
+    s2s_overlap_tol: float = field(default=0.15, metadata={"bound": "finite and >= 0"})
+    min_separation: float = field(default=0.3, metadata={"bound": "finite and > 0"})
     feature_dims: tuple[int, int] = DEFAULT_FEATURE_DIMS
     unique_classes: bool = False  # sample classes without replacement
 
     def __post_init__(self):
-        for rule, names in (("finite and > 0", ("box_size", "min_separation", "f2s_view_radius")),
-                            ("finite and >= 0", ("feature_noise_sigma", "position_noise_sigma"))):
-            for name in names:
-                if not BOUNDS[rule](getattr(self, name)):
-                    raise InvalidInputError(f"{name} must be {rule}, got {getattr(self, name)}")
-        if not 0 <= self.undersegment_prob <= 1:
-            raise InvalidInputError("undersegment_prob must be in [0, 1]")
-        if not 0 < self.s2s_crop_overlap <= 1:
-            raise InvalidInputError("s2s_crop_overlap must be in (0, 1]")
-        if self.n_objects[0] < 1 or self.n_objects[0] > self.n_objects[1]:
+        check_bounds(self)
+        check_sizes("n_objects", self.n_objects)
+        if self.n_objects[0] > self.n_objects[1]:
             raise InvalidInputError(f"bad n_objects range {self.n_objects}")
+        check_sizes("feature_dims", self.feature_dims)
 
 
 @dataclass

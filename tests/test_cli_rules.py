@@ -1,10 +1,12 @@
 """Scans that keep each rule of the command line in one place: the library
 writes its stderr lines itself (no `logging`), a flag's bound is checked by
 its argparse type alone (no `cmd_*` body raises UsageError), each list of
-allowed values is written once, and the name of a database's index file
-appears only in `retrieval`."""
+allowed values is written once, the name of a database's index file
+appears only in `retrieval`, and a numeric bound is stated in `errors`
+alone (errors.BOUNDS), but for the composite rules listed here."""
 
 import ast
+import re
 from pathlib import Path
 
 SOURCES = Path(__file__).resolve().parent.parent / "src" / "sgalign"
@@ -13,6 +15,19 @@ SOURCES = Path(__file__).resolve().parent.parent / "src" / "sgalign"
 ALLOWED_VALUES = {frozenset({"mnn", "mcf"}): "allocator.py",
                   frozenset({"direct", "weighted"}): "config.py",
                   frozenset({"f2s", "s2s"}): "synth.py"}
+
+# The text of a refusal that states a numeric bound.
+BOUND_TEXT = re.compile(r"must be (>=|>|finite|in [\[(]|even)")
+# The numeric rules written by hand outside `errors`, as (module, scope,
+# field): each ties a bound to another value, so no BOUNDS rule states it.
+# The MatcherParams logit span, cap_max "or None" and layers in
+# [0, MAX_LAYERS]. The other composite rules do not read as BOUND_TEXT: the
+# McfParams cost bounds and the dustbin_logit span ("must be within"),
+# d_model divisible by heads, SynthConfig.n_objects and load_sample's
+# "overlap must be a number in [0, 1]".
+COMPOSITE_RULES = {("allocator.py", "McfParams.__post_init__", "cap_max"),
+                   ("encoder.py", "EncoderConfig.__post_init__", "layers"),
+                   ("matcher.py", "MatcherParams.__post_init__", "temperature")}
 
 
 def parsed() -> dict[str, ast.AST]:
@@ -48,6 +63,20 @@ def string_lists(tree: ast.AST):
             yield frozenset(e.value for e in node.elts), node.lineno
 
 
+def bound_texts(tree: ast.AST, scope: str = ""):
+    """(scope, first word) of each string constant under `tree`, the
+    constant parts of f-strings included, that matches BOUND_TEXT; the
+    scope is the dotted name of the enclosing classes and functions."""
+    for node in ast.iter_child_nodes(tree):
+        if (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                and BOUND_TEXT.search(node.value)):
+            yield scope, node.value.split()[0]
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            yield from bound_texts(node, f"{scope}.{node.name}".lstrip("."))
+        else:
+            yield from bound_texts(node, scope)
+
+
 def test_no_logging():
     found = [name for name, tree in parsed().items() if "logging" in imported_modules(tree)]
     assert found == []
@@ -77,6 +106,12 @@ def test_index_file_named_in_retrieval_only():
     assert [name for name, _ in found] == ["retrieval.py"], found
 
 
+def test_numeric_bounds_stated_in_errors_only():
+    found = {(name, scope, field) for name, tree in parsed().items() if name != "errors.py"
+             for scope, field in bound_texts(tree)}
+    assert found == COMPOSITE_RULES
+
+
 def test_scans_see_each_case():
     source = ("import logging\nfrom logging import getLogger\nimport os.path\n"
               "def cmd_x():\n    raise UsageError('no')\n    raise ValueError\n"
@@ -88,3 +123,7 @@ def test_scans_see_each_case():
     assert list(string_lists(tree)) == [(frozenset({"mnn", "mcf"}), 7),
                                         (frozenset({"direct", "weighted"}), 8),
                                         (frozenset({"f2s", "s2s"}), 9)]
+    bounds = ast.parse("class P:\n    def f(self, n):\n"
+                       "        raise E(f'n must be >= 1, got {n}')\n"
+                       "        raise E(f'n must be an integer, got {n}')\n")
+    assert list(bound_texts(bounds)) == [("P.f", "n")]

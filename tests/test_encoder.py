@@ -64,6 +64,11 @@ class TestSinusoidalPe:
         with pytest.raises(InvalidInputError):
             sinusoidal_pe(-0.1, 4)
 
+    @pytest.mark.parametrize("pe_dim", [-2, 0, 7, 2.0])
+    def test_bad_pe_dim_rejected(self, pe_dim):
+        with pytest.raises(InvalidInputError, match="pe_dim must be"):
+            sinusoidal_pe(1.0, pe_dim)
+
 
 def gate_oracle(d, gw):
     """Scalar two-layer MLP hand evaluation."""
@@ -691,24 +696,32 @@ class TestEncodeGraphs:
             assert sum(this) + after[0] > BATCH_NODES  # greedy: no room left
 
 
-def haswell_kernels_available() -> bool:
+# OpenBLAS kernel sets other than the one it picks on this CPU, which
+# OPENBLAS_CORETYPE forces, and the CPU flag each one's kernels need.
+KERNEL_SETS = {"Haswell": "avx2", "Sandybridge": "avx"}
+
+
+def kernel_set_available(coretype: str) -> bool:
     """Whether numpy's OpenBLAS picks its kernels at run time and the CPU
-    runs the Haswell ones (AVX2)."""
+    runs the `coretype` ones."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         flags = Path("/proc/cpuinfo").read_text().split()
     except (TypeError, KeyError, OSError):  # numpy < 1.25 has no mode; not Linux
         return False
-    return "DYNAMIC_ARCH" in blas.get("openblas configuration", "") and "avx2" in flags
+    return ("DYNAMIC_ARCH" in blas.get("openblas configuration", "")
+            and KERNEL_SETS[coretype] in flags)
 
 
-@pytest.mark.skipif(not haswell_kernels_available(),
-                    reason="needs a DYNAMIC_ARCH OpenBLAS and an AVX2 CPU")
-def test_batch_invariant_on_haswell_kernels():
+@pytest.mark.parametrize("coretype", sorted(KERNEL_SETS))
+def test_batch_invariant_on_kernel_set(coretype):
     """The Haswell kernels, which AMD Zen CPUs also get, round the rows past
-    a multiple of 4 otherwise; the batch-invariance tests pass under them."""
+    a multiple of 4 otherwise; the batch-invariance tests pass under them
+    and under the older Sandybridge (AVX) kernels."""
+    if not kernel_set_available(coretype):
+        pytest.skip(f"needs a DYNAMIC_ARCH OpenBLAS and a CPU with {KERNEL_SETS[coretype]}")
     env = child_env()
-    env["OPENBLAS_CORETYPE"] = "Haswell"
+    env["OPENBLAS_CORETYPE"] = coretype
     run = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
                           "tests/test_encoder.py", "tests/test_properties.py",
                           "-k", "one_graph_calls or BatchInvariance"],

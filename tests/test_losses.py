@@ -70,6 +70,11 @@ class TestInfoNce:
         with pytest.raises(InvalidInputError):
             info_nce(InfoNceInput(np.zeros((2, 2)), set()))
 
+    @pytest.mark.parametrize("temperature", [0.0, -0.1, np.nan, np.inf])
+    def test_bad_temperature_rejected(self, temperature):
+        with pytest.raises(InvalidInputError, match="temperature must be finite and > 0"):
+            InfoNceInput(np.zeros((2, 2)), {(0, 0)}, temperature)
+
     def test_one_positive_per_row_and_column(self):
         with pytest.raises(InvalidInputError):
             InfoNceInput(np.zeros((2, 2)), {(0, 0), (0, 1)})
@@ -98,6 +103,11 @@ class TestTripletLoss:
         negative = np.array([0.2, 0, 0])
         loss, *_ = triplet_loss(TripletInput(anchor, positive, negative, 0.5))
         assert loss == pytest.approx(1.3, abs=1e-12)
+
+    @pytest.mark.parametrize("margin", [0.0, -0.5, np.nan, np.inf])
+    def test_bad_margin_rejected(self, margin):
+        with pytest.raises(InvalidInputError, match="margin must be finite and > 0"):
+            TripletInput(np.zeros(3), np.ones(3), np.ones(3), margin)
 
     def test_gradients_against_finite_differences(self, rng):
         checked = 0
@@ -166,6 +176,12 @@ class TestToyEmbeddingFit:
     def test_zero_lr_constant(self, sample):
         traj = toy_embedding_fit(sample, steps=10, lr=0.0)
         assert all(v == traj[0] for v in traj)
+
+    @pytest.mark.parametrize("field, value", [("steps", 2.5), ("steps", -1),
+                                              ("lr", np.nan), ("lr", -0.1)])
+    def test_bad_argument_rejected(self, sample, field, value):
+        with pytest.raises(InvalidInputError, match=f"toy_embedding_fit: {field} must be"):
+            toy_embedding_fit(sample, **{field: value})
 
     def test_loss_decreases(self, sample):
         traj = toy_embedding_fit(sample, steps=200, lr=0.1)

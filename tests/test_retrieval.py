@@ -84,6 +84,8 @@ class TestTopkFilter:
         db, _ = db_and_weights
         with pytest.raises(InvalidInputError):
             topk_filter(np.ones(32), db, 0)
+        with pytest.raises(InvalidInputError, match="k must be an integer"):
+            topk_filter(np.ones(32), db, 2.5)
 
 
 class TestRerank:

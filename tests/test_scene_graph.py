@@ -122,6 +122,8 @@ class TestBuildEdges:
             build_edges(ids, positions, d_th=0.0)
         with pytest.raises(InvalidInputError):
             build_edges(ids, positions, d_th=float("nan"))
+        with pytest.raises(InvalidInputError, match="n_max must be an integer"):
+            build_edges(ids, positions, n_max=2.5)
 
     def test_rigid_invariance(self, rng):
         ids, positions = np.arange(30), rng.uniform(0, 5, (30, 3))

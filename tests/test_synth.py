@@ -47,6 +47,14 @@ class TestGenerateScene:
         g, _ = generate_scene(SynthConfig(seed=3))
         assert validate_graph(g) == []
 
+    @pytest.mark.parametrize("field, value", [
+        ("n_classes", 0), ("seed", -1), ("seed", 1.5), ("n_objects", (1.5, 3)),
+        ("n_objects", (0, 3)), ("n_objects", (5, 3)), ("s2s_overlap_tol", -1),
+        ("s2s_overlap_tol", float("nan")), ("feature_dims", (0, 5)), ("box_size", True)])
+    def test_bad_config_rejected(self, field, value):
+        with pytest.raises(InvalidInputError, match=field):
+            SynthConfig(**{field: value})
+
     def test_overcrowded_rejected(self):
         with pytest.raises(GenerationError):
             generate_scene(SynthConfig(seed=0, n_objects=(40, 40),
