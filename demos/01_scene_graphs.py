@@ -16,11 +16,11 @@ from sgalign import (SynthConfig, generate_scene, load_graph, save_graph,
 config = SynthConfig(seed=42, n_objects=(10, 14), box_size=4.0)
 scene, prototypes = generate_scene(config)
 
-print(f"scene '{scene.graph_id}': {len(scene.nodes)} objects, "
-      f"{len(scene.edges)} edges")
-for node in scene.nodes[:4]:
-    print(f"  node {node.id:2d} label={node.label:<9s} "
-          f"position=({node.x[0]:.2f}, {node.x[1]:.2f}, {node.x[2]:.2f})")
+print(f"scene '{scene.graph_id}': {len(scene.ids)} objects, "
+      f"{len(scene.endpoints)} edges")
+for nid, label, x in zip(scene.ids[:4].tolist(), scene.labels, scene.positions()):
+    print(f"  node {nid:2d} label={label:<9s} "
+          f"position=({x[0]:.2f}, {x[1]:.2f}, {x[2]:.2f})")
 print("  ...")
 
 adjacency = scene.neighbor_ids()
@@ -38,4 +38,4 @@ with tempfile.TemporaryDirectory() as tmp:
     doc = json.loads(path.read_text())
     print(f"JSON round trip: {len(doc['nodes'])} nodes, "
           f"edge sets equal: "
-          f"{[(e.i, e.j) for e in again.edges] == [(e.i, e.j) for e in scene.edges]}")
+          f"{again.endpoints.tolist() == scene.endpoints.tolist()}")

@@ -21,8 +21,8 @@ config = PipelineConfig()
 sample = make_sample("f2s", SynthConfig(
     seed=5, feature_noise_sigma=0.0, position_noise_sigma=0.0,
     undersegment_prob=0.5, unique_classes=True))
-n_a = len(sample.graph_a.nodes)
-n_b = len(sample.graph_b.nodes)
+n_a = len(sample.graph_a.ids)
+n_b = len(sample.graph_b.ids)
 print(f"frame: {n_a} nodes (camera frame), map: {n_b} nodes (world frame)")
 split_targets = {b for a, b in sample.gt.pairs
                  if sum(1 for _, bb in sample.gt.pairs if bb == b) > 1}

@@ -28,7 +28,7 @@ print(f"database: {len(db)} scenes")
 # the query is a noisy partial view of scene 6
 sample = make_sample("f2s", SynthConfig(seed=6, n_objects=(8, 14)))
 query = encode_scene("query", sample.graph_a, weights)
-print(f"query: {len(sample.graph_a.nodes)} nodes observed from scene06")
+print(f"query: {len(sample.graph_a.ids)} nodes observed from scene06")
 
 keep = topk_filter(query.global_embedding, db, 5)
 print("top-5 by global similarity:", keep)

@@ -22,7 +22,7 @@ sample = make_sample("s2s", SynthConfig(seed=19, s2s_crop_overlap=0.7,
 result = align_graphs(sample.graph_a, sample.graph_b, weights, config,
                       allocator="mnn", validate=False)
 print(f"{len(result.matches.pairs)} correspondences from "
-      f"{len(sample.graph_a.nodes)}x{len(sample.graph_b.nodes)} nodes")
+      f"{len(sample.graph_a.ids)}x{len(sample.graph_b.ids)} nodes")
 
 pos_a = sample.graph_a.positions()
 pos_b = sample.graph_b.positions()

@@ -18,9 +18,9 @@ from .registration import (RegistrationError, RigidTransform, estimate_rigid,
 from .retrieval import (SceneDatabase, build_database, global_similarity,
                         load_database, rerank, retrieve, save_database,
                         topk_filter)
-from .scene_graph import (Edge, GroundTruthMap, Node, NodeFeatures, SceneGraph,
-                          build_edges, load_graph, pairwise_distance,
-                          read_graph, save_graph, validate_graph)
+from .scene_graph import (GroundTruthMap, SceneGraph, build_edges, load_graph,
+                          pairwise_distance, read_graph, save_graph,
+                          validate_graph)
 from .synth import (SynthConfig, generate_scene, load_sample, make_f2s_pair,
                     make_s2s_pair, make_sample, save_sample)
 

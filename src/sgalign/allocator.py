@@ -93,9 +93,14 @@ class McfParams:
 
 
 def _as_p(P) -> np.ndarray:
-    if isinstance(P, ScoreMatrix):
-        return P.P
-    return np.asarray(P, dtype=float)
+    """The score matrix of `P` (a ScoreMatrix or an array), refused unless
+    it is 2-D with every entry in [0, 1]: the one check of P that both
+    allocators and `candidate_set` make."""
+    p = P.P if isinstance(P, ScoreMatrix) else np.asarray(P, dtype=float)
+    if p.ndim != 2:
+        raise InvalidInputError(f"P must be 2-D, got shape {p.shape}")
+    check_bound("P", p, "in [0, 1]")
+    return p
 
 
 def mnn_allocate(P, params: MnnParams = MnnParams()) -> MatchSet:
@@ -116,9 +121,6 @@ def mnn_allocate(P, params: MnnParams = MnnParams()) -> MatchSet:
 
 
 def _candidate_mask(p: np.ndarray, tau: float, top_k: int) -> np.ndarray:
-    if p.ndim != 2:
-        raise InvalidInputError(f"P must be 2-D, got shape {p.shape}")
-    check_bound("P", p, "in [0, 1]")
     n_a, n_b = p.shape
     mask = np.zeros((n_a, n_b), dtype=bool)
     # A stable sort of -P ranks ties at the K-th value by column index.

@@ -93,6 +93,7 @@ def aggregate(samples: list[SampleMetrics]) -> dict[str, float]:
 def bin_by_overlap(samples: list[tuple[float, SampleMetrics]],
                    bin_width: float = 0.1) -> list[dict]:
     """Group (overlap_ratio, metrics) into [b*w, (b+1)*w) bins; last bin closed."""
+    check_bound("bin_width", bin_width, "in (0, 1]", where="bin_by_overlap")
     n_bins = round(1.0 / bin_width)
     buckets: list[list[SampleMetrics]] = [[] for _ in range(n_bins)]
     for overlap, metrics in samples:

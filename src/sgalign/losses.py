@@ -137,6 +137,8 @@ def toy_embedding_fit(sample, steps: int = 200, lr: float = 0.1,
     """
     check_bound("steps", steps, ">= 0", where="toy_embedding_fit")
     check_bound("lr", lr, "finite and >= 0", where="toy_embedding_fit")
+    check_bound("dim", dim, ">= 1", where="toy_embedding_fit")
+    check_bound("seed", seed, ">= 0", where="toy_embedding_fit")
     gt_pairs = sorted(sample.gt.pairs)
     if not gt_pairs:
         raise InvalidInputError("toy_embedding_fit: sample has no positive pairs")

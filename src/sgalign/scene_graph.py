@@ -4,7 +4,7 @@ A scene graph is stored as columns with one row per node: an id, a label,
 a 3D position and the intrinsic features (vision-language vector, text
 vector, normalized bounding-box extents). Edges are undirected and store
 only the Euclidean distance between their endpoints. A graph is built from
-its columns only; `Node` and `Edge` are row views for reading.
+its columns and read as columns.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -52,40 +52,6 @@ def pairwise_distance(a, b) -> float:
     return float(point_distances(a, b))
 
 
-@dataclass(frozen=True)
-class NodeFeatures:
-    """Intrinsic per-object features.
-
-    f_vl: vision-language embedding, unit scale, dimension D_vl.
-    f_t: text embedding, dimension D_t.
-    f_g: normalized oriented-bounding-box extents, components in (0, 1].
-    """
-
-    f_vl: np.ndarray
-    f_t: np.ndarray
-    f_g: np.ndarray
-
-
-@dataclass(frozen=True)
-class Node:
-    """One node row of a SceneGraph, as `SceneGraph.nodes` gives it."""
-
-    id: int
-    label: str
-    x: np.ndarray
-    features: NodeFeatures
-    gt_instance: Optional[int] = None
-
-
-@dataclass(frozen=True)
-class Edge:
-    """One edge row of a SceneGraph, as `SceneGraph.edges` gives it."""
-
-    i: int
-    j: int
-    d: float
-
-
 _VECTORS = ("position", "f_vl", "f_t", "f_g")
 
 
@@ -97,8 +63,7 @@ class SceneGraph:
     The constructor takes the columns below (labels: n strings), keeps
     read-only views of them and is the one place their dtypes and shapes
     are checked, each over its whole array. A fault raises
-    InvalidInputError; values are left to `validate_graph`. `nodes` and
-    `edges` build Node and Edge views on each access.
+    InvalidInputError; values are left to `validate_graph`.
     """
 
     graph_id: str
@@ -149,19 +114,17 @@ class SceneGraph:
         return self.f_vl.shape[1], self.f_t.shape[1]
 
     @property
-    def nodes(self) -> tuple[Node, ...]:
-        """The node rows as Node views of the columns."""
-        gt = np.where(self.gt_present, self.gt_instance, None).tolist()
-        return tuple(Node(i, label, x, NodeFeatures(f_vl, f_t, f_g), g)
-                     for i, label, x, f_vl, f_t, f_g, g in zip(
-                         self.ids.tolist(), self.labels, self._positions, self.f_vl,
-                         self.f_t, self.f_g, gt))
+    def nodes(self) -> np.ndarray:
+        """`ids` itself. It stays only because `benchmarks/` counts nodes
+        with `len(g.nodes)`; it goes when the benchmark counts `len(g.ids)`."""
+        return self.ids
 
     @property
-    def edges(self) -> tuple[Edge, ...]:
-        """The edge rows as Edge views of the columns."""
-        return tuple(Edge(i, j, d) for (i, j), d in zip(self.endpoints.tolist(),
-                                                         self.edge_distances.tolist()))
+    def edges(self) -> np.ndarray:
+        """`endpoints` itself. It stays only because `benchmarks/` counts
+        edges with `len(g.edges)`; it goes when the benchmark counts
+        `len(g.endpoints)`."""
+        return self.endpoints
 
     def positions(self) -> np.ndarray:
         """(n, 3) read-only array of node positions in row order."""

@@ -110,11 +110,11 @@ def test_self_alignment_identity(default_weights):
             undersegment_prob=0.0, unique_classes=True))
         emb, _ = encode_graph(scene, default_weights)
         scores = score_matrix(cosine_scores(emb, emb), config.matcher)
-        gt = GroundTruthMap({(n.id, n.id) for n in scene.nodes})
+        gt = GroundTruthMap({(i, i) for i in scene.ids.tolist()})
         pos = scene.positions()
         for allocator in ("mnn", "mcf"):
             matches = allocate(scores, pos, pos, config, allocator)
-            metrics = sample_metrics(matches, gt, len(scene.nodes))
+            metrics = sample_metrics(matches, gt, len(scene.ids))
             assert metrics.f1 == 1.0, (seed, allocator, metrics)
 
 
@@ -131,7 +131,7 @@ def test_many_to_one_recovery(default_weights):
                                config, allocator="mcf", validate=False)
         res_mnn = allocate(res_mcf.scores, sample.graph_a.positions(),
                            sample.graph_b.positions(), config, "mnn")
-        n_a = len(sample.graph_a.nodes)
+        n_a = len(sample.graph_a.ids)
         mcf_recall.append(sample_metrics(res_mcf.matches, sample.gt, n_a).recall)
         mnn_recall.append(sample_metrics(res_mnn, sample.gt, n_a).recall)
         predicted = res_mcf.matches.pair_set()
@@ -157,7 +157,7 @@ def test_overlap_trend(default_weights):
         res = align_graphs(sample.graph_a, sample.graph_b, default_weights,
                            config, allocator="mnn", validate=False)
         metrics = sample_metrics(res.matches, sample.gt,
-                                 len(sample.graph_a.nodes))
+                                 len(sample.graph_a.ids))
         rows.append((sample.overlap_ratio, metrics))
     bins = bin_by_overlap(rows)
     means = [b["mean"]["f1"] for b in bins if b["count"] > 0]
@@ -339,8 +339,8 @@ def test_batched_eval_equals_per_pair_alignment(tmp_path, default_weights):
                     pairs_dir / f"p{k:02d}")
     dirs = sorted(pairs_dir.iterdir())
     samples = [load_sample(d) for d in dirs]
-    batches = list(node_batches(samples, lambda s: len(s.graph_a.nodes)
-                                + len(s.graph_b.nodes)))
+    batches = list(node_batches(samples, lambda s: len(s.graph_a.ids)
+                                + len(s.graph_b.ids)))
     assert len(batches) >= 3
 
     outputs = []
@@ -356,7 +356,7 @@ def test_batched_eval_equals_per_pair_alignment(tmp_path, default_weights):
     for d, sample in zip(dirs, samples):
         result = align_graphs(sample.graph_a, sample.graph_b, default_weights,
                               config, allocator="mcf", validate=False)
-        metrics = sample_metrics(result.matches, sample.gt, len(sample.graph_a.nodes))
+        metrics = sample_metrics(result.matches, sample.gt, len(sample.graph_a.ids))
         rows.append(({"sample": d.name, "overlap": sample.overlap_ratio,
                       "task": sample.task, **metrics.to_dict()},
                      (sample.overlap_ratio, metrics)))

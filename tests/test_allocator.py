@@ -1,4 +1,5 @@
 import math
+import re
 from collections import Counter
 
 import numpy as np
@@ -94,6 +95,22 @@ class TestCandidateSet:
     def test_tie_at_kth_value(self):
         P = np.array([[0.5, 0.5, 0.5, 0.4]])
         assert candidate_set(P, 0.0, 2) == [(0, 0), (0, 1)]
+
+
+@pytest.mark.parametrize("allocate", [
+    mnn_allocate, lambda P: mcf_allocate(P, np.zeros((1, 3)), np.zeros((1, 3))),
+    lambda P: candidate_set(P, 0.0, 1)], ids=["mnn", "mcf", "candidate_set"])
+@pytest.mark.parametrize("P, message", [
+    (np.array([[2.0]]), "P must be in [0, 1], got 2.0"),
+    (np.array([[0.5, -0.1]]), "P must be in [0, 1], got -0.1"),
+    (np.array([[0.5], [np.nan]]), "P must be in [0, 1], got nan"),
+    (np.array([[np.inf]]), "P must be in [0, 1], got inf"),
+    (np.zeros(3), "P must be 2-D, got shape (3,)"),
+    (np.zeros((1, 1, 1)), "P must be 2-D, got shape (1, 1, 1)")])
+def test_bad_p_refused(allocate, P, message):
+    """Both allocators and candidate_set refuse a score matrix by one rule."""
+    with pytest.raises(InvalidInputError, match=re.escape(message)):
+        allocate(P)
 
 
 class TestGeometryPenalty:

@@ -111,11 +111,10 @@ class TestInitialEmbed:
         for name in ("geo_ffn.w1", "geo_ffn.b1", "geo_ffn.w2", "geo_ffn.b2"):
             w[name][...] = 0.0
         g = random_graph(1, small_config)
-        node = g.nodes[0]
         c = initial_embeddings([g], w)[0]
         d_vl, d_t = small_config.feature_dims
-        assert np.array_equal(c[:d_vl], node.features.f_vl)
-        assert np.array_equal(c[d_vl:d_vl + d_t], node.features.f_t)
+        assert np.array_equal(c[:d_vl], g.f_vl[0])
+        assert np.array_equal(c[d_vl:d_vl + d_t], g.f_t[0])
         assert np.array_equal(c[d_vl + d_t:], np.zeros(small_config.geo_hidden))
 
     def test_position_independent(self, small_config, small_weights):
@@ -126,15 +125,14 @@ class TestInitialEmbed:
 
     def test_dense_oracle(self, small_config, small_weights):
         g = random_graph(1, small_config, seed=3)
-        node = g.nodes[0]
-        f_g = node.features.f_g
+        f_g = g.f_g[0]
         w1, b1 = small_weights["geo_ffn.w1"], small_weights["geo_ffn.b1"]
         w2, b2 = small_weights["geo_ffn.w2"], small_weights["geo_ffn.b2"]
         hidden = [max(sum(w1[r][c] * f_g[c] for c in range(3)) + b1[r], 0.0)
                   for r in range(small_config.geo_hidden)]
         geo = [sum(w2[r][c] * hidden[c] for c in range(len(hidden))) + b2[r]
                for r in range(small_config.geo_hidden)]
-        expected = np.concatenate([node.features.f_vl, node.features.f_t, geo])
+        expected = np.concatenate([g.f_vl[0], g.f_t[0], geo])
         assert np.allclose(initial_embeddings([g], small_weights)[0], expected, atol=1e-12)
 
     def test_shape_error(self, small_config, small_weights):
@@ -173,9 +171,9 @@ def dgsa_layer_oracle(graph, emb_in, weights, layer):
                      weights[p + "Wv_nn"])
     wo = weights[p + "Wo"]
     gw = {k: weights[p + "gate." + k] for k in ("w1", "b1", "w2", "b2")}
-    pos = {n.id: n.x for n in graph.nodes}
+    order = graph.ids.tolist()
+    pos = dict(zip(order, graph.positions()))
     adj = graph.neighbor_ids()
-    order = [n.id for n in graph.nodes]
     emb = {nid: emb_in[i] for i, nid in enumerate(order)}
 
     def gate(d):
@@ -270,7 +268,7 @@ class TestDgsaLayer:
     def test_isolated_node_independent_of_others(self, small_config, small_weights):
         # two far-apart nodes: no edges, so each output depends only on itself
         g = random_graph(2, small_config, seed=6, span=100.0)
-        assert g.edges == ()
+        assert len(g.endpoints) == 0
         c = initial_embeddings([g], small_weights)
         out = dgsa_layer(g, c, small_weights, 0)
         c2 = c.copy()
@@ -298,7 +296,7 @@ class TestDgsaLayer:
 
     def test_full_layer_against_loop_oracle(self, small_config, small_weights):
         g = random_graph(5, small_config, seed=11, span=2.5)
-        assert len(g.edges) >= 4  # want real neighborhoods
+        assert len(g.endpoints) >= 4  # want real neighborhoods
         c = initial_embeddings([g], small_weights)
         got = dgsa_layer(g, c, small_weights, 1)
         want = dgsa_layer_oracle(g, c, small_weights, 1)
@@ -664,7 +662,7 @@ def assert_batched_matches_one_graph_calls(graphs, weights):
     assert len(batched) == len(graphs)
     for graph, (emb, glob) in zip(graphs, batched):
         one_emb, one_glob = encode_graph(graph, weights)
-        assert emb.shape == one_emb.shape == (len(graph.nodes), weights.config.d_model)
+        assert emb.shape == one_emb.shape == (len(graph.ids), weights.config.d_model)
         assert emb.tobytes() == one_emb.tobytes()
         assert glob.tobytes() == one_glob.tobytes()
 
@@ -674,7 +672,7 @@ class TestEncodeGraphs:
     def test_matches_one_graph_calls(self, weights_name, request):
         weights = request.getfixturevalue(weights_name)
         graphs = mixed_batch(weights.config)
-        assert graphs[3].edges == ()  # all isolated
+        assert len(graphs[3].endpoints) == 0  # all isolated
         assert_batched_matches_one_graph_calls(graphs, weights)
 
     @pytest.mark.parametrize("batch", ["degree_one", "uneven_degree"])

@@ -141,3 +141,9 @@ class TestBinByOverlap:
         assert len(bins) == 10
         assert bins[0]["count"] == 0 and bins[0]["mean"] is None
         assert bins[5]["mean"] is not None
+
+    @pytest.mark.parametrize("width", [0, -0.5, np.nan, 1.5])
+    def test_bad_bin_width_refused(self, rng, width):
+        with pytest.raises(InvalidInputError, match="bin_by_overlap: bin_width must be "
+                                                    r"in \(0, 1\]"):
+            bin_by_overlap([(0.5, random_metrics(rng))], bin_width=width)

@@ -178,7 +178,8 @@ class TestToyEmbeddingFit:
         assert all(v == traj[0] for v in traj)
 
     @pytest.mark.parametrize("field, value", [("steps", 2.5), ("steps", -1),
-                                              ("lr", np.nan), ("lr", -0.1)])
+                                              ("lr", np.nan), ("lr", -0.1), ("dim", 0),
+                                              ("dim", 2.5), ("seed", -1)])
     def test_bad_argument_rejected(self, sample, field, value):
         with pytest.raises(InvalidInputError, match=f"toy_embedding_fit: {field} must be"):
             toy_embedding_fit(sample, **{field: value})

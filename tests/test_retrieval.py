@@ -192,7 +192,7 @@ class TestPersistence:
                          "weights_hash": weights_fingerprint(weights),
                          "graphs": [{"graph_id": e.graph.graph_id,
                                      "frame_kind": e.graph.frame_kind,
-                                     "labels": [n.label for n in e.graph.nodes]}
+                                     "labels": list(e.graph.labels)}
                                     for e in db.entries]}
         with np.load(tmp_path / "db" / "embeddings.npz") as z:
             assert sorted(z.files) == sorted([
@@ -200,8 +200,8 @@ class TestPersistence:
                 "f_g", "gt_instance", "gt_present", "edge_offsets", "edges",
                 "edge_distances"])
             assert z["globals"].shape == (len(db), weights.config.d_model)
-            assert list(np.diff(z["offsets"])) == [len(e.graph.nodes) for e in db.entries]
-            assert list(np.diff(z["edge_offsets"])) == [len(e.graph.edges) for e in db.entries]
+            assert list(np.diff(z["offsets"])) == [len(e.graph.ids) for e in db.entries]
+            assert list(np.diff(z["edge_offsets"])) == [len(e.graph.endpoints) for e in db.entries]
 
     def test_index_with_feature_dims_loads_alike(self, db_and_weights, tmp_path):
         """Graph strings written with `feature_dims`, as databases saved

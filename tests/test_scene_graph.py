@@ -1,17 +1,15 @@
 import json
 import math
 import re
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from sgalign.errors import InvalidInputError
-from sgalign.scene_graph import (EDGE_DISTANCE_RTOL, MAX_COORDINATE, Edge, Node,
-                                 NodeFeatures, SceneGraph, build_edges, graph_from_dict,
-                                 graph_to_dict, load_graph, pack_graphs,
-                                 pairwise_distance, point_distances, read_graph,
-                                 save_graph, unpack_graphs, validate_graph)
+from sgalign.scene_graph import (EDGE_DISTANCE_RTOL, MAX_COORDINATE, SceneGraph,
+                                 build_edges, graph_from_dict, graph_to_dict, load_graph,
+                                 pack_graphs, pairwise_distance, point_distances,
+                                 read_graph, save_graph, unpack_graphs, validate_graph)
 from sgalign.synth import SynthConfig, generate_scene, make_sample
 from conftest import (assert_same_graphs, graph_columns, rows_graph, with_columns,
                       with_edges)
@@ -174,9 +172,10 @@ class TestValidateGraph:
         assert validate_graph(well_formed_graph()) == []
 
     def test_duplicate_id(self):
-        g = parts_of(well_formed_graph())
-        g.nodes.append(Node(3, "dup", np.zeros(3), g.nodes[0].features))
-        violations = validate_graph(built(g))
+        doc = graph_to_dict(well_formed_graph())
+        doc["nodes"].append({**doc["nodes"][0], "id": 3, "label": "dup",
+                             "position": [0.0, 0.0, 0.0]})
+        violations = validate_graph(built(doc))
         assert any("duplicate" in v and "3" in v for v in violations)
 
     def test_stale_edge_distance(self):
@@ -191,144 +190,135 @@ class TestValidateGraph:
         assert any("dangling" in v for v in validate_graph(g))
 
     def test_dimension_mismatch(self):
-        g = parts_of(well_formed_graph())
-        g.feature_dims = (7, 5)
+        doc = graph_to_dict(well_formed_graph())
+        doc["feature_dims"] = [7, 5]
         with pytest.raises(InvalidInputError, match="f_vl"):
-            built(g)
+            built(doc)
 
 
-def parts_of(g):
-    """g's nodes, edges and feature_dims as a mutable stand-in, which the
-    oracle reads as it reads a graph."""
-    return SimpleNamespace(nodes=list(g.nodes), edges=list(g.edges),
-                           feature_dims=g.feature_dims)
-
-
-def built(parts):
-    """The graph `graph_from_dict` reads from the JSON text of the parts, so
-    that vectors of any shape reach the reader's checks."""
-    doc = {"graph_id": "g", "frame_kind": "world", "feature_dims": list(parts.feature_dims),
-           "nodes": [{"id": n.id, "label": n.label, "position": n.x, "f_vl": n.features.f_vl,
-                      "f_t": n.features.f_t, "f_g": n.features.f_g,
-                      "gt_instance": n.gt_instance} for n in parts.nodes],
-           "edges": [[e.i, e.j, e.d] for e in parts.edges]}
+def built(doc):
+    """The graph `graph_from_dict` reads from the JSON text of a graph
+    document, so that vectors of any shape reach the reader's checks."""
     return graph_from_dict(json.loads(json.dumps(doc, default=list)))
 
 
-def validate_graph_loop(g):
+def validate_graph_loop(doc):
     """The node-by-node validator that validate_graph replaced, kept as its
-    oracle."""
+    oracle. It reads the graph document that `built` parses."""
     violations = []
-    d_vl, d_t = g.feature_dims
+    d_vl, d_t = doc["feature_dims"]
 
     seen = set()
-    for n in g.nodes:
-        if n.id in seen:
-            violations.append(f"duplicate node id {n.id}")
-        seen.add(n.id)
-        if not np.all(np.isfinite(n.x)):
-            violations.append(f"node {n.id}: non-finite position")
-        f = n.features
-        if f.f_vl.shape != (d_vl,):
-            violations.append(f"node {n.id}: f_vl has shape {f.f_vl.shape}, expected ({d_vl},)")
-        if f.f_t.shape != (d_t,):
-            violations.append(f"node {n.id}: f_t has shape {f.f_t.shape}, expected ({d_t},)")
-        if f.f_g.shape != (3,):
-            violations.append(f"node {n.id}: f_g has shape {f.f_g.shape}, expected (3,)")
-        for name, vec in (("f_vl", f.f_vl), ("f_t", f.f_t), ("f_g", f.f_g)):
+    for n in doc["nodes"]:
+        nid = n["id"]
+        if nid in seen:
+            violations.append(f"duplicate node id {nid}")
+        seen.add(nid)
+        if not np.all(np.isfinite(n["position"])):
+            violations.append(f"node {nid}: non-finite position")
+        vectors = {name: np.asarray(n[name], dtype=float) for name in ("f_vl", "f_t", "f_g")}
+        for name, width in (("f_vl", d_vl), ("f_t", d_t), ("f_g", 3)):
+            if vectors[name].shape != (width,):
+                violations.append(f"node {nid}: {name} has shape {vectors[name].shape}, "
+                                  f"expected ({width},)")
+        for name, vec in vectors.items():
             if not np.all(np.isfinite(vec)):
-                violations.append(f"node {n.id}: non-finite values in {name}")
-        if f.f_g.shape == (3,) and np.all(np.isfinite(f.f_g)):
-            if np.any(f.f_g <= 0) or np.any(f.f_g > 1):
-                violations.append(f"node {n.id}: f_g components must lie in (0, 1]")
+                violations.append(f"node {nid}: non-finite values in {name}")
+        f_g = vectors["f_g"]
+        if f_g.shape == (3,) and np.all(np.isfinite(f_g)):
+            if np.any(f_g <= 0) or np.any(f_g > 1):
+                violations.append(f"node {nid}: f_g components must lie in (0, 1]")
 
-    by_id = {n.id: n for n in g.nodes}
-    for e in g.edges:
-        if e.i == e.j:
-            violations.append(f"edge ({e.i},{e.j}): self loop")
+    by_id = {n["id"]: n for n in doc["nodes"]}
+    for i, j, d in doc["edges"]:
+        if i == j:
+            violations.append(f"edge ({i},{j}): self loop")
             continue
-        if e.i > e.j:
-            violations.append(f"edge ({e.i},{e.j}): not canonicalized i < j")
-        if e.i not in by_id or e.j not in by_id:
-            violations.append(f"edge ({e.i},{e.j}): dangling endpoint")
+        if i > j:
+            violations.append(f"edge ({i},{j}): not canonicalized i < j")
+        if i not in by_id or j not in by_id:
+            violations.append(f"edge ({i},{j}): dangling endpoint")
             continue
-        actual = pairwise_distance(by_id[e.i].x, by_id[e.j].x)
-        if abs(e.d - actual) > EDGE_DISTANCE_RTOL * max(1.0, actual):
-            violations.append(
-                f"edge ({e.i},{e.j}): stored distance {e.d} != actual {actual}")
+        actual = pairwise_distance(by_id[i]["position"], by_id[j]["position"])
+        if abs(d - actual) > EDGE_DISTANCE_RTOL * max(1.0, actual):
+            violations.append(f"edge ({i},{j}): stored distance {d} != actual {actual}")
     return violations
 
 
-def with_features(node, **features):
-    f = node.features
-    return Node(node.id, node.label, node.x, NodeFeatures(
-        features.get("f_vl", f.f_vl), features.get("f_t", f.f_t),
-        features.get("f_g", f.f_g)), node.gt_instance)
-
-
-def isolate(g, k):
-    """Drop the edges of node k, so a bad position does not reach the
+def isolate(doc, k):
+    """Drop the edges of node row k, so a bad position does not reach the
     oracle's pairwise_distance, which raises on it."""
-    nid = g.nodes[k].id
-    g.edges = [e for e in g.edges if nid not in (e.i, e.j)]
+    nid = doc["nodes"][k]["id"]
+    doc["edges"] = [e for e in doc["edges"] if nid not in e[:2]]
 
 
-def mutate(name, g):
-    """Apply one violation (or a mix) to a well-formed 8-node graph."""
-    nodes, edges = g.nodes, g.edges
+def mutate(name, doc):
+    """Apply one violation (or a mix) to the document of a well-formed
+    8-node graph."""
+    nodes, edges = doc["nodes"], doc["edges"]
     if name == "duplicate_id":
-        nodes[5] = Node(2, "dup", nodes[5].x, nodes[5].features)
+        nodes[5] = {**nodes[5], "id": 2, "label": "dup"}
     elif name == "duplicate_twice":
-        nodes[5] = Node(2, "dup", nodes[5].x, nodes[5].features)
-        nodes[7] = Node(2, "dup", nodes[7].x, nodes[7].features)
+        nodes[5] = {**nodes[5], "id": 2, "label": "dup"}
+        nodes[7] = {**nodes[7], "id": 2, "label": "dup"}
     elif name in ("nan_position", "inf_position"):
         bad = np.nan if name == "nan_position" else np.inf
-        nodes[3] = Node(3, "p", [0.0, bad, 1.0], nodes[3].features)
-        isolate(g, 3)
+        nodes[3] = {**nodes[3], "label": "p", "position": [0.0, bad, 1.0]}
+        isolate(doc, 3)
     elif name == "f_vl_shape":
-        nodes[1] = with_features(nodes[1], f_vl=np.ones(3))
+        nodes[1]["f_vl"] = np.ones(3)
     elif name == "f_t_shape":
-        nodes[2] = with_features(nodes[2], f_t=np.ones((5, 1)))
+        nodes[2]["f_t"] = np.ones((5, 1))
     elif name == "f_g_shape":
-        nodes[4] = with_features(nodes[4], f_g=np.full(2, 0.5))
+        nodes[4]["f_g"] = np.full(2, 0.5)
     elif name == "f_g_shape_out_of_range":
-        nodes[4] = with_features(nodes[4], f_g=np.full(4, 7.0))
+        nodes[4]["f_g"] = np.full(4, 7.0)
     elif name == "f_vl_nan":
-        nodes[6] = with_features(nodes[6], f_vl=np.full(4, np.nan))
+        nodes[6]["f_vl"] = np.full(4, np.nan)
     elif name == "f_t_inf":
-        f_t = nodes[0].features.f_t.copy()
-        f_t[2] = -np.inf
-        nodes[0] = with_features(nodes[0], f_t=f_t)
+        nodes[0]["f_t"][2] = -np.inf
     elif name == "f_g_nan":
-        nodes[1] = with_features(nodes[1], f_g=np.array([0.5, np.nan, 2.0]))
+        nodes[1]["f_g"] = [0.5, np.nan, 2.0]
     elif name in ("f_g_zero", "f_g_above_one", "f_g_negative"):
         value = {"f_g_zero": 0.0, "f_g_above_one": 1.0 + 1e-12, "f_g_negative": -0.2}[name]
-        nodes[2] = with_features(nodes[2], f_g=np.array([0.5, value, 0.5]))
+        nodes[2]["f_g"] = [0.5, value, 0.5]
     elif name == "f_g_one":  # 1 is inside (0, 1]
-        nodes[2] = with_features(nodes[2], f_g=np.array([1.0, 1.0, 1.0]))
+        nodes[2]["f_g"] = [1.0, 1.0, 1.0]
     elif name == "feature_dims":
-        g.feature_dims = (7, 5)
+        doc["feature_dims"] = [7, 5]
     elif name == "self_loop":
-        edges.insert(1, Edge(3, 3, 0.0))
+        edges.insert(1, [3, 3, 0.0])
     elif name == "not_canonical":
-        e = edges[0]
-        edges[0] = Edge(e.j, e.i, e.d)
+        i, j, d = edges[0]
+        edges[0] = [j, i, d]
     elif name == "dangling":
-        edges.append(Edge(0, 99, 1.0))
-        edges.append(Edge(99, 1, 1.0))
+        edges.append([0, 99, 1.0])
+        edges.append([99, 1, 1.0])
     elif name == "stale_distance":
-        e = edges[-1]
-        edges[-1] = Edge(e.i, e.j, e.d * (1 + 3 * EDGE_DISTANCE_RTOL))
+        i, j, d = edges[-1]
+        edges[-1] = [i, j, d * (1 + 3 * EDGE_DISTANCE_RTOL)]
     elif name == "distance_within_tolerance":
-        e = edges[-1]
-        edges[-1] = Edge(e.i, e.j, e.d * (1 + 0.9 * EDGE_DISTANCE_RTOL))
+        i, j, d = edges[-1]
+        edges[-1] = [i, j, d * (1 + 0.9 * EDGE_DISTANCE_RTOL)]
     elif name == "mixed":
         for other in ("duplicate_id", "f_vl_shape", "f_g_nan", "f_g_negative",
                       "self_loop", "not_canonical", "dangling", "stale_distance"):
-            mutate(other, g)
+            mutate(other, doc)
     else:
         raise AssertionError(name)
-    return g
+    return doc
+
+
+def eight_nodes():
+    """The document of the well-formed 8-node graph that the oracle tests
+    mutate."""
+    return graph_to_dict(well_formed_graph(8, seed=11))
+
+
+def first_edge_node(doc):
+    """Row and id of the first endpoint of the document's first edge."""
+    nid = doc["edges"][0][0]
+    return [n["id"] for n in doc["nodes"]].index(nid), nid
 
 
 MUTATIONS = ["duplicate_id", "duplicate_twice", "nan_position", "inf_position",
@@ -348,12 +338,12 @@ class TestValidateGraphOracle:
         sample = make_sample("f2s", SynthConfig(seed=5))
         graphs += [sample.graph_a, sample.graph_b]
         for g in graphs:
-            assert validate_graph(g) == validate_graph_loop(g) == []
+            assert validate_graph(g) == validate_graph_loop(graph_to_dict(g)) == []
 
     @pytest.mark.parametrize("name", MUTATIONS)
     def test_each_violation(self, name):
-        g = mutate(name, parts_of(well_formed_graph(8, seed=11)))
-        expected = validate_graph_loop(g)
+        doc = mutate(name, eight_nodes())
+        expected = validate_graph_loop(doc)
         if name in SHAPE_MUTATIONS:
             # Construction raises the oracle's first message of the first
             # node with a shape fault.
@@ -361,77 +351,74 @@ class TestValidateGraphOracle:
             node = first.split(":")[0]
             assert first == next(v for v in expected if v.startswith(node + ":"))
             with pytest.raises(InvalidInputError) as err:
-                built(g)
+                built(doc)
             assert str(err.value) == first
         else:
-            assert validate_graph(built(g)) == expected
+            assert validate_graph(built(doc)) == expected
         if name not in ("f_g_one", "distance_within_tolerance"):
             assert expected
 
     def test_mixed_values(self):
         """The value faults of `mixed`, without its shape fault."""
-        g = parts_of(well_formed_graph(8, seed=11))
+        doc = eight_nodes()
         for name in ("duplicate_id", "f_g_nan", "f_g_negative", "self_loop",
                      "not_canonical", "dangling", "stale_distance"):
-            mutate(name, g)
-        expected = validate_graph_loop(g)
+            mutate(name, doc)
+        expected = validate_graph_loop(doc)
         assert len(expected) >= 7
-        assert validate_graph(built(g)) == expected
+        assert validate_graph(built(doc)) == expected
 
     def test_nan_distance(self):
         """The loop let a NaN stored distance through (NaN > tol is false)."""
-        g = parts_of(well_formed_graph(8, seed=11))
-        e = g.edges[2]
-        g.edges[2] = Edge(e.i, e.j, float("nan"))
-        assert validate_graph_loop(g) == []
-        actual = pairwise_distance(g.nodes[e.i].x, g.nodes[e.j].x)
-        assert validate_graph(built(g)) == [
-            f"edge ({e.i},{e.j}): stored distance nan != actual {actual}"]
+        doc = eight_nodes()
+        i, j, _ = doc["edges"][2]
+        doc["edges"][2] = [i, j, float("nan")]
+        assert validate_graph_loop(doc) == []
+        actual = pairwise_distance(doc["nodes"][i]["position"], doc["nodes"][j]["position"])
+        assert validate_graph(built(doc)) == [
+            f"edge ({i},{j}): stored distance nan != actual {actual}"]
 
     def test_bad_position_reported_not_raised(self):
         """The loop raised from pairwise_distance on an edge to a non-finite
         position; validate_graph reports the node and skips its edges."""
-        g = parts_of(well_formed_graph(8, seed=11))
-        nid = g.edges[0].i
-        k = [n.id for n in g.nodes].index(nid)
-        g.nodes[k] = Node(nid, "p", [np.nan, 0.0, 0.0], g.nodes[k].features)
+        doc = eight_nodes()
+        k, nid = first_edge_node(doc)
+        doc["nodes"][k]["position"] = [np.nan, 0.0, 0.0]
         with pytest.raises(InvalidInputError):
-            validate_graph_loop(g)
-        assert validate_graph(built(g)) == [f"node {nid}: non-finite position"]
+            validate_graph_loop(doc)
+        assert validate_graph(built(doc)) == [f"node {nid}: non-finite position"]
 
     def test_position_shape(self):
         """A position that is not a 3-vector cannot be stored (the loop let
         a 2-D position through)."""
-        g = parts_of(well_formed_graph(8, seed=11))
-        nid = g.edges[0].i
-        k = [n.id for n in g.nodes].index(nid)
-        g.nodes[k] = Node(nid, "p", [[1.0, 2.0, 3.0]], g.nodes[k].features)
+        doc = eight_nodes()
+        k, nid = first_edge_node(doc)
+        doc["nodes"][k]["position"] = [[1.0, 2.0, 3.0]]
         with pytest.raises(InvalidInputError) as err:
-            built(g)
+            built(doc)
         assert str(err.value) == f"node {nid}: position has shape (1, 3), expected (3,)"
 
     @pytest.mark.parametrize("x", [1e200, -1.5e150, 1.7e308])
     def test_huge_coordinate(self, x):
         """A coordinate beyond MAX_COORDINATE is a violation, and the
         distances of its edges are not computed (they would overflow)."""
-        g = parts_of(well_formed_graph(8, seed=11))
-        nid = g.edges[0].i
-        k = [n.id for n in g.nodes].index(nid)
-        g.nodes[k] = Node(nid, "p", [0.0, x, 1.0], g.nodes[k].features)
+        doc = eight_nodes()
+        k, nid = first_edge_node(doc)
+        doc["nodes"][k]["position"] = [0.0, x, 1.0]
         with np.errstate(all="raise"):
-            assert validate_graph(built(g)) == [f"node {nid}: position has a coordinate "
-                                                f"beyond +-{MAX_COORDINATE:g}"]
-        g.nodes[k] = Node(nid, "p", [0.0, MAX_COORDINATE, 1.0], g.nodes[k].features)
-        assert not any(v.startswith(f"node {nid}:") for v in validate_graph(built(g)))
+            assert validate_graph(built(doc)) == [f"node {nid}: position has a coordinate "
+                                                  f"beyond +-{MAX_COORDINATE:g}"]
+        doc["nodes"][k]["position"] = [0.0, MAX_COORDINATE, 1.0]
+        assert not any(v.startswith(f"node {nid}:") for v in validate_graph(built(doc)))
 
     def test_null_edges_not_rebuilt_on_huge_coordinate(self):
-        doc = graph_to_dict(well_formed_graph(8, seed=11))
+        doc = eight_nodes()
         doc["edges"] = None
         doc["nodes"][0]["position"] = [1e200, 0.0, 0.0]
         with np.errstate(all="raise"):
             g = graph_from_dict(doc)
-        assert g.edges == ()
-        assert validate_graph(g) == [f"node {g.nodes[0].id}: position has a coordinate "
+        assert g.endpoints.shape == g.edge_distances.shape + (2,) == (0, 2)
+        assert validate_graph(g) == [f"node {g.ids[0]}: position has a coordinate "
                                      f"beyond +-1e+150"]
 
 
@@ -453,7 +440,7 @@ class TestJsonRoundTrip:
         doc = graph_to_dict(g)
         back = graph_from_dict(json.loads(json.dumps(doc)))
         assert validate_graph(back) == []
-        assert [(e.i, e.j) for e in back.edges] == [(e.i, e.j) for e in g.edges]
+        assert back.endpoints.tolist() == g.endpoints.tolist()
         assert np.array_equal(back.positions(), g.positions())
 
     def test_null_edges_rebuilt(self):
@@ -461,7 +448,7 @@ class TestJsonRoundTrip:
         doc = graph_to_dict(g)
         doc["edges"] = None
         back = graph_from_dict(doc)
-        assert {(e.i, e.j) for e in back.edges} == {(e.i, e.j) for e in g.edges}
+        assert edge_set(back.endpoints) == edge_set(g.endpoints)
 
 
 class TestGraphFiles:
@@ -470,13 +457,14 @@ class TestGraphFiles:
         g = well_formed_graph()
         save_graph(g, tmp_path / "g.json")
         doc = {"graph_id": "g", "frame_kind": "world", "feature_dims": [4, 5],
-               "nodes": [{"id": n.id, "label": n.label,
-                          "position": [float(v) for v in n.x],
-                          "f_vl": [float(v) for v in n.features.f_vl],
-                          "f_t": [float(v) for v in n.features.f_t],
-                          "f_g": [float(v) for v in n.features.f_g],
-                          "gt_instance": None} for n in g.nodes],
-               "edges": [[e.i, e.j, e.d] for e in g.edges]}
+               "nodes": [{"id": int(g.ids[k]), "label": g.labels[k],
+                          "position": [float(v) for v in g.positions()[k]],
+                          "f_vl": [float(v) for v in g.f_vl[k]],
+                          "f_t": [float(v) for v in g.f_t[k]],
+                          "f_g": [float(v) for v in g.f_g[k]],
+                          "gt_instance": None} for k in range(len(g.ids))],
+               "edges": [[int(i), int(j), float(d)]
+                         for (i, j), d in zip(g.endpoints, g.edge_distances)]}
         assert (tmp_path / "g.json").read_text() == json.dumps(doc)
 
     def test_invalid_file_names_path_and_violations(self, tmp_path):
@@ -552,9 +540,9 @@ class TestGraphFromDictTypes:
     def test_integral_floats_become_ints(self):
         doc = set_path(set_path(graph_doc(), ("nodes", 0, "gt_instance"), 4.0),
                        ("nodes", 0, "id"), 0.0)
-        node = graph_from_dict(doc).nodes[0]
-        assert (node.id, node.gt_instance) == (0, 4)
-        assert type(node.id) is int and type(node.gt_instance) is int
+        g = graph_from_dict(doc)
+        assert (g.ids[0], g.gt_instance[0], g.gt_present[0]) == (0, 4, True)
+        assert g.ids.dtype == g.gt_instance.dtype == np.int64
 
     def test_read_graph_names_file(self, tmp_path):
         (tmp_path / "g.json").write_text(json.dumps(
@@ -583,7 +571,7 @@ class TestPackGraphs:
         back = unpack_graphs(arrays, json.loads(json.dumps(strings)),
                              [f"s{k}" for k in range(len(graphs))], "src")
         assert_same_graphs(back, graphs)
-        assert back[0].nodes[0].gt_instance is None and back[0].nodes[1].gt_instance == 0
+        assert back[0].gt_present[:2].tolist() == [False, True] and back[0].gt_instance[1] == 0
 
     def test_views_not_copies(self):
         arrays, strings = pack_graphs(odd_graphs())
@@ -604,25 +592,26 @@ class TestPackGraphs:
     def test_unpackable_graph_refused(self, change):
         """What pack_graphs could not store is refused when a graph file is
         read, naming the node where one is at fault."""
-        g = parts_of(well_formed_graph(3))
-        n = g.nodes[1]
+        doc = graph_to_dict(well_formed_graph(3))
+        nodes = doc["nodes"]
         if change == "ragged_f_vl":
-            g.nodes[1] = with_features(n, f_vl=np.ones(6))
+            nodes[1]["f_vl"] = [1.0] * 6
         elif change == "2d_position":
-            g.nodes = [Node(m.id, m.label, m.x[None], m.features) for m in g.nodes]
+            for n in nodes:
+                n["position"] = [n["position"]]
         elif change == "float_id":
-            g.nodes[1] = Node(1.5, n.label, n.x, n.features)
+            nodes[1]["id"] = 1.5
         elif change == "float_endpoint":
-            g.edges = [Edge(0, 1.5, 1.0)]
+            doc["edges"] = [[0, 1.5, 1.0]]
         else:
-            g.nodes[1] = Node(n.id, n.label, n.x, n.features, 2 ** 63)
+            nodes[1]["gt_instance"] = 2 ** 63
         message = {"ragged_f_vl": "node 1: f_vl has shape (6,), expected (4,)",
                    "2d_position": "node 0: position has shape (1, 3), expected (3,)",
                    "float_id": "node id must be an integer within int64, got 1.5",
                    "float_endpoint": "edge endpoint must be an integer within int64, got 1.5",
                    "huge_gt_instance": "node 1: gt_instance must be an integer within int64"}
         with pytest.raises(InvalidInputError, match=re.escape(message[change])):
-            built(g)
+            built(doc)
 
 
 def columns_of(n=3):
@@ -642,6 +631,12 @@ class TestColumns:
                 assert not column.flags.writeable, name
                 assert column.tobytes() == np.asarray(columns[name]).tobytes(), name
         assert validate_graph(g) != []  # the distances are values, left to validate_graph
+
+    def test_nodes_and_edges_are_the_columns(self):
+        """`nodes` and `edges` are `ids` and `endpoints` themselves, kept
+        only for the node and edge counts of `benchmarks/`."""
+        g = well_formed_graph()
+        assert g.nodes is g.ids and g.edges is g.endpoints
 
     @pytest.mark.parametrize("name, value, message", [
         ("ids", np.arange(3.0), "ids is float64 (3,), expected int64 (None,)"),

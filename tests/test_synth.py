@@ -13,27 +13,15 @@ from sgalign.synth import (SynthConfig, generate_scene, load_sample,
                            save_sample)
 
 
-def graphs_equal(a, b):
-    if len(a.nodes) != len(b.nodes) or len(a.edges) != len(b.edges):
-        return False
-    for na, nb in zip(a.nodes, b.nodes):
-        if na.id != nb.id or not np.array_equal(na.x, nb.x):
-            return False
-        if not np.array_equal(na.features.f_vl, nb.features.f_vl):
-            return False
-    return all((ea.i, ea.j, ea.d) == (eb.i, eb.j, eb.d)
-               for ea, eb in zip(a.edges, b.edges))
-
-
 class TestGenerateScene:
     def test_single_object(self):
         g, _ = generate_scene(SynthConfig(seed=1, n_objects=(1, 1)))
-        assert len(g.nodes) == 1 and g.edges == ()
+        assert len(g.ids) == 1 and len(g.endpoints) == 0
 
     def test_seed_determinism(self):
         a, _ = generate_scene(SynthConfig(seed=9))
         b, _ = generate_scene(SynthConfig(seed=9))
-        assert graphs_equal(a, b)
+        assert_same_graphs([a], [b])
 
     def test_min_separation(self):
         for seed in range(100):
@@ -62,8 +50,7 @@ class TestGenerateScene:
 
     def test_unique_classes_distinct(self):
         g, _ = generate_scene(SynthConfig(seed=5, unique_classes=True))
-        labels = [n.label for n in g.nodes]
-        assert len(labels) == len(set(labels))
+        assert len(g.labels) == len(set(g.labels))
 
 
 class TestMakeF2sPair:
@@ -73,7 +60,7 @@ class TestMakeF2sPair:
                           f2s_view_radius=100.0)
         scene, _ = generate_scene(cfg)
         s = make_f2s_pair(scene, cfg)
-        assert s.gt.pairs == {(i, i) for i in range(len(scene.nodes))}
+        assert s.gt.pairs == {(i, i) for i in range(len(scene.ids))}
         assert s.overlap_ratio == 1.0
         assert s.graph_a.frame_kind == "camera"
 
@@ -81,7 +68,7 @@ class TestMakeF2sPair:
         cfg = SynthConfig(seed=6, undersegment_prob=1.0, f2s_view_radius=100.0)
         scene, _ = generate_scene(cfg)
         s = make_f2s_pair(scene, cfg)
-        assert len(s.graph_a.nodes) == 2 * len(scene.nodes)
+        assert len(s.graph_a.ids) == 2 * len(scene.ids)
         by_b = Counter(b for _, b in s.gt.pairs)
         assert all(v == 2 for v in by_b.values())
 
@@ -89,18 +76,19 @@ class TestMakeF2sPair:
         cfg = SynthConfig(seed=8, undersegment_prob=0.2, f2s_view_radius=3.0)
         scene, _ = generate_scene(cfg)
         s = make_f2s_pair(scene, cfg)
-        assert s.overlap_ratio == len({a for a, _ in s.gt.pairs}) / len(s.graph_a.nodes)
+        assert s.overlap_ratio == len({a for a, _ in s.gt.pairs}) / len(s.graph_a.ids)
 
     def test_gt_transform_maps_a_onto_b(self):
         cfg = SynthConfig(seed=11, feature_noise_sigma=0.0,
                           position_noise_sigma=0.0, undersegment_prob=0.0)
         scene, _ = generate_scene(cfg)
         s = make_f2s_pair(scene, cfg)
-        pos_b = {n.id: n.x for n in s.graph_b.nodes}
-        for node in s.graph_a.nodes:
-            target = pos_b[node.gt_instance]
-            mapped = s.gt_rotation @ node.x + s.gt_translation
-            assert np.linalg.norm(mapped - target) <= 1e-9
+        a, b = s.graph_a, s.graph_b
+        rows = b.rows_of(a.gt_instance)
+        assert a.gt_present.all() and (rows >= 0).all()
+        target = b.positions()[rows]
+        mapped = a.positions() @ s.gt_rotation.T + s.gt_translation
+        assert (np.linalg.norm(mapped - target, axis=1) <= 1e-9).all()
 
     def test_too_few_objects(self):
         cfg = SynthConfig(seed=1, n_objects=(2, 2))
@@ -122,8 +110,8 @@ class TestMakeS2sPair:
         scene, _ = generate_scene(cfg)
         s = make_s2s_pair(scene, cfg)
         assert s.overlap_ratio == 1.0
-        assert len(s.gt.pairs) == len(scene.nodes)
-        assert {a for a, _ in s.gt.pairs} == {n.id for n in s.graph_a.nodes}
+        assert len(s.gt.pairs) == len(scene.ids)
+        assert {a for a, _ in s.gt.pairs} == set(s.graph_a.ids.tolist())
 
     def test_no_many_to_one(self):
         for seed in range(20):
@@ -165,12 +153,14 @@ class TestMakeS2sPair:
                           position_noise_sigma=0.0, s2s_crop_overlap=0.7)
         scene, _ = generate_scene(cfg)
         s = make_s2s_pair(scene, cfg)
-        pos_b = {n.gt_instance: n.x for n in s.graph_b.nodes}
-        for node in s.graph_a.nodes:
-            if node.gt_instance not in pos_b:
+        a, b = s.graph_a, s.graph_b
+        pos_b = {g: x for g, x, present in zip(b.gt_instance.tolist(), b.positions(),
+                                               b.gt_present) if present}
+        for g, x, present in zip(a.gt_instance.tolist(), a.positions(), a.gt_present):
+            if not present or g not in pos_b:
                 continue
-            mapped = s.gt_rotation @ node.x + s.gt_translation
-            assert np.linalg.norm(mapped - pos_b[node.gt_instance]) <= 1e-9
+            mapped = s.gt_rotation @ x + s.gt_translation
+            assert np.linalg.norm(mapped - pos_b[g]) <= 1e-9
 
     def test_yaw_only_rotation(self):
         cfg = SynthConfig(seed=2, s2s_crop_overlap=0.8)
@@ -191,8 +181,7 @@ class TestSampleDeterminismAndIo:
     def test_same_seed_identical(self):
         a = make_sample("f2s", SynthConfig(seed=17, undersegment_prob=0.3))
         b = make_sample("f2s", SynthConfig(seed=17, undersegment_prob=0.3))
-        assert graphs_equal(a.graph_a, b.graph_a)
-        assert graphs_equal(a.graph_b, b.graph_b)
+        assert_same_graphs([a.graph_a, a.graph_b], [b.graph_a, b.graph_b])
         assert a.gt.pairs == b.gt.pairs
 
     def test_f2s_many_to_one_iff_undersegment(self):
@@ -207,7 +196,7 @@ class TestSampleDeterminismAndIo:
         assert back.overlap_ratio == s.overlap_ratio
         assert back.task == "s2s"
         assert np.allclose(back.gt_rotation, s.gt_rotation)
-        assert graphs_equal(back.graph_a, s.graph_a)
+        assert_same_graphs([back.graph_a], [s.graph_a])
 
     def test_load_uses_edge_parameters(self, tmp_path):
         s = make_sample("f2s", SynthConfig(seed=31))
@@ -216,7 +205,7 @@ class TestSampleDeterminismAndIo:
         path.write_text(json.dumps({**json.loads(path.read_text()), "edges": None}))
         back = load_sample(tmp_path / "pair", n_max=2, d_th=0.8)
         assert_same_graphs([back.graph_b], [with_edges(s.graph_b, n_max=2, d_th=0.8)])
-        assert graphs_equal(back.graph_a, s.graph_a)
+        assert_same_graphs([back.graph_a], [s.graph_a])
 
     def test_load_rejects_invalid_graph(self, tmp_path):
         save_sample(make_sample("f2s", SynthConfig(seed=31)), tmp_path / "pair")
