@@ -1,8 +1,7 @@
 """Deterministic 3D scene-graph alignment toolkit."""
 
 from .allocator import (MatchSet, McfParams, MnnParams, brute_force_allocate,
-                        candidate_set, geometry_penalty, mcf_allocate,
-                        mnn_allocate, solve_mcf)
+                        candidate_set, mcf_allocate, mnn_allocate, solve_mcf)
 from .config import PipelineConfig, load_config, save_config
 from .encoder import (EncoderConfig, EncoderWeights, distance_gate,
                       encode_graph, encode_graphs, encode_nodes, init_weights,

@@ -151,18 +151,6 @@ def _penalties(ci: np.ndarray, cj: np.ndarray, ks: np.ndarray, ls: np.ndarray,
     return np.abs(dist_a[ci[:, None], ks] - dist_b[cj[:, None], ls]).max(axis=1)
 
 
-def geometry_penalty(i: int, j: int, prev_matches, pos_a: np.ndarray,
-                     pos_b: np.ndarray) -> float:
-    """Worst distance distortion of (i, j) against the previous matches."""
-    pairs = prev_matches.pairs if isinstance(prev_matches, MatchSet) else prev_matches
-    ks = np.array([kl[0] for kl in pairs], dtype=int)
-    ls = np.array([kl[1] for kl in pairs], dtype=int)
-    pen = _penalties(np.array([0]), np.array([0]), ks, ls,
-                     point_distances(pos_a[i], pos_a)[None],
-                     point_distances(pos_b[j], pos_b)[None])
-    return float(pen[0])
-
-
 # ---------------------------------------------------------------------------
 # Exact rectangular assignment: shortest augmenting paths with potentials
 

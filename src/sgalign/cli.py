@@ -257,8 +257,12 @@ def cmd_retrieve(args) -> int:
         db = retrieval.load_database(db_dir, weights)
     else:
         # bare directory of graph JSON files: encode on the fly
-        graphs = [load_graph(path, edges.n_max, edges.d_th)
-                  for path in sorted(db_dir.glob("*.json"))]
+        paths = sorted(db_dir.glob("*.json"))
+        graphs = [load_graph(path, edges.n_max, edges.d_th) for path in paths]
+        if repeat := retrieval.repeated_id([g.graph_id for g in graphs]):
+            i, j = repeat
+            raise InvalidInputError(f"{paths[i]} and {paths[j]}: both have graph_id "
+                                    f"{graphs[j].graph_id!r}")
         db = retrieval.build_database([(g.graph_id, g) for g in graphs], weights)
     query_graph = load_graph(args.query, edges.n_max, edges.d_th)
     query = retrieval.encode_scene("query", query_graph, weights)

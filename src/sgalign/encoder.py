@@ -47,14 +47,17 @@ _ROW_TILE = 4
 # Tensor names are listed layer by layer before any buffer is allocated, so
 # the layer count is bounded; other sizes are bounded by what NumPy allocates.
 MAX_LAYERS = 1024
-# The projections of h packed in each DGSA layer's h_proj buffer, in order,
-# and the sections of them a block of degree k reads, by min(k, 3). A
-# softmax over one key is 1, so a degree-1 centre reads its neighbor's Wv
-# row alone, and in a degree-2 block each neighbor's neighbor-to-neighbor
-# term is the other neighbor's Wv_nn row (no Wq_nn or Wk_nn). In this order
-# each of these is one range of h_proj rows.
-_H_PROJ = ("Wk", "Wv", "Wv_nn", "Wq_nn", "Wk_nn")
-_BLOCK_SECTIONS = {1: slice(1, 2), 2: slice(0, 3), 3: slice(0, 5)}
+# The projections of h packed in each DGSA layer's h_proj buffer, in order.
+# A block of degree k reads the first _SECTIONS[min(k, 3)] of them: a softmax
+# over one key is 1, so a degree-1 centre reads its neighbor's Wv row alone,
+# and in a degree-2 block each neighbor's neighbor-to-neighbor term is the
+# other neighbor's Wv_nn row (no Wq_nn or Wk_nn). A node whose reach is r
+# (the largest min(k, 3) of the blocks that read it as a neighbor) is read
+# at sections [:_SECTIONS[r]]; sections _SECTIONS[r - 1]:_SECTIONS[r] are
+# read at the nodes of reach >= r. In this order each section set is a
+# leading range of h_proj rows.
+_H_PROJ = ("Wv", "Wk", "Wv_nn", "Wq_nn", "Wk_nn")
+_SECTIONS = (0, 1, 3, 5)
 # Largest double below 1.0; keeps gate outputs in the open interval.
 _GATE_HI = np.nextafter(1.0, 0.0)
 _GATE_LO = np.nextafter(0.0, 1.0)
@@ -416,9 +419,11 @@ def _take(a: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 def _rows_matmul(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     """x @ w.T over the padded row count (see _ROW_TILE). Where x is the
-    head of its base array (a `_padded` array or a padded product's
-    result) and the base has rows enough, those rows are the padding;
-    otherwise x is copied into zero rows."""
+    head of its base array (a `_padded` array, a leading range of one, or a
+    padded product's result) and the base has rows enough, those rows are
+    the padding: the rows that follow x are read and then dropped, and they
+    do not change the bits of x's rows. Otherwise x is copied into zero
+    rows."""
     rows = _tile(max(len(x), -(-_MIN_ENTRIES // len(w))))
     if len(x) == rows:
         return x @ w.T
@@ -444,29 +449,29 @@ def _layer_norm(x: np.ndarray, scale: np.ndarray, bias: np.ndarray) -> np.ndarra
 
 @dataclass
 class _Block:
-    """The n active nodes of one degree k, each neighborhood a row of k pairs,
-    and where the block reads the per-node parts and the per-pass rows (see
+    """The n active nodes of one degree k, each neighborhood a row of k
+    consecutive pairs, and where the block reads the per-pass rows (see
     _NeighborIndex)."""
 
     centres: np.ndarray            # (n,) active positions
-    pairs: np.ndarray              # (n, k)
-    nbr: np.ndarray                # (n * k,) active positions of the neighbors
-    pe_rows: slice                 # its pairs' rows of its group's `pe`
-    at_near: np.ndarray | None = None  # (n * k,) the neighbors' rows of `near`, k >= 2
-    at_far: np.ndarray | None = None   # (n * k,) the neighbors' rows of `far`, k >= 3
+    pairs: slice                   # its n * k pairs, centre by centre
     at_q: np.ndarray | None = None     # (n,) the centres' rows of `centres_q`, k >= 2
-    gates: slice | None = None         # its (n, k) pairs' distances in `gate_dist`, k >= 2
     nn_gates: slice | None = None      # its (n, k, k) distances in `nn_dist`, k >= 3
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        n = len(self.centres)
+        return n, (self.pairs.stop - self.pairs.start) // n
 
 
 @dataclass
 class _PeGroup:
-    """The blocks that read the same h_proj sections. One product of their
-    pairs' PE rows per layer serves them all; each block reads its rows of
-    it as a view."""
+    """Consecutive blocks that read the same leading h_proj sections. One
+    product of their pairs' PE rows per layer serves them all; each block
+    reads its rows of it as a view."""
 
-    sections: slice          # of _H_PROJ
-    pe: np.ndarray           # (P, pe_dim) PE rows of the blocks' pairs, block by block
+    sections: int            # leading sections of _H_PROJ
+    pe: np.ndarray           # (P, pe_dim) PE rows of the blocks' pairs
     blocks: list[_Block]
 
 
@@ -479,31 +484,30 @@ class _NeighborIndex:
     g owns rows node_offsets[g]:node_offsets[g+1]. Only the active rows,
     nodes with at least one neighbor, take part in attention, and nodes are
     referred to by their position in `active` (neighbors of an active node
-    are active, because adjacency is symmetric). The E directed (center,
-    neighbor) pairs are sorted by center, then by neighbor id. Block k holds
-    the active nodes of degree k, each neighborhood a row of k pairs, so no
+    are active, because adjacency is symmetric). Active rows are listed by
+    decreasing reach (see _SECTIONS), then by row, so the nodes that read a
+    section set are a leading range: Wv is read at all of them, Wk and Wv_nn
+    at the first reach_rows[1], Wq_nn and Wk_nn at the first reach_rows[2].
+    Wq is read at `centres_q`, the centres of degree >= 2.
+
+    The E directed (center, neighbor) pairs are laid out block by block by
+    increasing degree, each centre's pairs by neighbor id. Block k holds the
+    active nodes of degree k, each neighborhood a row of k pairs, so no
     neighborhood is padded and every attention product and sum over it has
     a shape set by its own degree, whatever the other graphs of the batch
-    are.
-
-    The per-node part of each projection is read at these active rows:
-    Wk, Wv and Wv_nn at `near`, the neighbors of centres of degree >= 2;
-    Wv alone at `lone`, every other active node; Wq_nn and Wk_nn at `far`,
-    the neighbors of centres of degree >= 3; Wq at `centres_q`, the centres
-    of degree >= 2. The PE rows of the pairs are gathered per group, and
-    the distances the gates read are laid out block by block. It is built
-    once per call and read by every layer.
+    are. A block's pair slice reads its neighbors in `nbr`, its gate
+    distances in `dist` and, from its group's first pair on, its PE rows.
+    It is built once per call and read by every layer.
     """
 
     graphs: Sequence[SceneGraph]
     node_offsets: np.ndarray  # (G+1,) first row of each graph, then the total
     active: np.ndarray       # (A,) rows with at least one neighbor
-    near: np.ndarray
-    lone: np.ndarray
-    far: np.ndarray
+    reach_rows: tuple[int, int, int]  # active nodes of reach >= 1, 2, 3
     centres_q: np.ndarray
+    nbr: np.ndarray          # (E,) active position of each pair's neighbor
+    dist: np.ndarray         # (E,) center-to-neighbor distance of each pair
     groups: list[_PeGroup]   # blocks by increasing degree, grouped by min(k, 3)
-    gate_dist: np.ndarray    # center-to-neighbor distances of the pairs of degree >= 2
     nn_dist: np.ndarray      # neighbor-to-neighbor distances of the blocks of degree >= 3
 
     def row_names(self, rows) -> list[tuple[str, int]]:
@@ -537,63 +541,55 @@ def _build_neighbor_index(graphs: Sequence[SceneGraph], pe_dim: int) -> _Neighbo
         ends.append(rows + base)
     ends = np.concatenate(ends)
     ids = np.concatenate([g.ids for g in graphs])
-    # Directed (center row, neighbor id, neighbor row) triples, sorted by
-    # center row, then by neighbor id; a repeated edge gives one triple.
+    # Directed (center row, neighbor id, neighbor row) triples; a repeated
+    # edge gives one triple.
     center, neighbor = np.concatenate([ends, ends[:, ::-1]]).T
-    center, _, neighbor = np.unique(np.stack([center, ids[neighbor], neighbor], axis=1),
-                                    axis=0).T
+    center, nbr_id, neighbor = np.unique(
+        np.stack([center, ids[neighbor], neighbor], axis=1), axis=0).T
 
     counts = np.bincount(center, minlength=node_offsets[-1])
+    reach = np.zeros(len(counts), np.intp)
+    np.maximum.at(reach, neighbor, np.minimum(counts[center], 3))
     active = np.flatnonzero(counts)
-    position = np.cumsum(counts > 0) - 1  # active position of each active row
-    pair_nbr = position[neighbor]
+    active = active[np.argsort(-reach[active], kind="stable")]
+    position = np.zeros(len(counts), np.intp)
+    position[active] = np.arange(len(active))
+    # Pairs by degree, then by centre position, then by neighbor id.
+    order = np.lexsort((nbr_id, position[center], counts[center]))
+    center, neighbor = center[order], neighbor[order]
     pos = np.concatenate([g.positions() for g in graphs])
     nbr_pos = pos[neighbor]
     dist = point_distances(pos[center], nbr_pos)
-    # The highest block degree, capped at 3, each active node is read at as
-    # a neighbor; it sets the per-node parts the node needs.
+    pe = sinusoidal_pe(dist, pe_dim)
     degree = counts[active]
-    reach = np.zeros(len(active), np.intp)
-    np.maximum.at(reach, pair_nbr, np.minimum(counts[center], 3))
-    near, lone, far = (np.flatnonzero(reach >= 2), np.flatnonzero(reach == 1),
-                       np.flatnonzero(reach == 3))
     centres_q = np.flatnonzero(degree >= 2)
-    group_pairs: dict[int, list[np.ndarray]] = {}  # by min(k, 3), each block's pairs
-    group_blocks: dict[int, list[_Block]] = {}
-    gated, nn_dist = [], []
-    n_gated = n_nn = 0
-    # A node's pairs are consecutive, so its neighborhood is a segment of
-    # its degree.
-    for nodes, pairs in _size_blocks(degree):
-        n, k = pairs.shape
-        nbr = pair_nbr[pairs].ravel()
-        members = group_pairs.setdefault(min(k, 3), [])
-        done = sum(map(len, members))
-        members.append(pairs.ravel())
-        block = _Block(centres=nodes, pairs=pairs, nbr=nbr, pe_rows=slice(done, done + n * k))
+    group_blocks: dict[int, list[_Block]] = {}  # by min(k, 3)
+    nn_dist = []
+    done = n_nn = 0
+    for k in np.unique(degree):
+        nodes = np.flatnonzero(degree == k)
+        n = len(nodes)
+        block = _Block(centres=nodes, pairs=slice(done, done + n * k))
+        done += n * k
         group_blocks.setdefault(min(k, 3), []).append(block)
         if k >= 2:
-            block.at_near = np.searchsorted(near, nbr)
             block.at_q = np.searchsorted(centres_q, nodes)
-            block.gates = slice(n_gated, n_gated + n * k)
-            gated.append(pairs.ravel())
-            n_gated += n * k
         if k >= 3:
-            block.at_far = np.searchsorted(far, nbr)
             block.nn_gates = slice(n_nn, n_nn + n * k * k)
-            nn_dist.append(point_distances(nbr_pos[pairs][:, :, None],
-                                           nbr_pos[pairs][:, None]).ravel())
+            q = nbr_pos[block.pairs].reshape(n, k, 3)
+            nn_dist.append(point_distances(q[:, :, None], q[:, None]).ravel())
             n_nn += n * k * k
-    pe = sinusoidal_pe(dist, pe_dim)
     return _NeighborIndex(
         graphs=graphs,
         node_offsets=node_offsets,
         active=active,
-        near=near, lone=lone, far=far, centres_q=centres_q,
-        groups=[_PeGroup(sections=_BLOCK_SECTIONS[s],
-                         pe=_take(pe, np.concatenate(group_pairs[s])),
-                         blocks=group_blocks[s]) for s in group_pairs],
-        gate_dist=dist[np.concatenate(gated)] if gated else dist[:0],
+        reach_rows=tuple(int((reach[active] >= r).sum()) for r in (1, 2, 3)),
+        centres_q=centres_q,
+        nbr=position[neighbor],
+        dist=dist,
+        groups=[_PeGroup(sections=_SECTIONS[s], blocks=blocks,
+                         pe=_take(pe, np.arange(blocks[0].pairs.start, blocks[-1].pairs.stop)))
+                for s, blocks in group_blocks.items()],
         nn_dist=np.concatenate(nn_dist) if nn_dist else dist[:0],
     )
 
@@ -610,58 +606,53 @@ def _attend(scores: np.ndarray, v: np.ndarray, mask=True) -> np.ndarray:
 def _attention(x: np.ndarray, index: _NeighborIndex,
                weights: EncoderWeights, layer: int) -> np.ndarray:
     """Center-to-neighbor plus pooled neighbor-to-neighbor attention of the
-    active rows x (A, d_init); returns (A, d_model) before Wo.
+    active rows x (A, d_init), a `_padded` array in the order of
+    `index.active`; returns (A, d_model) before Wo.
 
     Only work whose result is read is done. Each projection of
     h_ij = [PE(d_ij) || c_j] is split into a per-node part and a
     per-distance part (W @ h = W_c @ c_j + W_pe @ PE). The per-node part of
-    each projection (and Wq) runs once per node, on the rows the index
-    names for it, in one product per row set. The per-distance part runs
-    once per group of blocks that read the same h_proj rows, one product
-    over the group's pairs, and each block adds the per-node parts to its
-    rows of it. The gates run once over all blocks' distances. For the n
-    nodes of degree k, attention is (n, heads, 1, k) center-to-neighbor and
-    (n, heads, k, k) neighbor-to-neighbor. A softmax over one key is 1 and
-    is not computed: a degree-1 centre's row is its neighbor's value row,
-    and in a degree-2 block each neighbor's neighbor-to-neighbor term is the
-    other neighbor's Wv_nn row. Both are written as 0.0 + v, the bits of
-    the softmax product (1.0 times v, plus 0.0).
+    each section set (Wv; Wk and Wv_nn; Wq_nn and Wk_nn) runs once per node
+    that reads it, in one product over the leading rows of x that the index
+    names for it; Wq runs once over the centres of degree >= 2. The
+    per-distance part runs once per group of blocks that read the same
+    h_proj sections, one product over the group's pairs, and each block
+    adds its neighbors' per-node parts to its rows of it. The gates run once
+    over all pairs. For the n nodes of degree k, attention is
+    (n, heads, 1, k) center-to-neighbor and (n, heads, k, k)
+    neighbor-to-neighbor. A softmax over one key is 1 and is not computed:
+    a degree-1 centre's row is its neighbor's value row, and in a degree-2
+    block each neighbor's neighbor-to-neighbor term is the other neighbor's
+    Wv_nn row. Both are written as 0.0 + v, the bits of the softmax product
+    (1.0 times v, plus 0.0).
     """
     cfg = weights.config
     heads, dh, pe_dim, d = cfg.heads, cfg.d_head, cfg.pe_dim, cfg.d_model
     p = f"layer{layer}."
     gate_w = _gate_weights(weights, layer)
     w_h = weights.packed[p + "h_proj"]
-    w_c = w_h[:, pe_dim:]
-
-    def node_part(rows, w):
-        return _rows_matmul(_take(x, rows), w) if len(rows) else None
-    near = node_part(index.near, w_c[:3 * d])   # Wk, Wv, Wv_nn
-    far = node_part(index.far, w_c[3 * d:])     # Wq_nn, Wk_nn
-    q_all = node_part(index.centres_q, weights[p + "Wq"])
-    gate = distance_gate(index.gate_dist, gate_w)
+    cols = [slice(a * d, b * d) for a, b in zip(_SECTIONS, _SECTIONS[1:])]
+    # per-node parts of sections cols[r], at the active nodes of reach > r
+    parts = [_rows_matmul(x[:n], w_h[c, pe_dim:]) if n else None
+             for n, c in zip(index.reach_rows, cols)]
+    q_all = (_rows_matmul(_take(x, index.centres_q), weights[p + "Wq"])
+             if len(index.centres_q) else None)
+    gate = distance_gate(index.dist, gate_w)
     gate_nn = distance_gate(index.nn_dist, gate_w)
 
     def block_rows(block, h):  # h: the block's rows of its group's PE product
-        n, k = block.pairs.shape
+        n, k = block.shape
+        nbr = index.nbr[block.pairs]
+        for part, c in zip(parts[:min(k, 3)], cols):
+            h[:, c] += part[nbr]
         if k == 1:
-            wv = np.empty((len(x), d))  # Wv of every active row
-            if near is not None:
-                wv[index.near] = near[:, d:2 * d]
-            if len(index.lone):
-                wv[index.lone] = node_part(index.lone, w_c[d:2 * d])
-            h += wv[block.nbr]
             return 0.0 + h
-        h[:, :3 * d] += near[block.at_near]
-        if k >= 3:
-            h[:, 3 * d:] += far[block.at_far]
         # the block's h rows under each projection read, (n, heads, k, d_head)
-        proj = dict(zip(_H_PROJ[_BLOCK_SECTIONS[min(k, 3)]],
-                        h.reshape(n, k, -1, heads, dh).transpose(2, 0, 3, 1, 4)))
+        proj = dict(zip(_H_PROJ, h.reshape(n, k, -1, heads, dh).transpose(2, 0, 3, 1, 4)))
         # center -> neighbor attention
         q = q_all[block.at_q].reshape(n, heads, 1, dh)
         raw = (q @ proj["Wk"].swapaxes(2, 3)) / math.sqrt(dh)
-        att = _attend(gate[block.gates].reshape(n, 1, 1, k) * raw, proj["Wv"])[:, :, 0]
+        att = _attend(gate[block.pairs].reshape(n, 1, 1, k) * raw, proj["Wv"])[:, :, 0]
         # neighbor -> neighbor attention, average-pooled over neighbors
         if k == 2:
             per_pair = 0.0 + proj["Wv_nn"][:, :, ::-1]
@@ -674,10 +665,11 @@ def _attention(x: np.ndarray, index: _NeighborIndex,
 
     out = _padded(len(x), d)
     for group in index.groups:
-        rows = slice(group.sections.start * d, group.sections.stop * d)
-        h = _rows_matmul(group.pe, w_h[rows, :pe_dim])
+        h = _rows_matmul(group.pe, w_h[:group.sections * d, :pe_dim])
+        start = group.blocks[0].pairs.start
         for block in group.blocks:
-            out[block.centres] = block_rows(block, h[block.pe_rows])
+            rows = slice(block.pairs.start - start, block.pairs.stop - start)
+            out[block.centres] = block_rows(block, h[rows])
     return out
 
 
@@ -688,7 +680,7 @@ def _dgsa(x: np.ndarray, index: _NeighborIndex, weights: EncoderWeights,
     p = f"layer{layer}."
     fused = x
     if index.active.size:
-        attn = _attention(x[index.active], index, weights, layer)
+        attn = _attention(_take(x, index.active), index, weights, layer)
         fused = x.copy()  # made after attention, whose peak it would add to
         fused[index.active] += _rows_matmul(attn, weights[p + "Wo"])
     result = _layer_norm(fused, weights[p + "ln_scale"], weights[p + "ln_bias"])

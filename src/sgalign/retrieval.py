@@ -39,17 +39,22 @@ class SceneDatabase:
 
     def __post_init__(self):
         ids = [e.scene_id for e in self.entries]
-        if len(ids) != len(set(ids)):
-            raise InvalidInputError("duplicate scene ids in database")
+        if repeat := repeated_id(ids):
+            raise InvalidInputError(f"database: scene id {ids[repeat[1]]!r} is listed twice")
 
     def __len__(self) -> int:
         return len(self.entries)
 
-    def by_id(self, scene_id: str) -> EncodedScene:
-        for entry in self.entries:
-            if entry.scene_id == scene_id:
-                return entry
-        raise KeyError(scene_id)
+
+def repeated_id(ids: list) -> tuple[int, int] | None:
+    """(i, j) of the first id that is listed again, at j and before at i;
+    None when every id is listed once."""
+    first = {}
+    for j, scene_id in enumerate(ids):
+        if scene_id in first:
+            return first[scene_id], j
+        first[scene_id] = j
+    return None
 
 
 @dataclass
@@ -258,8 +263,8 @@ def load_database(directory, weights: EncoderWeights) -> SceneDatabase:
     unpacked from embeddings.npz and checked by `unpack_graphs`. When the
     stored weights hash differs from `weights`, `build_database` re-encodes
     the graphs instead of reading their embeddings. An index.json of any
-    other format version raises InvalidInputError before the archive is
-    opened."""
+    other format version, or one that lists a scene id twice, raises
+    InvalidInputError before the archive is opened."""
     directory = Path(directory)
     index_path = directory / INDEX_FILE
     index = read_json(index_path)
@@ -272,6 +277,9 @@ def load_database(directory, weights: EncoderWeights) -> SceneDatabase:
     scene_ids = index["scenes"]
     for scene_id in scene_ids:
         _check_scene_id(scene_id)
+    if repeat := repeated_id(scene_ids):
+        raise InvalidInputError(
+            f"{index_path}: scene id {scene_ids[repeat[1]]!r} is listed twice")
     path = directory / EMBEDDINGS_FILE
     arrays = _read_archive(path)
     graphs = unpack_graphs(arrays, index.get("graphs"), scene_ids, path)

@@ -7,7 +7,7 @@ import pytest
 
 from sgalign.allocator import (McfParams, MnnParams, _penalties,
                                brute_force_allocate,
-                               candidate_set, geometry_penalty, mcf_allocate,
+                               candidate_set, mcf_allocate,
                                mnn_allocate, solve_mcf)
 from sgalign.errors import InvalidInputError
 from sgalign.scene_graph import point_distances
@@ -113,22 +113,29 @@ def test_bad_p_refused(allocate, P, message):
         allocate(P)
 
 
+def penalty(i, j, prev, pos_a, pos_b) -> float:
+    """_penalties of the one pair (i, j) against the pairs `prev`."""
+    ks, ls = np.array(prev, dtype=int).reshape(-1, 2).T
+    return float(_penalties(np.array([i]), np.array([j]), ks, ls,
+                            point_distances(pos_a[:, None], pos_a),
+                            point_distances(pos_b[:, None], pos_b))[0])
+
+
 class TestGeometryPenalty:
     def test_empty_prev(self):
         pos = np.zeros((3, 3))
-        assert geometry_penalty(0, 0, [], pos, pos) == 0.0
+        assert penalty(0, 0, [], pos, pos) == 0.0
 
     def test_consistent_pair(self):
         pos_a = np.array([[0, 0, 0], [2, 0, 0]], dtype=float)
         pos_b = np.array([[5, 5, 0], [5, 3, 0]], dtype=float)
-        assert geometry_penalty(0, 0, [(1, 1)], pos_a, pos_b) == pytest.approx(0.0)
+        assert penalty(0, 0, [(1, 1)], pos_a, pos_b) == pytest.approx(0.0)
 
     def test_max_over_set(self):
         pos_a = np.array([[0, 0, 0], [1, 0, 0], [2, 0, 0]], dtype=float)
         pos_b = np.array([[0, 0, 0], [1.3, 0, 0], [2.7, 0, 0]], dtype=float)
         # |d_a(0,1) - d_b(0,1)| = 0.3 ; |d_a(0,2) - d_b(0,2)| = 0.7
-        pen = geometry_penalty(0, 0, [(1, 1), (2, 2)], pos_a, pos_b)
-        assert pen == pytest.approx(0.7)
+        assert penalty(0, 0, [(1, 1), (2, 2)], pos_a, pos_b) == pytest.approx(0.7)
 
     def test_gathered_distances_match_direct_differences(self):
         # mcf_allocate gathers from pairwise distance matrices built once;
@@ -147,8 +154,6 @@ class TestGeometryPenalty:
             got = _penalties(ci, cj, ks, ls, point_distances(pos_a[:, None], pos_a),
                              point_distances(pos_b[:, None], pos_b))
             assert got.tobytes() == want.tobytes()
-            pairs = list(zip(ks.tolist(), ls.tolist()))
-            assert geometry_penalty(int(ci[0]), int(cj[0]), pairs, pos_a, pos_b) == want[0]
 
 
 def random_instance(rng, max_i=6, max_j=6, max_cands=5):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from conftest import run_cli, run_main, with_edges
 
-from sgalign import cli
+from sgalign import cli, retrieval
 from sgalign.allocator import McfParams, MnnParams
 from sgalign.config import (EdgeParams, PipelineConfig, RetrievalParams, config_from_dict,
                             load_config, save_config)
@@ -794,6 +794,36 @@ class TestCliRetrieve:
         assert proc.stdout == ""
         line = one_stderr_line(proc)
         assert f"{path}: scene 'scene1': " in line and "f_g components" in line
+
+    def test_repeated_scene_id_exit_2_before_archive(self, saved_db):
+        """An index.json that lists a scene twice is refused before its
+        archive is read, naming the file and the id."""
+        db_dir, query = saved_db
+        index = json.loads((db_dir / "index.json").read_text())
+        index["scenes"][0] = "scene1"
+        (db_dir / "index.json").write_text(json.dumps(index))
+        (db_dir / "embeddings.npz").unlink()
+        proc = run_main("retrieve", "--query", query, "--db", db_dir)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert one_stderr_line(proc) == (f"ERROR sgalign: {db_dir / 'index.json'}: "
+                                         f"scene id 'scene1' is listed twice")
+
+    def test_bare_directory_repeated_graph_id_exit_2_before_encoding(self, tmp_path,
+                                                                     monkeypatch):
+        g, _ = generate_scene(SynthConfig(seed=1, n_objects=(5, 7)))
+        db_dir = tmp_path / "db"
+        db_dir.mkdir()
+        for name in ("a.json", "b.json", "query.json"):
+            save_graph(g, (tmp_path if name == "query.json" else db_dir) / name)
+        monkeypatch.setattr(retrieval, "build_database",
+                            lambda *args: pytest.fail("the graphs were encoded"))
+        proc = run_main("retrieve", "--query", tmp_path / "query.json", "--db", db_dir)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert one_stderr_line(proc) == (f"ERROR sgalign: {db_dir / 'a.json'} and "
+                                         f"{db_dir / 'b.json'}: both have graph_id "
+                                         f"{g.graph_id!r}")
 
     def test_bare_directory_invalid_graph_exit_2(self, tmp_path):
         g, _ = generate_scene(SynthConfig(seed=1, n_objects=(5, 7)))

@@ -423,13 +423,15 @@ class TestExactWork:
         _, attentions = layer_calls
         dgsa_layer(g, c, small_weights, 0)
         [(x, out)] = attentions
-        # Node 2's one neighbor is node 0; both are active rows 0 and 2.
+        # Node 2's one neighbor is node 0; find both in the active rows.
+        at = {int(row): i for i, row in enumerate(
+            encoder._build_neighbor_index([g], cfg.pe_dim).active)}
         wv = small_weights["layer0.Wv"]
         pos = g.positions()
         pe = sinusoidal_pe(point_distances(pos[2:3], pos[0:1]), cfg.pe_dim)
-        value = (encoder._rows_matmul(x[0:1], wv[:, cfg.pe_dim:])
+        value = (encoder._rows_matmul(x[at[0]:at[0] + 1], wv[:, cfg.pe_dim:])
                  + encoder._rows_matmul(pe, wv[:, :cfg.pe_dim]))
-        assert out[2].tobytes() == value[0].tobytes()
+        assert out[at[2]].tobytes() == value[0].tobytes()
 
 
 class TestHoistedGates:
@@ -445,18 +447,18 @@ class TestHoistedGates:
         pos = g.positions()[index.active]
         for layer in range(cfg.layers):
             gw = encoder._gate_weights(small_weights, layer)
-            gate = distance_gate(index.gate_dist, gw)
+            gate = distance_gate(index.dist, gw)
             gate_nn = distance_gate(index.nn_dist, gw)
             blocks = [b for group in index.groups for b in group.blocks]
-            assert {b.pairs.shape[1] for b in blocks} >= {1, 2, 3}
+            assert {b.shape[1] for b in blocks} >= {1, 2, 3}
             for block in blocks:
-                n, k = block.pairs.shape
+                n, k = block.shape
                 if k == 1:
                     continue
-                nbr = pos[block.nbr]
+                nbr = pos[index.nbr[block.pairs]]
                 own = distance_gate(point_distances(np.repeat(pos[block.centres], k, axis=0),
                                                     nbr).reshape(n, k), gw)
-                assert gate[block.gates].tobytes() == own.tobytes()
+                assert gate[block.pairs].tobytes() == own.tobytes()
                 if k >= 3:
                     q = nbr.reshape(n, k, 3)
                     own = distance_gate(point_distances(q[:, :, None], q[:, None]), gw)
@@ -694,6 +696,49 @@ class TestEncodeGraphs:
             assert sum(this) + after[0] > BATCH_NODES  # greedy: no room left
 
 
+def weight_products(weights):
+    """(name, buffer, rows) of each weight product the forward pass makes:
+    it multiplies by buffer[rows]. Every layer has the shapes of layer 0."""
+    d, pe_dim = weights.config.d_model, weights.config.pe_dim
+    h_proj, qkv = weights.packed["layer0.h_proj"], weights.packed["cls_attn0.qkv"]
+    sections = encoder._SECTIONS
+    whole = [(name, weights[name], slice(None)) for name in (
+        "geo_ffn.w1", "geo_ffn.w2", "layer0.Wq", "layer0.Wo", "proj_ffn.w1", "proj_ffn.w2",
+        "cls_attn0.Wo")]
+    return whole + [
+        *((f"h_proj[{a}:{b}] node part", h_proj[:, pe_dim:], slice(a * d, b * d))
+          for a, b in zip(sections, sections[1:])),
+        *((f"h_proj[0:{b}] PE", h_proj[:, :pe_dim], slice(0, b * d)) for b in sections[1:]),
+        ("cls qkv[:d]", qkv, slice(0, d)), ("cls qkv[d:]", qkv, slice(d, None))]
+
+
+class TestProductRowScan:
+    """Each weight product of the default config gives a row the bits of a
+    300-row product, whatever the row count and whether the rows after it
+    are zeros or other rows of its buffer, and gives a section range of a
+    packed buffer the bits of the same columns of the whole buffer's
+    product. A BLAS whose kernels break this fails here, naming the product."""
+
+    ROWS = [*range(1, 65), 100, 129, 255, 299]
+
+    def test_rows_and_columns(self, default_weights):
+        rng = np.random.default_rng(0)
+        bad = []
+        for name, buf, rows in weight_products(default_weights):
+            w = buf[rows]
+            x = rng.standard_normal((300, w.shape[1]))
+            full = encoder._rows_matmul(x, w)
+            for n in self.ROWS:
+                if not (encoder._rows_matmul(x[:n].copy(), w).tobytes()
+                        == encoder._rows_matmul(x[:n], w).tobytes() == full[:n].tobytes()):
+                    bad.append(f"{name}: rows of a {n}-row product")
+                    break
+            if (rows != slice(None)
+                    and encoder._rows_matmul(x, buf)[:, rows].tobytes() != full.tobytes()):
+                bad.append(f"{name}: columns of the whole buffer's product")
+        assert not bad
+
+
 # OpenBLAS kernel sets other than the one it picks on this CPU, which
 # OPENBLAS_CORETYPE forces, and the CPU flag each one's kernels need.
 KERNEL_SETS = {"Haswell": "avx2", "Sandybridge": "avx"}
@@ -714,18 +759,18 @@ def kernel_set_available(coretype: str) -> bool:
 @pytest.mark.parametrize("coretype", sorted(KERNEL_SETS))
 def test_batch_invariant_on_kernel_set(coretype):
     """The Haswell kernels, which AMD Zen CPUs also get, round the rows past
-    a multiple of 4 otherwise; the batch-invariance tests pass under them
-    and under the older Sandybridge (AVX) kernels."""
+    a multiple of 4 otherwise; the batch-invariance tests and the product
+    row scan pass under them and under the older Sandybridge (AVX) kernels."""
     if not kernel_set_available(coretype):
         pytest.skip(f"needs a DYNAMIC_ARCH OpenBLAS and a CPU with {KERNEL_SETS[coretype]}")
     env = child_env()
     env["OPENBLAS_CORETYPE"] = coretype
     run = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
                           "tests/test_encoder.py", "tests/test_properties.py",
-                          "-k", "one_graph_calls or BatchInvariance"],
+                          "-k", "one_graph_calls or BatchInvariance or RowScan"],
                          cwd=ROOT, env=env, capture_output=True, text=True, check=False)
     assert run.returncode == 0, run.stdout[-3000:] + run.stderr[-1000:]
-    assert run.stdout.splitlines()[-1].startswith("7 passed"), run.stdout[-3000:]
+    assert run.stdout.splitlines()[-1].startswith("8 passed"), run.stdout[-3000:]
 
 
 class TestNodePass:
@@ -963,8 +1008,7 @@ class TestPackedWeights:
         g = random_graph(6, small_config, seed=9)
         before, _ = encode_graph(g, w)
         w["layer0.Wv"][...] = 0.0
-        assert not w.packed["layer0.h_proj"][small_config.d_model:
-                                             2 * small_config.d_model].any()
+        assert not w.packed["layer0.h_proj"][:small_config.d_model].any()
         after, _ = encode_graph(g, w)
         assert not np.array_equal(before, after)
 

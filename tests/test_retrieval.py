@@ -62,7 +62,8 @@ class TestTopkFilter:
         q = unit(rng.standard_normal(32))
         ids = topk_filter(q, db, len(db))
         assert sorted(ids) == sorted(e.scene_id for e in db.entries)
-        sims = [global_similarity(q, db.by_id(s).global_embedding) for s in ids]
+        by_id = {e.scene_id: e for e in db.entries}
+        sims = [global_similarity(q, by_id[s].global_embedding) for s in ids]
         assert all(a >= b - 1e-15 for a, b in zip(sims, sims[1:]))
 
     def test_own_scene_first(self, db_and_weights):
@@ -178,8 +179,10 @@ class TestPersistence:
 
     def test_duplicate_ids_rejected(self, db_and_weights):
         db, _ = db_and_weights
-        with pytest.raises(InvalidInputError):
-            SceneDatabase(entries=[db.entries[0], db.entries[0]])
+        first, second = db.entries[:2]
+        with pytest.raises(InvalidInputError,
+                           match=f"scene id '{second.scene_id}' is listed twice"):
+            SceneDatabase(entries=[first, second, second, first])
 
     def test_layout(self, db_and_weights, tmp_path):
         db, weights = db_and_weights
