@@ -1,8 +1,8 @@
 """Deterministic 3D scene-graph alignment toolkit."""
 
-from .allocator import (MatchSet, McfParams, MnnParams, brute_force_allocate,
-                        candidate_set, mcf_allocate, mnn_allocate, solve_mcf)
-from .config import PipelineConfig, load_config, save_config
+from .allocator import (MatchSet, McfParams, MnnParams, candidate_set, mcf_allocate,
+                        mnn_allocate)
+from .config import PipelineConfig, load_config
 from .encoder import (EncoderConfig, EncoderWeights, distance_gate,
                       encode_graph, encode_graphs, encode_nodes, init_weights,
                       initial_embeddings, load_weights, save_weights, sinusoidal_pe)
@@ -17,9 +17,8 @@ from .registration import (RegistrationError, RigidTransform, estimate_rigid,
 from .retrieval import (SceneDatabase, build_database, global_similarity,
                         load_database, rerank, retrieve, save_database,
                         topk_filter)
-from .scene_graph import (GroundTruthMap, SceneGraph, build_edges, load_graph,
-                          pairwise_distance, read_graph, save_graph,
-                          validate_graph)
+from .scene_graph import (GroundTruthMap, SceneGraph, build_edges, load_graph, read_graph,
+                          save_graph, validate_graph)
 from .synth import (SynthConfig, generate_scene, load_sample, make_f2s_pair,
                     make_s2s_pair, make_sample, save_sample)
 

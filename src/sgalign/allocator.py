@@ -13,8 +13,7 @@ rectangular assignment of the A rows to a private unmatched column each
 and to cap_max copies of every B column, solved exactly on float costs by
 shortest augmenting paths. Both cases share one tie rule: the unmatched
 option wins an exact tie with a candidate, and among candidates the lower
-B index wins. A brute-force enumeration oracle over all capacity-feasible
-assignments is included for verification.
+B index wins.
 """
 
 from __future__ import annotations
@@ -203,12 +202,11 @@ def _solve(ci: np.ndarray, cj: np.ndarray, cost: np.ndarray, c_unmatched: float,
     The candidates must be sorted by (i, j). Returns the chosen pairs as
     index arrays, sorted the same way.
     """
-    check_bound("c_unmatched", c_unmatched, "finite", where="solve_mcf")
     bad = ~np.isfinite(cost)
     if bad.any():
         k = int(np.argmax(bad))
         raise InvalidInputError(
-            f"solve_mcf: non-finite cost for {(int(ci[k]), int(cj[k]))}")
+            f"mcf_allocate: non-finite cost for {(int(ci[k]), int(cj[k]))}")
     if cap_max is None:
         # Unlimited B capacity: the rows are independent. argmin returns the
         # first minimum, so exact ties go to the lower B index, and a cost
@@ -231,77 +229,6 @@ def _solve(ci: np.ndarray, cj: np.ndarray, cost: np.ndarray, c_unmatched: float,
     col = _assign(dense)
     take = col >= n_a
     return np.flatnonzero(take), (col[take] - n_a) // cap
-
-
-@dataclass
-class FlowResult:
-    matched: list[tuple[int, int]]        # (i, j) with unit flow
-    unmatched_a: list[int]
-    total_cost: float                     # float cost of the chosen assignment
-
-
-def solve_mcf(candidates: list[tuple[int, int]], costs: dict[tuple[int, int], float],
-              c_unmatched: float, cap_max: int | None, n_a: int, n_b: int) -> FlowResult:
-    """Exact optimal assignment of A nodes to candidate B nodes or 'unmatched'."""
-    cands = sorted(candidates)
-    ci = np.array([i for i, _ in cands], dtype=np.intp)
-    cj = np.array([j for _, j in cands], dtype=np.intp)
-    cost = np.array([costs[key] for key in cands], dtype=float)
-    mi, mj = _solve(ci, cj, cost, c_unmatched, cap_max, n_a, n_b)
-    matched = list(zip(mi.tolist(), mj.tolist()))
-    matched_a = set(mi.tolist())
-    unmatched = [i for i in range(n_a) if i not in matched_a]
-    total = sum(costs[ij] for ij in matched)
-    for _ in unmatched:
-        total += c_unmatched
-    return FlowResult(
-        matched=matched,
-        unmatched_a=unmatched,
-        total_cost=total,
-    )
-
-
-def brute_force_allocate(candidates: list[tuple[int, int]],
-                         costs: dict[tuple[int, int], float],
-                         c_unmatched: float, cap_max: int | None,
-                         n_a: int, n_b: int) -> tuple[float, list[tuple[int, int]]]:
-    """Exhaustive minimum over all capacity-feasible assignments.
-
-    Recursive enumeration (memoized on remaining capacity); independent of
-    the flow solver. Only suitable for small instances.
-    """
-    per_row: list[list[tuple[float, int]]] = [[] for _ in range(n_a)]
-    for (i, j) in candidates:
-        per_row[i].append((costs[(i, j)], j))
-    for row in per_row:
-        row.sort()
-    cap = cap_max if cap_max is not None else n_a
-
-    memo: dict[tuple[int, tuple[int, ...]], tuple[float, tuple]] = {}
-
-    def rec(i: int, used: tuple[int, ...]) -> tuple[float, tuple]:
-        if i == n_a:
-            return 0.0, ()
-        key = (i, used)
-        if key in memo:
-            return memo[key]
-        best_cost, best_rest = rec(i + 1, used)
-        best_cost += c_unmatched
-        best_choice: tuple = ((i, -1),) + best_rest
-        for cost, j in per_row[i]:
-            if used[j] >= cap:
-                continue
-            new_used = used[:j] + (used[j] + 1,) + used[j + 1:]
-            sub_cost, sub_rest = rec(i + 1, new_used)
-            if cost + sub_cost < best_cost:
-                best_cost = cost + sub_cost
-                best_choice = ((i, j),) + sub_rest
-        memo[key] = (best_cost, best_choice)
-        return memo[key]
-
-    total, choice = rec(0, (0,) * n_b)
-    matched = [(i, j) for i, j in choice if j >= 0]
-    return total, matched
 
 
 def mcf_allocate(P, pos_a: np.ndarray, pos_b: np.ndarray,

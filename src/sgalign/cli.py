@@ -249,15 +249,19 @@ def cmd_register(args) -> int:
 
 
 def cmd_retrieve(args) -> int:
+    db_dir = Path(args.db)
+    if not db_dir.is_dir():
+        raise NotADirectoryError(f"--db {args.db}: not a directory")
     config = _load_pipeline_config(args.config)
     weights, meta = _resolve_weights(args, config)
     edges = config.edges
-    db_dir = Path(args.db)
     if (db_dir / retrieval.INDEX_FILE).exists():
         db = retrieval.load_database(db_dir, weights)
     else:
         # bare directory of graph JSON files: encode on the fly
         paths = sorted(db_dir.glob("*.json"))
+        if not paths:
+            raise SgaError(f"no scene graphs under {args.db}")
         graphs = [load_graph(path, edges.n_max, edges.d_th) for path in paths]
         if repeat := retrieval.repeated_id([g.graph_id for g in graphs]):
             i, j = repeat

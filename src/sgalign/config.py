@@ -6,9 +6,7 @@ raise ConfigError naming the dotted field and the violated constraint.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, fields, is_dataclass
-from pathlib import Path
 
 from .allocator import ALLOCATORS, McfParams, MnnParams
 from .encoder import EncoderConfig
@@ -96,7 +94,3 @@ def load_config(path) -> tuple[PipelineConfig, list[str]]:
     if not isinstance(data, dict):
         raise ConfigError(str(path), "top level must be an object")
     return config_from_dict(data)
-
-
-def save_config(config: PipelineConfig, path) -> None:
-    Path(path).write_text(json.dumps(config.to_dict(), indent=2), encoding="utf-8")

@@ -162,48 +162,33 @@ def _check_names(expected, names) -> None:
         raise WeightsFormatError(f"unknown tensors: {unknown}")
 
 
-def _as_array(name: str, value, shape: tuple[int, ...]) -> np.ndarray:
+def _as_tensor(name: str, value, shape: tuple[int, ...]) -> np.ndarray:
     try:
         arr = np.asarray(value, dtype=float)
     except (TypeError, ValueError) as exc:
         raise WeightsFormatError(f"tensor {name}: {exc}") from exc
     if arr.shape != shape:
         raise WeightsFormatError(f"tensor {name}: shape {arr.shape}, expected {shape}")
-    return arr
-
-
-def _as_tensor(name: str, value, shape: tuple[int, ...]) -> np.ndarray:
-    arr = _as_array(name, value, shape)
     if not np.all(np.isfinite(arr)):
         raise WeightsFormatError(f"tensor {name}: non-finite values")
     return arr
 
 
-def _packed_buffer(parts: list[np.ndarray]) -> np.ndarray:
-    """The buffer whose consecutive row blocks `parts` already are, else a packed copy."""
-    buf = parts[0].base
-    if (isinstance(buf, np.ndarray) and buf.flags.c_contiguous
-            and buf.shape == (sum(len(p) for p in parts), parts[0].shape[1])
-            and all(p.base is buf and p.flags.c_contiguous
-                    and p.ctypes.data == buf.ctypes.data + i * p.nbytes
-                    for i, p in enumerate(parts))):
-        return buf
-    return np.concatenate(parts)
-
-
-def _empty_tensors(config: EncoderConfig) -> dict[str, np.ndarray]:
-    """Uninitialised tensors in the packed layout, for init and load to fill
-    in place. Sizes NumPy cannot allocate raise InvalidInputError."""
+def _empty_tensors(config: EncoderConfig
+                   ) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
+    """Uninitialised tensors in the packed layout, for init, load and the
+    constructor to fill in place, and the buffer of each packed group.
+    Sizes NumPy cannot allocate raise InvalidInputError."""
     shapes = tensor_shapes(config)
-    views = {}
+    views, packed = {}, {}
     try:
-        for names in packed_groups(config).values():
+        for group, names in packed_groups(config).items():
             rows, cols = shapes[names[0]]
-            buf = np.empty((len(names) * rows, cols))
+            packed[group] = buf = np.empty((len(names) * rows, cols))
             for i, name in enumerate(names):
                 views[name] = buf[i * rows:(i + 1) * rows]
         return {name: views[name] if name in views else np.empty(shape)
-                for name, shape in shapes.items()}
+                for name, shape in shapes.items()}, packed
     except (ValueError, MemoryError) as exc:
         raise InvalidInputError(f"encoder sizes cannot be allocated: {exc}") from exc
 
@@ -216,6 +201,10 @@ class EncoderWeights:
     is changed in place (``weights[name][...] = value``). ``tensors`` is a
     read-only mapping: rebinding a name, which would detach it from its
     buffer, raises TypeError.
+
+    The constructor checks the caller's tensors (names, shapes, finite
+    values) and copies them into a packed layout of its own. `init_weights`
+    and `load_weights` fill that layout themselves and skip the copy.
     """
 
     config: EncoderConfig
@@ -226,16 +215,20 @@ class EncoderWeights:
     def __post_init__(self):
         expected = tensor_shapes(self.config)
         _check_names(expected, self.tensors)
-        tensors = {name: _as_tensor(name, arr, expected[name])
-                   for name, arr in self.tensors.items()}
-        self.packed = {}
-        for group, names in packed_groups(self.config).items():
-            buf = _packed_buffer([tensors[n] for n in names])
-            rows = len(buf) // len(names)
-            for i, name in enumerate(names):
-                tensors[name] = buf[i * rows:(i + 1) * rows]
-            self.packed[group] = buf
+        tensors, self.packed = _empty_tensors(self.config)
+        for name, arr in self.tensors.items():
+            tensors[name][...] = _as_tensor(name, arr, expected[name])
         self.tensors = MappingProxyType(tensors)
+
+    @classmethod
+    def _filled(cls, config: EncoderConfig, tensors: dict[str, np.ndarray],
+                packed: dict[str, np.ndarray], seed: int | None) -> EncoderWeights:
+        """The weights over `_empty_tensors(config)` once filled, as they
+        are: no check, no copy."""
+        weights = cls.__new__(cls)
+        weights.config, weights.seed, weights.packed = config, seed, packed
+        weights.tensors = MappingProxyType(tensors)
+        return weights
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self.tensors[name]
@@ -255,7 +248,7 @@ def init_weights(config: EncoderConfig, seed: int = 0) -> EncoderWeights:
     Every tensor is drawn in place, straight into the packed layout.
     """
     rng = np.random.default_rng(seed)
-    tensors = _empty_tensors(config)
+    tensors, packed = _empty_tensors(config)
     for name, out in tensors.items():
         if name == "cls_token":
             rng.standard_normal(out=out)
@@ -273,7 +266,7 @@ def init_weights(config: EncoderConfig, seed: int = 0) -> EncoderWeights:
             rng.random(out=out)
             out *= hi - lo
             out += lo
-    return EncoderWeights(config=config, tensors=tensors, seed=seed)
+    return EncoderWeights._filled(config, tensors, packed, seed)
 
 
 # Weights files (format_version 2): an uncompressed NumPy .npz archive with
@@ -294,6 +287,10 @@ def save_weights(weights: EncoderWeights, path) -> None:
 
 
 def _read_weights(fh) -> EncoderWeights:
+    """The weights of the version 2 archive open in `fh`. Entries are read
+    one at a time, each checked once (shape, finite values) as it is copied
+    straight into the packed buffers, so of several faulty entries the
+    first in tensor order is the one reported."""
     what = f"npz weights archive (format_version {WEIGHTS_FORMAT_VERSION})"
     with open_npz(fh, what, WeightsFormatError) as archive:
         if _META_ENTRY not in archive.files:
@@ -317,16 +314,14 @@ def _read_weights(fh) -> EncoderWeights:
             config, unknown = from_section(EncoderConfig(), doc["config"])
             if unknown:
                 raise InvalidInputError(f"unknown fields {unknown}")
-            tensors = _empty_tensors(config)
+            tensors, packed = _empty_tensors(config)
         except (TypeError, ValueError, ZeroDivisionError) as exc:
             raise WeightsFormatError(f"bad config: {exc}") from exc
         _check_names(tensors, [n for n in archive.files if n != _META_ENTRY])
-        # Entries are read one at a time, straight into the packed buffers;
-        # EncoderWeights checks that they are finite.
         for name, out in tensors.items():
-            out[...] = _as_array(name, npz_entry(archive, name, WeightsFormatError),
-                                 out.shape)
-    return EncoderWeights(config=config, tensors=tensors, seed=seed)
+            out[...] = _as_tensor(name, npz_entry(archive, name, WeightsFormatError),
+                                  out.shape)
+    return EncoderWeights._filled(config, tensors, packed, seed)
 
 
 def load_weights(path) -> EncoderWeights:
@@ -686,16 +681,9 @@ def _dgsa(x: np.ndarray, index: _NeighborIndex, weights: EncoderWeights,
     result = _layer_norm(fused, weights[p + "ln_scale"], weights[p + "ln_bias"])
     if not np.all(np.isfinite(result)):
         bad = np.flatnonzero(~np.isfinite(result).all(axis=1))
-        raise NumericError(f"dgsa_layer {layer}: non-finite output for nodes "
+        raise NumericError(f"DGSA layer {layer}: non-finite output for nodes "
                            f"{index.row_names(bad)}")
     return result
-
-
-def dgsa_layer(graph: SceneGraph, embeddings_in: np.ndarray,
-               weights: EncoderWeights, layer: int) -> np.ndarray:
-    """One distance-gated attention block over one graph's neighborhoods."""
-    index = _build_neighbor_index([graph], weights.config.pe_dim)
-    return _dgsa(embeddings_in, index, weights, layer)
 
 
 def _project(c: np.ndarray, c0: np.ndarray, index: _NeighborIndex,

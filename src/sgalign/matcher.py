@@ -60,20 +60,24 @@ class ScoreMatrix:
         return self.P.shape
 
 
+def unit_rows(emb: np.ndarray, side: str) -> np.ndarray:
+    """The rows of `emb` scaled to unit norm. A zero-norm row raises
+    NumericError naming it as side[row]."""
+    emb = np.asarray(emb, dtype=float)
+    norms = np.linalg.norm(emb, axis=1)
+    zero = np.where(norms == 0)[0]
+    if zero.size:
+        raise NumericError(f"cosine_scores: zero-norm embedding {side}[{zero[0]}]")
+    return emb / norms[:, None]
+
+
 def cosine_scores(emb_a: np.ndarray, emb_b: np.ndarray) -> np.ndarray:
     """S[i, j] = <e_i, e_j> on defensively re-normalized embeddings."""
     emb_a = np.asarray(emb_a, dtype=float)
     emb_b = np.asarray(emb_b, dtype=float)
     if emb_a.size == 0 or emb_b.size == 0:
         return np.zeros((len(emb_a), len(emb_b)))
-    out = []
-    for name, emb in (("a", emb_a), ("b", emb_b)):
-        norms = np.linalg.norm(emb, axis=1)
-        zero = np.where(norms == 0)[0]
-        if zero.size:
-            raise NumericError(f"cosine_scores: zero-norm embedding {name}[{zero[0]}]")
-        out.append(emb / norms[:, None])
-    return out[0] @ out[1].T
+    return unit_rows(emb_a, "a") @ unit_rows(emb_b, "b").T
 
 
 def softmax(x: np.ndarray, axis: int) -> np.ndarray:

@@ -21,7 +21,8 @@ from .config import RERANK_MODES, PipelineConfig
 from .encoder import EncoderWeights, encode_graph, encode_graphs, node_batches
 from .errors import (InvalidInputError, SgaError, check_bound, npz_entry, open_npz,
                      read_json, section_dict)
-from .pipeline import match_embeddings
+from .matcher import score_matrix, unit_rows
+from .pipeline import allocate
 from .scene_graph import SceneGraph, pack_graphs, unpack_graphs
 
 
@@ -114,20 +115,28 @@ def rerank(query: EncodedScene, candidates: list[EncodedScene], mode: str,
 
     mode "direct": score = sum of P[i, j] over the allocated matches.
     mode "weighted": the same sum multiplied by the global dot product.
+    The query's unit rows are formed once, so a zero-norm query row fails
+    every candidate.
     """
     if mode not in RERANK_MODES:
         raise InvalidInputError(f"rerank mode must be {'|'.join(RERANK_MODES)}, got {mode!r}")
     if not candidates:
         raise InvalidInputError("rerank: no candidates")
+    try:
+        query_rows = unit_rows(query.node_embeddings, "a")
+    except SgaError:  # no candidate can be scored against this query
+        ids = [cand.scene_id for cand in candidates]
+        return RetrievalResult(ranked=[(sid, float("-inf"), None) for sid in sorted(ids)],
+                               failed=ids)
     rows: list[tuple[str, float, MatchSet | None]] = []
     failed: list[str] = []
     query_positions = query.graph.positions()
     for cand in candidates:
         try:
-            scores, matches = match_embeddings(
-                query.node_embeddings, cand.node_embeddings,
-                query_positions, cand.graph.positions(), config,
-                config.retrieval.allocator)
+            scores = score_matrix(query_rows @ unit_rows(cand.node_embeddings, "b").T,
+                                  config.matcher)
+            matches = allocate(scores, query_positions, cand.graph.positions(), config,
+                               config.retrieval.allocator)
             score = sum(scores.P[i, j] for i, j, _ in matches.pairs)
             if mode == "weighted":
                 score *= global_similarity(query.global_embedding,

@@ -40,18 +40,6 @@ def point_distances(a, b) -> np.ndarray:
     return np.sqrt((d[..., 0] + d[..., 1]) + d[..., 2])
 
 
-def pairwise_distance(a, b) -> float:
-    """Euclidean distance between two finite 3D points (meters)."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != (3,) or b.shape != (3,):
-        raise InvalidInputError(f"pairwise_distance: points must be 3-vectors, "
-                                f"got shapes {a.shape} and {b.shape}")
-    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-        raise InvalidInputError("pairwise_distance: non-finite input point")
-    return float(point_distances(a, b))
-
-
 _VECTORS = ("position", "f_vl", "f_t", "f_g")
 
 

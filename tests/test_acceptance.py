@@ -13,8 +13,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 from conftest import run_cli, with_edges
+from oracles import brute_force_allocate, solve_mcf
 
-from sgalign.allocator import brute_force_allocate, solve_mcf
 from sgalign.config import PipelineConfig
 from sgalign.encoder import BATCH_NODES, encode_graph, node_batches
 from sgalign.evaluation import aggregate, bin_by_overlap, sample_metrics

@@ -12,7 +12,7 @@ from conftest import run_cli, run_main, with_edges
 from sgalign import cli, retrieval
 from sgalign.allocator import McfParams, MnnParams
 from sgalign.config import (EdgeParams, PipelineConfig, RetrievalParams, config_from_dict,
-                            load_config, save_config)
+                            load_config)
 from sgalign.encoder import EncoderConfig, init_weights, save_weights
 from sgalign.errors import ConfigError
 from sgalign.matcher import MatcherParams
@@ -21,6 +21,12 @@ from sgalign.scene_graph import save_graph
 from sgalign.synth import SynthConfig, generate_scene, make_sample, save_sample
 
 GOLDEN = Path(__file__).parent / "data" / "default_config.json"
+
+
+def write_config(config: PipelineConfig, path) -> None:
+    """The config document of `config`, written to `path`."""
+    Path(path).write_text(json.dumps(config.to_dict(), indent=2), encoding="utf-8")
+
 
 # Field values of the wrong type: each must end in a ConfigError.
 TYPE_ERRORS = [
@@ -58,7 +64,7 @@ class TestConfig:
 
     def test_round_trip(self, tmp_path):
         cfg = PipelineConfig()
-        save_config(cfg, tmp_path / "c.json")
+        write_config(cfg, tmp_path / "c.json")
         back, warnings = load_config(tmp_path / "c.json")
         assert back == cfg
         assert warnings == []
@@ -130,7 +136,7 @@ class TestConfig:
                            for g in dataclasses.fields(value)), f.name
             else:
                 assert value != default
-        save_config(cfg, tmp_path / "c.json")
+        write_config(cfg, tmp_path / "c.json")
         back, warnings = load_config(tmp_path / "c.json")
         assert back == cfg
         assert warnings == []
@@ -620,7 +626,7 @@ class TestCliUnreadableJson:
         graph = tmp_path / "g.json"
         shutil.copy(scene_file, graph)
         config = tmp_path / "c.json"
-        save_config(PipelineConfig(), config)
+        write_config(PipelineConfig(), config)
         db = tmp_path / "db"
         db.mkdir()
         (db / "index.json").write_text(json.dumps(
@@ -837,6 +843,24 @@ class TestCliRetrieve:
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert str(tmp_path / "db" / "scene.json") in one_stderr_line(proc)
+
+    @pytest.mark.parametrize("kind", ["missing", "file"])
+    def test_db_not_a_directory_exit_1(self, scene_file, tmp_path, kind):
+        db = tmp_path / "no_such_dir"
+        if kind == "file":
+            db = tmp_path / "scene.json"
+            shutil.copy(scene_file, db)
+        proc = run_main("retrieve", "--query", scene_file, "--db", db)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert one_stderr_line(proc) == f"ERROR sgalign: --db {db}: not a directory"
+
+    def test_db_without_scene_graphs_exit_2(self, scene_file, tmp_path):
+        (tmp_path / "notes.txt").write_text("no graphs here")
+        proc = run_main("retrieve", "--query", scene_file, "--db", tmp_path)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert one_stderr_line(proc) == f"ERROR sgalign: no scene graphs under {tmp_path}"
 
 
 # Each command that takes --seed, with inputs under a directory that holds

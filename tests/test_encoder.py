@@ -15,7 +15,7 @@ from conftest import (ROOT, child_env, graph_columns, rows_graph, run_main, with
 from sgalign import encoder
 from sgalign.config import PipelineConfig
 from sgalign.encoder import (BATCH_NODES, CLS_ATTN_LAYERS, MAX_LAYERS, EncoderConfig,
-                             EncoderWeights, dgsa_layer, distance_gate, encode_graph,
+                             EncoderWeights, distance_gate, encode_graph,
                              encode_graphs, encode_nodes, init_weights, initial_embeddings,
                              load_weights, node_batches, packed_groups,
                              save_weights, sinusoidal_pe, tensor_shapes)
@@ -240,6 +240,12 @@ def dgsa_layer_oracle(graph, emb_in, weights, layer):
         out.append(layer_norm_oracle(list(fused), weights[p + "ln_scale"],
                                      weights[p + "ln_bias"]))
     return np.array(out)
+
+
+def dgsa_layer(graph, embeddings_in, weights, layer):
+    """One DGSA layer over one graph's node rows."""
+    index = encoder._build_neighbor_index([graph], weights.config.pe_dim)
+    return encoder._dgsa(embeddings_in, index, weights, layer)
 
 
 def with_isolated_nodes(graph, config, count=3, seed=0):
@@ -1076,6 +1082,19 @@ class TestWeightsSerialization:
         with pytest.raises(WeightsFormatError, match="shape"):
             EncoderWeights(config=small_config,
                            tensors={**small_weights.tensors, "cls_token": [1.0, 2.0]})
+
+    def test_non_finite_tensor_rejected(self, small_config, small_weights):
+        bad = small_weights["layer1.Wo"].copy()
+        bad[2, 3] = np.nan
+        with pytest.raises(WeightsFormatError, match="tensor layer1.Wo: non-finite"):
+            EncoderWeights(config=small_config,
+                           tensors={**small_weights.tensors, "layer1.Wo": bad})
+
+    def test_caller_tensors_are_copied(self, small_config, small_weights):
+        copies = {k: v.copy() for k, v in small_weights.tensors.items()}
+        rebuilt = EncoderWeights(config=small_config, tensors=copies)
+        for name, arr in copies.items():
+            assert not np.shares_memory(rebuilt[name], arr), name
 
     def test_unknown_tensor_rejected_v2(self, small_weights, tmp_path):
         path = tmp_path / "w.npz"

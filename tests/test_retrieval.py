@@ -3,11 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from sgalign.config import PipelineConfig
+from sgalign.config import PipelineConfig, RetrievalParams
 from sgalign.encoder import EncoderWeights, init_weights, load_weights, save_weights
 from sgalign.errors import InvalidInputError
 from sgalign.matcher import cosine_scores, score_matrix
-from sgalign.pipeline import allocate
+from sgalign.pipeline import allocate, match_embeddings
 from sgalign.retrieval import (EncodedScene, SceneDatabase, build_database,
                                global_similarity, load_database, rerank, retrieve,
                                save_database, topk_filter, weights_fingerprint)
@@ -126,6 +126,38 @@ class TestRerank:
             expected = sum(sm.P[i, j] for i, j, _ in ms.pairs)
             expected *= float(query.global_embedding @ cand.global_embedding)
             assert scores[cand.scene_id] == pytest.approx(expected, abs=1e-9)
+
+    @pytest.mark.parametrize("allocator", ["mnn", "mcf"])
+    def test_equals_match_embeddings(self, db_and_weights, allocator):
+        """Each ranked candidate's score and MatchSet have the bits that
+        match_embeddings gives on that candidate alone."""
+        db, _ = db_and_weights
+        config = PipelineConfig(retrieval=RetrievalParams(allocator=allocator))
+        for query in db.entries[:3]:
+            res = rerank(query, list(db.entries), "weighted", config)
+            assert res.failed == [] and len(res.ranked) == len(db)
+            by_id = {e.scene_id: e for e in db.entries}
+            for sid, score, matches in res.ranked:
+                cand = by_id[sid]
+                sm, want = match_embeddings(query.node_embeddings, cand.node_embeddings,
+                                            query.graph.positions(), cand.graph.positions(),
+                                            config, allocator)
+                expected = sum(sm.P[i, j] for i, j, _ in want.pairs)
+                expected *= global_similarity(query.global_embedding, cand.global_embedding)
+                assert score == float(expected)
+                assert matches == want
+
+    def test_zero_norm_query_row_fails_every_candidate(self, db_and_weights):
+        db, _ = db_and_weights
+        query = db.entries[0]
+        rows = query.node_embeddings.copy()
+        rows[2] = 0.0
+        candidates = [db.entries[k] for k in (7, 1, 4)]
+        res = rerank(EncodedScene("q", query.graph, rows, query.global_embedding),
+                     candidates, "direct", PipelineConfig())
+        assert res.failed == ["scene07", "scene01", "scene04"]
+        assert res.ranked == [(sid, float("-inf"), None)
+                              for sid in ("scene01", "scene04", "scene07")]
 
     def test_scores_non_increasing(self, db_and_weights):
         db, _ = db_and_weights

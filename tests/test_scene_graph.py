@@ -8,48 +8,17 @@ import pytest
 from sgalign.errors import InvalidInputError
 from sgalign.scene_graph import (EDGE_DISTANCE_RTOL, MAX_COORDINATE, SceneGraph,
                                  build_edges, graph_from_dict, graph_to_dict, load_graph,
-                                 pack_graphs, pairwise_distance, point_distances,
+                                 pack_graphs, point_distances,
                                  read_graph, save_graph, unpack_graphs, validate_graph)
 from sgalign.synth import SynthConfig, generate_scene, make_sample
 from conftest import (assert_same_graphs, graph_columns, rows_graph, with_columns,
                       with_edges)
 
 
-class TestPairwiseDistance:
-    def test_identity(self):
-        assert pairwise_distance((0, 0, 0), (0, 0, 0)) == 0.0
-
-    def test_3_4_5(self):
-        assert pairwise_distance((0, 0, 0), (3, 4, 0)) == 5.0
-
-    def test_random_against_sum_of_squares(self, rng):
-        for _ in range(100):
-            a = rng.uniform(-10, 10, 3)
-            b = rng.uniform(-10, 10, 3)
-            oracle = sum((a[k] - b[k]) ** 2 for k in range(3)) ** 0.5
-            assert abs(pairwise_distance(a, b) - oracle) <= 1e-12
-
-    def test_symmetry(self, rng):
-        a, b = rng.uniform(-5, 5, 3), rng.uniform(-5, 5, 3)
-        assert pairwise_distance(a, b) == pairwise_distance(b, a)
-
-    def test_non_finite_rejected(self):
-        with pytest.raises(InvalidInputError):
-            pairwise_distance((np.nan, 0, 0), (0, 0, 0))
-        with pytest.raises(InvalidInputError):
-            pairwise_distance((0, 0, 0), (np.inf, 0, 0))
-
-    @pytest.mark.parametrize("a, b", [((0, 0), (0, 0)), ((0, 0, 0, 0), (0, 0, 0, 0)),
-                                      ([[0, 0, 0]], (1, 0, 0)), ((0, 0, 0), 5.0)])
-    def test_non_3_vector_rejected(self, a, b):
-        with pytest.raises(InvalidInputError, match="3-vectors"):
-            pairwise_distance(a, b)
-
-
 class TestPointDistances:
     def test_broadcasts_to_one_formula(self, rng):
         """Every shape gives the bits of sqrt((dx² + dy²) + dz²) per pair,
-        and pairwise_distance is its scalar case."""
+        its scalar case among them."""
         a, b = rng.uniform(-10, 10, (40, 3)), rng.uniform(-10, 10, (30, 3))
         got = point_distances(a[:, None], b)
         assert got.shape == (40, 30)
@@ -57,7 +26,7 @@ class TestPointDistances:
             for j in range(30):
                 dx, dy, dz = a[i] - b[j]
                 assert got[i, j] == math.sqrt((dx * dx + dy * dy) + dz * dz)
-                assert got[i, j] == pairwise_distance(a[i], b[j])
+                assert got[i, j] == point_distances(a[i], b[j])
         rows = np.arange(30)
         assert point_distances(a[:30], b).tobytes() == got[rows, rows].tobytes()
 
@@ -144,19 +113,19 @@ class TestBuildEdges:
         positions = rng.uniform(0, 5, (25, 3))
         endpoints, distances = build_edges(np.arange(25), positions)
         for (i, j), d in zip(endpoints, distances):
-            actual = pairwise_distance(positions[i], positions[j])
+            actual = math.dist(positions[i], positions[j])
             assert abs(d - actual) <= 1e-9 * max(1.0, actual)
 
     def test_stored_distances_are_pairwise_distance(self):
-        """Every stored distance has the bits of pairwise_distance of its
-        endpoints, over 20 random 25-node graphs: one formula writes and
-        checks them."""
+        """Every stored distance has the bits of point_distances of its two
+        endpoints alone, over 20 random 25-node graphs: one formula writes
+        and checks them."""
         rng = np.random.default_rng(0)
         for _ in range(20):
             positions = rng.uniform(0, 5, (25, 3))
             endpoints, distances = build_edges(np.arange(25), positions)
             assert len(endpoints)
-            assert distances.tolist() == [pairwise_distance(positions[i], positions[j])
+            assert distances.tolist() == [float(point_distances(positions[i], positions[j]))
                                           for i, j in endpoints]
 
 
@@ -180,7 +149,7 @@ class TestValidateGraph:
 
     def test_stale_edge_distance(self):
         g = well_formed_graph()
-        d = pairwise_distance(g.positions()[0], g.positions()[1]) * 2.0
+        d = float(point_distances(g.positions()[0], g.positions()[1])) * 2.0
         g = with_columns(g, endpoints=[[0, 1]], edge_distances=[d])
         violations = validate_graph(g)
         assert any("stored distance" in v for v in violations)
@@ -200,6 +169,15 @@ def built(doc):
     """The graph `graph_from_dict` reads from the JSON text of a graph
     document, so that vectors of any shape reach the reader's checks."""
     return graph_from_dict(json.loads(json.dumps(doc, default=list)))
+
+
+def loop_distance(a, b) -> float:
+    """The loop's distance of two finite 3D points; any other input raises
+    InvalidInputError."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    if a.shape != (3,) or b.shape != (3,) or not np.isfinite([a, b]).all():
+        raise InvalidInputError(f"points must be finite 3-vectors, got {a} and {b}")
+    return float(point_distances(a, b))
 
 
 def validate_graph_loop(doc):
@@ -239,7 +217,7 @@ def validate_graph_loop(doc):
         if i not in by_id or j not in by_id:
             violations.append(f"edge ({i},{j}): dangling endpoint")
             continue
-        actual = pairwise_distance(by_id[i]["position"], by_id[j]["position"])
+        actual = loop_distance(by_id[i]["position"], by_id[j]["position"])
         if abs(d - actual) > EDGE_DISTANCE_RTOL * max(1.0, actual):
             violations.append(f"edge ({i},{j}): stored distance {d} != actual {actual}")
     return violations
@@ -247,7 +225,7 @@ def validate_graph_loop(doc):
 
 def isolate(doc, k):
     """Drop the edges of node row k, so a bad position does not reach the
-    oracle's pairwise_distance, which raises on it."""
+    oracle's loop_distance, which raises on it."""
     nid = doc["nodes"][k]["id"]
     doc["edges"] = [e for e in doc["edges"] if nid not in e[:2]]
 
@@ -374,12 +352,12 @@ class TestValidateGraphOracle:
         i, j, _ = doc["edges"][2]
         doc["edges"][2] = [i, j, float("nan")]
         assert validate_graph_loop(doc) == []
-        actual = pairwise_distance(doc["nodes"][i]["position"], doc["nodes"][j]["position"])
+        actual = loop_distance(doc["nodes"][i]["position"], doc["nodes"][j]["position"])
         assert validate_graph(built(doc)) == [
             f"edge ({i},{j}): stored distance nan != actual {actual}"]
 
     def test_bad_position_reported_not_raised(self):
-        """The loop raised from pairwise_distance on an edge to a non-finite
+        """The loop raised from its distance on an edge to a non-finite
         position; validate_graph reports the node and skips its edges."""
         doc = eight_nodes()
         k, nid = first_edge_node(doc)
