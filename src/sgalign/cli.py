@@ -9,6 +9,7 @@ overflows or turns invalid included).
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import numbers
 import os
@@ -212,10 +213,11 @@ def cmd_eval(args) -> int:
     if args.out:
         Path(args.out).write_text(text + "\n", encoding="utf-8")
     if args.csv:
-        lines = ["sample,overlap,accuracy,precision,recall,f1"]
-        lines += [f"{r['sample']},{r['overlap']},{r['accuracy']},"
-                  f"{r['precision']},{r['recall']},{r['f1']}" for r in per_sample]
-        Path(args.csv).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        columns = ["sample", "overlap", "accuracy", "precision", "recall", "f1"]
+        with open(args.csv, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(columns)
+            writer.writerows([r[c] for c in columns] for r in per_sample)
     sys.stdout.write(text + "\n")
     return EXIT_OK
 

@@ -412,29 +412,37 @@ def _take(a: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return np.take(a, rows, axis=0, out=out, mode="clip")
 
 
-def _rows_matmul(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """x @ w.T over the padded row count (see _ROW_TILE). Where x is the
-    head of its base array (a `_padded` array, a leading range of one, or a
-    padded product's result) and the base has rows enough, those rows are
-    the padding: the rows that follow x are read and then dropped, and they
-    do not change the bits of x's rows. Otherwise x is copied into zero
-    rows."""
+def _padded_operand(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """x over the padded row count of its product with w (see _ROW_TILE).
+    Where x is the head of its base array (a `_padded` array, a leading
+    range of one, or a padded product's result) and the base has rows
+    enough, those rows are the padding: the rows that follow x are read and
+    then dropped, and they do not change the bits of x's rows. Otherwise x
+    is copied into zero rows."""
     rows = _tile(max(len(x), -(-_MIN_ENTRIES // len(w))))
     if len(x) == rows:
-        return x @ w.T
+        return x
     buf = x.base
     if not (isinstance(buf, np.ndarray) and buf.ctypes.data == x.ctypes.data
             and buf.flags.c_contiguous and x.flags.c_contiguous
             and buf.shape[1:] == x.shape[1:] and len(buf) >= rows):
         buf = np.zeros((rows, x.shape[1]))
         buf[:len(x)] = x
-    return (buf[:rows] @ w.T)[:len(x)]
+    return buf[:rows]
 
 
-def _layer_norm(x: np.ndarray, scale: np.ndarray, bias: np.ndarray) -> np.ndarray:
+def _rows_matmul(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """x @ w.T over the padded row count (see _padded_operand)."""
+    padded = _padded_operand(x, w)
+    return x @ w.T if padded is x else (padded @ w.T)[:len(x)]
+
+
+def _layer_norm(x: np.ndarray, scale: np.ndarray, bias: np.ndarray,
+                out: np.ndarray | None = None) -> np.ndarray:
     """LayerNorm over the last axis in one pass: x - mean is formed once and
-    reused for the variance, which np.var forms with the same operations."""
-    d = x - x.mean(axis=-1, keepdims=True)
+    reused for the variance, which np.var forms with the same operations.
+    The result is written to `out` where one is given."""
+    d = np.subtract(x, x.mean(axis=-1, keepdims=True), out=out)
     var = (d * d).sum(axis=-1, keepdims=True) / x.shape[-1]
     d /= np.sqrt(var + LN_EPS)
     d *= scale
@@ -717,24 +725,30 @@ def _class_tokens(node_emb: np.ndarray, node_offsets: np.ndarray,
     heads, dh, d = cfg.heads, cfg.d_head, cfg.d_model
     sizes = np.diff(node_offsets) + 1  # tokens of each graph
     cls_rows = np.cumsum(sizes) - sizes
-    x = np.insert(node_emb, node_offsets[:-1], weights["cls_token"], axis=0)
+    # Every product operand is a `_padded` array, so none is copied to pad it.
+    x = _padded(len(node_emb) + len(sizes), d)
+    is_node = np.ones(len(x), dtype=bool)
+    is_node[cls_rows] = False
+    x[cls_rows] = weights["cls_token"]
+    x[is_node] = node_emb
     blocks = _size_blocks(sizes)
 
     for layer in range(CLS_ATTN_LAYERS):
         p = f"cls_attn{layer}."
         last = layer == CLS_ATTN_LAYERS - 1
-        queries = cls_rows if last else slice(None)
+        x_q = _take(x, cls_rows) if last else x  # the query rows
         w_qkv = weights.packed[p + "qkv"]
-        q = _rows_matmul(x[queries], w_qkv[:d]).reshape(-1, heads, dh)
+        q = _rows_matmul(x_q, w_qkv[:d]).reshape(-1, heads, dh)
         kv = _rows_matmul(x, w_qkv[d:]).reshape(len(x), 2, heads, dh)
-        attn = np.empty_like(q)
+        attn = _padded(len(x_q), d).reshape(-1, heads, dh)
         for graphs, tokens in blocks:
             rows = graphs[:, None] if last else tokens  # query rows of q
             block = kv[tokens].transpose(0, 2, 3, 1, 4)  # (n, 2, heads, L, d_head)
             scores = (q[rows].transpose(0, 2, 1, 3) @ block[:, 0].swapaxes(2, 3)) / math.sqrt(dh)
             attn[rows] = _attend(scores, block[:, 1]).transpose(0, 2, 1, 3)
-        x = _layer_norm(x[queries] + _rows_matmul(attn.reshape(-1, d), weights[p + "Wo"]),
-                        weights[p + "ln_scale"], weights[p + "ln_bias"])
+        x = _layer_norm(x_q + _rows_matmul(attn.reshape(-1, d), weights[p + "Wo"]),
+                        weights[p + "ln_scale"], weights[p + "ln_bias"],
+                        out=_padded(len(x_q), d))
     norms = np.linalg.norm(x, axis=1)
     if np.any(norms == 0):
         raise NumericError("class token embedding collapsed to zero")

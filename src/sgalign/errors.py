@@ -14,12 +14,14 @@ bound declares it once, as field metadata {"bound": <a key of BOUNDS>}.
 from __future__ import annotations
 
 import dataclasses
+import io
 import json
 import numbers
 import zipfile
 from pathlib import Path
 
 import numpy as np
+import orjson
 
 
 class SgaError(Exception):
@@ -154,12 +156,68 @@ def from_section(default, doc: dict) -> tuple[object, list[str]]:
     return dataclasses.replace(default, **changes), unknown
 
 
+# Where orjson may decode a document differently from json.loads, or not
+# safely, read_json leaves it to json.loads:
+# - An integer literal of 19 or more digits may lie outside the 64-bit
+#   ranges, and orjson returns such an integer as a float. Under
+#   _DIGIT_CLASS, "x" followed by 19 "0"s marks a byte that is neither a
+#   digit nor "." followed by 19 digits: every such literal, and some
+#   digits in strings and exponents.
+# - json.loads refuses a document nested about as deep as the interpreter's
+#   recursion limit (1000 frames by default, less the caller's own stack).
+#   orjson has no such limit, and text nested some 10^5 deep overflows its
+#   C stack. It gets only text whose brackets nest at most _FAST_DEPTH deep.
+_DIGIT_CLASS = bytes(ord("0") if c in b"0123456789" else ord(".") if c == ord(".") else ord("x")
+                     for c in range(256))
+_LONG_INTEGER = b"x" + b"0" * 19
+_FAST_DEPTH = 200
+
+
+def _nesting_bound(data: bytes) -> int:
+    """A bound on how deep a parser of the JSON text `data` nests: the
+    number of its opening brackets, or, where that passes _FAST_DEPTH and
+    the text has no backslash (so that every quote opens or closes a
+    string), the most brackets open at once outside strings. A parser stops
+    at the first closing bracket that closes nothing, so later ones cannot
+    deepen it."""
+    count = data.count(b"[") + data.count(b"{")
+    if count <= _FAST_DEPTH or b"\\" in data:
+        return count
+    text = np.frombuffer(data, np.uint8)
+    opens = np.flatnonzero((text == ord("[")) | (text == ord("{")))
+    quotes = np.flatnonzero(text == ord('"'))
+    closes = np.flatnonzero((text == ord("]")) | (text == ord("}")))
+    opens = opens[np.searchsorted(quotes, opens) % 2 == 0]
+    closes = closes[np.searchsorted(quotes, closes) % 2 == 0]
+    # the brackets open just after each opening one
+    return int((np.arange(1, len(opens) + 1) - np.searchsorted(closes, opens)).max(initial=0))
+
+
 def read_json(path):
-    """The JSON document in the file at `path`. Text that is not UTF-8, not
-    JSON or nested too deeply to decode raises InvalidInputError naming the
-    file; an OSError passes through."""
+    """The JSON document in the file at `path`, equal to what json.loads
+    makes of its UTF-8 text. Text that is not UTF-8, not JSON or nested too
+    deeply to decode raises InvalidInputError naming the file; an OSError
+    passes through.
+
+    orjson decodes the bytes wherever its document is bound to equal that of
+    json.loads. Where it refuses them (NaN and Infinity literals, a number
+    that overflows a double, a lone surrogate, a BOM or any bytes that are
+    not UTF-8 JSON), or where an integer literal or the nesting could decode
+    differently (see _LONG_INTEGER and _FAST_DEPTH), json.loads decodes the
+    text as it is read in text mode, and its document or its error is the
+    result."""
+    data = Path(path).read_bytes()
+    classes = data.translate(_DIGIT_CLASS)
+    if (classes.rfind(_LONG_INTEGER) < 0 and not classes.startswith(_LONG_INTEGER[1:])
+            and _nesting_bound(data) <= _FAST_DEPTH):
+        try:
+            return orjson.loads(data)
+        except orjson.JSONDecodeError:
+            pass
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        # Text mode reads "\r\n" and "\r" as "\n", so json's error positions
+        # are those of a file opened as text.
+        return json.loads(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read())
     except (ValueError, RecursionError) as exc:  # ValueError: JSON and UTF-8 errors
         raise InvalidInputError(f"{path}: unreadable JSON: {exc}") from exc
 

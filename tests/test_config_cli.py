@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import dataclasses
 import io
 import json
@@ -428,6 +429,26 @@ class TestCliSynthEval:
         csv_lines = (tmp_path / "r.csv").read_text().strip().splitlines()
         assert len(csv_lines) == 4
 
+    def test_eval_csv_quotes_fields(self, pair_dir, tmp_path):
+        """A sample name with a comma or a quote is one CSV field; a plain
+        name's row is its values joined by commas."""
+        pairs = tmp_path / "pairs"
+        names = ["plain", "scan,1", 'say "hi"']
+        for name, sample in zip(names, sorted(pair_dir.iterdir())):
+            shutil.copytree(sample, pairs / name)
+        path = tmp_path / "r.csv"
+        proc = run_main("eval", "--pairs", pairs, "--allocator", "mnn", "--csv", path)
+        assert proc.returncode == 0, proc.stderr
+        per_sample = json.loads(proc.stdout)["per_sample"]
+        columns = ["sample", "overlap", "accuracy", "precision", "recall", "f1"]
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert rows == [columns] + [[str(r[c]) for c in columns] for r in per_sample]
+        assert sorted(r[0] for r in rows[1:]) == sorted(names)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        plain = next(r for r in per_sample if r["sample"] == "plain")
+        assert ",".join(str(plain[c]) for c in columns) in lines
+
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_eval_jobs_below_one_is_usage_error(self, pair_dir, jobs):
@@ -653,6 +674,36 @@ class TestCliUnreadableJson:
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert f"{path}: 'meta' entry: " in one_stderr_line(proc)
+
+
+class TestCliNumberLiterals:
+    """Literals that orjson reads otherwise than json.loads keep their
+    answers: a NaN feature value is a violation, and a node id past the
+    64-bit ranges is refused with its exact digits."""
+
+    def test_validate_nan_feature(self, scene_file, tmp_path):
+        doc = json.loads(scene_file.read_text())
+        doc["nodes"][0]["f_vl"][3] = float("nan")
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(doc))
+        proc = run_main("validate", path)
+        assert proc.returncode == 2
+        assert json.loads(proc.stdout) == {"graph_id": doc["graph_id"],
+                                           "violations": ["node 0: non-finite values in f_vl"]}
+        assert proc.stderr == ""
+
+    @pytest.mark.parametrize("literal", ["-9223372036854775809", "18446744073709551617"])
+    @pytest.mark.parametrize("command", ["validate", "encode"])
+    def test_node_id_past_int64(self, scene_file, tmp_path, literal, command):
+        doc = json.loads(scene_file.read_text())
+        doc["nodes"][1]["id"] = "<id>"
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(doc).replace('"<id>"', literal))
+        proc = run_main(command, path)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert one_stderr_line(proc) == (
+            f"ERROR sgalign: {path}: node id must be an integer within int64, got {literal}")
 
 
 class TestCliRegister:

@@ -664,6 +664,23 @@ class TestClassTokens:
             one_emb, one_glob = encode_graph(graph, weights)
             assert np.abs(one_glob - class_token_oracle(one_emb, weights)).max() <= 1e-9
 
+    def test_products_pad_in_place(self, default_weights, monkeypatch):
+        """No class-token product copies its operand into zero rows, though
+        no token or query count is a multiple of 4: each operand is the head
+        of a buffer with padding rows enough."""
+        graphs = [random_graph(n, default_weights.config, seed=n) for n in (4, 5, 9)]
+        node_emb, offsets = encoder._node_pass(graphs, default_weights)
+        products, matmul = [], encoder._rows_matmul
+
+        def spy_matmul(x, w):
+            products.append((len(x), np.shares_memory(encoder._padded_operand(x, w), x)))
+            return matmul(x, w)
+        monkeypatch.setattr(encoder, "_rows_matmul", spy_matmul)
+        encoder._class_tokens(node_emb, offsets, default_weights)
+        # Per layer, q, kv and Wo: 21 token rows, then the 3 CLS rows as queries.
+        assert CLS_ATTN_LAYERS == 2
+        assert products == [(21, True)] * 3 + [(3, True), (21, True), (3, True)]
+
 
 def assert_batched_matches_one_graph_calls(graphs, weights):
     batched = encode_graphs(graphs, weights)
