@@ -12,6 +12,8 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import os
+import threading
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
@@ -61,6 +63,21 @@ _SECTIONS = (0, 1, 3, 5)
 # Largest double below 1.0; keeps gate outputs in the open interval.
 _GATE_HI = np.nextafter(1.0, 0.0)
 _GATE_LO = np.nextafter(0.0, 1.0)
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the
+    platform has one, else every CPU."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+# Threads that fill the weight tensors (`_fill`). NumPy releases the GIL
+# in the draws, checks and copies, so each usable CPU fills its own part.
+# The cap keeps a large machine from starting many threads for a fill of
+# about 100 MiB; it is not tuned (measured on 2 cores only).
+_WORKERS = min(_usable_cpus(), 4)
 
 
 @dataclass(frozen=True)
@@ -193,6 +210,42 @@ def _empty_tensors(config: EncoderConfig
         raise InvalidInputError(f"encoder sizes cannot be allocated: {exc}") from exc
 
 
+def _fill(tensors: dict[str, np.ndarray],
+          fill: Callable[[list[tuple[str, np.ndarray]]], None]) -> None:
+    """Call `fill(part)` on up to _WORKERS consecutive parts of
+    tensors.items() of about equal size: the first part on the calling
+    thread, each other part on a thread of its own.
+
+    `fill` fills a part in tensor order and raises at its first fault. The
+    first part that raised is re-raised, so of several faults the first in
+    tensor order is the one reported, as in one loop over all tensors.
+    """
+    items = list(tensors.items())
+    ends = np.cumsum([out.size for _, out in items])
+    cuts = np.searchsorted(ends, ends[-1] * np.arange(1, _WORKERS) / _WORKERS) + 1
+    bounds = [0, *cuts.tolist(), len(items)]
+    parts = [items[lo:hi] for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
+    faults: list[BaseException | None] = [None] * len(parts)
+
+    def run(i):
+        try:
+            fill(parts[i])
+        except BaseException as exc:  # re-raised below, on the calling thread
+            faults[i] = exc
+
+    # Plain threads: concurrent.futures would add 12 ms and 0.8 MiB to
+    # every import of the package.
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(1, len(parts))]
+    for thread in threads:
+        thread.start()
+    run(0)
+    for thread in threads:
+        thread.join()
+    for fault in faults:
+        if fault is not None:
+            raise fault
+
+
 @dataclass
 class EncoderWeights:
     """Named weight tensors; the packed ones are row views of `packed` buffers.
@@ -203,8 +256,10 @@ class EncoderWeights:
     buffer, raises TypeError.
 
     The constructor checks the caller's tensors (names, shapes, finite
-    values) and copies them into a packed layout of its own. `init_weights`
-    and `load_weights` fill that layout themselves and skip the copy.
+    values) and copies them into a packed layout of its own; of several
+    faulty tensors, the first in tensor order is the one reported.
+    `init_weights` and `load_weights` fill that layout themselves and skip
+    the copy.
     """
 
     config: EncoderConfig
@@ -213,11 +268,15 @@ class EncoderWeights:
     packed: dict[str, np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
-        expected = tensor_shapes(self.config)
-        _check_names(expected, self.tensors)
+        _check_names(tensor_shapes(self.config), self.tensors)
         tensors, self.packed = _empty_tensors(self.config)
-        for name, arr in self.tensors.items():
-            tensors[name][...] = _as_tensor(name, arr, expected[name])
+        given = self.tensors
+
+        def copy(part):
+            for name, out in part:
+                out[...] = _as_tensor(name, given[name], out.shape)
+
+        _fill(tensors, copy)
         self.tensors = MappingProxyType(tensors)
 
     @classmethod
@@ -245,27 +304,49 @@ WO_INIT_GAIN = 0.05
 def init_weights(config: EncoderConfig, seed: int = 0) -> EncoderWeights:
     """Xavier-uniform matrices, zero biases, unit LayerNorm, normalized CLS.
 
-    Every tensor is drawn in place, straight into the packed layout.
+    The values are those of one stream drawn in tensor order, each matrix
+    by `Generator.random`, cls_token by `standard_normal`. Every tensor is
+    filled in place, straight into the packed layout, on `_fill`'s threads:
+    `random` takes exactly one 64-bit output per float64, so a matrix's
+    generator starts at its first draw by `advance`. Only cls_token, whose
+    draw takes a varying number of outputs, is drawn first; the stream's
+    state after it is the start of every later matrix.
     """
     rng = np.random.default_rng(seed)
     tensors, packed = _empty_tensors(config)
+    starts = {}  # matrix name -> (stream state, outputs drawn from it before the matrix)
+    state, drawn = rng.bit_generator.state, 0
     for name, out in tensors.items():
         if name == "cls_token":
+            rng.bit_generator.advance(drawn)
             rng.standard_normal(out=out)
             out /= np.linalg.norm(out)
-        elif name.endswith("ln_scale"):
-            out.fill(1.0)
-        elif out.ndim == 1:  # biases and ln_bias
-            out.fill(0.0)
-        else:
-            fan_out, fan_in = out.shape
-            bound = math.sqrt(6.0 / (fan_in + fan_out))
-            gain = WO_INIT_GAIN if name.startswith("layer") and name.endswith("Wo") else 1.0
-            # rng.uniform(lo, hi) without a temporary: lo + (hi - lo) * U[0, 1)
-            lo, hi = -gain * bound, gain * bound
-            rng.random(out=out)
-            out *= hi - lo
-            out += lo
+            state, drawn = rng.bit_generator.state, 0
+        elif out.ndim == 2:
+            starts[name] = state, drawn
+            drawn += out.size
+
+    def draw(part):
+        gen = np.random.default_rng(seed)  # its state is set before each draw
+        for name, out in part:
+            if name in starts:
+                gen.bit_generator.state, skip = starts[name]
+                gen.bit_generator.advance(skip)
+                fan_out, fan_in = out.shape
+                bound = math.sqrt(6.0 / (fan_in + fan_out))
+                gain = (WO_INIT_GAIN if name.startswith("layer") and name.endswith("Wo")
+                        else 1.0)
+                # gen.uniform(lo, hi) without a temporary: lo + (hi - lo) * U[0, 1)
+                lo, hi = -gain * bound, gain * bound
+                gen.random(out=out)
+                out *= hi - lo
+                out += lo
+            elif name.endswith("ln_scale"):
+                out.fill(1.0)
+            elif name != "cls_token":  # biases and ln_bias
+                out.fill(0.0)
+
+    _fill(tensors, draw)
     return EncoderWeights._filled(config, tensors, packed, seed)
 
 
@@ -286,13 +367,13 @@ def save_weights(weights: EncoderWeights, path) -> None:
                         **dict(sorted(weights.tensors.items()))})
 
 
-def _read_weights(fh) -> EncoderWeights:
-    """The weights of the version 2 archive open in `fh`. Entries are read
-    one at a time, each checked once (shape, finite values) as it is copied
-    straight into the packed buffers, so of several faulty entries the
+def _read_weights(path) -> EncoderWeights:
+    """The weights of the version 2 archive at `path`. Entries are checked
+    once each (shape, finite values) as they are copied straight into the
+    packed buffers on `_fill`'s threads, so of several faulty entries the
     first in tensor order is the one reported."""
     what = f"npz weights archive (format_version {WEIGHTS_FORMAT_VERSION})"
-    with open_npz(fh, what, WeightsFormatError) as archive:
+    with open(path, "rb") as fh, open_npz(fh, what, WeightsFormatError) as archive:
         if _META_ENTRY not in archive.files:
             raise WeightsFormatError(f"npz archive has no '{_META_ENTRY}' entry")
         meta = npz_entry(archive, _META_ENTRY, WeightsFormatError)
@@ -318,9 +399,16 @@ def _read_weights(fh) -> EncoderWeights:
         except (TypeError, ValueError, ZeroDivisionError) as exc:
             raise WeightsFormatError(f"bad config: {exc}") from exc
         _check_names(tensors, [n for n in archive.files if n != _META_ENTRY])
-        for name, out in tensors.items():
-            out[...] = _as_tensor(name, npz_entry(archive, name, WeightsFormatError),
-                                  out.shape)
+
+    def copy(part):
+        # An archive of its own: zipfile counts a file's open members
+        # without a lock, so threads do not share one archive.
+        with open(path, "rb") as fh, open_npz(fh, what, WeightsFormatError) as archive:
+            for name, out in part:
+                out[...] = _as_tensor(name, npz_entry(archive, name, WeightsFormatError),
+                                      out.shape)
+
+    _fill(tensors, copy)
     return EncoderWeights._filled(config, tensors, packed, seed)
 
 
@@ -329,11 +417,10 @@ def load_weights(path) -> EncoderWeights:
     not a zip archive, a damaged archive, a bad config or a missing, unknown,
     wrongly shaped or non-finite tensor raises WeightsFormatError naming
     `path`."""
-    with open(path, "rb") as fh:
-        try:
-            return _read_weights(fh)
-        except WeightsFormatError as exc:
-            raise WeightsFormatError(f"{path}: {exc}") from exc
+    try:
+        return _read_weights(path)
+    except WeightsFormatError as exc:
+        raise WeightsFormatError(f"{path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

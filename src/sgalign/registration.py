@@ -118,7 +118,8 @@ def estimate_rigid(pairs, iters: int = DEFAULT_RANSAC_ITERS,
 
     All `iters` minimal samples are drawn first, in one call, then fitted
     and scored as one batch; the best hypothesis is the first with the most
-    inliers.
+    inliers. An `iters` whose samples NumPy cannot allocate raises
+    InvalidInputError.
     """
     check_bound("iters", iters, ">= 1", where="estimate_rigid")
     check_bound("inlier_eps", inlier_eps, "finite and >= 0", where="estimate_rigid")
@@ -130,7 +131,11 @@ def estimate_rigid(pairs, iters: int = DEFAULT_RANSAC_ITERS,
     if _collinear(a):
         raise DegenerateGeometryError("A positions are collinear")
 
-    idx = _minimal_samples(np.random.default_rng(seed), n, iters)
+    try:
+        idx = _minimal_samples(np.random.default_rng(seed), n, iters)
+    except (ValueError, OverflowError, MemoryError) as exc:
+        raise InvalidInputError(
+            f"estimate_rigid: iters {iters} samples cannot be allocated: {exc}") from exc
     idx = idx[~_collinear(a[idx])]
     best_inliers: np.ndarray | None = None
     if len(idx):

@@ -1,11 +1,13 @@
 """Independent oracles for the flow allocator, and an adapter that runs the
-library's solver on the same instances."""
+library's solver on the same instances; the one-stream weight draw."""
 
+import math
 from typing import NamedTuple
 
 import numpy as np
 
 from sgalign.allocator import _solve
+from sgalign.encoder import WO_INIT_GAIN, EncoderConfig, EncoderWeights, _empty_tensors
 
 
 def brute_force_allocate(candidates: list[tuple[int, int]],
@@ -71,3 +73,28 @@ def solve_mcf(candidates: list[tuple[int, int]], costs: dict[tuple[int, int], fl
     for _ in unmatched:
         total += c_unmatched
     return Flow(matched, unmatched, total)
+
+
+def init_weights_serial(config: EncoderConfig, seed: int = 0) -> EncoderWeights:
+    """`encoder.init_weights` as one loop on the calling thread: every tensor
+    drawn from one stream in tensor order."""
+    rng = np.random.default_rng(seed)
+    tensors, packed = _empty_tensors(config)
+    for name, out in tensors.items():
+        if name == "cls_token":
+            rng.standard_normal(out=out)
+            out /= np.linalg.norm(out)
+        elif name.endswith("ln_scale"):
+            out.fill(1.0)
+        elif out.ndim == 1:  # biases and ln_bias
+            out.fill(0.0)
+        else:
+            fan_out, fan_in = out.shape
+            bound = math.sqrt(6.0 / (fan_in + fan_out))
+            gain = WO_INIT_GAIN if name.startswith("layer") and name.endswith("Wo") else 1.0
+            # rng.uniform(lo, hi) without a temporary: lo + (hi - lo) * U[0, 1)
+            lo, hi = -gain * bound, gain * bound
+            rng.random(out=out)
+            out *= hi - lo
+            out += lo
+    return EncoderWeights._filled(config, tensors, packed, seed)

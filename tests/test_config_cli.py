@@ -727,6 +727,15 @@ class TestCliRegister:
         line = one_stderr_line(proc)
         assert flag in line and "Traceback" not in line
 
+    def test_unallocatable_ransac_iters_is_one_line(self, pair_dir):
+        # NumPy refuses the 36 TiB sample array at once, touching no memory
+        proc = run_main("register", "--pair", sorted(pair_dir.iterdir())[0],
+                        "--allocator", "mnn", "--ransac-iters", 10 ** 12)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert one_stderr_line(proc).startswith(
+            "ERROR sgalign: estimate_rigid: iters 1000000000000 samples cannot be allocated: ")
+
 
 class TestCliRetrieve:
     def test_query_ranks_itself_first(self, tmp_path):

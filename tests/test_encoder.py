@@ -2,8 +2,10 @@ import dataclasses
 import itertools
 import json
 import math
+import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -11,13 +13,14 @@ import numpy as np
 import pytest
 from conftest import (ROOT, child_env, graph_columns, rows_graph, run_main, with_columns,
                       with_edges)
+from oracles import init_weights_serial
 
 from sgalign import encoder
 from sgalign.config import PipelineConfig
 from sgalign.encoder import (BATCH_NODES, CLS_ATTN_LAYERS, MAX_LAYERS, EncoderConfig,
-                             EncoderWeights, distance_gate, encode_graph,
-                             encode_graphs, encode_nodes, init_weights, initial_embeddings,
-                             load_weights, node_batches, packed_groups,
+                             EncoderWeights, _empty_tensors, _fill, distance_gate,
+                             encode_graph, encode_graphs, encode_nodes, init_weights,
+                             initial_embeddings, load_weights, node_batches, packed_groups,
                              save_weights, sinusoidal_pe, tensor_shapes)
 from sgalign.errors import (GenerationError, InvalidInputError, ShapeError,
                             WeightsFormatError, section_dict)
@@ -993,6 +996,80 @@ class TestInitWeights:
         assert np.array_equal(w["geo_ffn.b1"], np.zeros_like(w["geo_ffn.b1"]))
         assert abs(np.linalg.norm(w["cls_token"]) - 1.0) <= 1e-12
 
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("config", [
+        EncoderConfig(layers=0), EncoderConfig(layers=1),
+        EncoderConfig(pe_dim=6, heads=3, layers=3, d_model=15, gate_hidden=5,
+                      geo_hidden=7, feature_dims=(9, 11)),
+        EncoderConfig()], ids=["layers0", "layers1", "odd", "default"])
+    def test_equals_one_stream_draw(self, monkeypatch, config, workers):
+        monkeypatch.setattr(encoder, "_WORKERS", workers)
+        for seed in range(4):
+            got, want = init_weights(config, seed), init_weights_serial(config, seed)
+            assert list(got.tensors) == list(want.tensors)
+            for name in want.tensors:
+                assert got[name].tobytes() == want[name].tobytes(), (seed, name)
+            for group, buf in want.packed.items():
+                assert got.packed[group].tobytes() == buf.tobytes(), (seed, group)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_advance_skips_one_output_per_float(self, seed):
+        """What the parallel draw rests on: random(n)[k:] is the draw of a
+        generator advanced by k."""
+        n = 1000
+        whole = np.random.Generator(np.random.PCG64(seed)).random(n)
+        for k in (0, 1, 7, 500, 999):
+            gen = np.random.Generator(np.random.PCG64(seed))
+            gen.bit_generator.advance(k)
+            assert gen.random(n - k).tobytes() == whole[k:].tobytes(), k
+
+    def test_workers_follow_usable_cpus(self):
+        if hasattr(os, "sched_getaffinity"):
+            assert encoder._usable_cpus() == len(os.sched_getaffinity(0))
+        assert 1 <= encoder._WORKERS <= encoder._usable_cpus()
+
+
+def fill_runs(config):
+    """The tensor names of each run `_fill` makes of config's tensors."""
+    runs = []
+    _fill(_empty_tensors(config)[0], lambda part: runs.append({name for name, _ in part}))
+    return runs
+
+
+class TestFill:
+    @pytest.mark.parametrize("workers", [1, 2, 3, 5])
+    def test_parts_cover_tensors_in_order(self, monkeypatch, small_config, workers):
+        monkeypatch.setattr(encoder, "_WORKERS", workers)
+        tensors, _ = _empty_tensors(small_config)
+        parts = []
+        _fill(tensors, parts.append)
+        assert 1 <= len(parts) <= workers
+        order = list(tensors)
+        parts.sort(key=lambda part: order.index(part[0][0]))
+        assert [name for part in parts for name, _ in part] == order
+        assert all(out is tensors[name] for part in parts for name, out in part)
+
+    def test_first_part_fault_reported(self, monkeypatch):
+        """The later parts raise first; the first part's fault is reported."""
+        monkeypatch.setattr(encoder, "_WORKERS", 3)
+        tensors = {name: np.empty(4) for name in "abc"}
+        raised, lock, later_done = [], threading.Lock(), threading.Event()
+
+        def fill(part):
+            name = part[0][0]
+            if name == "a":
+                assert later_done.wait(timeout=30)
+            else:
+                with lock:
+                    raised.append(name)
+                    if len(raised) == 2:
+                        later_done.set()
+            raise ValueError(name)
+
+        with pytest.raises(ValueError, match="^a$"):
+            _fill(tensors, fill)
+        assert sorted(raised) == ["b", "c"]
+
 
 class TestPackedWeights:
     def test_one_resident_copy(self, small_config, small_weights):
@@ -1056,6 +1133,24 @@ class TestWeightsSerialization:
         for name in small_weights.tensors:
             assert np.array_equal(back[name], small_weights[name]), name
 
+    def test_round_trip_under_thread_switches(self, monkeypatch, small_config,
+                                              small_weights, tmp_path):
+        """More fill threads than cores, switching every microsecond."""
+        monkeypatch.setattr(encoder, "_WORKERS", 5)
+        path = tmp_path / "w.npz"
+        save_weights(small_weights, path)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                back = load_weights(path)
+                drawn = init_weights(small_config, seed=7)
+                for name, arr in small_weights.tensors.items():
+                    assert back[name].tobytes() == arr.tobytes(), name
+                    assert drawn[name].tobytes() == arr.tobytes(), name
+        finally:
+            sys.setswitchinterval(interval)
+
     def test_non_default_config_round_trip(self, tmp_path):
         config = EncoderConfig(pe_dim=6, heads=3, layers=1, d_model=12, gate_hidden=5,
                                geo_hidden=7, dropout=0.25, feature_dims=(9, 11))
@@ -1107,6 +1202,18 @@ class TestWeightsSerialization:
             EncoderWeights(config=small_config,
                            tensors={**small_weights.tensors, "layer1.Wo": bad})
 
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_first_non_finite_tensor_reported(self, monkeypatch, small_config,
+                                              small_weights, workers):
+        monkeypatch.setattr(encoder, "_WORKERS", workers)
+        tensors = dict(small_weights.tensors)
+        for name in ("layer0.Wq", "layer1.Wo"):
+            tensors[name] = tensors[name].copy()
+            tensors[name][1, 1] = np.nan
+        assert not any({"layer0.Wq", "layer1.Wo"} <= run for run in fill_runs(small_config))
+        with pytest.raises(WeightsFormatError, match="tensor layer0.Wq: non-finite"):
+            EncoderWeights(config=small_config, tensors=tensors)
+
     def test_caller_tensors_are_copied(self, small_config, small_weights):
         copies = {k: v.copy() for k, v in small_weights.tensors.items()}
         rebuilt = EncoderWeights(config=small_config, tensors=copies)
@@ -1140,6 +1247,20 @@ class TestWeightsSerialization:
         bad[2, 3] = np.nan
         write_v2(path, small_weights, {**small_weights.tensors, "layer1.Wo": bad})
         with pytest.raises(WeightsFormatError, match="layer1.Wo: non-finite"):
+            load_weights(path)
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_first_non_finite_entry_reported_v2(self, monkeypatch, small_config,
+                                                small_weights, tmp_path, workers):
+        monkeypatch.setattr(encoder, "_WORKERS", workers)
+        path = tmp_path / "w.npz"
+        tensors = dict(small_weights.tensors)
+        for name in ("layer0.Wq", "layer1.Wo"):
+            tensors[name] = tensors[name].copy()
+            tensors[name][1, 1] = np.nan
+        write_v2(path, small_weights, tensors)
+        assert not any({"layer0.Wq", "layer1.Wo"} <= run for run in fill_runs(small_config))
+        with pytest.raises(WeightsFormatError, match="tensor layer0.Wq: non-finite"):
             load_weights(path)
 
     def test_unknown_config_key_rejected_v2(self, small_weights, tmp_path):

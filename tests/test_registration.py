@@ -49,6 +49,14 @@ class TestEstimateRigid:
             err = registration_error(est, RigidTransform(rot, t))
             assert err.rte < 0.05
 
+    def test_unallocatable_iters_refused(self, rng):
+        # NumPy refuses the 36 TiB sample array at once, touching no memory
+        a = rng.uniform(0, 5, (6, 3))
+        with pytest.raises(InvalidInputError,
+                           match="^estimate_rigid: iters 1000000000000 samples cannot be "
+                                 "allocated: "):
+            estimate_rigid([(p, p) for p in a], iters=10 ** 12)
+
     def test_equivariance_under_pre_rotation(self, rng):
         rot = random_rotation(rng)
         t = rng.uniform(-2, 2, 3)
