@@ -24,7 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DOCUMENT_KEYS, InvalidInputError, check_bound, check_bounds, check_types
+from .errors import (DOCUMENT_KEYS, InvalidInputError, as_array, check_bound, check_bounds,
+                     check_types)
 from .matcher import ScoreMatrix
 from .scene_graph import MAX_COORDINATE, point_distances
 
@@ -95,9 +96,7 @@ def _as_p(P) -> np.ndarray:
     """The score matrix of `P` (a ScoreMatrix or an array), refused unless
     it is 2-D with every entry in [0, 1]: the one check of P that both
     allocators and `candidate_set` make."""
-    p = P.P if isinstance(P, ScoreMatrix) else np.asarray(P, dtype=float)
-    if p.ndim != 2:
-        raise InvalidInputError(f"P must be 2-D, got shape {p.shape}")
+    p = as_array("P", P.P if isinstance(P, ScoreMatrix) else P, (None, None))
     check_bound("P", p, "in [0, 1]")
     return p
 
@@ -235,10 +234,10 @@ def mcf_allocate(P, pos_a: np.ndarray, pos_b: np.ndarray,
                  params: McfParams = McfParams()) -> MatchSet:
     """Iterative min-cost-flow allocation with geometric-penalty refinement."""
     p = _as_p(P)
-    pos_a = np.asarray(pos_a, dtype=float)
-    pos_b = np.asarray(pos_b, dtype=float)
-    ci, cj = np.nonzero(_candidate_mask(p, params.tau, params.top_k))
     n_a, n_b = p.shape
+    pos_a = as_array("pos_a", pos_a, (n_a, 3), "mcf_allocate")
+    pos_b = as_array("pos_b", pos_b, (n_b, 3), "mcf_allocate")
+    ci, cj = np.nonzero(_candidate_mask(p, params.tau, params.top_k))
     neg_log = -np.log(p[ci, cj])
 
     prev = (ci[:0], cj[:0])

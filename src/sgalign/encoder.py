@@ -545,8 +545,8 @@ class _Block:
 
     centres: np.ndarray            # (n,) active positions
     pairs: slice                   # its n * k pairs, centre by centre
-    at_q: np.ndarray | None = None     # (n,) the centres' rows of `centres_q`, k >= 2
-    nn_gates: slice | None = None      # its (n, k, k) distances in `nn_dist`, k >= 3
+    at_q: slice | None = None      # the centres' n rows of `centres_q`, k >= 2
+    nn_gates: slice | None = None  # its (n, k, k) nn distances in `dist`, k >= 3
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -578,7 +578,7 @@ class _NeighborIndex:
     decreasing reach (see _SECTIONS), then by row, so the nodes that read a
     section set are a leading range: Wv is read at all of them, Wk and Wv_nn
     at the first reach_rows[1], Wq_nn and Wk_nn at the first reach_rows[2].
-    Wq is read at `centres_q`, the centres of degree >= 2.
+    Wq is read at `centres_q`, the centres of degree >= 2, block by block.
 
     The E directed (center, neighbor) pairs are laid out block by block by
     increasing degree, each centre's pairs by neighbor id. Block k holds the
@@ -594,11 +594,10 @@ class _NeighborIndex:
     node_offsets: np.ndarray  # (G+1,) first row of each graph, then the total
     active: np.ndarray       # (A,) rows with at least one neighbor
     reach_rows: tuple[int, int, int]  # active nodes of reach >= 1, 2, 3
-    centres_q: np.ndarray
+    centres_q: np.ndarray    # active positions of the centres of degree >= 2
     nbr: np.ndarray          # (E,) active position of each pair's neighbor
-    dist: np.ndarray         # (E,) center-to-neighbor distance of each pair
+    dist: np.ndarray         # (E + M,) each pair's distance, then M nn distances
     groups: list[_PeGroup]   # blocks by increasing degree, grouped by min(k, 3)
-    nn_dist: np.ndarray      # neighbor-to-neighbor distances of the blocks of degree >= 3
 
     def row_names(self, rows) -> list[tuple[str, int]]:
         """(graph_id, node id) of node rows, for error messages."""
@@ -608,17 +607,6 @@ class _NeighborIndex:
             graph = self.graphs[g]
             names.append((graph.graph_id, int(graph.ids[row - self.node_offsets[g]])))
         return names
-
-
-def _size_blocks(sizes: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Consecutive segments of the given sizes, grouped by size: per size s,
-    the segments of that size (n,) and their elements (n, s)."""
-    starts = np.cumsum(sizes) - sizes
-    blocks = []
-    for size in np.unique(sizes):
-        members = np.flatnonzero(sizes == size)
-        blocks.append((members, starts[members, None] + np.arange(size)))
-    return blocks
 
 
 def _build_neighbor_index(graphs: Sequence[SceneGraph], pe_dim: int) -> _NeighborIndex:
@@ -652,10 +640,10 @@ def _build_neighbor_index(graphs: Sequence[SceneGraph], pe_dim: int) -> _Neighbo
     dist = point_distances(pos[center], nbr_pos)
     pe = sinusoidal_pe(dist, pe_dim)
     degree = counts[active]
-    centres_q = np.flatnonzero(degree >= 2)
     group_blocks: dict[int, list[_Block]] = {}  # by min(k, 3)
-    nn_dist = []
-    done = n_nn = 0
+    centres_q, nn_dist = [], []
+    done = n_q = 0
+    n_nn = len(dist)
     for k in np.unique(degree):
         nodes = np.flatnonzero(degree == k)
         n = len(nodes)
@@ -663,7 +651,9 @@ def _build_neighbor_index(graphs: Sequence[SceneGraph], pe_dim: int) -> _Neighbo
         done += n * k
         group_blocks.setdefault(min(k, 3), []).append(block)
         if k >= 2:
-            block.at_q = np.searchsorted(centres_q, nodes)
+            block.at_q = slice(n_q, n_q + n)
+            centres_q.append(nodes)
+            n_q += n
         if k >= 3:
             block.nn_gates = slice(n_nn, n_nn + n * k * k)
             q = nbr_pos[block.pairs].reshape(n, k, 3)
@@ -674,13 +664,12 @@ def _build_neighbor_index(graphs: Sequence[SceneGraph], pe_dim: int) -> _Neighbo
         node_offsets=node_offsets,
         active=active,
         reach_rows=tuple(int((reach[active] >= r).sum()) for r in (1, 2, 3)),
-        centres_q=centres_q,
+        centres_q=np.concatenate([np.empty(0, np.intp), *centres_q]),
         nbr=position[neighbor],
-        dist=dist,
+        dist=np.concatenate([dist, *nn_dist]),
         groups=[_PeGroup(sections=_SECTIONS[s], blocks=blocks,
                          pe=_take(pe, np.arange(blocks[0].pairs.start, blocks[-1].pairs.stop)))
                 for s, blocks in group_blocks.items()],
-        nn_dist=np.concatenate(nn_dist) if nn_dist else dist[:0],
     )
 
 
@@ -707,8 +696,8 @@ def _attention(x: np.ndarray, index: _NeighborIndex,
     names for it; Wq runs once over the centres of degree >= 2. The
     per-distance part runs once per group of blocks that read the same
     h_proj sections, one product over the group's pairs, and each block
-    adds its neighbors' per-node parts to its rows of it. The gates run once
-    over all pairs. For the n nodes of degree k, attention is
+    adds its neighbors' per-node parts to its rows of it. One gate call
+    serves all distances. For the n nodes of degree k, attention is
     (n, heads, 1, k) center-to-neighbor and (n, heads, k, k)
     neighbor-to-neighbor. A softmax over one key is 1 and is not computed:
     a degree-1 centre's row is its neighbor's value row, and in a degree-2
@@ -728,7 +717,6 @@ def _attention(x: np.ndarray, index: _NeighborIndex,
     q_all = (_rows_matmul(_take(x, index.centres_q), weights[p + "Wq"])
              if len(index.centres_q) else None)
     gate = distance_gate(index.dist, gate_w)
-    gate_nn = distance_gate(index.nn_dist, gate_w)
 
     def block_rows(block, h):  # h: the block's rows of its group's PE product
         n, k = block.shape
@@ -748,7 +736,7 @@ def _attention(x: np.ndarray, index: _NeighborIndex,
             per_pair = 0.0 + proj["Wv_nn"][:, :, ::-1]
         else:
             raw2 = (proj["Wq_nn"] @ proj["Wk_nn"].swapaxes(2, 3)) / math.sqrt(dh)
-            per_pair = _attend(gate_nn[block.nn_gates].reshape(n, 1, k, k) * raw2,
+            per_pair = _attend(gate[block.nn_gates].reshape(n, 1, k, k) * raw2,
                                proj["Wv_nn"], ~np.eye(k, dtype=bool))
         att += per_pair.sum(axis=2) / k
         return att.reshape(n, d)
@@ -803,22 +791,20 @@ def _class_tokens(node_emb: np.ndarray, node_offsets: np.ndarray,
     that graph's node embeddings.
 
     Token rows are the graphs' CLS and node rows, graph by graph with the
-    CLS row first; the projections run on them alone. Attention runs on
-    (n, heads, L, L) blocks for the n graphs of L tokens, so a graph's
-    blocks have its own size. The last layer updates the CLS rows only, so
-    its blocks are (n, heads, 1, L).
+    CLS row first; the projections run on them alone. Each graph attends
+    over its own rows in (heads, L, L) blocks of its L tokens, read as
+    views of the projections. The last layer updates the CLS rows only, so
+    its blocks are (heads, 1, L).
     """
     cfg = weights.config
     heads, dh, d = cfg.heads, cfg.d_head, cfg.d_model
-    sizes = np.diff(node_offsets) + 1  # tokens of each graph
-    cls_rows = np.cumsum(sizes) - sizes
+    # first token row of each graph, then the total; a graph's first is its CLS row
+    bounds = node_offsets + np.arange(len(node_offsets))
+    cls_rows = bounds[:-1]
     # Every product operand is a `_padded` array, so none is copied to pad it.
-    x = _padded(len(node_emb) + len(sizes), d)
-    is_node = np.ones(len(x), dtype=bool)
-    is_node[cls_rows] = False
+    x = _padded(bounds[-1], d)
     x[cls_rows] = weights["cls_token"]
-    x[is_node] = node_emb
-    blocks = _size_blocks(sizes)
+    x[np.delete(np.arange(len(x)), cls_rows)] = node_emb
 
     for layer in range(CLS_ATTN_LAYERS):
         p = f"cls_attn{layer}."
@@ -828,11 +814,11 @@ def _class_tokens(node_emb: np.ndarray, node_offsets: np.ndarray,
         q = _rows_matmul(x_q, w_qkv[:d]).reshape(-1, heads, dh)
         kv = _rows_matmul(x, w_qkv[d:]).reshape(len(x), 2, heads, dh)
         attn = _padded(len(x_q), d).reshape(-1, heads, dh)
-        for graphs, tokens in blocks:
-            rows = graphs[:, None] if last else tokens  # query rows of q
-            block = kv[tokens].transpose(0, 2, 3, 1, 4)  # (n, 2, heads, L, d_head)
-            scores = (q[rows].transpose(0, 2, 1, 3) @ block[:, 0].swapaxes(2, 3)) / math.sqrt(dh)
-            attn[rows] = _attend(scores, block[:, 1]).transpose(0, 2, 1, 3)
+        for g, (start, end) in enumerate(zip(cls_rows.tolist(), bounds[1:].tolist())):
+            rows = slice(g, g + 1) if last else slice(start, end)  # its rows of q
+            k, v = kv[start:end].transpose(1, 2, 0, 3)  # each (heads, L, d_head)
+            scores = (q[rows].transpose(1, 0, 2) @ k.swapaxes(1, 2)) / math.sqrt(dh)
+            attn[rows] = _attend(scores, v).transpose(1, 0, 2)
         x = _layer_norm(x_q + _rows_matmul(attn.reshape(-1, d), weights[p + "Wo"]),
                         weights[p + "ln_scale"], weights[p + "ln_bias"],
                         out=_padded(len(x_q), d))

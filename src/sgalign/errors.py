@@ -1,8 +1,8 @@
 """Exception types shared across the package, and the parse-boundary
 helpers that raise them: the numeric bounds of flags, params fields and
-function arguments, the field type check of the params dataclasses, the
-mapping between a params dataclass and its config section, the one reader
-of JSON files and the one opener of npz archives.
+function arguments, array shapes, the field type check of the params
+dataclasses, the mapping between a params dataclass and its config
+section, the one reader of JSON files and the one opener of npz archives.
 
 A params dataclass (EncoderConfig, MatcherParams, MnnParams, McfParams,
 EdgeParams, RetrievalParams) is the schema of its config section: the
@@ -100,6 +100,17 @@ def check_bound(name: str, value, rule: str, where: str | None = None) -> None:
     _check_kind(name, value, kind, _KIND_NAMES[kind])
     if not test(float(value) if kind is numbers.Real else value):  # np.isfinite: no big int
         raise InvalidInputError(f"{name} must be {rule}, got {value}")
+
+
+def as_array(name: str, value, shape: tuple, where: str | None = None) -> np.ndarray:
+    """`value` as a float array of `shape`, a None size matching any; else
+    InvalidInputError "[where: ]<name> must be 2-D" or "... must have shape"."""
+    arr = np.asarray(value, dtype=float)
+    if arr.ndim != len(shape) or any(n not in (None, m) for n, m in zip(shape, arr.shape)):
+        want = (f"be {len(shape)}-D, got shape" if set(shape) == {None}
+                else f"have shape {shape}, got")
+        raise InvalidInputError(f"{where + ': ' if where else ''}{name} must {want} {arr.shape}")
+    return arr
 
 
 def check_bounds(params) -> None:

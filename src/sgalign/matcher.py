@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInputError, NumericError, check_bounds
+from .errors import InvalidInputError, NumericError, as_array, check_bounds
 
 # Floor keeps -log(P) bounded (~20.7), so flow costs stay interpretable
 # against the default unmatched cost of 2.0.
@@ -73,8 +73,8 @@ def unit_rows(emb: np.ndarray, side: str) -> np.ndarray:
 
 def cosine_scores(emb_a: np.ndarray, emb_b: np.ndarray) -> np.ndarray:
     """S[i, j] = <e_i, e_j> on defensively re-normalized embeddings."""
-    emb_a = np.asarray(emb_a, dtype=float)
-    emb_b = np.asarray(emb_b, dtype=float)
+    emb_a = as_array("emb_a", emb_a, (None, None), "cosine_scores")
+    emb_b = as_array("emb_b", emb_b, (None, None), "cosine_scores")
     if emb_a.size == 0 or emb_b.size == 0:
         return np.zeros((len(emb_a), len(emb_b)))
     return unit_rows(emb_a, "a") @ unit_rows(emb_b, "b").T
@@ -87,7 +87,7 @@ def softmax(x: np.ndarray, axis: int) -> np.ndarray:
 
 def score_matrix(S: np.ndarray, params: MatcherParams = MatcherParams()) -> ScoreMatrix:
     """Convert similarities into the [0,1] score matrix with dustbin."""
-    S = np.asarray(S, dtype=float)
+    S = as_array("S", S, (None, None), "score_matrix")
     if not np.all(np.isfinite(S)):
         raise InvalidInputError("score_matrix: non-finite similarities")
     n_a, n_b = S.shape

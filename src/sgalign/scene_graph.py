@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidInputError, check_bound, read_json
+from .errors import InvalidInputError, as_array, check_bound, read_json
 
 DEFAULT_FEATURE_DIMS = (256, 384)
 DEFAULT_N_MAX = 4
@@ -165,7 +165,10 @@ def build_edges(ids, positions, n_max: int = DEFAULT_N_MAX,
     check_bound("n_max", n_max, ">= 1", where="build_edges")
     check_bound("d_th", d_th, "> 0", where="build_edges")
     ids = np.asarray(ids, dtype=np.int64)
-    dist = point_distances(np.asarray(positions)[:, None], positions)
+    if ids.ndim != 1:
+        raise InvalidInputError(f"build_edges: ids must be 1-D, got shape {ids.shape}")
+    positions = as_array("positions", positions, (len(ids), 3), "build_edges")
+    dist = point_distances(positions[:, None], positions)
     np.fill_diagonal(dist, np.nan)  # sorts last and is never within d_th
     # Per node, its n_max nearest nodes (ties to the lower id) within d_th.
     nearest = np.lexsort((np.broadcast_to(ids, dist.shape), dist))[:, :n_max]

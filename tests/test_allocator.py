@@ -360,6 +360,19 @@ class TestMcfAllocate:
         with pytest.raises(InvalidInputError):
             mcf_allocate(np.array([0.5, 0.5]), np.zeros((2, 3)), np.zeros((2, 3)))
 
+    @pytest.mark.parametrize("shape_a, shape_b, message", [
+        ((3, 3), (2, 3), "pos_a must have shape (2, 3), got (3, 3)"),
+        ((2, 2), (2, 3), "pos_a must have shape (2, 3), got (2, 2)"),
+        ((2, 3), (6,), "pos_b must have shape (2, 3), got (6,)"),
+        ((2, 3), (2, 3, 1), "pos_b must have shape (2, 3), got (2, 3, 1)")])
+    def test_position_shapes_refused(self, rng, shape_a, shape_b, message):
+        """Positions must place each row and column of P in 3D; at lambda 0
+        they are never read, and they are refused all the same."""
+        for lam in (1.0, 0.0):
+            with pytest.raises(InvalidInputError, match=re.escape(f"mcf_allocate: {message}")):
+                mcf_allocate(np.full((2, 2), 0.9), rng.random(shape_a), rng.random(shape_b),
+                             McfParams(lam=lam))
+
     def test_zero_entry_never_a_candidate(self):
         P = np.array([[0.0, 0.0], [0.0, 0.6]])
         pos = np.zeros((2, 3))

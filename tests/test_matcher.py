@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -131,3 +132,16 @@ class TestScoreMatrixDualSoftmax:
     def test_non_finite_rejected(self):
         with pytest.raises(InvalidInputError):
             score_matrix(np.array([[np.nan]]))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: cosine_scores(np.ones(3), np.ones(3)),
+     "cosine_scores: emb_a must be 2-D, got shape (3,)"),
+    (lambda: cosine_scores(np.ones((2, 3)), np.ones((1, 2, 3))),
+     "cosine_scores: emb_b must be 2-D, got shape (1, 2, 3)"),
+    (lambda: score_matrix(np.ones(3)), "score_matrix: S must be 2-D, got shape (3,)"),
+    (lambda: score_matrix(np.float64(0.5)), "score_matrix: S must be 2-D, got shape ()")],
+    ids=["cosine_a", "cosine_b", "score_1d", "score_0d"])
+def test_non_2d_refused(call, message):
+    with pytest.raises(InvalidInputError, match=re.escape(message)):
+        call()

@@ -92,6 +92,15 @@ class TestBuildEdges:
         with pytest.raises(InvalidInputError, match="n_max must be an integer"):
             build_edges(ids, positions, n_max=2.5)
 
+    @pytest.mark.parametrize("ids, positions, message", [
+        ([0, 1], np.zeros((2, 2)), "positions must have shape (2, 3), got (2, 2)"),
+        ([0, 1, 2], np.zeros((2, 3)), "positions must have shape (3, 3), got (2, 3)"),
+        ([0, 1], np.zeros(6), "positions must have shape (2, 3), got (6,)"),
+        ([[0, 1]], np.zeros((2, 3)), "ids must be 1-D, got shape (1, 2)")])
+    def test_shapes_refused(self, ids, positions, message):
+        with pytest.raises(InvalidInputError, match=re.escape(f"build_edges: {message}")):
+            build_edges(ids, positions)
+
     def test_rigid_invariance(self, rng):
         ids, positions = np.arange(30), rng.uniform(0, 5, (30, 3))
         before = edge_set(build_edges(ids, positions)[0])
