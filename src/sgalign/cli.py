@@ -9,26 +9,26 @@ overflows or turns invalid included).
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import numbers
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
-from . import registration, retrieval, synth
+from . import registration, synth
 from .allocator import ALLOCATORS
 from .config import RERANK_MODES, PipelineConfig, load_config
 from .encoder import (EncoderWeights, encode_graph, encode_nodes, init_weights,
                       load_weights, node_batches)
 from .errors import BOUNDS, InvalidInputError, SgaError, check_bound
 from .evaluation import aggregate, bin_by_overlap, matches_by_id, sample_metrics
-from .losses import toy_embedding_fit
 from .pipeline import align_graphs, match_embeddings
 from .scene_graph import load_graph, read_graph
+
+# A command imports what it alone runs (csv, the thread pool, retrieval,
+# losses) in its own body, so that no other command pays for loading it.
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -181,6 +181,8 @@ def _eval_pair(item, emb_a, emb_b, config, allocator):
 
 
 def cmd_eval(args) -> int:
+    from concurrent.futures import ThreadPoolExecutor
+
     config = _load_pipeline_config(args.config)
     weights, meta = _resolve_weights(args, config)
     pair_dirs = sorted(p for p in Path(args.pairs).iterdir() if p.is_dir())
@@ -213,6 +215,8 @@ def cmd_eval(args) -> int:
     if args.out:
         Path(args.out).write_text(text + "\n", encoding="utf-8")
     if args.csv:
+        import csv
+
         columns = ["sample", "overlap", "accuracy", "precision", "recall", "f1"]
         with open(args.csv, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
@@ -251,6 +255,8 @@ def cmd_register(args) -> int:
 
 
 def cmd_retrieve(args) -> int:
+    from . import retrieval
+
     db_dir = Path(args.db)
     if not db_dir.is_dir():
         raise NotADirectoryError(f"--db {args.db}: not a directory")
@@ -281,6 +287,8 @@ def cmd_retrieve(args) -> int:
 
 
 def cmd_demo_fit(args) -> int:
+    from .losses import toy_embedding_fit
+
     sample = synth.make_sample(args.task, synth.SynthConfig(seed=args.seed))
     trajectory = toy_embedding_fit(sample, steps=args.steps, lr=args.lr,
                                    seed=args.seed)

@@ -21,8 +21,8 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 import numpy as np
 
 from .errors import (InvalidInputError, NumericError, ShapeError, WeightsFormatError,
-                     check_bound, check_bounds, check_sizes, check_types, from_section,
-                     npz_entry, open_npz, section_dict)
+                     as_array, check_bound, check_bounds, check_sizes, check_types,
+                     from_section, npz_entry, open_npz, section_dict)
 from .scene_graph import DEFAULT_FEATURE_DIMS, SceneGraph, point_distances
 
 LN_EPS = 1e-5
@@ -430,7 +430,7 @@ def load_weights(path) -> EncoderWeights:
 def sinusoidal_pe(d: float, pe_dim: int) -> np.ndarray:
     """Standard sinusoidal encoding of a scalar distance."""
     check_bound("pe_dim", pe_dim, "even and >= 2", where="sinusoidal_pe")
-    d = np.asarray(d, dtype=float)
+    d = as_array("distance", d, None, "sinusoidal_pe")
     check_bound("distance", d, "finite and >= 0", where="sinusoidal_pe")
     k = np.arange(pe_dim // 2)
     args = d[..., None] / np.power(10000.0, 2.0 * k / pe_dim)
@@ -445,7 +445,7 @@ def distance_gate(d, gate_weights: dict[str, np.ndarray]):
 
     gate_weights holds w1 (hidden, 1), b1, w2 (1, hidden), b2.
     """
-    d = np.asarray(d, dtype=float)
+    d = as_array("distance", d, None, "distance_gate")
     check_bound("distance", d, "finite and >= 0", where="distance_gate")
     h = np.maximum(d[..., None] * gate_weights["w1"][:, 0] + gate_weights["b1"], 0.0)
     # A sum over each distance's own hidden units; a GEMV would round a
@@ -619,11 +619,14 @@ def _build_neighbor_index(graphs: Sequence[SceneGraph], pe_dim: int) -> _Neighbo
         ends.append(rows + base)
     ends = np.concatenate(ends)
     ids = np.concatenate([g.ids for g in graphs])
-    # Directed (center row, neighbor id, neighbor row) triples; a repeated
-    # edge gives one triple.
+    # Directed (center row, neighbor id, neighbor row) triples, sorted, and
+    # a repeated edge gives one triple: the first of each run of equal rows.
     center, neighbor = np.concatenate([ends, ends[:, ::-1]]).T
-    center, nbr_id, neighbor = np.unique(
-        np.stack([center, ids[neighbor], neighbor], axis=1), axis=0).T
+    triples = np.stack([center, ids[neighbor], neighbor])
+    triples = triples[:, np.lexsort(triples[::-1])]
+    first = np.ones(triples.shape[1], bool)
+    first[1:] = (triples[:, 1:] != triples[:, :-1]).any(axis=0)
+    center, nbr_id, neighbor = triples[:, first]
 
     counts = np.bincount(center, minlength=node_offsets[-1])
     reach = np.zeros(len(counts), np.intp)
@@ -644,7 +647,7 @@ def _build_neighbor_index(graphs: Sequence[SceneGraph], pe_dim: int) -> _Neighbo
     centres_q, nn_dist = [], []
     done = n_q = 0
     n_nn = len(dist)
-    for k in np.unique(degree):
+    for k in np.flatnonzero(np.bincount(degree)):  # each degree, ascending
         nodes = np.flatnonzero(degree == k)
         n = len(nodes)
         block = _Block(centres=nodes, pairs=slice(done, done + n * k))

@@ -102,14 +102,20 @@ def check_bound(name: str, value, rule: str, where: str | None = None) -> None:
         raise InvalidInputError(f"{name} must be {rule}, got {value}")
 
 
-def as_array(name: str, value, shape: tuple, where: str | None = None) -> np.ndarray:
-    """`value` as a float array of `shape`, a None size matching any; else
-    InvalidInputError "[where: ]<name> must be 2-D" or "... must have shape"."""
-    arr = np.asarray(value, dtype=float)
-    if arr.ndim != len(shape) or any(n not in (None, m) for n, m in zip(shape, arr.shape)):
+def as_array(name: str, value, shape: tuple | None, where: str | None = None) -> np.ndarray:
+    """`value` as a float array of `shape` (None: any shape), a None size
+    matching any; else InvalidInputError "[where: ]<name> is not an array of
+    numbers", "... must be 2-D" or "... must have shape"."""
+    prefix = f"{where}: " if where else ""
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:  # "abc", ragged, 10**400
+        raise InvalidInputError(f"{prefix}{name} is not an array of numbers ({exc})") from exc
+    if shape is not None and (arr.ndim != len(shape)
+                              or any(n not in (None, m) for n, m in zip(shape, arr.shape))):
         want = (f"be {len(shape)}-D, got shape" if set(shape) == {None}
                 else f"have shape {shape}, got")
-        raise InvalidInputError(f"{where + ': ' if where else ''}{name} must {want} {arr.shape}")
+        raise InvalidInputError(f"{prefix}{name} must {want} {arr.shape}")
     return arr
 
 
@@ -170,30 +176,48 @@ def from_section(default, doc: dict) -> tuple[object, list[str]]:
 # Where orjson may decode a document differently from json.loads, or not
 # safely, read_json leaves it to json.loads:
 # - An integer literal of 19 or more digits may lie outside the 64-bit
-#   ranges, and orjson returns such an integer as a float. Under
-#   _DIGIT_CLASS, "x" followed by 19 "0"s marks a byte that is neither a
-#   digit nor "." followed by 19 digits: every such literal, and some
-#   digits in strings and exponents.
+#   ranges, and orjson returns such an integer as a float. Every such
+#   literal, and some digits in strings and exponents, is a run of 19
+#   digits after a byte that is neither a digit nor "." (or at the start).
 # - json.loads refuses a document nested about as deep as the interpreter's
 #   recursion limit (1000 frames by default, less the caller's own stack).
 #   orjson has no such limit, and text nested some 10^5 deep overflows its
 #   C stack. It gets only text whose brackets nest at most _FAST_DEPTH deep.
-_DIGIT_CLASS = bytes(ord("0") if c in b"0123456789" else ord(".") if c == ord(".") else ord("x")
-                     for c in range(256))
-_LONG_INTEGER = b"x" + b"0" * 19
+# Both checks read one translation of the text into byte classes: "0" for a
+# digit, "." for ".", "[" for an opening bracket ("[" or "{") and "x" for
+# any other byte.
+_BYTE_CLASS = bytes(ord("0") if c in b"0123456789" else ord("[") if c in b"[{"
+                    else c if c == ord(".") else ord("x") for c in range(256))
+_LONG_DIGITS = b"0" * 19
 _FAST_DEPTH = 200
 
 
-def _nesting_bound(data: bytes) -> int:
-    """A bound on how deep a parser of the JSON text `data` nests: the
-    number of its opening brackets, or, where that passes _FAST_DEPTH and
-    the text has no backslash (so that every quote opens or closes a
-    string), the most brackets open at once outside strings. A parser stops
-    at the first closing bracket that closes nothing, so later ones cannot
-    deepen it."""
-    count = data.count(b"[") + data.count(b"{")
-    if count <= _FAST_DEPTH or b"\\" in data:
-        return count
+def _orjson_decodes_as_json(data: bytes) -> bool:
+    """Whether orjson's document of `data` is bound to equal json.loads':
+    no run of 19 digits after a byte other than a digit or "." (or at the
+    start), and brackets that nest at most _FAST_DEPTH deep. The opening
+    brackets are counted one by one, and each is checked for 19 digits
+    after it, up to _FAST_DEPTH of them; past that, `_nesting_depth`
+    bounds the nesting."""
+    classes = data.translate(_BYTE_CLASS)
+    if classes.startswith(_LONG_DIGITS) or classes.rfind(b"x" + _LONG_DIGITS) >= 0:
+        return False
+    at = classes.find(b"[")
+    for _ in range(_FAST_DEPTH):
+        if at < 0:
+            return True
+        if classes.startswith(_LONG_DIGITS, at + 1):
+            return False
+        at = classes.find(b"[", at + 1)
+    return at < 0 or (classes.rfind(b"[" + _LONG_DIGITS) < 0 and b"\\" not in data
+                      and _nesting_depth(data) <= _FAST_DEPTH)
+
+
+def _nesting_depth(data: bytes) -> int:
+    """The most brackets open at once outside strings in the JSON text
+    `data`, which has no backslash, so that every quote opens or closes a
+    string. A parser stops at the first closing bracket that closes
+    nothing, so later ones cannot deepen it."""
     text = np.frombuffer(data, np.uint8)
     opens = np.flatnonzero((text == ord("[")) | (text == ord("{")))
     quotes = np.flatnonzero(text == ord('"'))
@@ -214,13 +238,11 @@ def read_json(path):
     json.loads. Where it refuses them (NaN and Infinity literals, a number
     that overflows a double, a lone surrogate, a BOM or any bytes that are
     not UTF-8 JSON), or where an integer literal or the nesting could decode
-    differently (see _LONG_INTEGER and _FAST_DEPTH), json.loads decodes the
-    text as it is read in text mode, and its document or its error is the
+    differently (see _orjson_decodes_as_json), json.loads decodes the text
+    as it is read in text mode, and its document or its error is the
     result."""
     data = Path(path).read_bytes()
-    classes = data.translate(_DIGIT_CLASS)
-    if (classes.rfind(_LONG_INTEGER) < 0 and not classes.startswith(_LONG_INTEGER[1:])
-            and _nesting_bound(data) <= _FAST_DEPTH):
+    if _orjson_decodes_as_json(data):
         try:
             return orjson.loads(data)
         except orjson.JSONDecodeError:

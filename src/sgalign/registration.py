@@ -13,12 +13,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateGeometryError, InvalidInputError, check_bound
+from .errors import DegenerateGeometryError, InvalidInputError, as_array, check_bound
 from .scene_graph import point_distances
 
 DEFAULT_RANSAC_ITERS = 256
 DEFAULT_INLIER_EPS = 0.2
 COLLINEAR_EPS = 1e-9
+
+_EYE = np.eye(3)
+_ORTHONORMAL_TOL = 1e-9 + 1e-5 * _EYE  # atol + rtol * |I|, as np.allclose reads them
 
 # Success-rate reporting bins: (RTE meters, RRE degrees).
 SUCCESS_THRESHOLDS = ((0.5, 5.0), (1.0, 10.0), (2.0, 15.0))
@@ -32,9 +35,10 @@ class RigidTransform:
     t: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "R", np.asarray(self.R, dtype=float))
-        object.__setattr__(self, "t", np.asarray(self.t, dtype=float))
-        if not np.allclose(self.R.T @ self.R, np.eye(3), atol=1e-9):
+        object.__setattr__(self, "R", as_array("R", self.R, (3, 3), "RigidTransform"))
+        object.__setattr__(self, "t", as_array("t", self.t, (3,), "RigidTransform"))
+        # np.allclose(R.T @ R, I, atol=1e-9) with its default rtol, written out
+        if not (np.abs(self.R.T @ self.R - _EYE) <= _ORTHONORMAL_TOL).all():
             raise InvalidInputError("R is not orthonormal")
         if not math.isclose(float(np.linalg.det(self.R)), 1.0, abs_tol=1e-9):
             raise InvalidInputError("R is not a proper rotation (det != +1)")

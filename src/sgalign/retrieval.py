@@ -19,7 +19,7 @@ import numpy as np
 from .allocator import MatchSet
 from .config import RERANK_MODES, PipelineConfig
 from .encoder import EncoderWeights, encode_graph, encode_graphs, node_batches
-from .errors import (InvalidInputError, SgaError, check_bound, npz_entry, open_npz,
+from .errors import (InvalidInputError, SgaError, as_array, check_bound, npz_entry, open_npz,
                      read_json, section_dict)
 from .matcher import score_matrix, unit_rows
 from .pipeline import allocate
@@ -96,8 +96,20 @@ def build_database(scenes: list[tuple[str, SceneGraph]],
 
 
 def global_similarity(q: np.ndarray, t: np.ndarray) -> float:
-    """Cosine similarity of two unit-norm global descriptors."""
-    return float(np.dot(np.asarray(q, dtype=float), np.asarray(t, dtype=float)))
+    """Cosine similarity of two unit-norm global descriptors, 1-D arrays of
+    one width. It runs once per database entry in `topk_filter`, so its
+    arguments go through `as_array` only when they are not such arrays."""
+    try:
+        q, t = np.asarray(q, dtype=float), np.asarray(t, dtype=float)
+        plain = q.ndim == 1 and q.shape == t.shape
+    except (TypeError, ValueError, OverflowError):
+        plain = False
+    if not plain:
+        q = as_array("q", q, (None,), "global_similarity")
+        t = as_array("t", t, (None,), "global_similarity")
+        raise InvalidInputError(f"global_similarity: q has width {len(q)} and t width "
+                                f"{len(t)}; they must be the same")
+    return float(np.dot(q, t))
 
 
 def topk_filter(query_global: np.ndarray, db: SceneDatabase, k: int) -> list[str]:

@@ -160,13 +160,13 @@ def build_edges(ids, positions, n_max: int = DEFAULT_N_MAX,
     canonicalized i < j and sorted, and the (m,) float64 distances.
 
     Per node: candidates within d_th, ranked by (distance, id), up to n_max
-    directed picks.
+    directed picks. The ids must be distinct integers within int64 (a float
+    of integral value is one); the first that is not, or that repeats an
+    earlier one, raises InvalidInputError naming it.
     """
     check_bound("n_max", n_max, ">= 1", where="build_edges")
     check_bound("d_th", d_th, "> 0", where="build_edges")
-    ids = np.asarray(ids, dtype=np.int64)
-    if ids.ndim != 1:
-        raise InvalidInputError(f"build_edges: ids must be 1-D, got shape {ids.shape}")
+    ids = _distinct_ids(ids)
     positions = as_array("positions", positions, (len(ids), 3), "build_edges")
     dist = point_distances(positions[:, None], positions)
     np.fill_diagonal(dist, np.nan)  # sorts last and is never within d_th
@@ -174,9 +174,33 @@ def build_edges(ids, positions, n_max: int = DEFAULT_N_MAX,
     nearest = np.lexsort((np.broadcast_to(ids, dist.shape), dist))[:, :n_max]
     a, b = np.repeat(np.arange(len(ids)), nearest.shape[1]), nearest.ravel()
     a, b = a[dist[a, b] <= d_th], b[dist[a, b] <= d_th]
-    pairs, first = np.unique(np.sort(np.stack([ids[a], ids[b]], axis=1), axis=1), axis=0,
-                             return_index=True)
-    return pairs, dist[a, b][first]
+    # The pairs sorted, each kept at its first pick: a stable lexsort, then
+    # the first row of each run of equal rows.
+    pairs = np.sort(np.stack([ids[a], ids[b]], axis=1), axis=1)
+    order = np.lexsort(pairs.T[::-1])
+    pairs = pairs[order]
+    first = np.ones(len(pairs), bool)
+    first[1:] = (pairs[1:] != pairs[:-1]).any(axis=1)
+    return pairs[first], dist[a, b][order[first]]
+
+
+def _distinct_ids(ids) -> np.ndarray:
+    """`ids` as an int64 array, if they are distinct integers within int64
+    (see `build_edges`)."""
+    given = np.asarray(ids)
+    if given.ndim != 1:
+        raise InvalidInputError(f"build_edges: ids must be 1-D, got shape {given.shape}")
+    seen = {}  # id: index, in order
+    for k, value in enumerate(ids if isinstance(ids, (list, tuple)) else given.tolist()):
+        try:
+            id_ = _int64(value, "id")
+        except InvalidInputError:
+            id_ = None
+        if id_ is None or id_ in seen:
+            raise InvalidInputError(f"build_edges: ids must be distinct integers within int64, "
+                                    f"got {value!r} at index {k}")
+        seen[id_] = k
+    return np.array(list(seen), dtype=np.int64)
 
 
 def validate_graph(g: SceneGraph) -> list[str]:
@@ -185,6 +209,8 @@ def validate_graph(g: SceneGraph) -> list[str]:
     Shapes are checked when the graph is built; this checks values. Each
     check runs over all nodes (or edges) at once; messages are built only
     for flagged ones, node by node, then edge by edge."""
+    if _plainly_valid(g):
+        return []
     ids = g.ids.tolist()
     vectors = {"position": g.positions(), "f_vl": g.f_vl, "f_t": g.f_t, "f_g": g.f_g}
     non_finite = {name: ~np.isfinite(v).all(axis=1) for name, v in vectors.items()}
@@ -233,6 +259,35 @@ def validate_graph(g: SceneGraph) -> list[str]:
                        + message.format(stored[m], float(actual[m]))
                        for mask, message in checks if mask[m]]
     return violations
+
+
+def _plainly_valid(g: SceneGraph) -> bool:
+    """Whether `validate_graph` finds no violation in g, by checks that are
+    cheaper than its own and pass only where each of its checks does: every
+    value within bounds (a NaN fails each comparison), distinct ids and each
+    edge i < j between nodes, its stored distance measured as there."""
+    pos = g.positions()
+    if not all(v.min(initial=0.0) >= -MAX_COORDINATE and v.max(initial=0.0) <= MAX_COORDINATE
+               for v in (pos, g.f_vl, g.f_t)):
+        return False
+    if not (g.f_g.min(initial=1.0) > 0 and g.f_g.max(initial=1.0) <= 1):
+        return False
+    order = np.argsort(g.ids)
+    ascending = g.ids[order]
+    if (ascending[1:] == ascending[:-1]).any():
+        return False
+    ends = g.endpoints
+    if not len(ends):
+        return True
+    if not (len(ascending) and (ends[:, 0] < ends[:, 1]).all()):
+        return False
+    at = np.minimum(np.searchsorted(ascending, ends), len(ascending) - 1)
+    if not (ascending[at] == ends).all():
+        return False
+    rows = order[at]
+    actual = point_distances(pos[rows[:, 0]], pos[rows[:, 1]])
+    return bool((np.abs(g.edge_distances - actual)
+                 <= EDGE_DISTANCE_RTOL * np.maximum(1.0, actual)).all())
 
 
 # ---------------------------------------------------------------------------
@@ -332,49 +387,107 @@ def graph_from_dict(data: dict, n_max: int = DEFAULT_N_MAX,
     A document that is not an object, a missing required key, a node that
     is not an object, an edge that is not [i, j, d], a field or scalar of
     the wrong type or a vector of the wrong shape raises InvalidInputError,
-    naming the node where one is at fault. Each vector column is converted
-    once. Values are left to `validate_graph`."""
+    naming the node where one is at fault. Nodes and edges are read a
+    column at a time; only where that finds a fault are they read one by
+    one, which names the first. Each vector column is converted once.
+    Values are left to `validate_graph`."""
     if not isinstance(data, dict):
         raise InvalidInputError(f"a graph must be a JSON object, got {type(data).__name__}")
     graph_id, frame_kind, nodes = (_key(data, key) for key in ("graph_id", "frame_kind", "nodes"))
     if not isinstance(nodes, list):
         raise InvalidInputError("nodes must be a list")
+    edges = data.get("edges")
+    feature_dims = data.get("feature_dims", DEFAULT_FEATURE_DIMS)
+    read = _well_formed_columns(nodes, edges)
+    if read is None:
+        read = _columns_node_by_node(nodes, edges, feature_dims)
+    else:
+        _check_feature_dims(feature_dims)
+    ids, columns, vectors = read
+    widths = [3, *(_int64(d, "feature_dims entry") for d in feature_dims), 3]
+    positions, f_vl, f_t, f_g = (_column(vectors[name], name, ids, width)
+                                 for name, width in zip(_VECTORS, widths))
+    # A coordinate beyond MAX_COORDINATE (or NaN) and a repeated id are left
+    # to validate_graph.
+    if (edges is None and (np.abs(positions) <= MAX_COORDINATE).all()
+            and len(set(ids)) == len(ids)):
+        columns["endpoints"], columns["edge_distances"] = build_edges(
+            columns["ids"], positions, n_max, d_th)
+    return SceneGraph(graph_id, frame_kind, labels=[nd.get("label", "") for nd in nodes],
+                      positions=positions, f_vl=f_vl, f_t=f_t, f_g=f_g, **columns)
+
+
+def _check_feature_dims(feature_dims) -> None:
+    if not isinstance(feature_dims, (list, tuple)) or len(feature_dims) != 2:
+        raise InvalidInputError(
+            f"feature_dims must be a list of two integers, got {feature_dims!r}")
+
+
+def _columns(ids: list, gt: list, endpoints, distances) -> dict:
+    """The SceneGraph columns of node ids, gt_instance values (None where
+    absent), endpoints and edge distances, all Python numbers; an int
+    beyond int64, or one that overflows a float, raises OverflowError."""
+    return {"ids": np.array(ids, dtype=np.int64),
+            "gt_instance": np.array([0 if g is None else g for g in gt], dtype=np.int64),
+            "gt_present": np.array([g is not None for g in gt], dtype=bool),
+            "endpoints": np.array(endpoints, dtype=np.int64).reshape(-1, 2),
+            "edge_distances": np.array(distances, dtype=np.float64)}
+
+
+def _well_formed_columns(nodes: list, edges):
+    """What `_columns_node_by_node` returns, read a column at a time, when
+    every node is a dict with an int id, an int or null gt_instance and
+    each vector key, and `edges` is null or a list of [int, int, number]
+    lists, each int within int64 and each number within the float range;
+    else None."""
+    if {*map(type, nodes)} - {dict}:
+        return None
+    try:
+        ids = [nd["id"] for nd in nodes]
+        vectors = {name: [nd[name] for nd in nodes] for name in _VECTORS}
+    except KeyError:
+        return None
+    gt = [nd.get("gt_instance") for nd in nodes]
+    if {*map(type, ids)} - {int} or {*map(type, gt)} - {int, type(None)}:
+        return None
+    if edges is None:
+        edges = []
+    elif type(edges) is not list or {*map(type, edges)} - {list} or {*map(len, edges)} - {3}:
+        return None
+    i, j, distances = zip(*edges) if edges else ((), (), ())
+    if {*map(type, i), *map(type, j)} - {int} or {*map(type, distances)} - {int, float}:
+        return None
+    try:
+        return ids, _columns(ids, gt, list(zip(i, j)), distances), vectors
+    except OverflowError:
+        return None
+
+
+def _columns_node_by_node(nodes: list, edges, feature_dims):
+    """(node ids as a list, the SceneGraph columns of `_columns`, each
+    vector column as a list of the nodes' values), read node by node and
+    edge by edge; the first fault raises InvalidInputError."""
     for k, nd in enumerate(nodes):
         if not isinstance(nd, dict):
             raise InvalidInputError(f"a node must be a JSON object, got {type(nd).__name__}")
         node_id = _key(nd, "id", f"node #{k}: ")
         for name in _VECTORS:
             _key(nd, name, f"node {node_id}: ")
-    edges = data.get("edges")
     if not isinstance(edges, (list, type(None))):
         raise InvalidInputError("edges must be a list or null")
     for edge in edges or []:
         if not isinstance(edge, list) or len(edge) != 3:
             raise InvalidInputError(f"an edge must be a list [i, j, d], got {edge!r}")
-    feature_dims = data.get("feature_dims", DEFAULT_FEATURE_DIMS)
-    if not isinstance(feature_dims, (list, tuple)) or len(feature_dims) != 2:
-        raise InvalidInputError(
-            f"feature_dims must be a list of two integers, got {feature_dims!r}")
+    _check_feature_dims(feature_dims)
     ids = [_int64(nd["id"], "node id") for nd in nodes]
     gt = [nd.get("gt_instance") for nd in nodes]
-    gt_instance = [0 if g is None else _int64(g, f"node {i}: gt_instance")
+    gt_instance = [None if g is None else _int64(g, f"node {i}: gt_instance")
                    for i, g in zip(ids, gt)]
     endpoints = [(_int64(i, "edge endpoint"), _int64(j, "edge endpoint"))
                  for i, j, _ in edges or []]
     distances = [_float(d, "edge {!r}: distance", [i, j, d]) for i, j, d in edges or []]
-    widths = [3, *(_int64(d, "feature_dims entry") for d in feature_dims), 3]
-    positions, f_vl, f_t, f_g = (_column([nd[name] for nd in nodes], name, ids, width)
-                                 for name, width in zip(_VECTORS, widths))
-    # A coordinate beyond MAX_COORDINATE (or NaN) is left to validate_graph.
-    if edges is None and (np.abs(positions) <= MAX_COORDINATE).all():
-        endpoints, distances = build_edges(ids, positions, n_max, d_th)
-    return SceneGraph(graph_id, frame_kind, ids=np.array(ids, dtype=np.int64),
-                      labels=[nd.get("label", "") for nd in nodes],
-                      positions=positions, f_vl=f_vl, f_t=f_t, f_g=f_g,
-                      gt_instance=np.array(gt_instance, dtype=np.int64),
-                      gt_present=np.array([g is not None for g in gt], dtype=bool),
-                      endpoints=np.array(endpoints, dtype=np.int64).reshape(-1, 2),
-                      edge_distances=np.array(distances, dtype=np.float64))
+    return (ids, _columns(ids, gt_instance, endpoints, distances),
+            {name: [nd[name] for nd in nodes] for name in _VECTORS})
 
 
 def save_graph(g: SceneGraph, path) -> None:

@@ -67,6 +67,11 @@ class TestSinusoidalPe:
         with pytest.raises(InvalidInputError):
             sinusoidal_pe(-0.1, 4)
 
+    @pytest.mark.parametrize("d", ["a", [[1.0, 2.0], [3.0]], None])
+    def test_non_number_rejected(self, d):
+        with pytest.raises(InvalidInputError, match="sinusoidal_pe: distance "):
+            sinusoidal_pe(d, 4)
+
     @pytest.mark.parametrize("pe_dim", [-2, 0, 7, 2.0])
     def test_bad_pe_dim_rejected(self, pe_dim):
         with pytest.raises(InvalidInputError, match="pe_dim must be"):

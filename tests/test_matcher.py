@@ -145,3 +145,16 @@ class TestScoreMatrixDualSoftmax:
 def test_non_2d_refused(call, message):
     with pytest.raises(InvalidInputError, match=re.escape(message)):
         call()
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: cosine_scores(np.ones((2, 3)), np.ones((2, 4))),
+     "cosine_scores: emb_a has width 3 and emb_b width 4; they must be the same"),
+    (lambda: cosine_scores(np.ones((0, 3)), np.ones((2, 4))),
+     "cosine_scores: emb_a has width 3 and emb_b width 4; they must be the same"),
+    (lambda: cosine_scores([["a"]], np.ones((2, 4))),
+     "cosine_scores: emb_a is not an array of numbers")],
+    ids=["widths", "empty_side", "strings"])
+def test_mismatch_refused(call, message):
+    with pytest.raises(InvalidInputError, match=re.escape(message)):
+        call()

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -319,6 +320,32 @@ class TestRegistrationError:
             rte_o, rre_o = relative_transform_oracle(est, gt)
             assert err.rte == pytest.approx(rte_o, abs=1e-9)
             assert err.rre == pytest.approx(rre_o, abs=1e-9)
+
+
+class TestRigidTransform:
+    @pytest.mark.parametrize("R, t, message", [
+        (np.eye(3), np.zeros(2), "t must have shape (3,), got (2,)"),
+        (np.eye(3), np.zeros((3, 1)), "t must have shape (3,), got (3, 1)"),
+        (np.eye(2), np.zeros(3), "R must have shape (3, 3), got (2, 2)"),
+        (np.eye(3).ravel(), np.zeros(3), "R must have shape (3, 3), got (9,)"),
+        ("abc", np.zeros(3), "R is not an array of numbers")])
+    def test_shapes_refused(self, R, t, message):
+        """Refused when built, where registration_error would have met a
+        (2,) translation as NumPy's broadcast ValueError."""
+        with pytest.raises(InvalidInputError, match=re.escape(f"RigidTransform: {message}")):
+            RigidTransform(R, t)
+
+    def test_orthonormal_check_is_allclose(self, rng):
+        """The orthonormality check accepts exactly what
+        np.allclose(R.T @ R, I, atol=1e-9) does, at its default rtol."""
+        for scale in 10.0 ** rng.uniform(-12, -3, 400):
+            R = np.eye(3) + rng.normal(size=(3, 3)) * scale
+            try:
+                RigidTransform(R, np.zeros(3))
+                accepted = True
+            except InvalidInputError as exc:
+                accepted = "orthonormal" not in str(exc)
+            assert accepted == np.allclose(R.T @ R, np.eye(3), atol=1e-9), R
 
 
 class TestSuccessFlags:

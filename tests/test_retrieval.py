@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -54,6 +55,15 @@ class TestGlobalSimilarity:
             t = unit(rng.standard_normal(8))
             dot = sum(q[k] * t[k] for k in range(8))
             assert abs(global_similarity(q, t) - dot) <= 1e-12
+
+    @pytest.mark.parametrize("q, t, message", [
+        (np.ones(3), np.ones(4), "q has width 3 and t width 4; they must be the same"),
+        (np.ones((1, 3)), np.ones(3), "q must be 1-D, got shape (1, 3)"),
+        (np.ones(3), 1.0, "t must be 1-D, got shape ()"),
+        (np.ones(3), ["a", "b", "c"], "t is not an array of numbers")])
+    def test_mismatch_refused(self, q, t, message):
+        with pytest.raises(InvalidInputError, match=re.escape(f"global_similarity: {message}")):
+            global_similarity(q, t)
 
 
 class TestTopkFilter:

@@ -101,6 +101,27 @@ class TestBuildEdges:
         with pytest.raises(InvalidInputError, match=re.escape(f"build_edges: {message}")):
             build_edges(ids, positions)
 
+    @pytest.mark.parametrize("ids, named", [
+        ([0.5, 0.7], "0.5 at index 0"), ([3, 3], "3 at index 1"),
+        ([3, 5, 5, 3], "5 at index 2"), (np.array([1.0, 2.5]), "2.5 at index 1"),
+        ([1, 2.0, 2], "2 at index 2"), ([True, False], "True at index 0"),
+        ([2 ** 63, 1], f"{2 ** 63} at index 0")])
+    def test_ids_refused(self, ids, named):
+        """Ids that are not distinct integers within int64 are refused, the
+        first such one named, instead of truncated or made into self
+        edges; all the nodes lie within d_th of each other."""
+        message = f"build_edges: ids must be distinct integers within int64, got {named}"
+        with pytest.raises(InvalidInputError, match=re.escape(message)):
+            build_edges(ids, np.zeros((len(ids), 3)))
+
+    def test_integral_float_ids_are_ints(self, rng):
+        positions = rng.uniform(0, 2, (6, 3))
+        want = build_edges(np.arange(6), positions)
+        for ids in ([0.0, 1.0, 2.0, 3.0, 4.0, 5.0], np.arange(6, dtype=np.int32), list(range(6))):
+            got = build_edges(ids, positions)
+            assert all(g.dtype == w.dtype and g.tobytes() == w.tobytes()
+                       for g, w in zip(got, want))
+
     def test_rigid_invariance(self, rng):
         ids, positions = np.arange(30), rng.uniform(0, 5, (30, 3))
         before = edge_set(build_edges(ids, positions)[0])
@@ -407,6 +428,19 @@ class TestValidateGraphOracle:
         assert g.endpoints.shape == g.edge_distances.shape + (2,) == (0, 2)
         assert validate_graph(g) == [f"node {g.ids[0]}: position has a coordinate "
                                      f"beyond +-1e+150"]
+
+
+    def test_null_edges_not_rebuilt_on_repeated_id(self):
+        """A repeated id is left to validate_graph, which names it; no edge
+        is made up between the two nodes that share it."""
+        doc = eight_nodes()
+        doc["edges"] = None
+        doc["nodes"][1]["id"] = doc["nodes"][0]["id"]
+        for node in doc["nodes"]:
+            node["position"] = [0.0, 0.0, 0.1 * node["position"][0]]
+        g = graph_from_dict(doc)
+        assert g.endpoints.shape == g.edge_distances.shape + (2,) == (0, 2)
+        assert validate_graph(g) == [f"duplicate node id {g.ids[0]}"]
 
 
 class TestGroundTruthMap:
