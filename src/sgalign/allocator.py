@@ -132,9 +132,13 @@ def candidate_set(P, tau: float, top_k: int) -> list[tuple[int, int]]:
 
     Ranking ties at the K-th value go to the lower column index; the tau
     filter applies after ranking. An entry P == 0 is never a candidate (its
-    cost -log P is infinite). Returned sorted for determinism.
+    cost -log P is infinite). Returned sorted for determinism. tau and
+    top_k are refused by the rules of McfParams.
     """
-    ci, cj = np.nonzero(_candidate_mask(_as_p(P), tau, top_k))
+    p = _as_p(P)
+    check_bound("tau", tau, "in [0, 1]", where="candidate_set")
+    check_bound("top_k", top_k, ">= 1", where="candidate_set")
+    ci, cj = np.nonzero(_candidate_mask(p, tau, top_k))
     return list(zip(ci.tolist(), cj.tolist()))
 
 

@@ -1,8 +1,9 @@
 """Exception types shared across the package, and the parse-boundary
 helpers that raise them: the numeric bounds of flags, params fields and
-function arguments, array shapes, the field type check of the params
-dataclasses, the mapping between a params dataclass and its config
-section, the one reader of JSON files and the one opener of npz archives.
+function arguments, array shapes and widths, sets of pairs, the field
+type check of the params dataclasses, the mapping between a params
+dataclass and its config section, the one reader of JSON files and the
+one opener of npz archives.
 
 A params dataclass (EncoderConfig, MatcherParams, MnnParams, McfParams,
 EdgeParams, RetrievalParams) is the schema of its config section: the
@@ -117,6 +118,29 @@ def as_array(name: str, value, shape: tuple | None, where: str | None = None) ->
                 else f"have shape {shape}, got")
         raise InvalidInputError(f"{prefix}{name} must {want} {arr.shape}")
     return arr
+
+
+def check_widths(where: str, name_a: str, width_a: int, name_b: str, width_b: int) -> None:
+    """Reject arrays of two widths: InvalidInputError "<where>: <name_a> has
+    width <width_a> and <name_b> width <width_b>; they must be the same"."""
+    if width_a != width_b:
+        raise InvalidInputError(f"{where}: {name_a} has width {width_a} and {name_b} width "
+                                f"{width_b}; they must be the same")
+
+
+def as_pairs(name: str, values, what: str) -> set[tuple]:
+    """The entries of `values` as a set of 2-tuples; the first that is not
+    a pair raises InvalidInputError "<name> must be <what>, got <entry>"."""
+    pairs = set()
+    for value in values:
+        try:
+            pair = tuple(value)
+        except TypeError:  # not iterable
+            pair = ()
+        if len(pair) != 2:
+            raise InvalidInputError(f"{name} must be {what}, got {value!r}")
+        pairs.add(pair)
+    return pairs
 
 
 def check_bounds(params) -> None:

@@ -12,7 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInputError, check_bound, check_bounds
+from .errors import (InvalidInputError, as_array, as_pairs, check_bound, check_bounds,
+                     check_widths)
 from .matcher import softmax
 
 DEFAULT_INFO_NCE_TEMPERATURE = 0.07
@@ -27,8 +28,10 @@ class InfoNceInput:
                                metadata={"bound": "finite and > 0"})
 
     def __post_init__(self):
-        self.similarities = np.asarray(self.similarities, dtype=float)
-        self.positives = set(map(tuple, self.positives))
+        self.similarities = as_array("similarities", self.similarities, (None, None),
+                                     "InfoNceInput")
+        self.positives = as_pairs("InfoNceInput: a positive", self.positives,
+                                  "a (row, column) pair")
         check_bounds(self)
         n_a, n_b = self.similarities.shape
         rows = [i for i, _ in self.positives]
@@ -85,10 +88,13 @@ class TripletInput:
     margin: float = field(default=DEFAULT_TRIPLET_MARGIN, metadata={"bound": "finite and > 0"})
 
     def __post_init__(self):
-        self.anchor = np.asarray(self.anchor, dtype=float)
-        self.positive = np.asarray(self.positive, dtype=float)
-        self.negative = np.asarray(self.negative, dtype=float)
+        self.anchor, self.positive, self.negative = (
+            as_array(name, getattr(self, name), (None,), "TripletInput")
+            for name in ("anchor", "positive", "negative"))
         check_bounds(self)
+        for name in ("positive", "negative"):
+            check_widths("TripletInput", "anchor", len(self.anchor), name,
+                         len(getattr(self, name)))
 
 
 def triplet_loss(inp: TripletInput) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
@@ -112,13 +118,16 @@ def triplet_loss(inp: TripletInput) -> tuple[float, np.ndarray, np.ndarray, np.n
 
 def hard_negative_mine(anchor: np.ndarray, positive_id: int,
                        pool: list[np.ndarray]) -> int:
-    """Index of the non-positive pool entry closest to the anchor."""
-    anchor = np.asarray(anchor, dtype=float)
+    """Index of the non-positive pool entry closest to the anchor. Every
+    entry must be a vector of the anchor's width."""
+    anchor = as_array("anchor", anchor, (None,), "hard_negative_mine")
     best_id, best_d = -1, np.inf
     for idx, emb in enumerate(pool):
+        emb = as_array(f"pool[{idx}]", emb, (None,), "hard_negative_mine")
+        check_widths("hard_negative_mine", "anchor", len(anchor), f"pool[{idx}]", len(emb))
         if idx == positive_id:
             continue
-        d = float(np.linalg.norm(np.asarray(emb, dtype=float) - anchor))
+        d = float(np.linalg.norm(emb - anchor))
         if d < best_d:
             best_id, best_d = idx, d
     if best_id < 0:

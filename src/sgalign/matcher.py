@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInputError, NumericError, as_array, check_bounds
+from .errors import InvalidInputError, NumericError, as_array, check_bounds, check_widths
 
 # Floor keeps -log(P) bounded (~20.7), so flow costs stay interpretable
 # against the default unmatched cost of 2.0.
@@ -75,9 +75,7 @@ def cosine_scores(emb_a: np.ndarray, emb_b: np.ndarray) -> np.ndarray:
     """S[i, j] = <e_i, e_j> on defensively re-normalized embeddings."""
     emb_a = as_array("emb_a", emb_a, (None, None), "cosine_scores")
     emb_b = as_array("emb_b", emb_b, (None, None), "cosine_scores")
-    if emb_a.shape[1] != emb_b.shape[1]:
-        raise InvalidInputError(f"cosine_scores: emb_a has width {emb_a.shape[1]} and emb_b "
-                                f"width {emb_b.shape[1]}; they must be the same")
+    check_widths("cosine_scores", "emb_a", emb_a.shape[1], "emb_b", emb_b.shape[1])
     if emb_a.size == 0 or emb_b.size == 0:
         return np.zeros((len(emb_a), len(emb_b)))
     return unit_rows(emb_a, "a") @ unit_rows(emb_b, "b").T

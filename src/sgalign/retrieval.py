@@ -19,8 +19,8 @@ import numpy as np
 from .allocator import MatchSet
 from .config import RERANK_MODES, PipelineConfig
 from .encoder import EncoderWeights, encode_graph, encode_graphs, node_batches
-from .errors import (InvalidInputError, SgaError, as_array, check_bound, npz_entry, open_npz,
-                     read_json, section_dict)
+from .errors import (InvalidInputError, SgaError, as_array, check_bound, check_widths,
+                     npz_entry, open_npz, read_json, section_dict)
 from .matcher import score_matrix, unit_rows
 from .pipeline import allocate
 from .scene_graph import SceneGraph, pack_graphs, unpack_graphs
@@ -107,8 +107,7 @@ def global_similarity(q: np.ndarray, t: np.ndarray) -> float:
     if not plain:
         q = as_array("q", q, (None,), "global_similarity")
         t = as_array("t", t, (None,), "global_similarity")
-        raise InvalidInputError(f"global_similarity: q has width {len(q)} and t width "
-                                f"{len(t)}; they must be the same")
+        check_widths("global_similarity", "q", len(q), "t", len(t))
     return float(np.dot(q, t))
 
 

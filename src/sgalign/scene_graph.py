@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidInputError, as_array, check_bound, read_json
+from .errors import InvalidInputError, as_array, as_pairs, check_bound, read_json
 
 DEFAULT_FEATURE_DIMS = (256, 384)
 DEFAULT_N_MAX = 4
@@ -41,6 +41,7 @@ def point_distances(a, b) -> np.ndarray:
 
 
 _VECTORS = ("position", "f_vl", "f_t", "f_g")
+_NODE_KEYS = {"id", *_VECTORS}  # the keys a node of a graph document must have
 
 
 @dataclass(frozen=True, init=False, eq=False, repr=False)
@@ -130,8 +131,17 @@ class SceneGraph:
         """The node row of each id in `ids`, -1 where no node has it; a
         repeated id gives its last row."""
         order = np.argsort(self.ids, kind="stable")
-        rows = np.append(-1, order)[np.searchsorted(self.ids[order], ids, side="right")]
-        return np.where(np.append(self.ids, 0)[rows] == ids, rows, -1)
+        return _rows(order, self.ids[order], ids)
+
+
+def _rows(order: np.ndarray, ascending: np.ndarray, wanted) -> np.ndarray:
+    """`rows_of`, given the stable argsort `order` of the node ids and
+    `ascending` = ids[order]. A search before the first row wraps to the
+    last, which holds a larger id."""
+    if not len(order):
+        return np.full(np.shape(wanted), -1)
+    at = np.searchsorted(ascending, wanted, side="right") - 1
+    return np.where(ascending[at] == wanted, order[at], -1)
 
 
 @dataclass
@@ -144,7 +154,7 @@ class GroundTruthMap:
     pairs: set[tuple[int, int]] = field(default_factory=set)
 
     def __post_init__(self):
-        self.pairs = set(map(tuple, self.pairs))
+        self.pairs = as_pairs("a ground truth pair", self.pairs, "(id_A, id_B)")
         a_side = [a for a, _ in self.pairs]
         if len(a_side) != len(set(a_side)):
             raise InvalidInputError("ground truth maps an id_A to multiple id_B")
@@ -207,87 +217,85 @@ def validate_graph(g: SceneGraph) -> list[str]:
     """Return human-readable violations; empty list means the graph is valid.
 
     Shapes are checked when the graph is built; this checks values. Each
-    check runs over all nodes (or edges) at once; messages are built only
-    for flagged ones, node by node, then edge by edge."""
-    if _plainly_valid(g):
-        return []
-    ids = g.ids.tolist()
-    vectors = {"position": g.positions(), "f_vl": g.f_vl, "f_t": g.f_t, "f_g": g.f_g}
-    non_finite = {name: ~np.isfinite(v).all(axis=1) for name, v in vectors.items()}
-    # Beyond MAX_COORDINATE, squares and sums of squares may overflow.
-    too_big = {name: ~non_finite[name] & (np.abs(vectors[name]) > MAX_COORDINATE).any(axis=1)
-               for name in ("position", "f_vl", "f_t")}
-    bound = f"+-{MAX_COORDINATE:g}"
-    out_of_range = ~non_finite["f_g"] & ((g.f_g <= 0) | (g.f_g > 1)).any(axis=1)
-    repeated = np.ones(len(ids), dtype=bool)
-    repeated[np.unique(g.ids, return_index=True)[1]] = False
+    check runs over all nodes (or edges) at once, and a vector column whose
+    minimum and maximum lie within its bounds (a NaN fails them) flags no
+    node, so its per-node checks are skipped. Messages are built only for
+    flagged nodes and edges, node by node, then edge by edge."""
+    pos = g.positions()
+    non_finite, too_big = {}, {}  # the masks of the columns that may flag a node
+    for name, v in (("position", pos), ("f_vl", g.f_vl), ("f_t", g.f_t)):
+        if not (v.min(initial=0.0) >= -MAX_COORDINATE and v.max(initial=0.0) <= MAX_COORDINATE):
+            non_finite[name] = ~np.isfinite(v).all(axis=1)
+            # Beyond MAX_COORDINATE, squares and sums of squares may overflow.
+            too_big[name] = ~non_finite[name] & (np.abs(v) > MAX_COORDINATE).any(axis=1)
+    out_of_range = None
+    if not (g.f_g.min(initial=1.0) > 0 and g.f_g.max(initial=1.0) <= 1):
+        non_finite["f_g"] = ~np.isfinite(g.f_g).all(axis=1)
+        out_of_range = ~non_finite["f_g"] & ((g.f_g <= 0) | (g.f_g > 1)).any(axis=1)
+    order = np.argsort(g.ids, kind="stable")
+    ascending = g.ids[order]
+    # Each row of an id but its first, which the stable sort puts first.
+    later = ascending[1:] == ascending[:-1]
+    repeated = None
+    if later.any():
+        repeated = np.zeros(len(order), dtype=bool)
+        repeated[order[1:][later]] = True
 
+    bound = f"+-{MAX_COORDINATE:g}"
     # Each node check and its message, in the order a node's messages take.
     checks = [(repeated, "duplicate node id {}"),
-              (non_finite["position"], "node {}: non-finite position"),
-              (too_big["position"], f"node {{}}: position has a coordinate beyond {bound}"),
-              *((non_finite[name], f"node {{}}: non-finite values in {name}")
+              (non_finite.get("position"), "node {}: non-finite position"),
+              (too_big.get("position"), f"node {{}}: position has a coordinate beyond {bound}"),
+              *((non_finite.get(name), f"node {{}}: non-finite values in {name}")
                 for name in ("f_vl", "f_t", "f_g")),
-              *((too_big[name], f"node {{}}: {name} has a value beyond {bound}")
+              *((too_big.get(name), f"node {{}}: {name} has a value beyond {bound}")
                 for name in ("f_vl", "f_t")),
               (out_of_range, "node {}: f_g components must lie in (0, 1]")]
+    checks = [(mask, message) for mask, message in checks if mask is not None]
     violations = []
-    for k in np.flatnonzero(np.any([mask for mask, _ in checks], axis=0)):
-        violations += [message.format(ids[k]) for mask, message in checks if mask[k]]
+    if checks:
+        ids = g.ids.tolist()
+        for k in np.flatnonzero(np.any([mask for mask, _ in checks], axis=0)):
+            violations += [message.format(ids[k]) for mask, message in checks if mask[k]]
 
-    ends = g.endpoints
-    self_loop = ends[:, 0] == ends[:, 1]
-    flipped = ends[:, 0] > ends[:, 1]
-    # Row of each endpoint, -1 when dangling, which picks the zero sentinel
-    # row appended to the positions. An edge on a bad position is left to
-    # that node's message.
-    rows = g.rows_of(ends)
-    dangling = ~self_loop & (rows < 0).any(axis=1)
-    usable = np.append(~non_finite["position"] & ~too_big["position"], False)
-    pos = np.where(usable[:, None], np.append(g.positions(), np.zeros((1, 3)), axis=0), 0.0)
-    measured = ~self_loop & ~dangling & usable[rows].all(axis=1)
-    actual = point_distances(pos[rows[:, 0]], pos[rows[:, 1]])
-    # A NaN stored distance fails the comparison, so it is stale too.
-    stale = measured & ~(np.abs(g.edge_distances - actual)
-                         <= EDGE_DISTANCE_RTOL * np.maximum(1.0, actual))
-    # A self loop is neither dangling nor stale, a dangling edge not stale.
-    checks = [(self_loop, "self loop"), (flipped, "not canonicalized i < j"),
-              (dangling, "dangling endpoint"), (stale, "stored distance {} != actual {}")]
-    pairs, stored = ends.tolist(), g.edge_distances.tolist()
-    for m in np.flatnonzero(self_loop | flipped | dangling | stale):
-        violations += [f"edge ({pairs[m][0]},{pairs[m][1]}): "
-                       + message.format(stored[m], float(actual[m]))
-                       for mask, message in checks if mask[m]]
-    return violations
-
-
-def _plainly_valid(g: SceneGraph) -> bool:
-    """Whether `validate_graph` finds no violation in g, by checks that are
-    cheaper than its own and pass only where each of its checks does: every
-    value within bounds (a NaN fails each comparison), distinct ids and each
-    edge i < j between nodes, its stored distance measured as there."""
-    pos = g.positions()
-    if not all(v.min(initial=0.0) >= -MAX_COORDINATE and v.max(initial=0.0) <= MAX_COORDINATE
-               for v in (pos, g.f_vl, g.f_t)):
-        return False
-    if not (g.f_g.min(initial=1.0) > 0 and g.f_g.max(initial=1.0) <= 1):
-        return False
-    order = np.argsort(g.ids)
-    ascending = g.ids[order]
-    if (ascending[1:] == ascending[:-1]).any():
-        return False
     ends = g.endpoints
     if not len(ends):
-        return True
-    if not (len(ascending) and (ends[:, 0] < ends[:, 1]).all()):
-        return False
-    at = np.minimum(np.searchsorted(ascending, ends), len(ascending) - 1)
-    if not (ascending[at] == ends).all():
-        return False
-    rows = order[at]
-    actual = point_distances(pos[rows[:, 0]], pos[rows[:, 1]])
-    return bool((np.abs(g.edge_distances - actual)
-                 <= EDGE_DISTANCE_RTOL * np.maximum(1.0, actual)).all())
+        return violations
+    rows = _rows(order, ascending, ends)  # -1 where dangling
+    checks, measured = [], None  # None: every edge
+    # Edges all canonical (so no self loop) and between nodes flag no edge
+    # in the first three checks.
+    if not ((ends[:, 0] < ends[:, 1]).all() and rows.min() >= 0):
+        self_loop = ends[:, 0] == ends[:, 1]
+        # A self loop is neither dangling nor stale, a dangling edge not stale.
+        dangling = ~self_loop & (rows.min(axis=1) < 0)
+        measured = ~(self_loop | dangling)
+        checks = [(self_loop, "self loop"), (ends[:, 0] > ends[:, 1], "not canonicalized i < j"),
+                  (dangling, "dangling endpoint")]
+    if "position" in non_finite:
+        # An edge on a bad position is left to that node's message, and the
+        # position is not read.
+        usable = ~(non_finite["position"] | too_big["position"])
+        on_usable = usable[rows].all(axis=1)
+        measured = on_usable if measured is None else measured & on_usable
+        pos = np.where(usable[:, None], pos, 0.0)
+    # A dangling endpoint reads the last row (there is one unless every edge
+    # dangles); its edge is not measured.
+    actual = point_distances(pos[rows[:, 0]], pos[rows[:, 1]]) if len(pos) else \
+        np.zeros(len(ends))
+    # A NaN stored distance fails the comparison, so it is stale too.
+    stale = ~(np.abs(g.edge_distances - actual) <= EDGE_DISTANCE_RTOL * np.maximum(1.0, actual))
+    if measured is not None:
+        stale &= measured
+    if stale.any():
+        checks.append((stale, "stored distance {} != actual {}"))
+    if checks:
+        pairs, stored = ends.tolist(), g.edge_distances.tolist()
+        for m in np.flatnonzero(np.any([mask for mask, _ in checks], axis=0)):
+            violations += [f"edge ({pairs[m][0]},{pairs[m][1]}): "
+                           + message.format(stored[m], float(actual[m]))
+                           for mask, message in checks if mask[m]]
+    return violations
 
 
 # ---------------------------------------------------------------------------
@@ -312,14 +320,17 @@ def graph_to_dict(g: SceneGraph) -> dict:
     }
 
 
-def _int64(value, what: str) -> int:
+def _int64(value, what: str, *args) -> int:
     """`value` as an int, if it is an integer (or a float with an integral
-    value) within int64; anything else raises InvalidInputError."""
-    if isinstance(value, float) and value.is_integer() or isinstance(value, np.integer):
+    value) within int64; anything else raises InvalidInputError naming
+    `what.format(*args)`. A plain int needs only the range check."""
+    if type(value) is not int and (isinstance(value, float) and value.is_integer()
+                                   or isinstance(value, np.integer)):
         value = int(value)
-    if (isinstance(value, bool) or not isinstance(value, int)
+    if (type(value) is not int and (isinstance(value, bool) or not isinstance(value, int))
             or not -2 ** 63 <= value < 2 ** 63):
-        raise InvalidInputError(f"{what} must be an integer within int64, got {value!r}")
+        raise InvalidInputError(f"{what.format(*args)} must be an integer within int64, "
+                                f"got {value!r}")
     return value
 
 
@@ -386,26 +397,45 @@ def graph_from_dict(data: dict, n_max: int = DEFAULT_N_MAX,
 
     A document that is not an object, a missing required key, a node that
     is not an object, an edge that is not [i, j, d], a field or scalar of
-    the wrong type or a vector of the wrong shape raises InvalidInputError,
-    naming the node where one is at fault. Nodes and edges are read a
-    column at a time; only where that finds a fault are they read one by
-    one, which names the first. Each vector column is converted once.
-    Values are left to `validate_graph`."""
+    the wrong type or a vector of the wrong shape raises InvalidInputError.
+    Nodes and edges are read one by one, so the refusal names the first
+    node or edge at fault. Each vector column is converted once. Values are
+    left to `validate_graph`."""
     if not isinstance(data, dict):
         raise InvalidInputError(f"a graph must be a JSON object, got {type(data).__name__}")
     graph_id, frame_kind, nodes = (_key(data, key) for key in ("graph_id", "frame_kind", "nodes"))
     if not isinstance(nodes, list):
         raise InvalidInputError("nodes must be a list")
+    for k, nd in enumerate(nodes):
+        if not isinstance(nd, dict):
+            raise InvalidInputError(f"a node must be a JSON object, got {type(nd).__name__}")
+        if not nd.keys() >= _NODE_KEYS:  # name the first key missing
+            node_id = _key(nd, "id", f"node #{k}: ")
+            for name in _VECTORS:
+                _key(nd, name, f"node {node_id}: ")
     edges = data.get("edges")
+    if not isinstance(edges, (list, type(None))):
+        raise InvalidInputError("edges must be a list or null")
+    for edge in edges or []:
+        if not isinstance(edge, list) or len(edge) != 3:
+            raise InvalidInputError(f"an edge must be a list [i, j, d], got {edge!r}")
     feature_dims = data.get("feature_dims", DEFAULT_FEATURE_DIMS)
-    read = _well_formed_columns(nodes, edges)
-    if read is None:
-        read = _columns_node_by_node(nodes, edges, feature_dims)
-    else:
-        _check_feature_dims(feature_dims)
-    ids, columns, vectors = read
+    if not isinstance(feature_dims, (list, tuple)) or len(feature_dims) != 2:
+        raise InvalidInputError(
+            f"feature_dims must be a list of two integers, got {feature_dims!r}")
+    ids = [_int64(nd["id"], "node id") for nd in nodes]
+    gt = [None if g is None else _int64(g, "node {}: gt_instance", i)
+          for i, g in zip(ids, (nd.get("gt_instance") for nd in nodes))]
+    columns = {
+        "ids": np.array(ids, dtype=np.int64),
+        "gt_instance": np.array([0 if g is None else g for g in gt], dtype=np.int64),
+        "gt_present": np.array([g is not None for g in gt], dtype=bool),
+        "endpoints": np.array([(_int64(i, "edge endpoint"), _int64(j, "edge endpoint"))
+                               for i, j, _ in edges or []], dtype=np.int64).reshape(-1, 2),
+        "edge_distances": np.array([_float(d, "edge {!r}: distance", [i, j, d])
+                                    for i, j, d in edges or []], dtype=np.float64)}
     widths = [3, *(_int64(d, "feature_dims entry") for d in feature_dims), 3]
-    positions, f_vl, f_t, f_g = (_column(vectors[name], name, ids, width)
+    positions, f_vl, f_t, f_g = (_column([nd[name] for nd in nodes], name, ids, width)
                                  for name, width in zip(_VECTORS, widths))
     # A coordinate beyond MAX_COORDINATE (or NaN) and a repeated id are left
     # to validate_graph.
@@ -415,79 +445,6 @@ def graph_from_dict(data: dict, n_max: int = DEFAULT_N_MAX,
             columns["ids"], positions, n_max, d_th)
     return SceneGraph(graph_id, frame_kind, labels=[nd.get("label", "") for nd in nodes],
                       positions=positions, f_vl=f_vl, f_t=f_t, f_g=f_g, **columns)
-
-
-def _check_feature_dims(feature_dims) -> None:
-    if not isinstance(feature_dims, (list, tuple)) or len(feature_dims) != 2:
-        raise InvalidInputError(
-            f"feature_dims must be a list of two integers, got {feature_dims!r}")
-
-
-def _columns(ids: list, gt: list, endpoints, distances) -> dict:
-    """The SceneGraph columns of node ids, gt_instance values (None where
-    absent), endpoints and edge distances, all Python numbers; an int
-    beyond int64, or one that overflows a float, raises OverflowError."""
-    return {"ids": np.array(ids, dtype=np.int64),
-            "gt_instance": np.array([0 if g is None else g for g in gt], dtype=np.int64),
-            "gt_present": np.array([g is not None for g in gt], dtype=bool),
-            "endpoints": np.array(endpoints, dtype=np.int64).reshape(-1, 2),
-            "edge_distances": np.array(distances, dtype=np.float64)}
-
-
-def _well_formed_columns(nodes: list, edges):
-    """What `_columns_node_by_node` returns, read a column at a time, when
-    every node is a dict with an int id, an int or null gt_instance and
-    each vector key, and `edges` is null or a list of [int, int, number]
-    lists, each int within int64 and each number within the float range;
-    else None."""
-    if {*map(type, nodes)} - {dict}:
-        return None
-    try:
-        ids = [nd["id"] for nd in nodes]
-        vectors = {name: [nd[name] for nd in nodes] for name in _VECTORS}
-    except KeyError:
-        return None
-    gt = [nd.get("gt_instance") for nd in nodes]
-    if {*map(type, ids)} - {int} or {*map(type, gt)} - {int, type(None)}:
-        return None
-    if edges is None:
-        edges = []
-    elif type(edges) is not list or {*map(type, edges)} - {list} or {*map(len, edges)} - {3}:
-        return None
-    i, j, distances = zip(*edges) if edges else ((), (), ())
-    if {*map(type, i), *map(type, j)} - {int} or {*map(type, distances)} - {int, float}:
-        return None
-    try:
-        return ids, _columns(ids, gt, list(zip(i, j)), distances), vectors
-    except OverflowError:
-        return None
-
-
-def _columns_node_by_node(nodes: list, edges, feature_dims):
-    """(node ids as a list, the SceneGraph columns of `_columns`, each
-    vector column as a list of the nodes' values), read node by node and
-    edge by edge; the first fault raises InvalidInputError."""
-    for k, nd in enumerate(nodes):
-        if not isinstance(nd, dict):
-            raise InvalidInputError(f"a node must be a JSON object, got {type(nd).__name__}")
-        node_id = _key(nd, "id", f"node #{k}: ")
-        for name in _VECTORS:
-            _key(nd, name, f"node {node_id}: ")
-    if not isinstance(edges, (list, type(None))):
-        raise InvalidInputError("edges must be a list or null")
-    for edge in edges or []:
-        if not isinstance(edge, list) or len(edge) != 3:
-            raise InvalidInputError(f"an edge must be a list [i, j, d], got {edge!r}")
-    _check_feature_dims(feature_dims)
-    ids = [_int64(nd["id"], "node id") for nd in nodes]
-    gt = [nd.get("gt_instance") for nd in nodes]
-    gt_instance = [None if g is None else _int64(g, f"node {i}: gt_instance")
-                   for i, g in zip(ids, gt)]
-    endpoints = [(_int64(i, "edge endpoint"), _int64(j, "edge endpoint"))
-                 for i, j, _ in edges or []]
-    distances = [_float(d, "edge {!r}: distance", [i, j, d]) for i, j, d in edges or []]
-    return (ids, _columns(ids, gt_instance, endpoints, distances),
-            {name: [nd[name] for nd in nodes] for name in _VECTORS})
 
 
 def save_graph(g: SceneGraph, path) -> None:

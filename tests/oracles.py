@@ -1,5 +1,6 @@
 """Independent oracles for the flow allocator, and an adapter that runs the
-library's solver on the same instances; the one-stream weight draw."""
+library's solver on the same instances; the one-stream weight draw; the
+full-pass graph validator."""
 
 import math
 from typing import NamedTuple
@@ -8,6 +9,8 @@ import numpy as np
 
 from sgalign.allocator import _solve
 from sgalign.encoder import WO_INIT_GAIN, EncoderConfig, EncoderWeights, _empty_tensors
+from sgalign.scene_graph import (EDGE_DISTANCE_RTOL, MAX_COORDINATE, SceneGraph,
+                                 point_distances)
 
 
 def brute_force_allocate(candidates: list[tuple[int, int]],
@@ -98,3 +101,66 @@ def init_weights_serial(config: EncoderConfig, seed: int = 0) -> EncoderWeights:
             out *= hi - lo
             out += lo
     return EncoderWeights._filled(config, tensors, packed, seed)
+
+
+def validate_graph_reference(g: SceneGraph) -> list[str]:
+    """`scene_graph.validate_graph` as a full pass: every mask is built for
+    every graph, with no whole-array early out. The one-pass validator must
+    return the same list."""
+    ids = g.ids.tolist()
+    vectors = {"position": g.positions(), "f_vl": g.f_vl, "f_t": g.f_t, "f_g": g.f_g}
+    non_finite = {name: ~np.isfinite(v).all(axis=1) for name, v in vectors.items()}
+    # Beyond MAX_COORDINATE, squares and sums of squares may overflow.
+    too_big = {name: ~non_finite[name] & (np.abs(vectors[name]) > MAX_COORDINATE).any(axis=1)
+               for name in ("position", "f_vl", "f_t")}
+    bound = f"+-{MAX_COORDINATE:g}"
+    out_of_range = ~non_finite["f_g"] & ((g.f_g <= 0) | (g.f_g > 1)).any(axis=1)
+    repeated = np.ones(len(ids), dtype=bool)
+    repeated[np.unique(g.ids, return_index=True)[1]] = False
+
+    # Each node check and its message, in the order a node's messages take.
+    checks = [(repeated, "duplicate node id {}"),
+              (non_finite["position"], "node {}: non-finite position"),
+              (too_big["position"], f"node {{}}: position has a coordinate beyond {bound}"),
+              *((non_finite[name], f"node {{}}: non-finite values in {name}")
+                for name in ("f_vl", "f_t", "f_g")),
+              *((too_big[name], f"node {{}}: {name} has a value beyond {bound}")
+                for name in ("f_vl", "f_t")),
+              (out_of_range, "node {}: f_g components must lie in (0, 1]")]
+    violations = []
+    for k in np.flatnonzero(np.any([mask for mask, _ in checks], axis=0)):
+        violations += [message.format(ids[k]) for mask, message in checks if mask[k]]
+
+    ends = g.endpoints
+    self_loop = ends[:, 0] == ends[:, 1]
+    flipped = ends[:, 0] > ends[:, 1]
+    # Row of each endpoint, -1 when dangling, which picks the zero sentinel
+    # row appended to the positions. An edge on a bad position is left to
+    # that node's message.
+    rows = rows_of_reference(g.ids, ends)
+    dangling = ~self_loop & (rows < 0).any(axis=1)
+    usable = np.append(~non_finite["position"] & ~too_big["position"], False)
+    pos = np.where(usable[:, None], np.append(g.positions(), np.zeros((1, 3)), axis=0), 0.0)
+    measured = ~self_loop & ~dangling & usable[rows].all(axis=1)
+    actual = point_distances(pos[rows[:, 0]], pos[rows[:, 1]])
+    # A NaN stored distance fails the comparison, so it is stale too.
+    stale = measured & ~(np.abs(g.edge_distances - actual)
+                         <= EDGE_DISTANCE_RTOL * np.maximum(1.0, actual))
+    # A self loop is neither dangling nor stale, a dangling edge not stale.
+    checks = [(self_loop, "self loop"), (flipped, "not canonicalized i < j"),
+              (dangling, "dangling endpoint"), (stale, "stored distance {} != actual {}")]
+    pairs, stored = ends.tolist(), g.edge_distances.tolist()
+    for m in np.flatnonzero(self_loop | flipped | dangling | stale):
+        violations += [f"edge ({pairs[m][0]},{pairs[m][1]}): "
+                       + message.format(stored[m], float(actual[m]))
+                       for mask, message in checks if mask[m]]
+    return violations
+
+
+def rows_of_reference(ids: np.ndarray, wanted) -> np.ndarray:
+    """`SceneGraph.rows_of` by its former formula: the row of each id in
+    `wanted` among node `ids`, -1 where none has it, the last row of a
+    repeated id."""
+    order = np.argsort(ids, kind="stable")
+    rows = np.append(-1, order)[np.searchsorted(ids[order], wanted, side="right")]
+    return np.where(np.append(ids, 0)[rows] == wanted, rows, -1)

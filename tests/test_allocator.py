@@ -96,6 +96,18 @@ class TestCandidateSet:
         P = np.array([[0.5, 0.5, 0.5, 0.4]])
         assert candidate_set(P, 0.0, 2) == [(0, 0), (0, 1)]
 
+    @pytest.mark.parametrize("tau, top_k, message", [
+        (0.3, -1, "candidate_set: top_k must be >= 1, got -1"),
+        (0.3, 0, "candidate_set: top_k must be >= 1, got 0"),
+        (0.3, 2.5, "candidate_set: top_k must be an integer, got 2.5"),
+        (np.nan, 2, "candidate_set: tau must be in [0, 1], got nan"),
+        (1.5, 2, "candidate_set: tau must be in [0, 1], got 1.5"),
+        ("0.3", 2, "candidate_set: tau must be a number, got '0.3'")])
+    def test_bad_params_refused(self, tau, top_k, message):
+        """tau and top_k by the McfParams rules."""
+        with pytest.raises(InvalidInputError, match=re.escape(message)):
+            candidate_set(np.full((2, 3), 0.5), tau, top_k)
+
 
 @pytest.mark.parametrize("allocate", [
     mnn_allocate, lambda P: mcf_allocate(P, np.zeros((1, 3)), np.zeros((1, 3))),

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -75,6 +77,17 @@ class TestInfoNce:
         with pytest.raises(InvalidInputError, match="temperature must be finite and > 0"):
             InfoNceInput(np.zeros((2, 2)), {(0, 0)}, temperature)
 
+    @pytest.mark.parametrize("similarities, positives, message", [
+        (np.ones(3), set(), "InfoNceInput: similarities must be 2-D, got shape (3,)"),
+        ("abc", set(), "InfoNceInput: similarities is not an array of numbers"),
+        (np.ones((2, 2)), {(1,)}, "InfoNceInput: a positive must be a (row, column) pair, "
+                                  "got (1,)"),
+        (np.ones((2, 2)), {(0, 1, 1)}, "a positive must be a (row, column) pair, got (0, 1, 1)"),
+        (np.ones((2, 2)), [0], "a positive must be a (row, column) pair, got 0")])
+    def test_bad_arguments_rejected(self, similarities, positives, message):
+        with pytest.raises(InvalidInputError, match=re.escape(message)):
+            InfoNceInput(similarities, positives)
+
     def test_one_positive_per_row_and_column(self):
         with pytest.raises(InvalidInputError):
             InfoNceInput(np.zeros((2, 2)), {(0, 0), (0, 1)})
@@ -108,6 +121,17 @@ class TestTripletLoss:
     def test_bad_margin_rejected(self, margin):
         with pytest.raises(InvalidInputError, match="margin must be finite and > 0"):
             TripletInput(np.zeros(3), np.ones(3), np.ones(3), margin)
+
+    @pytest.mark.parametrize("vectors, message", [
+        ((np.ones(3), np.ones(4), np.ones(3)),
+         "TripletInput: anchor has width 3 and positive width 4; they must be the same"),
+        ((np.ones(3), np.ones(3), np.ones(2)),
+         "TripletInput: anchor has width 3 and negative width 2; they must be the same"),
+        (("a", "b", "c"), "TripletInput: anchor is not an array of numbers"),
+        ((np.ones((2, 3)),) * 3, "TripletInput: anchor must be 1-D, got shape (2, 3)")])
+    def test_bad_vectors_rejected(self, vectors, message):
+        with pytest.raises(InvalidInputError, match=re.escape(message)):
+            triplet_loss(TripletInput(*vectors))
 
     def test_gradients_against_finite_differences(self, rng):
         checked = 0
@@ -159,6 +183,15 @@ class TestHardNegativeMine:
             dists = [(np.linalg.norm(v - anchor), k) for k, v in enumerate(pool)
                      if k != pos]
             assert got == min(dists)[1]
+
+    @pytest.mark.parametrize("pool, message", [
+        ([np.ones(3), np.ones(4)], "hard_negative_mine: anchor has width 3 and pool[1] width 4; "
+                                   "they must be the same"),
+        ([np.ones(2), np.ones(3)], "anchor has width 3 and pool[0] width 2"),
+        ([np.ones(3), "x"], "hard_negative_mine: pool[1] is not an array of numbers")])
+    def test_bad_pool_rejected(self, pool, message):
+        with pytest.raises(InvalidInputError, match=re.escape(message)):
+            hard_negative_mine(np.ones(3), 0, pool)
 
     def test_exhausted_pool(self):
         with pytest.raises(InvalidInputError):

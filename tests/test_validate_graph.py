@@ -1,0 +1,120 @@
+"""`validate_graph` against the full pass it replaced
+(`oracles.validate_graph_reference`) on graphs that carry one to four
+stacked faults, `rows_of` against its former formula, and the refusal of a
+ground-truth pair that is not (id_A, id_B)."""
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from oracles import rows_of_reference, validate_graph_reference
+
+from sgalign.errors import InvalidInputError
+from sgalign.scene_graph import (MAX_COORDINATE, GroundTruthMap, SceneGraph, build_edges,
+                                 validate_graph)
+
+# Derandomized, so every run of the suite draws the same graphs.
+SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=2000,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+# A vector entry that is non-finite, beyond MAX_COORDINATE or just at it.
+VECTOR_VALUES = [np.nan, np.inf, -np.inf, 1.5 * MAX_COORDINATE, -1e200, 1.7e308,
+                 MAX_COORDINATE, -MAX_COORDINATE]
+# An f_g component at 0, above 1, negative, or at the bounds it may take.
+F_G_VALUES = [0.0, -0.0, 1.0 + 1e-12, 5.0, -0.2, 1.0, 1e-300]
+# A stored distance scaled off (or within) the tolerance, or not a number.
+DISTANCE_SCALES = [1 + 3e-9, 1 - 3e-9, 1 + 0.5e-9, 2.0, 0.0]
+DISTANCE_VALUES = [np.nan, np.inf, -np.inf]
+FAULTS = ["vector", "f_g", "repeated_id", "repeated_edge_id", "self_loop", "flipped",
+          "dangling", "stale", "bad_distance", "no_nodes", "no_edges"]
+# The text of each kind of violation.
+KINDS = ["duplicate node id", "non-finite position", "position has a coordinate beyond",
+         "non-finite values in f_vl", "non-finite values in f_t", "non-finite values in f_g",
+         "f_vl has a value beyond", "f_t has a value beyond", "f_g components must lie",
+         "self loop", "not canonicalized", "dangling endpoint", "stored distance"]
+
+
+def faulty_graph(seed: int, n: int, widths: tuple[int, int], faults: list[str]) -> SceneGraph:
+    """A valid graph of n nodes with k-NN edges and vector widths (3,
+    *widths, 3), drawn from `seed`, then damaged by each of `faults` in
+    turn. A fault that needs a node or an edge the graph lacks is skipped."""
+    rng = np.random.default_rng(seed)
+    ids = rng.permutation(100)[:n] - 20
+    nodes = {"positions": rng.uniform(0, 4, (n, 3)), "f_vl": rng.standard_normal((n, widths[0])),
+             "f_t": rng.standard_normal((n, widths[1])), "f_g": rng.uniform(0.05, 1.0, (n, 3))}
+    ends, distances = (a.copy() for a in build_edges(ids, nodes["positions"]))
+
+    def some(count):
+        return int(rng.integers(count))
+
+    def insert_edge(i, j, d):
+        nonlocal ends, distances
+        k = some(len(ends) + 1)
+        ends, distances = np.insert(ends, k, [i, j], axis=0), np.insert(distances, k, d)
+
+    for fault in faults:
+        n, m = len(ids), len(ends)
+        if fault == "vector" and n:
+            v = nodes[list(nodes)[some(4)]]
+            if v.shape[1]:
+                v[some(n), some(v.shape[1])] = VECTOR_VALUES[some(len(VECTOR_VALUES))]
+        elif fault == "f_g" and n:
+            nodes["f_g"][some(n), some(3)] = F_G_VALUES[some(len(F_G_VALUES))]
+        elif fault == "repeated_id" and n > 1:
+            ids[some(n)] = ids[some(n)]
+        elif fault == "repeated_edge_id" and n and m:
+            ids[some(n)] = ends[some(m), some(2)]
+        elif fault == "self_loop":
+            i = ids[some(n)] if n else 7
+            insert_edge(i, i, [0.0, 1.0][some(2)])
+        elif fault == "flipped" and m:
+            ends[some(m)] = ends[some(m)][::-1].copy()
+        elif fault == "dangling":
+            i, j = (ids[some(n)] if n else 3), 1000 + some(3)
+            insert_edge(*((i, j) if some(2) else (j, i)), 1.0)
+        elif fault == "stale" and m:
+            distances[some(m)] *= DISTANCE_SCALES[some(len(DISTANCE_SCALES))]
+        elif fault == "bad_distance" and m:
+            distances[some(m)] = DISTANCE_VALUES[some(len(DISTANCE_VALUES))]
+        elif fault == "no_nodes":
+            ids = ids[:0]
+            nodes = {name: v[:0] for name, v in nodes.items()}
+        elif fault == "no_edges":
+            ends, distances = ends[:0], distances[:0]
+    n = len(ids)
+    return SceneGraph("g", "world", ids=ids, labels=[""] * n, **nodes,
+                      gt_instance=np.zeros(n, np.int64), gt_present=np.zeros(n, bool),
+                      endpoints=ends, edge_distances=distances)
+
+
+class TestValidateGraphReference:
+    @SETTINGS
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(0, 40),
+           widths=st.tuples(st.integers(0, 4), st.integers(0, 4)),
+           faults=st.lists(st.sampled_from(FAULTS), min_size=1, max_size=4))
+    def test_same_violations(self, seed, n, widths, faults):
+        g = faulty_graph(seed, n, widths, faults)
+        with np.errstate(all="raise"):
+            got = validate_graph(g)
+        assert got == validate_graph_reference(g)
+        assert np.array_equal(g.rows_of(g.endpoints), rows_of_reference(g.ids, g.endpoints))
+
+    def test_faults_reach_every_check(self):
+        """The faults of the property test raise every kind of violation,
+        several in one graph, and leave some graphs valid."""
+        rng = np.random.default_rng(0)
+        counts = []
+        seen = set()
+        for seed in range(400):
+            faults = [FAULTS[k] for k in rng.integers(len(FAULTS), size=rng.integers(1, 5))]
+            violations = validate_graph(faulty_graph(seed, int(rng.integers(41)), (3, 4), faults))
+            counts.append(len(violations))
+            seen.update(kind for kind in KINDS for v in violations if kind in v)
+        assert seen == set(KINDS)
+        assert min(counts) == 0 and max(counts) >= 4
+
+
+@pytest.mark.parametrize("pair", [(1,), (1, 2, 3), 5])
+def test_ground_truth_pair_refused(pair):
+    with pytest.raises(InvalidInputError, match=r"ground truth pair must be \(id_A, id_B\)"):
+        GroundTruthMap(pairs={pair, (4, 5)})
