@@ -128,9 +128,25 @@ def check_widths(where: str, name_a: str, width_a: int, name_b: str, width_b: in
                                 f"{width_b}; they must be the same")
 
 
-def as_pairs(name: str, values, what: str) -> set[tuple]:
-    """The entries of `values` as a set of 2-tuples; the first that is not
-    a pair raises InvalidInputError "<name> must be <what>, got <entry>"."""
+def as_int64(value, what: str, *args) -> int:
+    """`value` as an int, if it is an integer (or a float with an integral
+    value) within int64; anything else raises InvalidInputError naming
+    `what.format(*args)`. A plain int needs only the range check."""
+    if type(value) is not int and (isinstance(value, float) and value.is_integer()
+                                   or isinstance(value, np.integer)):
+        value = int(value)
+    if (type(value) is not int and (isinstance(value, bool) or not isinstance(value, int))
+            or not -2 ** 63 <= value < 2 ** 63):
+        raise InvalidInputError(f"{what.format(*args)} must be an integer within int64, "
+                                f"got {value!r}")
+    return value
+
+
+def as_pairs(name: str, values, what: str) -> set[tuple[int, int]]:
+    """The entries of `values` as a set of 2-tuples of ints; the first that
+    is not a pair raises InvalidInputError "<name> must be <what>, got
+    <entry>", and the first with a member that `as_int64` refuses raises
+    "<name> <entry>: a member must be an integer within int64, got ..."."""
     pairs = set()
     for value in values:
         try:
@@ -139,7 +155,7 @@ def as_pairs(name: str, values, what: str) -> set[tuple]:
             pair = ()
         if len(pair) != 2:
             raise InvalidInputError(f"{name} must be {what}, got {value!r}")
-        pairs.add(pair)
+        pairs.add(tuple(as_int64(v, "{} {!r}: a member", name, value) for v in pair))
     return pairs
 
 

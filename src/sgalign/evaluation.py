@@ -12,6 +12,9 @@ from .allocator import MatchSet
 from .errors import InvalidInputError, check_bound
 from .scene_graph import GroundTruthMap, SceneGraph
 
+# The width of the overlap bins of `bin_by_overlap`, which divides [0, 1].
+OVERLAP_BIN_WIDTH = 0.1
+
 
 @dataclass(frozen=True)
 class SampleMetrics:
@@ -90,11 +93,10 @@ def aggregate(samples: list[SampleMetrics]) -> dict[str, float]:
             for name in ("accuracy", "precision", "recall", "f1")}
 
 
-def bin_by_overlap(samples: list[tuple[float, SampleMetrics]],
-                   bin_width: float = 0.1) -> list[dict]:
-    """Group (overlap_ratio, metrics) into [b*w, (b+1)*w) bins; last bin closed."""
-    check_bound("bin_width", bin_width, "in (0, 1]", where="bin_by_overlap")
-    n_bins = round(1.0 / bin_width)
+def bin_by_overlap(samples: list[tuple[float, SampleMetrics]]) -> list[dict]:
+    """Group (overlap_ratio, metrics) into [b*w, (b+1)*w) bins of width
+    w = OVERLAP_BIN_WIDTH; last bin closed."""
+    n_bins = round(1.0 / OVERLAP_BIN_WIDTH)
     buckets: list[list[SampleMetrics]] = [[] for _ in range(n_bins)]
     for overlap, metrics in samples:
         check_bound("overlap", overlap, "in [0, 1]", where="bin_by_overlap")
@@ -102,5 +104,6 @@ def bin_by_overlap(samples: list[tuple[float, SampleMetrics]],
         # 0.3 * 10 rounding down to 2.9999999999999996.
         idx = min(int(overlap * n_bins + 1e-9), n_bins - 1)
         buckets[idx].append(metrics)
-    return [{"lo": b * bin_width, "hi": (b + 1) * bin_width, "count": len(bucket),
-             "mean": aggregate(bucket) if bucket else None} for b, bucket in enumerate(buckets)]
+    return [{"lo": b * OVERLAP_BIN_WIDTH, "hi": (b + 1) * OVERLAP_BIN_WIDTH,
+             "count": len(bucket), "mean": aggregate(bucket) if bucket else None}
+            for b, bucket in enumerate(buckets)]

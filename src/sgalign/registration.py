@@ -86,9 +86,10 @@ def _collinear(points: np.ndarray) -> np.ndarray:
 
 def _positions(pairs, side: int, name: str) -> np.ndarray:
     try:
-        pts = np.asarray([p[side] for p in pairs], dtype=float)
-    except (TypeError, ValueError, IndexError) as exc:
-        raise InvalidInputError(f"{name} positions are not numeric: {exc}") from None
+        points = [p[side] for p in pairs]
+    except (TypeError, IndexError) as exc:
+        raise InvalidInputError(f"estimate_rigid: a pair has no {name} position ({exc})") from None
+    pts = as_array(f"{name} positions", points, None, "estimate_rigid")
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise InvalidInputError(f"{name} positions must be (n, 3), got shape {pts.shape}")
     check_bound(f"{name} positions", pts, "finite")

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidInputError, as_array, as_pairs, check_bound, read_json
+from .errors import InvalidInputError, as_array, as_int64, as_pairs, check_bound, read_json
 
 DEFAULT_FEATURE_DIMS = (256, 384)
 DEFAULT_N_MAX = 4
@@ -203,7 +203,7 @@ def _distinct_ids(ids) -> np.ndarray:
     seen = {}  # id: index, in order
     for k, value in enumerate(ids if isinstance(ids, (list, tuple)) else given.tolist()):
         try:
-            id_ = _int64(value, "id")
+            id_ = as_int64(value, "id")
         except InvalidInputError:
             id_ = None
         if id_ is None or id_ in seen:
@@ -320,20 +320,6 @@ def graph_to_dict(g: SceneGraph) -> dict:
     }
 
 
-def _int64(value, what: str, *args) -> int:
-    """`value` as an int, if it is an integer (or a float with an integral
-    value) within int64; anything else raises InvalidInputError naming
-    `what.format(*args)`. A plain int needs only the range check."""
-    if type(value) is not int and (isinstance(value, float) and value.is_integer()
-                                   or isinstance(value, np.integer)):
-        value = int(value)
-    if (type(value) is not int and (isinstance(value, bool) or not isinstance(value, int))
-            or not -2 ** 63 <= value < 2 ** 63):
-        raise InvalidInputError(f"{what.format(*args)} must be an integer within int64, "
-                                f"got {value!r}")
-    return value
-
-
 def _float(value, what: str, *args) -> float:
     if not isinstance(value, bool) and isinstance(value, (int, float)):
         try:
@@ -341,15 +327,6 @@ def _float(value, what: str, *args) -> float:
         except OverflowError:
             pass
     raise InvalidInputError(f"{what.format(*args)} must be a float64 number, got {value!r}")
-
-
-def _floats(value, what: str) -> np.ndarray:
-    """`value` as a float64 array; a value NumPy cannot convert (ragged,
-    "abc") raises InvalidInputError."""
-    try:
-        return np.asarray(value, dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise InvalidInputError(f"{what} is not an array of numbers ({exc})") from exc
 
 
 def _column(values, name: str, ids: list[int], width: int) -> np.ndarray:
@@ -363,7 +340,7 @@ def _column(values, name: str, ids: list[int], width: int) -> np.ndarray:
             return block
     except (TypeError, ValueError, OverflowError):
         pass
-    rows = [_floats(v, f"node {i}: {name}") for i, v in zip(ids, values)]
+    rows = [as_array(name, v, None, f"node {i}") for i, v in zip(ids, values)]
     for i, row in zip(ids, rows):
         if row.shape != (width,):
             raise InvalidInputError(f"node {i}: {name} has shape {row.shape}, "
@@ -423,18 +400,18 @@ def graph_from_dict(data: dict, n_max: int = DEFAULT_N_MAX,
     if not isinstance(feature_dims, (list, tuple)) or len(feature_dims) != 2:
         raise InvalidInputError(
             f"feature_dims must be a list of two integers, got {feature_dims!r}")
-    ids = [_int64(nd["id"], "node id") for nd in nodes]
-    gt = [None if g is None else _int64(g, "node {}: gt_instance", i)
+    ids = [as_int64(nd["id"], "node id") for nd in nodes]
+    gt = [None if g is None else as_int64(g, "node {}: gt_instance", i)
           for i, g in zip(ids, (nd.get("gt_instance") for nd in nodes))]
     columns = {
         "ids": np.array(ids, dtype=np.int64),
         "gt_instance": np.array([0 if g is None else g for g in gt], dtype=np.int64),
         "gt_present": np.array([g is not None for g in gt], dtype=bool),
-        "endpoints": np.array([(_int64(i, "edge endpoint"), _int64(j, "edge endpoint"))
+        "endpoints": np.array([(as_int64(i, "edge endpoint"), as_int64(j, "edge endpoint"))
                                for i, j, _ in edges or []], dtype=np.int64).reshape(-1, 2),
         "edge_distances": np.array([_float(d, "edge {!r}: distance", [i, j, d])
                                     for i, j, d in edges or []], dtype=np.float64)}
-    widths = [3, *(_int64(d, "feature_dims entry") for d in feature_dims), 3]
+    widths = [3, *(as_int64(d, "feature_dims entry") for d in feature_dims), 3]
     positions, f_vl, f_t, f_g = (_column([nd[name] for nd in nodes], name, ids, width)
                                  for name, width in zip(_VECTORS, widths))
     # A coordinate beyond MAX_COORDINATE (or NaN) and a repeated id are left

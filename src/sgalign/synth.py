@@ -17,12 +17,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import GenerationError, InvalidInputError, check_bounds, check_sizes, read_json
+from .errors import (GenerationError, InvalidInputError, as_array, as_int64, check_bounds,
+                     check_sizes, read_json)
 from .evaluation import AlignmentSample
+from .matcher import unit_rows
 from .registration import RigidTransform
 from .scene_graph import (DEFAULT_D_TH, DEFAULT_FEATURE_DIMS, DEFAULT_N_MAX,
-                          MAX_COORDINATE, GroundTruthMap, SceneGraph, _floats, _int64,
-                          build_edges, load_graph, save_graph)
+                          MAX_COORDINATE, GroundTruthMap, SceneGraph, build_edges, load_graph,
+                          point_distances, save_graph)
 
 MAX_PLACEMENT_ATTEMPTS = 10 ** 5
 MAX_VIEW_ATTEMPTS = 100
@@ -62,10 +64,6 @@ class ClassPrototypes:
     f_t: np.ndarray       # (n_classes, D_t) unit rows
     extents: np.ndarray   # (n_classes, 3) in (0, 1]
     labels: list[str]
-
-
-def _unit_rows(m: np.ndarray) -> np.ndarray:
-    return m / np.linalg.norm(m, axis=1, keepdims=True)
 
 
 def _noisy_unit(vec: np.ndarray, sigma: float, rng: np.random.Generator) -> np.ndarray:
@@ -135,8 +133,8 @@ def generate_scene(config: SynthConfig,
     d_vl, d_t = config.feature_dims
 
     protos = ClassPrototypes(
-        f_vl=_unit_rows(rng.standard_normal((config.n_classes, d_vl))),
-        f_t=_unit_rows(rng.standard_normal((config.n_classes, d_t))),
+        f_vl=unit_rows(rng.standard_normal((config.n_classes, d_vl)), "f_vl prototype"),
+        f_t=unit_rows(rng.standard_normal((config.n_classes, d_t)), "f_t prototype"),
         extents=rng.uniform(0.2, 0.9, size=(config.n_classes, 3)),
         labels=[f"class_{k}" for k in range(config.n_classes)],
     )
@@ -151,9 +149,8 @@ def generate_scene(config: SynthConfig,
     else:
         classes = rng.integers(0, config.n_classes, size=n)
 
-    positions: list[np.ndarray] = []
-    attempts = 0
-    while len(positions) < n:
+    positions, placed, attempts = np.empty((n, 3)), 0, 0
+    while placed < n:
         attempts += 1
         if attempts > MAX_PLACEMENT_ATTEMPTS:
             raise GenerationError(
@@ -161,8 +158,9 @@ def generate_scene(config: SynthConfig,
                 f"(box {config.box_size} m too crowded for {n} objects at "
                 f"min separation {config.min_separation} m)")
         cand = rng.uniform(0.0, config.box_size, size=3)
-        if all(np.linalg.norm(cand - p) >= config.min_separation for p in positions):
-            positions.append(cand)
+        if (point_distances(positions[:placed], cand) >= config.min_separation).all():
+            positions[placed] = cand
+            placed += 1
 
     sigma, classes = config.feature_noise_sigma, classes.tolist()
     rows = [(x, _noisy_unit(protos.f_vl[k], sigma, rng), _noisy_unit(protos.f_t[k], sigma, rng),
@@ -182,8 +180,8 @@ def make_f2s_pair(scene: SceneGraph, config: SynthConfig,
     positions, ids, in_view = scene.positions(), scene.ids.tolist(), []
     for _ in range(MAX_VIEW_ATTEMPTS):
         viewpoint = rng.uniform(0.0, config.box_size, size=3)
-        in_view = [k for k in range(len(ids))
-                   if np.linalg.norm(positions[k] - viewpoint) <= config.f2s_view_radius]
+        in_view = np.flatnonzero(
+            point_distances(positions, viewpoint) <= config.f2s_view_radius).tolist()
         if len(in_view) >= 2:
             break
     else:
@@ -331,7 +329,7 @@ def _matrix(value, shape: tuple[int, ...], what: str, bound: float) -> np.ndarra
     """`value` as a float array of `shape` within +-bound, or None for null."""
     if value is None:
         return None
-    arr = _floats(value, what)
+    arr = as_array(what, value, None)
     if arr.shape != shape or not (np.abs(arr) <= bound).all():  # NaN fails too
         raise InvalidInputError(f"{what} must be a finite array of shape {shape} or null, "
                                 f"with entries within +-{bound:g}")
@@ -361,7 +359,7 @@ def _ground_truth(doc, graph_a: SceneGraph, graph_b: SceneGraph) -> dict:
             RigidTransform(rotation, np.zeros(3))
         except InvalidInputError as exc:
             raise InvalidInputError(f"gt_rotation: {exc}") from exc
-    gt = GroundTruthMap(pairs={(_int64(a, "pair id"), _int64(b, "pair id")) for a, b in pairs})
+    gt = GroundTruthMap(pairs={(as_int64(a, "pair id"), as_int64(b, "pair id")) for a, b in pairs})
     for side, (name, graph) in enumerate((("a.json", graph_a), ("b.json", graph_b))):
         unknown = {pair[side] for pair in gt.pairs}.difference(graph.ids.tolist())
         if unknown:
@@ -370,7 +368,7 @@ def _ground_truth(doc, graph_a: SceneGraph, graph_b: SceneGraph) -> dict:
         "gt": gt,
         "overlap_ratio": overlap,
         "task": task,
-        "seed": _int64(doc.get("seed", 0), "seed"),
+        "seed": as_int64(doc.get("seed", 0), "seed"),
         "gt_rotation": rotation,
         "gt_translation": _matrix(doc.get("gt_translation"), (3,), "gt_translation",
                                   MAX_COORDINATE),

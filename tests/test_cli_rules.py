@@ -2,8 +2,11 @@
 writes its stderr lines itself (no `logging`), a flag's bound is checked by
 its argparse type alone (no `cmd_*` body raises UsageError), each list of
 allowed values is written once, the name of a database's index file
-appears only in `retrieval`, and a numeric bound is stated in `errors`
-alone (errors.BOUNDS), but for the composite rules listed here."""
+appears only in `retrieval`, a numeric bound is stated in `errors` alone
+(errors.BOUNDS), but for the composite rules listed here, and each shared
+primitive has one copy: a vector norm is taken only where no shared
+function (`scene_graph.point_distances`, `matcher.unit_rows`) serves, and
+only `errors` converts values to float arrays under a refusal."""
 
 import ast
 import re
@@ -28,6 +31,17 @@ BOUND_TEXT = re.compile(r"must be (>=|>|finite|in [\[(]|even)")
 COMPOSITE_RULES = {("allocator.py", "McfParams.__post_init__", "cap_max"),
                    ("encoder.py", "EncoderConfig.__post_init__", "layers"),
                    ("matcher.py", "MatcherParams.__post_init__", "temperature")}
+
+
+# The functions that take np.linalg.norm, as (module, function). Point
+# distances go through `scene_graph.point_distances` and row normalisation
+# through `matcher.unit_rows`. The encoder normalises its outputs itself,
+# because its refusals name the graph and node; the others norm one vector.
+NORM_CALLS = {("matcher.py", "unit_rows"), ("encoder.py", "init_weights"),
+              ("encoder.py", "_project"), ("encoder.py", "_class_tokens"),
+              ("losses.py", "triplet_loss"), ("losses.py", "hard_negative_mine"),
+              ("registration.py", "registration_error"), ("synth.py", "_noisy_unit"),
+              ("synth.py", "_random_rotation")}
 
 
 def parsed() -> dict[str, ast.AST]:
@@ -77,6 +91,33 @@ def bound_texts(tree: ast.AST, scope: str = ""):
             yield from bound_texts(node, scope)
 
 
+def norm_calls(tree: ast.AST, scope: str = ""):
+    """The innermost enclosing function of each `<x>.linalg.norm` call
+    under `tree`."""
+    for node in ast.iter_child_nodes(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "norm" and isinstance(node.func.value, ast.Attribute)
+                and node.func.value.attr == "linalg"):
+            yield scope
+        yield from norm_calls(node, node.name if isinstance(
+            node, (ast.FunctionDef, ast.AsyncFunctionDef)) else scope)
+
+
+def float_converters(tree: ast.AST):
+    """The line of each `try` under `tree` that converts a value with
+    `dtype=float` and raises InvalidInputError when that fails."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Try):
+            continue
+        converts = any(isinstance(n, ast.keyword) and n.arg == "dtype"
+                       and isinstance(n.value, ast.Name) and n.value.id == "float"
+                       for part in node.body for n in ast.walk(part))
+        refuses = any(name == "InvalidInputError"
+                      for handler in node.handlers for name in raised_names(handler))
+        if converts and refuses:
+            yield node.lineno
+
+
 def test_no_logging():
     found = [name for name, tree in parsed().items() if "logging" in imported_modules(tree)]
     assert found == []
@@ -112,6 +153,15 @@ def test_numeric_bounds_stated_in_errors_only():
     assert found == COMPOSITE_RULES
 
 
+def test_each_primitive_has_one_copy():
+    trees = parsed()
+    norms = {(name, scope) for name, tree in trees.items() for scope in norm_calls(tree)}
+    assert norms == NORM_CALLS
+    converters = [(name, line) for name, tree in trees.items()
+                  for line in float_converters(tree)]
+    assert [name for name, _ in converters] == ["errors.py"], converters
+
+
 def test_scans_see_each_case():
     source = ("import logging\nfrom logging import getLogger\nimport os.path\n"
               "def cmd_x():\n    raise UsageError('no')\n    raise ValueError\n"
@@ -127,3 +177,15 @@ def test_scans_see_each_case():
                        "        raise E(f'n must be >= 1, got {n}')\n"
                        "        raise E(f'n must be an integer, got {n}')\n")
     assert list(bound_texts(bounds)) == [("P.f", "n")]
+    copies = ast.parse("import numpy as np\n"
+                       "def f(a, b):\n    return np.linalg.norm(a - b)\n"
+                       "def g(v):\n    def h():\n        return numpy.linalg.norm(v)\n"
+                       "    return np.linalg.vector_norm(v), h\n"
+                       "def k(v):\n    try:\n        return np.asarray(v, dtype=float)\n"
+                       "    except ValueError as exc:\n        raise InvalidInputError('no')\n"
+                       "    try:\n        return np.asarray(v, dtype=float)\n"
+                       "    except ValueError:\n        pass\n"
+                       "    try:\n        return np.asarray(v)\n"
+                       "    except ValueError:\n        raise InvalidInputError('no')\n")
+    assert list(norm_calls(copies)) == ["f", "h"]
+    assert list(float_converters(copies)) == [9]

@@ -88,6 +88,20 @@ class TestInfoNce:
         with pytest.raises(InvalidInputError, match=re.escape(message)):
             InfoNceInput(similarities, positives)
 
+    @pytest.mark.parametrize("positive, member", [
+        ((0.5, 1), "0.5"), (("a", 1), "'a'"), ((True, 0), "True"), ((0, [1]), "[1]")])
+    def test_non_integer_positive_refused(self, positive, member):
+        message = (f"InfoNceInput: a positive {positive!r}: a member must be an integer "
+                   f"within int64, got {member}")
+        with pytest.raises(InvalidInputError, match=re.escape(message)):
+            InfoNceInput(np.ones((2, 2)), [positive])
+
+    def test_integral_positives_index_as_ints(self):
+        inp = InfoNceInput(np.eye(2), {(np.int64(0), 0.0), (1.0, np.int32(1))})
+        assert inp.positives == {(0, 0), (1, 1)}
+        assert all(type(v) is int for pair in inp.positives for v in pair)
+        assert info_nce(inp)[0] == info_nce(InfoNceInput(np.eye(2), {(0, 0), (1, 1)}))[0]
+
     def test_one_positive_per_row_and_column(self):
         with pytest.raises(InvalidInputError):
             InfoNceInput(np.zeros((2, 2)), {(0, 0), (0, 1)})

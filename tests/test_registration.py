@@ -123,6 +123,15 @@ class TestEstimateRigid:
             estimate_rigid(pairs)
 
 
+    @pytest.mark.parametrize("bad, message", [
+        ((np.zeros(3), "abc"), "estimate_rigid: B positions is not an array of numbers"),
+        ((np.zeros(3),), "estimate_rigid: a pair has no B position"),
+        (None, "estimate_rigid: a pair has no A position")])
+    def test_malformed_pair_refused(self, rng, bad, message):
+        pairs = [(p, p) for p in rng.uniform(0, 5, (5, 3))] + [bad]
+        with pytest.raises(InvalidInputError, match=re.escape(message)):
+            estimate_rigid(pairs)
+
 def _kabsch_oracle(a, b):
     ca = a.mean(axis=0)
     cb = b.mean(axis=0)

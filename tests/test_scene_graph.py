@@ -454,6 +454,22 @@ class TestGroundTruthMap:
         with pytest.raises(InvalidInputError):
             GroundTruthMap({(0, 5), (0, 6)})
 
+    @pytest.mark.parametrize("pair, member", [
+        (([1], 2), "[1]"), ((0.5, 2), "0.5"), ((True, 2), "True"), ((1, 2 ** 63), str(2 ** 63)),
+        ((None, 2), "None")])
+    def test_non_integer_id_refused(self, pair, member):
+        from sgalign.scene_graph import GroundTruthMap
+        message = (f"a ground truth pair {pair!r}: a member must be an integer within int64, "
+                   f"got {member}")
+        with pytest.raises(InvalidInputError, match=re.escape(message)):
+            GroundTruthMap([pair])
+
+    def test_integral_ids_become_ints(self):
+        from sgalign.scene_graph import GroundTruthMap
+        gt = GroundTruthMap({(1.0, np.int64(2)), (np.uint8(3), 2)})
+        assert gt.pairs == {(1, 2), (3, 2)}
+        assert all(type(v) is int for pair in gt.pairs for v in pair)
+
 
 class TestJsonRoundTrip:
     def test_round_trip(self):
