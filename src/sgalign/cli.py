@@ -21,14 +21,14 @@ from . import registration, synth
 from .allocator import ALLOCATORS
 from .config import RERANK_MODES, PipelineConfig, load_config
 from .encoder import (EncoderWeights, encode_graph, encode_nodes, init_weights,
-                      load_weights, node_batches)
+                      load_weights, node_batches, run_parts)
 from .errors import BOUNDS, InvalidInputError, SgaError, check_bound
 from .evaluation import aggregate, bin_by_overlap, matches_by_id, sample_metrics
 from .pipeline import align_graphs, match_embeddings
 from .scene_graph import load_graph, read_graph
 
-# A command imports what it alone runs (csv, the thread pool, retrieval,
-# losses) in its own body, so that no other command pays for loading it.
+# A command imports what it alone runs (csv, retrieval, losses) in its own
+# body, so that no other command pays for loading it.
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -74,14 +74,6 @@ def _add_number(parser, flag: str, rule: str, **kwargs) -> None:
     parser.add_argument(flag, type=parse, **kwargs)
 
 
-def _float_errors() -> np.errstate:
-    """Overflow, division by zero and invalid operations raise
-    FloatingPointError, reported as one error line, instead of printing a
-    RuntimeWarning; underflow to zero stays silent. Each thread enters its
-    own: a thread does not inherit the error state of the one that made it."""
-    return np.errstate(over="raise", divide="raise", invalid="raise", under="ignore")
-
-
 def _emit(doc) -> None:
     sys.stdout.write(json.dumps(doc, sort_keys=True) + "\n")
 
@@ -96,8 +88,8 @@ def _load_pipeline_config(path: str | None) -> PipelineConfig:
 
 
 def _resolve_weights(args, config: PipelineConfig) -> tuple[EncoderWeights, dict]:
-    weights_path = getattr(args, "weights", None) or config.weights_path
-    if weights_path:
+    weights_path = config.weights_path if args.weights is None else args.weights
+    if weights_path is not None:  # an empty path is refused as unreadable
         weights = load_weights(weights_path)
         meta = {"weights": str(weights_path), "seed": weights.seed}
     else:
@@ -167,9 +159,8 @@ def _eval_pair(item, emb_a, emb_b, config, allocator):
     directory, sample = item
     if not len(sample.graph_a.ids):  # eval scores each node of a.json
         raise InvalidInputError(f"{directory}: a.json has no nodes to score")
-    with _float_errors():
-        _, matches = match_embeddings(emb_a, emb_b, sample.graph_a.positions(),
-                                      sample.graph_b.positions(), config, allocator)
+    _, matches = match_embeddings(emb_a, emb_b, sample.graph_a.positions(),
+                                  sample.graph_b.positions(), config, allocator)
     metrics = sample_metrics(matches_by_id(matches, sample.graph_a, sample.graph_b),
                              sample.gt, len(sample.graph_a.ids))
     return {
@@ -181,8 +172,6 @@ def _eval_pair(item, emb_a, emb_b, config, allocator):
 
 
 def cmd_eval(args) -> int:
-    from concurrent.futures import ThreadPoolExecutor
-
     config = _load_pipeline_config(args.config)
     weights, meta = _resolve_weights(args, config)
     pair_dirs = sorted(p for p in Path(args.pairs).iterdir() if p.is_dir())
@@ -191,20 +180,25 @@ def cmd_eval(args) -> int:
 
     # Pairs stream through in batches of at most BATCH_NODES nodes: one
     # batched node pass (no global embedding is read), then per-pair scoring
-    # on the pool. The node pass is batch-invariant, so each pair's
+    # on --jobs threads. The node pass is batch-invariant, so each pair's
     # embeddings, and the report bytes, are those `align` computes, whatever
     # the batches or --jobs.
     edges = config.edges
     samples = ((p, synth.load_sample(p, edges.n_max, edges.d_th)) for p in pair_dirs)
+
+    def n_nodes(item):
+        return len(item[1].graph_a.ids) + len(item[1].graph_b.ids)
+
+    def score(part):
+        return [_eval_pair(*pair, config, args.allocator) for pair in part]
+
     rows = []
-    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-        for batch in node_batches(samples, lambda item: len(item[1].graph_a.ids)
-                                  + len(item[1].graph_b.ids)):
-            encoded = encode_nodes([g for _, sample in batch
-                                    for g in (sample.graph_a, sample.graph_b)], weights)
-            rows += pool.map(
-                lambda item, a, b: _eval_pair(item, a, b, config, args.allocator),
-                batch, encoded[0::2], encoded[1::2])
+    for batch in node_batches(samples, n_nodes):
+        encoded = encode_nodes([g for _, sample in batch
+                                for g in (sample.graph_a, sample.graph_b)], weights)
+        parts = run_parts(list(zip(batch, encoded[0::2], encoded[1::2])),
+                          [n_nodes(item) for item in batch], score, args.jobs)
+        rows += [row for part in parts for row in part]
 
     per_sample = [r[0] for r in rows]
     report = {"overall": aggregate([m for _, (_, m) in rows]),
@@ -388,7 +382,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        with _float_errors():
+        # Overflow, division by zero and invalid operations raise
+        # FloatingPointError, reported as one error line, instead of printing
+        # a RuntimeWarning; underflow to zero stays silent. `run_parts`
+        # passes the state on to its threads.
+        with np.errstate(over="raise", divide="raise", invalid="raise", under="ignore"):
             return args.func(args)
     except SystemExit:  # argparse exits only after printing --help
         return EXIT_OK

@@ -73,7 +73,7 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-# Threads that fill the weight tensors (`_fill`). NumPy releases the GIL
+# Threads that fill the weight tensors (`run_parts`). NumPy releases the GIL
 # in the draws, checks and copies, so each usable CPU fills its own part.
 # The cap keeps a large machine from starting many threads for a fill of
 # about 100 MiB; it is not tuned (measured on 2 cores only).
@@ -180,12 +180,7 @@ def _check_names(expected, names) -> None:
 
 
 def _as_tensor(name: str, value, shape: tuple[int, ...]) -> np.ndarray:
-    try:
-        arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise WeightsFormatError(f"tensor {name}: {exc}") from exc
-    if arr.shape != shape:
-        raise WeightsFormatError(f"tensor {name}: shape {arr.shape}, expected {shape}")
+    arr = as_array(f"tensor {name}", value, shape, error=WeightsFormatError)
     if not np.all(np.isfinite(arr)):
         raise WeightsFormatError(f"tensor {name}: non-finite values")
     return arr
@@ -208,42 +203,6 @@ def _empty_tensors(config: EncoderConfig
                 for name, shape in shapes.items()}, packed
     except (ValueError, MemoryError) as exc:
         raise InvalidInputError(f"encoder sizes cannot be allocated: {exc}") from exc
-
-
-def _fill(tensors: dict[str, np.ndarray],
-          fill: Callable[[list[tuple[str, np.ndarray]]], None]) -> None:
-    """Call `fill(part)` on up to _WORKERS consecutive parts of
-    tensors.items() of about equal size: the first part on the calling
-    thread, each other part on a thread of its own.
-
-    `fill` fills a part in tensor order and raises at its first fault. The
-    first part that raised is re-raised, so of several faults the first in
-    tensor order is the one reported, as in one loop over all tensors.
-    """
-    items = list(tensors.items())
-    ends = np.cumsum([out.size for _, out in items])
-    cuts = np.searchsorted(ends, ends[-1] * np.arange(1, _WORKERS) / _WORKERS) + 1
-    bounds = [0, *cuts.tolist(), len(items)]
-    parts = [items[lo:hi] for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
-    faults: list[BaseException | None] = [None] * len(parts)
-
-    def run(i):
-        try:
-            fill(parts[i])
-        except BaseException as exc:  # re-raised below, on the calling thread
-            faults[i] = exc
-
-    # Plain threads: concurrent.futures would add 12 ms and 0.8 MiB to
-    # every import of the package.
-    threads = [threading.Thread(target=run, args=(i,)) for i in range(1, len(parts))]
-    for thread in threads:
-        thread.start()
-    run(0)
-    for thread in threads:
-        thread.join()
-    for fault in faults:
-        if fault is not None:
-            raise fault
 
 
 @dataclass
@@ -276,7 +235,7 @@ class EncoderWeights:
             for name, out in part:
                 out[...] = _as_tensor(name, given[name], out.shape)
 
-        _fill(tensors, copy)
+        run_parts(list(tensors.items()), [out.size for out in tensors.values()], copy, _WORKERS)
         self.tensors = MappingProxyType(tensors)
 
     @classmethod
@@ -306,7 +265,7 @@ def init_weights(config: EncoderConfig, seed: int = 0) -> EncoderWeights:
 
     The values are those of one stream drawn in tensor order, each matrix
     by `Generator.random`, cls_token by `standard_normal`. Every tensor is
-    filled in place, straight into the packed layout, on `_fill`'s threads:
+    filled in place, straight into the packed layout, by `run_parts`:
     `random` takes exactly one 64-bit output per float64, so a matrix's
     generator starts at its first draw by `advance`. Only cls_token, whose
     draw takes a varying number of outputs, is drawn first; the stream's
@@ -346,7 +305,7 @@ def init_weights(config: EncoderConfig, seed: int = 0) -> EncoderWeights:
             elif name != "cls_token":  # biases and ln_bias
                 out.fill(0.0)
 
-    _fill(tensors, draw)
+    run_parts(list(tensors.items()), [out.size for out in tensors.values()], draw, _WORKERS)
     return EncoderWeights._filled(config, tensors, packed, seed)
 
 
@@ -370,7 +329,7 @@ def save_weights(weights: EncoderWeights, path) -> None:
 def _read_weights(path) -> EncoderWeights:
     """The weights of the version 2 archive at `path`. Entries are checked
     once each (shape, finite values) as they are copied straight into the
-    packed buffers on `_fill`'s threads, so of several faulty entries the
+    packed buffers by `run_parts`, so of several faulty entries the
     first in tensor order is the one reported."""
     what = f"npz weights archive (format_version {WEIGHTS_FORMAT_VERSION})"
     with open(path, "rb") as fh, open_npz(fh, what, WeightsFormatError) as archive:
@@ -408,7 +367,7 @@ def _read_weights(path) -> EncoderWeights:
                 out[...] = _as_tensor(name, npz_entry(archive, name, WeightsFormatError),
                                       out.shape)
 
-    _fill(tensors, copy)
+    run_parts(list(tensors.items()), [out.size for out in tensors.values()], copy, _WORKERS)
     return EncoderWeights._filled(config, tensors, packed, seed)
 
 
@@ -882,6 +841,7 @@ def encode_graphs(graphs: Sequence[SceneGraph], weights: EncoderWeights
 
 
 T = TypeVar("T")
+R = TypeVar("R")
 
 
 def node_batches(items: Iterable[T], n_nodes: Callable[[T], int]) -> Iterator[list[T]]:
@@ -900,6 +860,46 @@ def node_batches(items: Iterable[T], n_nodes: Callable[[T], int]) -> Iterator[li
         size += n
     if batch:
         yield batch
+
+
+def run_parts(items: Sequence[T], sizes: Sequence[int], work: Callable[[Sequence[T]], R],
+              workers: int) -> list[R]:
+    """`work(part)` of each of up to `workers` consecutive parts of `items`
+    of about equal total `sizes`, in item order: the first part on the
+    calling thread, each other part on a thread of its own, every one under
+    the caller's floating-point error state (a thread does not inherit it).
+
+    `work` runs its part in item order and raises at its first fault. The
+    first part that raised is re-raised, so of several faults the first in
+    item order is the one reported, as in one loop over all items.
+    """
+    ends = np.cumsum(sizes)
+    cuts = np.searchsorted(ends, ends[-1] * np.arange(1, workers) / workers) + 1
+    bounds = [0, *cuts.tolist(), len(items)]
+    parts = [items[lo:hi] for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
+    results: list = [None] * len(parts)
+    faults: list[BaseException | None] = [None] * len(parts)
+    state = np.geterr()
+
+    def run(i):
+        try:
+            with np.errstate(**state):
+                results[i] = work(parts[i])
+        except BaseException as exc:  # re-raised below, on the calling thread
+            faults[i] = exc
+
+    # Plain threads: importing concurrent.futures takes 6.6 ms and 0.6 MiB
+    # (2-core Xeon VM, Python 3.11) in every command that runs this.
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(1, len(parts))]
+    for thread in threads:
+        thread.start()
+    run(0)
+    for thread in threads:
+        thread.join()
+    for fault in faults:
+        if fault is not None:
+            raise fault
+    return results
 
 
 def encode_graph(graph: SceneGraph, weights: EncoderWeights

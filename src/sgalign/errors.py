@@ -103,20 +103,21 @@ def check_bound(name: str, value, rule: str, where: str | None = None) -> None:
         raise InvalidInputError(f"{name} must be {rule}, got {value}")
 
 
-def as_array(name: str, value, shape: tuple | None, where: str | None = None) -> np.ndarray:
+def as_array(name: str, value, shape: tuple | None, where: str | None = None,
+             error=InvalidInputError) -> np.ndarray:
     """`value` as a float array of `shape` (None: any shape), a None size
-    matching any; else InvalidInputError "[where: ]<name> is not an array of
-    numbers", "... must be 2-D" or "... must have shape"."""
+    matching any; else `error` "[where: ]<name> is not an array of numbers",
+    "... must be 2-D" or "... must have shape"."""
     prefix = f"{where}: " if where else ""
     try:
         arr = np.asarray(value, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:  # "abc", ragged, 10**400
-        raise InvalidInputError(f"{prefix}{name} is not an array of numbers ({exc})") from exc
+        raise error(f"{prefix}{name} is not an array of numbers ({exc})") from exc
     if shape is not None and (arr.ndim != len(shape)
                               or any(n not in (None, m) for n, m in zip(shape, arr.shape))):
         want = (f"be {len(shape)}-D, got shape" if set(shape) == {None}
                 else f"have shape {shape}, got")
-        raise InvalidInputError(f"{prefix}{name} must {want} {arr.shape}")
+        raise error(f"{prefix}{name} must {want} {arr.shape}")
     return arr
 
 

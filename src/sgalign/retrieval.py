@@ -162,11 +162,12 @@ def rerank(query: EncodedScene, candidates: list[EncodedScene], mode: str,
 
 def retrieve(query: EncodedScene, db: SceneDatabase, k: int, mode: str,
              config: PipelineConfig) -> RetrievalResult:
-    """Top-K global filtering followed by reranking."""
-    if not db.entries:
-        return RetrievalResult(ranked=[])
+    """Top-K global filtering followed by reranking. `k` and `mode` are
+    checked on an empty database too, which ranks nothing."""
     keep = set(topk_filter(query.global_embedding, db, k))
     candidates = [e for e in db.entries if e.scene_id in keep]
+    if not candidates and mode in RERANK_MODES:
+        return RetrievalResult(ranked=[])
     return rerank(query, candidates, mode, config)
 
 

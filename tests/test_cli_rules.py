@@ -5,8 +5,9 @@ allowed values is written once, the name of a database's index file
 appears only in `retrieval`, a numeric bound is stated in `errors` alone
 (errors.BOUNDS), but for the composite rules listed here, and each shared
 primitive has one copy: a vector norm is taken only where no shared
-function (`scene_graph.point_distances`, `matcher.unit_rows`) serves, and
-only `errors` converts values to float arrays under a refusal."""
+function (`scene_graph.point_distances`, `matcher.unit_rows`) serves, only
+`errors` converts values to float arrays under a refusal, and one runner
+(`encoder.run_parts`) starts threads."""
 
 import ast
 import re
@@ -105,16 +106,25 @@ def norm_calls(tree: ast.AST, scope: str = ""):
 
 def float_converters(tree: ast.AST):
     """The line of each `try` under `tree` that converts a value with
-    `dtype=float` and raises InvalidInputError when that fails."""
+    `dtype=float` and raises an exception when that fails."""
     for node in ast.walk(tree):
         if not isinstance(node, ast.Try):
             continue
         converts = any(isinstance(n, ast.keyword) and n.arg == "dtype"
                        and isinstance(n.value, ast.Name) and n.value.id == "float"
                        for part in node.body for n in ast.walk(part))
-        refuses = any(name == "InvalidInputError"
-                      for handler in node.handlers for name in raised_names(handler))
+        refuses = any(any(raised_names(handler)) for handler in node.handlers)
         if converts and refuses:
+            yield node.lineno
+
+
+def thread_sites(tree: ast.AST):
+    """The line of each `threading.Thread(...)` or `Thread(...)` call under `tree`."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and (
+                isinstance(node.func, ast.Attribute) and node.func.attr == "Thread"
+                and isinstance(node.func.value, ast.Name) and node.func.value.id == "threading"
+                or isinstance(node.func, ast.Name) and node.func.id == "Thread"):
             yield node.lineno
 
 
@@ -162,6 +172,13 @@ def test_each_primitive_has_one_copy():
     assert [name for name, _ in converters] == ["errors.py"], converters
 
 
+def test_one_thread_runner():
+    trees = parsed()
+    assert [name for name, tree in trees.items() if "concurrent" in imported_modules(tree)] == []
+    sites = [(name, line) for name, tree in trees.items() for line in thread_sites(tree)]
+    assert [name for name, _ in sites] == ["encoder.py"], sites
+
+
 def test_scans_see_each_case():
     source = ("import logging\nfrom logging import getLogger\nimport os.path\n"
               "def cmd_x():\n    raise UsageError('no')\n    raise ValueError\n"
@@ -186,6 +203,13 @@ def test_scans_see_each_case():
                        "    try:\n        return np.asarray(v, dtype=float)\n"
                        "    except ValueError:\n        pass\n"
                        "    try:\n        return np.asarray(v)\n"
-                       "    except ValueError:\n        raise InvalidInputError('no')\n")
+                       "    except ValueError:\n        raise InvalidInputError('no')\n"
+                       "    try:\n        return np.asarray(v, dtype=float)\n"
+                       "    except ValueError:\n        raise WeightsFormatError('no')\n")
     assert list(norm_calls(copies)) == ["f", "h"]
-    assert list(float_converters(copies)) == [9]
+    assert list(float_converters(copies)) == [9, 21]
+    threads = ast.parse("import threading\nfrom concurrent.futures import ThreadPoolExecutor\n"
+                        "from threading import Thread\na = threading.Thread(target=f)\n"
+                        "b = Thread(target=f)\nc = threading.Timer(1, f)\n")
+    assert list(imported_modules(threads)) == ["threading", "concurrent", "threading"]
+    assert list(thread_sites(threads)) == [4, 5]

@@ -283,6 +283,21 @@ class TestCliWeights:
         assert proc.stdout == ""
         assert "Traceback" not in one_stderr_line(proc)
 
+    @pytest.mark.parametrize("where", ["flag", "config"])
+    def test_empty_weights_path_refused(self, scene_file, tmp_path, where):
+        """An empty path is a file that cannot be read, not an absent one."""
+        args = ["align", scene_file, scene_file]
+        if where == "flag":
+            args += ["--weights", ""]
+        else:
+            (tmp_path / "c.json").write_text(json.dumps({"weights_path": ""}))
+            args += ["--config", tmp_path / "c.json"]
+        proc = run_main(*args)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert one_stderr_line(proc) == \
+            "ERROR sgalign: [Errno 2] No such file or directory: ''"
+
 
 class TestCliValidate:
     def test_valid_graph(self, scene_file):

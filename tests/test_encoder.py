@@ -18,10 +18,10 @@ from oracles import init_weights_serial
 from sgalign import encoder
 from sgalign.config import PipelineConfig
 from sgalign.encoder import (BATCH_NODES, CLS_ATTN_LAYERS, MAX_LAYERS, EncoderConfig,
-                             EncoderWeights, _empty_tensors, _fill, distance_gate,
+                             EncoderWeights, _empty_tensors, distance_gate,
                              encode_graph, encode_graphs, encode_nodes, init_weights,
                              initial_embeddings, load_weights, node_batches, packed_groups,
-                             save_weights, sinusoidal_pe, tensor_shapes)
+                             run_parts, save_weights, sinusoidal_pe, tensor_shapes)
 from sgalign.errors import (GenerationError, InvalidInputError, ShapeError,
                             WeightsFormatError, section_dict)
 from sgalign.pipeline import align_graphs
@@ -1056,33 +1056,31 @@ class TestInitWeights:
 
 
 def fill_runs(config):
-    """The tensor names of each run `_fill` makes of config's tensors."""
-    runs = []
-    _fill(_empty_tensors(config)[0], lambda part: runs.append({name for name, _ in part}))
-    return runs
+    """The tensor names of each run the weight fills make of config's tensors."""
+    tensors = _empty_tensors(config)[0]
+    return run_parts(list(tensors.items()), [out.size for out in tensors.values()],
+                     lambda part: {name for name, _ in part}, encoder._WORKERS)
 
 
 class TestFill:
+    """`run_parts`, the one thread runner: the weight fills and eval's
+    per-pair scoring."""
+
     @pytest.mark.parametrize("workers", [1, 2, 3, 5])
-    def test_parts_cover_tensors_in_order(self, monkeypatch, small_config, workers):
-        monkeypatch.setattr(encoder, "_WORKERS", workers)
+    def test_parts_cover_tensors_in_order(self, small_config, workers):
         tensors, _ = _empty_tensors(small_config)
-        parts = []
-        _fill(tensors, parts.append)
+        items = list(tensors.items())
+        parts = run_parts(items, [out.size for out in tensors.values()], list, workers)
         assert 1 <= len(parts) <= workers
-        order = list(tensors)
-        parts.sort(key=lambda part: order.index(part[0][0]))
-        assert [name for part in parts for name, _ in part] == order
+        assert [item for part in parts for item in part] == items
         assert all(out is tensors[name] for part in parts for name, out in part)
 
-    def test_first_part_fault_reported(self, monkeypatch):
+    def test_first_part_fault_reported(self):
         """The later parts raise first; the first part's fault is reported."""
-        monkeypatch.setattr(encoder, "_WORKERS", 3)
-        tensors = {name: np.empty(4) for name in "abc"}
         raised, lock, later_done = [], threading.Lock(), threading.Event()
 
-        def fill(part):
-            name = part[0][0]
+        def work(part):
+            name = part[0]
             if name == "a":
                 assert later_done.wait(timeout=30)
             else:
@@ -1093,8 +1091,29 @@ class TestFill:
             raise ValueError(name)
 
         with pytest.raises(ValueError, match="^a$"):
-            _fill(tensors, fill)
+            run_parts("abc", [4, 4, 4], work, 3)
         assert sorted(raised) == ["b", "c"]
+
+    def test_one_worker_starts_no_thread(self, monkeypatch):
+        def no_thread(*args, **kwargs):
+            raise AssertionError("a thread was started")
+
+        monkeypatch.setattr(threading, "Thread", no_thread)
+        assert run_parts([1, 2, 3], [5, 1, 9], lambda part: (part, threading.get_ident()),
+                         1) == [([1, 2, 3], threading.get_ident())]
+
+    def test_threads_run_under_caller_float_errors(self):
+        """The second part runs on a thread of its own, which raises on
+        overflow as the caller does, or ignores it as the caller does."""
+        def square(part):
+            return [threading.get_ident(), *(np.float64(x) * np.float64(x) for x in part)]
+
+        with np.errstate(over="raise"):
+            with pytest.raises(FloatingPointError, match="overflow"):
+                run_parts([1.0, 1e300], [1, 1], square, 2)
+        with np.errstate(over="ignore"):
+            (caller, one), (worker, big) = run_parts([1.0, 1e300], [1, 1], square, 2)
+        assert (one, big) == (1.0, np.inf) and worker != caller == threading.get_ident()
 
 
 class TestPackedWeights:

@@ -16,7 +16,7 @@ import sgalign
 from conftest import child_env
 from sgalign.synth import SynthConfig, make_sample, save_sample
 
-WATCHED = ("numpy.ma", "sgalign.retrieval", "sgalign.losses", "csv")
+WATCHED = ("numpy.ma", "sgalign.retrieval", "sgalign.losses", "csv", "concurrent.futures")
 
 CHILD = """
 import json, sys

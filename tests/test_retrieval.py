@@ -196,6 +196,17 @@ class TestRetrieve:
         res = retrieve(query, db, 5, "weighted", PipelineConfig())
         assert res.ranked[0][0] == db.entries[5].scene_id
 
+    @pytest.mark.parametrize("k, mode, text", [
+        (0, "direct", "topk_filter: k must be >= 1, got 0"),
+        (1, "bogus", "rerank mode must be direct|weighted, got 'bogus'"),
+        (0, "bogus", "topk_filter: k must be >= 1, got 0")])
+    def test_empty_database_checks_arguments(self, db_and_weights, k, mode, text):
+        db, _ = db_and_weights
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(text)}$"):
+            retrieve(db.entries[0], SceneDatabase(), k, mode, PipelineConfig())
+        assert retrieve(db.entries[0], SceneDatabase(), 1, "direct",
+                        PipelineConfig()).ranked == []
+
 
 class TestPersistence:
     def test_round_trip_preserves_cache(self, db_and_weights, tmp_path):
