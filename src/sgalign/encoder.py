@@ -23,7 +23,7 @@ import numpy as np
 from .errors import (InvalidInputError, NumericError, ShapeError, WeightsFormatError,
                      as_array, check_bound, check_bounds, check_sizes, check_types,
                      from_section, npz_entry, open_npz, section_dict)
-from .scene_graph import DEFAULT_FEATURE_DIMS, SceneGraph, point_distances
+from .scene_graph import DEFAULT_FEATURE_DIMS, GraphBatch, SceneGraph, point_distances
 
 LN_EPS = 1e-5
 CLS_ATTN_LAYERS = 2
@@ -78,6 +78,7 @@ def _usable_cpus() -> int:
 # The cap keeps a large machine from starting many threads for a fill of
 # about 100 MiB; it is not tuned (measured on 2 cores only).
 _WORKERS = min(_usable_cpus(), 4)
+_NPZ_READ = threading.Lock()  # np.load's header parse (ast) is not thread-safe in CPython 3.11
 
 
 @dataclass(frozen=True)
@@ -364,8 +365,10 @@ def _read_weights(path) -> EncoderWeights:
         # without a lock, so threads do not share one archive.
         with open(path, "rb") as fh, open_npz(fh, what, WeightsFormatError) as archive:
             for name, out in part:
-                out[...] = _as_tensor(name, npz_entry(archive, name, WeightsFormatError),
-                                      out.shape)
+                with _NPZ_READ:
+                    entry = npz_entry(archive, name, WeightsFormatError)
+                out[...] = _as_tensor(name, entry, out.shape)
+                del entry  # not held while the next entry is read
 
     run_parts(list(tensors.items()), [out.size for out in tensors.values()], copy, _WORKERS)
     return EncoderWeights._filled(config, tensors, packed, seed)
@@ -425,17 +428,20 @@ def _gate_weights(weights: EncoderWeights, layer: int) -> dict[str, np.ndarray]:
 
 def initial_embeddings(graphs: Sequence[SceneGraph], weights: EncoderWeights) -> np.ndarray:
     """Rows [f_vl || f_t || GeoFFN(f_g)], one per node of the graphs in turn."""
-    dims = tuple(weights.config.feature_dims)
-    for g in graphs:
-        if g.feature_dims != dims:
-            raise ShapeError(f"graph {g.graph_id!r}: feature dims {list(g.feature_dims)} do "
-                             f"not match config dims {list(dims)}")
-    f_g = np.concatenate([g.f_g for g in graphs])
+    return _initial_rows(GraphBatch.of(graphs), weights)
+
+
+def _initial_rows(batch: GraphBatch, weights: EncoderWeights) -> np.ndarray:
+    """`initial_embeddings` of a batch whose feature dims must be the weights'."""
+    f_vl, f_t, f_g = (batch.arrays[name] for name in ("f_vl", "f_t", "f_g"))
+    dims, want = (f_vl.shape[1], f_t.shape[1]), tuple(weights.config.feature_dims)
+    if batch.strings and dims != want:
+        raise ShapeError(f"graph {batch.strings[0]['graph_id']!r}: feature dims {list(dims)} "
+                         f"do not match config dims {list(want)}")
     h = np.maximum(_rows_matmul(f_g, weights["geo_ffn.w1"]) + weights["geo_ffn.b1"], 0.0)
-    return np.concatenate([np.concatenate([g.f_vl for g in graphs]),
-                           np.concatenate([g.f_t for g in graphs]),
+    return np.concatenate([f_vl, f_t,
                            _rows_matmul(h, weights["geo_ffn.w2"]) + weights["geo_ffn.b2"]],
-                          axis=1)
+                          axis=1).reshape(-1, weights.config.d_init)  # no graphs: 0-wide f_vl
 
 
 def _tile(n: int) -> int:
@@ -529,8 +535,7 @@ class _NeighborIndex:
     """Neighborhoods of a batch of graphs, as one block per degree, and the
     per-pass inputs every DGSA layer reads.
 
-    Node rows are the graphs' nodes concatenated in declaration order; graph
-    g owns rows node_offsets[g]:node_offsets[g+1]. Only the active rows,
+    Node rows are the rows of `batch`. Only the active rows,
     nodes with at least one neighbor, take part in attention, and nodes are
     referred to by their position in `active` (neighbors of an active node
     are active, because adjacency is symmetric). Active rows are listed by
@@ -549,8 +554,7 @@ class _NeighborIndex:
     It is built once per call and read by every layer.
     """
 
-    graphs: Sequence[SceneGraph]
-    node_offsets: np.ndarray  # (G+1,) first row of each graph, then the total
+    batch: GraphBatch
     active: np.ndarray       # (A,) rows with at least one neighbor
     reach_rows: tuple[int, int, int]  # active nodes of reach >= 1, 2, 3
     centres_q: np.ndarray    # active positions of the centres of degree >= 2
@@ -558,26 +562,14 @@ class _NeighborIndex:
     dist: np.ndarray         # (E + M,) each pair's distance, then M nn distances
     groups: list[_PeGroup]   # blocks by increasing degree, grouped by min(k, 3)
 
-    def row_names(self, rows) -> list[tuple[str, int]]:
-        """(graph_id, node id) of node rows, for error messages."""
-        names = []
-        for row in rows:
-            g = int(np.searchsorted(self.node_offsets, row, side="right")) - 1
-            graph = self.graphs[g]
-            names.append((graph.graph_id, int(graph.ids[row - self.node_offsets[g]])))
-        return names
 
-
-def _build_neighbor_index(graphs: Sequence[SceneGraph], pe_dim: int) -> _NeighborIndex:
-    node_offsets = np.cumsum([0] + [len(g.ids) for g in graphs])
-    ends = []  # node rows of each edge's endpoints
-    for graph, base in zip(graphs, node_offsets):
-        rows = graph.rows_of(graph.endpoints)
-        if (rows < 0).any():
-            raise InvalidInputError(f"graph {graph.graph_id!r}: edge with a dangling endpoint")
-        ends.append(rows + base)
-    ends = np.concatenate(ends)
-    ids = np.concatenate([g.ids for g in graphs])
+def _build_neighbor_index(batch: GraphBatch, pe_dim: int) -> _NeighborIndex:
+    _, ends = batch.id_rows()  # node rows of each edge's endpoints
+    if (ends < 0).any():
+        g = np.searchsorted(batch.arrays["edge_offsets"], np.argmax(ends.min(axis=1) < 0), "right")
+        raise InvalidInputError(f"graph {batch.strings[g - 1]['graph_id']!r}: edge with a "
+                                f"dangling endpoint")
+    ids, pos = batch.arrays["node_ids"], batch.arrays["positions"]
     # Directed (center row, neighbor id, neighbor row) triples, sorted, and
     # a repeated edge gives one triple: the first of each run of equal rows.
     center, neighbor = np.concatenate([ends, ends[:, ::-1]]).T
@@ -587,7 +579,7 @@ def _build_neighbor_index(graphs: Sequence[SceneGraph], pe_dim: int) -> _Neighbo
     first[1:] = (triples[:, 1:] != triples[:, :-1]).any(axis=0)
     center, nbr_id, neighbor = triples[:, first]
 
-    counts = np.bincount(center, minlength=node_offsets[-1])
+    counts = np.bincount(center, minlength=len(ids))
     reach = np.zeros(len(counts), np.intp)
     np.maximum.at(reach, neighbor, np.minimum(counts[center], 3))
     active = np.flatnonzero(counts)
@@ -597,7 +589,6 @@ def _build_neighbor_index(graphs: Sequence[SceneGraph], pe_dim: int) -> _Neighbo
     # Pairs by degree, then by centre position, then by neighbor id.
     order = np.lexsort((nbr_id, position[center], counts[center]))
     center, neighbor = center[order], neighbor[order]
-    pos = np.concatenate([g.positions() for g in graphs])
     nbr_pos = pos[neighbor]
     dist = point_distances(pos[center], nbr_pos)
     pe = sinusoidal_pe(dist, pe_dim)
@@ -622,8 +613,7 @@ def _build_neighbor_index(graphs: Sequence[SceneGraph], pe_dim: int) -> _Neighbo
             nn_dist.append(point_distances(q[:, :, None], q[:, None]).ravel())
             n_nn += n * k * k
     return _NeighborIndex(
-        graphs=graphs,
-        node_offsets=node_offsets,
+        batch=batch,
         active=active,
         reach_rows=tuple(int((reach[active] >= r).sum()) for r in (1, 2, 3)),
         centres_q=np.concatenate([np.empty(0, np.intp), *centres_q]),
@@ -727,7 +717,7 @@ def _dgsa(x: np.ndarray, index: _NeighborIndex, weights: EncoderWeights,
     if not np.all(np.isfinite(result)):
         bad = np.flatnonzero(~np.isfinite(result).all(axis=1))
         raise NumericError(f"DGSA layer {layer}: non-finite output for nodes "
-                           f"{index.row_names(bad)}")
+                           f"{index.batch.row_names(bad)}")
     return result
 
 
@@ -743,7 +733,7 @@ def _project(c: np.ndarray, c0: np.ndarray, index: _NeighborIndex,
     norms = np.linalg.norm(emb, axis=1)
     if np.any(norms == 0):
         raise NumericError(f"zero-norm node embeddings for nodes "
-                           f"{index.row_names(np.flatnonzero(norms == 0))}")
+                           f"{index.batch.row_names(np.flatnonzero(norms == 0))}")
     return emb / norms[:, None]
 
 
@@ -792,14 +782,15 @@ def _class_tokens(node_emb: np.ndarray, node_offsets: np.ndarray,
 
 def _node_pass(graphs: Sequence[SceneGraph], weights: EncoderWeights
                ) -> tuple[np.ndarray, np.ndarray]:
-    """(node embeddings of the graphs' nodes in turn, node_offsets)."""
+    """(node embeddings of the graphs' nodes in turn, the batch's offsets)."""
     cfg = weights.config
-    c0 = initial_embeddings(graphs, weights)
-    index = _build_neighbor_index(graphs, cfg.pe_dim)
+    batch = GraphBatch.of(graphs)
+    c0 = _initial_rows(batch, weights)
+    index = _build_neighbor_index(batch, cfg.pe_dim)
     c = c0
     for layer in range(cfg.layers):
         c = _dgsa(c, index, weights, layer)
-    return _project(c, c0, index, weights), index.node_offsets
+    return _project(c, c0, index, weights), batch.arrays["offsets"]
 
 
 def encode_nodes(graphs: Sequence[SceneGraph], weights: EncoderWeights

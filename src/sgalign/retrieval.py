@@ -23,7 +23,7 @@ from .errors import (InvalidInputError, SgaError, as_array, check_bound, check_w
                      npz_entry, open_npz, read_json, section_dict)
 from .matcher import score_matrix, unit_rows
 from .pipeline import allocate
-from .scene_graph import SceneGraph, pack_graphs, unpack_graphs
+from .scene_graph import GraphBatch, SceneGraph
 
 
 @dataclass
@@ -86,6 +86,10 @@ def encode_scene(scene_id: str, graph: SceneGraph,
 def build_database(scenes: list[tuple[str, SceneGraph]],
                    weights: EncoderWeights) -> SceneDatabase:
     """Encode every scene, several per batched forward pass."""
+    for k, scene in enumerate(scenes):
+        if not (isinstance(scene, (tuple, list)) and len(scene) == 2
+                and isinstance(scene[1], SceneGraph)):
+            raise InvalidInputError(f"scenes[{k}] is not a (scene_id, SceneGraph) pair")
     entries = []
     for batch in node_batches(scenes, lambda scene: len(scene[1].ids)):
         encoded = encode_graphs([graph for _, graph in batch], weights)
@@ -174,7 +178,7 @@ def retrieve(query: EncodedScene, db: SceneDatabase, k: int, mode: str,
 # ---------------------------------------------------------------------------
 # Persistence: a directory with index.json and embeddings.npz. The archive
 # holds the stacked globals (S, d_model), the concatenated node embeddings
-# (sum of N, d_model) and the arrays of `scene_graph.pack_graphs`; scene i
+# (sum of N, d_model) and the arrays of the scenes' `GraphBatch`; scene i
 # owns node rows offsets[i]:offsets[i+1] of both. index.json holds the scene
 # ids, the weights hash and the graphs' strings. A directory of any other
 # format version is refused: it has to be rebuilt from its scene graphs.
@@ -204,27 +208,32 @@ def _check_scene_id(scene_id) -> None:
 
 
 def save_database(db: SceneDatabase, directory, weights: EncoderWeights) -> None:
-    for entry in db.entries:
+    """Write embeddings.npz, then index.json. Every entry's scene id and
+    embedding shapes are checked first, so a refused save opens no file."""
+    batch, d_model = GraphBatch.of([e.graph for e in db.entries]), weights.config.d_model
+    for entry, n in zip(db.entries, np.diff(batch.arrays["offsets"]).tolist()):
         _check_scene_id(entry.scene_id)
-        if len(entry.node_embeddings) != len(entry.graph.ids):
-            raise InvalidInputError(
-                f"scene {entry.scene_id!r}: {len(entry.node_embeddings)} node "
-                f"embeddings for {len(entry.graph.ids)} graph nodes")
-    graph_arrays, graph_strings = pack_graphs([e.graph for e in db.entries])
+        if len(entry.node_embeddings) != n:
+            raise InvalidInputError(f"scene {entry.scene_id!r}: {len(entry.node_embeddings)} "
+                                    f"node embeddings for {n} graph nodes")
+        for what, value, shape in (("node embeddings", entry.node_embeddings, (n, d_model)),
+                                   ("global embedding", entry.global_embedding, (d_model,))):
+            if np.shape(value) != shape:
+                raise InvalidInputError(f"scene {entry.scene_id!r}: {what} of shape "
+                                        f"{np.shape(value)}, expected {shape}")
+    index = {"format_version": DB_FORMAT_VERSION,
+             "scenes": [e.scene_id for e in db.entries],
+             "weights_hash": weights_fingerprint(weights),
+             "graphs": batch.strings}
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    d_model = weights.config.d_model
     with open(directory / EMBEDDINGS_FILE, "wb") as fh:
         np.savez(fh,
                  globals=np.reshape([e.global_embedding for e in db.entries],
                                     (len(db), d_model)),
                  nodes=np.concatenate([np.zeros((0, d_model))]
                                       + [e.node_embeddings for e in db.entries]),
-                 **graph_arrays)
-    index = {"format_version": DB_FORMAT_VERSION,
-             "scenes": [e.scene_id for e in db.entries],
-             "weights_hash": weights_fingerprint(weights),
-             "graphs": graph_strings}
+                 **batch.arrays)
     (directory / INDEX_FILE).write_text(json.dumps(index), encoding="utf-8")
 
 
@@ -258,8 +267,8 @@ def _unit_rows(path: Path, what: str, rows: np.ndarray, scene_of) -> None:
 
 def _embeddings(path: Path, arrays: dict[str, np.ndarray], scene_ids: list[str],
                 d_model: int):
-    """(globals, nodes) of the archive, checked against the unpacked graphs'
-    node count; every row must be a unit vector."""
+    """(globals, nodes) of the archive, checked against the graphs' node
+    count; every row must be a unit vector."""
     if "globals" not in arrays or "nodes" not in arrays:
         raise InvalidInputError(f"{path}: needs arrays globals and nodes, "
                                 f"has {sorted(arrays)}")
@@ -280,8 +289,8 @@ def _embeddings(path: Path, arrays: dict[str, np.ndarray], scene_ids: list[str],
 
 
 def load_database(directory, weights: EncoderWeights) -> SceneDatabase:
-    """Load a saved database of format version 3; its scene graphs are
-    unpacked from embeddings.npz and checked by `unpack_graphs`. When the
+    """Load a saved database of format version 3; its scene graphs are read
+    from embeddings.npz and checked by `GraphBatch.read`. When the
     stored weights hash differs from `weights`, `build_database` re-encodes
     the graphs instead of reading their embeddings. An index.json of any
     other format version, or one that lists a scene id twice, raises
@@ -303,11 +312,11 @@ def load_database(directory, weights: EncoderWeights) -> SceneDatabase:
             f"{index_path}: scene id {scene_ids[repeat[1]]!r} is listed twice")
     path = directory / EMBEDDINGS_FILE
     arrays = _read_archive(path)
-    graphs = unpack_graphs(arrays, index.get("graphs"), scene_ids, path)
+    batch, graphs = GraphBatch.read(arrays, index.get("graphs"), scene_ids, path)
     if index.get("weights_hash") != weights_fingerprint(weights):
         return build_database(list(zip(scene_ids, graphs)), weights)
     globals_, nodes = _embeddings(path, arrays, scene_ids, weights.config.d_model)
-    offsets = arrays["offsets"]
+    offsets = batch.arrays["offsets"]
     return SceneDatabase(entries=[
         EncodedScene(scene_id=scene_id, graph=graph,
                      node_embeddings=nodes[offsets[i]:offsets[i + 1]],

@@ -16,7 +16,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidInputError, as_array, as_int64, as_pairs, check_bound, read_json
+from .errors import (InvalidInputError, ShapeError, as_array, as_int64, as_pairs, check_bound,
+                     read_json)
 
 DEFAULT_FEATURE_DIMS = (256, 384)
 DEFAULT_N_MAX = 4
@@ -127,22 +128,6 @@ class SceneGraph:
             adj[j].add(i)
         return {i: sorted(s) for i, s in adj.items()}
 
-    def rows_of(self, ids) -> np.ndarray:
-        """The node row of each id in `ids`, -1 where no node has it; a
-        repeated id gives its last row."""
-        order = np.argsort(self.ids, kind="stable")
-        return _rows(order, self.ids[order], ids)
-
-
-def _rows(order: np.ndarray, ascending: np.ndarray, wanted) -> np.ndarray:
-    """`rows_of`, given the stable argsort `order` of the node ids and
-    `ascending` = ids[order]. A search before the first row wraps to the
-    last, which holds a larger id."""
-    if not len(order):
-        return np.full(np.shape(wanted), -1)
-    at = np.searchsorted(ascending, wanted, side="right") - 1
-    return np.where(ascending[at] == wanted, order[at], -1)
-
 
 @dataclass
 class GroundTruthMap:
@@ -214,88 +199,9 @@ def _distinct_ids(ids) -> np.ndarray:
 
 
 def validate_graph(g: SceneGraph) -> list[str]:
-    """Return human-readable violations; empty list means the graph is valid.
-
-    Shapes are checked when the graph is built; this checks values. Each
-    check runs over all nodes (or edges) at once, and a vector column whose
-    minimum and maximum lie within its bounds (a NaN fails them) flags no
-    node, so its per-node checks are skipped. Messages are built only for
-    flagged nodes and edges, node by node, then edge by edge."""
-    pos = g.positions()
-    non_finite, too_big = {}, {}  # the masks of the columns that may flag a node
-    for name, v in (("position", pos), ("f_vl", g.f_vl), ("f_t", g.f_t)):
-        if not (v.min(initial=0.0) >= -MAX_COORDINATE and v.max(initial=0.0) <= MAX_COORDINATE):
-            non_finite[name] = ~np.isfinite(v).all(axis=1)
-            # Beyond MAX_COORDINATE, squares and sums of squares may overflow.
-            too_big[name] = ~non_finite[name] & (np.abs(v) > MAX_COORDINATE).any(axis=1)
-    out_of_range = None
-    if not (g.f_g.min(initial=1.0) > 0 and g.f_g.max(initial=1.0) <= 1):
-        non_finite["f_g"] = ~np.isfinite(g.f_g).all(axis=1)
-        out_of_range = ~non_finite["f_g"] & ((g.f_g <= 0) | (g.f_g > 1)).any(axis=1)
-    order = np.argsort(g.ids, kind="stable")
-    ascending = g.ids[order]
-    # Each row of an id but its first, which the stable sort puts first.
-    later = ascending[1:] == ascending[:-1]
-    repeated = None
-    if later.any():
-        repeated = np.zeros(len(order), dtype=bool)
-        repeated[order[1:][later]] = True
-
-    bound = f"+-{MAX_COORDINATE:g}"
-    # Each node check and its message, in the order a node's messages take.
-    checks = [(repeated, "duplicate node id {}"),
-              (non_finite.get("position"), "node {}: non-finite position"),
-              (too_big.get("position"), f"node {{}}: position has a coordinate beyond {bound}"),
-              *((non_finite.get(name), f"node {{}}: non-finite values in {name}")
-                for name in ("f_vl", "f_t", "f_g")),
-              *((too_big.get(name), f"node {{}}: {name} has a value beyond {bound}")
-                for name in ("f_vl", "f_t")),
-              (out_of_range, "node {}: f_g components must lie in (0, 1]")]
-    checks = [(mask, message) for mask, message in checks if mask is not None]
-    violations = []
-    if checks:
-        ids = g.ids.tolist()
-        for k in np.flatnonzero(np.any([mask for mask, _ in checks], axis=0)):
-            violations += [message.format(ids[k]) for mask, message in checks if mask[k]]
-
-    ends = g.endpoints
-    if not len(ends):
-        return violations
-    rows = _rows(order, ascending, ends)  # -1 where dangling
-    checks, measured = [], None  # None: every edge
-    # Edges all canonical (so no self loop) and between nodes flag no edge
-    # in the first three checks.
-    if not ((ends[:, 0] < ends[:, 1]).all() and rows.min() >= 0):
-        self_loop = ends[:, 0] == ends[:, 1]
-        # A self loop is neither dangling nor stale, a dangling edge not stale.
-        dangling = ~self_loop & (rows.min(axis=1) < 0)
-        measured = ~(self_loop | dangling)
-        checks = [(self_loop, "self loop"), (ends[:, 0] > ends[:, 1], "not canonicalized i < j"),
-                  (dangling, "dangling endpoint")]
-    if "position" in non_finite:
-        # An edge on a bad position is left to that node's message, and the
-        # position is not read.
-        usable = ~(non_finite["position"] | too_big["position"])
-        on_usable = usable[rows].all(axis=1)
-        measured = on_usable if measured is None else measured & on_usable
-        pos = np.where(usable[:, None], pos, 0.0)
-    # A dangling endpoint reads the last row (there is one unless every edge
-    # dangles); its edge is not measured.
-    actual = point_distances(pos[rows[:, 0]], pos[rows[:, 1]]) if len(pos) else \
-        np.zeros(len(ends))
-    # A NaN stored distance fails the comparison, so it is stale too.
-    stale = ~(np.abs(g.edge_distances - actual) <= EDGE_DISTANCE_RTOL * np.maximum(1.0, actual))
-    if measured is not None:
-        stale &= measured
-    if stale.any():
-        checks.append((stale, "stored distance {} != actual {}"))
-    if checks:
-        pairs, stored = ends.tolist(), g.edge_distances.tolist()
-        for m in np.flatnonzero(np.any([mask for mask, _ in checks], axis=0)):
-            violations += [f"edge ({pairs[m][0]},{pairs[m][1]}): "
-                           + message.format(stored[m], float(actual[m]))
-                           for mask, message in checks if mask[m]]
-    return violations
+    """Return human-readable violations of values (shapes are checked when
+    the graph is built); empty list means the graph is valid."""
+    return GraphBatch.of([g]).violations()[0]
 
 
 # ---------------------------------------------------------------------------
@@ -452,107 +358,201 @@ def load_graph(path, n_max: int = DEFAULT_N_MAX, d_th: float = DEFAULT_D_TH) -> 
 
 
 # ---------------------------------------------------------------------------
-# Array interchange: many graphs as concatenated columns. Graph k owns node
-# rows offsets[k]:offsets[k+1] and edge rows edge_offsets[k]:edge_offsets[k+1].
-# Graph ids, frame kinds, feature dims and labels travel beside the arrays
-# as JSON-ready dicts, because NumPy "U" arrays drop trailing NULs.
-
-# Each packed array and the SceneGraph column it concatenates, in archive
-# order; an offsets array counts the rows of its column graph by graph.
+# Graph batches: many graphs as columns that hold the graphs' rows in turn.
+# Graph k owns node rows offsets[k]:offsets[k+1] and edge rows
+# edge_offsets[k]:edge_offsets[k+1]. `_PACKED` names each array, in archive
+# order, and the SceneGraph column it concatenates; an offsets array counts
+# the rows of its column graph by graph. Graph ids, frame kinds and labels
+# travel beside the arrays as JSON-ready dicts: "U" arrays drop trailing NULs.
 _PACKED = {"offsets": "ids", "node_ids": "ids", "positions": "_positions", "f_vl": "f_vl",
            "f_t": "f_t", "f_g": "f_g", "gt_instance": "gt_instance",
            "gt_present": "gt_present", "edge_offsets": "endpoints", "edges": "endpoints",
            "edge_distances": "edge_distances"}
-_NODE_VECTORS = ("positions", "f_vl", "f_t", "f_g")
 
 
-def pack_graphs(graphs: Sequence[SceneGraph]) -> tuple[dict[str, np.ndarray], list[dict]]:
-    """The graphs' columns concatenated into the arrays of `_PACKED`, plus,
-    per graph, a dict of its strings; `unpack_graphs` inverts it bit for
-    bit."""
-    parts = list(graphs) or [graph_from_dict({"graph_id": "", "frame_kind": "world",
-                                              "feature_dims": [0, 0], "nodes": [], "edges": []})]
-    try:
-        arrays = {packed: np.cumsum([0] + [len(getattr(g, column)) for g in graphs],
-                                    dtype=np.int64) if packed.endswith("offsets")
-                  else np.concatenate([getattr(g, column) for g in parts])
-                  for packed, column in _PACKED.items()}
-    except ValueError as exc:  # feature dims that differ between graphs
-        raise InvalidInputError(f"cannot pack graphs: {exc}") from exc
-    strings = [{"graph_id": g.graph_id, "frame_kind": g.frame_kind, "labels": list(g.labels)}
-               for g in graphs]
-    return arrays, strings
+def _segments(offsets: np.ndarray) -> np.ndarray:
+    """The graph of each row of the column that `offsets` splits."""
+    return np.repeat(np.arange(len(offsets) - 1), offsets[1:] - offsets[:-1])
 
 
-def _first_bad_slice(offsets: np.ndarray, total: int) -> int | None:
-    """None when offsets split `total` rows (start 0, never decrease, end at
-    total); else the graph whose slice is wrong first."""
-    down = np.flatnonzero(np.diff(offsets) < 0)
-    if len(down):
-        return int(down[0])
-    if offsets[0] != 0:
-        return 0
-    if offsets[-1] != total:
-        return len(offsets) - 2
-    return None
+@dataclass(frozen=True, eq=False, repr=False)
+class GraphBatch:
+    """Graphs as one batch: the arrays of `_PACKED` by name and, per graph, a
+    dict of graph_id, frame_kind and labels. Built by `of` or `read`."""
 
+    arrays: dict[str, np.ndarray]
+    strings: list[dict]
 
-def unpack_graphs(arrays, strings, names: Sequence[str], source) -> list[SceneGraph]:
-    """Rebuild the graphs `pack_graphs` packed into `arrays` and `strings`.
+    @classmethod
+    def of(cls, graphs: Sequence[SceneGraph]) -> GraphBatch:
+        """The batch of `graphs` (one graph's holds its own columns); a member
+        not a SceneGraph, or of other feature dims than the first, is refused."""
+        for k, g in enumerate(graphs):
+            if not isinstance(g, SceneGraph):
+                raise InvalidInputError(f"graphs[{k}] is not a SceneGraph, got {type(g).__name__}")
+            if g.feature_dims != graphs[0].feature_dims:
+                raise ShapeError(f"graph {g.graph_id!r}: feature dims {list(g.feature_dims)} do "
+                                 f"not match those of graph {graphs[0].graph_id!r}")
+        parts = list(graphs) or [graph_from_dict({"graph_id": "", "frame_kind": "world",
+                                                  "feature_dims": [0, 0], "nodes": []})]
+        return cls({name: np.array([0] + [len(getattr(g, column)) for g in graphs],
+                                   np.int64).cumsum() if name.endswith("offsets")
+                    else getattr(parts[0], column) if len(parts) == 1
+                    else np.concatenate([getattr(g, column) for g in parts])
+                    for name, column in _PACKED.items()},
+                   [{"graph_id": g.graph_id, "frame_kind": g.frame_kind, "labels": g.labels}
+                    for g in graphs])
 
-    Checks dtypes, shapes, offsets and the string fields (feature dims are
-    the array widths), builds each graph from slices of the arrays (views,
-    not copies) and runs `validate_graph` on it. A failure raises
-    InvalidInputError naming `source` and, where one graph is at fault,
-    its entry of `names`."""
-    def error(problem: str, k: int | None = None) -> InvalidInputError:
-        scene = "" if k is None or not 0 <= k < len(names) else f"scene {names[k]!r}: "
-        return InvalidInputError(f"{source}: {scene}{problem}")
+    @classmethod
+    def read(cls, arrays, strings, names: Sequence[str], source
+             ) -> tuple[GraphBatch, list[SceneGraph]]:
+        """The batch of an archive's `arrays` and `strings`, and its graphs as
+        SceneGraphs of views, once dtypes, shapes, offsets, strings and values
+        pass; else InvalidInputError naming `source` and the first bad scene."""
+        def error(problem: str, k: int | None = None) -> InvalidInputError:
+            scene = "" if k is None or not 0 <= k < len(names) else f"scene {names[k]!r}: "
+            return InvalidInputError(f"{source}: {scene}{problem}")
 
-    missing = [name for name in _PACKED if name not in arrays]
-    if missing:
-        raise error(f"missing graph arrays {missing}")
-    ids, pairs = arrays["node_ids"], arrays["edges"]
-    n_nodes = len(ids) if ids.ndim == 1 else None  # None: node_ids fails below
-    n_edges = len(pairs) if pairs.ndim == 2 else None
-    layout = {"offsets": (np.int64, (len(names) + 1,)),
-              "node_ids": (np.int64, (n_nodes,)),
-              **{name: (np.float64, (n_nodes, None)) for name in _NODE_VECTORS},
-              "gt_instance": (np.int64, (n_nodes,)),
-              "gt_present": (np.bool_, (n_nodes,)),
-              "edge_offsets": (np.int64, (len(names) + 1,)),
-              "edges": (np.int64, (n_edges, 2)),
-              "edge_distances": (np.float64, (n_edges,))}
-    try:
-        for name, (dtype, shape) in layout.items():
-            _checked(name, arrays[name], dtype, shape)
-    except InvalidInputError as exc:
-        raise error(str(exc)) from exc
-    for name, total in (("offsets", n_nodes), ("edge_offsets", n_edges)):
-        k = _first_bad_slice(arrays[name], total)
-        if k is not None:
-            raise error(f"{name} do not split {total} rows into {len(names)} graphs", k)
-    if not isinstance(strings, list) or len(strings) != len(names):
-        raise error(f"needs the strings of {len(names)} graphs")
-
-    offsets, edge_offsets = arrays["offsets"].tolist(), arrays["edge_offsets"].tolist()
-    graphs = []
-    for k, entry in enumerate(strings):
-        nodes = slice(offsets[k], offsets[k + 1])
-        edges = slice(edge_offsets[k], edge_offsets[k + 1])
+        missing = [name for name in _PACKED if name not in arrays]
+        if missing:
+            raise error(f"missing graph arrays {missing}")
+        n_nodes, n_edges = (len(arrays[name]) if arrays[name].ndim == ndim else None
+                            for name, ndim in (("node_ids", 1), ("edges", 2)))  # None: fails below
+        layout = {"offsets": (np.int64, (len(names) + 1,)), "node_ids": (np.int64, (n_nodes,)),
+                  **dict.fromkeys(("positions", "f_vl", "f_t", "f_g"),
+                                  (np.float64, (n_nodes, None))),
+                  "gt_instance": (np.int64, (n_nodes,)), "gt_present": (np.bool_, (n_nodes,)),
+                  "edge_offsets": (np.int64, (len(names) + 1,)),
+                  "edges": (np.int64, (n_edges, 2)), "edge_distances": (np.float64, (n_edges,))}
         try:
-            if not isinstance(entry, dict):
-                raise InvalidInputError("graph strings must be an object")
-            graph = SceneGraph(
-                entry.get("graph_id"), entry.get("frame_kind"), ids=ids[nodes],
-                labels=entry.get("labels"), positions=arrays["positions"][nodes],
-                f_vl=arrays["f_vl"][nodes], f_t=arrays["f_t"][nodes], f_g=arrays["f_g"][nodes],
-                gt_instance=arrays["gt_instance"][nodes], gt_present=arrays["gt_present"][nodes],
-                endpoints=pairs[edges], edge_distances=arrays["edge_distances"][edges])
+            checked = {name: _checked(name, arrays[name], *layout[name]) for name in _PACKED}
         except InvalidInputError as exc:
-            raise error(str(exc), k) from exc
-        violations = validate_graph(graph)
-        if violations:
-            raise error(str(violations), k)
-        graphs.append(graph)
-    return graphs
+            raise error(str(exc)) from exc
+        for name, total in (("offsets", n_nodes), ("edge_offsets", n_edges)):
+            # Offsets must run from 0 to total, never decreasing; name the graph.
+            offsets, down = checked[name], np.flatnonzero(np.diff(checked[name]) < 0)
+            k = (int(down[0]) if len(down) else 0 if offsets[0] != 0
+                 else len(offsets) - 2 if offsets[-1] != total else None)
+            if k is not None:
+                raise error(f"{name} do not split {total} rows into {len(names)} graphs", k)
+        if not isinstance(strings, list) or len(strings) != len(names):
+            raise error(f"needs the strings of {len(names)} graphs")
+
+        batch = cls(checked, strings)
+        violations, graphs = batch.violations(), []
+        offsets, edge_offsets = checked["offsets"].tolist(), checked["edge_offsets"].tolist()
+        for k, entry in enumerate(strings):
+            nodes = slice(offsets[k], offsets[k + 1])
+            edges = slice(edge_offsets[k], edge_offsets[k + 1])
+            try:
+                if not isinstance(entry, dict):
+                    raise InvalidInputError("graph strings must be an object")
+                # a column's keyword is its name without the leading "_"
+                graphs.append(SceneGraph(
+                    entry.get("graph_id"), entry.get("frame_kind"), labels=entry.get("labels"),
+                    **{column.lstrip("_"): checked[name][edges if name[:4] == "edge" else nodes]
+                       for name, column in _PACKED.items() if not name.endswith("offsets")}))
+            except InvalidInputError as exc:
+                raise error(str(exc), k) from exc
+            if violations[k]:
+                raise error(str(violations[k]), k)
+        return batch, graphs
+
+    def id_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """(repeated, ends): per node row, whether an earlier row of its graph
+        has its id; per edge, the batch rows (M, 2) of its endpoint ids in its
+        graph, -1 where none has one, the last row of a repeated id. A stable
+        lexsort by (graph, id) of the node ids, then the endpoint ids, puts a
+        node after the earlier rows of its (graph, id), before its endpoints."""
+        a = self.arrays
+        n, wanted = len(a["node_ids"]), a["edges"].ravel()
+        keys = (np.concatenate([a["node_ids"], wanted]),
+                np.concatenate([_segments(a["offsets"]), _segments(2 * a["edge_offsets"])]))
+        order = np.lexsort(keys)
+        by_id, by_graph = (key[order] for key in keys)
+        # whether an entry has the (graph, id) of the entry before
+        same = np.concatenate(([False], (by_id[1:] == by_id[:-1])
+                               & (by_graph[1:] == by_graph[:-1])))
+        node = order < n
+        repeated = np.zeros(n, bool)
+        repeated[order[node & same]] = True
+        # Per entry, the last node at or before it and the start of its run of
+        # one (graph, id); an endpoint has a node when the node is in its run.
+        at = np.arange(len(order))
+        last = np.maximum.accumulate(np.where(node, at, -1))
+        found = ~node & (last >= np.maximum.accumulate(np.where(same, 0, at)))
+        rows = np.full(len(wanted), -1)
+        rows[order[found] - n] = order[last[found]]
+        return repeated, rows.reshape(-1, 2)
+
+    def row_names(self, rows) -> list[tuple[str, int]]:
+        """(graph_id, node id) of node rows, for error messages."""
+        graphs, ids = _segments(self.arrays["offsets"])[rows], self.arrays["node_ids"][rows]
+        return [(self.strings[g]["graph_id"], i) for g, i in zip(graphs.tolist(), ids.tolist())]
+
+    def violations(self) -> list[list[str]]:
+        """Each graph's `validate_graph` violations, node by node, then edge by
+        edge, each check over all rows at once. A vector column whose minimum
+        and maximum are within its bounds (a NaN fails them) flags no node."""
+        a, out = self.arrays, [[] for _ in self.strings]
+
+        def report(checks, offsets, message_of):  # each flagged row's messages, to its graph
+            if checks:
+                flagged = np.flatnonzero(np.any([mask for mask, _ in checks], axis=0))
+                for k, g in zip(flagged.tolist(), _segments(offsets)[flagged].tolist()):
+                    out[g] += [message_of(k, message) for mask, message in checks if mask[k]]
+
+        repeated, rows = self.id_rows()
+        bound = f"+-{MAX_COORDINATE:g}"
+        # A node's messages: per vector column its non-finite rows, then its
+        # rows beyond its bounds (those of f_vl, f_t and f_g after every
+        # non-finite one). Beyond MAX_COORDINATE, squares and sums of squares
+        # may overflow; f_g > 0 is f_g >= the least positive double.
+        checks = [(repeated, "duplicate node id {}")] if repeated.any() else []
+        later, usable = [], None
+        for name, lo, hi, non_finite, beyond in (
+                ("positions", -MAX_COORDINATE, MAX_COORDINATE, "non-finite position",
+                 f"position has a coordinate beyond {bound}"),
+                *((name, -MAX_COORDINATE, MAX_COORDINATE, f"non-finite values in {name}",
+                   f"{name} has a value beyond {bound}") for name in ("f_vl", "f_t")),
+                ("f_g", 5e-324, 1.0, "non-finite values in f_g",
+                 "f_g components must lie in (0, 1]")):
+            v = a[name]
+            if lo <= v.min(initial=hi) and v.max(initial=hi) <= hi:
+                continue
+            bad = ~np.isfinite(v).all(axis=1)
+            outside = ~bad & ~((v >= lo) & (v <= hi)).all(axis=1)
+            checks.append((bad, "node {}: " + non_finite))
+            (checks if name == "positions" else later).append((outside, "node {}: " + beyond))
+            usable = ~(bad | outside) if name == "positions" else usable
+        report(checks + later, a["offsets"],
+               lambda k, message: message.format(int(a["node_ids"][k])))
+
+        ends, pos, stored = a["edges"], a["positions"], a["edge_distances"]
+        checks, measured = [], True  # True: every edge
+        # Edges all canonical (so no self loop) and between nodes flag no edge
+        # in the first three checks.
+        if not ((ends[:, 0] < ends[:, 1]).all() and rows.min(initial=0) >= 0):
+            self_loop = ends[:, 0] == ends[:, 1]
+            # A self loop is neither dangling nor stale, a dangling edge not stale.
+            dangling = ~self_loop & (rows.min(axis=1) < 0)
+            measured = ~(self_loop | dangling)
+            checks = [(self_loop, "self loop"),
+                      (ends[:, 0] > ends[:, 1], "not canonicalized i < j"),
+                      (dangling, "dangling endpoint")]
+        if usable is not None:
+            # An edge on a bad position is left to its node's message, unread.
+            measured = measured & usable[rows].all(axis=1)
+            pos = np.where(usable[:, None], pos, 0.0)
+        # A dangling endpoint reads the last row (there is one unless every edge
+        # dangles); its edge is not measured.
+        actual = point_distances(pos[rows[:, 0]], pos[rows[:, 1]]) if len(pos) else \
+            np.zeros(len(ends))
+        # A NaN stored distance fails the comparison, so it is stale too.
+        stale = measured & ~(np.abs(stored - actual)
+                             <= EDGE_DISTANCE_RTOL * np.maximum(1.0, actual))
+        if stale.any():
+            checks.append((stale, "stored distance {} != actual {}"))
+        report(checks, a["edge_offsets"], lambda m, message: f"edge ({ends[m, 0]},{ends[m, 1]}): "
+               + message.format(float(stored[m]), float(actual[m])))
+        return out

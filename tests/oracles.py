@@ -158,9 +158,9 @@ def validate_graph_reference(g: SceneGraph) -> list[str]:
 
 
 def rows_of_reference(ids: np.ndarray, wanted) -> np.ndarray:
-    """`SceneGraph.rows_of` by its former formula: the row of each id in
-    `wanted` among node `ids`, -1 where none has it, the last row of a
-    repeated id."""
+    """The row lookup of `GraphBatch.id_rows` by the formula of the former
+    `SceneGraph.rows_of`: the row of each id in `wanted` among node `ids`,
+    -1 where none has it, the last row of a repeated id."""
     order = np.argsort(ids, kind="stable")
     rows = np.append(-1, order)[np.searchsorted(ids[order], wanted, side="right")]
     return np.where(np.append(ids, 0)[rows] == wanted, rows, -1)

@@ -48,6 +48,14 @@ class TestMnn:
         assert [(i, j) for i, j, _ in ms.pairs] == [(0, 5)]
         assert ms.unmatched_a == [1]
 
+    def test_mutual_pair_at_min_score_matched(self):
+        """min_score is an inclusive bound: a mutual best pair scoring it
+        exactly is matched, one below it is not."""
+        P = np.array([[0.5, 0.1], [0.1, 0.2]])
+        ms = mnn_allocate(P, MnnParams(min_score=0.5))
+        assert [(i, j) for i, j, _ in ms.pairs] == [(0, 0)]
+        assert ms.unmatched_a == [1]
+
     def test_against_oracle(self, rng):
         for _ in range(500):
             P = rng.uniform(0, 1, (8, 8))
@@ -292,6 +300,18 @@ class TestCappedBranch:
             capped = solve_mcf(cands, costs, 2.0, cap, n_a, n_b)
             uncapped = solve_mcf(cands, costs, 2.0, None, n_a, n_b)
             assert capped == uncapped
+
+
+class TestCappedTies:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_ties_go_to_lowest_column(self, n):
+        """Rows that score every column alike under cap_max 1 take the
+        columns in row order, as `_assign` resolves ties toward the lowest
+        column index."""
+        P = np.full((n, n), 0.5)
+        pos = np.zeros((n, 3))
+        ms = mcf_allocate(P, pos, pos, McfParams(lam=0.0, tau=0.0, cap_max=1))
+        assert [(i, j) for i, j, _ in ms.pairs] == [(i, i) for i in range(n)]
 
 
 class TestMcfAllocate:

@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -26,7 +27,7 @@ from sgalign.errors import (GenerationError, InvalidInputError, ShapeError,
                             WeightsFormatError, section_dict)
 from sgalign.pipeline import align_graphs
 from sgalign.retrieval import build_database, encode_scene
-from sgalign.scene_graph import graph_to_dict, load_graph, point_distances
+from sgalign.scene_graph import GraphBatch, graph_to_dict, load_graph, point_distances
 from sgalign.synth import SynthConfig, generate_scene, make_sample, save_sample
 
 
@@ -149,6 +150,40 @@ class TestInitialEmbed:
         with pytest.raises(ShapeError, match="feature dims"):
             initial_embeddings([g], small_weights)
 
+    def test_no_graphs(self, small_config, small_weights):
+        """No graphs give no rows of the config's width, as `encode_nodes([])`
+        gives no graphs."""
+        rows = initial_embeddings([], small_weights)
+        assert (rows.shape, rows.dtype) == ((0, small_config.d_init), np.float64)
+
+
+class TestNotAGraph:
+    """A member of a graph sequence that is not a SceneGraph is refused,
+    naming its index, by the one type check of `GraphBatch.of`."""
+
+    def test_encode_nodes(self, small_weights):
+        with pytest.raises(InvalidInputError,
+                           match=re.escape("graphs[0] is not a SceneGraph, got int")):
+            encode_nodes([1], small_weights)
+
+    def test_encode_graphs(self, small_weights):
+        with pytest.raises(InvalidInputError,
+                           match=re.escape("graphs[0] is not a SceneGraph, got str")):
+            encode_graphs("ab", small_weights)
+
+    def test_encode_scene(self, small_weights):
+        with pytest.raises(InvalidInputError,
+                           match=re.escape("graphs[0] is not a SceneGraph, got NoneType")):
+            encode_scene("q", None, small_weights)
+
+    @pytest.mark.parametrize("scenes", [[("a", 3)], [("a",)]])
+    def test_build_database(self, small_config, small_weights, scenes):
+        """An item that is not a (scene_id, graph) pair is refused by index."""
+        good = ("g", random_graph(1, small_config))
+        with pytest.raises(InvalidInputError, match=re.escape(
+                "scenes[1] is not a (scene_id, SceneGraph) pair")):
+            build_database([good, *scenes], small_weights)
+
 
 # ---------------------------------------------------------------------------
 # loop-level reference oracle for a full DGSA layer (no batching)
@@ -252,7 +287,7 @@ def dgsa_layer_oracle(graph, emb_in, weights, layer):
 
 def dgsa_layer(graph, embeddings_in, weights, layer):
     """One DGSA layer over one graph's node rows."""
-    index = encoder._build_neighbor_index([graph], weights.config.pe_dim)
+    index = encoder._build_neighbor_index(GraphBatch.of([graph]), weights.config.pe_dim)
     return encoder._dgsa(embeddings_in, index, weights, layer)
 
 
@@ -439,7 +474,7 @@ class TestExactWork:
         [(x, out)] = attentions
         # Node 2's one neighbor is node 0; find both in the active rows.
         at = {int(row): i for i, row in enumerate(
-            encoder._build_neighbor_index([g], cfg.pe_dim).active)}
+            encoder._build_neighbor_index(GraphBatch.of([g]), cfg.pe_dim).active)}
         wv = small_weights["layer0.Wv"]
         pos = g.positions()
         pe = sinusoidal_pe(point_distances(pos[2:3], pos[0:1]), cfg.pe_dim)
@@ -457,7 +492,7 @@ class TestHoistedGates:
     def test_equal_per_block_calls(self, small_weights, make):
         cfg = small_weights.config
         g = make(cfg)
-        index = encoder._build_neighbor_index([g], cfg.pe_dim)
+        index = encoder._build_neighbor_index(GraphBatch.of([g]), cfg.pe_dim)
         pos = g.positions()[index.active]
         for layer in range(cfg.layers):
             gw = encoder._gate_weights(small_weights, layer)

@@ -305,6 +305,27 @@ class TestPersistence:
                           tmp_path / "db", weights)
         assert not (tmp_path / "db").exists()
 
+    @pytest.mark.parametrize("bad", ["global", "nodes"])
+    def test_refused_save_keeps_existing_database(self, db_and_weights, tmp_path, bad):
+        """An embedding of the wrong width is refused before any file is
+        opened, so the database already in the directory keeps both files,
+        byte for byte, and still loads."""
+        db, weights = db_and_weights
+        directory = tmp_path / "db"
+        save_database(SceneDatabase(entries=db.entries[:1]), directory, weights)
+        files = ("embeddings.npz", "index.json")
+        before = [(directory / name).read_bytes() for name in files]
+        e, d_model = db.entries[0], weights.config.d_model
+        if bad == "global":
+            entry = EncodedScene(e.scene_id, e.graph, e.node_embeddings, np.ones(d_model + 1))
+        else:
+            entry = EncodedScene(e.scene_id, e.graph, np.ones((len(e.graph.ids), d_model + 1)),
+                                 e.global_embedding)
+        with pytest.raises(InvalidInputError, match=f"scene {e.scene_id!r}: .* of shape"):
+            save_database(SceneDatabase(entries=[entry]), directory, weights)
+        assert [(directory / name).read_bytes() for name in files] == before
+        assert len(load_database(directory, weights)) == 1
+
     def test_empty_round_trip(self, db_and_weights, tmp_path):
         _, weights = db_and_weights
         save_database(SceneDatabase(), tmp_path / "db", weights)

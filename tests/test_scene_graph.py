@@ -5,11 +5,11 @@ import re
 import numpy as np
 import pytest
 
-from sgalign.errors import InvalidInputError
-from sgalign.scene_graph import (EDGE_DISTANCE_RTOL, MAX_COORDINATE, SceneGraph,
+from sgalign.encoder import _build_neighbor_index
+from sgalign.errors import InvalidInputError, ShapeError
+from sgalign.scene_graph import (EDGE_DISTANCE_RTOL, MAX_COORDINATE, GraphBatch, SceneGraph,
                                  build_edges, graph_from_dict, graph_to_dict, load_graph,
-                                 pack_graphs, point_distances,
-                                 read_graph, save_graph, unpack_graphs, validate_graph)
+                                 point_distances, read_graph, save_graph, validate_graph)
 from sgalign.synth import SynthConfig, generate_scene, make_sample
 from conftest import (assert_same_graphs, graph_columns, rows_graph, with_columns,
                       with_edges)
@@ -601,33 +601,37 @@ def odd_graphs():
     return [a, rows_graph([], (4, 5), "empty"), b, well_formed_graph(9, seed=3)]
 
 
+# Each SceneGraph column and the batch array that holds it.
+BATCH_ARRAYS = {"ids": "node_ids", "positions": "positions", "f_vl": "f_vl", "f_t": "f_t",
+                "f_g": "f_g", "gt_instance": "gt_instance", "gt_present": "gt_present",
+                "endpoints": "edges", "edge_distances": "edge_distances"}
+
+
 class TestPackGraphs:
     def test_round_trip_bit_exact(self):
         graphs = odd_graphs()
-        arrays, strings = pack_graphs(graphs)
-        back = unpack_graphs(arrays, json.loads(json.dumps(strings)),
-                             [f"s{k}" for k in range(len(graphs))], "src")
+        batch = GraphBatch.of(graphs)
+        _, back = GraphBatch.read(batch.arrays, json.loads(json.dumps(batch.strings)),
+                                  [f"s{k}" for k in range(len(graphs))], "src")
         assert_same_graphs(back, graphs)
         assert back[0].gt_present[:2].tolist() == [False, True] and back[0].gt_instance[1] == 0
 
     def test_views_not_copies(self):
-        arrays, strings = pack_graphs(odd_graphs())
-        back = unpack_graphs(arrays, strings, list("abcd"), "src")
-        packed = {"ids": "node_ids", "positions": "positions", "f_vl": "f_vl", "f_t": "f_t",
-                  "f_g": "f_g", "gt_instance": "gt_instance", "gt_present": "gt_present",
-                  "endpoints": "edges", "edge_distances": "edge_distances"}
+        batch = GraphBatch.of(odd_graphs())
+        _, back = GraphBatch.read(batch.arrays, batch.strings, list("abcd"), "src")
         for g in back:
             columns = graph_columns(g)
-            assert all(columns[name].base is arrays[packed[name]] for name in packed)
+            assert all(columns[name].base is batch.arrays[packed]
+                       for name, packed in BATCH_ARRAYS.items())
 
     def test_no_graphs(self):
-        arrays, strings = pack_graphs([])
-        assert unpack_graphs(arrays, strings, [], "src") == []
+        batch = GraphBatch.of([])
+        assert GraphBatch.read(batch.arrays, batch.strings, [], "src")[1] == []
 
     @pytest.mark.parametrize("change", ["ragged_f_vl", "2d_position", "float_id",
                                         "float_endpoint", "huge_gt_instance"])
     def test_unpackable_graph_refused(self, change):
-        """What pack_graphs could not store is refused when a graph file is
+        """What a GraphBatch could not store is refused when a graph file is
         read, naming the node where one is at fault."""
         doc = graph_to_dict(well_formed_graph(3))
         nodes = doc["nodes"]
@@ -649,6 +653,47 @@ class TestPackGraphs:
                    "huge_gt_instance": "node 1: gt_instance must be an integer within int64"}
         with pytest.raises(InvalidInputError, match=re.escape(message[change])):
             built(doc)
+
+
+class TestGraphBatch:
+    def test_one_graph_holds_its_own_columns(self):
+        """A batch of one graph, as `validate_graph` and a one-graph encode
+        build it, copies no column."""
+        g = well_formed_graph(5)
+        batch = GraphBatch.of([g])
+        columns = graph_columns(g)
+        assert all(batch.arrays[packed] is columns[name]
+                   for name, packed in BATCH_ARRAYS.items())
+        assert batch.arrays["offsets"].tolist() == [0, 5]
+        assert batch.arrays["edge_offsets"].tolist() == [0, len(g.endpoints)]
+
+    @pytest.mark.parametrize("member", [3, None, "g", {"graph_id": "g"}])
+    def test_member_not_a_graph_refused(self, member):
+        with pytest.raises(InvalidInputError,
+                           match=re.escape(f"graphs[1] is not a SceneGraph, got "
+                                           f"{type(member).__name__}")):
+            GraphBatch.of([well_formed_graph(3), member])
+
+    def test_feature_dims_must_agree(self):
+        other = rows_graph([([0.0, 0, 0], [1.0] * 2, [1.0] * 3, [0.5] * 3)], (2, 3), "other")
+        with pytest.raises(ShapeError, match=re.escape(
+                "graph 'other': feature dims [2, 3] do not match those of graph 'g'")):
+            GraphBatch.of([well_formed_graph(3), other])
+
+    def test_row_names(self):
+        """Rows are named (graph_id, node id), graph after graph, an empty
+        graph in between taking no row: the first and last row of the first
+        graph, a middle graph and the last graph. The encoder's messages of
+        non-finite or zero-norm rows read these names."""
+        a, empty, b, c = (with_edges(well_formed_graph(n, seed=n), graph_id=name,
+                                     ids=np.arange(n) * 10 + n)
+                          for n, name in ((4, "a"), (0, "empty"), (3, "b"), (5, "c")))
+        batch = GraphBatch.of([a, empty, b, c])
+        want = {0: ("a", 4), 3: ("a", 34), 4: ("b", 3), 5: ("b", 13), 6: ("b", 23),
+                7: ("c", 5), 11: ("c", 45)}
+        rows = list(want)
+        assert batch.row_names(np.array(rows)) == [want[row] for row in rows]
+        assert _build_neighbor_index(batch, 4).batch.row_names(rows) == list(want.values())
 
 
 def columns_of(n=3):

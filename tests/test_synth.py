@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import assert_same_graphs, with_edges
+from oracles import rows_of_reference
 
 from sgalign.errors import GenerationError, InvalidInputError
 from sgalign.scene_graph import validate_graph
@@ -84,7 +85,7 @@ class TestMakeF2sPair:
         scene, _ = generate_scene(cfg)
         s = make_f2s_pair(scene, cfg)
         a, b = s.graph_a, s.graph_b
-        rows = b.rows_of(a.gt_instance)
+        rows = rows_of_reference(b.ids, a.gt_instance)
         assert a.gt_present.all() and (rows >= 0).all()
         target = b.positions()[rows]
         mapped = a.positions() @ s.gt_rotation.T + s.gt_translation

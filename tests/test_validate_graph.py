@@ -1,6 +1,7 @@
 """`validate_graph` against the full pass it replaced
 (`oracles.validate_graph_reference`) on graphs that carry one to four
-stacked faults, `rows_of` against its former formula, and the refusal of a
+stacked faults, alone and in batches of one to eight graphs, a batch's
+endpoint rows against the former `rows_of` formula, and the refusal of a
 ground-truth pair that is not (id_A, id_B)."""
 
 import numpy as np
@@ -10,12 +11,14 @@ from hypothesis import strategies as st
 from oracles import rows_of_reference, validate_graph_reference
 
 from sgalign.errors import InvalidInputError
-from sgalign.scene_graph import (MAX_COORDINATE, GroundTruthMap, SceneGraph, build_edges,
-                                 validate_graph)
+from sgalign.scene_graph import (MAX_COORDINATE, GraphBatch, GroundTruthMap, SceneGraph,
+                                 build_edges, validate_graph)
 
 # Derandomized, so every run of the suite draws the same graphs.
 SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=2000,
                     suppress_health_check=[HealthCheck.too_slow])
+# About as many graphs again, in batches of one to eight.
+BATCH_SETTINGS = settings(SETTINGS, max_examples=400)
 
 # A vector entry that is non-finite, beyond MAX_COORDINATE or just at it.
 VECTOR_VALUES = [np.nan, np.inf, -np.inf, 1.5 * MAX_COORDINATE, -1e200, 1.7e308,
@@ -73,7 +76,8 @@ def faulty_graph(seed: int, n: int, widths: tuple[int, int], faults: list[str]) 
             i, j = (ids[some(n)] if n else 3), 1000 + some(3)
             insert_edge(*((i, j) if some(2) else (j, i)), 1.0)
         elif fault == "stale" and m:
-            distances[some(m)] *= DISTANCE_SCALES[some(len(DISTANCE_SCALES))]
+            with np.errstate(invalid="ignore"):  # a bad distance times 0.0 is NaN, still bad
+                distances[some(m)] *= DISTANCE_SCALES[some(len(DISTANCE_SCALES))]
         elif fault == "bad_distance" and m:
             distances[some(m)] = DISTANCE_VALUES[some(len(DISTANCE_VALUES))]
         elif fault == "no_nodes":
@@ -97,7 +101,8 @@ class TestValidateGraphReference:
         with np.errstate(all="raise"):
             got = validate_graph(g)
         assert got == validate_graph_reference(g)
-        assert np.array_equal(g.rows_of(g.endpoints), rows_of_reference(g.ids, g.endpoints))
+        assert np.array_equal(GraphBatch.of([g]).id_rows()[1],
+                              rows_of_reference(g.ids, g.endpoints))
 
     def test_faults_reach_every_check(self):
         """The faults of the property test raise every kind of violation,
@@ -112,6 +117,45 @@ class TestValidateGraphReference:
             seen.update(kind for kind in KINDS for v in violations if kind in v)
         assert seen == set(KINDS)
         assert min(counts) == 0 and max(counts) >= 4
+
+
+class TestBatchViolations:
+    @BATCH_SETTINGS
+    @given(widths=st.tuples(st.integers(0, 4), st.integers(0, 4)),
+           members=st.lists(st.tuples(st.integers(0, 2 ** 32 - 1), st.integers(0, 40),
+                                      st.lists(st.sampled_from(FAULTS), min_size=1, max_size=4)),
+                            min_size=1, max_size=8))
+    def test_graph_by_graph_reference(self, widths, members):
+        """A batch's violations are each graph's own, its endpoint rows each
+        graph's own rows offset by the graph's first row."""
+        graphs = [faulty_graph(seed, n, widths, faults) for seed, n, faults in members]
+        batch = GraphBatch.of(graphs)
+        with np.errstate(all="raise"):
+            got = batch.violations()
+        assert got == [validate_graph_reference(g) for g in graphs]
+        _, rows = batch.id_rows()
+        offsets, edge_offsets = batch.arrays["offsets"], batch.arrays["edge_offsets"]
+        for k, g in enumerate(graphs):
+            own = rows_of_reference(g.ids, g.endpoints)
+            assert np.array_equal(rows[edge_offsets[k]:edge_offsets[k + 1]],
+                                  np.where(own >= 0, own + offsets[k], -1))
+
+    def test_ids_belong_to_their_graph(self):
+        """An id in two graphs is no repeat, and an edge cannot reach a node
+        of another graph."""
+        a = faulty_graph(1, 6, (2, 2), [])
+        b = faulty_graph(2, 6, (2, 2), [])
+        other = int(np.setdiff1d(a.ids, b.ids)[0])
+        i = int(b.ids[0])
+        stray = SceneGraph("b", "world", ids=b.ids, labels=b.labels, positions=b.positions(),
+                           f_vl=b.f_vl, f_t=b.f_t, f_g=b.f_g, gt_instance=b.gt_instance,
+                           gt_present=b.gt_present,
+                           endpoints=np.vstack([b.endpoints, sorted([i, other])]),
+                           edge_distances=np.append(b.edge_distances, 1.0))
+        got = GraphBatch.of([a, a, stray]).violations()
+        assert got[:2] == [[], []]
+        assert got[2] == validate_graph_reference(stray)
+        assert any("dangling endpoint" in v for v in got[2])
 
 
 @pytest.mark.parametrize("pair", [(1,), (1, 2, 3), 5])
