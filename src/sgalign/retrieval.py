@@ -213,9 +213,6 @@ def save_database(db: SceneDatabase, directory, weights: EncoderWeights) -> None
     batch, d_model = GraphBatch.of([e.graph for e in db.entries]), weights.config.d_model
     for entry, n in zip(db.entries, np.diff(batch.arrays["offsets"]).tolist()):
         _check_scene_id(entry.scene_id)
-        if len(entry.node_embeddings) != n:
-            raise InvalidInputError(f"scene {entry.scene_id!r}: {len(entry.node_embeddings)} "
-                                    f"node embeddings for {n} graph nodes")
         for what, value, shape in (("node embeddings", entry.node_embeddings, (n, d_model)),
                                    ("global embedding", entry.global_embedding, (d_model,))):
             if np.shape(value) != shape:

@@ -375,6 +375,19 @@ def _segments(offsets: np.ndarray) -> np.ndarray:
     return np.repeat(np.arange(len(offsets) - 1), offsets[1:] - offsets[:-1])
 
 
+def _first_bad_slice(offsets: np.ndarray, total: int) -> int | None:
+    """None when offsets split `total` rows (start 0, never decrease, end at
+    total); else the graph whose slice is wrong first."""
+    down = np.flatnonzero(np.diff(offsets) < 0)
+    if len(down):
+        return int(down[0])
+    if offsets[0] != 0:
+        return 0
+    if offsets[-1] != total:
+        return len(offsets) - 2
+    return None
+
+
 @dataclass(frozen=True, eq=False, repr=False)
 class GraphBatch:
     """Graphs as one batch: the arrays of `_PACKED` by name and, per graph, a
@@ -395,13 +408,18 @@ class GraphBatch:
                                  f"not match those of graph {graphs[0].graph_id!r}")
         parts = list(graphs) or [graph_from_dict({"graph_id": "", "frame_kind": "world",
                                                   "feature_dims": [0, 0], "nodes": []})]
-        return cls({name: np.array([0] + [len(getattr(g, column)) for g in graphs],
-                                   np.int64).cumsum() if name.endswith("offsets")
-                    else getattr(parts[0], column) if len(parts) == 1
-                    else np.concatenate([getattr(g, column) for g in parts])
-                    for name, column in _PACKED.items()},
-                   [{"graph_id": g.graph_id, "frame_kind": g.frame_kind, "labels": g.labels}
-                    for g in graphs])
+        arrays = {}
+        for name, column in _PACKED.items():
+            if name.endswith("offsets"):
+                counts = [len(getattr(g, column)) for g in graphs]
+                arrays[name] = np.array([0] + counts, np.int64).cumsum()
+            elif len(parts) == 1:
+                arrays[name] = getattr(parts[0], column)
+            else:
+                arrays[name] = np.concatenate([getattr(g, column) for g in parts])
+        strings = [{"graph_id": g.graph_id, "frame_kind": g.frame_kind, "labels": g.labels}
+                   for g in graphs]
+        return cls(arrays, strings)
 
     @classmethod
     def read(cls, arrays, strings, names: Sequence[str], source
@@ -416,46 +434,57 @@ class GraphBatch:
         missing = [name for name in _PACKED if name not in arrays]
         if missing:
             raise error(f"missing graph arrays {missing}")
-        n_nodes, n_edges = (len(arrays[name]) if arrays[name].ndim == ndim else None
-                            for name, ndim in (("node_ids", 1), ("edges", 2)))  # None: fails below
-        layout = {"offsets": (np.int64, (len(names) + 1,)), "node_ids": (np.int64, (n_nodes,)),
-                  **dict.fromkeys(("positions", "f_vl", "f_t", "f_g"),
-                                  (np.float64, (n_nodes, None))),
-                  "gt_instance": (np.int64, (n_nodes,)), "gt_present": (np.bool_, (n_nodes,)),
+        ids, pairs = arrays["node_ids"], arrays["edges"]
+        n_nodes = len(ids) if ids.ndim == 1 else None  # None: node_ids fails below
+        n_edges = len(pairs) if pairs.ndim == 2 else None
+        vector = (np.float64, (n_nodes, None))  # a node vector column of any width
+        layout = {"offsets": (np.int64, (len(names) + 1,)),
+                  "node_ids": (np.int64, (n_nodes,)),
+                  "positions": vector, "f_vl": vector, "f_t": vector, "f_g": vector,
+                  "gt_instance": (np.int64, (n_nodes,)),
+                  "gt_present": (np.bool_, (n_nodes,)),
                   "edge_offsets": (np.int64, (len(names) + 1,)),
-                  "edges": (np.int64, (n_edges, 2)), "edge_distances": (np.float64, (n_edges,))}
+                  "edges": (np.int64, (n_edges, 2)),
+                  "edge_distances": (np.float64, (n_edges,))}
         try:
             checked = {name: _checked(name, arrays[name], *layout[name]) for name in _PACKED}
         except InvalidInputError as exc:
             raise error(str(exc)) from exc
         for name, total in (("offsets", n_nodes), ("edge_offsets", n_edges)):
-            # Offsets must run from 0 to total, never decreasing; name the graph.
-            offsets, down = checked[name], np.flatnonzero(np.diff(checked[name]) < 0)
-            k = (int(down[0]) if len(down) else 0 if offsets[0] != 0
-                 else len(offsets) - 2 if offsets[-1] != total else None)
+            k = _first_bad_slice(checked[name], total)
             if k is not None:
                 raise error(f"{name} do not split {total} rows into {len(names)} graphs", k)
         if not isinstance(strings, list) or len(strings) != len(names):
             raise error(f"needs the strings of {len(names)} graphs")
 
-        batch = cls(checked, strings)
-        violations, graphs = batch.violations(), []
+        # Each graph is built (its constructor checks the strings and the
+        # widths the validator reads) before any graph's values are checked.
         offsets, edge_offsets = checked["offsets"].tolist(), checked["edge_offsets"].tolist()
+        graphs, fault = [], None
         for k, entry in enumerate(strings):
             nodes = slice(offsets[k], offsets[k + 1])
             edges = slice(edge_offsets[k], edge_offsets[k + 1])
             try:
                 if not isinstance(entry, dict):
                     raise InvalidInputError("graph strings must be an object")
-                # a column's keyword is its name without the leading "_"
                 graphs.append(SceneGraph(
-                    entry.get("graph_id"), entry.get("frame_kind"), labels=entry.get("labels"),
-                    **{column.lstrip("_"): checked[name][edges if name[:4] == "edge" else nodes]
-                       for name, column in _PACKED.items() if not name.endswith("offsets")}))
+                    entry.get("graph_id"), entry.get("frame_kind"), ids=checked["node_ids"][nodes],
+                    labels=entry.get("labels"), positions=checked["positions"][nodes],
+                    f_vl=checked["f_vl"][nodes], f_t=checked["f_t"][nodes],
+                    f_g=checked["f_g"][nodes], gt_instance=checked["gt_instance"][nodes],
+                    gt_present=checked["gt_present"][nodes], endpoints=checked["edges"][edges],
+                    edge_distances=checked["edge_distances"][edges]))
             except InvalidInputError as exc:
-                raise error(str(exc), k) from exc
-            if violations[k]:
-                raise error(str(violations[k]), k)
+                fault = error(str(exc), k)
+                break
+        batch = cls(checked, strings)
+        # The first bad scene is named: a value fault of a graph built before
+        # the graph whose construction failed, else that construction fault.
+        for k, violations in enumerate(batch.violations()[:len(graphs)] if graphs else []):
+            if violations:
+                raise error(str(violations), k)
+        if fault is not None:
+            raise fault
         return batch, graphs
 
     def id_rows(self) -> tuple[np.ndarray, np.ndarray]:
@@ -463,16 +492,21 @@ class GraphBatch:
         has its id; per edge, the batch rows (M, 2) of its endpoint ids in its
         graph, -1 where none has one, the last row of a repeated id. A stable
         lexsort by (graph, id) of the node ids, then the endpoint ids, puts a
-        node after the earlier rows of its (graph, id), before its endpoints."""
+        node after the earlier rows of its (graph, id), before its endpoints.
+        A batch of one graph sorts by id alone."""
         a = self.arrays
         n, wanted = len(a["node_ids"]), a["edges"].ravel()
-        keys = (np.concatenate([a["node_ids"], wanted]),
-                np.concatenate([_segments(a["offsets"]), _segments(2 * a["edge_offsets"])]))
+        keys = [np.concatenate([a["node_ids"], wanted])]
+        if len(self.strings) > 1:
+            keys.append(np.concatenate([_segments(a["offsets"]),
+                                        _segments(2 * a["edge_offsets"])]))
         order = np.lexsort(keys)
-        by_id, by_graph = (key[order] for key in keys)
         # whether an entry has the (graph, id) of the entry before
-        same = np.concatenate(([False], (by_id[1:] == by_id[:-1])
-                               & (by_graph[1:] == by_graph[:-1])))
+        same = np.ones(len(order), bool)
+        same[0:1] = False
+        for key in keys:
+            ordered = key[order]
+            same[1:] &= ordered[1:] == ordered[:-1]
         node = order < n
         repeated = np.zeros(n, bool)
         repeated[order[node & same]] = True

@@ -465,6 +465,31 @@ class TestLoadChecks:
             load_database(directory, weights)
         assert str(err.value).startswith(f"{directory / 'embeddings.npz'}: ")
 
+    @pytest.mark.parametrize("name", ["positions", "f_g"])
+    def test_narrow_vector_column_refused_by_first_scene(self, saved, name):
+        """A positions or f_g column 2 wide is the first scene's shape fault,
+        refused before any value is read."""
+        directory, db, weights, arrays = saved
+        rewrite_embeddings(directory, **{name: arrays[name][:, :2]})
+        n = len(db.entries[0].graph.ids)
+        self.assert_names_scene(directory, weights, db.entries[0].scene_id,
+                                f"{name} is float64 ({n}, 2), expected float64 ({n}, 3)")
+
+    @pytest.mark.parametrize("value_scene, string_scene", [(1, 3), (3, 1)])
+    def test_first_faulty_scene_named(self, saved, value_scene, string_scene):
+        """Of a scene with a bad value and one with a bad string, the earlier
+        is named."""
+        directory, db, weights, arrays = saved
+        f_g = arrays["f_g"].copy()
+        f_g[arrays["offsets"][value_scene]] = [5, -1, 5]
+        rewrite_embeddings(directory, f_g=f_g)
+        index = json.loads((directory / "index.json").read_text())
+        index["graphs"][string_scene]["frame_kind"] = "banana"
+        (directory / "index.json").write_text(json.dumps(index))
+        first = min(value_scene, string_scene)
+        message = "f_g components" if first == value_scene else "frame_kind"
+        self.assert_names_scene(directory, weights, db.entries[first].scene_id, message)
+
     def test_missing_graph_strings_rejected(self, saved):
         directory, _, weights, _ = saved
         index = json.loads((directory / "index.json").read_text())
