@@ -206,7 +206,6 @@ def _empty_tensors(config: EncoderConfig
         raise InvalidInputError(f"encoder sizes cannot be allocated: {exc}") from exc
 
 
-@dataclass
 class EncoderWeights:
     """Named weight tensors; the packed ones are row views of `packed` buffers.
 
@@ -220,37 +219,65 @@ class EncoderWeights:
     faulty tensors, the first in tensor order is the one reported.
     `init_weights` and `load_weights` fill that layout themselves and skip
     the copy.
+
+    `init_weights` leaves the class-token tensors undrawn (see there). The
+    first read of ``weights[name]``, ``tensors`` or ``packed`` draws them,
+    once, whichever thread reads first; the node pass reads the tensors it
+    needs without that draw. Two weights compare equal only when they are
+    the same object.
     """
 
-    config: EncoderConfig
-    tensors: Mapping[str, np.ndarray]
-    seed: int | None = None
-    packed: dict[str, np.ndarray] = field(init=False, repr=False)
-
-    def __post_init__(self):
-        _check_names(tensor_shapes(self.config), self.tensors)
-        tensors, self.packed = _empty_tensors(self.config)
-        given = self.tensors
+    def __init__(self, config: EncoderConfig, tensors: Mapping[str, np.ndarray],
+                 seed: int | None = None):
+        _check_names(tensor_shapes(config), tensors)
+        out, packed = _empty_tensors(config)
 
         def copy(part):
-            for name, out in part:
-                out[...] = _as_tensor(name, given[name], out.shape)
+            for name, dst in part:
+                dst[...] = _as_tensor(name, tensors[name], dst.shape)
 
-        run_parts(list(tensors.items()), [out.size for out in tensors.values()], copy, _WORKERS)
-        self.tensors = MappingProxyType(tensors)
+        run_parts(list(out.items()), [dst.size for dst in out.values()], copy, _WORKERS)
+        self._init(config, out, packed, seed, None)
 
     @classmethod
     def _filled(cls, config: EncoderConfig, tensors: dict[str, np.ndarray],
-                packed: dict[str, np.ndarray], seed: int | None) -> EncoderWeights:
+                packed: dict[str, np.ndarray], seed: int | None,
+                pending: Callable[[], object] | None = None) -> EncoderWeights:
         """The weights over `_empty_tensors(config)` once filled, as they
-        are: no check, no copy."""
+        are: no check, no copy. `pending`, where given, fills the rest of
+        them on the first public read."""
         weights = cls.__new__(cls)
-        weights.config, weights.seed, weights.packed = config, seed, packed
-        weights.tensors = MappingProxyType(tensors)
+        weights._init(config, tensors, packed, seed, pending)
         return weights
+
+    def _init(self, config, tensors, packed, seed, pending) -> None:
+        self.config, self.seed = config, seed
+        # what the node pass reads: no pending draw runs for it
+        self._tensors, self._packed = MappingProxyType(tensors), packed
+        self._pending, self._lock = pending, threading.Lock()
+
+    def _drawn(self) -> EncoderWeights:
+        """self, its pending draw run, by the first caller only."""
+        if self._pending is not None:
+            with self._lock:
+                if self._pending is not None:
+                    self._pending()
+                    self._pending = None
+        return self
+
+    @property
+    def tensors(self) -> Mapping[str, np.ndarray]:
+        return self._drawn()._tensors
+
+    @property
+    def packed(self) -> dict[str, np.ndarray]:
+        return self._drawn()._packed
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self.tensors[name]
+
+    def __repr__(self) -> str:
+        return f"EncoderWeights(config={self.config!r}, seed={self.seed!r})"
 
 
 # Attention output projections start damped so the residual stream stays
@@ -271,7 +298,17 @@ def init_weights(config: EncoderConfig, seed: int = 0) -> EncoderWeights:
     generator starts at its first draw by `advance`. Only cls_token, whose
     draw takes a varying number of outputs, is drawn first; the stream's
     state after it is the start of every later matrix.
+
+    The class-token attention tensors (``cls_attn*``), which only the
+    class-token stage reads, are drawn the same way on the first public
+    read of the weights (see `EncoderWeights`); until then their buffers
+    are allocated but never written, so the pages stay unbacked.
     """
+    if not isinstance(config, EncoderConfig):
+        raise InvalidInputError(f"init_weights: config is not an EncoderConfig, "
+                                f"got {type(config).__name__}")
+    check_bound("seed", seed, ">= 0", where="init_weights")
+    seed = int(seed)
     rng = np.random.default_rng(seed)
     tensors, packed = _empty_tensors(config)
     starts = {}  # matrix name -> (stream state, outputs drawn from it before the matrix)
@@ -306,8 +343,14 @@ def init_weights(config: EncoderConfig, seed: int = 0) -> EncoderWeights:
             elif name != "cls_token":  # biases and ln_bias
                 out.fill(0.0)
 
-    run_parts(list(tensors.items()), [out.size for out in tensors.values()], draw, _WORKERS)
-    return EncoderWeights._filled(config, tensors, packed, seed)
+    def fill(items):
+        run_parts(items, [out.size for _, out in items], draw, _WORKERS)
+
+    now, later = [], []
+    for item in tensors.items():
+        (later if item[0].startswith("cls_attn") else now).append(item)
+    fill(now)
+    return EncoderWeights._filled(config, tensors, packed, seed, lambda: fill(later))
 
 
 # Weights files (format_version 2): an uncompressed NumPy .npz archive with
@@ -423,7 +466,7 @@ def distance_gate(d, gate_weights: dict[str, np.ndarray]):
 
 def _gate_weights(weights: EncoderWeights, layer: int) -> dict[str, np.ndarray]:
     p = f"layer{layer}.gate."
-    return {k: weights[p + k] for k in ("w1", "b1", "w2", "b2")}
+    return {k: weights._tensors[p + k] for k in ("w1", "b1", "w2", "b2")}
 
 
 def initial_embeddings(graphs: Sequence[SceneGraph], weights: EncoderWeights) -> np.ndarray:
@@ -438,9 +481,9 @@ def _initial_rows(batch: GraphBatch, weights: EncoderWeights) -> np.ndarray:
     if batch.strings and dims != want:
         raise ShapeError(f"graph {batch.strings[0]['graph_id']!r}: feature dims {list(dims)} "
                          f"do not match config dims {list(want)}")
-    h = np.maximum(_rows_matmul(f_g, weights["geo_ffn.w1"]) + weights["geo_ffn.b1"], 0.0)
-    return np.concatenate([f_vl, f_t,
-                           _rows_matmul(h, weights["geo_ffn.w2"]) + weights["geo_ffn.b2"]],
+    w = weights._tensors
+    h = np.maximum(_rows_matmul(f_g, w["geo_ffn.w1"]) + w["geo_ffn.b1"], 0.0)
+    return np.concatenate([f_vl, f_t, _rows_matmul(h, w["geo_ffn.w2"]) + w["geo_ffn.b2"]],
                           axis=1).reshape(-1, weights.config.d_init)  # no graphs: 0-wide f_vl
 
 
@@ -661,12 +704,12 @@ def _attention(x: np.ndarray, index: _NeighborIndex,
     heads, dh, pe_dim, d = cfg.heads, cfg.d_head, cfg.pe_dim, cfg.d_model
     p = f"layer{layer}."
     gate_w = _gate_weights(weights, layer)
-    w_h = weights.packed[p + "h_proj"]
+    w_h = weights._packed[p + "h_proj"]
     cols = [slice(a * d, b * d) for a, b in zip(_SECTIONS, _SECTIONS[1:])]
     # per-node parts of sections cols[r], at the active nodes of reach > r
     parts = [_rows_matmul(x[:n], w_h[c, pe_dim:]) if n else None
              for n, c in zip(index.reach_rows, cols)]
-    q_all = (_rows_matmul(_take(x, index.centres_q), weights[p + "Wq"])
+    q_all = (_rows_matmul(_take(x, index.centres_q), weights._tensors[p + "Wq"])
              if len(index.centres_q) else None)
     gate = distance_gate(index.dist, gate_w)
 
@@ -707,13 +750,13 @@ def _dgsa(x: np.ndarray, index: _NeighborIndex, weights: EncoderWeights,
           layer: int) -> np.ndarray:
     """One DGSA layer over the node rows x. An isolated node attends to
     nothing, so its output is LayerNorm(x) and it skips every projection."""
-    p = f"layer{layer}."
+    p, w = f"layer{layer}.", weights._tensors
     fused = x
     if index.active.size:
         attn = _attention(_take(x, index.active), index, weights, layer)
         fused = x.copy()  # made after attention, whose peak it would add to
-        fused[index.active] += _rows_matmul(attn, weights[p + "Wo"])
-    result = _layer_norm(fused, weights[p + "ln_scale"], weights[p + "ln_bias"])
+        fused[index.active] += _rows_matmul(attn, w[p + "Wo"])
+    result = _layer_norm(fused, w[p + "ln_scale"], w[p + "ln_bias"])
     if not np.all(np.isfinite(result)):
         bad = np.flatnonzero(~np.isfinite(result).all(axis=1))
         raise NumericError(f"DGSA layer {layer}: non-finite output for nodes "
@@ -725,11 +768,12 @@ def _project(c: np.ndarray, c0: np.ndarray, index: _NeighborIndex,
              weights: EncoderWeights) -> np.ndarray:
     """ProjFFN([c || c0]), L2-normalized so matcher dot products are cosines."""
     cc = np.concatenate([c, c0], axis=1, out=_padded(len(c), c.shape[1] + c0.shape[1]))
-    h = _rows_matmul(cc, weights["proj_ffn.w1"])
-    h += weights["proj_ffn.b1"]
+    w = weights._tensors
+    h = _rows_matmul(cc, w["proj_ffn.w1"])
+    h += w["proj_ffn.b1"]
     np.maximum(h, 0.0, out=h)
-    emb = _rows_matmul(h, weights["proj_ffn.w2"])
-    emb += weights["proj_ffn.b2"]
+    emb = _rows_matmul(h, w["proj_ffn.w2"])
+    emb += w["proj_ffn.b2"]
     norms = np.linalg.norm(emb, axis=1)
     if np.any(norms == 0):
         raise NumericError(f"zero-norm node embeddings for nodes "
@@ -782,7 +826,8 @@ def _class_tokens(node_emb: np.ndarray, node_offsets: np.ndarray,
 
 def _node_pass(graphs: Sequence[SceneGraph], weights: EncoderWeights
                ) -> tuple[np.ndarray, np.ndarray]:
-    """(node embeddings of the graphs' nodes in turn, the batch's offsets)."""
+    """(node embeddings of the graphs' nodes in turn, the batch's offsets).
+    Its reads of the weights leave a pending class-token draw pending."""
     cfg = weights.config
     batch = GraphBatch.of(graphs)
     c0 = _initial_rows(batch, weights)

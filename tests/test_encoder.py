@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import json
 import math
@@ -26,7 +27,7 @@ from sgalign.encoder import (BATCH_NODES, CLS_ATTN_LAYERS, MAX_LAYERS, EncoderCo
 from sgalign.errors import (GenerationError, InvalidInputError, ShapeError,
                             WeightsFormatError, section_dict)
 from sgalign.pipeline import align_graphs
-from sgalign.retrieval import build_database, encode_scene
+from sgalign.retrieval import build_database, encode_scene, weights_fingerprint
 from sgalign.scene_graph import GraphBatch, graph_to_dict, load_graph, point_distances
 from sgalign.synth import SynthConfig, generate_scene, make_sample, save_sample
 
@@ -1191,6 +1192,212 @@ class TestPackedWeights:
         assert not w.packed["layer0.h_proj"][:small_config.d_model].any()
         after, _ = encode_graph(g, w)
         assert not np.array_equal(before, after)
+
+
+@pytest.fixture()
+def class_token_draws(monkeypatch):
+    """The number of class-token draws so far: the `run_parts` fills of the
+    cls_attn* tensors that `init_weights` leaves pending."""
+    draws = []
+    runner = encoder.run_parts
+
+    def counted(items, sizes, work, workers):
+        if any(isinstance(item, tuple) and isinstance(item[0], str)
+               and item[0].startswith("cls_attn") for item in items):
+            draws.append(1)
+        return runner(items, sizes, work, workers)
+    monkeypatch.setattr(encoder, "run_parts", counted)
+    return draws
+
+
+class TestInitWeightsArguments:
+    @pytest.mark.parametrize("seed, message", [
+        (-1, "init_weights: seed must be >= 0, got -1"),
+        (1.5, "init_weights: seed must be an integer, got 1.5"),
+        ("a", "init_weights: seed must be an integer, got 'a'"),
+        (True, "init_weights: seed must be an integer, got True"),
+        (None, "init_weights: seed must be an integer, got None"),
+    ], ids=["negative", "float", "str", "bool", "none"])
+    def test_bad_seed_refused(self, small_config, seed, message):
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+            init_weights(small_config, seed)
+
+    def test_config_must_be_encoder_config(self):
+        with pytest.raises(InvalidInputError, match=re.escape(
+                "init_weights: config is not an EncoderConfig, got NoneType")):
+            init_weights(None, 0)
+
+    def test_numpy_integer_seed_recorded_as_int(self, small_config, tmp_path):
+        w = init_weights(small_config, np.int64(3))
+        assert type(w.seed) is int and w.seed == 3
+        assert w["layer0.Wq"].tobytes() == init_weights(small_config, 3)["layer0.Wq"].tobytes()
+        save_weights(w, tmp_path / "w.npz")
+        assert load_weights(tmp_path / "w.npz").seed == 3
+
+
+class TestWeightsObject:
+    def test_equal_by_identity(self, small_config):
+        a, b = init_weights(small_config, 0), init_weights(small_config, 0)
+        assert a == a and a != b
+        assert len({a, b, a}) == 2
+
+    def test_repr_names_config_and_seed(self, small_config, class_token_draws):
+        w = init_weights(small_config, 3)
+        assert repr(w) == f"EncoderWeights(config={small_config!r}, seed=3)"
+        assert class_token_draws == []
+
+
+def first_reads(tmp_path):
+    """Ways to make the first public read of fresh weights, each returning a
+    digest of what it read."""
+    def digest(named_arrays):
+        h = hashlib.sha256()
+        for name, arr in named_arrays:
+            h.update(name.encode())
+            h.update(arr)
+        return h.hexdigest()
+
+    def read_each(w, cls_first):
+        names = sorted(tensor_shapes(w.config), key=lambda n: n.startswith("cls_attn") != cls_first)
+        return digest((name, w[name]) for name in names)
+
+    def saved(w):
+        path = tmp_path / "w.npz"
+        save_weights(w, path)
+        h = hashlib.sha256()
+        with open(path, "rb") as fh:
+            for chunk in iter(lambda: fh.read(1 << 20), b""):
+                h.update(chunk)
+        return h.hexdigest()
+
+    return {
+        "cls_attn first": lambda w: read_each(w, True),
+        "cls_attn last": lambda w: read_each(w, False),
+        "tensors": lambda w: digest(w.tensors.items()),
+        # the packed buffers first, then every tensor, packed or not
+        "packed": lambda w: digest([*w.packed.items(), *w.tensors.items()]),
+        "save_weights": saved,
+        "weights_fingerprint": weights_fingerprint,
+    }
+
+
+class TestLazyDraw:
+    """`init_weights` leaves the cls_attn* tensors undrawn until the first
+    public read, and then draws the bits of the one-stream draw."""
+
+    @pytest.mark.parametrize("config", [
+        EncoderConfig(layers=0), EncoderConfig(layers=1),
+        EncoderConfig(pe_dim=6, heads=3, layers=3, d_model=15, gate_hidden=5,
+                      geo_hidden=7, feature_dims=(9, 11)),
+        EncoderConfig()], ids=["layers0", "layers1", "odd", "default"])
+    def test_first_read_draws_one_stream_bits(self, config, tmp_path):
+        reads = first_reads(tmp_path)
+        for seed in range(4):
+            want = init_weights_serial(config, seed)
+            expected = {how: read(want) for how, read in reads.items()}
+            del want
+            for how, read in reads.items():
+                assert read(init_weights(config, seed)) == expected[how], (seed, how)
+
+    def test_node_pass_leaves_draw_pending(self, small_config, class_token_draws):
+        a, b = (random_graph(n, small_config, seed=n) for n in (7, 9))
+        w = init_weights(small_config, 7)
+        nodes = encode_nodes([a, b], w)
+        result = align_graphs(a, b, w, PipelineConfig())
+        assert class_token_draws == []
+        want = init_weights_serial(small_config, 7)
+        for (emb, glob), (want_emb, want_glob), node_rows in zip(
+                encode_graphs([a, b], w), encode_graphs([a, b], want), nodes):
+            assert emb.tobytes() == want_emb.tobytes() == node_rows.tobytes()
+            assert glob.tobytes() == want_glob.tobytes()
+        assert class_token_draws == [1]
+        encode_graphs([b], w)
+        assert w.tensors and w.packed and class_token_draws == [1]
+        assert result.emb_a.tobytes() == nodes[0].tobytes()
+
+    def test_eval_leaves_draw_pending(self, monkeypatch, tmp_path, class_token_draws):
+        from sgalign import cli
+        made = []
+
+        def recorded(config, seed):
+            made.append(init_weights(config, seed))
+            return made[-1]
+        monkeypatch.setattr(cli, "init_weights", recorded)
+        sample = next(f2s_samples(40))
+        save_sample(sample, tmp_path / "pairs" / "p0")
+        run = run_main("eval", "--pairs", tmp_path / "pairs", "--allocator", "mcf")
+        assert run.returncode == 0 and run.stderr == "", run
+        assert len(made) == 1 and class_token_draws == []
+        assert made[0].tensors and class_token_draws == [1]
+
+    def test_concurrent_first_reads(self, monkeypatch, class_token_draws):
+        """Two threads make the first read at once, with more fill threads
+        than cores, switching every microsecond."""
+        monkeypatch.setattr(encoder, "_WORKERS", 3)
+        config = EncoderConfig(layers=1, d_model=128, heads=4)
+        want = {name: arr.tobytes() for name, arr in init_weights_serial(config, 5).tensors.items()}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(10):
+                w = init_weights(config, 5)
+                start = threading.Barrier(2, timeout=30)
+                got = [None, None]
+
+                def read(i):
+                    start.wait()
+                    got[i] = {name: arr.tobytes() for name, arr in w.tensors.items()}
+
+                threads = [threading.Thread(target=read, args=(i,)) for i in range(2)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                    assert not thread.is_alive()
+                assert got[0] == got[1] == want
+        finally:
+            sys.setswitchinterval(interval)
+        assert class_token_draws == [1] * 10
+
+    def test_write_before_first_encode_reaches_global(self, small_config):
+        g = random_graph(6, small_config, seed=4)
+        w, want = init_weights(small_config, 7), init_weights_serial(small_config, 7)
+        _, before = encode_graph(g, init_weights(small_config, 7))
+        w["cls_attn0.Wo"][...] = 0.0
+        want["cls_attn0.Wo"][...] = 0.0
+        emb, glob = encode_graph(g, w)
+        assert glob.tobytes() == encode_graph(g, want)[1].tobytes()
+        assert glob.tobytes() != before.tobytes()
+        assert not w["cls_attn0.Wo"].any()
+
+
+# One child process per stage: the default weights, then one pass over one
+# 8-node scene; prints the child's peak resident memory in KiB. That is
+# VmHWM, the peak of the child's own address space: ru_maxrss of a process
+# started by exec begins at its parent's peak, which here may be larger.
+_RESIDENCY_CHILD = """
+import sys
+from sgalign import EncoderConfig, SynthConfig, encoder, generate_scene, init_weights
+graph = generate_scene(SynthConfig(seed=0, n_objects=(8, 8)))[0]
+weights = init_weights(EncoderConfig(), 0)
+getattr(encoder, sys.argv[1])([graph], weights)
+with open("/proc/self/status") as fh:
+    print(next(line.split()[1] for line in fh if line.startswith("VmHWM:")))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="reads the peak resident size from /proc (Linux)")
+def test_undrawn_class_token_buffers_stay_unbacked():
+    """The 16 MiB of default cls_attn* buffers are never touched before the
+    class-token stage: a node pass peaks at least 12 MiB lower."""
+    peak = {}
+    for stage in ("encode_nodes", "encode_graphs"):
+        run = subprocess.run([sys.executable, "-c", _RESIDENCY_CHILD, stage],
+                             capture_output=True, text=True, env=child_env(), timeout=300)
+        assert run.returncode == 0, run.stderr
+        peak[stage] = int(run.stdout)
+    assert peak["encode_graphs"] - peak["encode_nodes"] >= 12 * 1024, peak
 
 
 def write_v2(path, weights, tensors=None, version=2):
