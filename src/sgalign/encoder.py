@@ -229,6 +229,9 @@ class EncoderWeights:
 
     def __init__(self, config: EncoderConfig, tensors: Mapping[str, np.ndarray],
                  seed: int | None = None):
+        if seed is not None:  # the rule of `init_weights`, kept as a plain int
+            check_bound("seed", seed, ">= 0", where="EncoderWeights")
+            seed = int(seed)
         _check_names(tensor_shapes(config), tensors)
         out, packed = _empty_tensors(config)
 
@@ -392,8 +395,11 @@ def _read_weights(path) -> EncoderWeights:
         if not isinstance(doc.get("config"), dict):
             raise WeightsFormatError("no config object")
         seed = doc.get("seed")
-        if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)):
-            raise WeightsFormatError(f"seed must be an integer or null, got {seed!r}")
+        if seed is not None:  # the rule of `init_weights`
+            try:
+                check_bound("seed", seed, ">= 0")
+            except InvalidInputError as exc:
+                raise WeightsFormatError(str(exc)) from exc
         try:
             config, unknown = from_section(EncoderConfig(), doc["config"])
             if unknown:

@@ -131,7 +131,8 @@ def rerank(query: EncodedScene, candidates: list[EncodedScene], mode: str,
     mode "direct": score = sum of P[i, j] over the allocated matches.
     mode "weighted": the same sum multiplied by the global dot product.
     The query's unit rows are formed once, so a zero-norm query row fails
-    every candidate.
+    every candidate. A candidate whose node embeddings are of another width
+    than the query's fails alone.
     """
     if mode not in RERANK_MODES:
         raise InvalidInputError(f"rerank mode must be {'|'.join(RERANK_MODES)}, got {mode!r}")
@@ -148,8 +149,10 @@ def rerank(query: EncodedScene, candidates: list[EncodedScene], mode: str,
     query_positions = query.graph.positions()
     for cand in candidates:
         try:
-            scores = score_matrix(query_rows @ unit_rows(cand.node_embeddings, "b").T,
-                                  config.matcher)
+            cand_rows = unit_rows(cand.node_embeddings, "b")
+            check_widths("rerank", "query node embeddings", query_rows.shape[1],
+                         "candidate node embeddings", cand_rows.shape[1])
+            scores = score_matrix(query_rows @ cand_rows.T, config.matcher)
             matches = allocate(scores, query_positions, cand.graph.positions(), config,
                                config.retrieval.allocator)
             score = sum(scores.P[i, j] for i, j, _ in matches.pairs)
@@ -209,28 +212,32 @@ def _check_scene_id(scene_id) -> None:
 
 def save_database(db: SceneDatabase, directory, weights: EncoderWeights) -> None:
     """Write embeddings.npz, then index.json. Every entry's scene id and
-    embedding shapes are checked first, so a refused save opens no file."""
+    embedding shapes are checked first, then what `load_database` refuses:
+    graph values and embedding rows that are not unit vectors, the first
+    scene at fault named as the load names it. A refused save opens no file."""
     batch, d_model = GraphBatch.of([e.graph for e in db.entries]), weights.config.d_model
+    globals_, nodes = [], [np.zeros((0, d_model))]
     for entry, n in zip(db.entries, np.diff(batch.arrays["offsets"]).tolist()):
         _check_scene_id(entry.scene_id)
-        for what, value, shape in (("node embeddings", entry.node_embeddings, (n, d_model)),
-                                   ("global embedding", entry.global_embedding, (d_model,))):
+        for what, value, shape, out in (
+                ("node embeddings", entry.node_embeddings, (n, d_model), nodes),
+                ("global embedding", entry.global_embedding, (d_model,), globals_)):
             if np.shape(value) != shape:
                 raise InvalidInputError(f"scene {entry.scene_id!r}: {what} of shape "
                                         f"{np.shape(value)}, expected {shape}")
-    index = {"format_version": DB_FORMAT_VERSION,
-             "scenes": [e.scene_id for e in db.entries],
-             "weights_hash": weights_fingerprint(weights),
-             "graphs": batch.strings}
+            out.append(as_array(what, value, None, f"scene {entry.scene_id!r}"))
     directory = Path(directory)
+    path, scene_ids = directory / EMBEDDINGS_FILE, [e.scene_id for e in db.entries]
+    for k, violations in enumerate(batch.violations()):
+        if violations:
+            raise InvalidInputError(f"{path}: scene {scene_ids[k]!r}: {violations}")
+    globals_, nodes = np.reshape(globals_, (len(db), d_model)), np.concatenate(nodes)
+    _unit_rows(path, scene_ids, globals_, nodes, batch.arrays["offsets"])
+    index = {"format_version": DB_FORMAT_VERSION, "scenes": scene_ids,
+             "weights_hash": weights_fingerprint(weights), "graphs": batch.strings}
     directory.mkdir(parents=True, exist_ok=True)
-    with open(directory / EMBEDDINGS_FILE, "wb") as fh:
-        np.savez(fh,
-                 globals=np.reshape([e.global_embedding for e in db.entries],
-                                    (len(db), d_model)),
-                 nodes=np.concatenate([np.zeros((0, d_model))]
-                                      + [e.node_embeddings for e in db.entries]),
-                 **batch.arrays)
+    with open(path, "wb") as fh:
+        np.savez(fh, globals=globals_, nodes=nodes, **batch.arrays)
     (directory / INDEX_FILE).write_text(json.dumps(index), encoding="utf-8")
 
 
@@ -248,18 +255,23 @@ def _read_archive(path: Path) -> dict[str, np.ndarray]:
 UNIT_NORM_TOL = 1e-9
 
 
-def _unit_rows(path: Path, what: str, rows: np.ndarray, scene_of) -> None:
-    """Refuse a row of `rows` whose norm is not 1 within UNIT_NORM_TOL,
-    naming its scene (`scene_of(row)`). Entries are bounded first, so the
-    squared norms cannot overflow, and no temporary copy of the rows is made."""
+def _unit_rows(path: Path, scene_ids: list[str], globals_: np.ndarray, nodes: np.ndarray,
+               offsets: np.ndarray) -> None:
+    """Refuse a global or node embedding row whose norm is not 1 within
+    UNIT_NORM_TOL, naming its scene (node rows: `offsets` split them). Entries
+    are bounded first, so the squared norms cannot overflow, and no temporary
+    copy of the rows is made."""
     bound = 1 + UNIT_NORM_TOL
-    bad = ~((rows.max(axis=1) <= bound) & (rows.min(axis=1) >= -bound))  # NaN too
-    if not bad.any():
-        bad = ~(np.abs(np.sqrt(np.einsum("ij,ij->i", rows, rows)) - 1) <= UNIT_NORM_TOL)
-    if bad.any():
-        row = int(np.argmax(bad))
-        raise InvalidInputError(f"{path}: scene {scene_of(row)!r}: {what} row {row} is not "
-                                f"a unit vector within {UNIT_NORM_TOL:g}")
+    for what, rows, starts in (("global embedding", globals_, np.arange(len(scene_ids) + 1)),
+                               ("node embedding", nodes, offsets)):
+        bad = ~((rows.max(axis=1) <= bound) & (rows.min(axis=1) >= -bound))  # NaN too
+        if not bad.any():
+            bad = ~(np.abs(np.sqrt(np.einsum("ij,ij->i", rows, rows)) - 1) <= UNIT_NORM_TOL)
+        if bad.any():
+            row = int(np.argmax(bad))
+            scene = scene_ids[int(np.searchsorted(starts, row, side="right")) - 1]
+            raise InvalidInputError(f"{path}: scene {scene!r}: {what} row {row} is not a unit "
+                                    f"vector within {UNIT_NORM_TOL:g}")
 
 
 def _embeddings(path: Path, arrays: dict[str, np.ndarray], scene_ids: list[str],
@@ -279,9 +291,7 @@ def _embeddings(path: Path, arrays: dict[str, np.ndarray], scene_ids: list[str],
     if nodes.shape != (n_nodes, d_model) or nodes.dtype != np.float64:
         raise InvalidInputError(f"{path}: node embeddings are {nodes.dtype} "
                                 f"{nodes.shape}, expected float64 {(n_nodes, d_model)}")
-    _unit_rows(path, "global embedding", globals_, lambda row: scene_ids[row])
-    _unit_rows(path, "node embedding", nodes, lambda row: scene_ids[
-        int(np.searchsorted(offsets, row, side="right")) - 1])
+    _unit_rows(path, scene_ids, globals_, nodes, offsets)
     return globals_, nodes
 
 

@@ -490,34 +490,27 @@ class GraphBatch:
     def id_rows(self) -> tuple[np.ndarray, np.ndarray]:
         """(repeated, ends): per node row, whether an earlier row of its graph
         has its id; per edge, the batch rows (M, 2) of its endpoint ids in its
-        graph, -1 where none has one, the last row of a repeated id. A stable
-        lexsort by (graph, id) of the node ids, then the endpoint ids, puts a
-        node after the earlier rows of its (graph, id), before its endpoints.
-        A batch of one graph sorts by id alone."""
+        graph, -1 where none has one, the last row of a repeated id. The key is
+        the id in a batch of one graph, else graph * (n + 1) + the id's rank in
+        the n sorted ids: one int64 in (graph, id) order. Searched among the
+        stably sorted row keys, an endpoint key finds the last row at or before
+        it, kept where the row has the endpoint's id and key."""
         a = self.arrays
-        n, wanted = len(a["node_ids"]), a["edges"].ravel()
-        keys = [np.concatenate([a["node_ids"], wanted])]
+        ids, wanted = a["node_ids"], a["edges"]
+        keys, wanted_keys = ids, wanted
         if len(self.strings) > 1:
-            keys.append(np.concatenate([_segments(a["offsets"]),
-                                        _segments(2 * a["edge_offsets"])]))
-        order = np.lexsort(keys)
-        # whether an entry has the (graph, id) of the entry before
-        same = np.ones(len(order), bool)
-        same[0:1] = False
-        for key in keys:
-            ordered = key[order]
-            same[1:] &= ordered[1:] == ordered[:-1]
-        node = order < n
-        repeated = np.zeros(n, bool)
-        repeated[order[node & same]] = True
-        # Per entry, the last node at or before it and the start of its run of
-        # one (graph, id); an endpoint has a node when the node is in its run.
-        at = np.arange(len(order))
-        last = np.maximum.accumulate(np.where(node, at, -1))
-        found = ~node & (last >= np.maximum.accumulate(np.where(same, 0, at)))
-        rows = np.full(len(wanted), -1)
-        rows[order[found] - n] = order[last[found]]
-        return repeated, rows.reshape(-1, 2)
+            ranks, span = np.sort(ids), len(ids) + 1
+            keys = _segments(a["offsets"]) * span + np.searchsorted(ranks, ids)
+            wanted_keys = (_segments(a["edge_offsets"])[:, None] * span
+                           + np.searchsorted(ranks, wanted))
+        order = np.argsort(keys, kind="stable")
+        ordered, repeated = keys[order], np.zeros(len(ids), bool)
+        repeated[order[1:]] = ordered[1:] == ordered[:-1]
+        rows = np.append(-1, order)[np.searchsorted(ordered, wanted_keys, side="right")]
+        found = np.append(ids, 0)[rows] == wanted
+        if keys is not ids:  # and the row's graph is the endpoint's
+            found &= np.append(keys, 0)[rows] == wanted_keys
+        return repeated, np.where(found, rows, -1)
 
     def row_names(self, rows) -> list[tuple[str, int]]:
         """(graph_id, node id) of node rows, for error messages."""

@@ -1235,6 +1235,43 @@ class TestInitWeightsArguments:
         assert load_weights(tmp_path / "w.npz").seed == 3
 
 
+class TestWeightsSeed:
+    """The constructor and the loader take `init_weights`' seed rule: None or
+    an integer >= 0, kept as a plain int."""
+
+    def test_numpy_integer_seed_saved_as_int(self, small_weights, tmp_path):
+        w = EncoderWeights(small_weights.config, small_weights.tensors, seed=np.int64(2))
+        assert type(w.seed) is int and w.seed == 2
+        save_weights(w, tmp_path / "w.npz")
+        assert load_weights(tmp_path / "w.npz").seed == 2
+
+    def test_string_seed_refused(self, small_weights):
+        with pytest.raises(InvalidInputError, match=re.escape(
+                "EncoderWeights: seed must be an integer, got 'x'")):
+            EncoderWeights(small_weights.config, small_weights.tensors, seed="x")
+
+    def test_negative_seed_refused(self, small_weights):
+        with pytest.raises(InvalidInputError, match=re.escape(
+                "EncoderWeights: seed must be >= 0, got -5")):
+            EncoderWeights(small_weights.config, small_weights.tensors, seed=-5)
+
+    def test_no_seed_round_trips(self, small_weights, tmp_path):
+        save_weights(EncoderWeights(small_weights.config, small_weights.tensors), tmp_path / "w")
+        assert load_weights(tmp_path / "w").seed is None
+
+    @pytest.mark.parametrize("seed, message", [
+        (-5, "seed must be >= 0, got -5"), ("x", "seed must be an integer, got 'x'"),
+        (2.0, "seed must be an integer, got 2.0"), (True, "seed must be an integer, got True"),
+    ], ids=["negative", "str", "float", "bool"])
+    def test_loader_refuses_bad_seed(self, small_weights, tmp_path, seed, message):
+        path = tmp_path / "w.npz"
+        meta = {"format_version": 2, "config": section_dict(small_weights.config), "seed": seed}
+        with open(path, "wb") as fh:
+            np.savez(fh, meta=np.array(json.dumps(meta)), **small_weights.tensors)
+        with pytest.raises(WeightsFormatError, match=f"^{re.escape(f'{path}: {message}')}$"):
+            load_weights(path)
+
+
 class TestWeightsObject:
     def test_equal_by_identity(self, small_config):
         a, b = init_weights(small_config, 0), init_weights(small_config, 0)

@@ -169,6 +169,19 @@ class TestRerank:
         assert res.ranked == [(sid, float("-inf"), None)
                               for sid in ("scene01", "scene04", "scene07")]
 
+    def test_width_mismatch_fails_the_candidate(self, db_and_weights):
+        """A candidate whose node embeddings are of another width than the
+        query's ranks -inf and is listed in `failed`; the others are scored."""
+        db, _ = db_and_weights
+        query, good = db.entries[0], db.entries[3]
+        narrow = EncodedScene("narrow", query.graph, query.node_embeddings[:, :-1],
+                              query.global_embedding)
+        for mode in ("direct", "weighted"):
+            res = rerank(query, [narrow, good], mode, PipelineConfig())
+            assert res.failed == ["narrow"]
+            assert [(sid, score) for sid, score, _ in res.ranked][1] == ("narrow", float("-inf"))
+            assert res.ranked[0][0] == good.scene_id and res.ranked[0][1] > float("-inf")
+
     def test_scores_non_increasing(self, db_and_weights):
         db, _ = db_and_weights
         res = rerank(db.entries[0], list(db.entries), "weighted", PipelineConfig())
@@ -325,6 +338,49 @@ class TestPersistence:
             save_database(SceneDatabase(entries=[entry]), directory, weights)
         assert [(directory / name).read_bytes() for name in files] == before
         assert len(load_database(directory, weights)) == 1
+
+    @pytest.mark.parametrize("bad", ["f_g", "global", "nodes", "text"])
+    def test_save_refuses_what_load_refuses(self, db_and_weights, tmp_path, bad):
+        """A graph value or an embedding row that `load_database` would refuse
+        is refused by the save, before any file is opened, naming the first
+        scene at fault as the load names it."""
+        db, weights = db_and_weights
+        directory = tmp_path / "db"
+        save_database(SceneDatabase(entries=db.entries[:1]), directory, weights)
+        files = ("embeddings.npz", "index.json")
+        before = [(directory / name).read_bytes() for name in files]
+        first, e = db.entries[0], db.entries[1]
+        f_g, nodes, global_ = e.graph.f_g.copy(), e.node_embeddings, e.global_embedding
+        if bad == "f_g":
+            f_g[0] = 2.0
+        elif bad == "global":
+            global_ = 2 * global_
+        elif bad == "nodes":
+            nodes = nodes.copy()
+            nodes[1] *= 2
+        else:
+            global_ = np.full(global_.shape, "x")
+        entry = EncodedScene("s1", with_columns(e.graph, f_g=f_g), nodes, global_)
+        where = f"{directory / 'embeddings.npz'}: scene 's1': "
+        row = len(first.graph.ids) + 1
+        message = {"f_g": f"{where}['node {e.graph.ids[0]}: f_g components must lie in (0, 1]']",
+                   "global": f"{where}global embedding row 1 is not a unit vector within 1e-09",
+                   "nodes": f"{where}node embedding row {row} is not a unit vector within 1e-09",
+                   "text": "scene 's1': global embedding is not an array of numbers"}[bad]
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}"):
+            save_database(SceneDatabase(entries=[first, entry]), directory, weights)
+        assert [(directory / name).read_bytes() for name in files] == before
+        assert len(load_database(directory, weights)) == 1
+
+    def test_integer_embeddings_saved_as_floats(self, db_and_weights, tmp_path):
+        db, weights = db_and_weights
+        e, d_model = db.entries[0], weights.config.d_model
+        rows = np.eye(d_model, dtype=np.int64)[np.arange(len(e.graph.ids)) % d_model]
+        entry = EncodedScene(e.scene_id, e.graph, rows, rows[0])
+        save_database(SceneDatabase(entries=[entry]), tmp_path / "db", weights)
+        back = load_database(tmp_path / "db", weights).entries[0]
+        assert back.node_embeddings.tobytes() == rows.astype(float).tobytes()
+        assert back.global_embedding.tobytes() == rows[0].astype(float).tobytes()
 
     def test_empty_round_trip(self, db_and_weights, tmp_path):
         _, weights = db_and_weights

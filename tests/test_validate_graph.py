@@ -1,8 +1,9 @@
 """`validate_graph` against the full pass it replaced
 (`oracles.validate_graph_reference`) on graphs that carry one to four
 stacked faults, alone and in batches of one to eight graphs, a batch's
-endpoint rows against the former `rows_of` formula, and the refusal of a
-ground-truth pair that is not (id_A, id_B)."""
+endpoint rows against the former `rows_of` formula (also on batches of ids
+alone that share ids between graphs), and the refusal of a ground-truth pair
+that is not (id_A, id_B)."""
 
 import numpy as np
 import pytest
@@ -156,6 +157,53 @@ class TestBatchViolations:
         assert got[:2] == [[], []]
         assert got[2] == validate_graph_reference(stray)
         assert any("dangling endpoint" in v for v in got[2])
+
+
+# Ids that graphs share, the ends of int64 among them; an endpoint may also
+# name an id that no graph has.
+SHARED_IDS = [np.iinfo(np.int64).min, -1, 0, 1, 2, 7, np.iinfo(np.int64).max]
+STRAY_IDS = [np.iinfo(np.int64).min + 1, 3, np.iinfo(np.int64).max - 1]
+
+
+def id_graph(ids, endpoints) -> SceneGraph:
+    """A graph of these node ids and endpoint pairs; only the ids count."""
+    n, m = len(ids), len(endpoints)
+    return SceneGraph("g", "world", ids=np.array(ids, np.int64), labels=[""] * n,
+                      positions=np.zeros((n, 3)), f_vl=np.zeros((n, 1)), f_t=np.zeros((n, 1)),
+                      f_g=np.ones((n, 3)), gt_instance=np.zeros(n, np.int64),
+                      gt_present=np.zeros(n, bool),
+                      endpoints=np.array(endpoints, np.int64).reshape(m, 2),
+                      edge_distances=np.zeros(m))
+
+
+class TestIdRows:
+    @settings(SETTINGS, max_examples=500)
+    @given(members=st.lists(st.tuples(
+        st.lists(st.sampled_from(SHARED_IDS), max_size=6),
+        st.lists(st.tuples(*[st.sampled_from(SHARED_IDS + STRAY_IDS)] * 2), max_size=6)),
+        max_size=5))
+    def test_graph_by_graph_reference(self, members):
+        """Per graph, an endpoint's row is `rows_of_reference`'s row offset by
+        the graph's first row, never a row of another graph, and a row is
+        repeated when an earlier row of its graph has its id."""
+        graphs = [id_graph(ids, endpoints) for ids, endpoints in members]
+        batch = GraphBatch.of(graphs)
+        repeated, rows = batch.id_rows()
+        offsets, edge_offsets = batch.arrays["offsets"], batch.arrays["edge_offsets"]
+        assert rows.shape == (edge_offsets[-1], 2) and repeated.shape == (offsets[-1],)
+        for k, g in enumerate(graphs):
+            own = rows_of_reference(g.ids, g.endpoints)
+            assert np.array_equal(rows[edge_offsets[k]:edge_offsets[k + 1]],
+                                  np.where(own >= 0, own + offsets[k], -1))
+            ids = g.ids.tolist()
+            assert repeated[offsets[k]:offsets[k + 1]].tolist() == [
+                ids[j] in ids[:j] for j in range(len(ids))]
+
+    def test_no_node_rows(self):
+        """With no node rows at all, every endpoint has no row."""
+        for graphs in ([id_graph([], [(1, 2)])], [id_graph([], [(0, 0)]), id_graph([], [])]):
+            repeated, rows = GraphBatch.of(graphs).id_rows()
+            assert repeated.shape == (0,) and rows.tolist() == [[-1, -1]]
 
 
 @pytest.mark.parametrize("pair", [(1,), (1, 2, 3), 5])
