@@ -53,27 +53,20 @@ def info_nce(inp: InfoNceInput) -> tuple[float, np.ndarray]:
     if not inp.positives:
         raise InvalidInputError("info_nce requires at least one positive pair")
     S = inp.similarities / inp.temperature
-    grad = np.zeros_like(S)
-    positives = sorted(inp.positives)
-
+    rows, cols = np.array(sorted(inp.positives)).T  # each row and column once
+    n_pos = len(rows)
     row_sm = softmax(S, axis=1)
     col_sm = softmax(S, axis=0)
-    n_pos = len(positives)
 
-    loss = 0.0
-    for i, j in positives:
-        loss += -np.log(row_sm[i, j])
-        grad[i, :] += row_sm[i, :] / n_pos
-        grad[i, j] -= 1.0 / n_pos
-    row_loss = loss / n_pos
-
-    loss = 0.0
+    grad = np.zeros_like(S)
+    grad[rows] += row_sm[rows] / n_pos
+    grad[rows, cols] -= 1.0 / n_pos
     col_grad = np.zeros_like(S)
-    for i, j in positives:
-        loss += -np.log(col_sm[i, j])
-        col_grad[:, j] += col_sm[:, j] / n_pos
-        col_grad[i, j] -= 1.0 / n_pos
-    col_loss = loss / n_pos
+    col_grad[:, cols] += col_sm[:, cols] / n_pos
+    col_grad[rows, cols] -= 1.0 / n_pos
+    # sum() adds the terms in sorted order, as a loop over the positives would
+    row_loss = sum((-np.log(row_sm[rows, cols])).tolist(), 0.0) / n_pos
+    col_loss = sum((-np.log(col_sm[rows, cols])).tolist(), 0.0) / n_pos
 
     total = 0.5 * (row_loss + col_loss)
     total_grad = 0.5 * (grad + col_grad) / inp.temperature

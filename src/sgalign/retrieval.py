@@ -39,12 +39,29 @@ class SceneDatabase:
     entries: list[EncodedScene] = field(default_factory=list)
 
     def __post_init__(self):
+        _check_type("entries", self.entries, list)
+        for k, entry in enumerate(self.entries):
+            _check_type(f"entries[{k}]", entry, EncodedScene)
         ids = [e.scene_id for e in self.entries]
         if repeat := repeated_id(ids):
             raise InvalidInputError(f"database: scene id {ids[repeat[1]]!r} is listed twice")
 
     def __len__(self) -> int:
         return len(self.entries)
+
+
+def _check_type(name: str, value, cls: type) -> None:
+    """Refuse `value` unless it is a `cls`: "<name> is not a(n) <cls>, got <type>"."""
+    if not isinstance(value, cls):
+        article = "an" if cls.__name__[0] in "AEIOU" else "a"
+        raise InvalidInputError(f"{name} is not {article} {cls.__name__}, "
+                                f"got {type(value).__name__}")
+
+
+def _check_scene(name: str, scene) -> None:
+    """Refuse `scene` unless it is an EncodedScene of a SceneGraph."""
+    _check_type(name, scene, EncodedScene)
+    _check_type(f"{name}.graph", scene.graph, SceneGraph)
 
 
 def repeated_id(ids: list) -> tuple[int, int] | None:
@@ -101,26 +118,25 @@ def build_database(scenes: list[tuple[str, SceneGraph]],
 
 def global_similarity(q: np.ndarray, t: np.ndarray) -> float:
     """Cosine similarity of two unit-norm global descriptors, 1-D arrays of
-    one width. It runs once per database entry in `topk_filter`, so its
-    arguments go through `as_array` only when they are not such arrays."""
-    try:
-        q, t = np.asarray(q, dtype=float), np.asarray(t, dtype=float)
-        plain = q.ndim == 1 and q.shape == t.shape
-    except (TypeError, ValueError, OverflowError):
-        plain = False
-    if not plain:
-        q = as_array("q", q, (None,), "global_similarity")
-        t = as_array("t", t, (None,), "global_similarity")
-        check_widths("global_similarity", "q", len(q), "t", len(t))
+    one width."""
+    q = as_array("q", q, (None,), "global_similarity")
+    t = as_array("t", t, (None,), "global_similarity")
+    check_widths("global_similarity", "q", len(q), "t", len(t))
     return float(np.dot(q, t))
 
 
 def topk_filter(query_global: np.ndarray, db: SceneDatabase, k: int) -> list[str]:
-    """Scene ids of the k most similar globals; ties favor lower scene_id."""
+    """Scene ids of the k most similar globals; ties favor lower scene_id.
+    One batched product over the stacked globals: NumPy computes each of its
+    (1, d) @ (d, 1) items with its dot routine, so each has the bits of
+    `global_similarity` on that entry (a plain `stacked @ q` does not)."""
     check_bound("k", k, ">= 1", where="topk_filter")
-    scored = sorted(
-        ((-global_similarity(query_global, e.global_embedding), e.scene_id)
-         for e in db.entries))
+    _check_type("db", db, SceneDatabase)
+    q = as_array("query_global", query_global, (None,), "topk_filter")
+    stacked = as_array("database globals", [e.global_embedding for e in db.entries]
+                       or np.zeros((0, len(q))), (len(db), len(q)), "topk_filter")
+    sims = (stacked[:, None, :] @ q[:, None])[:, 0, 0]
+    scored = sorted(zip((-sims).tolist(), [e.scene_id for e in db.entries]))
     return [sid for _, sid in scored[:k]]
 
 
@@ -130,35 +146,36 @@ def rerank(query: EncodedScene, candidates: list[EncodedScene], mode: str,
 
     mode "direct": score = sum of P[i, j] over the allocated matches.
     mode "weighted": the same sum multiplied by the global dot product.
-    The query's unit rows are formed once, so a zero-norm query row fails
-    every candidate. A candidate whose node embeddings are of another width
-    than the query's fails alone.
+    Node embeddings must be of shape (nodes of the scene's graph, the query's
+    width) with no zero-norm row. The query's unit rows are formed once, on the
+    first candidate: a query that breaks this fails every candidate, and a
+    candidate that breaks it fails alone.
     """
     if mode not in RERANK_MODES:
         raise InvalidInputError(f"rerank mode must be {'|'.join(RERANK_MODES)}, got {mode!r}")
     if not candidates:
         raise InvalidInputError("rerank: no candidates")
-    try:
-        query_rows = unit_rows(query.node_embeddings, "a")
-    except SgaError:  # no candidate can be scored against this query
-        ids = [cand.scene_id for cand in candidates]
-        return RetrievalResult(ranked=[(sid, float("-inf"), None) for sid in sorted(ids)],
-                               failed=ids)
+    _check_scene("query", query)
+    _check_type("candidates", candidates, list)
+    for k, cand in enumerate(candidates):
+        _check_scene(f"candidates[{k}]", cand)
     rows: list[tuple[str, float, MatchSet | None]] = []
     failed: list[str] = []
-    query_positions = query.graph.positions()
+    query_rows, query_positions = None, query.graph.positions()
     for cand in candidates:
         try:
-            cand_rows = unit_rows(cand.node_embeddings, "b")
-            check_widths("rerank", "query node embeddings", query_rows.shape[1],
-                         "candidate node embeddings", cand_rows.shape[1])
+            if query_rows is None:
+                query_rows = unit_rows(as_array("query node embeddings", query.node_embeddings,
+                                                (len(query.graph.ids), None), "rerank"), "a")
+            cand_rows = unit_rows(as_array(
+                "candidate node embeddings", cand.node_embeddings,
+                (len(cand.graph.ids), query_rows.shape[1]), f"rerank: {cand.scene_id!r}"), "b")
             scores = score_matrix(query_rows @ cand_rows.T, config.matcher)
             matches = allocate(scores, query_positions, cand.graph.positions(), config,
                                config.retrieval.allocator)
             score = sum(scores.P[i, j] for i, j, _ in matches.pairs)
             if mode == "weighted":
-                score *= global_similarity(query.global_embedding,
-                                           cand.global_embedding)
+                score *= global_similarity(query.global_embedding, cand.global_embedding)
             rows.append((cand.scene_id, float(score), matches))
         except SgaError:
             rows.append((cand.scene_id, float("-inf"), None))
@@ -169,8 +186,10 @@ def rerank(query: EncodedScene, candidates: list[EncodedScene], mode: str,
 
 def retrieve(query: EncodedScene, db: SceneDatabase, k: int, mode: str,
              config: PipelineConfig) -> RetrievalResult:
-    """Top-K global filtering followed by reranking. `k` and `mode` are
-    checked on an empty database too, which ranks nothing."""
+    """Top-K global filtering followed by reranking. `k`, `mode` and the
+    query's global embedding are checked on an empty database too, which
+    ranks nothing."""
+    _check_scene("query", query)
     keep = set(topk_filter(query.global_embedding, db, k))
     candidates = [e for e in db.entries if e.scene_id in keep]
     if not candidates and mode in RERANK_MODES:

@@ -47,6 +47,23 @@ def child_env() -> dict:
     return env
 
 
+# OpenBLAS kernel sets other than the one it picks on this CPU, which
+# OPENBLAS_CORETYPE forces, and the CPU flag each one's kernels need.
+KERNEL_SETS = {"Haswell": "avx2", "Sandybridge": "avx"}
+
+
+def kernel_set_available(coretype: str) -> bool:
+    """Whether numpy's OpenBLAS picks its kernels at run time and the CPU
+    runs the `coretype` ones."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        flags = Path("/proc/cpuinfo").read_text().split()
+    except (TypeError, KeyError, OSError):  # numpy < 1.25 has no mode; not Linux
+        return False
+    return ("DYNAMIC_ARCH" in blas.get("openblas configuration", "")
+            and KERNEL_SETS[coretype] in flags)
+
+
 def run_cli(*args, cwd=None, text=True):
     """`python -m sgalign.cli *args` in a child process, output captured."""
     return subprocess.run([sys.executable, "-m", "sgalign.cli", *args],

@@ -1,6 +1,6 @@
 """Independent oracles for the flow allocator, and an adapter that runs the
 library's solver on the same instances; the one-stream weight draw; the
-full-pass graph validator."""
+full-pass graph validator; the per-positive InfoNCE loop."""
 
 import math
 from typing import NamedTuple
@@ -9,6 +9,8 @@ import numpy as np
 
 from sgalign.allocator import _solve
 from sgalign.encoder import WO_INIT_GAIN, EncoderConfig, EncoderWeights, _empty_tensors
+from sgalign.losses import InfoNceInput
+from sgalign.matcher import softmax
 from sgalign.scene_graph import (EDGE_DISTANCE_RTOL, MAX_COORDINATE, SceneGraph,
                                  point_distances)
 
@@ -164,3 +166,34 @@ def rows_of_reference(ids: np.ndarray, wanted) -> np.ndarray:
     order = np.argsort(ids, kind="stable")
     rows = np.append(-1, order)[np.searchsorted(ids[order], wanted, side="right")]
     return np.where(np.append(ids, 0)[rows] == wanted, rows, -1)
+
+
+def info_nce_loop(inp: InfoNceInput) -> tuple[float, np.ndarray]:
+    """`losses.info_nce` as one loop per direction over the sorted positives,
+    each adding its loss term and its gradient row or column in turn."""
+    S = inp.similarities / inp.temperature
+    grad = np.zeros_like(S)
+    positives = sorted(inp.positives)
+
+    row_sm = softmax(S, axis=1)
+    col_sm = softmax(S, axis=0)
+    n_pos = len(positives)
+
+    loss = 0.0
+    for i, j in positives:
+        loss += -np.log(row_sm[i, j])
+        grad[i, :] += row_sm[i, :] / n_pos
+        grad[i, j] -= 1.0 / n_pos
+    row_loss = loss / n_pos
+
+    loss = 0.0
+    col_grad = np.zeros_like(S)
+    for i, j in positives:
+        loss += -np.log(col_sm[i, j])
+        col_grad[:, j] += col_sm[:, j] / n_pos
+        col_grad[i, j] -= 1.0 / n_pos
+    col_loss = loss / n_pos
+
+    total = 0.5 * (row_loss + col_loss)
+    total_grad = 0.5 * (grad + col_grad) / inp.temperature
+    return float(total), total_grad

@@ -344,6 +344,17 @@ class TestMcfAllocate:
         assert ms.iterations == 2
         assert ms.converged
 
+    @pytest.mark.parametrize("cap_max", [None, 1])
+    def test_no_candidate_converges_second_iteration(self, cap_max):
+        """An empty first solve is compared with the second, as any other:
+        the loop stops at iteration 2, converged, with every row unmatched."""
+        P = np.full((3, 4), 0.29)
+        pos = np.random.default_rng(0).uniform(0, 4, (4, 3))
+        ms = mcf_allocate(P, pos[:3], pos, McfParams(tau=0.3, cap_max=cap_max))
+        assert ms.pairs == [] and ms.unmatched_a == [0, 1, 2]
+        assert ms.iterations == 2
+        assert ms.converged
+
     def test_many_to_one_capacity(self):
         # two A nodes (halves of one object) both drawn to B node 0
         P = np.array([[0.9, 0.05], [0.85, 0.05]])

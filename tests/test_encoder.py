@@ -9,12 +9,11 @@ import subprocess
 import sys
 import threading
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import (ROOT, child_env, graph_columns, rows_graph, run_main, with_columns,
-                      with_edges)
+from conftest import (KERNEL_SETS, ROOT, child_env, graph_columns, kernel_set_available,
+                      rows_graph, run_main, with_columns, with_edges)
 from oracles import init_weights_serial
 
 from sgalign import encoder
@@ -803,23 +802,6 @@ class TestProductRowScan:
                     and encoder._rows_matmul(x, buf)[:, rows].tobytes() != full.tobytes()):
                 bad.append(f"{name}: columns of the whole buffer's product")
         assert not bad
-
-
-# OpenBLAS kernel sets other than the one it picks on this CPU, which
-# OPENBLAS_CORETYPE forces, and the CPU flag each one's kernels need.
-KERNEL_SETS = {"Haswell": "avx2", "Sandybridge": "avx"}
-
-
-def kernel_set_available(coretype: str) -> bool:
-    """Whether numpy's OpenBLAS picks its kernels at run time and the CPU
-    runs the `coretype` ones."""
-    try:
-        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-        flags = Path("/proc/cpuinfo").read_text().split()
-    except (TypeError, KeyError, OSError):  # numpy < 1.25 has no mode; not Linux
-        return False
-    return ("DYNAMIC_ARCH" in blas.get("openblas configuration", "")
-            and KERNEL_SETS[coretype] in flags)
 
 
 @pytest.mark.parametrize("coretype", sorted(KERNEL_SETS))

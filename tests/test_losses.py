@@ -2,6 +2,9 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import info_nce_loop
 
 from sgalign.errors import InvalidInputError
 from sgalign.losses import (InfoNceInput, TripletInput, hard_negative_mine,
@@ -21,7 +24,30 @@ def finite_difference(fn, x, h=1e-5):
     return grad
 
 
+@st.composite
+def info_nce_inputs(draw):
+    """Up to 11 x 11 similarities, 1 to min(I, J) positives with unique rows
+    and columns, temperature in [0.05, 1]."""
+    n_a, n_b = draw(st.integers(1, 11)), draw(st.integers(1, 11))
+    n_pos = draw(st.integers(1, min(n_a, n_b)))
+    rows = draw(st.permutations(range(n_a)))[:n_pos]
+    cols = draw(st.permutations(range(n_b)))[:n_pos]
+    values = draw(st.lists(st.floats(-3, 3), min_size=n_a * n_b, max_size=n_a * n_b))
+    return InfoNceInput(np.reshape(values, (n_a, n_b)), set(zip(rows, cols)),
+                        draw(st.floats(0.05, 1)))
+
+
 class TestInfoNce:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(info_nce_inputs())
+    def test_equals_loop_oracle(self, inp):
+        """The index operations give the loss and gradient bits of the loop
+        over the sorted positives."""
+        loss, grad = info_nce(inp)
+        want_loss, want_grad = info_nce_loop(inp)
+        assert type(loss) is float and loss == want_loss
+        assert grad.tobytes() == want_grad.tobytes()
+
     def test_singleton_is_zero(self):
         loss, grad = info_nce(InfoNceInput(np.array([[3.0]]), {(0, 0)}))
         assert loss == 0.0

@@ -1,5 +1,7 @@
 import json
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -14,7 +16,8 @@ from sgalign.retrieval import (EncodedScene, SceneDatabase, build_database,
                                save_database, topk_filter, weights_fingerprint)
 from sgalign.scene_graph import save_graph
 from sgalign.synth import SynthConfig, generate_scene
-from conftest import assert_same_graphs, with_columns
+from conftest import (KERNEL_SETS, ROOT, assert_same_graphs, child_env, kernel_set_available,
+                      with_columns)
 
 
 @pytest.fixture(scope="module")
@@ -97,6 +100,67 @@ class TestTopkFilter:
             topk_filter(np.ones(32), db, 0)
         with pytest.raises(InvalidInputError, match="k must be an integer"):
             topk_filter(np.ones(32), db, 2.5)
+
+
+    def test_batched_product_has_dot_bits(self):
+        """topk_filter's one product over the stacked globals gives each row
+        the bits of np.dot of the query and that row, on any S and d."""
+        rng = np.random.default_rng(0)
+        shapes = [(0, 1), (0, 512), (1, 1), (1, 512), (5, 7), (37, 512), (200, 512), (300, 64)]
+        shapes += [(int(rng.integers(0, 300)), int(rng.integers(1, 600))) for _ in range(20)]
+        for n, d in shapes:
+            stacked, q = rng.standard_normal((n, d)), rng.standard_normal(d)
+            got = (stacked[:, None, :] @ q[:, None])[:, 0, 0]
+            want = np.array([np.dot(q, row) for row in stacked])
+            assert got.shape == (n,) and got.tobytes() == want.tobytes(), (n, d)
+
+    def test_equal_globals_tie_by_scene_id(self, db_and_weights):
+        """Equal globals get equal similarities wherever they stand in the
+        stack, so the ids come in scene-id order. A GEMV (`stacked @ q`)
+        rounds the rows of one product differently and breaks this."""
+        db, _ = db_and_weights
+        rng = np.random.default_rng(3)
+        g, q = unit(rng.standard_normal(32)), unit(rng.standard_normal(32))
+        e = db.entries[0]
+        ids = [f"s{k:03d}" for k in range(203)]
+        entries = [EncodedScene(sid, e.graph, e.node_embeddings, g.copy()) for sid in ids[::-1]]
+        assert topk_filter(q, SceneDatabase(entries=entries), len(ids)) == ids
+
+    @pytest.mark.parametrize("query_global, message", [
+        (np.ones((1, 32)), "query_global must be 1-D, got shape (1, 32)"),
+        (np.ones(()), "query_global must be 1-D, got shape ()"),
+        ("abc", "query_global is not an array of numbers")])
+    def test_malformed_query_refused_on_empty_database(self, db_and_weights, query_global,
+                                                         message):
+        db, _ = db_and_weights
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(f'topk_filter: {message}')}"):
+            topk_filter(query_global, SceneDatabase(), 1)
+        query = EncodedScene("q", db.entries[0].graph, db.entries[0].node_embeddings,
+                             query_global)
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(f'topk_filter: {message}')}"):
+            retrieve(query, SceneDatabase(), 1, "direct", PipelineConfig())
+
+    def test_globals_of_another_width_refused(self, db_and_weights):
+        db, _ = db_and_weights
+        with pytest.raises(InvalidInputError, match=re.escape(
+                f"topk_filter: database globals must have shape ({len(db)}, 31), "
+                f"got ({len(db)}, 32)")):
+            topk_filter(np.ones(31), db, 1)
+
+
+@pytest.mark.parametrize("coretype", sorted(KERNEL_SETS))
+def test_topk_dot_bits_on_kernel_set(coretype):
+    """The batched product keeps np.dot's bits under the OpenBLAS kernel sets
+    that this CPU does not pick by itself."""
+    if not kernel_set_available(coretype):
+        pytest.skip(f"needs a DYNAMIC_ARCH OpenBLAS and a CPU with {KERNEL_SETS[coretype]}")
+    env = child_env()
+    env["OPENBLAS_CORETYPE"] = coretype
+    run = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                          "tests/test_retrieval.py", "-k", "dot_bits and not kernel_set or tie_by_scene_id"],
+                         cwd=ROOT, env=env, capture_output=True, text=True, check=False)
+    assert run.returncode == 0, run.stdout[-3000:] + run.stderr[-1000:]
+    assert run.stdout.splitlines()[-1].startswith("2 passed"), run.stdout[-3000:]
 
 
 class TestRerank:
@@ -182,6 +246,38 @@ class TestRerank:
             assert [(sid, score) for sid, score, _ in res.ranked][1] == ("narrow", float("-inf"))
             assert res.ranked[0][0] == good.scene_id and res.ranked[0][1] > float("-inf")
 
+    @pytest.mark.parametrize("allocator", ["mnn", "mcf"])
+    @pytest.mark.parametrize("fault", ["1-D", "not numbers", "too few rows", "too many rows"])
+    def test_malformed_candidate_fails_alone(self, db_and_weights, allocator, fault):
+        """Node embeddings that are not (nodes of the candidate's graph, the
+        query's width) fail that candidate under either allocator; the other
+        is scored as it is alone."""
+        db, _ = db_and_weights
+        query, good, bad = db.entries[0], db.entries[3], db.entries[5]
+        nodes = {"1-D": bad.node_embeddings[0], "not numbers": "abc",
+                 "too few rows": bad.node_embeddings[:2],
+                 "too many rows": np.vstack([bad.node_embeddings, bad.node_embeddings[:1]])}
+        cand = EncodedScene("bad", bad.graph, nodes[fault], bad.global_embedding)
+        config = PipelineConfig(retrieval=RetrievalParams(allocator=allocator))
+        res = rerank(query, [cand, good], "weighted", config)
+        assert res.failed == ["bad"]
+        assert res.ranked[1] == ("bad", float("-inf"), None)
+        alone = rerank(query, [good], "weighted", config).ranked[0]
+        assert res.ranked[0][:2] == alone[:2] and res.ranked[0][2] == alone[2]
+
+    @pytest.mark.parametrize("fault", ["1-D", "not numbers", "too few rows"])
+    def test_malformed_query_fails_every_candidate(self, db_and_weights, fault):
+        db, _ = db_and_weights
+        query = db.entries[0]
+        nodes = {"1-D": query.node_embeddings[0], "not numbers": "abc",
+                 "too few rows": query.node_embeddings[:2]}
+        candidates = [db.entries[k] for k in (7, 1, 4)]
+        res = rerank(EncodedScene("q", query.graph, nodes[fault], query.global_embedding),
+                     candidates, "weighted", PipelineConfig())
+        assert res.failed == ["scene07", "scene01", "scene04"]
+        assert res.ranked == [(sid, float("-inf"), None)
+                              for sid in ("scene01", "scene04", "scene07")]
+
     def test_scores_non_increasing(self, db_and_weights):
         db, _ = db_and_weights
         res = rerank(db.entries[0], list(db.entries), "weighted", PipelineConfig())
@@ -219,6 +315,48 @@ class TestRetrieve:
             retrieve(db.entries[0], SceneDatabase(), k, mode, PipelineConfig())
         assert retrieve(db.entries[0], SceneDatabase(), 1, "direct",
                         PipelineConfig()).ranked == []
+
+
+class TestArgumentTypes:
+    """A query, candidate, database or entry of the wrong type refuses the
+    call, naming the argument and the index."""
+
+    CASES = {
+        "candidate": (lambda q, c, db: rerank(q, [c, c, None], "direct", PipelineConfig()),
+                      "candidates[2] is not an EncodedScene, got NoneType"),
+        "only candidate": (lambda q, c, db: rerank(q, [None], "direct", PipelineConfig()),
+                           "candidates[0] is not an EncodedScene, got NoneType"),
+        "candidates": (lambda q, c, db: rerank(q, 5, "direct", PipelineConfig()),
+                       "candidates is not a list, got int"),
+        "rerank query": (lambda q, c, db: rerank(None, [q], "direct", PipelineConfig()),
+                         "query is not an EncodedScene, got NoneType"),
+        "candidate graph": (
+            lambda q, c, db: rerank(q, [c, EncodedScene("g", None, c.node_embeddings,
+                                                        c.global_embedding)],
+                                    "direct", PipelineConfig()),
+            "candidates[1].graph is not a SceneGraph, got NoneType"),
+        "query graph": (
+            lambda q, c, db: rerank(EncodedScene("q", "graph", q.node_embeddings,
+                                                 q.global_embedding), [c],
+                                    "direct", PipelineConfig()),
+            "query.graph is not a SceneGraph, got str"),
+        "topk db": (lambda q, c, db: topk_filter(q.global_embedding, None, 2),
+                    "db is not a SceneDatabase, got NoneType"),
+        "retrieve db": (lambda q, c, db: retrieve(q, None, 2, "direct", PipelineConfig()),
+                        "db is not a SceneDatabase, got NoneType"),
+        "retrieve query": (lambda q, c, db: retrieve(None, db, 2, "direct", PipelineConfig()),
+                           "query is not an EncodedScene, got NoneType"),
+        "entry": (lambda q, c, db: SceneDatabase(entries=[q, None]),
+                  "entries[1] is not an EncodedScene, got NoneType"),
+        "entries": (lambda q, c, db: SceneDatabase(entries=5), "entries is not a list, got int"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_refused(self, db_and_weights, case):
+        db, _ = db_and_weights
+        call, message = self.CASES[case]
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+            call(db.entries[0], db.entries[1], db)
 
 
 class TestPersistence:
