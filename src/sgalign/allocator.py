@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (DOCUMENT_KEYS, InvalidInputError, as_array, check_bound, check_bounds,
-                     check_types)
+                     check_type, check_types)
 from .matcher import ScoreMatrix
 from .scene_graph import MAX_COORDINATE, point_distances
 
@@ -104,6 +104,7 @@ def _as_p(P) -> np.ndarray:
 def mnn_allocate(P, params: MnnParams = MnnParams()) -> MatchSet:
     """Mutual-argmax matching; ties resolved toward the lowest index."""
     p = _as_p(P)
+    check_type("params", params, MnnParams)
     n_a, n_b = p.shape
     pairs: list[tuple[int, int, float]] = []
     if n_a and n_b:
@@ -241,6 +242,7 @@ def mcf_allocate(P, pos_a: np.ndarray, pos_b: np.ndarray,
     n_a, n_b = p.shape
     pos_a = as_array("pos_a", pos_a, (n_a, 3), "mcf_allocate")
     pos_b = as_array("pos_b", pos_b, (n_b, 3), "mcf_allocate")
+    check_type("params", params, McfParams)
     ci, cj = np.nonzero(_candidate_mask(p, params.tau, params.top_k))
     neg_log = -np.log(p[ci, cj])
 

@@ -87,7 +87,9 @@ def _load_pipeline_config(path: str | None) -> PipelineConfig:
     return config
 
 
-def _resolve_weights(args, config: PipelineConfig) -> tuple[EncoderWeights, dict]:
+def _resolve_weights(args) -> tuple[PipelineConfig, EncoderWeights, dict]:
+    """(the --config document, the weights it or the flags name, their meta)."""
+    config = _load_pipeline_config(args.config)
     weights_path = config.weights_path if args.weights is None else args.weights
     if weights_path is not None:  # an empty path is refused as unreadable
         weights = load_weights(weights_path)
@@ -95,7 +97,7 @@ def _resolve_weights(args, config: PipelineConfig) -> tuple[EncoderWeights, dict
     else:
         weights = init_weights(config.encoder, args.seed)
         meta = {"weights": None, "seed": args.seed}
-    return weights, meta
+    return config, weights, meta
 
 
 # ---------------------------------------------------------------------------
@@ -103,8 +105,7 @@ def _resolve_weights(args, config: PipelineConfig) -> tuple[EncoderWeights, dict
 
 
 def cmd_align(args) -> int:
-    config = _load_pipeline_config(args.config)
-    weights, meta = _resolve_weights(args, config)
+    config, weights, meta = _resolve_weights(args)
     edges = config.edges
     graph_a = load_graph(args.graph_a, edges.n_max, edges.d_th)
     graph_b = load_graph(args.graph_b, edges.n_max, edges.d_th)
@@ -124,8 +125,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_encode(args) -> int:
-    config = _load_pipeline_config(args.config)
-    weights, meta = _resolve_weights(args, config)
+    config, weights, meta = _resolve_weights(args)
     graph = load_graph(args.graph, config.edges.n_max, config.edges.d_th)
     node_emb, global_emb = encode_graph(graph, weights)
     _emit({
@@ -172,8 +172,7 @@ def _eval_pair(item, emb_a, emb_b, config, allocator):
 
 
 def cmd_eval(args) -> int:
-    config = _load_pipeline_config(args.config)
-    weights, meta = _resolve_weights(args, config)
+    config, weights, meta = _resolve_weights(args)
     pair_dirs = sorted(p for p in Path(args.pairs).iterdir() if p.is_dir())
     if not pair_dirs:
         raise SgaError(f"no sample directories under {args.pairs}")
@@ -221,8 +220,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_register(args) -> int:
-    config = _load_pipeline_config(args.config)
-    weights, meta = _resolve_weights(args, config)
+    config, weights, meta = _resolve_weights(args)
     sample = synth.load_sample(args.pair, config.edges.n_max, config.edges.d_th)
     result = align_graphs(sample.graph_a, sample.graph_b, weights, config,
                           allocator=args.allocator, validate=False)
@@ -254,8 +252,7 @@ def cmd_retrieve(args) -> int:
     db_dir = Path(args.db)
     if not db_dir.is_dir():
         raise NotADirectoryError(f"--db {args.db}: not a directory")
-    config = _load_pipeline_config(args.config)
-    weights, meta = _resolve_weights(args, config)
+    config, weights, meta = _resolve_weights(args)
     edges = config.edges
     if (db_dir / retrieval.INDEX_FILE).exists():
         db = retrieval.load_database(db_dir, weights)

@@ -21,8 +21,8 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 import numpy as np
 
 from .errors import (InvalidInputError, NumericError, ShapeError, WeightsFormatError,
-                     as_array, check_bound, check_bounds, check_sizes, check_types,
-                     from_section, npz_entry, open_npz, section_dict)
+                     as_array, check_bound, check_bounds, check_sizes, check_type,
+                     check_types, from_section, npz_entry, open_npz, section_dict)
 from .scene_graph import DEFAULT_FEATURE_DIMS, GraphBatch, SceneGraph, point_distances
 
 LN_EPS = 1e-5
@@ -78,7 +78,9 @@ def _usable_cpus() -> int:
 # The cap keeps a large machine from starting many threads for a fill of
 # about 100 MiB; it is not tuned (measured on 2 cores only).
 _WORKERS = min(_usable_cpus(), 4)
-_NPZ_READ = threading.Lock()  # np.load's header parse (ast) is not thread-safe in CPython 3.11
+# One npz entry read at a time: np.load's header parse (ast) is not thread-safe
+# in CPython 3.11, and zipfile counts an archive's open members without a lock.
+_NPZ_READ = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -307,9 +309,7 @@ def init_weights(config: EncoderConfig, seed: int = 0) -> EncoderWeights:
     read of the weights (see `EncoderWeights`); until then their buffers
     are allocated but never written, so the pages stay unbacked.
     """
-    if not isinstance(config, EncoderConfig):
-        raise InvalidInputError(f"init_weights: config is not an EncoderConfig, "
-                                f"got {type(config).__name__}")
+    check_type("init_weights: config", config, EncoderConfig)
     check_bound("seed", seed, ">= 0", where="init_weights")
     seed = int(seed)
     rng = np.random.default_rng(seed)
@@ -366,6 +366,7 @@ _META_ENTRY = "meta"
 def save_weights(weights: EncoderWeights, path) -> None:
     """Write a version 2 file. It goes through a file handle, so `path` is
     kept as given (numpy appends ".npz" to a bare path name)."""
+    check_type("weights", weights, EncoderWeights)
     meta = json.dumps({"format_version": WEIGHTS_FORMAT_VERSION,
                        "config": section_dict(weights.config), "seed": weights.seed})
     with open(path, "wb") as fh:
@@ -376,8 +377,8 @@ def save_weights(weights: EncoderWeights, path) -> None:
 def _read_weights(path) -> EncoderWeights:
     """The weights of the version 2 archive at `path`. Entries are checked
     once each (shape, finite values) as they are copied straight into the
-    packed buffers by `run_parts`, so of several faulty entries the
-    first in tensor order is the one reported."""
+    packed buffers by `run_parts` (its threads share the one archive); of
+    several faulty entries the first in tensor order is the one reported."""
     what = f"npz weights archive (format_version {WEIGHTS_FORMAT_VERSION})"
     with open(path, "rb") as fh, open_npz(fh, what, WeightsFormatError) as archive:
         if _META_ENTRY not in archive.files:
@@ -409,17 +410,15 @@ def _read_weights(path) -> EncoderWeights:
             raise WeightsFormatError(f"bad config: {exc}") from exc
         _check_names(tensors, [n for n in archive.files if n != _META_ENTRY])
 
-    def copy(part):
-        # An archive of its own: zipfile counts a file's open members
-        # without a lock, so threads do not share one archive.
-        with open(path, "rb") as fh, open_npz(fh, what, WeightsFormatError) as archive:
+        def copy(part):
             for name, out in part:
                 with _NPZ_READ:
                     entry = npz_entry(archive, name, WeightsFormatError)
                 out[...] = _as_tensor(name, entry, out.shape)
                 del entry  # not held while the next entry is read
 
-    run_parts(list(tensors.items()), [out.size for out in tensors.values()], copy, _WORKERS)
+        run_parts(list(tensors.items()), [out.size for out in tensors.values()], copy,
+                  _WORKERS)
     return EncoderWeights._filled(config, tensors, packed, seed)
 
 
@@ -481,7 +480,9 @@ def initial_embeddings(graphs: Sequence[SceneGraph], weights: EncoderWeights) ->
 
 
 def _initial_rows(batch: GraphBatch, weights: EncoderWeights) -> np.ndarray:
-    """`initial_embeddings` of a batch whose feature dims must be the weights'."""
+    """`initial_embeddings` of a batch whose feature dims must be the weights'.
+    The one type check of the weights on every path into the forward pass."""
+    check_type("weights", weights, EncoderWeights)
     f_vl, f_t, f_g = (batch.arrays[name] for name in ("f_vl", "f_t", "f_g"))
     dims, want = (f_vl.shape[1], f_t.shape[1]), tuple(weights.config.feature_dims)
     if batch.strings and dims != want:
@@ -834,9 +835,9 @@ def _node_pass(graphs: Sequence[SceneGraph], weights: EncoderWeights
                ) -> tuple[np.ndarray, np.ndarray]:
     """(node embeddings of the graphs' nodes in turn, the batch's offsets).
     Its reads of the weights leave a pending class-token draw pending."""
-    cfg = weights.config
     batch = GraphBatch.of(graphs)
     c0 = _initial_rows(batch, weights)
+    cfg = weights.config
     index = _build_neighbor_index(batch, cfg.pe_dim)
     c = c0
     for layer in range(cfg.layers):

@@ -1,9 +1,9 @@
 """Exception types shared across the package, and the parse-boundary
-helpers that raise them: the numeric bounds of flags, params fields and
-function arguments, array shapes and widths, sets of pairs, the field
-type check of the params dataclasses, the mapping between a params
-dataclass and its config section, the one reader of JSON files and the
-one opener of npz archives.
+helpers that raise them: the type of an argument, the numeric bounds of
+flags, params fields and function arguments, array shapes and widths,
+sets of pairs, the field type check of the params dataclasses, the
+mapping between a params dataclass and its config section, the one reader
+of JSON files and the one opener of npz archives.
 
 A params dataclass (EncoderConfig, MatcherParams, MnnParams, McfParams,
 EdgeParams, RetrievalParams) is the schema of its config section: the
@@ -72,6 +72,14 @@ BOUNDS = {
     "in [0, 1)": (numbers.Real, lambda v: (v >= 0) & (v < 1)),
 }
 _KIND_NAMES = {numbers.Integral: "an integer", numbers.Real: "a number"}
+
+
+def check_type(name: str, value, cls: type) -> None:
+    """Refuse `value` unless it is a `cls`: "<name> is not a(n) <cls>, got <type>"."""
+    if not isinstance(value, cls):
+        article = "an" if cls.__name__[0] in "AEIOU" else "a"
+        raise InvalidInputError(f"{name} is not {article} {cls.__name__}, "
+                                f"got {type(value).__name__}")
 
 
 def _check_kind(name: str, value, kind, what: str) -> None:

@@ -12,7 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInputError, NumericError, as_array, check_bounds, check_widths
+from .errors import (InvalidInputError, NumericError, as_array, check_bounds, check_type,
+                     check_widths)
 
 # Floor keeps -log(P) bounded (~20.7), so flow costs stay interpretable
 # against the default unmatched cost of 2.0.
@@ -89,6 +90,7 @@ def softmax(x: np.ndarray, axis: int) -> np.ndarray:
 def score_matrix(S: np.ndarray, params: MatcherParams = MatcherParams()) -> ScoreMatrix:
     """Convert similarities into the [0,1] score matrix with dustbin."""
     S = as_array("S", S, (None, None), "score_matrix")
+    check_type("params", params, MatcherParams)
     if not np.all(np.isfinite(S)):
         raise InvalidInputError("score_matrix: non-finite similarities")
     n_a, n_b = S.shape

@@ -9,7 +9,7 @@ import numpy as np
 from .allocator import ALLOCATORS, MatchSet, mcf_allocate, mnn_allocate
 from .config import PipelineConfig
 from .encoder import EncoderWeights, encode_nodes
-from .errors import InvalidInputError
+from .errors import InvalidInputError, check_type
 from .matcher import ScoreMatrix, cosine_scores, score_matrix
 from .scene_graph import SceneGraph, validate_graph
 
@@ -35,6 +35,7 @@ def match_embeddings(emb_a: np.ndarray, emb_b: np.ndarray, pos_a: np.ndarray,
                      pos_b: np.ndarray, config: PipelineConfig,
                      allocator: str) -> tuple[ScoreMatrix, MatchSet]:
     """Score two encoded graphs against each other and allocate matches."""
+    check_type("config", config, PipelineConfig)
     scores = score_matrix(cosine_scores(emb_a, emb_b), config.matcher)
     return scores, allocate(scores, pos_a, pos_b, config, allocator)
 

@@ -19,8 +19,8 @@ import numpy as np
 from .allocator import MatchSet
 from .config import RERANK_MODES, PipelineConfig
 from .encoder import EncoderWeights, encode_graph, encode_graphs, node_batches
-from .errors import (InvalidInputError, SgaError, as_array, check_bound, check_widths,
-                     npz_entry, open_npz, read_json, section_dict)
+from .errors import (InvalidInputError, SgaError, as_array, check_bound, check_type,
+                     check_widths, npz_entry, open_npz, read_json, section_dict)
 from .matcher import score_matrix, unit_rows
 from .pipeline import allocate
 from .scene_graph import GraphBatch, SceneGraph
@@ -39,9 +39,10 @@ class SceneDatabase:
     entries: list[EncodedScene] = field(default_factory=list)
 
     def __post_init__(self):
-        _check_type("entries", self.entries, list)
+        check_type("entries", self.entries, list)
         for k, entry in enumerate(self.entries):
-            _check_type(f"entries[{k}]", entry, EncodedScene)
+            check_type(f"entries[{k}]", entry, EncodedScene)
+            check_type(f"entries[{k}].scene_id", entry.scene_id, str)
         ids = [e.scene_id for e in self.entries]
         if repeat := repeated_id(ids):
             raise InvalidInputError(f"database: scene id {ids[repeat[1]]!r} is listed twice")
@@ -50,18 +51,10 @@ class SceneDatabase:
         return len(self.entries)
 
 
-def _check_type(name: str, value, cls: type) -> None:
-    """Refuse `value` unless it is a `cls`: "<name> is not a(n) <cls>, got <type>"."""
-    if not isinstance(value, cls):
-        article = "an" if cls.__name__[0] in "AEIOU" else "a"
-        raise InvalidInputError(f"{name} is not {article} {cls.__name__}, "
-                                f"got {type(value).__name__}")
-
-
 def _check_scene(name: str, scene) -> None:
     """Refuse `scene` unless it is an EncodedScene of a SceneGraph."""
-    _check_type(name, scene, EncodedScene)
-    _check_type(f"{name}.graph", scene.graph, SceneGraph)
+    check_type(name, scene, EncodedScene)
+    check_type(f"{name}.graph", scene.graph, SceneGraph)
 
 
 def repeated_id(ids: list) -> tuple[int, int] | None:
@@ -103,6 +96,7 @@ def encode_scene(scene_id: str, graph: SceneGraph,
 def build_database(scenes: list[tuple[str, SceneGraph]],
                    weights: EncoderWeights) -> SceneDatabase:
     """Encode every scene, several per batched forward pass."""
+    check_type("scenes", scenes, list)
     for k, scene in enumerate(scenes):
         if not (isinstance(scene, (tuple, list)) and len(scene) == 2
                 and isinstance(scene[1], SceneGraph)):
@@ -131,7 +125,7 @@ def topk_filter(query_global: np.ndarray, db: SceneDatabase, k: int) -> list[str
     (1, d) @ (d, 1) items with its dot routine, so each has the bits of
     `global_similarity` on that entry (a plain `stacked @ q` does not)."""
     check_bound("k", k, ">= 1", where="topk_filter")
-    _check_type("db", db, SceneDatabase)
+    check_type("db", db, SceneDatabase)
     q = as_array("query_global", query_global, (None,), "topk_filter")
     stacked = as_array("database globals", [e.global_embedding for e in db.entries]
                        or np.zeros((0, len(q))), (len(db), len(q)), "topk_filter")
@@ -156,9 +150,10 @@ def rerank(query: EncodedScene, candidates: list[EncodedScene], mode: str,
     if not candidates:
         raise InvalidInputError("rerank: no candidates")
     _check_scene("query", query)
-    _check_type("candidates", candidates, list)
+    check_type("candidates", candidates, list)
     for k, cand in enumerate(candidates):
         _check_scene(f"candidates[{k}]", cand)
+    check_type("config", config, PipelineConfig)
     rows: list[tuple[str, float, MatchSet | None]] = []
     failed: list[str] = []
     query_rows, query_positions = None, query.graph.positions()
@@ -213,6 +208,7 @@ EMBEDDINGS_FILE = "embeddings.npz"
 def weights_fingerprint(weights: EncoderWeights) -> str:
     """sha256 over the config and, in name order, each tensor's name, dtype,
     shape and raw bytes."""
+    check_type("weights", weights, EncoderWeights)
     digest = hashlib.sha256(json.dumps(section_dict(weights.config), sort_keys=True)
                             .encode("utf-8"))
     for name, arr in sorted(weights.tensors.items()):
@@ -234,6 +230,8 @@ def save_database(db: SceneDatabase, directory, weights: EncoderWeights) -> None
     embedding shapes are checked first, then what `load_database` refuses:
     graph values and embedding rows that are not unit vectors, the first
     scene at fault named as the load names it. A refused save opens no file."""
+    check_type("db", db, SceneDatabase)
+    check_type("weights", weights, EncoderWeights)
     batch, d_model = GraphBatch.of([e.graph for e in db.entries]), weights.config.d_model
     globals_, nodes = [], [np.zeros((0, d_model))]
     for entry, n in zip(db.entries, np.diff(batch.arrays["offsets"]).tolist()):

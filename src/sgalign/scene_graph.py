@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (InvalidInputError, ShapeError, as_array, as_int64, as_pairs, check_bound,
-                     read_json)
+                     check_type, read_json)
 
 DEFAULT_FEATURE_DIMS = (256, 384)
 DEFAULT_N_MAX = 4
@@ -401,8 +401,7 @@ class GraphBatch:
         """The batch of `graphs` (one graph's holds its own columns); a member
         not a SceneGraph, or of other feature dims than the first, is refused."""
         for k, g in enumerate(graphs):
-            if not isinstance(g, SceneGraph):
-                raise InvalidInputError(f"graphs[{k}] is not a SceneGraph, got {type(g).__name__}")
+            check_type(f"graphs[{k}]", g, SceneGraph)
             if g.feature_dims != graphs[0].feature_dims:
                 raise ShapeError(f"graph {g.graph_id!r}: feature dims {list(g.feature_dims)} do "
                                  f"not match those of graph {graphs[0].graph_id!r}")

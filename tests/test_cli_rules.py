@@ -3,8 +3,9 @@ writes its stderr lines itself (no `logging`), a flag's bound is checked by
 its argparse type alone (no `cmd_*` body raises UsageError), each list of
 allowed values is written once, the name of a database's index file
 appears only in `retrieval`, a numeric bound is stated in `errors` alone
-(errors.BOUNDS), but for the composite rules listed here, and each shared
-primitive has one copy: a vector norm is taken only where no shared
+(errors.BOUNDS), but for the composite rules listed here, an argument of
+the wrong type is refused in `errors` alone (errors.check_type), and each
+shared primitive has one copy: a vector norm is taken only where no shared
 function (`scene_graph.point_distances`, `matcher.unit_rows`) serves, only
 `errors` converts values to float arrays under a refusal, and one runner
 (`encoder.run_parts`) starts threads."""
@@ -32,6 +33,10 @@ BOUND_TEXT = re.compile(r"must be (>=|>|finite|in [\[(]|even)")
 COMPOSITE_RULES = {("allocator.py", "McfParams.__post_init__", "cap_max"),
                    ("encoder.py", "EncoderConfig.__post_init__", "layers"),
                    ("matcher.py", "MatcherParams.__post_init__", "temperature")}
+
+# The text of the refusal of an argument's type, "<name> is not a(n)
+# <Class>, got <type>", with "{}" for each value that an f-string formats.
+TYPE_TEXT = re.compile(r"is not (an?|\{\}) (\w+|\{\}), got")
 
 
 # The functions that take np.linalg.norm, as (module, function). Point
@@ -90,6 +95,22 @@ def bound_texts(tree: ast.AST, scope: str = ""):
             yield from bound_texts(node, f"{scope}.{node.name}".lstrip("."))
         else:
             yield from bound_texts(node, scope)
+
+
+def type_texts(tree: ast.AST):
+    """The line of each string constant or f-string under `tree` that
+    matches TYPE_TEXT, each formatted value of an f-string read as "{}"."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, ast.JoinedStr):
+            text = "".join(part.value if isinstance(part, ast.Constant) else "{}"
+                           for part in node.values)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            text = node.value
+        else:
+            yield from type_texts(node)
+            continue
+        if TYPE_TEXT.search(text):
+            yield node.lineno
 
 
 def norm_calls(tree: ast.AST, scope: str = ""):
@@ -163,6 +184,11 @@ def test_numeric_bounds_stated_in_errors_only():
     assert found == COMPOSITE_RULES
 
 
+def test_type_refusal_written_in_errors_only():
+    found = [(name, line) for name, tree in parsed().items() for line in type_texts(tree)]
+    assert [name for name, _ in found] == ["errors.py"], found
+
+
 def test_each_primitive_has_one_copy():
     trees = parsed()
     norms = {(name, scope) for name, tree in trees.items() for scope in norm_calls(tree)}
@@ -194,6 +220,12 @@ def test_scans_see_each_case():
                        "        raise E(f'n must be >= 1, got {n}')\n"
                        "        raise E(f'n must be an integer, got {n}')\n")
     assert list(bound_texts(bounds)) == [("P.f", "n")]
+    types = ast.parse("def f(x, k):\n    raise E(f'x is not a Graph, got {type(x).__name__}')\n"
+                      "    raise E(f'{k} is not {a} {c}, ' f'got {t}')\n"
+                      "    raise E('x is not an Array, got int')\n"
+                      "    raise E('x is not a(n) <cls>, got <type>')\n"
+                      "    raise E(f'{k} is not a (id, Graph) pair, got {x}')\n")
+    assert list(type_texts(types)) == [2, 3, 4]
     copies = ast.parse("import numpy as np\n"
                        "def f(a, b):\n    return np.linalg.norm(a - b)\n"
                        "def g(v):\n    def h():\n        return numpy.linalg.norm(v)\n"

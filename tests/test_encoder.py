@@ -24,7 +24,7 @@ from sgalign.encoder import (BATCH_NODES, CLS_ATTN_LAYERS, MAX_LAYERS, EncoderCo
                              initial_embeddings, load_weights, node_batches, packed_groups,
                              run_parts, save_weights, sinusoidal_pe, tensor_shapes)
 from sgalign.errors import (GenerationError, InvalidInputError, ShapeError,
-                            WeightsFormatError, section_dict)
+                            WeightsFormatError, open_npz, section_dict)
 from sgalign.pipeline import align_graphs
 from sgalign.retrieval import build_database, encode_scene, weights_fingerprint
 from sgalign.scene_graph import GraphBatch, graph_to_dict, load_graph, point_distances
@@ -1417,6 +1417,25 @@ def test_undrawn_class_token_buffers_stay_unbacked():
         assert run.returncode == 0, run.stderr
         peak[stage] = int(run.stdout)
     assert peak["encode_graphs"] - peak["encode_nodes"] >= 12 * 1024, peak
+
+
+def test_load_weights_opens_archive_once(monkeypatch, small_weights, tmp_path):
+    """The fill threads read their entries from the archive that the load
+    opened for the meta entry; none of them opens the file again."""
+    opened = []
+
+    def counting_open_npz(*args, **kwargs):
+        opened.append(args)
+        return open_npz(*args, **kwargs)
+
+    monkeypatch.setattr(encoder, "_WORKERS", 3)
+    monkeypatch.setattr(encoder, "open_npz", counting_open_npz)
+    path = tmp_path / "w.npz"
+    save_weights(small_weights, path)
+    back = load_weights(path)
+    assert len(opened) == 1
+    for name, arr in small_weights.tensors.items():
+        assert back[name].tobytes() == arr.tobytes(), name
 
 
 def write_v2(path, weights, tensors=None, version=2):

@@ -6,12 +6,14 @@ import sys
 import numpy as np
 import pytest
 
+from sgalign.allocator import mcf_allocate, mnn_allocate
 from sgalign.config import PipelineConfig, RetrievalParams
-from sgalign.encoder import EncoderWeights, init_weights, load_weights, save_weights
+from sgalign.encoder import (EncoderWeights, encode_graph, encode_nodes, init_weights,
+                             initial_embeddings, load_weights, save_weights)
 from sgalign.errors import InvalidInputError
 from sgalign.matcher import cosine_scores, score_matrix
-from sgalign.pipeline import allocate, match_embeddings
-from sgalign.retrieval import (EncodedScene, SceneDatabase, build_database,
+from sgalign.pipeline import align_graphs, allocate, match_embeddings
+from sgalign.retrieval import (EncodedScene, SceneDatabase, build_database, encode_scene,
                                global_similarity, load_database, rerank, retrieve,
                                save_database, topk_filter, weights_fingerprint)
 from sgalign.scene_graph import save_graph
@@ -357,6 +359,67 @@ class TestArgumentTypes:
         call, message = self.CASES[case]
         with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
             call(db.entries[0], db.entries[1], db)
+
+
+def _with_id(scene: EncodedScene, scene_id) -> EncodedScene:
+    return EncodedScene(scene_id, scene.graph, scene.node_embeddings, scene.global_embedding)
+
+
+class TestPublicCallTypes:
+    """A public call given an argument of the wrong type raises
+    InvalidInputError "<arg> is not a(n) <Class>, got <type>" from
+    `errors.check_type`, and no bare AttributeError or TypeError. Each call
+    gets the database, its weights and a fresh directory."""
+
+    WEIGHTS = "weights is not an EncoderWeights, got NoneType"
+    CONFIG = "config is not a PipelineConfig, got NoneType"
+    CASES = {
+        "build_database scenes": (lambda db, w, d: build_database(None, w),
+                                  "scenes is not a list, got NoneType"),
+        "build_database weights": (
+            lambda db, w, d: build_database([(e.scene_id, e.graph) for e in db.entries], None),
+            WEIGHTS),
+        "save_database db": (lambda db, w, d: save_database(None, d, w),
+                             "db is not a SceneDatabase, got NoneType"),
+        "save_database weights": (lambda db, w, d: save_database(db, d, None), WEIGHTS),
+        "load_database weights": (lambda db, w, d: (save_database(db, d, w),
+                                                    load_database(d, None)), WEIGHTS),
+        "weights_fingerprint": (lambda db, w, d: weights_fingerprint(None), WEIGHTS),
+        "save_weights": (lambda db, w, d: save_weights(None, d / "w.npz"), WEIGHTS),
+        "encode_nodes": (lambda db, w, d: encode_nodes([db.entries[0].graph], None), WEIGHTS),
+        "encode_graph": (lambda db, w, d: encode_graph(db.entries[0].graph, None), WEIGHTS),
+        "encode_scene": (lambda db, w, d: encode_scene("q", db.entries[0].graph, None),
+                         WEIGHTS),
+        "initial_embeddings": (lambda db, w, d: initial_embeddings([db.entries[0].graph], None),
+                               WEIGHTS),
+        "align_graphs weights": (lambda db, w, d: align_graphs(
+            db.entries[0].graph, db.entries[1].graph, None, PipelineConfig()), WEIGHTS),
+        "align_graphs config": (lambda db, w, d: align_graphs(
+            db.entries[0].graph, db.entries[1].graph, w, None), CONFIG),
+        "rerank config": (lambda db, w, d: rerank(db.entries[0], [db.entries[1]], "direct",
+                                                  None), CONFIG),
+        "retrieve config": (lambda db, w, d: retrieve(db.entries[0], db, 1, "direct", None),
+                            CONFIG),
+        "score_matrix params": (lambda db, w, d: score_matrix(np.zeros((2, 2)), None),
+                                "params is not a MatcherParams, got NoneType"),
+        "mnn_allocate params": (lambda db, w, d: mnn_allocate(np.full((2, 2), 0.5), None),
+                                "params is not a MnnParams, got NoneType"),
+        "mcf_allocate params": (lambda db, w, d: mcf_allocate(
+            np.full((2, 2), 0.5), np.zeros((2, 3)), np.zeros((2, 3)), None),
+            "params is not a McfParams, got NoneType"),
+        "list scene id": (lambda db, w, d: SceneDatabase(
+            entries=[db.entries[0], _with_id(db.entries[1], ["a"])]),
+            "entries[1].scene_id is not a str, got list"),
+        "int scene id": (lambda db, w, d: SceneDatabase(entries=[_with_id(db.entries[0], 3)]),
+                         "entries[0].scene_id is not a str, got int"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_refused(self, db_and_weights, tmp_path, case):
+        db, weights = db_and_weights
+        call, message = self.CASES[case]
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+            call(db, weights, tmp_path / "out")
 
 
 class TestPersistence:
