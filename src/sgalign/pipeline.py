@@ -54,6 +54,7 @@ def align_graphs(graph_a: SceneGraph, graph_b: SceneGraph,
             violations = validate_graph(g)
             if violations:
                 raise InvalidInputError(f"{name} invalid: {violations}")
+    check_type("config", config, PipelineConfig)
     emb_a, emb_b = encode_nodes([graph_a, graph_b], weights)
     scores, matches = match_embeddings(emb_a, emb_b, graph_a.positions(),
                                        graph_b.positions(), config, allocator)

@@ -101,6 +101,7 @@ def build_database(scenes: list[tuple[str, SceneGraph]],
         if not (isinstance(scene, (tuple, list)) and len(scene) == 2
                 and isinstance(scene[1], SceneGraph)):
             raise InvalidInputError(f"scenes[{k}] is not a (scene_id, SceneGraph) pair")
+        check_type(f"scenes[{k}] scene id", scene[0], str)
     entries = []
     for batch in node_batches(scenes, lambda scene: len(scene[1].ids)):
         encoded = encode_graphs([graph for _, graph in batch], weights)
@@ -141,9 +142,10 @@ def rerank(query: EncodedScene, candidates: list[EncodedScene], mode: str,
     mode "direct": score = sum of P[i, j] over the allocated matches.
     mode "weighted": the same sum multiplied by the global dot product.
     Node embeddings must be of shape (nodes of the scene's graph, the query's
-    width) with no zero-norm row. The query's unit rows are formed once, on the
-    first candidate: a query that breaks this fails every candidate, and a
-    candidate that breaks it fails alone.
+    width) with no zero-norm row, and in weighted mode global embeddings must
+    be 1-D arrays of the query's global width. The query's unit rows and
+    global are formed once, on the first candidate: a query that breaks this
+    fails every candidate, and a candidate that breaks it fails alone.
     """
     if mode not in RERANK_MODES:
         raise InvalidInputError(f"rerank mode must be {'|'.join(RERANK_MODES)}, got {mode!r}")
@@ -156,7 +158,8 @@ def rerank(query: EncodedScene, candidates: list[EncodedScene], mode: str,
     check_type("config", config, PipelineConfig)
     rows: list[tuple[str, float, MatchSet | None]] = []
     failed: list[str] = []
-    query_rows, query_positions = None, query.graph.positions()
+    query_rows = query_global = None
+    query_positions = query.graph.positions()
     for cand in candidates:
         try:
             if query_rows is None:
@@ -170,7 +173,12 @@ def rerank(query: EncodedScene, candidates: list[EncodedScene], mode: str,
                                config.retrieval.allocator)
             score = sum(scores.P[i, j] for i, j, _ in matches.pairs)
             if mode == "weighted":
-                score *= global_similarity(query.global_embedding, cand.global_embedding)
+                if query_global is None:
+                    query_global = as_array("query global embedding", query.global_embedding,
+                                            (None,), "rerank")
+                score *= float(np.dot(query_global, as_array(
+                    "candidate global embedding", cand.global_embedding,
+                    query_global.shape, f"rerank: {cand.scene_id!r}")))
             rows.append((cand.scene_id, float(score), matches))
         except SgaError:
             rows.append((cand.scene_id, float("-inf"), None))
@@ -319,6 +327,7 @@ def load_database(directory, weights: EncoderWeights) -> SceneDatabase:
     the graphs instead of reading their embeddings. An index.json of any
     other format version, or one that lists a scene id twice, raises
     InvalidInputError before the archive is opened."""
+    check_type("weights", weights, EncoderWeights)
     directory = Path(directory)
     index_path = directory / INDEX_FILE
     index = read_json(index_path)

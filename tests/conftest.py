@@ -3,6 +3,7 @@ import io
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -64,10 +65,14 @@ def kernel_set_available(coretype: str) -> bool:
             and KERNEL_SETS[coretype] in flags)
 
 
-def run_cli(*args, cwd=None, text=True):
-    """`python -m sgalign.cli *args` in a child process, output captured."""
+def run_cli(*args, text=True):
+    """`python -m sgalign.cli *args` in a child process, output captured.
+    A child is needed only where the test is about the process: output bytes
+    compared across separate runs, and the exit status that the module's
+    entry point hands the shell, one test per exit code. Every other CLI
+    test calls `run_main`, which checks the same code, stdout and stderr."""
     return subprocess.run([sys.executable, "-m", "sgalign.cli", *args],
-                          capture_output=True, text=text, cwd=cwd, env=child_env())
+                          capture_output=True, text=text, env=child_env())
 
 
 @dataclass
@@ -79,10 +84,13 @@ class CliRun:
 
 def run_main(*args) -> CliRun:
     """`sgalign.cli.main(args)` in this process, stdout and stderr captured.
-    An exception that escapes main propagates."""
+    An exception that escapes main propagates, and so does a warning, raised
+    as an error: neither can hide in a captured stderr."""
     from sgalign import cli
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with (contextlib.redirect_stdout(out), contextlib.redirect_stderr(err),
+          warnings.catch_warnings()):
+        warnings.simplefilter("error")
         code = cli.main([str(a) for a in args])
     return CliRun(code, out.getvalue(), err.getvalue())
 

@@ -8,13 +8,15 @@ the wrong type is refused in `errors` alone (errors.check_type), and each
 shared primitive has one copy: a vector norm is taken only where no shared
 function (`scene_graph.point_distances`, `matcher.unit_rows`) serves, only
 `errors` converts values to float arrays under a refusal, and one runner
-(`encoder.run_parts`) starts threads."""
+(`encoder.run_parts`) starts threads. The tests start child processes in
+the files of CHILD_FILES alone."""
 
 import ast
 import re
 from pathlib import Path
 
-SOURCES = Path(__file__).resolve().parent.parent / "src" / "sgalign"
+TESTS = Path(__file__).resolve().parent
+SOURCES = TESTS.parent / "src" / "sgalign"
 
 # Each allowed-value list and the one module that defines it.
 ALLOWED_VALUES = {frozenset({"mnn", "mcf"}): "allocator.py",
@@ -48,6 +50,16 @@ NORM_CALLS = {("matcher.py", "unit_rows"), ("encoder.py", "init_weights"),
               ("losses.py", "triplet_loss"), ("losses.py", "hard_negative_mine"),
               ("registration.py", "registration_error"), ("synth.py", "_noisy_unit"),
               ("synth.py", "_random_rotation")}
+
+
+# The test files that start child processes, and what each uses: `run_cli`
+# runs `python -m sgalign.cli` where a test is about the process itself, and
+# `subprocess` runs other commands (imports in a fresh interpreter, demos,
+# OpenBLAS kernel sets, peak memory). Every other CLI test calls `run_main`.
+CHILD_FILES = {"conftest.py": {"run_cli", "subprocess"}, "test_acceptance.py": {"run_cli"},
+               "test_config_cli.py": {"run_cli"}, "test_encoder.py": {"subprocess"},
+               "test_imports.py": {"subprocess"}, "test_demos.py": {"subprocess"},
+               "test_benchmarks_import.py": {"subprocess"}}
 
 
 def parsed() -> dict[str, ast.AST]:
@@ -149,6 +161,23 @@ def thread_sites(tree: ast.AST):
             yield node.lineno
 
 
+def child_names(tree: ast.AST):
+    """`run_cli` or `subprocess` for each import, definition or read of
+    that name under `tree`."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module, *(alias.name for alias in node.names)]
+        elif isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.FunctionDef):
+            names = [node.name]
+        else:
+            continue
+        yield from (name for name in names if name in ("run_cli", "subprocess"))
+
+
 def test_no_logging():
     found = [name for name, tree in parsed().items() if "logging" in imported_modules(tree)]
     assert found == []
@@ -205,6 +234,12 @@ def test_one_thread_runner():
     assert [name for name, _ in sites] == ["encoder.py"], sites
 
 
+def test_children_started_in_allowed_files_only():
+    found = {path.name: set(child_names(ast.parse(path.read_text(), str(path))))
+             for path in sorted(TESTS.glob("*.py"))}
+    assert {name: names for name, names in found.items() if names} == CHILD_FILES
+
+
 def test_scans_see_each_case():
     source = ("import logging\nfrom logging import getLogger\nimport os.path\n"
               "def cmd_x():\n    raise UsageError('no')\n    raise ValueError\n"
@@ -245,3 +280,7 @@ def test_scans_see_each_case():
                         "b = Thread(target=f)\nc = threading.Timer(1, f)\n")
     assert list(imported_modules(threads)) == ["threading", "concurrent", "threading"]
     assert list(thread_sites(threads)) == [4, 5]
+    children = ast.parse("import subprocess as sp\nfrom subprocess import run\n"
+                         "from conftest import run_cli, run_main\ndef run_cli():\n"
+                         "    return subprocess.run(run_main, 'run_cli')\n")
+    assert sorted(child_names(children)) == ["run_cli"] * 2 + ["subprocess"] * 3

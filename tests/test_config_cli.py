@@ -169,6 +169,9 @@ def pair_dir(tmp_path_factory):
 
 
 class TestCliAlign:
+    """The first three tests run `python -m sgalign.cli` in a child, one per
+    exit code; every other CLI test calls main in process."""
+
     def test_self_alignment_identity(self, scene_file):
         proc = run_cli("align", str(scene_file), str(scene_file),
                        "--allocator", "mnn")
@@ -195,7 +198,7 @@ class TestCliAlign:
         doc["nodes"][0]["f_g"] = [2.0, 2.0, 2.0]  # outside (0, 1]
         bad = tmp_path / "invalid.json"
         bad.write_text(json.dumps(doc))
-        proc = run_cli("align", str(bad), str(scene_file))
+        proc = run_main("align", bad, scene_file)
         assert proc.returncode == 2
         assert proc.stdout == ""
 
@@ -205,7 +208,7 @@ class TestCliAlign:
     def test_config_type_error_exit_2(self, scene_file, tmp_path, doc):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps(doc))
-        proc = run_cli("align", str(scene_file), str(scene_file), "--config", str(cfg))
+        proc = run_main("align", scene_file, scene_file, "--config", cfg)
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert "config field" in one_stderr_line(proc)
@@ -233,7 +236,7 @@ class TestCliAlign:
     def test_align_fractional_cap_max_exit_2(self, scene_file, tmp_path):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"mcf": {"cap_max": 1.5}}))
-        proc = run_cli("align", str(scene_file), str(scene_file), "--config", str(cfg))
+        proc = run_main("align", scene_file, scene_file, "--config", cfg)
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert "cap_max" in one_stderr_line(proc)
@@ -262,9 +265,8 @@ def one_stderr_line(proc) -> str:
 
 class TestCliWeights:
     def test_saved_weights_match_seed(self, scene_file, default_weights_file):
-        by_seed = run_cli("align", str(scene_file), str(scene_file), "--seed", "0")
-        by_file = run_cli("align", str(scene_file), str(scene_file),
-                          "--weights", str(default_weights_file))
+        by_seed = run_main("align", scene_file, scene_file, "--seed", "0")
+        by_file = run_main("align", scene_file, scene_file, "--weights", default_weights_file)
         assert by_file.returncode == 0, by_file.stderr
         assert json.loads(by_file.stdout)["pairs"] == json.loads(by_seed.stdout)["pairs"]
 
@@ -278,7 +280,7 @@ class TestCliWeights:
         else:
             with open(bad, "wb") as fh:
                 np.savez(fh, cls_token=np.zeros(512))
-        proc = run_cli("align", str(scene_file), str(scene_file), "--weights", str(bad))
+        proc = run_main("align", scene_file, scene_file, "--weights", bad)
         assert proc.returncode != 0
         assert proc.stdout == ""
         assert "Traceback" not in one_stderr_line(proc)
@@ -301,7 +303,7 @@ class TestCliWeights:
 
 class TestCliValidate:
     def test_valid_graph(self, scene_file):
-        proc = run_cli("validate", str(scene_file))
+        proc = run_main("validate", scene_file)
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["violations"] == []
 
@@ -310,7 +312,7 @@ class TestCliValidate:
         doc["nodes"][1]["id"] = doc["nodes"][0]["id"]
         bad = tmp_path / "dup.json"
         bad.write_text(json.dumps(doc))
-        proc = run_cli("validate", str(bad))
+        proc = run_main("validate", bad)
         assert proc.returncode == 2
         assert json.loads(proc.stdout)["violations"]
 
@@ -335,7 +337,7 @@ class TestCliValidate:
             doc["frame_kind"] = "banana"
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
-        proc = run_cli("validate", str(bad))
+        proc = run_main("validate", bad)
         assert proc.returncode == 2
         assert proc.stdout == ""
         line = one_stderr_line(proc)
@@ -364,7 +366,7 @@ class TestCliValidate:
         doc["nodes"][0]["position"] = [doc["nodes"][0]["position"]]
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
-        proc = run_cli("validate", str(bad))
+        proc = run_main("validate", bad)
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert one_stderr_line(proc).endswith(
@@ -379,11 +381,11 @@ class TestCliValidate:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
         message = f"node {doc['nodes'][0]['id']}: position has a coordinate beyond +-1e+150"
-        proc = run_cli("validate", str(bad))
+        proc = run_main("validate", bad)
         assert proc.returncode == 2
         assert json.loads(proc.stdout)["violations"] == [message]
         assert proc.stderr == ""
-        proc = run_cli("align", str(bad), str(scene_file))
+        proc = run_main("align", bad, scene_file)
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert message in one_stderr_line(proc)
@@ -391,7 +393,7 @@ class TestCliValidate:
 
 class TestCliEncode:
     def test_embeddings_unit_norm(self, scene_file):
-        proc = run_cli("encode", str(scene_file))
+        proc = run_main("encode", scene_file)
         assert proc.returncode == 0
         doc = json.loads(proc.stdout)
         emb = np.asarray(doc["node_embeddings"])
@@ -409,11 +411,11 @@ class TestCliEncode:
         huge = tmp_path / "huge.json"
         huge.write_text(json.dumps(doc))
         message = f"node {doc['nodes'][0]['id']}: f_vl has a value beyond +-1e+150"
-        proc = run_cli("validate", str(huge))
+        proc = run_main("validate", huge)
         assert proc.returncode == 2
         assert json.loads(proc.stdout)["violations"] == [message]
         for args in (("encode", huge), ("align", huge, tmp_path / "g.json")):
-            proc = run_cli(*map(str, args))
+            proc = run_main(*args)
             assert proc.returncode == 2
             assert proc.stdout == ""
             line = one_stderr_line(proc)
@@ -423,8 +425,8 @@ class TestCliEncode:
 
 class TestCliSynthEval:
     def test_synth_writes_samples(self, tmp_path):
-        proc = run_cli("synth", "--task", "s2s", "--count", "2", "--seed", "7",
-                       "--out", str(tmp_path / "out"))
+        proc = run_main("synth", "--task", "s2s", "--count", "2", "--seed", "7",
+                        "--out", tmp_path / "out")
         assert proc.returncode == 0, proc.stderr
         doc = json.loads(proc.stdout)
         assert doc["count"] == 2
@@ -434,8 +436,8 @@ class TestCliSynthEval:
 
     def test_eval_report(self, pair_dir, tmp_path):
         out = tmp_path / "report.json"
-        proc = run_cli("eval", "--pairs", str(pair_dir), "--allocator", "mnn",
-                       "--out", str(out), "--csv", str(tmp_path / "r.csv"))
+        proc = run_main("eval", "--pairs", pair_dir, "--allocator", "mnn",
+                        "--out", out, "--csv", tmp_path / "r.csv")
         assert proc.returncode == 0, proc.stderr
         report = json.loads(out.read_text())
         assert set(report) == {"overall", "bins", "per_sample", "meta"}
@@ -467,7 +469,7 @@ class TestCliSynthEval:
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_eval_jobs_below_one_is_usage_error(self, pair_dir, jobs):
-        proc = run_cli("eval", "--pairs", str(pair_dir), "--jobs", jobs)
+        proc = run_main("eval", "--pairs", pair_dir, "--jobs", jobs)
         assert proc.returncode == 1
         assert proc.stdout == ""
         lines = proc.stderr.strip().splitlines()
@@ -477,8 +479,7 @@ class TestCliSynthEval:
     def test_retrieve_k_below_one_is_usage_error(self, tmp_path, k):
         # An empty directory and a missing query: only a refusal before any
         # file is read names --k.
-        proc = run_main("retrieve", "--query", tmp_path / "q.json", "--db", tmp_path,
-                        "--k", k)
+        proc = run_main("retrieve", "--query", tmp_path / "q.json", "--db", tmp_path, "--k", k)
         assert proc.returncode == 1
         assert proc.stdout == ""
         assert f"--k must be >= 1, got {k}" in one_stderr_line(proc)
@@ -518,7 +519,7 @@ class TestCliSynthEval:
     def test_eval_negative_encoder_size_exit_2(self, pair_dir, tmp_path):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"encoder": {"d_model": -8, "heads": 1}}))
-        proc = run_cli("eval", "--pairs", str(pair_dir), "--config", str(cfg))
+        proc = run_main("eval", "--pairs", pair_dir, "--config", cfg)
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert "d_model" in one_stderr_line(proc)
@@ -557,8 +558,7 @@ class TestCliPairFiles:
     def test_eval_invalid_pair_exit_2(self, pair_dir, tmp_path, edit, named):
         pair = broken_pair(pair_dir, tmp_path, edit)
         out, csv = tmp_path / "r.json", tmp_path / "r.csv"
-        proc = run_cli("eval", "--pairs", str(pair.parent), "--out", str(out),
-                       "--csv", str(csv))
+        proc = run_main("eval", "--pairs", pair.parent, "--out", out, "--csv", csv)
         assert proc.returncode == 2
         assert proc.stdout == ""
         line = one_stderr_line(proc)
@@ -568,7 +568,7 @@ class TestCliPairFiles:
     @pytest.mark.parametrize("edit,named", BROKEN, ids=["extents", "duplicate"])
     def test_register_invalid_pair_exit_2(self, pair_dir, tmp_path, edit, named):
         pair = broken_pair(pair_dir, tmp_path, edit)
-        proc = run_cli("register", "--pair", str(pair))
+        proc = run_main("register", "--pair", pair)
         assert proc.returncode == 2
         assert proc.stdout == ""
         line = one_stderr_line(proc)
@@ -635,9 +635,9 @@ class TestCliPairFiles:
             for name in ("a.json", "b.json"):
                 path = tmp_path / "null" / f"f2s_{k:03d}" / name
                 path.write_text(json.dumps({**json.loads(path.read_text()), "edges": None}))
-        stored, null = (run_cli("eval", "--pairs", str(tmp_path / kind), "--config", str(cfg))
+        stored, null = (run_main("eval", "--pairs", tmp_path / kind, "--config", cfg)
                         for kind in ("stored", "null"))
-        default = run_cli("eval", "--pairs", str(tmp_path / "null"))
+        default = run_main("eval", "--pairs", tmp_path / "null")
         assert stored.returncode == null.returncode == default.returncode == 0
         assert null.stdout == stored.stdout
         assert null.stdout != default.stdout
@@ -723,8 +723,7 @@ class TestCliNumberLiterals:
 
 class TestCliRegister:
     def test_register_zero_noise(self, pair_dir):
-        proc = run_cli("register", "--pair", str(sorted(pair_dir.iterdir())[0]),
-                       "--allocator", "mnn")
+        proc = run_main("register", "--pair", sorted(pair_dir.iterdir())[0], "--allocator", "mnn")
         assert proc.returncode == 0, proc.stderr
         doc = json.loads(proc.stdout)
         assert doc["error"]["rte"] <= 1e-6
@@ -736,7 +735,7 @@ class TestCliRegister:
         ("--inlier-eps", "nan"), ("--inlier-eps", "-1"), ("--inlier-eps", "inf")])
     def test_bad_ransac_flag_is_usage_error(self, tmp_path, flag, value):
         # the pair does not exist: the flag must be refused before any loading
-        proc = run_cli("register", "--pair", str(tmp_path / "missing"), flag, value)
+        proc = run_main("register", "--pair", tmp_path / "missing", flag, value)
         assert proc.returncode == 1
         assert proc.stdout == ""
         line = one_stderr_line(proc)
@@ -761,13 +760,13 @@ class TestCliRetrieve:
                                               feature_noise_sigma=0.0))
             save_graph(g, db_dir / f"scene{seed}.json")
         query = db_dir / "scene2.json"
-        proc = run_cli("retrieve", "--query", str(query), "--db", str(db_dir),
-                       "--k", "3", "--rerank", "weighted")
+        proc = run_main("retrieve", "--query", query, "--db", db_dir,
+                        "--k", "3", "--rerank", "weighted")
         assert proc.returncode == 0, proc.stderr
         doc = json.loads(proc.stdout)
         assert doc["ranked"][0]["scene_id"] == "scene-2"
-        again = run_cli("retrieve", "--query", str(query), "--db", str(db_dir),
-                        "--k", "3", "--rerank", "weighted")
+        again = run_main("retrieve", "--query", query, "--db", db_dir,
+                         "--k", "3", "--rerank", "weighted")
         assert again.stdout == proc.stdout
 
 
@@ -782,7 +781,7 @@ class TestCliRetrieve:
 
     def test_saved_database(self, saved_db):
         db_dir, query = saved_db
-        proc = run_cli("retrieve", "--query", str(query), "--db", str(db_dir), "--k", "3")
+        proc = run_main("retrieve", "--query", query, "--db", db_dir, "--k", "3")
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["ranked"][0]["scene_id"] == "scene2"
 
@@ -792,16 +791,15 @@ class TestCliRetrieve:
         cfg.write_text(json.dumps({"retrieval": {"rerank": "direct"}}))
 
         def scores(*args):
-            proc = run_cli("retrieve", "--query", str(query), "--db", str(db_dir),
-                           "--k", "3", *args)
+            proc = run_main("retrieve", "--query", query, "--db", db_dir, "--k", "3", *args)
             assert proc.returncode == 0, proc.stderr
             doc = json.loads(proc.stdout)
             return doc["meta"]["rerank"], [(r["scene_id"], r["score"]) for r in doc["ranked"]]
 
-        from_config = scores("--config", str(cfg))
+        from_config = scores("--config", cfg)
         assert from_config == scores("--rerank", "direct")
         assert from_config[0] == "direct"
-        weighted = scores("--config", str(cfg), "--rerank", "weighted")  # the flag wins
+        weighted = scores("--config", cfg, "--rerank", "weighted")  # the flag wins
         assert weighted == scores()
         assert weighted[0] == "weighted" and weighted[1] != from_config[1]
 
@@ -830,7 +828,7 @@ class TestCliRetrieve:
         arrays["offsets"][2] += 1
         with open(path, "wb") as fh:
             np.savez(fh, **arrays)
-        proc = run_cli("retrieve", "--query", str(query), "--db", str(db_dir))
+        proc = run_main("retrieve", "--query", query, "--db", db_dir)
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert "scene1" in one_stderr_line(proc)
@@ -846,7 +844,7 @@ class TestCliRetrieve:
                 np.save(fh, np.zeros(3))
         else:
             path.write_text("embeddings")
-        proc = run_cli("retrieve", "--query", str(query), "--db", str(db_dir))
+        proc = run_main("retrieve", "--query", query, "--db", db_dir)
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert one_stderr_line(proc) == f"ERROR sgalign: {path}: not an npz archive"
@@ -856,7 +854,7 @@ class TestCliRetrieve:
         index = json.loads((db_dir / "index.json").read_text())
         index["scenes"][0] = "../scene0"
         (db_dir / "index.json").write_text(json.dumps(index))
-        proc = run_cli("retrieve", "--query", str(query), "--db", str(db_dir))
+        proc = run_main("retrieve", "--query", query, "--db", db_dir)
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert "safe file name" in one_stderr_line(proc)
@@ -870,7 +868,7 @@ class TestCliRetrieve:
         arrays["f_g"][arrays["offsets"][1]] = [5, -1, 5]
         with open(path, "wb") as fh:
             np.savez(fh, **arrays)
-        proc = run_cli("retrieve", "--query", str(query), "--db", str(db_dir))
+        proc = run_main("retrieve", "--query", query, "--db", db_dir)
         assert proc.returncode == 2
         assert proc.stdout == ""
         line = one_stderr_line(proc)
@@ -913,8 +911,7 @@ class TestCliRetrieve:
         doc = json.loads((tmp_path / "query.json").read_text())
         doc["edges"][0][2] = 99.0
         (tmp_path / "db" / "scene.json").write_text(json.dumps(doc))
-        proc = run_cli("retrieve", "--query", str(tmp_path / "query.json"),
-                       "--db", str(tmp_path / "db"))
+        proc = run_main("retrieve", "--query", tmp_path / "query.json", "--db", tmp_path / "db")
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert str(tmp_path / "db" / "scene.json") in one_stderr_line(proc)
@@ -984,8 +981,7 @@ class TestArgparseRefusals:
 
 class TestCliDemoFit:
     def test_loss_drops(self):
-        proc = run_cli("demo-fit", "--task", "f2s", "--steps", "60",
-                       "--seed", "3")
+        proc = run_main("demo-fit", "--task", "f2s", "--steps", "60", "--seed", "3")
         assert proc.returncode == 0, proc.stderr
         doc = json.loads(proc.stdout)
         assert doc["final_loss"] < doc["initial_loss"]

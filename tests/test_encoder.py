@@ -1,5 +1,4 @@
 import dataclasses
-import hashlib
 import itertools
 import json
 import math
@@ -805,20 +804,24 @@ class TestProductRowScan:
 
 
 @pytest.mark.parametrize("coretype", sorted(KERNEL_SETS))
-def test_batch_invariant_on_kernel_set(coretype):
-    """The Haswell kernels, which AMD Zen CPUs also get, round the rows past
-    a multiple of 4 otherwise; the batch-invariance tests and the product
-    row scan pass under them and under the older Sandybridge (AVX) kernels."""
+def test_bits_on_kernel_set(coretype):
+    """Under the Haswell kernels, which AMD Zen CPUs also get and which round
+    the rows past a multiple of 4 otherwise, and under the older Sandybridge
+    (AVX) kernels, the batch-invariance tests and the product row scan pass,
+    and topk_filter's batched product keeps np.dot's bits. One child per
+    kernel set runs both checks."""
     if not kernel_set_available(coretype):
         pytest.skip(f"needs a DYNAMIC_ARCH OpenBLAS and a CPU with {KERNEL_SETS[coretype]}")
     env = child_env()
     env["OPENBLAS_CORETYPE"] = coretype
     run = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
                           "tests/test_encoder.py", "tests/test_properties.py",
-                          "-k", "one_graph_calls or BatchInvariance or RowScan"],
+                          "tests/test_retrieval.py", "-k",
+                          "(one_graph_calls or BatchInvariance or RowScan or dot_bits"
+                          " or tie_by_scene_id) and not kernel_set"],
                          cwd=ROOT, env=env, capture_output=True, text=True, check=False)
     assert run.returncode == 0, run.stdout[-3000:] + run.stderr[-1000:]
-    assert run.stdout.splitlines()[-1].startswith("8 passed"), run.stdout[-3000:]
+    assert run.stdout.splitlines()[-1].startswith("10 passed"), run.stdout[-3000:]
 
 
 class TestNodePass:
@@ -1267,36 +1270,39 @@ class TestWeightsObject:
 
 
 def first_reads(tmp_path):
-    """Ways to make the first public read of fresh weights, each returning a
-    digest of what it read."""
-    def digest(named_arrays):
-        h = hashlib.sha256()
-        for name, arr in named_arrays:
-            h.update(name.encode())
-            h.update(arr)
-        return h.hexdigest()
+    """Ways to make the first public read of fresh weights `w`, each
+    checking what it read against the same read of the drawn weights
+    `want`: each tensor by name and bytes, the saved file by its bytes, or
+    the fingerprint."""
+    def same(got, want):
+        got, want = list(got), list(want)
+        return len(got) == len(want) and all(
+            name == want_name and arr.tobytes() == want_arr.tobytes()
+            for (name, arr), (want_name, want_arr) in zip(got, want))
 
     def read_each(w, cls_first):
         names = sorted(tensor_shapes(w.config), key=lambda n: n.startswith("cls_attn") != cls_first)
-        return digest((name, w[name]) for name in names)
+        return [(name, w[name]) for name in names]
 
-    def saved(w):
-        path = tmp_path / "w.npz"
-        save_weights(w, path)
-        h = hashlib.sha256()
-        with open(path, "rb") as fh:
-            for chunk in iter(lambda: fh.read(1 << 20), b""):
-                h.update(chunk)
-        return h.hexdigest()
+    def saved(w, want):
+        paths = tmp_path / "w.npz", tmp_path / "want.npz"
+        for weights, path in zip((w, want), paths):
+            save_weights(weights, path)
+        with open(paths[0], "rb") as got_fh, open(paths[1], "rb") as want_fh:
+            while (chunk := got_fh.read(1 << 20)) == want_fh.read(1 << 20):
+                if not chunk:
+                    return True
+        return False
 
     return {
-        "cls_attn first": lambda w: read_each(w, True),
-        "cls_attn last": lambda w: read_each(w, False),
-        "tensors": lambda w: digest(w.tensors.items()),
+        "cls_attn first": lambda w, want: same(read_each(w, True), read_each(want, True)),
+        "cls_attn last": lambda w, want: same(read_each(w, False), read_each(want, False)),
+        "tensors": lambda w, want: same(w.tensors.items(), want.tensors.items()),
         # the packed buffers first, then every tensor, packed or not
-        "packed": lambda w: digest([*w.packed.items(), *w.tensors.items()]),
+        "packed": lambda w, want: same([*w.packed.items(), *w.tensors.items()],
+                                       [*want.packed.items(), *want.tensors.items()]),
         "save_weights": saved,
-        "weights_fingerprint": weights_fingerprint,
+        "weights_fingerprint": lambda w, want: weights_fingerprint(w) == weights_fingerprint(want),
     }
 
 
@@ -1313,10 +1319,8 @@ class TestLazyDraw:
         reads = first_reads(tmp_path)
         for seed in range(4):
             want = init_weights_serial(config, seed)
-            expected = {how: read(want) for how, read in reads.items()}
-            del want
             for how, read in reads.items():
-                assert read(init_weights(config, seed)) == expected[how], (seed, how)
+                assert read(init_weights(config, seed), want), (seed, how)
 
     def test_node_pass_leaves_draw_pending(self, small_config, class_token_draws):
         a, b = (random_graph(n, small_config, seed=n) for n in (7, 9))

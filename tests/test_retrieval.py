@@ -1,11 +1,10 @@
 import json
 import re
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
+from sgalign import encoder, retrieval
 from sgalign.allocator import mcf_allocate, mnn_allocate
 from sgalign.config import PipelineConfig, RetrievalParams
 from sgalign.encoder import (EncoderWeights, encode_graph, encode_nodes, init_weights,
@@ -18,8 +17,7 @@ from sgalign.retrieval import (EncodedScene, SceneDatabase, build_database, enco
                                save_database, topk_filter, weights_fingerprint)
 from sgalign.scene_graph import save_graph
 from sgalign.synth import SynthConfig, generate_scene
-from conftest import (KERNEL_SETS, ROOT, assert_same_graphs, child_env, kernel_set_available,
-                      with_columns)
+from conftest import assert_same_graphs, with_columns
 
 
 @pytest.fixture(scope="module")
@@ -150,21 +148,6 @@ class TestTopkFilter:
             topk_filter(np.ones(31), db, 1)
 
 
-@pytest.mark.parametrize("coretype", sorted(KERNEL_SETS))
-def test_topk_dot_bits_on_kernel_set(coretype):
-    """The batched product keeps np.dot's bits under the OpenBLAS kernel sets
-    that this CPU does not pick by itself."""
-    if not kernel_set_available(coretype):
-        pytest.skip(f"needs a DYNAMIC_ARCH OpenBLAS and a CPU with {KERNEL_SETS[coretype]}")
-    env = child_env()
-    env["OPENBLAS_CORETYPE"] = coretype
-    run = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-                          "tests/test_retrieval.py", "-k", "dot_bits and not kernel_set or tie_by_scene_id"],
-                         cwd=ROOT, env=env, capture_output=True, text=True, check=False)
-    assert run.returncode == 0, run.stdout[-3000:] + run.stderr[-1000:]
-    assert run.stdout.splitlines()[-1].startswith("2 passed"), run.stdout[-3000:]
-
-
 class TestRerank:
     def test_single_candidate_first(self, db_and_weights):
         db, weights = db_and_weights
@@ -249,17 +232,20 @@ class TestRerank:
             assert res.ranked[0][0] == good.scene_id and res.ranked[0][1] > float("-inf")
 
     @pytest.mark.parametrize("allocator", ["mnn", "mcf"])
-    @pytest.mark.parametrize("fault", ["1-D", "not numbers", "too few rows", "too many rows"])
+    @pytest.mark.parametrize("fault", ["1-D", "not numbers", "too few rows", "too many rows",
+                                       "narrow global"])
     def test_malformed_candidate_fails_alone(self, db_and_weights, allocator, fault):
         """Node embeddings that are not (nodes of the candidate's graph, the
-        query's width) fail that candidate under either allocator; the other
-        is scored as it is alone."""
+        query's width), or a global narrower than the query's, fail that
+        candidate under either allocator; the other is scored as it is alone."""
         db, _ = db_and_weights
         query, good, bad = db.entries[0], db.entries[3], db.entries[5]
         nodes = {"1-D": bad.node_embeddings[0], "not numbers": "abc",
                  "too few rows": bad.node_embeddings[:2],
                  "too many rows": np.vstack([bad.node_embeddings, bad.node_embeddings[:1]])}
-        cand = EncodedScene("bad", bad.graph, nodes[fault], bad.global_embedding)
+        globals_ = {"narrow global": bad.global_embedding[:-1]}
+        cand = EncodedScene("bad", bad.graph, nodes.get(fault, bad.node_embeddings),
+                            globals_.get(fault, bad.global_embedding))
         config = PipelineConfig(retrieval=RetrievalParams(allocator=allocator))
         res = rerank(query, [cand, good], "weighted", config)
         assert res.failed == ["bad"]
@@ -267,14 +253,16 @@ class TestRerank:
         alone = rerank(query, [good], "weighted", config).ranked[0]
         assert res.ranked[0][:2] == alone[:2] and res.ranked[0][2] == alone[2]
 
-    @pytest.mark.parametrize("fault", ["1-D", "not numbers", "too few rows"])
+    @pytest.mark.parametrize("fault", ["1-D", "not numbers", "too few rows", "2-D global"])
     def test_malformed_query_fails_every_candidate(self, db_and_weights, fault):
         db, _ = db_and_weights
         query = db.entries[0]
         nodes = {"1-D": query.node_embeddings[0], "not numbers": "abc",
                  "too few rows": query.node_embeddings[:2]}
+        globals_ = {"2-D global": query.global_embedding[None]}
         candidates = [db.entries[k] for k in (7, 1, 4)]
-        res = rerank(EncodedScene("q", query.graph, nodes[fault], query.global_embedding),
+        res = rerank(EncodedScene("q", query.graph, nodes.get(fault, query.node_embeddings),
+                                  globals_.get(fault, query.global_embedding)),
                      candidates, "weighted", PipelineConfig())
         assert res.failed == ["scene07", "scene01", "scene04"]
         assert res.ranked == [(sid, float("-inf"), None)
@@ -376,6 +364,9 @@ class TestPublicCallTypes:
     CASES = {
         "build_database scenes": (lambda db, w, d: build_database(None, w),
                                   "scenes is not a list, got NoneType"),
+        "build_database scene id": (lambda db, w, d: build_database(
+            [(e.scene_id, e.graph) for e in db.entries] + [(3, db.entries[0].graph)], w),
+            "scenes[12] scene id is not a str, got int"),
         "build_database weights": (
             lambda db, w, d: build_database([(e.scene_id, e.graph) for e in db.entries], None),
             WEIGHTS),
@@ -414,10 +405,23 @@ class TestPublicCallTypes:
                          "entries[0].scene_id is not a str, got int"),
     }
 
+    # The cases whose weights the node pass's first step refuses: it holds
+    # the one type check of the weights on every path into the encoder.
+    IN_NODE_PASS = {"build_database weights", "encode_nodes", "encode_graph", "encode_scene",
+                    "align_graphs weights"}
+
     @pytest.mark.parametrize("case", sorted(CASES))
-    def test_refused(self, db_and_weights, tmp_path, case):
+    def test_refused(self, db_and_weights, tmp_path, monkeypatch, case):
+        """Every call but those in IN_NODE_PASS is refused before a node pass
+        runs, and none opens a database archive."""
         db, weights = db_and_weights
         call, message = self.CASES[case]
+
+        def no_work(*args):
+            pytest.fail(f"{case}: work done before the refusal")
+        monkeypatch.setattr(retrieval, "_read_archive", no_work)
+        if case not in self.IN_NODE_PASS:
+            monkeypatch.setattr(encoder, "_node_pass", no_work)
         with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
             call(db, weights, tmp_path / "out")
 
