@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import io
 import os
 import subprocess
@@ -63,6 +64,32 @@ def kernel_set_available(coretype: str) -> bool:
         return False
     return ("DYNAMIC_ARCH" in blas.get("openblas configuration", "")
             and KERNEL_SETS[coretype] in flags)
+
+
+@functools.cache
+def kernel_set_run(coretype: str) -> subprocess.CompletedProcess:
+    """One pytest child under OPENBLAS_CORETYPE=`coretype` that reruns the
+    encoder's batch-invariance tests and product row scan and topk_filter's
+    np.dot-bit tests, reporting each passed test by id. The kernel-set tests
+    of test_encoder.py and test_retrieval.py both read this one run."""
+    env = child_env()
+    env["OPENBLAS_CORETYPE"] = coretype
+    return subprocess.run([sys.executable, "-m", "pytest", "-q", "-rp", "-p", "no:cacheprovider",
+                           "tests/test_encoder.py", "tests/test_properties.py",
+                           "tests/test_retrieval.py", "-k",
+                           "(one_graph_calls or BatchInvariance or RowScan or dot_bits"
+                           " or tie_by_scene_id) and not kernel_set"],
+                          cwd=ROOT, env=env, capture_output=True, text=True, check=False)
+
+
+def kernel_set_passed(coretype: str, files) -> int:
+    """How many tests of `files` passed in the kernel-set child; fails the
+    calling test if anything in that child failed or errored."""
+    run = kernel_set_run(coretype)
+    assert run.returncode == 0, run.stdout[-3000:] + run.stderr[-1000:]
+    assert run.stdout.splitlines()[-1].startswith("10 passed"), run.stdout[-3000:]
+    return sum(line.startswith(tuple(f"PASSED tests/{name}::" for name in files))
+               for line in run.stdout.splitlines())
 
 
 def run_cli(*args, text=True):

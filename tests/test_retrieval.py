@@ -17,7 +17,8 @@ from sgalign.retrieval import (EncodedScene, SceneDatabase, build_database, enco
                                save_database, topk_filter, weights_fingerprint)
 from sgalign.scene_graph import save_graph
 from sgalign.synth import SynthConfig, generate_scene
-from conftest import assert_same_graphs, with_columns
+from conftest import (KERNEL_SETS, assert_same_graphs, kernel_set_available,
+                      kernel_set_passed, with_columns)
 
 
 @pytest.fixture(scope="module")
@@ -146,6 +147,15 @@ class TestTopkFilter:
                 f"topk_filter: database globals must have shape ({len(db)}, 31), "
                 f"got ({len(db)}, 32)")):
             topk_filter(np.ones(31), db, 1)
+
+
+@pytest.mark.parametrize("coretype", sorted(KERNEL_SETS))
+def test_topk_dot_bits_on_kernel_set(coretype):
+    """The batched product keeps np.dot's bits under the OpenBLAS kernel sets
+    that this CPU does not pick by itself."""
+    if not kernel_set_available(coretype):
+        pytest.skip(f"needs a DYNAMIC_ARCH OpenBLAS and a CPU with {KERNEL_SETS[coretype]}")
+    assert kernel_set_passed(coretype, ["test_retrieval.py"]) == 2
 
 
 class TestRerank:
