@@ -143,9 +143,9 @@ def rerank(query: EncodedScene, candidates: list[EncodedScene], mode: str,
     mode "weighted": the same sum multiplied by the global dot product.
     Node embeddings must be of shape (nodes of the scene's graph, the query's
     width) with no zero-norm row, and in weighted mode global embeddings must
-    be 1-D arrays of the query's global width. The query's unit rows and
-    global are formed once, on the first candidate: a query that breaks this
-    fails every candidate, and a candidate that breaks it fails alone.
+    be 1-D arrays of the query's global width. The query's unit rows are
+    formed once, on the first candidate: a query that breaks this fails
+    every candidate, and a candidate that breaks it fails alone.
     """
     if mode not in RERANK_MODES:
         raise InvalidInputError(f"rerank mode must be {'|'.join(RERANK_MODES)}, got {mode!r}")
@@ -158,8 +158,7 @@ def rerank(query: EncodedScene, candidates: list[EncodedScene], mode: str,
     check_type("config", config, PipelineConfig)
     rows: list[tuple[str, float, MatchSet | None]] = []
     failed: list[str] = []
-    query_rows = query_global = None
-    query_positions = query.graph.positions()
+    query_rows, query_positions = None, query.graph.positions()
     for cand in candidates:
         try:
             if query_rows is None:
@@ -173,12 +172,7 @@ def rerank(query: EncodedScene, candidates: list[EncodedScene], mode: str,
                                config.retrieval.allocator)
             score = sum(scores.P[i, j] for i, j, _ in matches.pairs)
             if mode == "weighted":
-                if query_global is None:
-                    query_global = as_array("query global embedding", query.global_embedding,
-                                            (None,), "rerank")
-                score *= float(np.dot(query_global, as_array(
-                    "candidate global embedding", cand.global_embedding,
-                    query_global.shape, f"rerank: {cand.scene_id!r}")))
+                score *= global_similarity(query.global_embedding, cand.global_embedding)
             rows.append((cand.scene_id, float(score), matches))
         except SgaError:
             rows.append((cand.scene_id, float("-inf"), None))

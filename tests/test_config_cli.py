@@ -173,8 +173,7 @@ class TestCliAlign:
     exit code; every other CLI test calls main in process."""
 
     def test_self_alignment_identity(self, scene_file):
-        proc = run_cli("align", str(scene_file), str(scene_file),
-                       "--allocator", "mnn")
+        proc = run_main("align", scene_file, scene_file, "--allocator", "mnn")
         assert proc.returncode == 0, proc.stderr
         doc = json.loads(proc.stdout)
         n = len(json.loads(scene_file.read_text())["nodes"])
@@ -765,8 +764,8 @@ class TestCliRetrieve:
         assert proc.returncode == 0, proc.stderr
         doc = json.loads(proc.stdout)
         assert doc["ranked"][0]["scene_id"] == "scene-2"
-        again = run_main("retrieve", "--query", query, "--db", db_dir,
-                         "--k", "3", "--rerank", "weighted")
+        again = run_cli("retrieve", "--query", query, "--db", db_dir,
+                        "--k", "3", "--rerank", "weighted")
         assert again.stdout == proc.stdout
 
 
