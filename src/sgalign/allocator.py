@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (DOCUMENT_KEYS, InvalidInputError, as_array, check_bound, check_bounds,
-                     check_type, check_types)
+                     check_type, check_types, check_values)
 from .matcher import ScoreMatrix
 from .scene_graph import MAX_COORDINATE, point_distances
 
@@ -97,7 +97,7 @@ def _as_p(P) -> np.ndarray:
     it is 2-D with every entry in [0, 1]: the one check of P that both
     allocators and `candidate_set` make."""
     p = as_array("P", P.P if isinstance(P, ScoreMatrix) else P, (None, None))
-    check_bound("P", p, "in [0, 1]")
+    check_values("P", p, "in [0, 1]")
     return p
 
 

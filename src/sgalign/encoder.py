@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import (InvalidInputError, NumericError, ShapeError, WeightsFormatError,
                      as_array, check_bound, check_bounds, check_sizes, check_type,
-                     check_types, from_section, npz_entry, open_npz, section_dict)
+                     check_types, check_values, from_section, npz_entry, open_npz, section_dict)
 from .scene_graph import DEFAULT_FEATURE_DIMS, GraphBatch, SceneGraph, point_distances
 
 LN_EPS = 1e-5
@@ -441,7 +441,7 @@ def sinusoidal_pe(d: float, pe_dim: int) -> np.ndarray:
     """Standard sinusoidal encoding of a scalar distance."""
     check_bound("pe_dim", pe_dim, "even and >= 2", where="sinusoidal_pe")
     d = as_array("distance", d, None, "sinusoidal_pe")
-    check_bound("distance", d, "finite and >= 0", where="sinusoidal_pe")
+    check_values("sinusoidal_pe: distance", d, "finite and >= 0")
     k = np.arange(pe_dim // 2)
     args = d[..., None] / np.power(10000.0, 2.0 * k / pe_dim)
     out = np.empty(d.shape + (pe_dim,))
@@ -456,7 +456,7 @@ def distance_gate(d, gate_weights: dict[str, np.ndarray]):
     gate_weights holds w1 (hidden, 1), b1, w2 (1, hidden), b2.
     """
     d = as_array("distance", d, None, "distance_gate")
-    check_bound("distance", d, "finite and >= 0", where="distance_gate")
+    check_values("distance_gate: distance", d, "finite and >= 0")
     h = np.maximum(d[..., None] * gate_weights["w1"][:, 0] + gate_weights["b1"], 0.0)
     # A sum over each distance's own hidden units; a GEMV would round a
     # distance differently with the number of distances.
@@ -476,13 +476,12 @@ def _gate_weights(weights: EncoderWeights, layer: int) -> dict[str, np.ndarray]:
 
 def initial_embeddings(graphs: Sequence[SceneGraph], weights: EncoderWeights) -> np.ndarray:
     """Rows [f_vl || f_t || GeoFFN(f_g)], one per node of the graphs in turn."""
+    check_type("weights", weights, EncoderWeights)
     return _initial_rows(GraphBatch.of(graphs), weights)
 
 
 def _initial_rows(batch: GraphBatch, weights: EncoderWeights) -> np.ndarray:
-    """`initial_embeddings` of a batch whose feature dims must be the weights'.
-    The one type check of the weights on every path into the forward pass."""
-    check_type("weights", weights, EncoderWeights)
+    """`initial_embeddings` of a batch whose feature dims must be the weights'."""
     f_vl, f_t, f_g = (batch.arrays[name] for name in ("f_vl", "f_t", "f_g"))
     dims, want = (f_vl.shape[1], f_t.shape[1]), tuple(weights.config.feature_dims)
     if batch.strings and dims != want:
@@ -855,8 +854,10 @@ def encode_nodes(graphs: Sequence[SceneGraph], weights: EncoderWeights
     bit-identical to those of `encode_graphs`, and like them they do not
     depend on the other graphs of the batch.
     """
+    check_type("weights", weights, EncoderWeights)
     if not graphs:
         return []
+    GraphBatch.check(graphs)
     node_emb, offsets = _node_pass(graphs, weights)
     return [node_emb[offsets[g]:offsets[g + 1]] for g in range(len(graphs))]
 
@@ -875,8 +876,10 @@ def encode_graphs(graphs: Sequence[SceneGraph], weights: EncoderWeights
     Weight products are given at least the row floor, and each attention
     block has the shape of its own neighborhood or graph.
     """
+    check_type("weights", weights, EncoderWeights)
     if not graphs:
         return []
+    GraphBatch.check(graphs)
     node_emb, offsets = _node_pass(graphs, weights)
     global_emb = _class_tokens(node_emb, offsets, weights)
     return [(node_emb[offsets[g]:offsets[g + 1]], global_emb[g])

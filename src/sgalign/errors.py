@@ -58,7 +58,7 @@ DOCUMENT_KEYS = {"lam": "lambda"}
 
 # Numeric bounds as a refusal states them ("<name> must be <rule>, got
 # <value>"): the numbers ABC a value under the rule belongs to, and the
-# rule's test, which holds elementwise on an array.
+# rule's test, which holds elementwise on an array (check_values).
 BOUNDS = {
     ">= 0": (numbers.Integral, lambda v: v >= 0),
     ">= 1": (numbers.Integral, lambda v: v >= 1),
@@ -95,20 +95,21 @@ def _check_kind(name: str, value, kind, what: str) -> None:
 
 
 def check_bound(name: str, value, rule: str, where: str | None = None) -> None:
-    """Reject `value` unless it is a number of the kind of BOUNDS[rule] that
-    meets the rule. An ndarray, already of numbers, is checked in one
-    vectorised pass, and the refusal shows its first value that breaks the
-    rule. Refusals read "[where: ]<name> must be ..."."""
+    """Reject `value` unless it is one number (not an array) of the kind of
+    BOUNDS[rule] that meets the rule: "[where: ]<name> must be ..."."""
     kind, test = BOUNDS[rule]
     name = f"{where}: {name}" if where else name
-    if isinstance(value, np.ndarray):
-        bad = value[~np.asarray(test(value))]
-        if bad.size:
-            raise InvalidInputError(f"{name} must be {rule}, got {bad[0]}")
-        return
     _check_kind(name, value, kind, _KIND_NAMES[kind])
     if not test(float(value) if kind is numbers.Real else value):  # np.isfinite: no big int
         raise InvalidInputError(f"{name} must be {rule}, got {value}")
+
+
+def check_values(name: str, values: np.ndarray, rule: str) -> None:
+    """check_bound on each entry of the float array `values`, in one
+    vectorised pass; the refusal shows the first entry that breaks the rule."""
+    bad = values[~np.asarray(BOUNDS[rule][1](values))]
+    if bad.size:
+        raise InvalidInputError(f"{name} must be {rule}, got {bad[0]}")
 
 
 def as_array(name: str, value, shape: tuple | None, where: str | None = None,

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateGeometryError, InvalidInputError, as_array, check_bound
+from .errors import (DegenerateGeometryError, InvalidInputError, as_array, check_bound,
+                     check_values)
 from .scene_graph import point_distances
 
 DEFAULT_RANSAC_ITERS = 256
@@ -92,7 +93,7 @@ def _positions(pairs, side: int, name: str) -> np.ndarray:
     pts = as_array(f"{name} positions", points, None, "estimate_rigid")
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise InvalidInputError(f"{name} positions must be (n, 3), got shape {pts.shape}")
-    check_bound(f"{name} positions", pts, "finite")
+    check_values(f"{name} positions", pts, "finite")
     return pts
 
 

@@ -398,13 +398,8 @@ class GraphBatch:
 
     @classmethod
     def of(cls, graphs: Sequence[SceneGraph]) -> GraphBatch:
-        """The batch of `graphs` (one graph's holds its own columns); a member
-        not a SceneGraph, or of other feature dims than the first, is refused."""
-        for k, g in enumerate(graphs):
-            check_type(f"graphs[{k}]", g, SceneGraph)
-            if g.feature_dims != graphs[0].feature_dims:
-                raise ShapeError(f"graph {g.graph_id!r}: feature dims {list(g.feature_dims)} do "
-                                 f"not match those of graph {graphs[0].graph_id!r}")
+        """The batch of `graphs` (one graph's holds its own columns) once `check` passes."""
+        cls.check(graphs)
         parts = list(graphs) or [graph_from_dict({"graph_id": "", "frame_kind": "world",
                                                   "feature_dims": [0, 0], "nodes": []})]
         arrays = {}
@@ -419,6 +414,15 @@ class GraphBatch:
         strings = [{"graph_id": g.graph_id, "frame_kind": g.frame_kind, "labels": g.labels}
                    for g in graphs]
         return cls(arrays, strings)
+
+    @staticmethod
+    def check(graphs: Sequence[SceneGraph]) -> None:
+        """Refuse a member not a SceneGraph, or of other feature dims than the first."""
+        for k, g in enumerate(graphs):
+            check_type(f"graphs[{k}]", g, SceneGraph)
+            if g.feature_dims != graphs[0].feature_dims:
+                raise ShapeError(f"graph {g.graph_id!r}: feature dims {list(g.feature_dims)} do "
+                                 f"not match those of graph {graphs[0].graph_id!r}")
 
     @classmethod
     def read(cls, arrays, strings, names: Sequence[str], source

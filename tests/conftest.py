@@ -32,6 +32,24 @@ def small_weights(small_config):
     return init_weights(small_config, seed=7)
 
 
+def pytest_collectstart(collector):
+    """Add each test file's refusal tests, rows of test_contract.FOLDED, to its module."""
+    if isinstance(collector, pytest.Module):
+        try:
+            from test_contract import keep_ids
+            module = collector.obj
+        except Exception:  # pytest reports the file that does not import
+            return
+        keep_ids(vars(module))
+
+
+@pytest.fixture(scope="session")
+def contract_args(small_weights, tmp_path_factory):
+    """The arguments that test_contract's base calls share."""
+    from test_contract import shared_args
+    return shared_args(small_weights, tmp_path_factory.mktemp("contract"))
+
+
 @pytest.fixture()
 def rng():
     return np.random.default_rng(12345)

@@ -9,7 +9,8 @@ shared primitive has one copy: a vector norm is taken only where no shared
 function (`scene_graph.point_distances`, `matcher.unit_rows`) serves, only
 `errors` converts values to float arrays under a refusal, and one runner
 (`encoder.run_parts`) starts threads. The tests start child processes in
-the files of CHILD_FILES alone."""
+the files of CHILD_FILES alone, and state a type refusal in the refusal
+table (test_contract.py) alone."""
 
 import ast
 import re
@@ -60,6 +61,9 @@ CHILD_FILES = {"conftest.py": {"run_cli", "subprocess"}, "test_acceptance.py": {
                "test_config_cli.py": {"run_cli"}, "test_encoder.py": {"subprocess"},
                "test_imports.py": {"subprocess"}, "test_demos.py": {"subprocess"},
                "test_benchmarks_import.py": {"subprocess"}}
+
+# The test files that state TYPE_TEXT: the refusal table and this file's cases.
+TYPE_TEXT_FILES = {"test_contract.py", "test_cli_rules.py"}
 
 
 def parsed() -> dict[str, ast.AST]:
@@ -240,6 +244,12 @@ def test_children_started_in_allowed_files_only():
     assert {name: names for name, names in found.items() if names} == CHILD_FILES
 
 
+def test_type_refusal_tested_in_the_table_only():
+    found = {path.name for path in TESTS.glob("*.py")
+             if any(type_texts(ast.parse(path.read_text(), str(path))))}
+    assert found == TYPE_TEXT_FILES
+
+
 def test_scans_see_each_case():
     source = ("import logging\nfrom logging import getLogger\nimport os.path\n"
               "def cmd_x():\n    raise UsageError('no')\n    raise ValueError\n"
@@ -259,8 +269,9 @@ def test_scans_see_each_case():
                       "    raise E(f'{k} is not {a} {c}, ' f'got {t}')\n"
                       "    raise E('x is not an Array, got int')\n"
                       "    raise E('x is not a(n) <cls>, got <type>')\n"
-                      "    raise E(f'{k} is not a (id, Graph) pair, got {x}')\n")
-    assert list(type_texts(types)) == [2, 3, 4]
+                      "    raise E(f'{k} is not a (id, Graph) pair, got {x}')\n"
+                      "    rows = [(None, 'f', {'x': 1}, 'x is not a Graph, got int')]\n")
+    assert list(type_texts(types)) == [2, 3, 4, 7]
     copies = ast.parse("import numpy as np\n"
                        "def f(a, b):\n    return np.linalg.norm(a - b)\n"
                        "def g(v):\n    def h():\n        return numpy.linalg.norm(v)\n"

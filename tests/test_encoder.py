@@ -22,8 +22,8 @@ from sgalign.encoder import (BATCH_NODES, CLS_ATTN_LAYERS, MAX_LAYERS, EncoderCo
                              encode_graph, encode_graphs, encode_nodes, init_weights,
                              initial_embeddings, load_weights, node_batches, packed_groups,
                              run_parts, save_weights, sinusoidal_pe, tensor_shapes)
-from sgalign.errors import (GenerationError, InvalidInputError, ShapeError,
-                            WeightsFormatError, open_npz, section_dict)
+from sgalign.errors import (GenerationError, InvalidInputError, WeightsFormatError, open_npz,
+                            section_dict)
 from sgalign.pipeline import align_graphs
 from sgalign.retrieval import build_database, encode_scene, weights_fingerprint
 from sgalign.scene_graph import GraphBatch, graph_to_dict, load_graph, point_distances
@@ -63,20 +63,6 @@ class TestSinusoidalPe:
         pe = sinusoidal_pe(rng.uniform(0, 100, 50), 32)
         assert np.all(pe >= -1.0) and np.all(pe <= 1.0)
 
-    def test_negative_rejected(self):
-        with pytest.raises(InvalidInputError):
-            sinusoidal_pe(-0.1, 4)
-
-    @pytest.mark.parametrize("d", ["a", [[1.0, 2.0], [3.0]], None])
-    def test_non_number_rejected(self, d):
-        with pytest.raises(InvalidInputError, match="sinusoidal_pe: distance "):
-            sinusoidal_pe(d, 4)
-
-    @pytest.mark.parametrize("pe_dim", [-2, 0, 7, 2.0])
-    def test_bad_pe_dim_rejected(self, pe_dim):
-        with pytest.raises(InvalidInputError, match="pe_dim must be"):
-            sinusoidal_pe(1.0, pe_dim)
-
 
 def gate_oracle(d, gw):
     """Scalar two-layer MLP hand evaluation."""
@@ -107,10 +93,6 @@ class TestDistanceGate:
               "w2": rng.standard_normal((1, 4)), "b2": rng.standard_normal(1)}
         for d in (0.0, 1.0, 2.0):
             assert abs(distance_gate(d, gw) - gate_oracle(d, gw)) <= 1e-12
-
-    def test_negative_rejected(self):
-        with pytest.raises(InvalidInputError):
-            distance_gate(-1.0, self.zero_gate())
 
 
 class TestInitialEmbed:
@@ -143,45 +125,11 @@ class TestInitialEmbed:
         expected = np.concatenate([g.f_vl[0], g.f_t[0], geo])
         assert np.allclose(initial_embeddings([g], small_weights)[0], expected, atol=1e-12)
 
-    def test_shape_error(self, small_config, small_weights):
-        """A graph whose feature dims are not the weights' is refused."""
-        g = random_graph(1, dataclasses.replace(small_config, feature_dims=(3, 12)))
-        with pytest.raises(ShapeError, match="feature dims"):
-            initial_embeddings([g], small_weights)
-
     def test_no_graphs(self, small_config, small_weights):
         """No graphs give no rows of the config's width, as `encode_nodes([])`
         gives no graphs."""
         rows = initial_embeddings([], small_weights)
         assert (rows.shape, rows.dtype) == ((0, small_config.d_init), np.float64)
-
-
-class TestNotAGraph:
-    """A member of a graph sequence that is not a SceneGraph is refused,
-    naming its index, by the one type check of `GraphBatch.of`."""
-
-    def test_encode_nodes(self, small_weights):
-        with pytest.raises(InvalidInputError,
-                           match=re.escape("graphs[0] is not a SceneGraph, got int")):
-            encode_nodes([1], small_weights)
-
-    def test_encode_graphs(self, small_weights):
-        with pytest.raises(InvalidInputError,
-                           match=re.escape("graphs[0] is not a SceneGraph, got str")):
-            encode_graphs("ab", small_weights)
-
-    def test_encode_scene(self, small_weights):
-        with pytest.raises(InvalidInputError,
-                           match=re.escape("graphs[0] is not a SceneGraph, got NoneType")):
-            encode_scene("q", None, small_weights)
-
-    @pytest.mark.parametrize("scenes", [[("a", 3)], [("a",)]])
-    def test_build_database(self, small_config, small_weights, scenes):
-        """An item that is not a (scene_id, graph) pair is refused by index."""
-        good = ("g", random_graph(1, small_config))
-        with pytest.raises(InvalidInputError, match=re.escape(
-                "scenes[1] is not a (scene_id, SceneGraph) pair")):
-            build_database([good, *scenes], small_weights)
 
 
 # ---------------------------------------------------------------------------
@@ -973,29 +921,6 @@ def test_class_token_peak_memory(default_weights):
 
 
 class TestEncoderConfig:
-    def test_heads_must_divide_d_model(self):
-        with pytest.raises(InvalidInputError):
-            EncoderConfig(d_model=33, heads=8)
-
-    def test_pe_dim_must_be_even(self):
-        with pytest.raises(InvalidInputError):
-            EncoderConfig(pe_dim=7)
-
-    def test_dropout_range(self):
-        with pytest.raises(InvalidInputError):
-            EncoderConfig(dropout=1.0)
-
-    @pytest.mark.parametrize("field", ["pe_dim", "heads", "d_model",
-                                       "gate_hidden", "geo_hidden"])
-    @pytest.mark.parametrize("value", [0, -8])
-    def test_sizes_must_be_positive(self, field, value):
-        with pytest.raises(InvalidInputError, match=field):
-            EncoderConfig(**{field: value})
-
-    @pytest.mark.parametrize("dims", [(0, 384), (256, -1), (256,)])
-    def test_feature_dims_must_be_two_positive_sizes(self, dims):
-        with pytest.raises(InvalidInputError, match="feature_dims"):
-            EncoderConfig(feature_dims=dims)
 
     def test_layers(self, small_config):
         for layers in (-1, MAX_LAYERS + 1, 2 ** 64):
@@ -1185,21 +1110,6 @@ def class_token_draws(monkeypatch):
 
 
 class TestInitWeightsArguments:
-    @pytest.mark.parametrize("seed, message", [
-        (-1, "init_weights: seed must be >= 0, got -1"),
-        (1.5, "init_weights: seed must be an integer, got 1.5"),
-        ("a", "init_weights: seed must be an integer, got 'a'"),
-        (True, "init_weights: seed must be an integer, got True"),
-        (None, "init_weights: seed must be an integer, got None"),
-    ], ids=["negative", "float", "str", "bool", "none"])
-    def test_bad_seed_refused(self, small_config, seed, message):
-        with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
-            init_weights(small_config, seed)
-
-    def test_config_must_be_encoder_config(self):
-        with pytest.raises(InvalidInputError, match=re.escape(
-                "init_weights: config is not an EncoderConfig, got NoneType")):
-            init_weights(None, 0)
 
     def test_numpy_integer_seed_recorded_as_int(self, small_config, tmp_path):
         w = init_weights(small_config, np.int64(3))
@@ -1218,16 +1128,6 @@ class TestWeightsSeed:
         assert type(w.seed) is int and w.seed == 2
         save_weights(w, tmp_path / "w.npz")
         assert load_weights(tmp_path / "w.npz").seed == 2
-
-    def test_string_seed_refused(self, small_weights):
-        with pytest.raises(InvalidInputError, match=re.escape(
-                "EncoderWeights: seed must be an integer, got 'x'")):
-            EncoderWeights(small_weights.config, small_weights.tensors, seed="x")
-
-    def test_negative_seed_refused(self, small_weights):
-        with pytest.raises(InvalidInputError, match=re.escape(
-                "EncoderWeights: seed must be >= 0, got -5")):
-            EncoderWeights(small_weights.config, small_weights.tensors, seed=-5)
 
     def test_no_seed_round_trips(self, small_weights, tmp_path):
         save_weights(EncoderWeights(small_weights.config, small_weights.tensors), tmp_path / "w")

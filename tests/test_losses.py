@@ -1,12 +1,9 @@
-import re
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import info_nce_loop
 
-from sgalign.errors import InvalidInputError
 from sgalign.losses import (InfoNceInput, TripletInput, hard_negative_mine,
                             info_nce, toy_embedding_fit, triplet_loss)
 from sgalign.synth import SynthConfig, make_sample
@@ -94,45 +91,11 @@ class TestInfoNce:
         _, grad = info_nce(InfoNceInput(S, {(i, i) for i in range(4)}, 0.1))
         assert abs(grad.sum()) <= 1e-10
 
-    def test_no_positives_rejected(self):
-        with pytest.raises(InvalidInputError):
-            info_nce(InfoNceInput(np.zeros((2, 2)), set()))
-
-    @pytest.mark.parametrize("temperature", [0.0, -0.1, np.nan, np.inf])
-    def test_bad_temperature_rejected(self, temperature):
-        with pytest.raises(InvalidInputError, match="temperature must be finite and > 0"):
-            InfoNceInput(np.zeros((2, 2)), {(0, 0)}, temperature)
-
-    @pytest.mark.parametrize("similarities, positives, message", [
-        (np.ones(3), set(), "InfoNceInput: similarities must be 2-D, got shape (3,)"),
-        ("abc", set(), "InfoNceInput: similarities is not an array of numbers"),
-        (np.ones((2, 2)), {(1,)}, "InfoNceInput: a positive must be a (row, column) pair, "
-                                  "got (1,)"),
-        (np.ones((2, 2)), {(0, 1, 1)}, "a positive must be a (row, column) pair, got (0, 1, 1)"),
-        (np.ones((2, 2)), [0], "a positive must be a (row, column) pair, got 0")])
-    def test_bad_arguments_rejected(self, similarities, positives, message):
-        with pytest.raises(InvalidInputError, match=re.escape(message)):
-            InfoNceInput(similarities, positives)
-
-    @pytest.mark.parametrize("positive, member", [
-        ((0.5, 1), "0.5"), (("a", 1), "'a'"), ((True, 0), "True"), ((0, [1]), "[1]")])
-    def test_non_integer_positive_refused(self, positive, member):
-        message = (f"InfoNceInput: a positive {positive!r}: a member must be an integer "
-                   f"within int64, got {member}")
-        with pytest.raises(InvalidInputError, match=re.escape(message)):
-            InfoNceInput(np.ones((2, 2)), [positive])
-
     def test_integral_positives_index_as_ints(self):
         inp = InfoNceInput(np.eye(2), {(np.int64(0), 0.0), (1.0, np.int32(1))})
         assert inp.positives == {(0, 0), (1, 1)}
         assert all(type(v) is int for pair in inp.positives for v in pair)
         assert info_nce(inp)[0] == info_nce(InfoNceInput(np.eye(2), {(0, 0), (1, 1)}))[0]
-
-    def test_one_positive_per_row_and_column(self):
-        with pytest.raises(InvalidInputError):
-            InfoNceInput(np.zeros((2, 2)), {(0, 0), (0, 1)})
-        with pytest.raises(InvalidInputError):
-            InfoNceInput(np.zeros((2, 2)), {(0, 0), (1, 0)})
 
     def test_loss_nonnegative(self, rng):
         for _ in range(50):
@@ -156,22 +119,6 @@ class TestTripletLoss:
         negative = np.array([0.2, 0, 0])
         loss, *_ = triplet_loss(TripletInput(anchor, positive, negative, 0.5))
         assert loss == pytest.approx(1.3, abs=1e-12)
-
-    @pytest.mark.parametrize("margin", [0.0, -0.5, np.nan, np.inf])
-    def test_bad_margin_rejected(self, margin):
-        with pytest.raises(InvalidInputError, match="margin must be finite and > 0"):
-            TripletInput(np.zeros(3), np.ones(3), np.ones(3), margin)
-
-    @pytest.mark.parametrize("vectors, message", [
-        ((np.ones(3), np.ones(4), np.ones(3)),
-         "TripletInput: anchor has width 3 and positive width 4; they must be the same"),
-        ((np.ones(3), np.ones(3), np.ones(2)),
-         "TripletInput: anchor has width 3 and negative width 2; they must be the same"),
-        (("a", "b", "c"), "TripletInput: anchor is not an array of numbers"),
-        ((np.ones((2, 3)),) * 3, "TripletInput: anchor must be 1-D, got shape (2, 3)")])
-    def test_bad_vectors_rejected(self, vectors, message):
-        with pytest.raises(InvalidInputError, match=re.escape(message)):
-            triplet_loss(TripletInput(*vectors))
 
     def test_gradients_against_finite_differences(self, rng):
         checked = 0
@@ -224,19 +171,6 @@ class TestHardNegativeMine:
                      if k != pos]
             assert got == min(dists)[1]
 
-    @pytest.mark.parametrize("pool, message", [
-        ([np.ones(3), np.ones(4)], "hard_negative_mine: anchor has width 3 and pool[1] width 4; "
-                                   "they must be the same"),
-        ([np.ones(2), np.ones(3)], "anchor has width 3 and pool[0] width 2"),
-        ([np.ones(3), "x"], "hard_negative_mine: pool[1] is not an array of numbers")])
-    def test_bad_pool_rejected(self, pool, message):
-        with pytest.raises(InvalidInputError, match=re.escape(message)):
-            hard_negative_mine(np.ones(3), 0, pool)
-
-    def test_exhausted_pool(self):
-        with pytest.raises(InvalidInputError):
-            hard_negative_mine(np.zeros(2), 0, [np.ones(2)])
-
 
 @pytest.fixture(scope="module")
 def sample():
@@ -249,13 +183,6 @@ class TestToyEmbeddingFit:
     def test_zero_lr_constant(self, sample):
         traj = toy_embedding_fit(sample, steps=10, lr=0.0)
         assert all(v == traj[0] for v in traj)
-
-    @pytest.mark.parametrize("field, value", [("steps", 2.5), ("steps", -1),
-                                              ("lr", np.nan), ("lr", -0.1), ("dim", 0),
-                                              ("dim", 2.5), ("seed", -1)])
-    def test_bad_argument_rejected(self, sample, field, value):
-        with pytest.raises(InvalidInputError, match=f"toy_embedding_fit: {field} must be"):
-            toy_embedding_fit(sample, **{field: value})
 
     def test_loss_decreases(self, sample):
         traj = toy_embedding_fit(sample, steps=200, lr=0.1)

@@ -1,10 +1,7 @@
 import math
-import re
 
 import numpy as np
-import pytest
 
-from sgalign.errors import InvalidInputError, NumericError
 from sgalign.matcher import (MatcherParams, P_FLOOR, cosine_scores,
                              score_matrix)
 
@@ -37,12 +34,6 @@ class TestCosineScores:
         a = unit_rows(rng.standard_normal((4, 8)))
         b = unit_rows(rng.standard_normal((3, 8)))
         assert np.allclose(cosine_scores(a, b), cosine_scores(b, a).T, atol=1e-15)
-
-    def test_zero_vector_names_index(self, rng):
-        a = unit_rows(rng.standard_normal((3, 8)))
-        a[1] = 0.0
-        with pytest.raises(NumericError, match=r"a\[1\]"):
-            cosine_scores(a, a)
 
 
 def dual_softmax_oracle(S, params):
@@ -117,44 +108,3 @@ class TestScoreMatrixDualSoftmax:
                 assert sm.P.shape == shape and sm.P.dtype == np.float64
                 assert sm.dustbin_row.tolist() == [1.0] * shape[1]
                 assert sm.dustbin_col.tolist() == [1.0] * shape[0]
-
-    def test_bad_temperature(self):
-        with pytest.raises(InvalidInputError):
-            MatcherParams(temperature=0.0)
-
-    @pytest.mark.parametrize("field,value", [
-        ("temperature", math.nan), ("temperature", math.inf),
-        ("dustbin_logit", math.nan), ("dustbin_logit", -math.inf)])
-    def test_non_finite_param_rejected(self, field, value):
-        with pytest.raises(InvalidInputError, match=f"{field} must be"):
-            MatcherParams(**{field: value})
-
-    def test_non_finite_rejected(self):
-        with pytest.raises(InvalidInputError):
-            score_matrix(np.array([[np.nan]]))
-
-
-@pytest.mark.parametrize("call, message", [
-    (lambda: cosine_scores(np.ones(3), np.ones(3)),
-     "cosine_scores: emb_a must be 2-D, got shape (3,)"),
-    (lambda: cosine_scores(np.ones((2, 3)), np.ones((1, 2, 3))),
-     "cosine_scores: emb_b must be 2-D, got shape (1, 2, 3)"),
-    (lambda: score_matrix(np.ones(3)), "score_matrix: S must be 2-D, got shape (3,)"),
-    (lambda: score_matrix(np.float64(0.5)), "score_matrix: S must be 2-D, got shape ()")],
-    ids=["cosine_a", "cosine_b", "score_1d", "score_0d"])
-def test_non_2d_refused(call, message):
-    with pytest.raises(InvalidInputError, match=re.escape(message)):
-        call()
-
-
-@pytest.mark.parametrize("call, message", [
-    (lambda: cosine_scores(np.ones((2, 3)), np.ones((2, 4))),
-     "cosine_scores: emb_a has width 3 and emb_b width 4; they must be the same"),
-    (lambda: cosine_scores(np.ones((0, 3)), np.ones((2, 4))),
-     "cosine_scores: emb_a has width 3 and emb_b width 4; they must be the same"),
-    (lambda: cosine_scores([["a"]], np.ones((2, 4))),
-     "cosine_scores: emb_a is not an array of numbers")],
-    ids=["widths", "empty_side", "strings"])
-def test_mismatch_refused(call, message):
-    with pytest.raises(InvalidInputError, match=re.escape(message)):
-        call()

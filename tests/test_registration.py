@@ -1,5 +1,4 @@
 import math
-import re
 
 import numpy as np
 import pytest
@@ -50,14 +49,6 @@ class TestEstimateRigid:
             err = registration_error(est, RigidTransform(rot, t))
             assert err.rte < 0.05
 
-    def test_unallocatable_iters_refused(self, rng):
-        # NumPy refuses the 36 TiB sample array at once, touching no memory
-        a = rng.uniform(0, 5, (6, 3))
-        with pytest.raises(InvalidInputError,
-                           match="^estimate_rigid: iters 1000000000000 samples cannot be "
-                                 "allocated: "):
-            estimate_rigid([(p, p) for p in a], iters=10 ** 12)
-
     def test_equivariance_under_pre_rotation(self, rng):
         rot = random_rotation(rng)
         t = rng.uniform(-2, 2, 3)
@@ -75,62 +66,11 @@ class TestEstimateRigid:
         assert np.allclose(est.R.T @ est.R, np.eye(3), atol=1e-9)
         assert np.linalg.det(est.R) == pytest.approx(1.0, abs=1e-9)
 
-    def test_too_few_pairs(self):
-        with pytest.raises(InvalidInputError):
-            estimate_rigid([(np.zeros(3), np.zeros(3))] * 2)
-
-    def test_collinear_rejected(self):
-        pairs = [(np.array([float(i), 0, 0]), np.array([float(i), 1, 0]))
-                 for i in range(5)]
-        with pytest.raises(DegenerateGeometryError):
-            estimate_rigid(pairs)
-
-    @pytest.mark.parametrize("iters", [-1, 0, 2.5, "7", None, True])
-    def test_bad_iters_rejected(self, rng, iters):
-        a = rng.uniform(0, 5, (6, 3))
-        with pytest.raises(InvalidInputError, match="iters"):
-            estimate_rigid([(p, p) for p in a], iters=iters)
-
     def test_numpy_int_iters_accepted(self, rng):
         a = rng.uniform(0, 5, (6, 3))
         pairs = [(p, p) for p in a]
         assert_same_fit(estimate_rigid(pairs, iters=np.int64(7)),
                         estimate_rigid(pairs, iters=7))
-
-    @pytest.mark.parametrize("eps", [math.nan, math.inf, -1.0, None, "0.2"])
-    def test_bad_inlier_eps_rejected(self, rng, eps):
-        a = rng.uniform(0, 5, (6, 3))
-        with pytest.raises(InvalidInputError, match="inlier_eps"):
-            estimate_rigid([(p, p) for p in a], inlier_eps=eps)
-
-    @pytest.mark.parametrize("side", [0, 1])
-    @pytest.mark.parametrize("bad", [math.nan, math.inf])
-    def test_non_finite_point_rejected(self, rng, side, bad):
-        pairs = [[p, p.copy()] for p in rng.uniform(0, 5, (6, 3))]
-        pairs[2][side][1] = bad
-        with pytest.raises(InvalidInputError, match="finite"):
-            estimate_rigid(pairs)
-
-    def test_2d_points_rejected_as_shape(self, rng):
-        a = rng.uniform(0, 5, (6, 2))
-        with pytest.raises(InvalidInputError, match=r"\(n, 3\)"):
-            estimate_rigid([(p, p) for p in a])
-
-    def test_ragged_points_rejected(self, rng):
-        pairs = [(p, p) for p in rng.uniform(0, 5, (5, 3))]
-        pairs.append((np.zeros(2), np.zeros(3)))
-        with pytest.raises(InvalidInputError):
-            estimate_rigid(pairs)
-
-
-    @pytest.mark.parametrize("bad, message", [
-        ((np.zeros(3), "abc"), "estimate_rigid: B positions is not an array of numbers"),
-        ((np.zeros(3),), "estimate_rigid: a pair has no B position"),
-        (None, "estimate_rigid: a pair has no A position")])
-    def test_malformed_pair_refused(self, rng, bad, message):
-        pairs = [(p, p) for p in rng.uniform(0, 5, (5, 3))] + [bad]
-        with pytest.raises(InvalidInputError, match=re.escape(message)):
-            estimate_rigid(pairs)
 
 def _kabsch_oracle(a, b):
     ca = a.mean(axis=0)
@@ -332,18 +272,6 @@ class TestRegistrationError:
 
 
 class TestRigidTransform:
-    @pytest.mark.parametrize("R, t, message", [
-        (np.eye(3), np.zeros(2), "t must have shape (3,), got (2,)"),
-        (np.eye(3), np.zeros((3, 1)), "t must have shape (3,), got (3, 1)"),
-        (np.eye(2), np.zeros(3), "R must have shape (3, 3), got (2, 2)"),
-        (np.eye(3).ravel(), np.zeros(3), "R must have shape (3, 3), got (9,)"),
-        ("abc", np.zeros(3), "R is not an array of numbers")])
-    def test_shapes_refused(self, R, t, message):
-        """Refused when built, where registration_error would have met a
-        (2,) translation as NumPy's broadcast ValueError."""
-        with pytest.raises(InvalidInputError, match=re.escape(f"RigidTransform: {message}")):
-            RigidTransform(R, t)
-
     def test_orthonormal_check_is_allclose(self, rng):
         """The orthonormality check accepts exactly what
         np.allclose(R.T @ R, I, atol=1e-9) does, at its default rtol."""

@@ -6,14 +6,12 @@ alone that share ids between graphs), and the refusal of a ground-truth pair
 that is not (id_A, id_B)."""
 
 import numpy as np
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from oracles import rows_of_reference, validate_graph_reference
 
-from sgalign.errors import InvalidInputError
-from sgalign.scene_graph import (MAX_COORDINATE, GraphBatch, GroundTruthMap, SceneGraph,
-                                 build_edges, validate_graph)
+from sgalign.scene_graph import (MAX_COORDINATE, GraphBatch, SceneGraph, build_edges,
+                                 validate_graph)
 
 # Derandomized, so every run of the suite draws the same graphs.
 SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=2000,
@@ -204,9 +202,3 @@ class TestIdRows:
         for graphs in ([id_graph([], [(1, 2)])], [id_graph([], [(0, 0)]), id_graph([], [])]):
             repeated, rows = GraphBatch.of(graphs).id_rows()
             assert repeated.shape == (0,) and rows.tolist() == [[-1, -1]]
-
-
-@pytest.mark.parametrize("pair", [(1,), (1, 2, 3), 5])
-def test_ground_truth_pair_refused(pair):
-    with pytest.raises(InvalidInputError, match=r"ground truth pair must be \(id_A, id_B\)"):
-        GroundTruthMap(pairs={pair, (4, 5)})
