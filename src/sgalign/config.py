@@ -10,8 +10,8 @@ from dataclasses import dataclass, field, fields, is_dataclass
 
 from .allocator import ALLOCATORS, McfParams, MnnParams
 from .encoder import EncoderConfig
-from .errors import (ConfigError, InvalidInputError, check_bounds, from_section, read_json,
-                     section_dict)
+from .errors import (ConfigError, InvalidInputError, check_bounds, check_path,
+                     from_section, read_json, section_dict)
 from .matcher import MatcherParams
 from .scene_graph import DEFAULT_D_TH, DEFAULT_N_MAX
 
@@ -90,6 +90,7 @@ def config_from_dict(data: dict) -> tuple[PipelineConfig, list[str]]:
 
 
 def load_config(path) -> tuple[PipelineConfig, list[str]]:
+    check_path("path", path)
     data = read_json(path)
     if not isinstance(data, dict):
         raise ConfigError(str(path), "top level must be an object")

@@ -21,7 +21,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 import numpy as np
 
 from .errors import (InvalidInputError, NumericError, ShapeError, WeightsFormatError,
-                     as_array, check_bound, check_bounds, check_sizes, check_type,
+                     as_array, check_bound, check_bounds, check_path, check_sizes, check_type,
                      check_types, check_values, from_section, npz_entry, open_npz, section_dict)
 from .scene_graph import DEFAULT_FEATURE_DIMS, GraphBatch, SceneGraph, point_distances
 
@@ -367,6 +367,7 @@ def save_weights(weights: EncoderWeights, path) -> None:
     """Write a version 2 file. It goes through a file handle, so `path` is
     kept as given (numpy appends ".npz" to a bare path name)."""
     check_type("weights", weights, EncoderWeights)
+    check_path("path", path)
     meta = json.dumps({"format_version": WEIGHTS_FORMAT_VERSION,
                        "config": section_dict(weights.config), "seed": weights.seed})
     with open(path, "wb") as fh:
@@ -427,6 +428,7 @@ def load_weights(path) -> EncoderWeights:
     not a zip archive, a damaged archive, a bad config or a missing, unknown,
     wrongly shaped or non-finite tensor raises WeightsFormatError naming
     `path`."""
+    check_path("path", path)
     try:
         return _read_weights(path)
     except WeightsFormatError as exc:

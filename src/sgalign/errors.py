@@ -2,8 +2,9 @@
 helpers that raise them: the type of an argument, the numeric bounds of
 flags, params fields and function arguments, array shapes and widths,
 sets of pairs, the field type check of the params dataclasses, the
-mapping between a params dataclass and its config section, the one reader
-of JSON files and the one opener of npz archives.
+mapping between a params dataclass and its config section, the path rule
+of file arguments, the one reader of JSON files, and the one opener and the
+one writer of npz archives.
 
 A params dataclass (EncoderConfig, MatcherParams, MnnParams, McfParams,
 EdgeParams, RetrievalParams) is the schema of its config section: the
@@ -18,6 +19,7 @@ import dataclasses
 import io
 import json
 import numbers
+import os
 import zipfile
 from pathlib import Path
 
@@ -79,6 +81,15 @@ def check_type(name: str, value, cls: type) -> None:
     if not isinstance(value, cls):
         article = "an" if cls.__name__[0] in "AEIOU" else "a"
         raise InvalidInputError(f"{name} is not {article} {cls.__name__}, "
+                                f"got {type(value).__name__}")
+
+
+def check_path(name: str, value) -> None:
+    """Refuse `value` unless it is a str or an os.PathLike, before any I/O:
+    `open` takes an int as a file descriptor, and a bytes or other path
+    reaches no file the messages could name."""
+    if not isinstance(value, (str, os.PathLike)):
+        raise InvalidInputError(f"{name} is not a str or os.PathLike, "
                                 f"got {type(value).__name__}")
 
 
@@ -329,6 +340,24 @@ def npz_entry(archive, name: str, error=InvalidInputError) -> np.ndarray:
         return archive[name]
     except _NPZ_ERRORS as exc:
         raise error(f"npz entry {name}: {exc}") from exc
+
+
+def write_npz(fh, members) -> None:
+    """Write to the binary file `fh` an npz archive member by member, as
+    np.savez writes it: `members` yields (name, dtype, shape, pieces), the
+    member the array of `dtype` and `shape` whose elements in C order are
+    those of the pieces in turn. Each piece is written from its own buffer,
+    so no array of a whole member is made; its bytes go through a flat uint8
+    view, since exporting the piece's own buffer would leave NumPy's cached
+    buffer format on it for as long as the piece lives."""
+    with zipfile.ZipFile(fh, "w", zipfile.ZIP_STORED, allowZip64=True) as archive:
+        for name, dtype, shape, pieces in members:
+            header = {"descr": np.lib.format.dtype_to_descr(np.dtype(dtype)),
+                      "fortran_order": False, "shape": tuple(int(n) for n in shape)}
+            with archive.open(f"{name}.npy", "w", force_zip64=True) as out:
+                np.lib.format.write_array_header_1_0(out, header)
+                for piece in pieces:
+                    out.write(np.ascontiguousarray(piece, dtype).reshape(-1).view(np.uint8))
 
 
 class ConfigError(SgaError, ValueError):

@@ -13,14 +13,16 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
 from .allocator import MatchSet
 from .config import RERANK_MODES, PipelineConfig
-from .encoder import EncoderWeights, encode_graph, encode_graphs, node_batches
-from .errors import (InvalidInputError, SgaError, as_array, check_bound, check_type,
-                     check_widths, npz_entry, open_npz, read_json, section_dict)
+from .encoder import (_WORKERS, EncoderWeights, encode_graph, encode_graphs, node_batches,
+                      run_parts)
+from .errors import (InvalidInputError, SgaError, as_array, check_bound, check_path, check_type,
+                     check_widths, npz_entry, open_npz, read_json, section_dict, write_npz)
 from .matcher import score_matrix, unit_rows
 from .pipeline import allocate
 from .scene_graph import GraphBatch, SceneGraph
@@ -124,14 +126,20 @@ def topk_filter(query_global: np.ndarray, db: SceneDatabase, k: int) -> list[str
     """Scene ids of the k most similar globals; ties favor lower scene_id.
     One batched product over the stacked globals: NumPy computes each of its
     (1, d) @ (d, 1) items with its dot routine, so each has the bits of
-    `global_similarity` on that entry (a plain `stacked @ q` does not)."""
+    `global_similarity` on that entry (a plain `stacked @ q` does not).
+    A partition keeps the rows at least as similar as the k-th, ties with it
+    included, and only those are sorted by (-similarity, scene_id). With a
+    NaN similarity every row is sorted, as NaN orders no pair of rows."""
     check_bound("k", k, ">= 1", where="topk_filter")
     check_type("db", db, SceneDatabase)
     q = as_array("query_global", query_global, (None,), "topk_filter")
     stacked = as_array("database globals", [e.global_embedding for e in db.entries]
                        or np.zeros((0, len(q))), (len(db), len(q)), "topk_filter")
-    sims = (stacked[:, None, :] @ q[:, None])[:, 0, 0]
-    scored = sorted(zip((-sims).tolist(), [e.scene_id for e in db.entries]))
+    cost = -(stacked[:, None, :] @ q[:, None])[:, 0, 0]
+    rows = np.arange(len(cost))
+    if k < len(cost) and not np.isnan(cost).any():
+        rows = np.flatnonzero(cost <= np.partition(cost, k - 1)[k - 1])
+    scored = sorted(zip(cost[rows].tolist(), [db.entries[i].scene_id for i in rows.tolist()]))
     return [sid for _, sid in scored[:k]]
 
 
@@ -227,19 +235,36 @@ def _check_scene_id(scene_id) -> None:
         raise InvalidInputError(f"scene id {scene_id!r} is not a safe file name")
 
 
+def _with_fingerprint(io: Callable[[], object], weights: EncoderWeights) -> tuple:
+    """(io(), weights_fingerprint(weights)): a second thread hashes while the
+    calling thread runs `io` (hashlib releases the GIL while it hashes).
+    On one usable CPU the hash follows `io` on the calling thread. An error
+    of `io` is the one raised."""
+    parts = run_parts([io, lambda: weights_fingerprint(weights)], [1, 1],
+                      lambda part: [task() for task in part], min(_WORKERS, 2))
+    return tuple(result for part in parts for result in part)
+
+
 def save_database(db: SceneDatabase, directory, weights: EncoderWeights) -> None:
-    """Write embeddings.npz, then index.json. Every entry's scene id and
-    embedding shapes are checked first, then what `load_database` refuses:
-    graph values and embedding rows that are not unit vectors, the first
-    scene at fault named as the load names it. A refused save opens no file."""
+    """Write embeddings.npz, then index.json, while a second thread hashes
+    the weights. Every entry's scene id and embedding shapes are checked
+    first, then what `load_database` refuses: graph values, then embedding
+    rows that are not unit vectors, the first scene at fault named as the
+    load names it. A refused save starts no thread and opens no file.
+
+    Scenes are checked one `node_batches` chunk at a time, and each archive
+    member is written from the entries' own arrays (`write_npz`), so the
+    memory a save adds does not grow with the number of scenes."""
     check_type("db", db, SceneDatabase)
+    check_path("directory", directory)
     check_type("weights", weights, EncoderWeights)
-    batch, d_model = GraphBatch.of([e.graph for e in db.entries]), weights.config.d_model
-    globals_, nodes = [], [np.zeros((0, d_model))]
-    for entry, n in zip(db.entries, np.diff(batch.arrays["offsets"]).tolist()):
+    graphs, d_model = [e.graph for e in db.entries], weights.config.d_model
+    GraphBatch.check(graphs)
+    globals_, nodes = [], []
+    for entry in db.entries:
         _check_scene_id(entry.scene_id)
         for what, value, shape, out in (
-                ("node embeddings", entry.node_embeddings, (n, d_model), nodes),
+                ("node embeddings", entry.node_embeddings, (len(entry.graph.ids), d_model), nodes),
                 ("global embedding", entry.global_embedding, (d_model,), globals_)):
             if np.shape(value) != shape:
                 raise InvalidInputError(f"scene {entry.scene_id!r}: {what} of shape "
@@ -247,16 +272,33 @@ def save_database(db: SceneDatabase, directory, weights: EncoderWeights) -> None
             out.append(as_array(what, value, None, f"scene {entry.scene_id!r}"))
     directory = Path(directory)
     path, scene_ids = directory / EMBEDDINGS_FILE, [e.scene_id for e in db.entries]
-    for k, violations in enumerate(batch.violations()):
-        if violations:
-            raise InvalidInputError(f"{path}: scene {scene_ids[k]!r}: {violations}")
-    globals_, nodes = np.reshape(globals_, (len(db), d_model)), np.concatenate(nodes)
-    _unit_rows(path, scene_ids, globals_, nodes, batch.arrays["offsets"])
+    # A chunk's checks copy its node rows and global rows.
+    chunks = [(chunk[0], chunk[-1] + 1) for chunk in
+              node_batches(range(len(db)), lambda k: len(graphs[k].ids) + 1)]
+    strings = []
+    for lo, hi in chunks:
+        batch = GraphBatch.of(graphs[lo:hi])
+        strings += batch.strings
+        for k, violations in enumerate(batch.violations(), lo):
+            if violations:
+                raise InvalidInputError(f"{path}: scene {scene_ids[k]!r}: {violations}")
+    offsets = np.cumsum([0] + [len(rows) for rows in nodes])
+    for what, rows, starts in (("global embedding", globals_, np.arange(len(db) + 1)),
+                               ("node embedding", nodes, offsets)):
+        for lo, hi in chunks:
+            _unit_rows(path, what, np.concatenate(rows[lo:hi]).reshape(-1, d_model),
+                       scene_ids[lo:hi], starts[lo:hi + 1])
+
+    def write() -> None:
+        directory.mkdir(parents=True, exist_ok=True)
+        with open(path, "wb") as fh:
+            write_npz(fh, [("globals", np.float64, (len(db), d_model), globals_),
+                           ("nodes", np.float64, (int(offsets[-1]), d_model), nodes),
+                           *GraphBatch.pieces(graphs)])
+
+    _, fingerprint = _with_fingerprint(write, weights)
     index = {"format_version": DB_FORMAT_VERSION, "scenes": scene_ids,
-             "weights_hash": weights_fingerprint(weights), "graphs": batch.strings}
-    directory.mkdir(parents=True, exist_ok=True)
-    with open(path, "wb") as fh:
-        np.savez(fh, globals=globals_, nodes=nodes, **batch.arrays)
+             "weights_hash": fingerprint, "graphs": strings}
     (directory / INDEX_FILE).write_text(json.dumps(index), encoding="utf-8")
 
 
@@ -274,23 +316,22 @@ def _read_archive(path: Path) -> dict[str, np.ndarray]:
 UNIT_NORM_TOL = 1e-9
 
 
-def _unit_rows(path: Path, scene_ids: list[str], globals_: np.ndarray, nodes: np.ndarray,
-               offsets: np.ndarray) -> None:
-    """Refuse a global or node embedding row whose norm is not 1 within
-    UNIT_NORM_TOL, naming its scene (node rows: `offsets` split them). Entries
-    are bounded first, so the squared norms cannot overflow, and no temporary
-    copy of the rows is made."""
+def _unit_rows(path: Path, what: str, rows: np.ndarray, scene_ids: list[str],
+               starts: np.ndarray) -> None:
+    """Refuse an embedding row of `rows` whose norm is not 1 within
+    UNIT_NORM_TOL, naming its number and its scene: the rows are numbered
+    from starts[0], and scene_ids[j] owns rows starts[j]:starts[j + 1].
+    Entries are bounded first, so the squared norms cannot overflow, and no
+    temporary copy of the rows is made."""
     bound = 1 + UNIT_NORM_TOL
-    for what, rows, starts in (("global embedding", globals_, np.arange(len(scene_ids) + 1)),
-                               ("node embedding", nodes, offsets)):
-        bad = ~((rows.max(axis=1) <= bound) & (rows.min(axis=1) >= -bound))  # NaN too
-        if not bad.any():
-            bad = ~(np.abs(np.sqrt(np.einsum("ij,ij->i", rows, rows)) - 1) <= UNIT_NORM_TOL)
-        if bad.any():
-            row = int(np.argmax(bad))
-            scene = scene_ids[int(np.searchsorted(starts, row, side="right")) - 1]
-            raise InvalidInputError(f"{path}: scene {scene!r}: {what} row {row} is not a unit "
-                                    f"vector within {UNIT_NORM_TOL:g}")
+    bad = ~((rows.max(axis=1) <= bound) & (rows.min(axis=1) >= -bound))  # NaN too
+    if not bad.any():
+        bad = ~(np.abs(np.sqrt(np.einsum("ij,ij->i", rows, rows)) - 1) <= UNIT_NORM_TOL)
+    if bad.any():
+        row = int(starts[0]) + int(np.argmax(bad))
+        scene = scene_ids[int(np.searchsorted(starts, row, side="right")) - 1]
+        raise InvalidInputError(f"{path}: scene {scene!r}: {what} row {row} is not a unit "
+                                f"vector within {UNIT_NORM_TOL:g}")
 
 
 def _embeddings(path: Path, arrays: dict[str, np.ndarray], scene_ids: list[str],
@@ -310,17 +351,20 @@ def _embeddings(path: Path, arrays: dict[str, np.ndarray], scene_ids: list[str],
     if nodes.shape != (n_nodes, d_model) or nodes.dtype != np.float64:
         raise InvalidInputError(f"{path}: node embeddings are {nodes.dtype} "
                                 f"{nodes.shape}, expected float64 {(n_nodes, d_model)}")
-    _unit_rows(path, scene_ids, globals_, nodes, offsets)
+    _unit_rows(path, "global embedding", globals_, scene_ids, np.arange(n_scenes + 1))
+    _unit_rows(path, "node embedding", nodes, scene_ids, offsets)
     return globals_, nodes
 
 
 def load_database(directory, weights: EncoderWeights) -> SceneDatabase:
     """Load a saved database of format version 3; its scene graphs are read
-    from embeddings.npz and checked by `GraphBatch.read`. When the
-    stored weights hash differs from `weights`, `build_database` re-encodes
-    the graphs instead of reading their embeddings. An index.json of any
-    other format version, or one that lists a scene id twice, raises
-    InvalidInputError before the archive is opened."""
+    from embeddings.npz and checked by `GraphBatch.read`, while a second
+    thread hashes the weights. When the stored weights hash differs from
+    `weights`, `build_database` re-encodes the graphs instead of reading
+    their embeddings. An index.json of any other format version, or one that
+    lists a scene id twice, raises InvalidInputError before the archive is
+    opened."""
+    check_path("directory", directory)
     check_type("weights", weights, EncoderWeights)
     directory = Path(directory)
     index_path = directory / INDEX_FILE
@@ -338,9 +382,13 @@ def load_database(directory, weights: EncoderWeights) -> SceneDatabase:
         raise InvalidInputError(
             f"{index_path}: scene id {scene_ids[repeat[1]]!r} is listed twice")
     path = directory / EMBEDDINGS_FILE
-    arrays = _read_archive(path)
-    batch, graphs = GraphBatch.read(arrays, index.get("graphs"), scene_ids, path)
-    if index.get("weights_hash") != weights_fingerprint(weights):
+
+    def read():
+        arrays = _read_archive(path)
+        return arrays, GraphBatch.read(arrays, index.get("graphs"), scene_ids, path)
+
+    (arrays, (batch, graphs)), fingerprint = _with_fingerprint(read, weights)
+    if index.get("weights_hash") != fingerprint:
         return build_database(list(zip(scene_ids, graphs)), weights)
     globals_, nodes = _embeddings(path, arrays, scene_ids, weights.config.d_model)
     offsets = batch.arrays["offsets"]

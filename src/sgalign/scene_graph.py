@@ -12,12 +12,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .errors import (InvalidInputError, ShapeError, as_array, as_int64, as_pairs, check_bound,
-                     check_type, read_json)
+                     check_path, check_type, read_json)
 
 DEFAULT_FEATURE_DIMS = (256, 384)
 DEFAULT_N_MAX = 4
@@ -331,6 +331,8 @@ def graph_from_dict(data: dict, n_max: int = DEFAULT_N_MAX,
 
 
 def save_graph(g: SceneGraph, path) -> None:
+    check_type("g", g, SceneGraph)
+    check_path("path", path)
     Path(path).write_text(json.dumps(graph_to_dict(g)), encoding="utf-8")
 
 
@@ -340,6 +342,7 @@ def read_graph(path, n_max: int = DEFAULT_N_MAX,
     with n_max and d_th, and return the graph with its `validate_graph`
     violations. A fault of structure, type or shape raises
     InvalidInputError naming the file; the violations are of values."""
+    check_path("path", path)
     data = read_json(path)
     try:
         graph = graph_from_dict(data, n_max=n_max, d_th=d_th)
@@ -400,20 +403,29 @@ class GraphBatch:
     def of(cls, graphs: Sequence[SceneGraph]) -> GraphBatch:
         """The batch of `graphs` (one graph's holds its own columns) once `check` passes."""
         cls.check(graphs)
-        parts = list(graphs) or [graph_from_dict({"graph_id": "", "frame_kind": "world",
-                                                  "feature_dims": [0, 0], "nodes": []})]
-        arrays = {}
-        for name, column in _PACKED.items():
-            if name.endswith("offsets"):
-                counts = [len(getattr(g, column)) for g in graphs]
-                arrays[name] = np.array([0] + counts, np.int64).cumsum()
-            elif len(parts) == 1:
-                arrays[name] = getattr(parts[0], column)
-            else:
-                arrays[name] = np.concatenate([getattr(g, column) for g in parts])
+        arrays = {name: pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
+                  for name, _, _, pieces in cls.pieces(graphs)}
         strings = [{"graph_id": g.graph_id, "frame_kind": g.frame_kind, "labels": g.labels}
                    for g in graphs]
         return cls(arrays, strings)
+
+    @staticmethod
+    def pieces(graphs: Sequence[SceneGraph]
+               ) -> Iterator[tuple[str, np.dtype, tuple[int, ...], list[np.ndarray]]]:
+        """(name, dtype, shape, pieces) of each array of `_PACKED`, in archive
+        order, the array the concatenation of its pieces: an offsets array is
+        one piece, any other column each graph's own (no graphs: an empty
+        graph's). The graphs must pass `check`."""
+        parts = list(graphs) or [graph_from_dict({"graph_id": "", "frame_kind": "world",
+                                                  "feature_dims": [0, 0], "nodes": []})]
+        for name, column in _PACKED.items():
+            if name.endswith("offsets"):
+                counts = [len(getattr(g, column)) for g in graphs]
+                pieces = [np.array([0] + counts, np.int64).cumsum()]
+            else:
+                pieces = [getattr(g, column) for g in parts]
+            rows = sum(len(piece) for piece in pieces)
+            yield name, pieces[0].dtype, (rows, *pieces[0].shape[1:]), pieces
 
     @staticmethod
     def check(graphs: Sequence[SceneGraph]) -> None:

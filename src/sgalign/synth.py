@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (GenerationError, InvalidInputError, as_array, as_int64, check_bounds,
-                     check_sizes, read_json)
+                     check_path, check_sizes, check_type, read_json)
 from .evaluation import AlignmentSample
 from .matcher import unit_rows
 from .registration import RigidTransform
@@ -308,6 +308,8 @@ def make_sample(task: str, config: SynthConfig) -> AlignmentSample:
 
 
 def save_sample(sample: AlignmentSample, directory) -> None:
+    check_type("sample", sample, AlignmentSample)
+    check_path("directory", directory)
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     save_graph(sample.graph_a, directory / "a.json")
@@ -380,6 +382,7 @@ def load_sample(directory, n_max: int = DEFAULT_N_MAX,
     """Read a sample; both graphs go through `load_graph` with n_max and d_th,
     and gt.json is checked against them by `_ground_truth`. A fault raises
     InvalidInputError naming the file."""
+    check_path("directory", directory)
     directory = Path(directory)
     graph_a = load_graph(directory / "a.json", n_max=n_max, d_th=d_th)
     graph_b = load_graph(directory / "b.json", n_max=n_max, d_th=d_th)

@@ -546,21 +546,32 @@ FOLDED = {
         (case, "GroundTruthMap", {"pairs": {pair, (4, 5)}},
          f"a ground truth pair must be (id_A, id_B), got {pair!r}")
         for case, pair in [("pair0", (1,)), ("pair1", (1, 2, 3)), ("5", 5)]],
-    # A scalar argument given an array is refused; a NumPy integer is one number (topk_filter's
-    # base call passes np.int64(1)).
     "test_contract.py::test_refusal": [
-        (f"{name} {field} {value!r}", name, {field: value},
-         f"{where}{field} must be {kind}, got {value!r}")
-        for name, field, value, where, kind in [
-            ("McfParams", "top_k", np.array([2, 3]), "", "an integer"),
-            ("McfParams", "top_k", np.array(1), "", "an integer"),
-            ("SynthConfig", "seed", np.array([1, 2]), "", "an integer"),
-            ("init_weights", "seed", np.array([1, 2]), "init_weights: ", "an integer"),
-            ("topk_filter", "k", np.array([1, 2]), "topk_filter: ", "an integer"),
-            ("candidate_set", "top_k", np.array([1, 2]), "candidate_set: ", "an integer"),
-            ("estimate_rigid", "iters", np.array([3, 4]), "estimate_rigid: ", "an integer"),
-            ("EncoderConfig", "heads", np.ones(3), "", "an integer"),
-            ("MatcherParams", "temperature", np.ones(3), "", "a number")]],
+        # A scalar argument given an array is refused; a NumPy integer is one number
+        # (topk_filter's base call passes np.int64(1)).
+        *[(f"{name} {field} {value!r}", name, {field: value},
+           f"{where}{field} must be {kind}, got {value!r}")
+          for name, field, value, where, kind in [
+              ("McfParams", "top_k", np.array([2, 3]), "", "an integer"),
+              ("McfParams", "top_k", np.array(1), "", "an integer"),
+              ("SynthConfig", "seed", np.array([1, 2]), "", "an integer"),
+              ("init_weights", "seed", np.array([1, 2]), "init_weights: ", "an integer"),
+              ("topk_filter", "k", np.array([1, 2]), "topk_filter: ", "an integer"),
+              ("candidate_set", "top_k", np.array([1, 2]), "candidate_set: ", "an integer"),
+              ("estimate_rigid", "iters", np.array([3, 4]), "estimate_rigid: ", "an integer"),
+              ("EncoderConfig", "heads", np.ones(3), "", "an integer"),
+              ("MatcherParams", "temperature", np.ones(3), "", "a number")]],
+        # A file argument is a str or an os.PathLike: open() takes an int as a descriptor.
+        *[(f"{name} {field} descriptor", name, {field: 3},
+           f"{field} is not a str or os.PathLike, got int")
+          for name, field in [("save_weights", "path"), ("load_weights", "path"),
+                              ("save_database", "directory"), ("load_database", "directory"),
+                              ("save_sample", "directory"), ("load_sample", "directory"),
+                              ("save_graph", "path"), ("load_graph", "path"),
+                              ("read_graph", "path"), ("load_config", "path")]],
+        ("save_graph g", "save_graph", {"g": None}, "g is not a SceneGraph, got NoneType"),
+        ("save_sample sample", "save_sample", {"sample": None},
+         "sample is not an AlignmentSample, got NoneType")],
 }
 
 

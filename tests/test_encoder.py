@@ -1340,6 +1340,22 @@ def write_v2(path, weights, tensors=None, version=2):
                  **(weights.tensors if tensors is None else tensors))
 
 
+def test_descriptor_path_refused_untouched(small_weights, tmp_path):
+    """open() takes an int path as a file descriptor: save_weights and
+    load_weights refuse one before any I/O, so the descriptor stays open
+    and its file stays empty."""
+    fd = os.open(tmp_path / "other", os.O_RDWR | os.O_CREAT)
+    try:
+        for call in (lambda: save_weights(small_weights, fd), lambda: load_weights(fd)):
+            with pytest.raises(InvalidInputError,
+                               match=r"^path is not a str or os\.PathLike, got int\Z"):
+                call()
+        os.fstat(fd)  # raises OSError on a closed descriptor
+        assert os.path.getsize(tmp_path / "other") == 0
+    finally:
+        os.close(fd)
+
+
 class TestWeightsSerialization:
     def test_bit_exact_round_trip(self, small_config, small_weights, tmp_path):
         path = tmp_path / "w.npz"

@@ -1,18 +1,25 @@
+import io
 import json
 import re
+import threading
+import tracemalloc
+import zipfile
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from sgalign import retrieval
 from sgalign.config import PipelineConfig, RetrievalParams
-from sgalign.encoder import EncoderWeights, init_weights, load_weights, save_weights
+from sgalign.encoder import (BATCH_NODES, EncoderWeights, init_weights, load_weights,
+                             save_weights)
 from sgalign.errors import InvalidInputError
 from sgalign.matcher import cosine_scores, score_matrix
 from sgalign.pipeline import allocate, match_embeddings
 from sgalign.retrieval import (EncodedScene, SceneDatabase, build_database, global_similarity,
                                load_database, rerank, retrieve, save_database, topk_filter,
                                weights_fingerprint)
-from sgalign.scene_graph import save_graph
+from sgalign.scene_graph import GraphBatch, graph_from_dict, save_graph
 from sgalign.synth import SynthConfig, generate_scene
 from conftest import (KERNEL_SETS, assert_same_graphs, kernel_set_available,
                       kernel_set_passed, with_columns)
@@ -107,6 +114,34 @@ class TestTopkFilter:
         ids = [f"s{k:03d}" for k in range(203)]
         entries = [EncodedScene(sid, e.graph, e.node_embeddings, g.copy()) for sid in ids[::-1]]
         assert topk_filter(q, SceneDatabase(entries=entries), len(ids)) == ids
+
+    @pytest.mark.parametrize("k", range(1, 15))
+    def test_ties_across_the_kth_row(self, db_and_weights, k):
+        """Globals drawn from three vectors tie in runs of four. At every k,
+        k >= S too, the rows kept by the partition (each row tied with the
+        k-th among them) give the first k ids of the full sort."""
+        db, _ = db_and_weights
+        rng = np.random.default_rng(5)
+        vectors = [unit(rng.standard_normal(32)) for _ in range(3)]
+        q = unit(rng.standard_normal(32))
+        e = db.entries[0]
+        entries = [EncodedScene(f"s{j:02d}", e.graph, e.node_embeddings, vectors[j % 3].copy())
+                   for j in rng.permutation(12).tolist()]
+        ranked = sorted((-global_similarity(q, x.global_embedding), x.scene_id) for x in entries)
+        assert topk_filter(q, SceneDatabase(entries=entries), k) == [sid for _, sid in ranked[:k]]
+
+    def test_nan_similarity_sorts_every_row(self, db_and_weights):
+        """A NaN similarity orders no pair of rows, so every row is sorted as
+        one list, whatever k is."""
+        db, _ = db_and_weights
+        q = unit(np.random.default_rng(6).standard_normal(32))
+        entries = [replace(x, global_embedding=np.full(32, np.nan)) if k % 5 == 2 else x
+                   for k, x in enumerate(db.entries)]
+        scored = sorted(zip([-global_similarity(q, x.global_embedding) for x in entries],
+                            [x.scene_id for x in entries]))
+        for k in range(1, len(entries) + 1):
+            assert topk_filter(q, SceneDatabase(entries=entries), k) == \
+                [sid for _, sid in scored[:k]]
 
     @pytest.mark.parametrize("query_global, message", [
         (np.ones((1, 32)), "query_global must be 1-D, got shape (1, 32)"),
@@ -465,6 +500,195 @@ class TestPersistence:
                            match=rf"index.json: database format_version {version}"
                                  r" is not 3; rebuild"):
             load_database(directory, weights)
+
+
+def savez_oracle(db: SceneDatabase, weights: EncoderWeights) -> tuple[dict, dict]:
+    """(member bytes by name in archive order, index document) of the archive
+    that np.savez writes of the concatenated columns, as saves wrote it
+    before members were streamed."""
+    d_model = weights.config.d_model
+    batch = GraphBatch.of([e.graph for e in db.entries])
+    arrays = {"globals": np.reshape([e.global_embedding for e in db.entries], (len(db), d_model)),
+              "nodes": np.concatenate([np.zeros((0, d_model))]
+                                      + [e.node_embeddings for e in db.entries]),
+              **batch.arrays}
+    buffer = io.BytesIO()
+    np.savez(buffer, **arrays)
+    with zipfile.ZipFile(buffer) as archive:
+        members = {name: archive.read(name) for name in archive.namelist()}
+    index = {"format_version": 3, "scenes": [e.scene_id for e in db.entries],
+             "weights_hash": weights_fingerprint(weights), "graphs": batch.strings}
+    return members, index
+
+
+def odd_scenes(db: SceneDatabase, weights: EncoderWeights) -> list[EncodedScene]:
+    """A scene with no edges and a scene with no nodes, beside the first."""
+    first = db.entries[0]
+    no_edges = with_columns(first.graph, "no-edges", endpoints=np.zeros((0, 2), np.int64),
+                            edge_distances=np.zeros(0))
+    no_nodes = graph_from_dict({"graph_id": "no-nodes", "frame_kind": "world",
+                                "feature_dims": list(weights.config.feature_dims), "nodes": []})
+    return [first,
+            EncodedScene("no-edges", no_edges, first.node_embeddings, first.global_embedding),
+            EncodedScene("no-nodes", no_nodes, np.zeros((0, weights.config.d_model)),
+                         db.entries[1].global_embedding)]
+
+
+class TestStreamedArchive:
+    """save_database writes each member from the entries' own arrays; the
+    archive holds, member by member, the bytes np.savez writes of the
+    concatenated columns, and index.json the same document."""
+
+    @pytest.mark.parametrize("case", ["scenes", "empty", "no edges and no nodes", "only no nodes"])
+    def test_equals_savez_oracle(self, db_and_weights, tmp_path, case):
+        db, weights = db_and_weights
+        entries = {"scenes": db.entries, "empty": [],
+                   "no edges and no nodes": odd_scenes(db, weights),
+                   "only no nodes": odd_scenes(db, weights)[2:]}[case]
+        db = SceneDatabase(entries=list(entries))
+        save_database(db, tmp_path / "db", weights)
+        members, index = savez_oracle(db, weights)
+        with zipfile.ZipFile(tmp_path / "db" / "embeddings.npz") as archive:
+            assert archive.namelist() == list(members)
+            for info in archive.infolist():
+                assert info.compress_type == zipfile.ZIP_STORED, info.filename
+                assert archive.read(info.filename) == members[info.filename], info.filename
+        assert (tmp_path / "db" / "index.json").read_text(encoding="utf-8") == json.dumps(index)
+        back = load_database(tmp_path / "db", weights)
+        for got, want in zip(back.entries, db.entries, strict=True):
+            assert got.node_embeddings.tobytes() == want.node_embeddings.tobytes()
+            assert got.global_embedding.tobytes() == want.global_embedding.tobytes()
+        assert_same_graphs([e.graph for e in back.entries], [e.graph for e in db.entries])
+
+    def test_strided_embeddings_written_as_rows(self, db_and_weights, tmp_path):
+        """Embeddings that are not C-contiguous are written in row order."""
+        db, weights = db_and_weights
+        entries = [EncodedScene(e.scene_id, e.graph, np.asfortranarray(e.node_embeddings),
+                                np.stack([e.global_embedding] * 2, axis=1)[:, 0])
+                   for e in db.entries[:3]]
+        save_database(SceneDatabase(entries=entries), tmp_path / "db", weights)
+        members, _ = savez_oracle(SceneDatabase(entries=db.entries[:3]), weights)
+        with zipfile.ZipFile(tmp_path / "db" / "embeddings.npz") as archive:
+            assert {name: archive.read(name) for name in archive.namelist()} == members
+
+    @pytest.mark.parametrize("bad", ["f_g", "global", "nodes"])
+    def test_fault_past_the_first_chunk(self, db_and_weights, tmp_path, bad):
+        """A fault of a scene that the checks reach in a later chunk names that
+        scene, and an embedding row by its number in the whole archive, as the
+        load names it."""
+        db, weights = db_and_weights
+        entries = [replace(db.entries[k % len(db)], scene_id=f"s{k:03d}") for k in range(100)]
+        assert sum(len(e.graph.ids) + 1 for e in entries) > 2 * BATCH_NODES
+        last = entries[-1]
+        if bad == "f_g":
+            f_g = last.graph.f_g.copy()
+            f_g[0] = 2.0
+            entries[-1] = replace(last, graph=with_columns(last.graph, f_g=f_g))
+            problem = f"['node {last.graph.ids[0]}: f_g components must lie in (0, 1]']"
+        elif bad == "global":
+            entries[-1] = replace(last, global_embedding=2 * last.global_embedding)
+            problem = "global embedding row 99 is not a unit vector within 1e-09"
+        else:
+            rows = last.node_embeddings.copy()
+            rows[1] *= 2
+            entries[-1] = replace(last, node_embeddings=rows)
+            row = sum(len(e.graph.ids) for e in entries[:-1]) + 1
+            problem = f"node embedding row {row} is not a unit vector within 1e-09"
+        message = f"{tmp_path / 'db' / 'embeddings.npz'}: scene 's099': {problem}"
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}\\Z"):
+            save_database(SceneDatabase(entries=entries), tmp_path / "db", weights)
+        assert not (tmp_path / "db").exists()
+
+    def test_save_memory_flat_in_scene_count(self, db_and_weights, tmp_path):
+        """The traced peak of a save of 400 scenes is that of 40 within
+        1 MiB: no copy of all the scenes' rows is made. (A packed copy of
+        400 of these scenes is about 4 MiB.)"""
+        db, weights = db_and_weights
+        peaks = []
+        for count in (40, 400):
+            entries = [replace(db.entries[k % len(db)], scene_id=f"s{k:04d}")
+                       for k in range(count)]
+            big = SceneDatabase(entries=entries)
+            tracemalloc.start()
+            try:
+                save_database(big, tmp_path / f"db{count}", weights)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) <= 2 ** 20, peaks
+
+
+class TestFingerprintBesideIO:
+    """save_database and load_database hash the weights on a second thread
+    while the calling thread writes or reads; on one worker the hash runs
+    after the I/O on the calling thread. The files and the database are the
+    same either way, and a failing write or read raises its own error with
+    no thread left running."""
+
+    @pytest.fixture()
+    def hashing_threads(self, monkeypatch):
+        threads = []
+
+        def recorded(weights):
+            threads.append(threading.get_ident())
+            return weights_fingerprint(weights)
+        monkeypatch.setattr(retrieval, "weights_fingerprint", recorded)
+        return threads
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_same_files_on_any_worker_count(self, db_and_weights, tmp_path, monkeypatch,
+                                            hashing_threads, workers):
+        db, weights = db_and_weights
+        monkeypatch.setattr(retrieval, "_WORKERS", workers)
+        save_database(db, tmp_path / "db", weights)
+        back = load_database(tmp_path / "db", weights)
+        caller = threading.get_ident()
+        assert [ident == caller for ident in hashing_threads] == [workers == 1] * 2
+        members, index = savez_oracle(db, weights)
+        with zipfile.ZipFile(tmp_path / "db" / "embeddings.npz") as archive:
+            assert {name: archive.read(name) for name in archive.namelist()} == members
+        assert (tmp_path / "db" / "index.json").read_text(encoding="utf-8") == json.dumps(index)
+        for got, want in zip(back.entries, db.entries, strict=True):
+            assert got.node_embeddings.tobytes() == want.node_embeddings.tobytes()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failing_write(self, db_and_weights, tmp_path, monkeypatch, workers):
+        db, weights = db_and_weights
+        monkeypatch.setattr(retrieval, "_WORKERS", workers)
+        (tmp_path / "db" / "embeddings.npz").mkdir(parents=True)
+        (tmp_path / "file").write_text("")
+        before = threading.active_count()
+        with pytest.raises(IsADirectoryError):
+            save_database(db, tmp_path / "db", weights)
+        with pytest.raises(FileExistsError):
+            save_database(db, tmp_path / "file", weights)
+        assert threading.active_count() == before
+        assert not (tmp_path / "db" / "index.json").exists()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failing_read(self, db_and_weights, tmp_path, monkeypatch, workers):
+        db, weights = db_and_weights
+        monkeypatch.setattr(retrieval, "_WORKERS", workers)
+        save_database(db, tmp_path / "db", weights)
+        archive = tmp_path / "db" / "embeddings.npz"
+        before = threading.active_count()
+        archive.write_bytes(b"not an archive")
+        with pytest.raises(InvalidInputError, match=rf"^{re.escape(str(archive))}: not an npz "
+                                                    r"archive\Z"):
+            load_database(tmp_path / "db", weights)
+        archive.unlink()
+        with pytest.raises(FileNotFoundError):
+            load_database(tmp_path / "db", weights)
+        assert threading.active_count() == before
+
+    def test_refused_save_starts_no_thread(self, db_and_weights, tmp_path, monkeypatch):
+        db, weights = db_and_weights
+        monkeypatch.setattr(retrieval, "run_parts",
+                            lambda *args: pytest.fail("a thread runner started"))
+        bad = replace(db.entries[1], global_embedding=2 * db.entries[1].global_embedding)
+        with pytest.raises(InvalidInputError, match="global embedding row 1 is not a unit"):
+            save_database(SceneDatabase(entries=[db.entries[0], bad]), tmp_path / "db", weights)
+        assert not (tmp_path / "db").exists()
 
 
 UNSAFE_IDS = ["", "a/b", "a\\b", "a\0b", ".", ".."]
